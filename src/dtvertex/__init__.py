@@ -37,12 +37,7 @@ from .kclass import (
     character,
     check_key_conjecture,
     cy_fixed_part,
-    cy_rank,
     cy_reduce,
-    k_add,
-    k_bar,
-    k_mul,
-    k_sub,
     vertex,
     vertex_split,
 )
@@ -59,7 +54,7 @@ from .partitions import (
     orbit,
     orbit_size,
 )
-from .ratpoly import QPoly, QRatio
+from .ratpoly import QPoly
 from .series import (
     TruncatedSeries,
     build_z_4k,

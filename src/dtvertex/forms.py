@@ -6,10 +6,10 @@ the Calabi-Yau torus the last parameter is eliminated immediately
 coordinates plus one coordinate for the line-bundle exponent ell, which
 only ever enters through multiples of the all-ones direction.  Euler
 classes, their square roots, and the tautological insertion are all
-FormProducts: an exact scalar times a multiset of primitive forms with
-integer exponents.  Cancellation, square-root extraction and the
-specialization to the locus lam_1 + ... + lam_{d-1} = 0 are multiset
-operations; no limits are ever taken.
+FormProducts: an exact Fraction scalar times a multiset of primitive
+forms with integer exponents.  Cancellation, square-root extraction and
+the specialization to the locus lam_1 + ... + lam_{d-1} = 0 are
+multiset operations; no limits are ever taken.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .kclass import (
     cy_reduce,
     vertex,
 )
-from .ratpoly import QPoly, QRatio, fraction_sqrt
+from .ratpoly import QPoly, fraction_sqrt
 
 
 class LinearForm:
@@ -90,9 +90,7 @@ def canonical_form(coeffs, ell_part=0):
     is positive.
     """
     data = tuple(coeffs) + (ell_part,)
-    g = 0
-    for c in data:
-        g = gcd(g, abs(c))
+    g = gcd(*data)
     if g == 0:
         return None
     first = next(c for c in data if c)
@@ -107,19 +105,19 @@ class FormProduct:
 
     __slots__ = ("scalar", "factors", "is_zero")
 
-    def __init__(self, scalar=None, factors=None, is_zero=False):
+    def __init__(self, scalar=1, factors=None, is_zero=False):
         if is_zero:
-            self.scalar = QRatio(0)
+            self.scalar = Fraction(0)
             self.factors = {}
             self.is_zero = True
             return
-        self.scalar = scalar if isinstance(scalar, QRatio) else QRatio(1 if scalar is None else scalar)
+        self.scalar = Fraction(scalar)
         self.factors = dict(factors or {})
         self.is_zero = False
 
     @classmethod
     def constant(cls, c):
-        return cls(scalar=QRatio(c))
+        return cls(scalar=c)
 
     @classmethod
     def zero(cls):
@@ -146,7 +144,7 @@ class FormProduct:
             factors[form] = e
         else:
             factors.pop(form, None)
-        return FormProduct(self.scalar * QRatio(Fraction(g) ** exponent), factors)
+        return FormProduct(self.scalar * Fraction(g) ** exponent, factors)
 
     def __mul__(self, other):
         if not isinstance(other, FormProduct):
@@ -174,7 +172,7 @@ class FormProduct:
     def scaled(self, c):
         if self.is_zero:
             return self
-        return FormProduct(self.scalar * QRatio(c), self.factors)
+        return FormProduct(self.scalar * c, self.factors)
 
     def total_degree(self):
         """Net number of linear forms, counted with exponents."""
@@ -197,12 +195,7 @@ class FormProduct:
         """Exact value at a parameter point; zero factors raise."""
         if self.is_zero:
             return Fraction(0)
-        if ell is None:
-            if not self.scalar.is_constant():
-                raise ValueError("scalar depends on ell; no value given")
-            val = self.scalar.as_fraction()
-        else:
-            val = self.scalar(Fraction(ell))
+        val = self.scalar
         for form, e in self.factors.items():
             v = form.evaluate(lams, ell)
             if not v:
@@ -219,10 +212,7 @@ class FormProduct:
         )
         return {
             "is_zero": self.is_zero,
-            "scalar": {
-                "num": [str(c) for c in self.scalar.num.coeffs],
-                "den": [str(c) for c in self.scalar.den.coeffs],
-            },
+            "scalar": {"num": [str(self.scalar)] if self.scalar else [], "den": ["1"]},
             "factors": rows,
         }
 
@@ -230,10 +220,10 @@ class FormProduct:
     def from_serialized(cls, obj):
         if obj["is_zero"]:
             return cls.zero()
-        scalar = QRatio(
-            QPoly([Fraction(c) for c in obj["scalar"]["num"]]),
-            QPoly([Fraction(c) for c in obj["scalar"]["den"]]),
-        )
+        num, den = obj["scalar"]["num"], obj["scalar"]["den"]
+        if len(num) > 1 or len(den) != 1:
+            raise ValueError("scalar is not a constant: %r" % (obj["scalar"],))
+        scalar = Fraction(num[0]) / Fraction(den[0]) if num else 0
         factors = {
             LinearForm(tuple(coeffs), ell): e for coeffs, ell, e in obj["factors"]
         }
@@ -242,7 +232,7 @@ class FormProduct:
     def __repr__(self):
         if self.is_zero:
             return "FormProduct(0)"
-        return "FormProduct(%r, %d forms)" % (self.scalar, len(self.factors))
+        return "FormProduct(%s, %d forms)" % (self.scalar, len(self.factors))
 
 
 def euler_class(a, use_cy=True):
@@ -251,17 +241,27 @@ def euler_class(a, use_cy=True):
     Each monomial t^w with coefficient c becomes the form <w, lam> with
     exponent c.  With use_cy the class is first reduced modulo
     t_1..t_d = 1 and forms live in the d-1 surviving parameters;
-    otherwise they keep all d coordinates (full torus).
+    otherwise they keep all d coordinates (full torus).  The zero weight
+    makes the class zero when its coefficient is positive and raises
+    ZeroWeightDenominator when it is negative.
     """
-    out = FormProduct.constant(1)
     if use_cy:
         a = cy_reduce(a)
-        for w, c in sorted(a.terms.items()):
-            out = out.times_raw_form(w[:-1], 0, c)
-    else:
-        for w, c in sorted(a.terms.items()):
-            out = out.times_raw_form(w, 0, c)
-    return out
+    exps = {}
+    num = den = 1
+    for w, c in a.terms.items():
+        norm = canonical_form(w[:-1] if use_cy else w, 0)
+        if norm is None:
+            if c > 0:
+                return FormProduct.zero()
+            raise ZeroWeightDenominator("zero weight with exponent %d" % c)
+        form, g = norm
+        exps[form] = exps.get(form, 0) + c
+        if c > 0:
+            num *= g**c
+        else:
+            den *= g ** (-c)
+    return FormProduct(Fraction(num, den), {f: e for f, e in exps.items() if e})
 
 
 def sqrt_form_product(p, n):
@@ -279,13 +279,11 @@ def sqrt_form_product(p, n):
         if e % 2:
             raise NotAPerfectSquare("odd exponent %d on %r" % (e, form))
         half[form] = e // 2
-    if not p.scalar.is_constant():
-        raise NotAPerfectSquare("scalar depends on ell")
-    s = p.scalar.as_fraction() * (-1) ** n
+    s = p.scalar * (-1) ** n
     root = fraction_sqrt(s)
     if root is None:
         raise NotAPerfectSquare("scalar %s is not a rational square" % (s,))
-    return FormProduct(QRatio(root), half)
+    return FormProduct(root, half)
 
 
 def taut_factor(pi, d, u=None, ell_units=0):
@@ -379,8 +377,8 @@ def specialize(p):
     if p.is_zero:
         return SpecializedValue(value=QPoly.zero(), from_zero=True)
     sigma_net = 0
-    num = p.scalar.num
-    den = p.scalar.den
+    num = QPoly.const(p.scalar)
+    den = QPoly.one()
     residual = {}
     res_scalar = Fraction(1)
     for form, e in sorted(p.factors.items(), key=lambda kv: kv[0].key()):
@@ -409,10 +407,10 @@ def specialize(p):
     if residual:
         bad = min(residual, key=lambda f: f.key())
         return SpecializedValue(diagnostic="not_constant", direction=list(bad.coeffs))
-    ratio = QRatio(num * res_scalar, den)
-    if not ratio.is_polynomial():
+    value = (num * res_scalar).divexact(den)
+    if value is None:
         return SpecializedValue(diagnostic="pole", direction=None)
-    return SpecializedValue(value=ratio.as_poly())
+    return SpecializedValue(value=value)
 
 
 def omega_from_specialized(v, pi):
@@ -471,7 +469,7 @@ def euler_ratio_odd(pi, d):
         raise NotConstant(
             "forms survive in the Euler ratio", partition=pi.serialize()
         )
-    return p.scalar.as_fraction()
+    return p.scalar
 
 
 def evaluate_on_locus(p, frees, ell):
@@ -487,7 +485,7 @@ def evaluate_on_locus(p, frees, ell):
         return Fraction(0)
     frees = tuple(Fraction(x) for x in frees)
     total = sum(frees)
-    val = p.scalar(Fraction(ell))
+    val = p.scalar
     order = 0
     for form, e in p.factors.items():
         a = form.coeffs

@@ -115,22 +115,6 @@ class KClass:
         return "KClass(%d, %d terms)" % (self.dim, len(self.terms))
 
 
-def k_add(a, b):
-    return a + b
-
-
-def k_sub(a, b):
-    return a - b
-
-
-def k_mul(a, b):
-    return a * b
-
-
-def k_bar(a):
-    return a.bar()
-
-
 def character(pi, d):
     """Torus character of the box stack of a (d-1)-partition.
 
@@ -182,11 +166,6 @@ def cy_reduce(a):
         else:
             del out[v]
     return KClass(a.dim, out)
-
-
-def cy_rank(a):
-    """Rank after the Calabi-Yau reduction (equals the plain rank)."""
-    return a.rank()
 
 
 def cy_fixed_part(a):

@@ -1,4 +1,4 @@
-"""Dense exact univariate polynomials and rational functions over Q.
+"""Dense exact univariate polynomials over Q.
 
 These are the coefficient containers for everything that depends on the
 line-bundle exponent parameter (rendered as ``ell``) and for truncated
@@ -198,94 +198,6 @@ def poly_gcd(a, b):
     if a.is_zero():
         return a
     return a * (1 / a.leading())
-
-
-class QRatio:
-    """Reduced ratio of two QPoly, denominator monic and never zero."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = QPoly.const(num)
-        if den is None:
-            den = QPoly.one()
-        elif isinstance(den, (int, Fraction)):
-            den = QPoly.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = QPoly.zero(), QPoly.one()
-            return
-        g = poly_gcd(num, den)
-        if g.degree() > 0:
-            num = num.divexact(g)
-            den = den.divexact(g)
-        scale = 1 / den.leading()
-        self.num = num * scale
-        self.den = den * scale
-
-    @classmethod
-    def one(cls):
-        return cls(QPoly.one())
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def is_constant(self):
-        return self.num.is_constant() and self.den.is_constant()
-
-    def is_polynomial(self):
-        return self.den == QPoly.one()
-
-    def as_fraction(self):
-        if not self.is_constant():
-            raise ValueError("ratio is not constant: %r" % (self,))
-        return self.num.constant_value()
-
-    def as_poly(self):
-        if not self.is_polynomial():
-            raise ValueError("ratio is not a polynomial: %r" % (self,))
-        return self.num
-
-    def __eq__(self, other):
-        if isinstance(other, QRatio):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, QPoly)):
-            return self == QRatio(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QPoly)):
-            other = QRatio(other)
-        if not isinstance(other, QRatio):
-            return NotImplemented
-        return QRatio(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise ValueError("integer exponents only")
-        if n >= 0:
-            return QRatio(self.num**n, self.den**n)
-        if self.is_zero():
-            raise ZeroDivisionError("negative power of zero")
-        return QRatio(self.den ** (-n), self.num ** (-n))
-
-    def __call__(self, x):
-        d = self.den(x)
-        if not d:
-            raise ZeroDivisionError("denominator vanishes at %s" % (x,))
-        return self.num(x) / d
-
-    def __repr__(self):
-        if self.is_polynomial():
-            return "QRatio(%s)" % (self.num.render(),)
-        return "QRatio((%s)/(%s))" % (self.num.render(), self.den.render())
 
 
 def fraction_sqrt(q):

@@ -20,7 +20,6 @@ from dtvertex import (
     check_key_conjecture,
     check_power_law,
     compute_weight,
-    cy_rank,
     cy_reduce,
     enumerate_partitions,
     evaluate_on_locus,
@@ -172,9 +171,9 @@ def test_criterion_10a_duality_and_rank():
         v = cy_reduce(vertex(pi, d))
         dual = cy_reduce(v.bar())
         if d % 2:
-            ok = ok and dual == -v and cy_rank(v) == 0
+            ok = ok and dual == -v and v.rank() == 0
         else:
-            ok = ok and dual == v and cy_rank(v) == 2 * pi.size
+            ok = ok and dual == v and v.rank() == 2 * pi.size
     report("criterion 10a: vertex duality and rank hold on all criteria sets", ok)
 
 

@@ -15,6 +15,7 @@ from dtvertex import (
     ZeroWeightDenominator,
     canonical_representatives,
     compute_weight,
+    cy_reduce,
     euler_class,
     euler_ratio_odd,
     evaluate_on_locus,
@@ -50,13 +51,13 @@ def test_euler_class_full_torus():
     a = KClass(2, {(1, 0): 1, (0, 1): 1})
     p = euler_class(a, use_cy=False)
     assert p.factors == {form((1, 0)): 1, form((0, 1)): 1}
-    assert p.scalar.as_fraction() == 1
+    assert p.scalar == 1
 
 
 def test_euler_class_of_box_vertex_is_minus_one():
     p = euler_class(-vertex(single_box(2), 3), use_cy=True)
     assert p.is_scalar()
-    assert p.scalar.as_fraction() == -1
+    assert p.scalar == -1
 
 
 def test_euler_class_zero_weight():
@@ -64,6 +65,34 @@ def test_euler_class_zero_weight():
     assert euler_class(a, use_cy=True).is_zero
     with pytest.raises(ZeroWeightDenominator):
         euler_class(-KClass.one(3) + KClass.monomial(3, (1, 0, 0)), use_cy=True)
+
+
+def euler_class_by_fold(a, use_cy):
+    """Reference Euler class: fold each form in with times_raw_form."""
+    out = FormProduct.constant(1)
+    terms = cy_reduce(a).terms if use_cy else a.terms
+    for w, c in sorted(terms.items()):
+        out = out.times_raw_form(w[:-1] if use_cy else w, 0, c)
+    return out
+
+
+def test_euler_class_matches_fold_oracle():
+    classes = [
+        -vertex(rep, d)
+        for d, order in ((4, 4), (8, 3))
+        for n in range(1, order + 1)
+        for rep, _ in canonical_representatives(d - 1, n)
+    ]
+    zero_class = KClass.one(3) + KClass.monomial(3, (1, 0, 0))
+    pole = -KClass.one(3) + KClass.monomial(3, (1, 0, 0))
+    for use_cy in (True, False):
+        for a in classes + [zero_class]:
+            assert euler_class(a, use_cy) == euler_class_by_fold(a, use_cy)
+        assert euler_class(zero_class, use_cy).is_zero
+        with pytest.raises(ZeroWeightDenominator):
+            euler_class(pole, use_cy)
+        with pytest.raises(ZeroWeightDenominator):
+            euler_class_by_fold(pole, use_cy)
 
 
 def test_sqrt_of_single_box_dim4():
@@ -76,10 +105,10 @@ def test_sqrt_of_single_box_dim4():
         form((1, 1, 1)): -2,
     }
     assert p.factors == expected
-    assert p.scalar.as_fraction() == -1
+    assert p.scalar == -1
     w = sqrt_form_product(p, 1)
     assert w.factors == {f: e // 2 for f, e in expected.items()}
-    assert w.scalar.as_fraction() == 1
+    assert w.scalar == 1
     assert w * w == p.scaled(-1)
 
 
@@ -96,7 +125,7 @@ def test_sqrt_of_empty_is_one():
 
     p = euler_class(-vertex(MultiPartition(7), 8), use_cy=True)
     w = sqrt_form_product(p, 0)
-    assert w.is_scalar() and w.scalar.as_fraction() == 1
+    assert w.is_scalar() and w.scalar == 1
 
 
 def test_sqrt_rejects_odd_exponent():
@@ -114,7 +143,7 @@ def test_sqrt_rejects_non_square_scalar():
 def test_taut_factor_single_box():
     p = taut_factor(single_box(3), 4, ell_units=1)
     assert p.factors == {form((0, 0, 0), 1): 1}
-    assert p.scalar.as_fraction() == 1
+    assert p.scalar == 1
 
 
 def test_taut_factor_vanishing_at_unit_twist():
@@ -127,7 +156,7 @@ def test_taut_factor_empty():
     from dtvertex import MultiPartition
 
     p = taut_factor(MultiPartition(3), 4, ell_units=1)
-    assert p.is_scalar() and p.scalar.as_fraction() == 1
+    assert p.is_scalar() and p.scalar == 1
 
 
 def test_specialize_constant():
@@ -151,6 +180,13 @@ def test_specialize_diagnostics():
     vanish = FormProduct().times_raw_form((1, 1, 1), 0, 2)
     out = specialize(vanish)
     assert out.is_value() and out.value.is_zero()
+    # critical exponents balance; the ell-parts leave 1/ell (a pole) or ell
+    inv_ell = FormProduct().times_raw_form((0, 0, 0), 1, -1)
+    out = specialize(inv_ell.times_raw_form((1, 1, 1), 0, 1))
+    assert out.diagnostic == "pole" and out.direction is None
+    ell = FormProduct().times_raw_form((0, 0, 0), 1, 1)
+    out = specialize(ell.times_raw_form((1, 1, 1), 0, -1))
+    assert out.is_value() and out.value == poly(0, 1)
 
 
 def test_specialize_zero_class():
@@ -243,5 +279,16 @@ def test_form_product_serialization_roundtrip():
     w = compute_weight(single_box(7), 8)
     for p in (w.sqrt, w.taut, w.product, FormProduct.zero()):
         assert FormProduct.from_serialized(p.serialize()) == p
+    # the cache record format: a constant scalar is a one-term ratio
+    assert compute_weight(single_box(3), 4).taut.serialize() == {
+        "is_zero": False,
+        "scalar": {"num": ["1"], "den": ["1"]},
+        "factors": [[[0, 0, 0], 1, 1]],
+    }
+    assert FormProduct.zero().serialize() == {
+        "is_zero": True,
+        "scalar": {"num": [], "den": ["1"]},
+        "factors": [],
+    }
     v = w.value
     assert SpecializedValue.from_serialized(v.serialize()) == v
