@@ -30,6 +30,7 @@ from .forms import (
     specialize,
     sqrt_form_product,
     taut_factor,
+    weight_table,
 )
 from .kclass import (
     KClass,

@@ -3,7 +3,9 @@
 One record per line, keyed by (dimension, canonical partition).  A hit
 is only trusted after the vertex fingerprint is recomputed and matches;
 stale lines are recomputed and re-appended, and compaction rewrites the
-file keeping the last record per key.
+file keeping the last record per key.  A line that is not a complete
+record (a write torn by a crash) is skipped, so its partition is
+recomputed and appended on a fresh line.
 """
 
 from __future__ import annotations
@@ -68,32 +70,52 @@ class WeightCache:
     def __init__(self, path):
         self.path = path
         self.records = {}
+        # True when the file's last line has no newline (a torn write);
+        # the next append then starts a fresh line.
+        self._torn_tail = False
         if path and os.path.exists(path):
             with open(path) as fh:
                 for line in fh:
-                    line = line.strip()
-                    if not line:
+                    self._torn_tail = not line.endswith("\n")
+                    try:
+                        rec = json.loads(line)
+                        self.records[(rec["d"], rec["partition"])] = rec
+                    except (ValueError, TypeError, KeyError):
                         continue
-                    rec = json.loads(line)
-                    self.records[(rec["d"], rec["partition"])] = rec
 
     def append(self, rec):
         self.records[(rec["d"], rec["partition"])] = rec
         if self.path:
+            line = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
             with open(self.path, "a") as fh:
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+                fh.write("\n" + line if self._torn_tail else line)
+            self._torn_tail = False
 
     def compact(self):
-        """Rewrite the file with one line per key, sorted."""
+        """Rewrite the file with one line per key, sorted.
+
+        The records go to a sibling temporary file that replaces the
+        original only once it is complete and flushed to disk; on any
+        failure the original is left untouched.
+        """
         if not self.path:
             return 0
         keys = sorted(self.records)
-        with open(self.path, "w") as fh:
-            for k in keys:
-                fh.write(
-                    json.dumps(self.records[k], sort_keys=True, separators=(",", ":"))
-                    + "\n"
-                )
+        tmp = self.path + ".compact.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                for k in keys:
+                    fh.write(
+                        json.dumps(self.records[k], sort_keys=True, separators=(",", ":"))
+                        + "\n"
+                    )
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        self._torn_tail = False
         return len(keys)
 
     def get_weight(self, pi, d):

@@ -17,10 +17,10 @@ from fractions import Fraction
 
 from . import cache as cache_mod
 from .errors import DTVertexError
-from .forms import _WEIGHT_MEMO, compute_weight, cy_bundle_term, full_torus_ratio
+from .forms import compute_weight, cy_bundle_term, full_torus_ratio
 from .kclass import check_key_conjecture
 from .omega import check_exp_identity, omega_c
-from .orientation import OrientationAssignment, verify_uniqueness
+from .orientation import OrientationAssignment, positive_omega_orientation, verify_uniqueness
 from .partitions import (
     MultiPartition,
     canonical_representatives,
@@ -32,7 +32,7 @@ from .series import build_z_4k, build_z_odd, check_power_law, target_4k, target_
 def _weight_record_worker(args):
     d, arity, entries = args
     pi = MultiPartition.from_entries(arity, entries)
-    return cache_mod.record_from_weight(compute_weight(pi, d, memo=False))
+    return cache_mod.record_from_weight(compute_weight(pi, d))
 
 
 def _prepare_weights(d, order, jobs, cache_path):
@@ -50,11 +50,8 @@ def _prepare_weights(d, order, jobs, cache_path):
     pending = []
     for rep, _ in reps:
         key = rep.serialize()
-        rec = store.records.get((d, key)) if cache_path else None
-        if rec is not None:
-            w = store.get_weight(rep, d)
-            _WEIGHT_MEMO[(d, rep.key())] = w
-            out[key] = w
+        if (d, key) in store.records:
+            out[key] = store.get_weight(rep, d)
         else:
             pending.append(rep)
     if jobs > 1 and pending:
@@ -64,22 +61,14 @@ def _prepare_weights(d, order, jobs, cache_path):
         for rep, rec in sorted(
             zip(pending, records), key=lambda pair: pair[0].key()
         ):
-            w = cache_mod.weight_from_record(rec, rep)
-            _WEIGHT_MEMO[(d, rep.key())] = w
-            out[rep.serialize()] = w
-            if cache_path:
-                store.append(rec)
+            out[rep.serialize()] = cache_mod.weight_from_record(rec, rep)
+            store.append(rec)
     else:
         for rep in sorted(pending, key=lambda p: p.key()):
             w = compute_weight(rep, d)
             out[rep.serialize()] = w
-            if cache_path:
-                store.append(cache_mod.record_from_weight(w))
+            store.append(cache_mod.record_from_weight(w))
     return out
-
-
-def _series_obj(s):
-    return s.serialize()
 
 
 def _partition_rows(d, order, weights):
@@ -109,8 +98,8 @@ def check_odd(d, order):
         "kind": "odd",
         "dimension": d,
         "order": order,
-        "series": _series_obj(z),
-        "target": _series_obj(target),
+        "series": z.serialize(),
+        "target": target.serialize(),
         "verdict": "confirmed" if equal else "mismatch",
     }
     return (0 if equal else 1), report
@@ -121,21 +110,19 @@ def _parse_ell(text):
         return "symbolic"
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError("empty ell range %s" % text)
+        return values
     return [int(text)]
 
 
 def check_fourk(d, order, ell, orientation_path, jobs, cache_path):
+    orient = OrientationAssignment.load(orientation_path) if orientation_path else None
     weights = _prepare_weights(d, order, jobs, cache_path)
-    if orientation_path:
-        orient = OrientationAssignment.load(orientation_path)
-    else:
-        orient = OrientationAssignment(
-            {k: w.sign for k, w in weights.items()}
-            | {MultiPartition(d - 1).serialize(): 1},
-            "positive_omega",
-        )
-    z = build_z_4k(d, order, orient)
+    if orient is None:
+        orient = positive_omega_orientation(d, weights)
+    z = build_z_4k(d, order, orient, weights)
     target = target_4k(d, order)
     checks = []
     if ell == "symbolic":
@@ -148,8 +135,8 @@ def check_fourk(d, order, ell, orientation_path, jobs, cache_path):
         "kind": "fourk",
         "dimension": d,
         "order": order,
-        "series": _series_obj(z),
-        "target": _series_obj(target),
+        "series": z.serialize(),
+        "target": target.serialize(),
         "checks": checks,
         "partitions": _partition_rows(d, order, weights),
         "verdict": "confirmed" if equal else "mismatch",
@@ -239,8 +226,8 @@ def check_omega(d, order, jobs, cache_path):
 
 
 def check_uniqueness(d, order, jobs, cache_path):
-    _prepare_weights(d, order, jobs, cache_path)
-    result = verify_uniqueness(d, order)
+    weights = _prepare_weights(d, order, jobs, cache_path)
+    result = verify_uniqueness(d, order, weights)
     report = {
         "kind": "uniqueness",
         "dimension": d,
@@ -307,6 +294,8 @@ def cmd_check(args, out):
         raise ValueError("kind 'odd' needs an odd dimension >= 3")
     if kind in ("fourk", "omega", "uniqueness") and (d < 4 or d % 4):
         raise ValueError("kind '%s' needs a dimension divisible by 4" % kind)
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
     cache_path = args.cache or cache_mod.default_cache_path()
     try:
         if kind == "odd":
@@ -395,7 +384,7 @@ def main(argv=None):
             return cmd_check(args, out)
         if args.command == "cache-compact":
             return cmd_cache_compact(args, out)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return 2

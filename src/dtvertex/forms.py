@@ -27,15 +27,8 @@ from .errors import (
     ShapeMismatch,
     ZeroWeightDenominator,
 )
-from .kclass import (
-    KEY_EULER_VANISHES,
-    KEY_OK,
-    KEY_VIOLATED,
-    check_key_conjecture,
-    cy_fixed_part,
-    cy_reduce,
-    vertex,
-)
+from .kclass import KEY_VIOLATED, cy_reduce, key_verdict, vertex
+from .partitions import canonical_representatives
 from .ratpoly import QPoly, fraction_sqrt
 
 
@@ -457,12 +450,12 @@ def euler_ratio_odd(pi, d):
     """
     if d % 2 == 0:
         raise ValueError("odd dimension required")
-    verdict = check_key_conjecture(pi, d)
-    if verdict == KEY_VIOLATED:
+    v = vertex(pi, d)
+    if key_verdict(v) == KEY_VIOLATED:
         raise ZeroWeightDenominator(
             "fixed part of the vertex is positive", partition=pi.serialize()
         )
-    p = euler_class(-vertex(pi, d), use_cy=True)
+    p = euler_class(-v, use_cy=True)
     if p.is_zero:
         return Fraction(0)
     if not p.is_scalar():
@@ -553,14 +546,7 @@ def vertex_fingerprint(v):
     return hashlib.sha256(payload).hexdigest()
 
 
-_WEIGHT_MEMO = {}
-
-
-def clear_weight_memo():
-    _WEIGHT_MEMO.clear()
-
-
-def compute_weight(pi, d, memo=True):
+def compute_weight(pi, d):
     """Full symbolic weight pipeline for one partition, d = 0 mod 4.
 
     vertex -> Euler class of its negative -> square root (positive
@@ -570,13 +556,9 @@ def compute_weight(pi, d, memo=True):
     """
     if d % 4:
         raise ValueError("dimension must be divisible by 4")
-    key = (d, pi.key())
-    if memo and key in _WEIGHT_MEMO:
-        return _WEIGHT_MEMO[key]
     v = vertex(pi, d)
     fingerprint = vertex_fingerprint(v)
-    fixed = cy_fixed_part(v)
-    verdict = KEY_OK if fixed == 0 else (KEY_VIOLATED if fixed > 0 else KEY_EULER_VANISHES)
+    verdict = key_verdict(v)
     if verdict == KEY_VIOLATED:
         raise ZeroWeightDenominator(
             "fixed part of the vertex is positive", partition=pi.serialize()
@@ -592,12 +574,22 @@ def compute_weight(pi, d, memo=True):
         if exc.partition is None:
             exc.partition = pi.serialize()
         raise
-    result = PartitionWeight(
+    return PartitionWeight(
         pi, d, verdict, fingerprint, sqrt, taut, product, value, omega, sign
     )
-    if memo:
-        _WEIGHT_MEMO[key] = result
-    return result
+
+
+def weight_table(d, order):
+    """Weights of the canonical representatives of sizes 1..order.
+
+    Returns {serialized partition: PartitionWeight}, the table that
+    build_z_4k, positive_omega_orientation and verify_uniqueness read.
+    """
+    return {
+        rep.serialize(): compute_weight(rep, d)
+        for n in range(1, order + 1)
+        for rep, _ in canonical_representatives(d - 1, n)
+    }
 
 
 def full_torus_ratio(pi, d):

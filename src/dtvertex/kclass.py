@@ -173,17 +173,22 @@ def cy_fixed_part(a):
     return cy_reduce(a).coefficient((0,) * a.dim)
 
 
-def check_key_conjecture(pi, d):
-    """Classify the torus-fixed multiplicity of the vertex.
+def key_verdict(v):
+    """Classify the torus-fixed multiplicity of an already-built vertex.
 
     ok             fixed part is 0; the Euler ratio is a unit
     euler_vanishes fixed part < 0; the Euler class of -V vanishes
     violated       fixed part > 0; the Euler ratio denominator vanishes
     """
-    c = cy_fixed_part(vertex(pi, d))
+    c = cy_fixed_part(v)
     if c == 0:
         return KEY_OK
     return KEY_VIOLATED if c > 0 else KEY_EULER_VANISHES
+
+
+def check_key_conjecture(pi, d):
+    """key_verdict of the vertex of a (d-1)-partition."""
+    return key_verdict(vertex(pi, d))
 
 
 class VertexSplit:

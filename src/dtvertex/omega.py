@@ -38,7 +38,7 @@ class OmegaDecomposition:
         total = {}
         for key, m in self.parts.items():
             xi = MultiPartition.from_json_obj(
-                {"arity": pi.arity - 1, "entries": _entries_from_key(key)}
+                {"arity": pi.arity - 1, "entries": json.loads(key)}
             )
             for base, h in xi.heights.items():
                 for level in range(1, h + 1):
@@ -51,10 +51,6 @@ class OmegaDecomposition:
 
     def __repr__(self):
         return "OmegaDecomposition(%r)" % (self.parts,)
-
-
-def _entries_from_key(key):
-    return json.loads(key)
 
 
 def _column_runs(heights):

@@ -18,8 +18,7 @@ import json
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .forms import compute_weight
-from .partitions import canonical_representatives
+from .partitions import MultiPartition, canonical_representatives
 from .ratpoly import QPoly
 from .series import build_z_4k, target_4k
 
@@ -53,22 +52,23 @@ class OrientationAssignment:
     def load(cls, path):
         with open(path) as fh:
             obj = json.load(fh)
-        return cls(obj["signs"], obj.get("convention", "explicit"))
+        signs = obj.get("signs") if isinstance(obj, dict) else None
+        if not isinstance(signs, dict) or not all(s in (1, -1) for s in signs.values()):
+            raise ValueError("%s: \"signs\" must map partitions to 1 or -1" % path)
+        return cls(signs, obj.get("convention", "explicit"))
 
     def __repr__(self):
         return "OrientationAssignment(%d signs, %s)" % (len(self.signs), self.convention)
 
 
-def positive_omega_orientation(d, order):
+def positive_omega_orientation(d, weights):
     """Signs making every specialized weight (-1)^size * |omega| * column.
 
-    The empty partition gets +1; pipeline failures propagate with the
-    offending partition.
+    Reads each sign from weights, a weight_table; the empty partition
+    gets +1.
     """
-    signs = {}
-    for n in range(0, order + 1):
-        for rep, _ in canonical_representatives(d - 1, n):
-            signs[rep.serialize()] = compute_weight(rep, d).sign if n else 1
+    signs = {MultiPartition(d - 1).serialize(): 1}
+    signs.update((key, w.sign) for key, w in weights.items())
     return OrientationAssignment(signs, "positive_omega")
 
 
@@ -99,11 +99,12 @@ def _column_poly(h):
     return poly
 
 
-def verify_uniqueness(d, order, subset_cap=1 << 16):
+def verify_uniqueness(d, order, weights, subset_cap=1 << 16):
     """Search for orientation assignments other than the positive one.
 
-    First confirms that the positive-weight orientation reproduces the
-    reference series.  Then, order by order and slice by slice from the
+    weights is a weight_table covering sizes 1..order.  First confirms
+    that the positive-weight orientation reproduces the reference
+    series.  Then, order by order and slice by slice from the
     top degree down, checks that the free contributors all carry
     positive weight; flipping any non-empty set of orbit members then
     changes the slice by twice a positive amount and the target is
@@ -112,8 +113,8 @@ def verify_uniqueness(d, order, subset_cap=1 << 16):
     annihilating every slice would be a genuine alternative and is
     returned as a certificate.
     """
-    orient = positive_omega_orientation(d, order)
-    z = build_z_4k(d, order, orient)
+    orient = positive_omega_orientation(d, weights)
+    z = build_z_4k(d, order, orient, weights)
     target = target_4k(d, order)
     if z != target:
         return UniquenessReport(
@@ -123,10 +124,10 @@ def verify_uniqueness(d, order, subset_cap=1 << 16):
         )
     slices = []
     for n in range(1, order + 1):
-        reps = []
-        for rep, orbit in canonical_representatives(d - 1, n):
-            w = compute_weight(rep, d)
-            reps.append((rep, orbit, w.omega, rep.corner_height()))
+        reps = [
+            (rep, orbit, weights[rep.serialize()].omega, rep.corner_height())
+            for rep, orbit in canonical_representatives(d - 1, n)
+        ]
         for j in range(n, -1, -1):
             free = [(rep, orbit, om) for rep, orbit, om, h in reps if h == j]
             if not free:

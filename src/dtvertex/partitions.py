@@ -10,6 +10,7 @@ over the base cell i, stacked along the d-th coordinate axis.
 
 from __future__ import annotations
 
+import functools
 import json
 from itertools import combinations, permutations
 
@@ -213,20 +214,20 @@ def count_partitions(arity, max_size):
 
 
 # Number of n-partitions of size s for s <= 6, as a closed binomial form.
-_SMALL_COUNT_ROWS = {
-    0: (1,),
-    1: (1,),
-    2: (1, 1),
-    3: (1, 2, 1),
-    4: (1, 4, 4, 1),
-    5: (1, 6, 11, 7, 1),
-    6: (1, 10, 27, 28, 11, 1),
-}
+_SMALL_COUNT_ROWS = (
+    (1,),
+    (1,),
+    (1, 1),
+    (1, 2, 1),
+    (1, 4, 4, 1),
+    (1, 6, 11, 7, 1),
+    (1, 10, 27, 28, 11, 1),
+)
 
 
 def count_by_binomial_formula(n, size):
     """Closed-form count of n-partitions of a size up to 6."""
-    if size not in _SMALL_COUNT_ROWS:
+    if size not in range(len(_SMALL_COUNT_ROWS)):
         raise ValueError("closed form only known here for sizes <= 6")
     total = 0
     for k, c in enumerate(_SMALL_COUNT_ROWS[size]):
@@ -350,19 +351,13 @@ def orbit(pi):
     return members
 
 
-_REPRESENTATIVE_MEMO = {}
-
-
+@functools.cache
 def canonical_representatives(arity, size):
     """(representative, orbit size) pairs covering all partitions of the size.
 
     Grouping the full enumeration guarantees that orbit sizes add up to
-    the total count.  Memoized; the result list must not be mutated.
+    the total count.  Cached per (arity, size), so the result is a tuple.
     """
-    memo_key = (arity, size)
-    cached = _REPRESENTATIVE_MEMO.get(memo_key)
-    if cached is not None:
-        return cached
     groups = {}
     for pi in enumerate_partitions(arity, size):
         canon, _ = canonicalize_axes(pi)
@@ -371,9 +366,7 @@ def canonical_representatives(arity, size):
             groups[k][1] += 1
         else:
             groups[k] = [canon, 1]
-    result = [(rep, cnt) for rep, cnt in (groups[k] for k in sorted(groups))]
-    _REPRESENTATIVE_MEMO[memo_key] = result
-    return result
+    return tuple((rep, cnt) for rep, cnt in (groups[k] for k in sorted(groups)))
 
 
 def brute_force_downsets(arity, size):

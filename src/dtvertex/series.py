@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import DegenerateSamplePoint
-from .forms import compute_weight, euler_ratio_odd
+from .forms import euler_ratio_odd
 from .partitions import (
     canonical_representatives,
     count_partitions,
@@ -205,29 +205,25 @@ def build_z_odd(d, order):
     return TruncatedSeries(order, coeffs)
 
 
-def _orientation_signs(orientation):
-    return orientation.signs if hasattr(orientation, "signs") else orientation
-
-
-def build_z_4k(d, order, orientation):
+def build_z_4k(d, order, orientation, weights):
     """Series of specialized weights for the distinguished insertion.
 
-    Coefficient of q^n sums sign(pi) times the specialized weight over
-    canonical representatives weighted by orbit size; weights are
-    permutation-invariant, so this equals the sum over all partitions.
+    Coefficient of q^n sums orientation.signs[key] times the specialized
+    weight weights[key] (a weight_table) over canonical representatives
+    weighted by orbit size; weights are permutation-invariant, so this
+    equals the sum over all partitions.
     """
     if d % 4 or d < 4:
         raise ValueError("dimension 0 mod 4 required")
-    signs = _orientation_signs(orientation)
+    signs = orientation.signs
     coeffs = [QPoly.one()]
     for n in range(1, order + 1):
         total = QPoly.zero()
         for rep, orbit in canonical_representatives(d - 1, n):
-            w = compute_weight(rep, d)
             key = rep.serialize()
             if key not in signs:
                 raise ValueError("orientation has no sign for %s" % key)
-            total = total + w.signed_poly(signs[key]) * orbit
+            total = total + weights[key].signed_poly(signs[key]) * orbit
         coeffs.append(total)
     return TruncatedSeries(order, coeffs)
 

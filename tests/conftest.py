@@ -1,10 +1,11 @@
 """Shared fixtures: the recurring 7-partitions and small helpers."""
 
+import functools
 import itertools
 
 import pytest
 
-from dtvertex import MultiPartition
+from dtvertex import MultiPartition, weight_table
 
 
 def axis_box_heights(arity):
@@ -48,3 +49,9 @@ def single_box(arity):
 
 def corner_column(arity, height):
     return MultiPartition(arity, {(1,) * arity: height})
+
+
+@functools.cache
+def cached_weight_table(d, order):
+    """weight_table(d, order), built once per pytest run and shared."""
+    return weight_table(d, order)

@@ -36,13 +36,15 @@ from dtvertex.errors import DegenerateSamplePoint
 from dtvertex.forms import cy_bundle_term, full_torus_ratio
 from dtvertex.series import TruncatedSeries
 
+from conftest import cached_weight_table
+
 
 def report(name, ok):
     print("%s  %s" % ("PASS" if ok else "FAIL", name))
     assert ok, name
 
 
-# criterion 3 reuses these; memoized weights make the later criteria cheap
+# criteria 3, 5, 9, 10b and 10c share the weight tables of these ranges
 FOURK_RANGES = [(8, 5), (12, 3)]
 ODD_RANGES = [(3, 6), (5, 4), (7, 3)]
 
@@ -63,8 +65,9 @@ def test_criterion_2_fixed_term_checks():
 
 @pytest.mark.parametrize("d,order", FOURK_RANGES)
 def test_criterion_3_fourk_series(d, order):
-    orient = positive_omega_orientation(d, order)
-    ok = build_z_4k(d, order, orient) == target_4k(d, order)
+    weights = cached_weight_table(d, order)
+    orient = positive_omega_orientation(d, weights)
+    ok = build_z_4k(d, order, orient, weights) == target_4k(d, order)
     report(
         "criterion 3: dimension-%d series equals reference power mod q^%d"
         % (d, order + 1),
@@ -76,22 +79,24 @@ def test_criterion_4_one_box_coefficient():
     minus_ell = QPoly((Fraction(0), Fraction(-1)))
     ok = True
     for d in (4, 8, 12):
-        orient = positive_omega_orientation(d, 1)
-        ok = ok and build_z_4k(d, 1, orient).coefficient(1) == minus_ell
+        weights = cached_weight_table(d, 1)
+        orient = positive_omega_orientation(d, weights)
+        ok = ok and build_z_4k(d, 1, orient, weights).coefficient(1) == minus_ell
     report("criterion 4: first coefficient is -ell in dimensions 4, 8, 12", ok)
 
 
 def test_criterion_5_unit_twist_collapse():
     d, order = 8, 5
+    weights = cached_weight_table(d, order)
     one = Fraction(1)
     ok = True
     for n in range(1, order + 1):
         for rep, _ in canonical_representatives(d - 1, n):
-            w = compute_weight(rep, d)
+            w = weights[rep.serialize()]
             if rep.corner_height() >= 2:
                 ok = ok and w.value.value(one) == 0
-    orient = positive_omega_orientation(d, order)
-    z1 = build_z_4k(d, order, orient).eval_ell(1)
+    orient = positive_omega_orientation(d, weights)
+    z1 = build_z_4k(d, order, orient, weights).eval_ell(1)
     ok = ok and z1 == m_series(d - 2, order).alternate()
     report("criterion 5: at ell=1 tall columns vanish and the series collapses", ok)
 
@@ -148,8 +153,9 @@ def test_criterion_8_power_law_falsification():
 
 def test_criterion_9_orientation_uniqueness():
     ok = True
-    for d in (8, 4):
-        result = verify_uniqueness(d, 4)
+    # the d = 8 table of criterion 3 covers sizes 1..4 as well
+    for d, weights in ((8, cached_weight_table(8, 5)), (4, cached_weight_table(4, 4))):
+        result = verify_uniqueness(d, 4, weights)
         ok = ok and result.verdict == "unique"
     report("criterion 9: positive orientation unique for d=8 and d=4 through q^4", ok)
 
@@ -180,9 +186,10 @@ def test_criterion_10a_duality_and_rank():
 def test_criterion_10b_square_roots_and_homogeneity():
     ok = True
     for d, order in FOURK_RANGES:
+        weights = cached_weight_table(d, order)
         for n in range(1, order + 1):
             for rep, _ in canonical_representatives(d - 1, n):
-                w = compute_weight(rep, d)
+                w = weights[rep.serialize()]
                 p = euler_class(-vertex(rep, d), use_cy=True)
                 ok = ok and (w.sqrt * w.sqrt).scaled((-1) ** n) == p
                 ok = ok and w.product.total_degree() == 0
@@ -193,9 +200,10 @@ def test_criterion_10c_random_point_oracle():
     rng = random.Random(777)
     ok = True
     for d, order in FOURK_RANGES:
+        weights = cached_weight_table(d, order)
         for n in range(1, order + 1):
             for rep, _ in canonical_representatives(d - 1, n):
-                w = compute_weight(rep, d)
+                w = weights[rep.serialize()]
                 for ell in (2, 3):
                     expected = w.value.value(Fraction(ell))
                     hits = tries = 0

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from dtvertex import ShapeMismatch
 from dtvertex.cli import main
 
@@ -114,10 +116,7 @@ def test_reports_deterministic(capsys):
 
 
 def test_jobs_do_not_change_report(capsys):
-    from dtvertex.forms import clear_weight_memo
-
     _, serial = run_cli(capsys, "check", "fourk", "-d", "4", "-n", "3")
-    clear_weight_memo()
     _, parallel = run_cli(
         capsys, "check", "fourk", "-d", "4", "-n", "3", "--jobs", "2"
     )
@@ -125,13 +124,10 @@ def test_jobs_do_not_change_report(capsys):
 
 
 def test_cache_roundtrip(tmp_path, capsys):
-    from dtvertex.forms import clear_weight_memo
-
     cache = str(tmp_path / "weights.jsonl")
     _, cold = run_cli(
         capsys, "check", "fourk", "-d", "4", "-n", "3", "--cache", cache
     )
-    clear_weight_memo()
     _, warm = run_cli(
         capsys, "check", "fourk", "-d", "4", "-n", "3", "--cache", cache
     )
@@ -141,8 +137,6 @@ def test_cache_roundtrip(tmp_path, capsys):
 
 
 def test_cache_detects_stale_fingerprint(tmp_path, capsys):
-    from dtvertex.forms import clear_weight_memo
-
     cache = tmp_path / "weights.jsonl"
     _, cold = run_cli(
         capsys, "check", "fourk", "-d", "4", "-n", "2", "--cache", str(cache)
@@ -155,7 +149,6 @@ def test_cache_detects_stale_fingerprint(tmp_path, capsys):
         "\n".join(json.dumps(r, sort_keys=True, separators=(",", ":")) for r in lines)
         + "\n"
     )
-    clear_weight_memo()
     _, warm = run_cli(
         capsys, "check", "fourk", "-d", "4", "-n", "2", "--cache", str(cache)
     )
@@ -175,7 +168,7 @@ def test_cache_compact(tmp_path, capsys):
 def test_pipeline_error_exit_code(monkeypatch, capsys):
     import dtvertex.cli as cli_mod
 
-    def explode(pi, d, memo=True):
+    def explode(pi, d):
         raise ShapeMismatch("synthetic failure", partition=pi.serialize())
 
     monkeypatch.setattr(cli_mod, "compute_weight", explode)
@@ -187,11 +180,75 @@ def test_pipeline_error_exit_code(monkeypatch, capsys):
 
 
 def test_orientation_file_flag(tmp_path, capsys):
-    from dtvertex import positive_omega_orientation
+    from dtvertex import positive_omega_orientation, weight_table
 
     path = tmp_path / "orient.json"
-    positive_omega_orientation(4, 2).save(path)
+    positive_omega_orientation(4, weight_table(4, 2)).save(path)
     code, out = run_cli(
         capsys, "check", "fourk", "-d", "4", "-n", "2", "--orientation", str(path)
     )
     assert code == 0
+
+
+def assert_usage_error(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def test_empty_ell_range_is_usage_error(capsys):
+    assert_usage_error(capsys, "check", "fourk", "-d", "4", "-n", "2", "--ell", "3..1")
+
+
+def test_missing_or_malformed_orientation_file_is_usage_error(tmp_path, capsys):
+    no_signs = tmp_path / "no_signs.json"
+    no_signs.write_text("{}")
+    bad_sign = tmp_path / "bad_sign.json"
+    bad_sign.write_text('{"signs": {"[]": 1, "[[1,1,1]]": "x"}}')
+    for path in (tmp_path / "missing.json", no_signs, bad_sign):
+        assert_usage_error(
+            capsys, "check", "fourk", "-d", "4", "-n", "2", "--orientation", str(path)
+        )
+
+
+def test_nonpositive_jobs_is_usage_error(capsys):
+    for jobs in ("0", "-3"):
+        assert_usage_error(capsys, "check", "fourk", "-d", "4", "-n", "2", "--jobs", jobs)
+
+
+def test_cache_torn_tail_is_recomputed(tmp_path, monkeypatch, capsys):
+    import dtvertex.cli as cli_mod
+
+    cache = tmp_path / "weights.jsonl"
+    argv = ["check", "fourk", "-d", "4", "-n", "3", "--cache", str(cache)]
+    _, cold = run_cli(capsys, *argv)
+    data = cache.read_bytes()
+    # tear the last record: keep the first half of its line, no newline
+    cache.write_bytes(data[: len(data) - len(data.splitlines()[-1]) // 2 - 1])
+    code, torn = run_cli(capsys, *argv)
+    assert code == 0 and torn == cold
+
+    def explode(pi, d):
+        raise AssertionError("weight of %s recomputed" % pi.serialize())
+
+    # every record, the re-appended one included, is now found on disk
+    monkeypatch.setattr(cli_mod, "compute_weight", explode)
+    code, warm = run_cli(capsys, *argv)
+    assert code == 0 and warm == cold
+
+
+def test_cache_compact_failure_keeps_file(tmp_path, capsys):
+    from dtvertex.cache import WeightCache
+
+    cache = tmp_path / "weights.jsonl"
+    run_cli(capsys, "check", "fourk", "-d", "4", "-n", "2", "--cache", str(cache))
+    before = cache.read_bytes()
+    store = WeightCache(str(cache))
+    # sorts after every real record, so the rewrite fails midway
+    store.records[(99, "unserializable")] = {"value": object()}
+    with pytest.raises(TypeError):
+        store.compact()
+    assert cache.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["weights.jsonl"]

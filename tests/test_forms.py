@@ -25,6 +25,7 @@ from dtvertex import (
     sqrt_form_product,
     taut_factor,
     vertex,
+    weight_table,
 )
 from dtvertex.forms import SpecializedValue, canonical_form
 
@@ -192,6 +193,16 @@ def test_specialize_diagnostics():
 def test_specialize_zero_class():
     out = specialize(FormProduct.zero())
     assert out.is_value() and out.value.is_zero() and out.from_zero
+
+
+def test_weight_table_covers_canonical_representatives():
+    table = weight_table(4, 3)
+    assert list(table) == [
+        rep.serialize() for n in range(1, 4) for rep, _ in canonical_representatives(3, n)
+    ]
+    for key, w in table.items():
+        assert w.partition.serialize() == key and w.d == 4
+    assert table[single_box(3).serialize()].value == compute_weight(single_box(3), 4).value
 
 
 def test_omega_extraction(seven_part_size9):

@@ -22,6 +22,8 @@ from dtvertex import (
 )
 from dtvertex.forms import cy_bundle_term, full_torus_ratio
 
+from conftest import cached_weight_table
+
 
 def consts(*values):
     return TruncatedSeries.from_fractions([Fraction(v) for v in values])
@@ -99,15 +101,15 @@ def test_build_z_odd_matches_target(d, order):
 
 
 def test_build_z_4k_first_order():
-    orient = positive_omega_orientation(8, 1)
-    z = build_z_4k(8, 1, orient)
+    weights = cached_weight_table(8, 1)
+    z = build_z_4k(8, 1, positive_omega_orientation(8, weights), weights)
     assert z.coefficient(0) == QPoly.one()
     assert z.coefficient(1) == QPoly((Fraction(0), Fraction(-1)))
 
 
 def test_build_z_4k_matches_target_small():
-    orient = positive_omega_orientation(8, 2)
-    z = build_z_4k(8, 2, orient)
+    weights = cached_weight_table(8, 2)
+    z = build_z_4k(8, 2, positive_omega_orientation(8, weights), weights)
     assert z == target_4k(8, 2)
     # q^2 coefficient is ell^2/2 + 13 ell / 2
     assert z.coefficient(2) == QPoly((Fraction(0), Fraction(13, 2), Fraction(1, 2)))
