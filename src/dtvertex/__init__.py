@@ -34,15 +34,14 @@ from .forms import (
 )
 from .kclass import (
     KClass,
-    VertexSplit,
     character,
     check_key_conjecture,
     cy_fixed_part,
     cy_reduce,
     vertex,
-    vertex_split,
+    vertex_half,
 )
-from .omega import OmegaDecomposition, check_exp_identity, compare_omegas, decompositions, omega_c
+from .omega import OmegaDecomposition, check_exp_identity, decompositions, omega_c
 from .orientation import OrientationAssignment, positive_omega_orientation, verify_uniqueness
 from .partitions import (
     MultiPartition,

@@ -3,8 +3,8 @@
 Exit codes for `check`: 0 when the predicted identity is confirmed (for
 remfail: when non-existence is certified), 1 when the check ran but the
 identity fails, 2 on pipeline errors, with the offending partition in
-the report.  Reports are deterministic for fixed flags and seed,
-including under --jobs > 1.
+the report, and on usage errors such as an order below 1.  Reports
+are deterministic for fixed flags and seed, including under --jobs > 1.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import repeat
 
 from . import cache as cache_mod
 from .errors import DTVertexError
@@ -21,26 +22,17 @@ from .forms import compute_weight, cy_bundle_term, full_torus_ratio
 from .kclass import check_key_conjecture
 from .omega import check_exp_identity, omega_c
 from .orientation import OrientationAssignment, positive_omega_orientation, verify_uniqueness
-from .partitions import (
-    MultiPartition,
-    canonical_representatives,
-    enumerate_partitions,
-)
+from .partitions import canonical_representatives, enumerate_partitions
 from .series import build_z_4k, build_z_odd, check_power_law, target_4k, target_odd
-
-
-def _weight_record_worker(args):
-    d, arity, entries = args
-    pi = MultiPartition.from_entries(arity, entries)
-    return cache_mod.record_from_weight(compute_weight(pi, d))
 
 
 def _prepare_weights(d, order, jobs, cache_path):
     """Compute weights for all canonical partitions up to the order.
 
-    Returns {serialized key: PartitionWeight}; parallel workers return
-    serialized records that are merged in sorted key order, and disk
-    cache appends happen only in this process.
+    Returns {serialized key: PartitionWeight}.  Missing weights are
+    computed in sorted key order, by a process pool when jobs > 1, and
+    stored and appended to the disk cache in that order, in this
+    process only.
     """
     reps = []
     for n in range(1, order + 1):
@@ -54,20 +46,16 @@ def _prepare_weights(d, order, jobs, cache_path):
             out[key] = store.get_weight(rep, d)
         else:
             pending.append(rep)
+    pending.sort(key=lambda p: p.key())
     if jobs > 1 and pending:
-        tasks = [(d, rep.arity, [list(e) for e in rep.entries()]) for rep in pending]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_weight_record_worker, tasks))
-        for rep, rec in sorted(
-            zip(pending, records), key=lambda pair: pair[0].key()
-        ):
-            out[rep.serialize()] = cache_mod.weight_from_record(rec, rep)
-            store.append(rec)
+            computed = list(pool.map(compute_weight, pending, repeat(d)))
     else:
-        for rep in sorted(pending, key=lambda p: p.key()):
-            w = compute_weight(rep, d)
-            out[rep.serialize()] = w
-            store.append(cache_mod.record_from_weight(w))
+        # lazy, so each record is appended before the next weight starts
+        computed = map(compute_weight, pending, repeat(d))
+    for w in computed:
+        out[w.partition.serialize()] = w
+        store.append(cache_mod.record_from_weight(w))
     return out
 
 
@@ -296,6 +284,8 @@ def cmd_check(args, out):
         raise ValueError("kind '%s' needs a dimension divisible by 4" % kind)
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
+    if order < 1:
+        raise ValueError("--order must be at least 1, got %d" % order)
     cache_path = args.cache or cache_mod.default_cache_path()
     try:
         if kind == "odd":

@@ -191,32 +191,16 @@ def check_key_conjecture(pi, d):
     return key_verdict(vertex(pi, d))
 
 
-class VertexSplit:
-    """Halves of the vertex for odd dimension: plus + minus = cy(V)."""
+def vertex_half(pi, d):
+    """Half of the vertex: Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1).
 
-    __slots__ = ("plus", "minus")
-
-    def __init__(self, plus, minus):
-        self.plus = plus
-        self.minus = minus
-
-
-def vertex_split(pi, d):
-    """Split cy(V) as plus + minus with bar(plus) = -minus, d odd.
-
-    plus is the character minus the double-overlap term built from the
-    first d-1 coordinate directions only; this makes the two halves
-    exchange under the bar involution up to sign once t_1..t_d = 1 is
-    imposed.
+    Z is the character of the box stack and the product runs over the
+    first d-1 directions only.  With v this class and cy = cy_reduce,
+    cy(V) = cy(v) + (-1)^d * cy(bar(v)) for every d.
     """
-    if d % 2 == 0:
-        raise ValueError("the vertex split is defined for odd d only")
     z = character(pi, d)
     prod = z * z.bar()
     for i in range(d - 1):
-        e = tuple(1 if j == i else 0 for j in range(d))
+        e = tuple(-1 if j == i else 0 for j in range(d))
         prod = prod - prod.shift(e)
-    inv = (-1,) * (d - 1) + (0,)
-    plus = cy_reduce(z - prod.shift(inv))
-    minus = cy_reduce(vertex(pi, d)) - plus
-    return VertexSplit(plus, minus)
+    return z - prod

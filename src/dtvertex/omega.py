@@ -13,7 +13,6 @@ import json
 from fractions import Fraction
 from math import factorial
 
-from .forms import compute_weight
 from .partitions import MultiPartition, enumerate_partitions
 from .ratpoly import QPoly
 from .series import TruncatedSeries, m_series
@@ -186,18 +185,3 @@ def check_exp_identity(n, order, t_order=None):
     m = m_series(n - 1, order)
     rhs = (m - TruncatedSeries.one(order)).scale_by_ell().exp().truncate_ell(t_order)
     return lhs == rhs, lhs, rhs
-
-
-def compare_omegas(pi, d):
-    """Compare the geometric and combinatorial weights of one partition.
-
-    Returns (verdict, |omega|, omega_c) with verdict "match" when the
-    absolute geometric weight equals the combinatorial one; pipeline
-    errors propagate.
-    """
-    if d % 4 or pi.arity != d - 1:
-        raise ValueError("dimension 0 mod 4 with matching arity required")
-    w = compute_weight(pi, d)
-    wc = omega_c(pi)
-    verdict = "match" if w.omega == wc else "mismatch"
-    return verdict, w.omega, wc

@@ -1,25 +1,30 @@
-"""Orientation assignments and the sign-uniqueness search.
+"""Orientation assignments and the sign-uniqueness rule.
 
 An orientation picks the sign of the vertex square root at every fixed
 point.  Specialized weights are invariant under permuting the base
 coordinate axes, so signs are stored per canonical partition and apply
-to every orbit member.  The uniqueness search works on the coefficient
-slices of the auxiliary variable, top degree first: a partition with
-corner height h contributes to the slice of degree h with its full
-unsigned weight, partitions with larger corner height are already
-pinned, smaller ones cannot reach the slice.  When every contributor
-has positive weight, any sign flip moves the slice strictly away from
-its target, which kills the whole search space at once.
+to every orbit member.  Uniqueness is decided on the coefficient slices
+of the auxiliary variable, top degree first: a partition with corner
+height h contributes to the slice of degree h with its full unsigned
+weight, partitions with larger corner height are already pinned,
+smaller ones cannot reach the slice.
+
+Every omega is |c| for the constant c of a specialized value, or 0 for
+a zero Euler class (forms.omega_from_specialized), so omega >= 0.  The
+contributors of one slice share h, so flipping k_pi orbit members of
+each moves the top coefficient by 2 * (+-1) * sum(k_pi * omega_pi),
+which is zero exactly when every flip lands on a zero-omega
+contributor.  Hence the rule: a slice whose contributors all have
+omega > 0 is pruned (no flip keeps it on target), and otherwise one
+flip of its last zero-omega contributor is an alternative orientation.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from itertools import product as iproduct
 
+from .errors import ShapeMismatch
 from .partitions import MultiPartition, canonical_representatives
-from .ratpoly import QPoly
 from .series import build_z_4k, target_4k
 
 
@@ -92,26 +97,18 @@ class UniquenessReport:
         }
 
 
-def _column_poly(h):
-    poly = QPoly.one()
-    for i in range(1, h + 1):
-        poly = poly * QPoly((Fraction(-(i - 1)), Fraction(1)))
-    return poly
-
-
-def verify_uniqueness(d, order, weights, subset_cap=1 << 16):
-    """Search for orientation assignments other than the positive one.
+def verify_uniqueness(d, order, weights):
+    """Decide whether the positive-weight orientation is the only one.
 
     weights is a weight_table covering sizes 1..order.  First confirms
     that the positive-weight orientation reproduces the reference
-    series.  Then, order by order and slice by slice from the
-    top degree down, checks that the free contributors all carry
-    positive weight; flipping any non-empty set of orbit members then
-    changes the slice by twice a positive amount and the target is
-    missed.  Slices with a non-positive weight fall back to an exact
-    exhaustive search over flip counts (capped); a flip-count vector
-    annihilating every slice would be a genuine alternative and is
-    returned as a certificate.
+    series.  Then, order by order and slice by slice from the top
+    degree down, applies the closed rule of the module docstring: a
+    slice whose contributors all have omega > 0 is pruned; otherwise
+    flipping one orbit member of its last zero-omega contributor
+    changes no slice, and that flip is returned as the alternative.
+    A negative omega cannot come from the pipeline and raises
+    ShapeMismatch naming the partition.
     """
     orient = positive_omega_orientation(d, weights)
     z = build_z_4k(d, order, orient, weights)
@@ -124,12 +121,15 @@ def verify_uniqueness(d, order, weights, subset_cap=1 << 16):
         )
     slices = []
     for n in range(1, order + 1):
-        reps = [
-            (rep, orbit, weights[rep.serialize()].omega, rep.corner_height())
-            for rep, orbit in canonical_representatives(d - 1, n)
-        ]
+        reps = []
+        for rep, _ in canonical_representatives(d - 1, n):
+            key = rep.serialize()
+            om = weights[key].omega
+            if om < 0:
+                raise ShapeMismatch("negative weight %s" % (om,), partition=key)
+            reps.append((key, om, rep.corner_height()))
         for j in range(n, -1, -1):
-            free = [(rep, orbit, om) for rep, orbit, om, h in reps if h == j]
+            free = [(key, om) for key, om, h in reps if h == j]
             if not free:
                 continue
             entry = {
@@ -137,54 +137,16 @@ def verify_uniqueness(d, order, weights, subset_cap=1 << 16):
                 "ell_degree": j,
                 "contributors": len(free),
             }
-            if all(om > 0 for _, _, om in free):
-                entry["status"] = "pruned"
-                slices.append(entry)
-                continue
-            # Exhaustive fallback: choose how many orbit members of each
-            # canonical class to flip and test every slice it touches.
-            space = 1
-            for _, orbit, _ in free:
-                space *= orbit + 1
-            if space > subset_cap:
-                entry["status"] = "cap exceeded"
-                slices.append(entry)
-                return UniquenessReport(
-                    "inconclusive",
-                    slices,
-                    detail="flip space of size %d exceeds cap %d" % (space, subset_cap),
-                )
-            sign_n = -1 if n % 2 else 1
-            found = None
-            for counts in iproduct(*(range(orbit + 1) for _, orbit, _ in free)):
-                if not any(counts):
-                    continue
-                ok = True
-                for jj in range(n + 1):
-                    delta = Fraction(0)
-                    for (rep, orbit, om), k in zip(free, counts):
-                        coeff = _column_poly(rep.corner_height()).coefficient(jj)
-                        delta += 2 * k * sign_n * om * coeff
-                    if delta:
-                        ok = False
-                        break
-                if ok:
-                    found = counts
-                    break
-            if found:
-                entry["status"] = "alternative"
-                slices.append(entry)
-                alternative = {
-                    rep.serialize(): int(k)
-                    for (rep, orbit, om), k in zip(free, found)
-                    if k
-                }
-                return UniquenessReport(
-                    "alternative found",
-                    slices,
-                    alternative=alternative,
-                    detail="flip counts per canonical partition at q^%d" % n,
-                )
-            entry["status"] = "searched"
             slices.append(entry)
+            zeros = [key for key, om in free if om == 0]
+            if not zeros:
+                entry["status"] = "pruned"
+                continue
+            entry["status"] = "alternative"
+            return UniquenessReport(
+                "alternative found",
+                slices,
+                alternative={zeros[-1]: 1},
+                detail="flip counts per canonical partition at q^%d" % n,
+            )
     return UniquenessReport("unique", slices)

@@ -1,10 +1,14 @@
 """Command line interface: output formats, exit codes, cache, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dtvertex import ShapeMismatch
+from dtvertex import ShapeMismatch, compute_weight
 from dtvertex.cli import main
 
 
@@ -115,12 +119,18 @@ def test_reports_deterministic(capsys):
     assert first == second
 
 
-def test_jobs_do_not_change_report(capsys):
-    _, serial = run_cli(capsys, "check", "fourk", "-d", "4", "-n", "3")
+def test_jobs_do_not_change_report(tmp_path, capsys):
+    serial_cache = tmp_path / "serial.jsonl"
+    parallel_cache = tmp_path / "parallel.jsonl"
+    _, serial = run_cli(
+        capsys, "check", "fourk", "-d", "4", "-n", "3", "--cache", str(serial_cache)
+    )
     _, parallel = run_cli(
-        capsys, "check", "fourk", "-d", "4", "-n", "3", "--jobs", "2"
+        capsys, "check", "fourk", "-d", "4", "-n", "3", "--jobs", "2",
+        "--cache", str(parallel_cache),
     )
     assert serial == parallel
+    assert serial_cache.read_bytes() == parallel_cache.read_bytes()
 
 
 def test_cache_roundtrip(tmp_path, capsys):
@@ -155,6 +165,20 @@ def test_cache_detects_stale_fingerprint(tmp_path, capsys):
     assert warm == cold
 
 
+def test_negative_cached_omega_is_pipeline_error(tmp_path, capsys):
+    cache = tmp_path / "weights.jsonl"
+    argv = ["check", "uniqueness", "-d", "4", "-n", "2", "--cache", str(cache)]
+    run_cli(capsys, *argv)
+    lines = [json.loads(line) for line in cache.read_text().splitlines()]
+    lines[-1]["omega"] = "-1"
+    cache.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "error"
+    assert report["partition"] == lines[-1]["partition"]
+
+
 def test_cache_compact(tmp_path, capsys):
     cache = tmp_path / "weights.jsonl"
     run_cli(capsys, "check", "fourk", "-d", "4", "-n", "2", "--cache", str(cache))
@@ -177,6 +201,25 @@ def test_pipeline_error_exit_code(monkeypatch, capsys):
     report = json.loads(out)
     assert report["verdict"] == "error"
     assert report["partition"] is not None
+
+
+def test_weights_before_a_pipeline_error_stay_cached(tmp_path, monkeypatch, capsys):
+    import dtvertex.cli as cli_mod
+
+    done = []
+
+    def fail_second(pi, d):
+        if done:
+            raise ShapeMismatch("synthetic failure", partition=pi.serialize())
+        done.append(pi)
+        return compute_weight(pi, d)
+
+    monkeypatch.setattr(cli_mod, "compute_weight", fail_second)
+    cache = tmp_path / "weights.jsonl"
+    code, _ = run_cli(capsys, "check", "fourk", "-d", "4", "-n", "2", "--cache", str(cache))
+    assert code == 2
+    [record] = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert record["partition"] == done[0].serialize()
 
 
 def test_orientation_file_flag(tmp_path, capsys):
@@ -211,6 +254,44 @@ def test_missing_or_malformed_orientation_file_is_usage_error(tmp_path, capsys):
         assert_usage_error(
             capsys, "check", "fourk", "-d", "4", "-n", "2", "--orientation", str(path)
         )
+
+
+@pytest.mark.parametrize(
+    "kind,d", [("odd", "3"), ("fourk", "4"), ("keyconj", "4"), ("omega", "4"),
+               ("uniqueness", "4")]
+)
+def test_order_below_one_is_usage_error(capsys, kind, d):
+    for order in ("0", "-1"):
+        assert_usage_error(capsys, "check", kind, "-d", d, "-n", order)
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [flag + "=" + v]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["odd", "fourk", "keyconj", "remfail", "omega", "uniqueness"]),
+    d=st.integers(min_value=-1, max_value=8),
+    n=st.integers(min_value=-2, max_value=2),
+    options=st.tuples(
+        _optional("--ell", ["symbolic", "1", "-1..2", "3..1", "x"]),
+        _optional("--bundle", ["1,0,0,0", "1", "a", "0,0,0,0,0,0,0,1"]),
+        _optional("--jobs", ["-1", "0", "1", "2"]),
+        _optional("--format", ["json", "table", "csv", "xml"]),
+    ),
+)
+def test_fuzz_check_exit_codes(kind, d, n, options):
+    argv = ["check", kind, "-d", str(d), "-n", str(n)] + sum(options, [])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2)
+    if n < 1:
+        assert "confirmed" not in out.getvalue() and "unique" not in out.getvalue()
 
 
 def test_nonpositive_jobs_is_usage_error(capsys):

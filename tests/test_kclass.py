@@ -11,7 +11,7 @@ from dtvertex import (
     cy_reduce,
     enumerate_partitions,
     vertex,
-    vertex_split,
+    vertex_half,
 )
 
 from conftest import corner_column, single_box
@@ -118,26 +118,19 @@ def test_key_conjecture_verdicts():
             assert check_key_conjecture(pi, 8) == "ok"
 
 
-def test_vertex_split_identities():
-    for d, max_size in [(3, 4), (5, 2)]:
+def test_vertex_half_identities():
+    for d, max_size in [(3, 4), (4, 4), (5, 2), (8, 2)]:
+        sgn = -1 if d % 2 else 1
         for n in range(1, max_size + 1):
             for pi in enumerate_partitions(d - 1, n):
-                split = vertex_split(pi, d)
-                v = cy_reduce(vertex(pi, d))
-                assert split.plus + split.minus == v
-                assert cy_reduce(split.plus.bar()) == -split.minus
+                half = cy_reduce(vertex_half(pi, d))
+                assert cy_reduce(vertex(pi, d)) == half + sgn * cy_reduce(half.bar())
 
 
-def test_vertex_split_even_constant_term():
+def test_vertex_half_even_constant_term():
     for n in range(1, 5):
         for pi in enumerate_partitions(4, n):
-            split = vertex_split(pi, 5)
-            assert split.plus.coefficient((0,) * 5) % 2 == 0
-
-
-def test_vertex_split_rejects_even_dimension():
-    with pytest.raises(ValueError):
-        vertex_split(single_box(3), 4)
+            assert cy_fixed_part(vertex_half(pi, 5)) % 2 == 0
 
 
 def test_duality_of_the_vertex():

@@ -10,7 +10,7 @@ from dtvertex import (
     TruncatedSeries,
     binary_rep_contains,
     check_exp_identity,
-    compare_omegas,
+    compute_weight,
     decompositions,
     enumerate_partitions,
     m_series,
@@ -122,10 +122,7 @@ def test_exp_identity_at_marker_one():
 
 
 def test_compare_omegas(seven_part_size9):
-    verdict, w, wc = compare_omegas(single_box(7), 8)
-    assert verdict == "match" and w == wc == 1
-    verdict, w, wc = compare_omegas(seven_part_size9, 8)
-    assert verdict == "match" and w == wc == 64
+    assert compute_weight(single_box(7), 8).omega == omega_c(single_box(7)) == 1
+    assert compute_weight(seven_part_size9, 8).omega == omega_c(seven_part_size9) == 64
     for pi in enumerate_partitions(3, 3):
-        verdict, _, _ = compare_omegas(pi, 4)
-        assert verdict == "match"
+        assert compute_weight(pi, 4).omega == omega_c(pi)

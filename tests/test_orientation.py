@@ -1,17 +1,177 @@
-"""Orientation assignments and the uniqueness search."""
+"""Orientation assignments and the uniqueness rule."""
+
+import random
+from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
 from dtvertex import (
     MultiPartition,
     OrientationAssignment,
+    PartitionWeight,
+    QPoly,
+    ShapeMismatch,
     build_z_4k,
+    canonical_representatives,
     positive_omega_orientation,
     target_4k,
     verify_uniqueness,
 )
+from dtvertex.orientation import UniquenessReport
 
 from conftest import cached_weight_table, single_box
+
+
+# The exhaustive flip-count search that verify_uniqueness replaced, kept
+# verbatim as the oracle for the closed rule.
+def _column_poly(h):
+    poly = QPoly.one()
+    for i in range(1, h + 1):
+        poly = poly * QPoly((Fraction(-(i - 1)), Fraction(1)))
+    return poly
+
+
+def flip_search_uniqueness(d, order, weights, subset_cap=1 << 16):
+    """Search for orientation assignments other than the positive one.
+
+    weights is a weight_table covering sizes 1..order.  First confirms
+    that the positive-weight orientation reproduces the reference
+    series.  Then, order by order and slice by slice from the
+    top degree down, checks that the free contributors all carry
+    positive weight; flipping any non-empty set of orbit members then
+    changes the slice by twice a positive amount and the target is
+    missed.  Slices with a non-positive weight fall back to an exact
+    exhaustive search over flip counts (capped); a flip-count vector
+    annihilating every slice would be a genuine alternative and is
+    returned as a certificate.
+    """
+    orient = positive_omega_orientation(d, weights)
+    z = build_z_4k(d, order, orient, weights)
+    target = target_4k(d, order)
+    if z != target:
+        return UniquenessReport(
+            "precondition failed",
+            [],
+            detail="positive orientation does not reproduce the reference series",
+        )
+    slices = []
+    for n in range(1, order + 1):
+        reps = [
+            (rep, orbit, weights[rep.serialize()].omega, rep.corner_height())
+            for rep, orbit in canonical_representatives(d - 1, n)
+        ]
+        for j in range(n, -1, -1):
+            free = [(rep, orbit, om) for rep, orbit, om, h in reps if h == j]
+            if not free:
+                continue
+            entry = {
+                "q_order": n,
+                "ell_degree": j,
+                "contributors": len(free),
+            }
+            if all(om > 0 for _, _, om in free):
+                entry["status"] = "pruned"
+                slices.append(entry)
+                continue
+            # Exhaustive fallback: choose how many orbit members of each
+            # canonical class to flip and test every slice it touches.
+            space = 1
+            for _, orbit, _ in free:
+                space *= orbit + 1
+            if space > subset_cap:
+                entry["status"] = "cap exceeded"
+                slices.append(entry)
+                return UniquenessReport(
+                    "inconclusive",
+                    slices,
+                    detail="flip space of size %d exceeds cap %d" % (space, subset_cap),
+                )
+            sign_n = -1 if n % 2 else 1
+            found = None
+            for counts in iproduct(*(range(orbit + 1) for _, orbit, _ in free)):
+                if not any(counts):
+                    continue
+                ok = True
+                for jj in range(n + 1):
+                    delta = Fraction(0)
+                    for (rep, orbit, om), k in zip(free, counts):
+                        coeff = _column_poly(rep.corner_height()).coefficient(jj)
+                        delta += 2 * k * sign_n * om * coeff
+                    if delta:
+                        ok = False
+                        break
+                if ok:
+                    found = counts
+                    break
+            if found:
+                entry["status"] = "alternative"
+                slices.append(entry)
+                alternative = {
+                    rep.serialize(): int(k)
+                    for (rep, orbit, om), k in zip(free, found)
+                    if k
+                }
+                return UniquenessReport(
+                    "alternative found",
+                    slices,
+                    alternative=alternative,
+                    detail="flip counts per canonical partition at q^%d" % n,
+                )
+            entry["status"] = "searched"
+            slices.append(entry)
+    return UniquenessReport("unique", slices)
+
+
+def with_omega(w, omega):
+    return PartitionWeight(
+        w.partition, w.d, w.verdict, w.fingerprint, w.sqrt, w.taut,
+        w.product, w.value, omega, w.sign,
+    )
+
+
+@pytest.mark.parametrize("d,order", [(4, 4), (8, 3)])
+def test_closed_rule_matches_flip_search(d, order):
+    weights = cached_weight_table(d, order)
+    expected = flip_search_uniqueness(d, order, weights).to_json_obj()
+    assert verify_uniqueness(d, order, weights).to_json_obj() == expected
+
+
+def test_closed_rule_matches_flip_search_with_zero_weights():
+    d, order = 4, 4
+    real = cached_weight_table(d, order)
+    keys = sorted(real)
+    rng = random.Random(4)
+    verdicts = set()
+    for _ in range(60):
+        zeroed = rng.sample(keys, rng.randint(1, 3))
+        weights = {k: with_omega(w, Fraction(0)) if k in zeroed else w
+                   for k, w in real.items()}
+        expected = flip_search_uniqueness(d, order, weights).to_json_obj()
+        got = verify_uniqueness(d, order, weights).to_json_obj()
+        assert got == expected
+        verdicts.add(got["verdict"])
+    assert verdicts == {"alternative found"}
+    # The one intended difference: where the search gave up on a large
+    # flip space, the rule still names the alternative.
+    weights = dict(real, **{keys[0]: with_omega(real[keys[0]], Fraction(0))})
+    capped = flip_search_uniqueness(d, order, weights, subset_cap=0)
+    assert capped.verdict == "inconclusive"
+    report = verify_uniqueness(d, order, weights)
+    assert report.verdict == "alternative found"
+    assert report.slices[:-1] == capped.slices[:-1]
+    assert capped.slices[-1]["status"] == "cap exceeded"
+    assert report.slices[-1]["status"] == "alternative"
+
+
+def test_negative_weight_is_shape_mismatch():
+    d, order = 4, 3
+    weights = dict(cached_weight_table(d, order))
+    key = sorted(weights)[-1]
+    weights[key] = with_omega(weights[key], Fraction(-1))
+    with pytest.raises(ShapeMismatch) as info:
+        verify_uniqueness(d, order, weights)
+    assert info.value.partition == key
 
 
 def test_single_box_sign_is_plus_one():
