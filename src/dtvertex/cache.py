@@ -1,11 +1,13 @@
 """Append-only JSON-lines cache of per-partition weight records.
 
-One record per line, keyed by (dimension, canonical partition).  A hit
-is only trusted after the vertex fingerprint is recomputed and matches;
-stale lines are recomputed and re-appended, and compaction rewrites the
-file keeping the last record per key.  A line that is not a complete
-record (a write torn by a crash) is skipped, so its partition is
-recomputed and appended on a fresh line.
+One record per line, keyed by (dimension, canonical partition), holding
+exactly what a PartitionWeight keeps: schema, d, partition, fingerprint,
+verdict, omega and sign.  A hit is only trusted after the vertex
+fingerprint is recomputed and matches; stale lines are recomputed and
+re-appended, and compaction rewrites the file keeping the last record
+per key.  A line that is not a complete record of this SCHEMA (a write
+torn by a crash, or a record of another format) is skipped, so its
+partition is recomputed and appended on a fresh line.
 """
 
 from __future__ import annotations
@@ -14,16 +16,12 @@ import json
 import os
 from fractions import Fraction
 
-from .forms import (
-    FormProduct,
-    PartitionWeight,
-    SpecializedValue,
-    compute_weight,
-    vertex_fingerprint,
-)
+from .forms import PartitionWeight, compute_weight, vertex_fingerprint
 from .kclass import vertex
 
 ENV_CACHE_DIR = "DTVERTEX_CACHE_DIR"
+# Version of the record format; records of any other version are skipped.
+SCHEMA = 2
 
 
 def default_cache_path():
@@ -33,34 +31,19 @@ def default_cache_path():
 
 def record_from_weight(w):
     return {
+        "schema": SCHEMA,
         "d": w.d,
         "partition": w.partition.serialize(),
-        "arity": w.partition.arity,
         "fingerprint": w.fingerprint,
         "verdict": w.verdict,
-        "sqrt": w.sqrt.serialize(),
-        "taut": w.taut.serialize(),
-        "specialized": w.value.serialize(),
         "omega": str(w.omega),
         "sign": w.sign,
     }
 
 
 def weight_from_record(rec, pi):
-    value = SpecializedValue.from_serialized(rec["specialized"])
-    sqrt = FormProduct.from_serialized(rec["sqrt"])
-    taut = FormProduct.from_serialized(rec["taut"])
     return PartitionWeight(
-        pi,
-        rec["d"],
-        rec["verdict"],
-        rec["fingerprint"],
-        sqrt,
-        taut,
-        taut * sqrt,
-        value,
-        Fraction(rec["omega"]),
-        rec["sign"],
+        pi, rec["d"], rec["verdict"], rec["fingerprint"], Fraction(rec["omega"]), rec["sign"]
     )
 
 
@@ -79,7 +62,8 @@ class WeightCache:
                     self._torn_tail = not line.endswith("\n")
                     try:
                         rec = json.loads(line)
-                        self.records[(rec["d"], rec["partition"])] = rec
+                        if rec["schema"] == SCHEMA:
+                            self.records[(rec["d"], rec["partition"])] = rec
                     except (ValueError, TypeError, KeyError):
                         continue
 

@@ -3,8 +3,10 @@
 Exit codes for `check`: 0 when the predicted identity is confirmed (for
 remfail: when non-existence is certified), 1 when the check ran but the
 identity fails, 2 on pipeline errors, with the offending partition in
-the report, and on usage errors such as an order below 1.  Reports
-are deterministic for fixed flags and seed, including under --jobs > 1.
+the report, and on usage errors such as an order below 1 or an option
+the kind does not read (--ell and --orientation belong to fourk,
+--bundle to remfail with d = 0 mod 4).  Reports are deterministic for
+fixed flags and seed, including under --jobs > 1.
 """
 
 from __future__ import annotations
@@ -286,6 +288,14 @@ def cmd_check(args, out):
         raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
     if order < 1:
         raise ValueError("--order must be at least 1, got %d" % order)
+    if kind != "fourk":
+        for flag, value in (("--ell", args.ell), ("--orientation", args.orientation_file)):
+            if value is not None:
+                raise ValueError("%s is only read by kind 'fourk'" % flag)
+    if args.bundle is not None and (kind != "remfail" or d % 4):
+        raise ValueError(
+            "--bundle is only read by kind 'remfail' with a dimension divisible by 4"
+        )
     cache_path = args.cache or cache_mod.default_cache_path()
     try:
         if kind == "odd":
@@ -348,12 +358,13 @@ def build_parser():
     )
     p_check.add_argument("--dimension", "-d", type=int, required=True)
     p_check.add_argument("--order", "-n", type=int, required=True)
-    p_check.add_argument("--ell", default="symbolic",
-                         help="integer, range a..b, or 'symbolic'")
+    p_check.add_argument("--ell", default=None,
+                         help="fourk: integer, range a..b, or 'symbolic' (the default)")
     p_check.add_argument("--orientation", dest="orientation_file", default=None,
-                         help="JSON file of signs; default positive-omega")
+                         help="fourk: JSON file of signs; default positive-omega")
     p_check.add_argument("--bundle", default=None,
-                         help="comma-separated twist for remfail (default 1,0,...,0)")
+                         help="remfail with d = 0 mod 4: comma-separated twist "
+                              "(default 1,0,...,0)")
     p_check.add_argument("--seed", type=int, default=1)
     p_check.add_argument("--jobs", type=int, default=1)
     p_check.add_argument("--cache", default=None)

@@ -198,30 +198,6 @@ class FormProduct:
             val *= Fraction(v) ** e
         return val
 
-    def serialize(self):
-        rows = sorted(
-            ([list(f.coeffs), f.ell_part, e] for f, e in self.factors.items()),
-            key=lambda r: (r[0], r[1]),
-        )
-        return {
-            "is_zero": self.is_zero,
-            "scalar": {"num": [str(self.scalar)] if self.scalar else [], "den": ["1"]},
-            "factors": rows,
-        }
-
-    @classmethod
-    def from_serialized(cls, obj):
-        if obj["is_zero"]:
-            return cls.zero()
-        num, den = obj["scalar"]["num"], obj["scalar"]["den"]
-        if len(num) > 1 or len(den) != 1:
-            raise ValueError("scalar is not a constant: %r" % (obj["scalar"],))
-        scalar = Fraction(num[0]) / Fraction(den[0]) if num else 0
-        factors = {
-            LinearForm(tuple(coeffs), ell): e for coeffs, ell, e in obj["factors"]
-        }
-        return cls(scalar, factors)
-
     def __repr__(self):
         if self.is_zero:
             return "FormProduct(0)"
@@ -324,31 +300,6 @@ class SpecializedValue:
     def is_value(self):
         return self.value is not None
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SpecializedValue)
-            and self.value == other.value
-            and self.diagnostic == other.diagnostic
-            and self.direction == other.direction
-        )
-
-    def serialize(self):
-        if self.is_value():
-            return {
-                "value": [str(c) for c in self.value.coeffs],
-                "from_zero": self.from_zero,
-            }
-        return {"diagnostic": self.diagnostic, "direction": self.direction}
-
-    @classmethod
-    def from_serialized(cls, obj):
-        if "value" in obj:
-            return cls(
-                value=QPoly([Fraction(c) for c in obj["value"]]),
-                from_zero=obj.get("from_zero", False),
-            )
-        return cls(diagnostic=obj["diagnostic"], direction=obj["direction"])
-
     def __repr__(self):
         if self.is_value():
             return "SpecializedValue(%s)" % (self.value.render(),)
@@ -406,29 +357,32 @@ def specialize(p):
     return SpecializedValue(value=value)
 
 
+def _corner_column(h):
+    """ell (ell - 1) ... (ell - h + 1), the column of a corner of height h."""
+    column = QPoly.one()
+    for i in range(h):
+        column = column * QPoly((Fraction(-i), Fraction(1)))
+    return column
+
+
 def omega_from_specialized(v, pi):
     """Extract the unsigned weight and its sign from a specialized value.
 
-    The value must equal sign * (-1)^|pi| * omega * prod_{i=1}^{h}
-    (ell - (i-1)) with h the corner height; returns (omega, sign) with
-    omega > 0.  A zero value is only legitimate when it came from a zero
-    Euler class; anything else is a ShapeMismatch.
+    The value must equal sign * (-1)^|pi| * omega * _corner_column(h)
+    with h the corner height; returns (omega, sign) with omega > 0.  A
+    zero value is only legitimate when it came from a zero Euler class;
+    anything else is a ShapeMismatch.
     """
     if not v.is_value():
         raise ShapeMismatch(
             "diagnostic %s instead of a polynomial" % (v.diagnostic,),
             partition=pi.serialize(),
         )
-    n = pi.size
-    h = pi.corner_height()
     if v.value.is_zero():
         if v.from_zero:
             return Fraction(0), 1
         raise ShapeMismatch("unexpected zero weight", partition=pi.serialize())
-    divisor = QPoly.one()
-    for i in range(1, h + 1):
-        divisor = divisor * QPoly((Fraction(-(i - 1)), Fraction(1)))
-    q = v.value.divexact(divisor)
+    q = v.value.divexact(_corner_column(pi.corner_height()))
     if q is None or not q.is_constant():
         raise ShapeMismatch(
             "weight %s does not factor through the corner column"
@@ -437,7 +391,7 @@ def omega_from_specialized(v, pi):
         )
     c = q.constant_value()
     sign = 1 if c > 0 else -1
-    if n % 2:
+    if pi.size % 2:
         sign = -sign
     return abs(c), sign
 
@@ -508,36 +462,35 @@ def evaluate_on_locus(p, frees, ell):
 
 
 class PartitionWeight:
-    """Everything the pipeline extracts from one partition in dimension d."""
+    """The series term of one partition in dimension d = 0 mod 4.
 
-    __slots__ = (
-        "partition",
-        "d",
-        "verdict",
-        "fingerprint",
-        "sqrt",
-        "taut",
-        "product",
-        "value",
-        "omega",
-        "sign",
-    )
+    compute_weight proves that the specialized weight of the partition
+    is sign * (-1)^|pi| * omega * ell (ell - 1) ... (ell - h + 1), with h
+    the corner height, so omega and sign fix the term; verdict and
+    fingerprint describe the vertex.  An omega below 0 or a sign other
+    than +-1 (only a hand-edited cache line can carry one) raises
+    ShapeMismatch naming the partition.
+    """
 
-    def __init__(self, partition, d, verdict, fingerprint, sqrt, taut, product, value, omega, sign):
+    __slots__ = ("partition", "d", "verdict", "fingerprint", "omega", "sign")
+
+    def __init__(self, partition, d, verdict, fingerprint, omega, sign):
+        if omega < 0 or sign not in (1, -1):
+            raise ShapeMismatch(
+                "weight %s with sign %s" % (omega, sign), partition=partition.serialize()
+            )
         self.partition = partition
         self.d = d
         self.verdict = verdict
         self.fingerprint = fingerprint
-        self.sqrt = sqrt
-        self.taut = taut
-        self.product = product
-        self.value = value
         self.omega = omega
         self.sign = sign
 
     def signed_poly(self, orientation_sign):
         """Contribution to the series for a given orientation sign."""
-        return self.value.value * orientation_sign
+        pi = self.partition
+        c = orientation_sign * self.sign * (-1) ** pi.size * self.omega
+        return _corner_column(pi.corner_height()) * c
 
 
 def vertex_fingerprint(v):
@@ -564,19 +517,14 @@ def compute_weight(pi, d):
             "fixed part of the vertex is positive", partition=pi.serialize()
         )
     try:
-        p = euler_class(-v, use_cy=True)
-        sqrt = sqrt_form_product(p, pi.size)
-        taut = taut_factor(pi, d, ell_units=1)
-        product = taut * sqrt
-        value = specialize(product)
+        sqrt = sqrt_form_product(euler_class(-v, use_cy=True), pi.size)
+        value = specialize(taut_factor(pi, d, ell_units=1) * sqrt)
         omega, sign = omega_from_specialized(value, pi)
     except (NotAPerfectSquare, ShapeMismatch, ZeroWeightDenominator) as exc:
         if exc.partition is None:
             exc.partition = pi.serialize()
         raise
-    return PartitionWeight(
-        pi, d, verdict, fingerprint, sqrt, taut, product, value, omega, sign
-    )
+    return PartitionWeight(pi, d, verdict, fingerprint, omega, sign)
 
 
 def weight_table(d, order):

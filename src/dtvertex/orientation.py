@@ -10,20 +10,20 @@ weight, partitions with larger corner height are already pinned,
 smaller ones cannot reach the slice.
 
 Every omega is |c| for the constant c of a specialized value, or 0 for
-a zero Euler class (forms.omega_from_specialized), so omega >= 0.  The
-contributors of one slice share h, so flipping k_pi orbit members of
-each moves the top coefficient by 2 * (+-1) * sum(k_pi * omega_pi),
-which is zero exactly when every flip lands on a zero-omega
-contributor.  Hence the rule: a slice whose contributors all have
-omega > 0 is pruned (no flip keeps it on target), and otherwise one
-flip of its last zero-omega contributor is an alternative orientation.
+a zero Euler class (forms.omega_from_specialized), and PartitionWeight
+rejects a negative one, so omega >= 0.  The contributors of one slice
+share h, so flipping k_pi orbit members of each moves the top
+coefficient by 2 * (+-1) * sum(k_pi * omega_pi), which is zero exactly
+when every flip lands on a zero-omega contributor.  Hence the rule: a
+slice whose contributors all have omega > 0 is pruned (no flip keeps it
+on target), and otherwise one flip of its last zero-omega contributor
+is an alternative orientation.
 """
 
 from __future__ import annotations
 
 import json
 
-from .errors import ShapeMismatch
 from .partitions import MultiPartition, canonical_representatives
 from .series import build_z_4k, target_4k
 
@@ -107,8 +107,6 @@ def verify_uniqueness(d, order, weights):
     slice whose contributors all have omega > 0 is pruned; otherwise
     flipping one orbit member of its last zero-omega contributor
     changes no slice, and that flip is returned as the alternative.
-    A negative omega cannot come from the pipeline and raises
-    ShapeMismatch naming the partition.
     """
     orient = positive_omega_orientation(d, weights)
     z = build_z_4k(d, order, orient, weights)
@@ -124,10 +122,7 @@ def verify_uniqueness(d, order, weights):
         reps = []
         for rep, _ in canonical_representatives(d - 1, n):
             key = rep.serialize()
-            om = weights[key].omega
-            if om < 0:
-                raise ShapeMismatch("negative weight %s" % (om,), partition=key)
-            reps.append((key, om, rep.corner_height()))
+            reps.append((key, weights[key].omega, rep.corner_height()))
         for j in range(n, -1, -1):
             free = [(key, om) for key, om, h in reps if h == j]
             if not free:

@@ -288,36 +288,11 @@ def canonicalize_axes(pi):
     Only the first n coordinate axes are permuted; the stacking
     direction is fixed.  Canonical means the greatest entries()
     sequence, which concentrates boxes on the earliest axes (the orbit
-    of a single off-axis box canonicalizes to the first axis).  Returns
-    (canonical partition, permutation) with perm[j] = the position axis
-    j of the input occupies in the output; idempotent, with the
-    identity permutation on canonical input.
+    of a single off-axis box canonicalizes to the first axis).
+    Idempotent.
     """
-    n = pi.arity
-    best = None
-    best_placements = []
-    for placement in _prefix_placements(pi):
-        rows = _relabel_entries(pi, placement)
-        if best is None or rows > best:
-            best = rows
-            best_placements = [placement]
-        elif rows == best:
-            best_placements.append(placement)
-    full_perms = []
-    for placement in best_placements:
-        used = set(placement.values())
-        free = [p for p in range(n) if p not in used]
-        perm = [None] * n
-        for a, p in placement.items():
-            perm[a] = p
-        it = iter(free)
-        for j in range(n):
-            if perm[j] is None:
-                perm[j] = next(it)
-        full_perms.append(tuple(perm))
-    perm = min(full_perms)
-    canon = MultiPartition.from_entries(n, [list(r) for r in best], validate=False)
-    return canon, perm
+    best = max(_relabel_entries(pi, placement) for placement in _prefix_placements(pi))
+    return MultiPartition.from_entries(pi.arity, [list(r) for r in best], validate=False)
 
 
 def orbit_size(pi):
@@ -331,8 +306,7 @@ def orbit_size(pi):
     n = pi.arity
     active = _active_axes(pi)
     k = len(active)
-    canon, _ = canonicalize_axes(pi)
-    target = canon.key()
+    target = canonicalize_axes(pi).key()
     stab = sum(1 for pl in _prefix_placements(pi) if _relabel_entries(pi, pl) == target)
     total = 1
     for j in range(k):
@@ -360,7 +334,7 @@ def canonical_representatives(arity, size):
     """
     groups = {}
     for pi in enumerate_partitions(arity, size):
-        canon, _ = canonicalize_axes(pi)
+        canon = canonicalize_axes(pi)
         k = canon.key()
         if k in groups:
             groups[k][1] += 1

@@ -2,10 +2,19 @@
 
 import functools
 import itertools
+from collections import namedtuple
 
 import pytest
 
-from dtvertex import MultiPartition, weight_table
+from dtvertex import (
+    MultiPartition,
+    euler_class,
+    specialize,
+    sqrt_form_product,
+    taut_factor,
+    vertex,
+    weight_table,
+)
 
 
 def axis_box_heights(arity):
@@ -55,3 +64,18 @@ def corner_column(arity, height):
 def cached_weight_table(d, order):
     """weight_table(d, order), built once per pytest run and shared."""
     return weight_table(d, order)
+
+
+WeightStages = namedtuple("WeightStages", "euler sqrt taut product value")
+
+
+@functools.cache
+def weight_stages(pi, d):
+    """The intermediate results of compute_weight(pi, d), from the public
+    stage functions: Euler class of minus the vertex, its square root,
+    the tautological factor, their product and its specialized value."""
+    euler = euler_class(-vertex(pi, d), use_cy=True)
+    sqrt = sqrt_form_product(euler, pi.size)
+    taut = taut_factor(pi, d, ell_units=1)
+    product = taut * sqrt
+    return WeightStages(euler, sqrt, taut, product, specialize(product))

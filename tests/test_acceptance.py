@@ -28,7 +28,6 @@ from dtvertex import (
     positive_omega_orientation,
     target_4k,
     target_odd,
-    euler_class,
     verify_uniqueness,
     vertex,
 )
@@ -36,7 +35,7 @@ from dtvertex.errors import DegenerateSamplePoint
 from dtvertex.forms import cy_bundle_term, full_torus_ratio
 from dtvertex.series import TruncatedSeries
 
-from conftest import cached_weight_table
+from conftest import cached_weight_table, weight_stages
 
 
 def report(name, ok):
@@ -92,9 +91,8 @@ def test_criterion_5_unit_twist_collapse():
     ok = True
     for n in range(1, order + 1):
         for rep, _ in canonical_representatives(d - 1, n):
-            w = weights[rep.serialize()]
             if rep.corner_height() >= 2:
-                ok = ok and w.value.value(one) == 0
+                ok = ok and weight_stages(rep, d).value.value(one) == 0
     orient = positive_omega_orientation(d, weights)
     z1 = build_z_4k(d, order, orient, weights).eval_ell(1)
     ok = ok and z1 == m_series(d - 2, order).alternate()
@@ -115,7 +113,8 @@ def test_criterion_6_fixture_weights(
         column = QPoly.one()
         for i in range(1, height + 1):
             column = column * QPoly((Fraction(-(i - 1)), Fraction(1)))
-        matches_shape = w.value.value in (column * weight, column * -weight)
+        value = weight_stages(pi, 8).value.value
+        matches_shape = value in (column * weight, column * -weight)
         ok = ok and matches_shape and w.omega == weight and omega_c(pi) == weight
     report("criterion 6: the three large fixtures give 64, 729/2, 81/2", ok)
 
@@ -186,13 +185,11 @@ def test_criterion_10a_duality_and_rank():
 def test_criterion_10b_square_roots_and_homogeneity():
     ok = True
     for d, order in FOURK_RANGES:
-        weights = cached_weight_table(d, order)
         for n in range(1, order + 1):
             for rep, _ in canonical_representatives(d - 1, n):
-                w = weights[rep.serialize()]
-                p = euler_class(-vertex(rep, d), use_cy=True)
-                ok = ok and (w.sqrt * w.sqrt).scaled((-1) ** n) == p
-                ok = ok and w.product.total_degree() == 0
+                s = weight_stages(rep, d)
+                ok = ok and (s.sqrt * s.sqrt).scaled((-1) ** n) == s.euler
+                ok = ok and s.product.total_degree() == 0
     report("criterion 10b: square roots exact and insertions degree-balanced", ok)
 
 
@@ -200,12 +197,11 @@ def test_criterion_10c_random_point_oracle():
     rng = random.Random(777)
     ok = True
     for d, order in FOURK_RANGES:
-        weights = cached_weight_table(d, order)
         for n in range(1, order + 1):
             for rep, _ in canonical_representatives(d - 1, n):
-                w = weights[rep.serialize()]
+                s = weight_stages(rep, d)
                 for ell in (2, 3):
-                    expected = w.value.value(Fraction(ell))
+                    expected = s.value.value(Fraction(ell))
                     hits = tries = 0
                     while hits < 3 and tries < 64:
                         tries += 1
@@ -214,7 +210,7 @@ def test_criterion_10c_random_point_oracle():
                             for _ in range(d - 2)
                         )
                         try:
-                            got = evaluate_on_locus(w.product, frees, ell)
+                            got = evaluate_on_locus(s.product, frees, ell)
                         except DegenerateSamplePoint:
                             continue
                         ok = ok and got == expected

@@ -169,14 +169,34 @@ def test_negative_cached_omega_is_pipeline_error(tmp_path, capsys):
     cache = tmp_path / "weights.jsonl"
     argv = ["check", "uniqueness", "-d", "4", "-n", "2", "--cache", str(cache)]
     run_cli(capsys, *argv)
-    lines = [json.loads(line) for line in cache.read_text().splitlines()]
-    lines[-1]["omega"] = "-1"
-    cache.write_text("".join(json.dumps(r) + "\n" for r in lines))
-    code, out = run_cli(capsys, *argv)
-    assert code == 2
-    report = json.loads(out)
-    assert report["verdict"] == "error"
-    assert report["partition"] == lines[-1]["partition"]
+    cold = cache.read_text()
+    for field, value in (("omega", "-1"), ("sign", 5)):
+        lines = [json.loads(line) for line in cold.splitlines()]
+        lines[-1][field] = value
+        cache.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        report = json.loads(out)
+        assert report["verdict"] == "error"
+        assert report["partition"] == lines[-1]["partition"]
+
+
+def test_cache_line_of_another_schema_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "weights.jsonl"
+    argv = ["check", "fourk", "-d", "4", "-n", "3", "--cache", str(cache)]
+    _, cold = run_cli(capsys, *argv)
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    for edit in (lambda rec: rec.pop("schema"), lambda rec: rec.update(schema=1)):
+        lines = [dict(rec) for rec in records]
+        edit(lines[1])
+        cache.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out == cold
+        appended = json.loads(cache.read_text().splitlines()[-1])
+        assert appended == records[1] and appended["schema"] == 2
+        run_cli(capsys, "cache-compact", "--cache", str(cache))
+        compacted = [json.loads(line) for line in cache.read_text().splitlines()]
+        assert sorted(compacted, key=json.dumps) == sorted(records, key=json.dumps)
 
 
 def test_cache_compact(tmp_path, capsys):
@@ -241,6 +261,24 @@ def assert_usage_error(capsys, *argv):
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["keyconj", "-d", "4", "-n", "2", "--ell", "5"],
+        ["keyconj", "-d", "4", "-n", "2", "--bundle", "x,y"],
+        ["keyconj", "-d", "4", "-n", "2", "--orientation", "/nonexistent"],
+        ["omega", "-d", "4", "-n", "2", "--ell", "symbolic"],
+        ["uniqueness", "-d", "4", "-n", "2", "--orientation", "signs.json"],
+        ["odd", "-d", "3", "-n", "2", "--bundle", "1,0,0"],
+        ["remfail", "-d", "8", "-n", "2", "--ell", "1"],
+        ["remfail", "-d", "7", "-n", "2", "--bundle", "1,2"],
+        ["fourk", "-d", "4", "-n", "2", "--bundle", "1,0,0,0"],
+    ],
+)
+def test_option_the_kind_does_not_read_is_usage_error(capsys, argv):
+    assert_usage_error(capsys, "check", *argv)
+
+
 def test_empty_ell_range_is_usage_error(capsys):
     assert_usage_error(capsys, "check", "fourk", "-d", "4", "-n", "2", "--ell", "3..1")
 
@@ -290,6 +328,9 @@ def test_fuzz_check_exit_codes(kind, d, n, options):
         except SystemExit as exc:  # argparse rejects the argv
             code = exc.code
     assert code in (0, 1, 2)
+    ell, bundle = options[0], options[1]
+    if (ell and kind != "fourk") or (bundle and (kind != "remfail" or d % 4)):
+        assert code == 2
     if n < 1:
         assert "confirmed" not in out.getvalue() and "unique" not in out.getvalue()
 

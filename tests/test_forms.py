@@ -27,9 +27,10 @@ from dtvertex import (
     vertex,
     weight_table,
 )
+from dtvertex.cache import record_from_weight
 from dtvertex.forms import SpecializedValue, canonical_form
 
-from conftest import corner_column, single_box
+from conftest import cached_weight_table, corner_column, single_box, weight_stages
 
 
 def form(coeffs, ell=0):
@@ -166,8 +167,8 @@ def test_specialize_constant():
 
 
 def test_specialize_single_box_weight():
+    assert weight_stages(single_box(3), 4).value.value == poly(0, -1)  # -ell
     w = compute_weight(single_box(3), 4)
-    assert w.value.value == poly(0, -1)  # -ell
     assert w.omega == 1 and w.sign == 1
 
 
@@ -202,12 +203,14 @@ def test_weight_table_covers_canonical_representatives():
     ]
     for key, w in table.items():
         assert w.partition.serialize() == key and w.d == 4
-    assert table[single_box(3).serialize()].value == compute_weight(single_box(3), 4).value
+    value = weight_stages(single_box(3), 4).value.value
+    assert table[single_box(3).serialize()].signed_poly(1) == value
 
 
 def test_omega_extraction(seven_part_size9):
+    value = weight_stages(seven_part_size9, 8).value.value
+    assert value == poly(0, 64, -64)  # 64*ell*(1 - ell)
     w = compute_weight(seven_part_size9, 8)
-    assert w.value.value == poly(0, 64, -64)  # 64*ell*(1 - ell)
     assert w.omega == 64 and w.sign == 1
     v = SpecializedValue(value=poly(0, -1))
     assert omega_from_specialized(v, single_box(3)) == (Fraction(1), 1)
@@ -245,10 +248,10 @@ def test_euler_ratio_odd_rejects_even_dimension():
 def test_degree_zero_homogeneity():
     for n in range(1, 4):
         for rep, _ in canonical_representatives(7, n):
-            w = compute_weight(rep, 8)
-            assert w.taut.total_degree() == n
-            assert w.sqrt.total_degree() == -n
-            assert w.product.total_degree() == 0
+            s = weight_stages(rep, 8)
+            assert s.taut.total_degree() == n
+            assert s.sqrt.total_degree() == -n
+            assert s.product.total_degree() == 0
 
 
 def test_oriented_weights_are_orbit_invariant():
@@ -256,10 +259,11 @@ def test_oriented_weights_are_orbit_invariant():
     # normalization is basis-dependent); the oriented weight may not
     for rep, _ in canonical_representatives(7, 3):
         w = compute_weight(rep, 8)
+        value = weight_stages(rep, 8).value.value
         for member in orbit(rep):
             wm = compute_weight(member, 8)
             assert wm.omega == w.omega
-            assert wm.value.value * wm.sign == w.value.value * w.sign
+            assert weight_stages(member, 8).value.value * wm.sign == value * w.sign
 
 
 def test_random_point_oracle_agreement():
@@ -268,9 +272,9 @@ def test_random_point_oracle_agreement():
     rng = random.Random(20240)
     for n in range(1, 4):
         for rep, _ in canonical_representatives(7, n):
-            w = compute_weight(rep, 8)
+            s = weight_stages(rep, 8)
             for ell in (2, 3, 7):
-                expected = w.value.value(Fraction(ell))
+                expected = s.value.value(Fraction(ell))
                 hits = tries = 0
                 while hits < 3:
                     tries += 1
@@ -279,27 +283,32 @@ def test_random_point_oracle_agreement():
                         Fraction(rng.randint(-10**6, 10**6)) for _ in range(6)
                     )
                     try:
-                        got = evaluate_on_locus(w.product, frees, ell)
+                        got = evaluate_on_locus(s.product, frees, ell)
                     except DegenerateSamplePoint:
                         continue
                     assert got == expected
                     hits += 1
 
 
-def test_form_product_serialization_roundtrip():
-    w = compute_weight(single_box(7), 8)
-    for p in (w.sqrt, w.taut, w.product, FormProduct.zero()):
-        assert FormProduct.from_serialized(p.serialize()) == p
-    # the cache record format: a constant scalar is a one-term ratio
-    assert compute_weight(single_box(3), 4).taut.serialize() == {
-        "is_zero": False,
-        "scalar": {"num": ["1"], "den": ["1"]},
-        "factors": [[[0, 0, 0], 1, 1]],
+def test_signed_poly_matches_specialized_value():
+    # the term rebuilt from (omega, sign) is the specialized value itself
+    count = 0
+    for d, order in ((4, 5), (8, 5), (12, 3)):
+        for w in cached_weight_table(d, order).values():
+            value = weight_stages(w.partition, d).value.value
+            for s in (1, -1):
+                assert w.signed_poly(s) == value * s
+            count += 1
+    assert count == 74
+
+
+def test_cache_record_format():
+    assert record_from_weight(compute_weight(single_box(3), 4)) == {
+        "schema": 2,
+        "d": 4,
+        "partition": "[[1,1,1,1]]",
+        "fingerprint": "9b8ceb4c9614eefaf8cccaf002c1ced8decaf2ac9e5ed254a2d4397275a5c7b0",
+        "verdict": "ok",
+        "omega": "1",
+        "sign": 1,
     }
-    assert FormProduct.zero().serialize() == {
-        "is_zero": True,
-        "scalar": {"num": [], "den": ["1"]},
-        "factors": [],
-    }
-    v = w.value
-    assert SpecializedValue.from_serialized(v.serialize()) == v

@@ -123,11 +123,21 @@ def flip_search_uniqueness(d, order, weights, subset_cap=1 << 16):
     return UniquenessReport("unique", slices)
 
 
+class _SeriesOf(PartitionWeight):
+    """A weight whose series term stays that of another weight."""
+
+    __slots__ = ("original",)
+
+    def signed_poly(self, orientation_sign):
+        return self.original.signed_poly(orientation_sign)
+
+
 def with_omega(w, omega):
-    return PartitionWeight(
-        w.partition, w.d, w.verdict, w.fingerprint, w.sqrt, w.taut,
-        w.product, w.value, omega, w.sign,
-    )
+    # keeps the series term, so the positive orientation still meets the
+    # precondition and only the uniqueness rule sees the new omega
+    out = _SeriesOf(w.partition, w.d, w.verdict, w.fingerprint, omega, w.sign)
+    out.original = w
+    return out
 
 
 @pytest.mark.parametrize("d,order", [(4, 4), (8, 3)])
@@ -165,13 +175,13 @@ def test_closed_rule_matches_flip_search_with_zero_weights():
 
 
 def test_negative_weight_is_shape_mismatch():
-    d, order = 4, 3
-    weights = dict(cached_weight_table(d, order))
+    weights = cached_weight_table(4, 3)
     key = sorted(weights)[-1]
-    weights[key] = with_omega(weights[key], Fraction(-1))
-    with pytest.raises(ShapeMismatch) as info:
-        verify_uniqueness(d, order, weights)
-    assert info.value.partition == key
+    w = weights[key]
+    for omega, sign in ((Fraction(-1), w.sign), (w.omega, 5)):
+        with pytest.raises(ShapeMismatch) as info:
+            PartitionWeight(w.partition, w.d, w.verdict, w.fingerprint, omega, sign)
+        assert info.value.partition == key
 
 
 def test_single_box_sign_is_plus_one():
