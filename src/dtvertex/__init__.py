@@ -12,6 +12,7 @@ from .errors import (
     DTVertexError,
     DegenerateSamplePoint,
     DimensionMismatch,
+    ExponentOverflow,
     NotAPerfectSquare,
     NotConstant,
     ShapeMismatch,

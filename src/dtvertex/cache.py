@@ -5,9 +5,10 @@ exactly what a PartitionWeight keeps: schema, d, partition, fingerprint,
 verdict, omega and sign.  A hit is only trusted after the vertex
 fingerprint is recomputed and matches; stale lines are recomputed and
 re-appended, and compaction rewrites the file keeping the last record
-per key.  A line that is not a complete record of this SCHEMA (a write
-torn by a crash, or a record of another format) is skipped, so its
-partition is recomputed and appended on a fresh line.
+per key.  A line that is not a well-formed record of this SCHEMA (a
+write torn by a crash, a record of another format, a missing or extra
+key, a value of the wrong type, an omega that is not a rational) is
+skipped, so its partition is recomputed and appended on a fresh line.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from .kclass import vertex
 ENV_CACHE_DIR = "DTVERTEX_CACHE_DIR"
 # Version of the record format; records of any other version are skipped.
 SCHEMA = 2
+# The keys of a record and the JSON type of each value.
+FIELDS = {
+    "schema": int, "d": int, "partition": str, "fingerprint": str,
+    "verdict": str, "omega": str, "sign": int,
+}
 
 
 def default_cache_path():
@@ -39,6 +45,24 @@ def record_from_weight(w):
         "omega": str(w.omega),
         "sign": w.sign,
     }
+
+
+def _well_formed(rec):
+    """Whether a parsed line is a record of this SCHEMA with exactly FIELDS.
+
+    Values must have the listed JSON types (a bool is not an int) and
+    omega must parse as a Fraction; its sign is checked later, by
+    PartitionWeight, so an impossible weight still fails loudly.
+    """
+    if not isinstance(rec, dict) or rec.keys() != FIELDS.keys():
+        return False
+    if any(type(rec[k]) is not t for k, t in FIELDS.items()) or rec["schema"] != SCHEMA:
+        return False
+    try:
+        Fraction(rec["omega"])
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
 
 
 def weight_from_record(rec, pi):
@@ -62,10 +86,10 @@ class WeightCache:
                     self._torn_tail = not line.endswith("\n")
                     try:
                         rec = json.loads(line)
-                        if rec["schema"] == SCHEMA:
-                            self.records[(rec["d"], rec["partition"])] = rec
-                    except (ValueError, TypeError, KeyError):
+                    except ValueError:
                         continue
+                    if _well_formed(rec):
+                        self.records[(rec["d"], rec["partition"])] = rec
 
     def append(self, rec):
         self.records[(rec["d"], rec["partition"])] = rec

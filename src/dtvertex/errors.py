@@ -13,6 +13,10 @@ class DimensionMismatch(DTVertexError):
     """Operands live in Laurent rings of different dimensions."""
 
 
+class ExponentOverflow(DTVertexError):
+    """An exponent of a KClass may leave the range its packed keys can hold."""
+
+
 class ArityMismatch(DTVertexError):
     """Partition arity does not match the requested ambient dimension."""
 

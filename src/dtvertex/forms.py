@@ -218,8 +218,8 @@ def euler_class(a, use_cy=True):
         a = cy_reduce(a)
     exps = {}
     num = den = 1
-    for w, c in a.terms.items():
-        norm = canonical_form(w[:-1] if use_cy else w, 0)
+    for w, c in a.items(a.dim - 1 if use_cy else None):
+        norm = canonical_form(w, 0)
         if norm is None:
             if c > 0:
                 return FormProduct.zero()

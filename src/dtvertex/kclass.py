@@ -5,26 +5,111 @@ integer coefficients.  It carries the torus character of a box stack,
 the vertex class of its ideal, and everything derived from them.  All
 arithmetic is exact over Z; division by the coordinate product is
 multiplication by the inverse monomial and never a polynomial division.
+
+Each exponent vector is stored as one packed integer.  With radix 2^16
+and bias 2^15 the vector w = (w_1, .., w_d) has the code
+
+    code(w) = sum_i (w_i + 2^15) * 2^(16 (d - i))        (i = 1..d)
+
+so w_1 sits in the top 16-bit digit and integer order is the
+lexicographic order of the vectors.  A shift by t^v adds
+code(v) - code(0), bar(w) is 2 code(0) - code(w), the product of two
+monomials has code(a) + code(b) - code(0), and the reduction modulo
+t_1..t_d = 1 reads w_d from the bottom digit and subtracts w_d * ONES,
+where ONES = sum_i 2^(16 (i - 1)).
+
+A digit holds w_i + 2^15 only for -2^15 < w_i < 2^15; beyond that it
+would carry into its neighbour.  So every class carries `bound`, an
+upper bound on |w_i| over all its terms, which +, *, shift and
+cy_reduce update in O(1).  An operation whose bound reaches 2^15
+raises ExponentOverflow before it builds a single key; nothing ever
+wraps.  Tuples cross the boundary only at the edges: the constructor,
+monomial, coefficient and shift encode them with the same range check,
+and items, as_dict and serialize decode them.
 """
 
 from __future__ import annotations
 
-from .errors import ArityMismatch, DimensionMismatch
+import struct
+
+from .errors import ArityMismatch, DimensionMismatch, ExponentOverflow
 from .partitions import MultiPartition
 
 KEY_OK = "ok"
 KEY_EULER_VANISHES = "euler_vanishes"
 KEY_VIOLATED = "violated"
 
+RADIX_BITS = 16
+# Added to every exponent; also the exclusive limit of |exponent|.
+BIAS = 1 << (RADIX_BITS - 1)
+DIGIT = (1 << RADIX_BITS) - 1
+
+
+def _ones(d):
+    """Code step of the all-ones vector: one unit in each of the d digits."""
+    return ((1 << RADIX_BITS * d) - 1) // DIGIT
+
+
+def _origin(d):
+    """code((0,..,0)): the bias in every digit."""
+    return BIAS * _ones(d)
+
+
+def _checked(bound):
+    if bound >= BIAS:
+        raise ExponentOverflow(
+            "exponents up to %d do not fit the radix (|w| < %d)" % (bound, BIAS)
+        )
+    return bound
+
+
+def _encode(w, d):
+    """(code, max |w_i|) of an exponent vector of length d."""
+    w = tuple(w)
+    if len(w) != d:
+        raise DimensionMismatch("exponent vector of length %d in dimension %d" % (len(w), d))
+    bound = _checked(max(map(abs, w), default=0))
+    # two's complement digits, then the bias bit of each digit flipped
+    return int.from_bytes(struct.pack(">%dh" % d, *w), "big") ^ _origin(d), bound
+
+
+def _decoder(d, k):
+    """Function from a code to the first k coordinates of its vector."""
+    unpack = struct.Struct(">%dh" % k).unpack
+    drop = RADIX_BITS * (d - k)
+    flip = _origin(k)
+    size = 2 * k
+    return lambda code: unpack(((code >> drop) ^ flip).to_bytes(size, "big"))
+
 
 class KClass:
-    """Laurent polynomial with integer coefficients, exponentwise sparse."""
+    """Laurent polynomial with integer coefficients, exponentwise sparse.
 
-    __slots__ = ("dim", "terms")
+    `terms` maps packed exponent codes to non-zero coefficients and
+    `bound` bounds every |exponent|; see the module docstring.
+    """
+
+    __slots__ = ("dim", "terms", "bound")
 
     def __init__(self, dim, terms=None):
+        """Class of {exponent tuple: coefficient}; zero coefficients are dropped."""
         self.dim = dim
-        self.terms = {tuple(w): int(c) for w, c in (terms or {}).items() if c}
+        self.terms = {}
+        self.bound = 0
+        for w, c in (terms or {}).items():
+            if c:
+                code, bound = _encode(w, dim)
+                self.terms[code] = int(c)
+                self.bound = max(self.bound, bound)
+
+    @classmethod
+    def _packed(cls, dim, terms, bound):
+        """Class over an already packed dict of non-zero terms, taken as is."""
+        k = object.__new__(cls)
+        k.dim = dim
+        k.terms = terms
+        k.bound = bound
+        return k
 
     @classmethod
     def zero(cls, dim):
@@ -42,11 +127,23 @@ class KClass:
         return not self.terms
 
     def coefficient(self, w):
-        return self.terms.get(tuple(w), 0)
+        return self.terms.get(_encode(w, self.dim)[0], 0)
 
     def rank(self):
         """Sum of all coefficients, i.e. evaluation at t = 1."""
         return sum(self.terms.values())
+
+    def items(self, prefix=None):
+        """Decoded [(exponent tuple, coefficient)], in term order.
+
+        With prefix k each tuple holds only the first k coordinates.
+        """
+        decode = _decoder(self.dim, self.dim if prefix is None else prefix)
+        return [(decode(code), c) for code, c in self.terms.items()]
+
+    def as_dict(self):
+        """{exponent tuple: coefficient}, the decoded view of `terms`."""
+        return dict(self.items())
 
     def __eq__(self, other):
         return (
@@ -62,57 +159,79 @@ class KClass:
                 "dimension %d vs %d" % (self.dim, other.dim)
             )
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
         self._check(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
+        get = out.get
+        for k, c in other.terms.items():
+            s = get(k, 0) + sign * c
             if s:
-                out[w] = s
+                out[k] = s
             else:
-                out.pop(w, None)
-        return KClass(self.dim, out)
+                del out[k]
+        return KClass._packed(self.dim, out, max(self.bound, other.bound))
 
-    def __neg__(self):
-        return KClass(self.dim, {w: -c for w, c in self.terms.items()})
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return KClass._packed(self.dim, {k: -c for k, c in self.terms.items()}, self.bound)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return KClass(self.dim, {w: c * other for w, c in self.terms.items()})
+            if not other:
+                return KClass.zero(self.dim)
+            return KClass._packed(
+                self.dim, {k: c * other for k, c in self.terms.items()}, self.bound
+            )
         self._check(other)
+        bound = _checked(self.bound + other.bound)
+        origin = _origin(self.dim)
         out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = tuple(a + b for a, b in zip(w1, w2))
-                s = out.get(w, 0) + c1 * c2
+        get = out.get
+        for k1, c1 in self.terms.items():
+            base = k1 - origin
+            for k2, c2 in other.terms.items():
+                k = base + k2
+                s = get(k, 0) + c1 * c2
                 if s:
-                    out[w] = s
+                    out[k] = s
                 else:
-                    del out[w]
-        return KClass(self.dim, out)
+                    del out[k]
+        return KClass._packed(self.dim, out, bound)
 
     __rmul__ = __mul__
 
     def shift(self, w):
         """Multiply by the monomial t^w (exact in the Laurent ring)."""
-        w = tuple(w)
-        return KClass(
-            self.dim, {tuple(a + b for a, b in zip(v, w)): c for v, c in self.terms.items()}
+        code, bound = _encode(w, self.dim)
+        bound = _checked(self.bound + bound)
+        step = code - _origin(self.dim)
+        return KClass._packed(
+            self.dim, {k + step: c for k, c in self.terms.items()}, bound
         )
 
     def bar(self):
         """The involution t^w -> t^(-w)."""
-        return KClass(self.dim, {tuple(-a for a in w): c for w, c in self.terms.items()})
+        mirror = 2 * _origin(self.dim)
+        return KClass._packed(
+            self.dim, {mirror - k: c for k, c in self.terms.items()}, self.bound
+        )
 
     def serialize(self):
         """Sorted [[exponent vector, coefficient], ...] debug form."""
-        return [[list(w), self.terms[w]] for w in sorted(self.terms)]
+        decode = _decoder(self.dim, self.dim)
+        return [[list(decode(k)), self.terms[k]] for k in sorted(self.terms)]
 
     def __repr__(self):
         return "KClass(%d, %d terms)" % (self.dim, len(self.terms))
+
+
+def _unit(d, i, e):
+    return tuple(e if j == i else 0 for j in range(d))
 
 
 def character(pi, d):
@@ -145,8 +264,7 @@ def vertex(pi, d):
     zbar = z.bar()
     prod = z * zbar
     for i in range(d):
-        e = tuple(1 if j == i else 0 for j in range(d))
-        prod = prod - prod.shift(e)
+        prod = prod - prod.shift(_unit(d, i, 1))
     return z + sgn * zbar.shift(inv) - sgn * prod.shift(inv)
 
 
@@ -156,21 +274,33 @@ def cy_reduce(a):
     Every exponent vector w is replaced by w - w_d * (1,..,1), so the
     last exponent becomes 0; coefficients merge.  Idempotent.
     """
+    bound = _checked(2 * a.bound)
+    ones = _ones(a.dim)
     out = {}
-    for w, c in a.terms.items():
-        m = w[-1]
-        v = tuple(x - m for x in w) if m else w
-        s = out.get(v, 0) + c
+    get = out.get
+    for k, c in a.terms.items():
+        m = (k & DIGIT) - BIAS
+        if m:
+            k -= m * ones
+        s = get(k, 0) + c
         if s:
-            out[v] = s
+            out[k] = s
         else:
-            del out[v]
-    return KClass(a.dim, out)
+            del out[k]
+    return KClass._packed(a.dim, out, bound)
 
 
 def cy_fixed_part(a):
-    """Coefficient of the torus-fixed (zero) weight after reduction."""
-    return cy_reduce(a).coefficient((0,) * a.dim)
+    """Coefficient of the torus-fixed (zero) weight after reduction.
+
+    The exponents that reduce to zero are the diagonal ones m * (1,..,1)
+    with |m| <= a.bound; their coefficients are summed by lookup, and no
+    reduced class is built.
+    """
+    ones = _ones(a.dim)
+    origin = BIAS * ones
+    get = a.terms.get
+    return sum(get(origin + m * ones, 0) for m in range(-a.bound, a.bound + 1))
 
 
 def key_verdict(v):
@@ -201,6 +331,5 @@ def vertex_half(pi, d):
     z = character(pi, d)
     prod = z * z.bar()
     for i in range(d - 1):
-        e = tuple(-1 if j == i else 0 for j in range(d))
-        prod = prod - prod.shift(e)
+        prod = prod - prod.shift(_unit(d, i, -1))
     return z - prod

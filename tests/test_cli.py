@@ -1,8 +1,12 @@
 """Command line interface: output formats, exit codes, cache, determinism."""
 
 import contextlib
+import functools
 import io
 import json
+import os
+import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +183,73 @@ def test_negative_cached_omega_is_pipeline_error(tmp_path, capsys):
         report = json.loads(out)
         assert report["verdict"] == "error"
         assert report["partition"] == lines[-1]["partition"]
+
+
+def test_malformed_cache_record_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "weights.jsonl"
+    argv = ["check", "fourk", "-d", "4", "-n", "2", "--cache", str(cache)]
+    _, cold = run_cli(capsys, *argv)
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    for edit in (lambda rec: rec.pop("omega"), lambda rec: rec.update(omega="abc")):
+        lines = [dict(rec) for rec in records]
+        edit(lines[-1])
+        cache.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out == cold
+        assert json.loads(cache.read_text().splitlines()[-1]) == records[-1]
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _retyped(key, old, new):
+    """Whether new has another JSON type than old, or is an omega that is no rational."""
+    if type(new) is not type(old):
+        return True
+    if key != "omega":
+        return False
+    try:
+        Fraction(new)
+    except (ValueError, ZeroDivisionError):
+        return True
+    return False
+
+
+@functools.cache
+def _cold_fourk_d4_cache():
+    """(report, cache text) of a cold `check fourk -d 4 -n 2` run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "weights.jsonl")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["check", "fourk", "-d", "4", "-n", "2", "--cache", path]) == 0
+        with open(path) as fh:
+            return out.getvalue(), fh.read()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzz_malformed_cache_records(tmp_path_factory, data):
+    cold, text = _cold_fourk_d4_cache()
+    records = [json.loads(line) for line in text.splitlines()]
+    for i in data.draw(st.sets(st.sampled_from(range(len(records))), min_size=1)):
+        key = data.draw(st.sampled_from(sorted(records[i])))
+        if data.draw(st.booleans()):
+            del records[i][key]
+        else:
+            old = records[i][key]
+            records[i][key] = data.draw(_JSON_VALUES.filter(lambda v: _retyped(key, old, v)))
+    cache = tmp_path_factory.mktemp("cache") / "weights.jsonl"
+    cache.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check", "fourk", "-d", "4", "-n", "2", "--cache", str(cache)])
+    # every edited line is skipped and its weight recomputed
+    assert code == 0 and out.getvalue() == cold
 
 
 def test_cache_line_of_another_schema_is_recomputed(tmp_path, capsys):

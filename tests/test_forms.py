@@ -72,7 +72,7 @@ def test_euler_class_zero_weight():
 def euler_class_by_fold(a, use_cy):
     """Reference Euler class: fold each form in with times_raw_form."""
     out = FormProduct.constant(1)
-    terms = cy_reduce(a).terms if use_cy else a.terms
+    terms = cy_reduce(a).as_dict() if use_cy else a.as_dict()
     for w, c in sorted(terms.items()):
         out = out.times_raw_form(w[:-1] if use_cy else w, 0, c)
     return out

@@ -1,10 +1,17 @@
 """Laurent ring arithmetic and the equivariant vertex."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from dtvertex import (
     DimensionMismatch,
+    ExponentOverflow,
     KClass,
+    canonical_representatives,
     character,
     check_key_conjecture,
     cy_fixed_part,
@@ -32,7 +39,7 @@ def test_ring_ops():
         (0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1,
         (1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1, (1, 1, 1): -1,
     }
-    assert prod.terms == expected
+    assert prod.as_dict() == expected
     assert a + b == 2 * one
     assert (a - a).is_zero()
 
@@ -48,7 +55,7 @@ def test_bar_involution(seven_part_size9):
     assert KClass.one(3).bar() == KClass.one(3)
     z = character(seven_part_size9, 8)
     assert z.bar().bar() == z
-    assert z.bar().terms == {tuple(-a for a in w): 1 for w in z.terms}
+    assert z.bar().as_dict() == {tuple(-a for a in w): 1 for w in z.as_dict()}
 
 
 def test_vertex_single_box_dim3():
@@ -57,7 +64,7 @@ def test_vertex_single_box_dim3():
         (-1, 0, 0): 1, (0, -1, 0): 1, (0, 0, -1): 1,
         (-1, -1, 0): -1, (-1, 0, -1): -1, (0, -1, -1): -1,
     }
-    assert v.terms == expected
+    assert v.as_dict() == expected
 
 
 def test_vertex_empty_partition():
@@ -150,3 +157,56 @@ def test_serialize_is_sorted():
     rows = v.serialize()
     assert rows == sorted(rows)
     assert all(c for _, c in rows)
+
+
+@functools.cache
+def _partitions(arity, size):
+    return enumerate_partitions(arity, size)
+
+
+# Largest partition size drawn per dimension: the oracle needs about
+# 0.2 s for a d = 12 partition of size 3.
+_MAX_SIZE = {d: 5 if d <= 5 else 4 if d <= 8 else 3 for d in range(3, 13)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), d=st.integers(min_value=3, max_value=12))
+def test_packed_classes_match_tuple_oracle(data, d):
+    size = data.draw(st.integers(min_value=1, max_value=_MAX_SIZE[d]))
+    pi = data.draw(st.sampled_from(_partitions(d - 1, size)))
+    for packed, tuples in (
+        (vertex(pi, d), oracles.vertex(pi, d)),
+        (vertex_half(pi, d), oracles.vertex_half(pi, d)),
+    ):
+        assert packed.as_dict() == tuples
+        assert packed.serialize() == oracles.serialize(tuples)
+        reduced = oracles.cy_reduce(tuples)
+        assert cy_reduce(packed).as_dict() == reduced
+        assert cy_fixed_part(packed) == reduced.get((0,) * d, 0)
+
+
+def test_exponent_outside_the_radix_raises():
+    top = 2**15 - 1
+    edge = KClass.monomial(3, (top, 0, -top))
+    assert edge.as_dict() == {(top, 0, -top): 1}
+    assert edge.coefficient((top, 0, -top)) == 1
+    for w in ((top + 1, 0, 0), (0, 0, -top - 1)):
+        with pytest.raises(ExponentOverflow):
+            KClass.monomial(3, w)
+        with pytest.raises(ExponentOverflow):
+            KClass.one(3).shift(w)
+    with pytest.raises(ExponentOverflow):
+        edge.shift((0, 1, 0))
+    half = KClass.monomial(3, (2**14, 0, 0))
+    assert (half * KClass.monomial(3, (2**14 - 1, 0, 0))).as_dict() == {(top, 0, 0): 1}
+    with pytest.raises(ExponentOverflow):
+        half * half
+    with pytest.raises(ExponentOverflow):
+        cy_reduce(KClass.monomial(3, (2**14, 0, -(2**14))))
+
+
+def test_fixed_part_at_dimension_16():
+    reps = [rep for n in (1, 2) for rep, _ in canonical_representatives(15, n)]
+    assert len(reps) == 3
+    for rep in reps:
+        assert cy_fixed_part(vertex(rep, 16)) == 0

@@ -68,12 +68,12 @@ def test_count_examples():
 
 def test_character_single_box():
     k = character(single_box(2), 3)
-    assert k.terms == {(0, 0, 0): 1}
+    assert k.as_dict() == {(0, 0, 0): 1}
 
 
 def test_character_column():
     k = character(corner_column(3, 2), 4)
-    assert k.terms == {(0, 0, 0, 0): 1, (0, 0, 0, 1): 1}
+    assert k.as_dict() == {(0, 0, 0, 0): 1, (0, 0, 0, 1): 1}
 
 
 def test_character_axis_box_partition(seven_part_size9):
@@ -81,7 +81,7 @@ def test_character_axis_box_partition(seven_part_size9):
     expected = {(0,) * 8: 1}
     for i in range(8):
         expected[tuple(1 if j == i else 0 for j in range(8))] = 1
-    assert k.terms == expected
+    assert k.as_dict() == expected
 
 
 def test_character_counts_boxes():
