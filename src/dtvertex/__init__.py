@@ -49,7 +49,6 @@ from .partitions import (
     binary_rep_contains,
     canonical_representatives,
     canonicalize_axes,
-    count_by_binomial_formula,
     count_partitions,
     enumerate_partitions,
     orbit,

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from math import factorial
 
-from .partitions import MultiPartition, enumerate_partitions
+from .partitions import MultiPartition, enumerate_partitions, sub_partitions
 from .ratpoly import QPoly
 from .series import TruncatedSeries, m_series
 
@@ -65,17 +65,13 @@ def _column_runs(heights):
 def _candidate_parts(pi):
     """All component partitions that could enter some decomposition.
 
-    A candidate's staircase must fit under the column profile of the
-    height array; monotonicity of candidates is enforced by the bounded
-    enumeration.  Ordered descending by (size, key): largest first so
-    dead branches die early, and the fixed order makes the multiset
-    search duplicate-free.
+    A component's staircase must fit under the column profile of the
+    height array, so the candidates are exactly the nonempty
+    sub-partitions of that profile.  Ordered descending by (size, key):
+    largest first so dead branches die early, and the fixed order makes
+    the multiset search duplicate-free.
     """
-    bound = _column_runs(pi.heights)
-    cap = sum(bound.values())
-    out = []
-    for s in range(1, cap + 1):
-        out.extend(enumerate_partitions(pi.arity - 1, s, bound=bound))
+    out = sub_partitions(pi.arity - 1, _column_runs(pi.heights))
     out.sort(key=lambda xi: (xi.size, xi.key()), reverse=True)
     return out
 

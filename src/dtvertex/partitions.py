@@ -6,13 +6,19 @@ axis.  1-partitions are ordinary partitions, 2-partitions plane
 partitions, 3-partitions solid partitions.  An (d-1)-partition labels a
 monomial ideal in d variables: the box stack of height pi[i] sitting
 over the base cell i, stacked along the d-th coordinate axis.
+
+Enumeration slices a partition along its first axis into a chain of
+lower partitions, each dominated entrywise by the one before it; the
+dominated ones come from one walk over the cells of the bounding
+partition, which also lists the sub-partitions that omega decomposes
+into.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .errors import ArityMismatch
 
@@ -134,108 +140,105 @@ def binary_rep_contains(xi, cell):
 # -- enumeration -----------------------------------------------------------
 
 
-def _slice_bound(bound, first):
-    if bound is None:
-        return None
-    return {idx[1:]: h for idx, h in bound.items() if idx[0] == first}
-
-
-def _meet(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    out = {}
-    for idx, h in a.items():
-        m = min(h, b.get(idx, 0))
-        if m:
-            out[idx] = m
-    return out
-
-
-def _gen_linear(size, cap, bound, pos):
+def _gen_linear(size, cap, pos):
     if size == 0:
         yield {}
         return
-    top = min(size, cap)
-    if bound is not None:
-        top = min(top, bound.get((pos,), 0))
-    for v in range(top, 0, -1):
-        for rest in _gen_linear(size - v, v, bound, pos + 1):
+    for v in range(min(size, cap), 0, -1):
+        for rest in _gen_linear(size - v, v, pos + 1):
             out = {(pos,): v}
             out.update(rest)
             yield out
 
 
-def _gen_slices(arity, size, bound, prev, pos):
+def _dominated_heights(bound, budget):
+    """Height maps of the nonempty partitions dominated entrywise by bound
+    whose size is at most budget.
+
+    Walks the cells of bound in sorted order, so the predecessors of a
+    cell are decided before it, and gives each cell every height from
+    min(bound, budget left, heights of its predecessors) down to 0.  A
+    cell outside bound counts as height 0, so bound need not itself be
+    closed toward the corner.
+    """
+    cells = [
+        (c, bound[c], [c[:j] + (c[j] - 1,) + c[j + 1 :] for j in range(len(c)) if c[j] > 1])
+        for c in sorted(bound)
+    ]
+    found = []
+    _walk_cells(cells, 0, budget, {}, found)
+    return found
+
+
+def _walk_cells(cells, i, left, heights, found):
+    """Append to found every completion of heights, which fixes cells[:i]."""
+    if left == 0 or i == len(cells):
+        if heights:
+            found.append(dict(heights))
+        return
+    cell, top, preds = cells[i]
+    top = min(top, left)
+    for p in preds:
+        top = min(top, heights.get(p, 0))
+    for h in range(top, 0, -1):
+        heights[cell] = h
+        _walk_cells(cells, i + 1, left - h, heights, found)
+    heights.pop(cell, None)
+    _walk_cells(cells, i + 1, left, heights, found)
+
+
+def _gen_slices(arity, size, prev, pos):
+    """Slices pos, pos+1, ... along the first axis, each an (arity-1)-partition
+    dominated by the slice before it (prev; None for the first slice)."""
     if size == 0:
         yield {}
         return
-    eff = _meet(prev, _slice_bound(bound, pos))
-    for s in range(size, 0, -1):
-        for top in _gen_heights(arity - 1, s, eff):
-            for rest in _gen_slices(arity, size - s, bound, top, pos + 1):
-                out = {(pos,) + idx: h for idx, h in top.items()}
-                out.update(rest)
-                yield out
+    if prev is None:
+        tops = (top for s in range(size, 0, -1) for top in _gen_heights(arity - 1, s))
+    else:
+        tops = _dominated_heights(prev, size)
+    for top in tops:
+        for rest in _gen_slices(arity, size - sum(top.values()), top, pos + 1):
+            out = {(pos,) + idx: h for idx, h in top.items()}
+            out.update(rest)
+            yield out
 
 
-def _gen_heights(arity, size, bound=None):
-    """All height maps of arity-partitions of the exact size, under bound.
+def _gen_heights(arity, size):
+    """All height maps of arity-partitions of the exact size.
 
-    bound None means unbounded; otherwise the result is dominated
-    entrywise by the bound map.  Slicing along the first axis reduces to
-    chains of dominated (arity-1)-partitions.
+    Slicing along the first axis reduces to chains of (arity-1)-partitions,
+    each dominated entrywise by the one before it.
     """
     if arity == 1:
-        yield from _gen_linear(size, size, bound, 1)
+        yield from _gen_linear(size, size, 1)
     else:
-        yield from _gen_slices(arity, size, bound, None, 1)
+        yield from _gen_slices(arity, size, None, 1)
 
 
-def enumerate_partitions(arity, size, bound=None):
-    """All arity-partitions of the given size, sorted by key().
-
-    The optional bound (a height map) restricts to partitions dominated
-    by it entrywise.
-    """
+def enumerate_partitions(arity, size):
+    """All arity-partitions of the given size, sorted by key()."""
     if arity < 1:
         raise ValueError("arity must be >= 1")
     if size < 0:
         raise ValueError("size must be >= 0")
-    found = [MultiPartition(arity, h) for h in _gen_heights(arity, size, bound)]
+    found = [MultiPartition(arity, h) for h in _gen_heights(arity, size)]
     found.sort(key=lambda p: p.key())
     return found
+
+
+def sub_partitions(arity, bound):
+    """All nonempty arity-partitions dominated entrywise by the height map
+    bound, in no particular order."""
+    return [
+        MultiPartition(arity, h, validate=False)
+        for h in _dominated_heights(bound, sum(bound.values()))
+    ]
 
 
 def count_partitions(arity, max_size):
     """Counts of arity-partitions of sizes 0..max_size."""
     return [len(enumerate_partitions(arity, s)) for s in range(max_size + 1)]
-
-
-# Number of n-partitions of size s for s <= 6, as a closed binomial form.
-_SMALL_COUNT_ROWS = (
-    (1,),
-    (1,),
-    (1, 1),
-    (1, 2, 1),
-    (1, 4, 4, 1),
-    (1, 6, 11, 7, 1),
-    (1, 10, 27, 28, 11, 1),
-)
-
-
-def count_by_binomial_formula(n, size):
-    """Closed-form count of n-partitions of a size up to 6."""
-    if size not in range(len(_SMALL_COUNT_ROWS)):
-        raise ValueError("closed form only known here for sizes <= 6")
-    total = 0
-    for k, c in enumerate(_SMALL_COUNT_ROWS[size]):
-        binom = 1
-        for j in range(k):
-            binom = binom * (n - j) // (j + 1)
-        total += c * binom
-    return total
 
 
 # -- axis permutation symmetry ---------------------------------------------
@@ -341,38 +344,3 @@ def canonical_representatives(arity, size):
         else:
             groups[k] = [canon, 1]
     return tuple((rep, cnt) for rep, cnt in (groups[k] for k in sorted(groups)))
-
-
-def brute_force_downsets(arity, size):
-    """Independent partition count: downward-closed box sets of the size.
-
-    Enumerates subsets of the simplex of boxes with coordinate sum below
-    the size and filters for closure under coordinate decrease.  Meant as
-    a slow cross-check oracle for small inputs only.
-    """
-    dim = arity + 1
-    if size == 0:
-        return 1
-
-    def boxes(prefix, remaining, axes):
-        if axes == 0:
-            yield prefix
-            return
-        for v in range(remaining + 1):
-            yield from boxes(prefix + (v,), remaining - v, axes - 1)
-
-    cells = list(boxes((), size - 1, dim))
-    count = 0
-    for subset in combinations(cells, size):
-        chosen = set(subset)
-        ok = True
-        for c in subset:
-            for j in range(dim):
-                if c[j] and tuple(c[:j] + (c[j] - 1,) + c[j + 1 :]) not in chosen:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count

@@ -3,7 +3,11 @@
 import json
 from fractions import Fraction
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtvertex import (
     MultiPartition,
@@ -16,6 +20,8 @@ from dtvertex import (
     m_series,
     omega_c,
 )
+from dtvertex.omega import _candidate_parts, _column_runs
+from oracles import bounded_partitions
 
 from conftest import corner_column, single_box
 
@@ -102,7 +108,7 @@ def test_decompositions_reject_arity_one():
         decompositions(MultiPartition(1, {(1,): 2}))
 
 
-@pytest.mark.parametrize("n,order", [(1, 6), (2, 5), (3, 4), (7, 3)])
+@pytest.mark.parametrize("n,order", [(1, 6), (2, 5), (3, 4), (7, 3), (7, 5)])
 def test_exp_identity(n, order):
     equal, lhs, rhs = check_exp_identity(n, order)
     assert equal
@@ -126,3 +132,54 @@ def test_compare_omegas(seven_part_size9):
     assert compute_weight(seven_part_size9, 8).omega == omega_c(seven_part_size9) == 64
     for pi in enumerate_partitions(3, 3):
         assert compute_weight(pi, 4).omega == omega_c(pi)
+
+
+def bounded_candidates(pi):
+    """The candidate list as the bounded enumeration builds it: every
+    (arity-1)-partition under the column profile, size by size."""
+    bound = _column_runs(pi.heights)
+    out = []
+    for s in range(1, sum(bound.values()) + 1):
+        out.extend(bounded_partitions(pi.arity - 1, s, bound))
+    out.sort(key=lambda xi: (xi.size, xi.key()), reverse=True)
+    return out
+
+
+def assert_candidates_match_oracle(pi):
+    cands = _candidate_parts(pi)
+    oracle = bounded_candidates(pi)
+    assert [xi.key() for xi in cands] == [xi.key() for xi in oracle]
+    assert cands == oracle
+
+
+@functools.cache
+def _partitions(arity, size):
+    return enumerate_partitions(arity, size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), arity=st.integers(min_value=2, max_value=7))
+def test_candidate_parts_match_bounded_oracle(data, arity):
+    size = data.draw(st.integers(min_value=1, max_value=5 if arity < 5 else 4))
+    assert_candidates_match_oracle(data.draw(st.sampled_from(_partitions(arity, size))))
+
+
+def test_candidate_parts_match_bounded_oracle_on_fixtures(
+    seven_part_size9, seven_part_size10, seven_part_size14
+):
+    for pi in (seven_part_size9, seven_part_size10, seven_part_size14):
+        assert_candidates_match_oracle(pi)
+
+
+def test_candidate_parts_match_bounded_oracle_on_24_cells():
+    # a 3-partition over a 4 x 6 base whose columns are 1 or 2 boxes tall:
+    # its column profile is a 2-partition with 24 cells, and the walk over
+    # them has no limit on the number of cells
+    profile = {
+        (i, j): 2 if i <= 2 and j <= 3 else 1 for i in range(1, 5) for j in range(1, 7)
+    }
+    pi = MultiPartition(
+        3, {base + (k,): 1 for base, h in profile.items() for k in range(1, h + 1)}
+    )
+    assert _column_runs(pi.heights) == profile
+    assert_candidates_match_oracle(pi)

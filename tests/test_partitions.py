@@ -13,13 +13,12 @@ from dtvertex import (
     canonical_representatives,
     canonicalize_axes,
     character,
-    count_by_binomial_formula,
     count_partitions,
     enumerate_partitions,
     orbit,
     orbit_size,
 )
-from dtvertex.partitions import brute_force_downsets
+from oracles import bounded_partitions, brute_force_downsets, count_by_binomial_formula
 
 from conftest import corner_column, single_box
 
@@ -58,6 +57,11 @@ def test_enumeration_is_sorted_and_duplicate_free():
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
         assert all(p.size == size for p in parts)
+
+
+@pytest.mark.parametrize("arity,size", [(1, 8), (2, 8), (3, 6), (4, 5), (7, 5)])
+def test_enumeration_matches_bounded_oracle(arity, size):
+    assert enumerate_partitions(arity, size) == bounded_partitions(arity, size, None)
 
 
 def test_count_examples():
@@ -200,7 +204,7 @@ def test_serialization_roundtrip(seven_part_size14):
 def test_bounded_enumeration():
     bound = {(1, 1): 2, (1, 2): 1, (2, 1): 1}
     for size in range(1, 5):
-        for pi in enumerate_partitions(2, size, bound=bound):
+        for pi in bounded_partitions(2, size, bound):
             assert all(pi.height_at(i) <= h for i, h in bound.items())
             assert all(i in bound for i in pi.heights)
-    assert len(enumerate_partitions(2, 4, bound=bound)) == 1
+    assert len(bounded_partitions(2, 4, bound)) == 1
