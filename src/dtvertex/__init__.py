@@ -20,13 +20,10 @@ from .errors import (
 )
 from .forms import (
     FormProduct,
-    LinearForm,
     PartitionWeight,
-    SpecializedValue,
     compute_weight,
     euler_class,
     euler_ratio_odd,
-    evaluate_on_locus,
     omega_from_specialized,
     specialize,
     sqrt_form_product,
@@ -46,12 +43,10 @@ from .omega import OmegaDecomposition, check_exp_identity, decompositions, omega
 from .orientation import OrientationAssignment, positive_omega_orientation, verify_uniqueness
 from .partitions import (
     MultiPartition,
-    binary_rep_contains,
     canonical_representatives,
     canonicalize_axes,
     count_partitions,
     enumerate_partitions,
-    orbit,
     orbit_size,
 )
 from .ratpoly import QPoly

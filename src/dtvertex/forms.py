@@ -2,14 +2,18 @@
 
 A torus weight becomes a linear form in the equivariant parameters.  On
 the Calabi-Yau torus the last parameter is eliminated immediately
-(lam_d = -(lam_1 + ... + lam_{d-1})), so forms live in d-1 integer
-coordinates plus one coordinate for the line-bundle exponent ell, which
-only ever enters through multiples of the all-ones direction.  Euler
-classes, their square roots, and the tautological insertion are all
-FormProducts: an exact Fraction scalar times a multiset of primitive
-forms with integer exponents.  Cancellation, square-root extraction and
-the specialization to the locus lam_1 + ... + lam_{d-1} = 0 are
-multiset operations; no limits are ever taken.
+(lam_d = -(lam_1 + ... + lam_{d-1})), so a form is the integer tuple
+(c_1, ..., c_{d-1}, ell_part): the form c . lam + ell_part * ell *
+(lam_1 + ... + lam_{d-1}), where ell, the line-bundle exponent, only
+ever enters through multiples of the all-ones direction.  Forms are
+stored primitive (gcd 1, first non-zero entry positive), so tuple order
+is the order of forms.  Euler classes, their square roots, and the
+tautological insertion are all FormProducts: an exact Fraction scalar
+times a multiset of forms with integer exponents.  Cancellation,
+square-root extraction and the specialization to the locus
+lam_1 + ... + lam_{d-1} = 0 are multiset operations; no limits are ever
+taken.  specialize returns a polynomial in ell and raises ShapeMismatch
+on a pole or on a form direction that survives on the locus.
 """
 
 from __future__ import annotations
@@ -32,65 +36,28 @@ from .partitions import canonical_representatives
 from .ratpoly import QPoly, fraction_sqrt
 
 
-class LinearForm:
-    """Primitive linear form: coeffs . lam + ell_part * ell * (sum of lams).
-
-    Stored only in canonical shape: integer gcd 1 and first non-zero
-    entry of (coeffs..., ell_part) positive.  Use canonical_form() to
-    build one from raw data.
-    """
-
-    __slots__ = ("coeffs", "ell_part")
-
-    def __init__(self, coeffs, ell_part):
-        self.coeffs = tuple(coeffs)
-        self.ell_part = int(ell_part)
-
-    def key(self):
-        return self.coeffs + (self.ell_part,)
-
-    def is_critical(self):
-        """Proportional to the all-ones direction (vanishes on the locus)."""
-        return all(c == self.coeffs[0] for c in self.coeffs) if self.coeffs else True
-
-    def evaluate(self, lams, ell=None):
-        val = sum(c * x for c, x in zip(self.coeffs, lams))
-        if self.ell_part:
-            if ell is None:
-                raise ValueError("form depends on ell; no value given")
-            val += self.ell_part * ell * sum(lams)
-        return val
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearForm)
-            and self.coeffs == other.coeffs
-            and self.ell_part == other.ell_part
-        )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.ell_part))
-
-    def __repr__(self):
-        return "LinearForm(%r, ell=%d)" % (self.coeffs, self.ell_part)
+def _is_critical(form):
+    """Proportional to the all-ones direction (vanishes on the locus)."""
+    return all(c == form[0] for c in form[:-1])
 
 
 def canonical_form(coeffs, ell_part=0):
     """Normalize raw integer data to (form, multiplier), or None if zero.
 
-    multiplier is the integer g with raw = g * canonical; its sign fixes
-    the convention that the first non-zero entry of the canonical data
-    is positive.
+    The form is the tuple (c_1, ..., c_{d-1}, ell_part) divided by the
+    integer g with raw = g * form; the sign of g makes the first
+    non-zero entry of the form positive.
     """
-    data = tuple(coeffs) + (ell_part,)
+    data = (*coeffs, ell_part)
     g = gcd(*data)
     if g == 0:
         return None
     first = next(c for c in data if c)
     if first < 0:
         g = -g
-    prim = tuple(c // g for c in data)
-    return LinearForm(prim[:-1], prim[-1]), g
+    if g == 1:
+        return data, 1
+    return tuple(c // g for c in data), g
 
 
 class FormProduct:
@@ -190,7 +157,11 @@ class FormProduct:
             return Fraction(0)
         val = self.scalar
         for form, e in self.factors.items():
-            v = form.evaluate(lams, ell)
+            v = sum(c * x for c, x in zip(form[:-1], lams))
+            if form[-1]:
+                if ell is None:
+                    raise ValueError("form depends on ell; no value given")
+                v += form[-1] * ell * sum(lams)
             if not v:
                 if e > 0:
                     return Fraction(0)
@@ -280,81 +251,58 @@ def taut_factor(pi, d, u=None, ell_units=0):
     return out
 
 
-class SpecializedValue:
-    """Value of a FormProduct on the locus where the all-ones form vanishes.
-
-    Either an exact polynomial in ell, or a diagnostic:
-    ``not_constant`` when a surviving form direction fails to cancel,
-    ``pole`` when a direction vanishing on the locus has negative net
-    exponent.  from_zero marks a zero value inherited from a zero class.
-    """
-
-    __slots__ = ("value", "diagnostic", "direction", "from_zero")
-
-    def __init__(self, value=None, diagnostic=None, direction=None, from_zero=False):
-        self.value = value
-        self.diagnostic = diagnostic
-        self.direction = direction
-        self.from_zero = from_zero
-
-    def is_value(self):
-        return self.value is not None
-
-    def __repr__(self):
-        if self.is_value():
-            return "SpecializedValue(%s)" % (self.value.render(),)
-        return "SpecializedValue(%s at %r)" % (self.diagnostic, self.direction)
-
-
 def specialize(p):
     """Restrict a FormProduct to the locus lam_1 + ... + lam_{d-1} = 0.
 
-    Critical forms (proportional to all-ones) carry the transverse
-    coordinate: each one restricts to its ell-scalar (c + ell_part*ell)
-    per unit, and their net exponent must balance to zero -- positive
-    leaves an identically zero value, negative is a pole.  The remaining
-    forms restrict to forms in d-2 parameters, are re-canonicalized
-    (scalars flow into the value) and must cancel direction by
-    direction, otherwise the value is not constant on the locus.  All
-    cancellation is symbolic; nothing is sampled here.
+    Critical forms (c, ..., c, ell_part) carry the transverse coordinate:
+    each one restricts to its ell-scalar c + ell_part*ell per unit, and
+    their net exponent must balance to zero -- positive leaves an
+    identically zero value, negative is a pole.  The remaining forms
+    restrict to forms in d-2 parameters, are re-canonicalized (scalars
+    flow into the value) and must cancel direction by direction,
+    otherwise the value is not constant on the locus.  Returns the value
+    as a QPoly in ell (zero for the zero class) and raises ShapeMismatch
+    on a pole or a surviving direction.  All cancellation is symbolic;
+    nothing is sampled here.
     """
     if p.is_zero:
-        return SpecializedValue(value=QPoly.zero(), from_zero=True)
+        return QPoly.zero()
     sigma_net = 0
-    num = QPoly.const(p.scalar)
-    den = QPoly.one()
+    units = {}
     residual = {}
-    res_scalar = Fraction(1)
-    for form, e in sorted(p.factors.items(), key=lambda kv: kv[0].key()):
-        if form.is_critical():
-            c = form.coeffs[0] if form.coeffs else 0
+    num, den = p.scalar.numerator, p.scalar.denominator
+    for form, e in p.factors.items():
+        if _is_critical(form):
             sigma_net += e
-            unit = QPoly((Fraction(c), Fraction(form.ell_part)))
-            if e > 0:
-                num = num * unit**e
-            else:
-                den = den * unit ** (-e)
+            units[form[0], form[-1]] = e
             continue
-        a = form.coeffs
-        restricted = tuple(a[j] - a[-1] for j in range(len(a) - 1))
-        canon, g = canonical_form(restricted, 0)
-        res_scalar *= Fraction(g) ** e
+        last = form[-2]
+        canon, g = canonical_form([c - last for c in form[:-2]])
+        if e > 0:
+            num *= g**e
+        else:
+            den *= g ** (-e)
         s = residual.get(canon, 0) + e
         if s:
             residual[canon] = s
         else:
             del residual[canon]
     if sigma_net < 0:
-        return SpecializedValue(diagnostic="pole", direction=[1] * len(next(iter(p.factors)).coeffs))
+        raise ShapeMismatch("diagnostic pole instead of a polynomial")
     if sigma_net > 0:
-        return SpecializedValue(value=QPoly.zero())
+        return QPoly.zero()
     if residual:
-        bad = min(residual, key=lambda f: f.key())
-        return SpecializedValue(diagnostic="not_constant", direction=list(bad.coeffs))
-    value = (num * res_scalar).divexact(den)
+        raise ShapeMismatch("diagnostic not_constant instead of a polynomial")
+    top, bottom = QPoly.const(Fraction(num, den)), QPoly.one()
+    for unit, e in units.items():
+        if e > 0:
+            top = top * QPoly(unit) ** e
+        else:
+            bottom = bottom * QPoly(unit) ** (-e)
+    value = top.divexact(bottom)
     if value is None:
-        return SpecializedValue(diagnostic="pole", direction=None)
-    return SpecializedValue(value=value)
+        raise ShapeMismatch("diagnostic pole instead of a polynomial")
+    return value
 
 
 def _corner_column(h):
@@ -365,28 +313,20 @@ def _corner_column(h):
     return column
 
 
-def omega_from_specialized(v, pi):
+def omega_from_specialized(value, pi):
     """Extract the unsigned weight and its sign from a specialized value.
 
     The value must equal sign * (-1)^|pi| * omega * _corner_column(h)
-    with h the corner height; returns (omega, sign) with omega > 0.  A
-    zero value is only legitimate when it came from a zero Euler class;
-    anything else is a ShapeMismatch.
+    with h the corner height; returns (omega, sign) with omega > 0.
+    Anything else, a zero value included, is a ShapeMismatch.
     """
-    if not v.is_value():
-        raise ShapeMismatch(
-            "diagnostic %s instead of a polynomial" % (v.diagnostic,),
-            partition=pi.serialize(),
-        )
-    if v.value.is_zero():
-        if v.from_zero:
-            return Fraction(0), 1
+    if value.is_zero():
         raise ShapeMismatch("unexpected zero weight", partition=pi.serialize())
-    q = v.value.divexact(_corner_column(pi.corner_height()))
+    q = value.divexact(_corner_column(pi.corner_height()))
     if q is None or not q.is_constant():
         raise ShapeMismatch(
             "weight %s does not factor through the corner column"
-            % (v.value.render(),),
+            % (value.render(),),
             partition=pi.serialize(),
         )
     c = q.constant_value()
@@ -417,48 +357,6 @@ def euler_ratio_odd(pi, d):
             "forms survive in the Euler ratio", partition=pi.serialize()
         )
     return p.scalar
-
-
-def evaluate_on_locus(p, frees, ell):
-    """Independent evaluation of a FormProduct on the specialization locus.
-
-    Parametrizes lam_j = mu_j for j < d-1 and lam_{d-1} = s - sum(mu),
-    so each form becomes A + B*s with exact A, B; the product's limit at
-    s = 0 is read off the net order in s.  This path shares nothing with
-    specialize(): it is the cross-check oracle.  Points where a
-    non-critical form vanishes are rejected.
-    """
-    if p.is_zero:
-        return Fraction(0)
-    frees = tuple(Fraction(x) for x in frees)
-    total = sum(frees)
-    val = p.scalar
-    order = 0
-    for form, e in p.factors.items():
-        a = form.coeffs
-        if len(a) != len(frees) + 1:
-            raise ValueError(
-                "form has %d parameters, expected %d free coordinates"
-                % (len(a), len(a) - 1)
-            )
-        A = sum(c * x for c, x in zip(a, frees)) + a[-1] * (-total)
-        B = Fraction(a[-1] + form.ell_part * ell)
-        if A == 0:
-            if not form.is_critical():
-                raise DegenerateSamplePoint("sample lies on %r" % (form,))
-            if B == 0:
-                if e > 0:
-                    return Fraction(0)
-                raise ZeroDivisionError("identically zero form in denominator")
-            order += e
-            val *= B**e
-        else:
-            val *= A**e
-    if order > 0:
-        return Fraction(0)
-    if order < 0:
-        raise ZeroDivisionError("pole on the specialization locus")
-    return val
 
 
 class PartitionWeight:
@@ -504,8 +402,9 @@ def compute_weight(pi, d):
 
     vertex -> Euler class of its negative -> square root (positive
     scalar) -> distinguished tautological factor -> specialization ->
-    weight extraction.  Pipeline failures raise with the offending
-    partition attached.
+    weight extraction.  A zero square root (a zero Euler class) is the
+    weight omega = 0 with sign 1.  Pipeline failures raise with the
+    offending partition attached.
     """
     if d % 4:
         raise ValueError("dimension must be divisible by 4")
@@ -518,8 +417,11 @@ def compute_weight(pi, d):
         )
     try:
         sqrt = sqrt_form_product(euler_class(-v, use_cy=True), pi.size)
-        value = specialize(taut_factor(pi, d, ell_units=1) * sqrt)
-        omega, sign = omega_from_specialized(value, pi)
+        if sqrt.is_zero:
+            omega, sign = Fraction(0), 1
+        else:
+            value = specialize(taut_factor(pi, d, ell_units=1) * sqrt)
+            omega, sign = omega_from_specialized(value, pi)
     except (NotAPerfectSquare, ShapeMismatch, ZeroWeightDenominator) as exc:
         if exc.partition is None:
             exc.partition = pi.serialize()

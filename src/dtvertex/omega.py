@@ -161,23 +161,21 @@ def omega_c(pi):
     return sum((dec.weight_term() for dec in decompositions(pi)), Fraction(0))
 
 
-def check_exp_identity(n, order, t_order=None):
+def check_exp_identity(n, order):
     """Compare the weighted enumeration against exp(t (M_{n-1} - 1)).
 
     Left side: sum over n-partitions of omega_c * t^corner * q^size.
-    Returns (equal, lhs, rhs) with both series truncated to the t-order.
+    Returns (equal, lhs, rhs).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if t_order is None:
-        t_order = order
     lhs_coeffs = [QPoly.one()]
     for s in range(1, order + 1):
         c = QPoly.zero()
         for pi in enumerate_partitions(n, s):
             c = c + QPoly.const(omega_c(pi)).shift(pi.corner_height())
         lhs_coeffs.append(c)
-    lhs = TruncatedSeries(order, lhs_coeffs).truncate_ell(t_order)
+    lhs = TruncatedSeries(order, lhs_coeffs)
     m = m_series(n - 1, order)
-    rhs = (m - TruncatedSeries.one(order)).scale_by_ell().exp().truncate_ell(t_order)
+    rhs = (m - TruncatedSeries.one(order)).scale_by_ell().exp()
     return lhs == rhs, lhs, rhs

@@ -10,7 +10,7 @@ weight, partitions with larger corner height are already pinned,
 smaller ones cannot reach the slice.
 
 Every omega is |c| for the constant c of a specialized value, or 0 for
-a zero Euler class (forms.omega_from_specialized), and PartitionWeight
+a zero Euler class (forms.compute_weight), and PartitionWeight
 rejects a negative one, so omega >= 0.  The contributors of one slice
 share h, so flipping k_pi orbit members of each moves the top
 coefficient by 2 * (+-1) * sum(k_pi * omega_pi), which is zero exactly
@@ -36,15 +36,6 @@ class OrientationAssignment:
     def __init__(self, signs, convention="explicit"):
         self.signs = dict(signs)
         self.convention = convention
-
-    def sign_for(self, key):
-        return self.signs[key]
-
-    def flipped(self, keys):
-        signs = dict(self.signs)
-        for k in keys:
-            signs[k] = -signs[k]
-        return OrientationAssignment(signs, "explicit")
 
     def to_json_obj(self):
         return {"convention": self.convention, "signs": self.signs}

@@ -20,7 +20,6 @@ import functools
 import json
 from itertools import permutations
 
-from .errors import ArityMismatch
 
 
 class MultiPartition:
@@ -102,12 +101,6 @@ class MultiPartition:
             for m in range(h):
                 yield base + (m,)
 
-    def contains_cell(self, cell):
-        """Whether the 0-based box lies in the staircase."""
-        if len(cell) != self.arity + 1:
-            raise ArityMismatch("cell %r does not match arity %d" % (cell, self.arity))
-        return cell[-1] + 1 <= self.height_at(tuple(b + 1 for b in cell[:-1]))
-
     def __eq__(self, other):
         return (
             isinstance(other, MultiPartition)
@@ -120,21 +113,6 @@ class MultiPartition:
 
     def __repr__(self):
         return "MultiPartition(%d, %s)" % (self.arity, self.serialize())
-
-
-def binary_rep_contains(xi, cell):
-    """0/1 entry of the binary array of xi at a 1-based (arity+1)-tuple.
-
-    The binary array of an n-partition xi is the indicator of its
-    staircase: 1 exactly when the last index does not exceed the height
-    of xi over the first n indices.
-    """
-    cell = tuple(cell)
-    if len(cell) != xi.arity + 1:
-        raise ArityMismatch("cell %r does not match arity %d" % (cell, xi.arity))
-    if any(i < 1 for i in cell):
-        raise ValueError("binary representation uses 1-based indices: %r" % (cell,))
-    return 1 if cell[-1] <= xi.height_at(cell[:-1]) else 0
 
 
 # -- enumeration -----------------------------------------------------------
@@ -222,7 +200,7 @@ def enumerate_partitions(arity, size):
         raise ValueError("arity must be >= 1")
     if size < 0:
         raise ValueError("size must be >= 0")
-    found = [MultiPartition(arity, h) for h in _gen_heights(arity, size)]
+    found = [MultiPartition(arity, h, validate=False) for h in _gen_heights(arity, size)]
     found.sort(key=lambda p: p.key())
     return found
 
@@ -264,12 +242,6 @@ def _relabel_entries(pi, placement):
         rows.append(tuple(t) + (h,))
     rows.sort()
     return tuple(rows)
-
-
-def _all_placements(pi):
-    active = _active_axes(pi)
-    for targets in permutations(range(pi.arity), len(active)):
-        yield dict(zip(active, targets))
 
 
 def _prefix_placements(pi):
@@ -315,17 +287,6 @@ def orbit_size(pi):
     for j in range(k):
         total *= n - j
     return total // stab
-
-
-def orbit(pi):
-    """All partitions in the axis-permutation orbit, sorted."""
-    keys = {_relabel_entries(pi, placement) for placement in _all_placements(pi)}
-    members = [
-        MultiPartition.from_entries(pi.arity, [list(r) for r in rows], validate=False)
-        for rows in keys
-    ]
-    members.sort(key=lambda p: p.key())
-    return members
 
 
 @functools.cache

@@ -38,10 +38,6 @@ class QPoly:
     def one(cls):
         return cls((Fraction(1),))
 
-    @classmethod
-    def x(cls):
-        return cls((Fraction(0), Fraction(1)))
-
     def degree(self):
         return len(self.coeffs) - 1
 
@@ -132,10 +128,6 @@ class QPoly:
         if not self.coeffs:
             return self
         return QPoly((Fraction(0),) * k + self.coeffs)
-
-    def truncate(self, maxdeg):
-        """Drop terms of degree above maxdeg."""
-        return QPoly(self.coeffs[: maxdeg + 1])
 
     def __call__(self, x):
         acc = Fraction(0)

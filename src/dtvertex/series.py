@@ -109,15 +109,6 @@ class TruncatedSeries:
             out[n] = acc * Fraction(1, n)
         return TruncatedSeries(self.order, out)
 
-    def pow(self, e):
-        """Power with an arbitrary rational exponent, via exp(e * log)."""
-        if isinstance(e, int) and e >= 0:
-            result = TruncatedSeries.one(self.order)
-            for _ in range(e):
-                result = result * self
-            return result
-        return (self.log() * Fraction(e)).exp()
-
     def alternate(self):
         """Substitute q -> -q."""
         return TruncatedSeries(
@@ -133,9 +124,6 @@ class TruncatedSeries:
         """Substitute a rational for the auxiliary variable."""
         return TruncatedSeries(self.order, [QPoly.const(c(Fraction(x))) for c in self.coeffs])
 
-    def truncate_ell(self, maxdeg):
-        return TruncatedSeries(self.order, [c.truncate(maxdeg) for c in self.coeffs])
-
     def constants(self):
         """Coefficients as plain rationals (requires degree 0 in ell)."""
         return [c.constant_value() for c in self.coeffs]
@@ -145,12 +133,6 @@ class TruncatedSeries:
             "order": self.order,
             "coefficients": [[str(x) for x in c.coeffs] for c in self.coeffs],
         }
-
-    def table(self, var="ell"):
-        lines = []
-        for n, c in enumerate(self.coeffs):
-            lines.append("q^%-2d  %s" % (n, c.render(var)))
-        return "\n".join(lines)
 
     def __repr__(self):
         return "TruncatedSeries(order=%d)" % (self.order,)
@@ -228,11 +210,17 @@ def build_z_4k(d, order, orientation, weights):
     return TruncatedSeries(order, coeffs)
 
 
+# check_power_law tests the identity at N_POINTS random points and
+# gives up after MAX_RETRIES points on which some form vanishes.
+N_POINTS = 3
+MAX_RETRIES = 64
+
+
 def _sample_point(rng, nvars, bound=10**6):
     return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(nvars))
 
 
-def check_power_law(terms_q1, terms_q2, p2, nvars, seed, n_points=3, signed=False, max_retries=64):
+def check_power_law(terms_q1, terms_q2, p2, nvars, seed, signed=False):
     """Decide whether a two-term series can be a power of a reference series.
 
     terms_q1 / terms_q2 are the per-partition FormProducts making up the
@@ -240,7 +228,7 @@ def check_power_law(terms_q1, terms_q2, p2, nvars, seed, n_points=3, signed=Fals
     series at -q (whose q coefficient is -1).  The exponent is solved
     from the first coefficient (E = -Z_1) and the identity
     Z_2 = (p2 - 1/2) E + E^2 / 2 is tested by exact evaluation at
-    n_points random integer parameter points.  With signed=True every
+    N_POINTS random integer parameter points.  With signed=True every
     term carries a free sign and all sign patterns are tried; the
     verdict is "fits" when some pattern passes every point, otherwise
     "no E exists".  Returns (verdict, certificate).
@@ -250,14 +238,14 @@ def check_power_law(terms_q1, terms_q2, p2, nvars, seed, n_points=3, signed=Fals
     values1 = []
     values2 = []
     retries = 0
-    while len(points) < n_points:
+    while len(points) < N_POINTS:
         lam = _sample_point(rng, nvars)
         try:
             v1 = [t.evaluate(lam) for t in terms_q1]
             v2 = [t.evaluate(lam) for t in terms_q2]
         except DegenerateSamplePoint:
             retries += 1
-            if retries > max_retries:
+            if retries > MAX_RETRIES:
                 raise
             continue
         points.append(lam)

@@ -11,11 +11,22 @@ the package against.
   slice, one size at a time.  It checks omega's candidate lists.
 - Two partition counts: brute-force down-sets of boxes and a closed
   binomial form for sizes up to 6.
+- Evaluation of a form product on the specialization locus, the
+  independent check on forms.specialize.
+- Small helpers that only tests use: axis-permutation orbits, staircase
+  membership, orientation flips, series powers and tables.
 """
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 
-from dtvertex import MultiPartition
+from dtvertex import (
+    ArityMismatch,
+    DegenerateSamplePoint,
+    MultiPartition,
+    OrientationAssignment,
+    TruncatedSeries,
+)
 
 
 def _add(a, b, sign=1):
@@ -227,3 +238,129 @@ def count_by_binomial_formula(n, size):
             binom = binom * (n - j) // (j + 1)
         total += c * binom
     return total
+
+
+# -- specialization ------------------------------------------------------------
+
+
+def evaluate_on_locus(p, frees, ell):
+    """Independent evaluation of a FormProduct on the specialization locus.
+
+    Parametrizes lam_j = mu_j for j < d-1 and lam_{d-1} = s - sum(mu),
+    so each form (c_1, ..., c_{d-1}, ell_part) becomes A + B*s with
+    exact A, B; the product's limit at s = 0 is read off the net order
+    in s.  This path shares nothing with specialize(): it is the
+    cross-check oracle.  Points where a non-critical form vanishes are
+    rejected.
+    """
+    if p.is_zero:
+        return Fraction(0)
+    frees = tuple(Fraction(x) for x in frees)
+    total = sum(frees)
+    val = p.scalar
+    order = 0
+    for form, e in p.factors.items():
+        a, ell_part = form[:-1], form[-1]
+        if len(a) != len(frees) + 1:
+            raise ValueError(
+                "form has %d parameters, expected %d free coordinates"
+                % (len(a), len(a) - 1)
+            )
+        A = sum(c * x for c, x in zip(a, frees)) + a[-1] * (-total)
+        B = Fraction(a[-1] + ell_part * ell)
+        if A == 0:
+            if any(c != a[0] for c in a):
+                raise DegenerateSamplePoint("sample lies on %r" % (form,))
+            if B == 0:
+                if e > 0:
+                    return Fraction(0)
+                raise ZeroDivisionError("identically zero form in denominator")
+            order += e
+            val *= B**e
+        else:
+            val *= A**e
+    if order > 0:
+        return Fraction(0)
+    if order < 0:
+        raise ZeroDivisionError("pole on the specialization locus")
+    return val
+
+
+# -- test-only helpers -----------------------------------------------------------
+
+
+def orbit(pi):
+    """All partitions in the axis-permutation orbit, sorted.
+
+    Sends the active axes (those with an index above 1) to every ordered
+    choice of distinct positions; inactive axes carry index 1 in every
+    entry, so this reaches each member.
+    """
+    n = pi.arity
+    active = [j for j in range(n) if any(idx[j] > 1 for idx in pi.heights)]
+    keys = set()
+    for targets in permutations(range(n), len(active)):
+        rows = []
+        for idx, h in pi.heights.items():
+            t = [1] * n
+            for a, p in zip(active, targets):
+                t[p] = idx[a]
+            rows.append(tuple(t) + (h,))
+        keys.add(tuple(sorted(rows)))
+    members = [
+        MultiPartition.from_entries(n, [list(r) for r in rows], validate=False)
+        for rows in keys
+    ]
+    members.sort(key=lambda p: p.key())
+    return members
+
+
+def contains_cell(pi, cell):
+    """Whether the 0-based box lies in the staircase of pi."""
+    if len(cell) != pi.arity + 1:
+        raise ArityMismatch("cell %r does not match arity %d" % (cell, pi.arity))
+    return cell[-1] + 1 <= pi.height_at(tuple(b + 1 for b in cell[:-1]))
+
+
+def binary_rep_contains(xi, cell):
+    """0/1 entry of the binary array of xi at a 1-based (arity+1)-tuple.
+
+    The binary array of an n-partition xi is the indicator of its
+    staircase: 1 exactly when the last index does not exceed the height
+    of xi over the first n indices.
+    """
+    cell = tuple(cell)
+    if len(cell) != xi.arity + 1:
+        raise ArityMismatch("cell %r does not match arity %d" % (cell, xi.arity))
+    if any(i < 1 for i in cell):
+        raise ValueError("binary representation uses 1-based indices: %r" % (cell,))
+    return 1 if cell[-1] <= xi.height_at(cell[:-1]) else 0
+
+
+def sign_for(orientation, key):
+    return orientation.signs[key]
+
+
+def flipped_orientation(orientation, keys):
+    """A new explicit assignment with the signs of keys negated."""
+    signs = dict(orientation.signs)
+    for k in keys:
+        signs[k] = -signs[k]
+    return OrientationAssignment(signs, "explicit")
+
+
+def series_pow(series, e):
+    """Power with an arbitrary rational exponent, via exp(e * log)."""
+    if isinstance(e, int) and e >= 0:
+        result = TruncatedSeries.one(series.order)
+        for _ in range(e):
+            result = result * series
+        return result
+    return (series.log() * Fraction(e)).exp()
+
+
+def series_table(series, var="ell"):
+    """One line per q-order: the coefficient rendered in var."""
+    return "\n".join(
+        "q^%-2d  %s" % (n, c.render(var)) for n, c in enumerate(series.coeffs)
+    )

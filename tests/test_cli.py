@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from dtvertex import ShapeMismatch, compute_weight
 from dtvertex.cli import main
 
+from conftest import single_box
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -292,6 +294,34 @@ def test_pipeline_error_exit_code(monkeypatch, capsys):
     report = json.loads(out)
     assert report["verdict"] == "error"
     assert report["partition"] is not None
+
+
+@pytest.mark.parametrize(
+    "coeffs,error",
+    [
+        # one more critical form in the denominator: a pole on the locus
+        ((1, 1, 1), "diagnostic pole instead of a polynomial"),
+        # a non-critical form that nothing cancels
+        ((1, 0, 0), "diagnostic not_constant instead of a polynomial"),
+    ],
+    ids=["pole", "not_constant"],
+)
+def test_specialization_diagnostic_is_pipeline_error(monkeypatch, capsys, coeffs, error):
+    import dtvertex.forms as forms_mod
+
+    real = forms_mod.taut_factor
+    exponent = -1 if error.startswith("diagnostic pole") else 1
+
+    def broken(pi, d, u=None, ell_units=0):
+        return real(pi, d, u=u, ell_units=ell_units).times_raw_form(coeffs, 0, exponent)
+
+    monkeypatch.setattr(forms_mod, "taut_factor", broken)
+    code, out = run_cli(capsys, "check", "fourk", "-d", "4", "-n", "1")
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "error"
+    assert report["error"] == error
+    assert report["partition"] == single_box(3).serialize()
 
 
 def test_weights_before_a_pipeline_error_stay_cached(tmp_path, monkeypatch, capsys):

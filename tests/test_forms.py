@@ -8,7 +8,6 @@ import pytest
 from dtvertex import (
     FormProduct,
     KClass,
-    LinearForm,
     NotAPerfectSquare,
     QPoly,
     ShapeMismatch,
@@ -18,9 +17,7 @@ from dtvertex import (
     cy_reduce,
     euler_class,
     euler_ratio_odd,
-    evaluate_on_locus,
     omega_from_specialized,
-    orbit,
     specialize,
     sqrt_form_product,
     taut_factor,
@@ -28,13 +25,14 @@ from dtvertex import (
     weight_table,
 )
 from dtvertex.cache import record_from_weight
-from dtvertex.forms import SpecializedValue, canonical_form
+from dtvertex.forms import canonical_form
 
 from conftest import cached_weight_table, corner_column, single_box, weight_stages
+from oracles import evaluate_on_locus, orbit
 
 
 def form(coeffs, ell=0):
-    return LinearForm(tuple(coeffs), ell)
+    return (*coeffs, ell)
 
 
 def poly(*coeffs):
@@ -162,38 +160,43 @@ def test_taut_factor_empty():
 
 
 def test_specialize_constant():
-    v = specialize(FormProduct.constant(Fraction(7, 3)))
-    assert v.is_value() and v.value == poly(Fraction(7, 3))
+    assert specialize(FormProduct.constant(Fraction(7, 3))) == poly(Fraction(7, 3))
 
 
 def test_specialize_single_box_weight():
-    assert weight_stages(single_box(3), 4).value.value == poly(0, -1)  # -ell
+    assert weight_stages(single_box(3), 4).value == poly(0, -1)  # -ell
     w = compute_weight(single_box(3), 4)
     assert w.omega == 1 and w.sign == 1
 
 
 def test_specialize_diagnostics():
+    not_constant = "diagnostic not_constant instead of a polynomial"
+    pole = "diagnostic pole instead of a polynomial"
     hang = FormProduct().times_raw_form((1, 0, 0), 0, 1)
-    out = specialize(hang)
-    assert out.diagnostic == "not_constant"
-    pole = FormProduct().times_raw_form((1, 1, 1), 0, -1)
-    out = specialize(pole)
-    assert out.diagnostic == "pole"
+    with pytest.raises(ShapeMismatch, match="^%s$" % not_constant):
+        specialize(hang)
+    with pytest.raises(ShapeMismatch, match="^%s$" % pole):
+        specialize(FormProduct().times_raw_form((1, 1, 1), 0, -1))
     vanish = FormProduct().times_raw_form((1, 1, 1), 0, 2)
-    out = specialize(vanish)
-    assert out.is_value() and out.value.is_zero()
+    assert specialize(vanish).is_zero()
     # critical exponents balance; the ell-parts leave 1/ell (a pole) or ell
     inv_ell = FormProduct().times_raw_form((0, 0, 0), 1, -1)
-    out = specialize(inv_ell.times_raw_form((1, 1, 1), 0, 1))
-    assert out.diagnostic == "pole" and out.direction is None
+    with pytest.raises(ShapeMismatch, match="^%s$" % pole):
+        specialize(inv_ell.times_raw_form((1, 1, 1), 0, 1))
     ell = FormProduct().times_raw_form((0, 0, 0), 1, 1)
-    out = specialize(ell.times_raw_form((1, 1, 1), 0, -1))
-    assert out.is_value() and out.value == poly(0, 1)
+    assert specialize(ell.times_raw_form((1, 1, 1), 0, -1)) == poly(0, 1)
 
 
 def test_specialize_zero_class():
-    out = specialize(FormProduct.zero())
-    assert out.is_value() and out.value.is_zero() and out.from_zero
+    assert specialize(FormProduct.zero()).is_zero()
+
+
+def test_zero_euler_class_is_zero_weight(monkeypatch):
+    import dtvertex.forms as forms_mod
+
+    monkeypatch.setattr(forms_mod, "euler_class", lambda a, use_cy=True: FormProduct.zero())
+    w = compute_weight(corner_column(3, 2), 4)
+    assert (w.omega, w.sign) == (Fraction(0), 1)
 
 
 def test_weight_table_covers_canonical_representatives():
@@ -203,35 +206,25 @@ def test_weight_table_covers_canonical_representatives():
     ]
     for key, w in table.items():
         assert w.partition.serialize() == key and w.d == 4
-    value = weight_stages(single_box(3), 4).value.value
+    value = weight_stages(single_box(3), 4).value
     assert table[single_box(3).serialize()].signed_poly(1) == value
 
 
 def test_omega_extraction(seven_part_size9):
-    value = weight_stages(seven_part_size9, 8).value.value
+    value = weight_stages(seven_part_size9, 8).value
     assert value == poly(0, 64, -64)  # 64*ell*(1 - ell)
     w = compute_weight(seven_part_size9, 8)
     assert w.omega == 64 and w.sign == 1
-    v = SpecializedValue(value=poly(0, -1))
-    assert omega_from_specialized(v, single_box(3)) == (Fraction(1), 1)
+    assert omega_from_specialized(poly(0, -1), single_box(3)) == (Fraction(1), 1)
 
 
 def test_omega_extraction_shape_errors():
-    with pytest.raises(ShapeMismatch):
-        omega_from_specialized(
-            SpecializedValue(value=QPoly.zero()), single_box(3)
-        )
-    with pytest.raises(ShapeMismatch):
-        omega_from_specialized(
-            SpecializedValue(value=poly(0, 0, 1)), single_box(3)
-        )
-    with pytest.raises(ShapeMismatch):
-        omega_from_specialized(
-            SpecializedValue(diagnostic="not_constant", direction=[1, 0]),
-            single_box(3),
-        )
-    v = SpecializedValue(value=QPoly.zero(), from_zero=True)
-    assert omega_from_specialized(v, corner_column(3, 2)) == (Fraction(0), 1)
+    with pytest.raises(ShapeMismatch, match="unexpected zero weight"):
+        omega_from_specialized(QPoly.zero(), single_box(3))
+    with pytest.raises(ShapeMismatch, match="unexpected zero weight"):
+        omega_from_specialized(QPoly.zero(), corner_column(3, 2))
+    with pytest.raises(ShapeMismatch, match="corner column"):
+        omega_from_specialized(poly(0, 0, 1), single_box(3))
 
 
 def test_euler_ratio_odd_values():
@@ -259,11 +252,11 @@ def test_oriented_weights_are_orbit_invariant():
     # normalization is basis-dependent); the oriented weight may not
     for rep, _ in canonical_representatives(7, 3):
         w = compute_weight(rep, 8)
-        value = weight_stages(rep, 8).value.value
+        value = weight_stages(rep, 8).value
         for member in orbit(rep):
             wm = compute_weight(member, 8)
             assert wm.omega == w.omega
-            assert weight_stages(member, 8).value.value * wm.sign == value * w.sign
+            assert weight_stages(member, 8).value * wm.sign == value * w.sign
 
 
 def test_random_point_oracle_agreement():
@@ -274,7 +267,7 @@ def test_random_point_oracle_agreement():
         for rep, _ in canonical_representatives(7, n):
             s = weight_stages(rep, 8)
             for ell in (2, 3, 7):
-                expected = s.value.value(Fraction(ell))
+                expected = s.value(Fraction(ell))
                 hits = tries = 0
                 while hits < 3:
                     tries += 1
@@ -295,7 +288,7 @@ def test_signed_poly_matches_specialized_value():
     count = 0
     for d, order in ((4, 5), (8, 5), (12, 3)):
         for w in cached_weight_table(d, order).values():
-            value = weight_stages(w.partition, d).value.value
+            value = weight_stages(w.partition, d).value
             for s in (1, -1):
                 assert w.signed_poly(s) == value * s
             count += 1

@@ -9,16 +9,21 @@ from hypothesis import strategies as st
 from dtvertex import (
     ArityMismatch,
     MultiPartition,
-    binary_rep_contains,
     canonical_representatives,
     canonicalize_axes,
     character,
     count_partitions,
     enumerate_partitions,
-    orbit,
     orbit_size,
 )
-from oracles import bounded_partitions, brute_force_downsets, count_by_binomial_formula
+from oracles import (
+    binary_rep_contains,
+    bounded_partitions,
+    brute_force_downsets,
+    contains_cell,
+    count_by_binomial_formula,
+    orbit,
+)
 
 from conftest import corner_column, single_box
 
@@ -106,9 +111,9 @@ def test_corner_height(seven_part_size9):
 
 def test_cells_membership():
     pi = corner_column(2, 2)
-    assert pi.contains_cell((0, 0, 0)) and pi.contains_cell((0, 0, 1))
-    assert not pi.contains_cell((0, 0, 2))
-    assert not pi.contains_cell((1, 0, 0))
+    assert contains_cell(pi, (0, 0, 0)) and contains_cell(pi, (0, 0, 1))
+    assert not contains_cell(pi, (0, 0, 2))
+    assert not contains_cell(pi, (1, 0, 0))
 
 
 def test_canonicalize_moves_box_to_first_axis():
@@ -151,6 +156,15 @@ def test_binary_rep_examples():
         binary_rep_contains(box, (1, 1, 1))
     with pytest.raises(ValueError):
         binary_rep_contains(box, (0, 1))
+
+
+@pytest.mark.parametrize("arity,size", [(1, 8), (2, 6), (3, 5), (7, 4)])
+def test_enumerated_partitions_pass_validation(arity, size):
+    # enumerate_partitions builds without validation; rebuild each one with it
+    found = enumerate_partitions(arity, size)
+    assert found
+    for pi in found:
+        assert MultiPartition(arity, pi.heights, validate=True) == pi
 
 
 def test_validation_rejects_bad_input():

@@ -1,0 +1,64 @@
+"""Golden reports: the CLI's stdout and cold cache file stay byte-identical.
+
+Each digest is the sha256 of the stdout of `main(argv)`.  A refactor
+that changes any byte of a report, or of the cache records, fails here;
+a change that is meant to alter a report updates the digest in the same
+commit and says why.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from dtvertex.cache import ENV_CACHE_DIR
+from dtvertex.cli import main
+
+GOLDEN = [
+    ("check fourk -d 4 -n 3 --ell=-1..2",
+     "18db1f9b07fb5096aacadff39d93153575fc3f09e7bad8658c6d4314fda03d6e"),
+    ("check fourk -d 8 -n 3",
+     "7256674db55382be758aa49e8296bb6b9b2eb02f399a5cbf74348e7110c8ac01"),
+    ("check fourk -d 4 -n 3 --format table",
+     "45f340af45177511e99ba8c8d7124fb41e732e5dcdbdf81522ce74a2b522613d"),
+    ("check odd -d 5 -n 3",
+     "62813dded49e29a0569a31a45702fa11296b2ba18944302f7bf333e3c75a9b53"),
+    ("check keyconj -d 8 -n 3",
+     "393c7fe0c475b65dc1e69cdff910d7a360f217d565e4c4b47f3d3f3115abccc8"),
+    ("check omega -d 4 -n 4 --format csv",
+     "e9ce8ef538538dac6ad42757fe6eb5d70ff6bb5a75c5b5e7d09762e81f5451d9"),
+    ("check uniqueness -d 4 -n 4",
+     "db1b22b812db1048aba1a995b93a84043736246902a1954ad455e96df8e33571"),
+    ("check remfail -d 8 -n 2",
+     "4cf906510b64884b5174c54d9604ce2979170d50621142bc9fa46b58f2417c0d"),
+    ("check remfail -d 7 -n 2",
+     "a08a68265bcc431ac4ed8282756e081ccba691ebd42606cc392e5a938d7ff3f4"),
+    ("enumerate 4 5 --canonical",
+     "fb5fdacd90ce383bde1d0a2a6dc79897a3bdfd4c40aef79fd4ce442e566a816d"),
+]
+
+# the file written by a cold `check fourk -d 4 -n 3 --cache F`
+COLD_CACHE = "ce24bee5075a6a3c5b351a50d0bfc9ca01fca8c8563181ccbb1b2d32aecbb4a4"
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_report_is_byte_identical(monkeypatch, command, digest):
+    monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+    code, out = _stdout(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cold_cache_file_is_byte_identical(tmp_path):
+    cache = tmp_path / "weights.jsonl"
+    code, _ = _stdout(["check", "fourk", "-d", "4", "-n", "3", "--cache", str(cache)])
+    assert code == 0
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == COLD_CACHE

@@ -23,6 +23,7 @@ from dtvertex import (
 from dtvertex.forms import cy_bundle_term, full_torus_ratio
 
 from conftest import cached_weight_table
+from oracles import series_pow, series_table
 
 
 def consts(*values):
@@ -80,7 +81,7 @@ def test_series_pow_ell_basics():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_series_pow_ell_matches_integer_powers(k):
     m = m_series(3, 4).alternate()
-    assert series_pow_ell(m, 4).eval_ell(k) == m.pow(k)
+    assert series_pow_ell(m, 4).eval_ell(k) == series_pow(m, k)
 
 
 def test_series_pow_ell_negative_exponent():
@@ -159,4 +160,4 @@ def test_series_serialization():
     obj = z.serialize()
     assert obj["order"] == 3
     assert obj["coefficients"][1] == ["-1"]
-    assert "q^3" in z.table()
+    assert "q^3" in series_table(z)
