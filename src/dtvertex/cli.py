@@ -32,9 +32,9 @@ def _prepare_weights(d, order, jobs, cache_path):
     """Compute weights for all canonical partitions up to the order.
 
     Returns {serialized key: PartitionWeight}.  Missing weights are
-    computed in sorted key order, by a process pool when jobs > 1, and
-    stored and appended to the disk cache in that order, in this
-    process only.
+    computed in sorted key order, by a pool of min(jobs, pending)
+    processes when that is more than one, and stored and appended to
+    the disk cache in that order, in this process only.
     """
     reps = []
     for n in range(1, order + 1):
@@ -49,8 +49,9 @@ def _prepare_weights(d, order, jobs, cache_path):
         else:
             pending.append(rep)
     pending.sort(key=lambda p: p.key())
-    if jobs > 1 and pending:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(pending))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             computed = list(pool.map(compute_weight, pending, repeat(d)))
     else:
         # lazy, so each record is appended before the next weight starts

@@ -9,7 +9,10 @@ ever enters through multiples of the all-ones direction.  Forms are
 stored primitive (gcd 1, first non-zero entry positive), so tuple order
 is the order of forms.  Euler classes, their square roots, and the
 tautological insertion are all FormProducts: an exact Fraction scalar
-times a multiset of forms with integer exponents.  Cancellation,
+times a multiset of forms with integer exponents, and the zero class
+is the zero scalar with no forms.  One collector, _collect, builds
+every product of raw forms: it canonicalizes each form, adds up the
+exponents and folds the multipliers into the scalar.  Cancellation,
 square-root extraction and the specialization to the locus
 lam_1 + ... + lam_{d-1} = 0 are multiset operations; no limits are ever
 taken.  specialize returns a polynomial in ell and raises ShapeMismatch
@@ -52,7 +55,7 @@ def canonical_form(coeffs, ell_part=0):
     g = gcd(*data)
     if g == 0:
         return None
-    first = next(c for c in data if c)
+    first = next(filter(None, data))
     if first < 0:
         g = -g
     if g == 1:
@@ -61,56 +64,24 @@ def canonical_form(coeffs, ell_part=0):
 
 
 class FormProduct:
-    """scalar * product of canonical forms raised to integer exponents."""
+    """scalar * product of canonical forms raised to integer exponents.
 
-    __slots__ = ("scalar", "factors", "is_zero")
+    The zero class is the zero scalar with no forms: a zero scalar drops
+    the factors.  Every product of raw forms is built by _collect.
+    """
 
-    def __init__(self, scalar=1, factors=None, is_zero=False):
-        if is_zero:
-            self.scalar = Fraction(0)
-            self.factors = {}
-            self.is_zero = True
-            return
+    __slots__ = ("scalar", "factors")
+
+    def __init__(self, scalar=1, factors=None):
         self.scalar = Fraction(scalar)
-        self.factors = dict(factors or {})
-        self.is_zero = False
+        self.factors = dict(factors or {}) if self.scalar else {}
 
-    @classmethod
-    def constant(cls, c):
-        return cls(scalar=c)
-
-    @classmethod
-    def zero(cls):
-        return cls(is_zero=True)
-
-    def times_raw_form(self, coeffs, ell_part, exponent):
-        """Multiply in a raw form (canonicalized here) with an exponent.
-
-        A zero form with positive exponent collapses the product to the
-        zero class; with negative exponent it raises, because the Euler
-        ratio it encodes is undefined.
-        """
-        if self.is_zero:
-            return self
-        norm = canonical_form(coeffs, ell_part)
-        if norm is None:
-            if exponent > 0:
-                return FormProduct.zero()
-            raise ZeroWeightDenominator("zero weight with exponent %d" % exponent)
-        form, g = norm
-        factors = dict(self.factors)
-        e = factors.get(form, 0) + exponent
-        if e:
-            factors[form] = e
-        else:
-            factors.pop(form, None)
-        return FormProduct(self.scalar * Fraction(g) ** exponent, factors)
+    def is_zero(self):
+        return not self.scalar
 
     def __mul__(self, other):
         if not isinstance(other, FormProduct):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return FormProduct.zero()
         factors = dict(self.factors)
         for form, e in other.factors.items():
             s = factors.get(form, 0) + e
@@ -120,18 +91,7 @@ class FormProduct:
                 del factors[form]
         return FormProduct(self.scalar * other.scalar, factors)
 
-    def __pow__(self, n):
-        if self.is_zero:
-            if n <= 0:
-                raise ZeroDivisionError("power of the zero product")
-            return self
-        return FormProduct(
-            self.scalar**n, {f: e * n for f, e in self.factors.items()}
-        )
-
     def scaled(self, c):
-        if self.is_zero:
-            return self
         return FormProduct(self.scalar * c, self.factors)
 
     def total_degree(self):
@@ -139,22 +99,18 @@ class FormProduct:
         return sum(self.factors.values())
 
     def is_scalar(self):
-        return not self.factors and not self.is_zero
+        return not self.factors
 
     def __eq__(self, other):
         if not isinstance(other, FormProduct):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return self.is_zero == other.is_zero
         return self.scalar == other.scalar and self.factors == other.factors
 
     def __hash__(self):
-        return hash((self.scalar, frozenset(self.factors.items()), self.is_zero))
+        return hash((self.scalar, frozenset(self.factors.items())))
 
     def evaluate(self, lams, ell=None):
         """Exact value at a parameter point; zero factors raise."""
-        if self.is_zero:
-            return Fraction(0)
         val = self.scalar
         for form, e in self.factors.items():
             v = sum(c * x for c, x in zip(form[:-1], lams))
@@ -170,9 +126,32 @@ class FormProduct:
         return val
 
     def __repr__(self):
-        if self.is_zero:
-            return "FormProduct(0)"
         return "FormProduct(%s, %d forms)" % (self.scalar, len(self.factors))
+
+
+def _collect(raw):
+    """Product of raw forms (coeffs, ell_part, exponent) as a FormProduct.
+
+    Each form is canonicalized, the exponents of equal forms add up and
+    the multiplier g of a form with exponent e enters the scalar as
+    g**e.  A zero form gives the zero class when its exponent is
+    positive and raises ZeroWeightDenominator when it is negative.
+    """
+    exps = {}
+    num = den = 1
+    for coeffs, ell_part, e in raw:
+        norm = canonical_form(coeffs, ell_part)
+        if norm is None:
+            if e > 0:
+                return FormProduct(0)
+            raise ZeroWeightDenominator("zero weight with exponent %d" % e)
+        form, g = norm
+        exps[form] = exps.get(form, 0) + e
+        if e > 0:
+            num *= g**e
+        else:
+            den *= g ** (-e)
+    return FormProduct(Fraction(num, den), {f: e for f, e in exps.items() if e})
 
 
 def euler_class(a, use_cy=True):
@@ -187,21 +166,7 @@ def euler_class(a, use_cy=True):
     """
     if use_cy:
         a = cy_reduce(a)
-    exps = {}
-    num = den = 1
-    for w, c in a.items(a.dim - 1 if use_cy else None):
-        norm = canonical_form(w, 0)
-        if norm is None:
-            if c > 0:
-                return FormProduct.zero()
-            raise ZeroWeightDenominator("zero weight with exponent %d" % c)
-        form, g = norm
-        exps[form] = exps.get(form, 0) + c
-        if c > 0:
-            num *= g**c
-        else:
-            den *= g ** (-c)
-    return FormProduct(Fraction(num, den), {f: e for f, e in exps.items() if e})
+    return _collect((w, 0, c) for w, c in a.items(a.dim - 1 if use_cy else None))
 
 
 def sqrt_form_product(p, n):
@@ -212,8 +177,6 @@ def sqrt_form_product(p, n):
     duality structure of the input is broken and NotAPerfectSquare is
     raised.  Squaring the result returns (-1)^n * p exactly.
     """
-    if p.is_zero:
-        return FormProduct.zero()
     half = {}
     for form, e in p.factors.items():
         if e % 2:
@@ -240,15 +203,10 @@ def taut_factor(pi, d, u=None, ell_units=0):
     u = tuple(u) if u is not None else (0,) * d
     if len(u) != d:
         raise ValueError("twist vector must have length %d" % d)
-    out = FormProduct.constant(1)
-    for cell in pi.cells():
-        w = tuple(a + b for a, b in zip(u, cell))
-        out = out.times_raw_form(
-            tuple(w[j] - w[-1] for j in range(d - 1)), ell_units, 1
-        )
-        if out.is_zero:
-            return out
-    return out
+    return _collect(
+        ([u[j] + cell[j] - u[-1] - cell[-1] for j in range(d - 1)], ell_units, 1)
+        for cell in pi.cells()
+    )
 
 
 def specialize(p):
@@ -265,35 +223,22 @@ def specialize(p):
     on a pole or a surviving direction.  All cancellation is symbolic;
     nothing is sampled here.
     """
-    if p.is_zero:
-        return QPoly.zero()
-    sigma_net = 0
     units = {}
-    residual = {}
-    num, den = p.scalar.numerator, p.scalar.denominator
+    residual = []
     for form, e in p.factors.items():
         if _is_critical(form):
-            sigma_net += e
             units[form[0], form[-1]] = e
-            continue
-        last = form[-2]
-        canon, g = canonical_form([c - last for c in form[:-2]])
-        if e > 0:
-            num *= g**e
         else:
-            den *= g ** (-e)
-        s = residual.get(canon, 0) + e
-        if s:
-            residual[canon] = s
-        else:
-            del residual[canon]
+            residual.append(form)
+    sigma_net = sum(units.values())
     if sigma_net < 0:
         raise ShapeMismatch("diagnostic pole instead of a polynomial")
     if sigma_net > 0:
         return QPoly.zero()
-    if residual:
+    rest = _collect(([c - f[-2] for c in f[:-2]], 0, p.factors[f]) for f in residual)
+    if rest.factors:
         raise ShapeMismatch("diagnostic not_constant instead of a polynomial")
-    top, bottom = QPoly.const(Fraction(num, den)), QPoly.one()
+    top, bottom = QPoly.const(p.scalar * rest.scalar), QPoly.one()
     for unit, e in units.items():
         if e > 0:
             top = top * QPoly(unit) ** e
@@ -350,8 +295,6 @@ def euler_ratio_odd(pi, d):
             "fixed part of the vertex is positive", partition=pi.serialize()
         )
     p = euler_class(-v, use_cy=True)
-    if p.is_zero:
-        return Fraction(0)
     if not p.is_scalar():
         raise NotConstant(
             "forms survive in the Euler ratio", partition=pi.serialize()
@@ -417,7 +360,7 @@ def compute_weight(pi, d):
         )
     try:
         sqrt = sqrt_form_product(euler_class(-v, use_cy=True), pi.size)
-        if sqrt.is_zero:
+        if sqrt.is_zero():
             omega, sign = Fraction(0), 1
         else:
             value = specialize(taut_factor(pi, d, ell_units=1) * sqrt)

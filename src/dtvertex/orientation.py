@@ -49,7 +49,9 @@ class OrientationAssignment:
         with open(path) as fh:
             obj = json.load(fh)
         signs = obj.get("signs") if isinstance(obj, dict) else None
-        if not isinstance(signs, dict) or not all(s in (1, -1) for s in signs.values()):
+        if not isinstance(signs, dict) or not all(
+            type(s) is int and s in (1, -1) for s in signs.values()
+        ):
             raise ValueError("%s: \"signs\" must map partitions to 1 or -1" % path)
         return cls(signs, obj.get("convention", "explicit"))
 

@@ -75,16 +75,13 @@ class MultiPartition:
         """Height over the base corner cell (0 for the empty partition)."""
         return self.heights.get((1,) * self.arity, 0)
 
-    def entries(self):
-        """Rows (i_1,...,i_n,height), sorted lexicographically."""
-        return self._key
-
     def key(self):
-        """Hashable canonical flattening; the deterministic total order."""
+        """Rows (i_1,...,i_n,height), sorted lexicographically: the
+        hashable canonical flattening and the deterministic total order."""
         return self._key
 
     def serialize(self):
-        """Compact string form of entries(); used as cache and report key."""
+        """Compact string form of key(); used as cache and report key."""
         return json.dumps([list(e) for e in self._key], separators=(",", ":"))
 
     def to_json_obj(self):
@@ -261,7 +258,7 @@ def canonicalize_axes(pi):
     """Canonical representative of the axis-permutation orbit.
 
     Only the first n coordinate axes are permuted; the stacking
-    direction is fixed.  Canonical means the greatest entries()
+    direction is fixed.  Canonical means the greatest key()
     sequence, which concentrates boxes on the earliest axes (the orbit
     of a single off-axis box canonicalizes to the first axis).
     Idempotent.

@@ -11,6 +11,8 @@ the package against.
   slice, one size at a time.  It checks omega's candidate lists.
 - Two partition counts: brute-force down-sets of boxes and a closed
   binomial form for sizes up to 6.
+- The per-form fold of a raw form into a form product, the reference
+  for the one-pass collector behind euler_class and taut_factor.
 - Evaluation of a form product on the specialization locus, the
   independent check on forms.specialize.
 - Small helpers that only tests use: axis-permutation orbits, staircase
@@ -23,10 +25,13 @@ from itertools import combinations, permutations
 from dtvertex import (
     ArityMismatch,
     DegenerateSamplePoint,
+    FormProduct,
     MultiPartition,
     OrientationAssignment,
     TruncatedSeries,
+    ZeroWeightDenominator,
 )
+from dtvertex.forms import canonical_form
 
 
 def _add(a, b, sign=1):
@@ -240,6 +245,35 @@ def count_by_binomial_formula(n, size):
     return total
 
 
+# -- form products -------------------------------------------------------------
+
+
+def times_raw_form(p, coeffs, ell_part, exponent):
+    """p times one raw form (canonicalized here) with an exponent.
+
+    The per-form fold the one-pass collector replaced: it copies the
+    factors and folds the multiplier into the scalar form by form.  A
+    zero form with positive exponent collapses the product to the zero
+    class; with negative exponent it raises, because the Euler ratio it
+    encodes is undefined.
+    """
+    if p.is_zero():
+        return p
+    norm = canonical_form(coeffs, ell_part)
+    if norm is None:
+        if exponent > 0:
+            return FormProduct(0)
+        raise ZeroWeightDenominator("zero weight with exponent %d" % exponent)
+    form, g = norm
+    factors = dict(p.factors)
+    e = factors.get(form, 0) + exponent
+    if e:
+        factors[form] = e
+    else:
+        factors.pop(form, None)
+    return FormProduct(p.scalar * Fraction(g) ** exponent, factors)
+
+
 # -- specialization ------------------------------------------------------------
 
 
@@ -253,7 +287,7 @@ def evaluate_on_locus(p, frees, ell):
     cross-check oracle.  Points where a non-critical form vanishes are
     rejected.
     """
-    if p.is_zero:
+    if p.is_zero():
         return Fraction(0)
     frees = tuple(Fraction(x) for x in frees)
     total = sum(frees)

@@ -16,6 +16,7 @@ from dtvertex import ShapeMismatch, compute_weight
 from dtvertex.cli import main
 
 from conftest import single_box
+from oracles import times_raw_form
 
 
 def run_cli(capsys, *argv):
@@ -313,7 +314,7 @@ def test_specialization_diagnostic_is_pipeline_error(monkeypatch, capsys, coeffs
     exponent = -1 if error.startswith("diagnostic pole") else 1
 
     def broken(pi, d, u=None, ell_units=0):
-        return real(pi, d, u=u, ell_units=ell_units).times_raw_form(coeffs, 0, exponent)
+        return times_raw_form(real(pi, d, u=u, ell_units=ell_units), coeffs, 0, exponent)
 
     monkeypatch.setattr(forms_mod, "taut_factor", broken)
     code, out = run_cli(capsys, "check", "fourk", "-d", "4", "-n", "1")
@@ -395,6 +396,16 @@ def test_missing_or_malformed_orientation_file_is_usage_error(tmp_path, capsys):
         )
 
 
+def test_non_integer_orientation_sign_is_usage_error(tmp_path, capsys):
+    # JSON 1.0 and true compare equal to 1 but are not integer signs
+    for text in ("1.0", "true"):
+        path = tmp_path / "orient.json"
+        path.write_text('{"signs": {"[[1,1,1,1]]": %s}}' % text)
+        assert_usage_error(
+            capsys, "check", "fourk", "-d", "4", "-n", "1", "--orientation", str(path)
+        )
+
+
 @pytest.mark.parametrize(
     "kind,d", [("odd", "3"), ("fourk", "4"), ("keyconj", "4"), ("omega", "4"),
                ("uniqueness", "4")]
@@ -434,6 +445,57 @@ def test_fuzz_check_exit_codes(kind, d, n, options):
         assert code == 2
     if n < 1:
         assert "confirmed" not in out.getvalue() and "unique" not in out.getvalue()
+
+
+def test_pool_has_no_more_workers_than_pending_weights(tmp_path, monkeypatch, capsys):
+    import dtvertex.cli as cli_mod
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+    cache = str(tmp_path / "weights.jsonl")
+    # n <= 1 leaves 1 weight pending (serial), n <= 3 then 6 more, and a
+    # warm rerun none
+    for n, pending in (("1", 1), ("3", 6), ("3", 0)):
+        before = len(pools)
+        code, _ = run_cli(
+            capsys, "check", "fourk", "-d", "4", "-n", n, "--jobs", "64", "--cache", cache
+        )
+        assert code == 0
+        assert all(w <= pending for w in pools[before:])
+        assert len(pools) - before == (1 if pending > 1 else 0)
+
+
+def test_euler_class_runs_once_per_representative(tmp_path, monkeypatch, capsys):
+    # tier-1 guard for the benchmark's call-count gate (perfbench/selftest.py)
+    import dtvertex.forms as forms_mod
+
+    calls = []
+    real = forms_mod.euler_class
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(forms_mod, "euler_class", counted)
+    cache = str(tmp_path / "weights.jsonl")
+    code, _ = run_cli(capsys, "check", "fourk", "-d", "4", "-n", "2", "--cache", cache)
+    assert code == 0 and len(calls) == 3
+    code, _ = run_cli(capsys, "check", "keyconj", "-d", "4", "-n", "2")
+    assert code == 0 and len(calls) == 3
 
 
 def test_nonpositive_jobs_is_usage_error(capsys):

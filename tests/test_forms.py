@@ -28,7 +28,7 @@ from dtvertex.cache import record_from_weight
 from dtvertex.forms import canonical_form
 
 from conftest import cached_weight_table, corner_column, single_box, weight_stages
-from oracles import evaluate_on_locus, orbit
+from oracles import evaluate_on_locus, orbit, times_raw_form
 
 
 def form(coeffs, ell=0):
@@ -62,17 +62,17 @@ def test_euler_class_of_box_vertex_is_minus_one():
 
 def test_euler_class_zero_weight():
     a = KClass.one(3) + KClass.monomial(3, (1, 0, 0))
-    assert euler_class(a, use_cy=True).is_zero
+    assert euler_class(a, use_cy=True).is_zero()
     with pytest.raises(ZeroWeightDenominator):
         euler_class(-KClass.one(3) + KClass.monomial(3, (1, 0, 0)), use_cy=True)
 
 
 def euler_class_by_fold(a, use_cy):
     """Reference Euler class: fold each form in with times_raw_form."""
-    out = FormProduct.constant(1)
+    out = FormProduct(1)
     terms = cy_reduce(a).as_dict() if use_cy else a.as_dict()
     for w, c in sorted(terms.items()):
-        out = out.times_raw_form(w[:-1] if use_cy else w, 0, c)
+        out = times_raw_form(out, w[:-1] if use_cy else w, 0, c)
     return out
 
 
@@ -88,7 +88,7 @@ def test_euler_class_matches_fold_oracle():
     for use_cy in (True, False):
         for a in classes + [zero_class]:
             assert euler_class(a, use_cy) == euler_class_by_fold(a, use_cy)
-        assert euler_class(zero_class, use_cy).is_zero
+        assert euler_class(zero_class, use_cy).is_zero()
         with pytest.raises(ZeroWeightDenominator):
             euler_class(pole, use_cy)
         with pytest.raises(ZeroWeightDenominator):
@@ -129,13 +129,13 @@ def test_sqrt_of_empty_is_one():
 
 
 def test_sqrt_rejects_odd_exponent():
-    p = FormProduct().times_raw_form((1, 0, 0), 0, 1)
+    p = times_raw_form(FormProduct(), (1, 0, 0), 0, 1)
     with pytest.raises(NotAPerfectSquare):
         sqrt_form_product(p, 0)
 
 
 def test_sqrt_rejects_non_square_scalar():
-    p = FormProduct.constant(2)
+    p = FormProduct(2)
     with pytest.raises(NotAPerfectSquare):
         sqrt_form_product(p, 0)
 
@@ -148,8 +148,29 @@ def test_taut_factor_single_box():
 
 def test_taut_factor_vanishing_at_unit_twist():
     # integer twist -1 on the last axis kills any corner column of height 2
-    assert taut_factor(corner_column(3, 2), 4, u=(0, 0, 0, -1)).is_zero
-    assert not taut_factor(single_box(3), 4, u=(0, 0, 0, -1)).is_zero
+    assert taut_factor(corner_column(3, 2), 4, u=(0, 0, 0, -1)).is_zero()
+    assert not taut_factor(single_box(3), 4, u=(0, 0, 0, -1)).is_zero()
+
+
+def test_taut_factor_matches_fold_oracle():
+    def by_fold(pi, d, u, ell_units):
+        out = FormProduct(1)
+        for cell in pi.cells():
+            w = [a + b for a, b in zip(u, cell)]
+            out = times_raw_form(out, [x - w[-1] for x in w[:-1]], ell_units, 1)
+        return out
+
+    cases = [
+        (rep, d, (0,) * d, k)
+        for d, order in ((4, 4), (8, 3))
+        for n in range(1, order + 1)
+        for rep, _ in canonical_representatives(d - 1, n)
+        for k in (0, 1)
+    ]
+    cases.append((corner_column(3, 2), 4, (0, 0, 0, -1), 0))
+    for pi, d, u, k in cases:
+        assert taut_factor(pi, d, u=u, ell_units=k) == by_fold(pi, d, u, k)
+    assert by_fold(corner_column(3, 2), 4, (0, 0, 0, -1), 0).is_zero()
 
 
 def test_taut_factor_empty():
@@ -160,7 +181,7 @@ def test_taut_factor_empty():
 
 
 def test_specialize_constant():
-    assert specialize(FormProduct.constant(Fraction(7, 3))) == poly(Fraction(7, 3))
+    assert specialize(FormProduct(Fraction(7, 3))) == poly(Fraction(7, 3))
 
 
 def test_specialize_single_box_weight():
@@ -172,29 +193,29 @@ def test_specialize_single_box_weight():
 def test_specialize_diagnostics():
     not_constant = "diagnostic not_constant instead of a polynomial"
     pole = "diagnostic pole instead of a polynomial"
-    hang = FormProduct().times_raw_form((1, 0, 0), 0, 1)
+    hang = times_raw_form(FormProduct(), (1, 0, 0), 0, 1)
     with pytest.raises(ShapeMismatch, match="^%s$" % not_constant):
         specialize(hang)
     with pytest.raises(ShapeMismatch, match="^%s$" % pole):
-        specialize(FormProduct().times_raw_form((1, 1, 1), 0, -1))
-    vanish = FormProduct().times_raw_form((1, 1, 1), 0, 2)
+        specialize(times_raw_form(FormProduct(), (1, 1, 1), 0, -1))
+    vanish = times_raw_form(FormProduct(), (1, 1, 1), 0, 2)
     assert specialize(vanish).is_zero()
     # critical exponents balance; the ell-parts leave 1/ell (a pole) or ell
-    inv_ell = FormProduct().times_raw_form((0, 0, 0), 1, -1)
+    inv_ell = times_raw_form(FormProduct(), (0, 0, 0), 1, -1)
     with pytest.raises(ShapeMismatch, match="^%s$" % pole):
-        specialize(inv_ell.times_raw_form((1, 1, 1), 0, 1))
-    ell = FormProduct().times_raw_form((0, 0, 0), 1, 1)
-    assert specialize(ell.times_raw_form((1, 1, 1), 0, -1)) == poly(0, 1)
+        specialize(times_raw_form(inv_ell, (1, 1, 1), 0, 1))
+    ell = times_raw_form(FormProduct(), (0, 0, 0), 1, 1)
+    assert specialize(times_raw_form(ell, (1, 1, 1), 0, -1)) == poly(0, 1)
 
 
 def test_specialize_zero_class():
-    assert specialize(FormProduct.zero()).is_zero()
+    assert specialize(FormProduct(0)).is_zero()
 
 
 def test_zero_euler_class_is_zero_weight(monkeypatch):
     import dtvertex.forms as forms_mod
 
-    monkeypatch.setattr(forms_mod, "euler_class", lambda a, use_cy=True: FormProduct.zero())
+    monkeypatch.setattr(forms_mod, "euler_class", lambda a, use_cy=True: FormProduct(0))
     w = compute_weight(corner_column(3, 2), 4)
     assert (w.omega, w.sign) == (Fraction(0), 1)
 

@@ -118,8 +118,8 @@ def test_build_z_4k_matches_target_small():
 
 def test_check_power_law_reference_fits_itself():
     # a series equal to the reference power has exponent 1
-    terms1 = [FormProduct.constant(-1)]
-    terms2 = [FormProduct.constant(3)]
+    terms1 = [FormProduct(-1)]
+    terms2 = [FormProduct(3)]
     verdict, cert = check_power_law(terms1, terms2, Fraction(3), 2, seed=5)
     assert verdict == "fits"
     assert cert["exponent_values"] == ["1", "1", "1"]
