@@ -2,10 +2,12 @@
 
 One record per line, keyed by (dimension, canonical partition), holding
 exactly what a PartitionWeight keeps: schema, d, partition, fingerprint,
-verdict, omega and sign.  A hit is only trusted after the vertex
-fingerprint is recomputed and matches; stale lines are recomputed and
-re-appended, and compaction rewrites the file keeping the last record
-per key.  A line that is not a well-formed record of this SCHEMA (a
+verdict, omega and sign; records carry SCHEMA 3.  The fingerprint
+hashes the packed terms of the half vertex vertex_half(pi, d), the class
+the weight and the verdict are computed from, and a hit is only trusted
+after that fingerprint is recomputed and matches; stale lines are
+recomputed and re-appended, and compaction rewrites the file keeping
+the last record per key.  A line that is not a well-formed record of this SCHEMA (a
 write torn by a crash, a record of another format, a missing or extra
 key, a value of the wrong type, an omega that is not a rational) is
 skipped, so its partition is recomputed and appended on a fresh line.
@@ -18,11 +20,11 @@ import os
 from fractions import Fraction
 
 from .forms import PartitionWeight, compute_weight, vertex_fingerprint
-from .kclass import vertex
+from .kclass import vertex_half
 
 ENV_CACHE_DIR = "DTVERTEX_CACHE_DIR"
 # Version of the record format; records of any other version are skipped.
-SCHEMA = 2
+SCHEMA = 3
 # The keys of a record and the JSON type of each value.
 FIELDS = {
     "schema": int, "d": int, "partition": str, "fingerprint": str,
@@ -127,10 +129,10 @@ class WeightCache:
         return len(keys)
 
     def get_weight(self, pi, d):
-        """Weight for a partition, re-verifying the vertex fingerprint."""
+        """Weight for a partition, re-verifying the half-vertex fingerprint."""
         rec = self.records.get((d, pi.serialize()))
         if rec is not None:
-            if rec["fingerprint"] == vertex_fingerprint(vertex(pi, d)):
+            if rec["fingerprint"] == vertex_fingerprint(vertex_half(pi, d)):
                 return weight_from_record(rec, pi)
         w = compute_weight(pi, d)
         self.append(record_from_weight(w))

@@ -22,7 +22,6 @@ on a pole or on a form direction that survives on the locus.
 from __future__ import annotations
 
 import hashlib
-import json
 from fractions import Fraction
 from math import gcd
 
@@ -34,7 +33,7 @@ from .errors import (
     ShapeMismatch,
     ZeroWeightDenominator,
 )
-from .kclass import KEY_VIOLATED, cy_reduce, key_verdict, vertex
+from .kclass import KEY_VIOLATED, cy_reduce, key_verdict, vertex, vertex_half
 from .partitions import canonical_representatives
 from .ratpoly import QPoly, fraction_sqrt
 
@@ -175,7 +174,9 @@ def sqrt_form_product(p, n):
     Every form direction must appear with an even net exponent and the
     sign-adjusted scalar must be the square of a rational; otherwise the
     duality structure of the input is broken and NotAPerfectSquare is
-    raised.  Squaring the result returns (-1)^n * p exactly.
+    raised.  Squaring the result returns (-1)^n * p exactly.  The weight
+    pipeline takes its roots from the half vertex (_half_vertex_root);
+    this general route on e(-V) is the oracle that checks them.
     """
     half = {}
     for form, e in p.factors.items():
@@ -187,6 +188,24 @@ def sqrt_form_product(p, n):
     if root is None:
         raise NotAPerfectSquare("scalar %s is not a rational square" % (s,))
     return FormProduct(root, half)
+
+
+def _half_vertex_root(v, n):
+    """Root of (-1)^n * e(-V) for even d, from the half vertex v alone.
+
+    For even d, cy(V) = cy(v) + cy(bar(v)), and e(-bar(v)) is e(-v) with
+    every form negated, (-1)^k * e(-v) for k its total degree; so
+    (-1)^n * e(-V) = (-1)^(n + k) * e(-v)^2.  The root is e(-v) with a
+    positive scalar; when n + k is odd the scalar of (-1)^n * e(-V) is
+    negative and NotAPerfectSquare is raised.  The zero class is its own
+    root.  It equals sqrt_form_product(euler_class(-vertex(pi, d)), n).
+    """
+    e = euler_class(-v, use_cy=True)
+    if e.is_zero():
+        return e
+    if (e.total_degree() + n) % 2:
+        raise NotAPerfectSquare("scalar %s is not a rational square" % (-e.scalar**2,))
+    return e if e.scalar > 0 else e.scaled(-1)
 
 
 def taut_factor(pi, d, u=None, ell_units=0):
@@ -308,7 +327,8 @@ class PartitionWeight:
     compute_weight proves that the specialized weight of the partition
     is sign * (-1)^|pi| * omega * ell (ell - 1) ... (ell - h + 1), with h
     the corner height, so omega and sign fix the term; verdict and
-    fingerprint describe the vertex.  An omega below 0 or a sign other
+    fingerprint describe the half vertex v = vertex_half(pi, d) that the
+    weight was computed from.  An omega below 0 or a sign other
     than +-1 (only a hand-edited cache line can carry one) raises
     ShapeMismatch naming the partition.
     """
@@ -335,23 +355,28 @@ class PartitionWeight:
 
 
 def vertex_fingerprint(v):
-    """Stable hash of the serialized vertex class."""
-    payload = json.dumps(v.serialize(), separators=(",", ":")).encode()
-    return hashlib.sha256(payload).hexdigest()
+    """sha256 of a class's packed terms: dim and sorted (code, coefficient) pairs.
+
+    The weight pipeline and the cache hash the half vertex
+    vertex_half(pi, d); no term is decoded.
+    """
+    return hashlib.sha256(repr((v.dim, sorted(v.terms.items()))).encode()).hexdigest()
 
 
 def compute_weight(pi, d):
     """Full symbolic weight pipeline for one partition, d = 0 mod 4.
 
-    vertex -> Euler class of its negative -> square root (positive
-    scalar) -> distinguished tautological factor -> specialization ->
-    weight extraction.  A zero square root (a zero Euler class) is the
-    weight omega = 0 with sign 1.  Pipeline failures raise with the
-    offending partition attached.
+    half vertex v -> square root of the Euler class of minus the vertex,
+    read off e(-v) -> distinguished tautological factor ->
+    specialization -> weight extraction.  The full vertex V is never
+    built: for even d its fixed part is twice that of v, so the verdict
+    and the fingerprint come from v as well.  A zero square root (a zero
+    Euler class) is the weight omega = 0 with sign 1.  Pipeline failures
+    raise with the offending partition attached.
     """
     if d % 4:
         raise ValueError("dimension must be divisible by 4")
-    v = vertex(pi, d)
+    v = vertex_half(pi, d)
     fingerprint = vertex_fingerprint(v)
     verdict = key_verdict(v)
     if verdict == KEY_VIOLATED:
@@ -359,7 +384,7 @@ def compute_weight(pi, d):
             "fixed part of the vertex is positive", partition=pi.serialize()
         )
     try:
-        sqrt = sqrt_form_product(euler_class(-v, use_cy=True), pi.size)
+        sqrt = _half_vertex_root(v, pi.size)
         if sqrt.is_zero():
             omega, sign = Fraction(0), 1
         else:
@@ -394,8 +419,7 @@ def cy_bundle_term(pi, d, u):
     """Tautological factor for an integer twist times the vertex square root.
 
     The summand of the series for a general equivariant line bundle with
-    character t^u, on the Calabi-Yau torus, up to the orientation sign.
+    character t^u, on the Calabi-Yau torus, up to the orientation sign;
+    the root is taken from the half vertex, so d must be even.
     """
-    p = euler_class(-vertex(pi, d), use_cy=True)
-    sqrt = sqrt_form_product(p, pi.size)
-    return taut_factor(pi, d, u=u) * sqrt
+    return taut_factor(pi, d, u=u) * _half_vertex_root(vertex_half(pi, d), pi.size)

@@ -306,6 +306,9 @@ def cy_fixed_part(a):
 def key_verdict(v):
     """Classify the torus-fixed multiplicity of an already-built vertex.
 
+    For even d the half vertex v = vertex_half(pi, d) gives the verdict
+    of the full vertex, whose fixed part is twice that of v.
+
     ok             fixed part is 0; the Euler ratio is a unit
     euler_vanishes fixed part < 0; the Euler class of -V vanishes
     violated       fixed part > 0; the Euler ratio denominator vanishes

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtvertex import ShapeMismatch, compute_weight
+from dtvertex import MultiPartition, ShapeMismatch, compute_weight, vertex
 from dtvertex.cli import main
 
 from conftest import single_box
@@ -260,14 +261,22 @@ def test_cache_line_of_another_schema_is_recomputed(tmp_path, capsys):
     argv = ["check", "fourk", "-d", "4", "-n", "3", "--cache", str(cache)]
     _, cold = run_cli(capsys, *argv)
     records = [json.loads(line) for line in cache.read_text().splitlines()]
-    for edit in (lambda rec: rec.pop("schema"), lambda rec: rec.update(schema=1)):
+    # schema 2 fingerprinted the JSON of the full vertex's decoded terms
+    pi = MultiPartition.from_entries(3, json.loads(records[1]["partition"]))
+    v = vertex(pi, 4).serialize()
+    old = hashlib.sha256(json.dumps(v, separators=(",", ":")).encode()).hexdigest()
+    for edit in (
+        lambda rec: rec.pop("schema"),
+        lambda rec: rec.update(schema=1),
+        lambda rec: rec.update(schema=2, fingerprint=old),
+    ):
         lines = [dict(rec) for rec in records]
         edit(lines[1])
         cache.write_text("".join(json.dumps(r) + "\n" for r in lines))
         code, out = run_cli(capsys, *argv)
         assert code == 0 and out == cold
         appended = json.loads(cache.read_text().splitlines()[-1])
-        assert appended == records[1] and appended["schema"] == 2
+        assert appended == records[1] and appended["schema"] == 3
         run_cli(capsys, "cache-compact", "--cache", str(cache))
         compacted = [json.loads(line) for line in cache.read_text().splitlines()]
         assert sorted(compacted, key=json.dumps) == sorted(records, key=json.dumps)

@@ -22,10 +22,11 @@ from dtvertex import (
     sqrt_form_product,
     taut_factor,
     vertex,
+    vertex_half,
     weight_table,
 )
 from dtvertex.cache import record_from_weight
-from dtvertex.forms import canonical_form
+from dtvertex.forms import _half_vertex_root, canonical_form
 
 from conftest import cached_weight_table, corner_column, single_box, weight_stages
 from oracles import evaluate_on_locus, orbit, times_raw_form
@@ -126,6 +127,25 @@ def test_sqrt_of_empty_is_one():
     p = euler_class(-vertex(MultiPartition(7), 8), use_cy=True)
     w = sqrt_form_product(p, 0)
     assert w.is_scalar() and w.scalar == 1
+
+
+def test_half_vertex_root_matches_sqrt_of_full_euler_class():
+    # the weight's root, read off e(-v) of the half vertex, against the
+    # square root of e(-V) that conftest.weight_stages takes
+    count = 0
+    for d, order in ((4, 6), (8, 4), (12, 2)):
+        for n in range(1, order + 1):
+            for rep, _ in canonical_representatives(d - 1, n):
+                v = vertex_half(rep, d)
+                stages = weight_stages(rep, d)
+                # FormProduct equality compares the factors and the scalar
+                assert _half_vertex_root(v, n) == stages.sqrt
+                with pytest.raises(NotAPerfectSquare):
+                    _half_vertex_root(v, n + 1)
+                with pytest.raises(NotAPerfectSquare):
+                    sqrt_form_product(stages.euler, n + 1)
+                count += 1
+    assert count == 69 + 16 + 3
 
 
 def test_sqrt_rejects_odd_exponent():
@@ -318,10 +338,10 @@ def test_signed_poly_matches_specialized_value():
 
 def test_cache_record_format():
     assert record_from_weight(compute_weight(single_box(3), 4)) == {
-        "schema": 2,
+        "schema": 3,
         "d": 4,
         "partition": "[[1,1,1,1]]",
-        "fingerprint": "9b8ceb4c9614eefaf8cccaf002c1ced8decaf2ac9e5ed254a2d4397275a5c7b0",
+        "fingerprint": "d6fd9453c84f82e538a9337fd753b5f6393f2f3c663576b201fdfc93bad8fc52",
         "verdict": "ok",
         "omega": "1",
         "sign": 1,

@@ -20,6 +20,7 @@ from dtvertex import (
     vertex,
     vertex_half,
 )
+from dtvertex.kclass import key_verdict
 
 from conftest import corner_column, single_box
 
@@ -132,6 +133,18 @@ def test_vertex_half_identities():
             for pi in enumerate_partitions(d - 1, n):
                 half = cy_reduce(vertex_half(pi, d))
                 assert cy_reduce(vertex(pi, d)) == half + sgn * cy_reduce(half.bar())
+
+
+def test_fixed_part_of_vertex_from_half_vertex():
+    # cy(V) = cy(v) + (-1)^d cy(bar(v)) and bar fixes the fixed part, so the
+    # weight pipeline may take the verdict of V from v for even d
+    for d in range(3, 10):
+        for n in range(1, 4):
+            for pi in enumerate_partitions(d - 1, n):
+                full, half = vertex(pi, d), vertex_half(pi, d)
+                assert cy_fixed_part(full) == (1 + (-1) ** d) * cy_fixed_part(half)
+                if d % 2 == 0:
+                    assert key_verdict(full) == key_verdict(half)
 
 
 def test_vertex_half_even_constant_term():

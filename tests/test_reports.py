@@ -39,7 +39,7 @@ GOLDEN = [
 ]
 
 # the file written by a cold `check fourk -d 4 -n 3 --cache F`
-COLD_CACHE = "ce24bee5075a6a3c5b351a50d0bfc9ca01fca8c8563181ccbb1b2d32aecbb4a4"
+COLD_CACHE = "208f4c5eecdec254220cb878189bcf72938d32b10e38d0698715c3f700b8ea66"
 
 
 def _stdout(argv):
