@@ -185,11 +185,12 @@ def check_remfail(d, order, seed, bundle):
 def check_omega(d, order, jobs, cache_path):
     weights = _prepare_weights(d, order, jobs, cache_path)
     rows = []
+    omegas = {}
     all_match = True
     for n in range(1, order + 1):
         for rep, orbit in canonical_representatives(d - 1, n):
             w = weights[rep.serialize()]
-            wc = omega_c(rep)
+            wc = omegas[rep.key()] = omega_c(rep)
             match = w.omega == wc
             all_match = all_match and match
             rows.append(
@@ -203,7 +204,7 @@ def check_omega(d, order, jobs, cache_path):
                     "verdict": "match" if match else "mismatch",
                 }
             )
-    identity_ok, _, _ = check_exp_identity(d - 1, order)
+    identity_ok, _, _ = check_exp_identity(d - 1, order, omegas)
     ok = all_match and identity_ok
     report = {
         "kind": "omega",

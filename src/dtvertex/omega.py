@@ -2,29 +2,43 @@
 
 An (n+1)-partition's height array can be written as a non-negative
 integer combination of binary arrays of n-partitions.  The weight
-omega_c sums 1/prod(multiplicities!) over all such decompositions; it
-satisfies an exponential generating identity and conjecturally matches
-the geometric weight extracted by the Euler-class pipeline.
+omega_c sums 1/prod(multiplicities!) over all such decompositions and
+conjecturally matches the geometric weight extracted by the Euler-class
+pipeline; `check omega` compares the two row by row.
+
+Multisets of nonempty n-partitions are exactly the terms of
+exp(t (M_n - 1)), with t counting the parts (every part covers the
+corner cell once, so the number of parts is the corner height).  So
+the identity sum over (n+1)-partitions of omega_c t^h q^|pi| =
+exp(t (M_n - 1)) holds exactly when the decomposition search finds every
+decomposition: it checks the search, not omega = omega_c.  Its left
+side is summed over orbit representatives weighted by orbit size,
+since omega_c and the corner height are invariant under permutations
+of the base axes.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import factorial
 
-from .partitions import MultiPartition, enumerate_partitions, sub_partitions
+from .partitions import canonical_representatives, sub_partitions
 from .ratpoly import QPoly
 from .series import TruncatedSeries, m_series
 
 
 class OmegaDecomposition:
-    """Multiset of component partitions: serialized key -> multiplicity."""
+    """Multiset of component partitions: serialized key -> multiplicity.
 
-    __slots__ = ("parts",)
+    components maps each key to the component MultiPartition that the
+    search used, so verify reads the cell sums from those objects.
+    """
 
-    def __init__(self, parts):
+    __slots__ = ("parts", "components")
+
+    def __init__(self, parts, components=()):
         self.parts = dict(parts)
+        self.components = dict(components)
 
     def weight_term(self):
         term = Fraction(1)
@@ -33,12 +47,15 @@ class OmegaDecomposition:
         return term
 
     def verify(self, pi):
-        """Re-check the cell-sum equation against the decomposed partition."""
+        """Re-check the cell-sum equation against the decomposed partition.
+
+        A part without a component object fails.
+        """
         total = {}
         for key, m in self.parts.items():
-            xi = MultiPartition.from_json_obj(
-                {"arity": pi.arity - 1, "entries": json.loads(key)}
-            )
+            xi = self.components.get(key)
+            if xi is None:
+                return False
             for base, h in xi.heights.items():
                 for level in range(1, h + 1):
                     idx = base + (level,)
@@ -120,11 +137,12 @@ def decompositions(pi):
 
     def search(remainder, start, stack):
         if not remainder:
-            parts = {}
+            parts, components = {}, {}
             for i in stack:
                 key = cands[i].serialize()
                 parts[key] = parts.get(key, 0) + 1
-            results.append(OmegaDecomposition(parts))
+                components[key] = cands[i]
+            results.append(OmegaDecomposition(parts, components))
             return
         left = sum(remainder.values())
         for i in range(start, len(cands)):
@@ -161,19 +179,30 @@ def omega_c(pi):
     return sum((dec.weight_term() for dec in decompositions(pi)), Fraction(0))
 
 
-def check_exp_identity(n, order):
+def check_exp_identity(n, order, omegas=None):
     """Compare the weighted enumeration against exp(t (M_{n-1} - 1)).
 
-    Left side: sum over n-partitions of omega_c * t^corner * q^size.
-    Returns (equal, lhs, rhs).
+    Left side: sum over n-partitions of omega_c * t^corner * q^size,
+    taken as omega_c(rep) * orbit * t^corner over the orbit
+    representatives of each size.  Permuting the n base axes permutes
+    the down-sets a partition decomposes into and fixes the corner cell,
+    so omega_c and the corner height are constant on an orbit.  omegas,
+    when given, maps rep.key() to omega_c(rep) for every representative;
+    otherwise omega_c is computed here, once per representative.
+
+    Multisets of nonempty (n-1)-partitions are exactly the terms of the
+    right side, with t counting the parts, so equality says that the
+    decomposition search is complete; the evidence for omega = omega_c
+    is the per-row match of `check omega`.  Returns (equal, lhs, rhs).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     lhs_coeffs = [QPoly.one()]
     for s in range(1, order + 1):
         c = QPoly.zero()
-        for pi in enumerate_partitions(n, s):
-            c = c + QPoly.const(omega_c(pi)).shift(pi.corner_height())
+        for rep, orbit in canonical_representatives(n, s):
+            wc = omega_c(rep) if omegas is None else omegas[rep.key()]
+            c = c + QPoly.const(wc * orbit).shift(rep.corner_height())
         lhs_coeffs.append(c)
     lhs = TruncatedSeries(order, lhs_coeffs)
     m = m_series(n - 1, order)

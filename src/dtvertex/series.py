@@ -13,11 +13,7 @@ from itertools import product as iproduct
 
 from .errors import DegenerateSamplePoint
 from .forms import euler_ratio_odd
-from .partitions import (
-    canonical_representatives,
-    count_partitions,
-    enumerate_partitions,
-)
+from .partitions import canonical_representatives, count_partitions
 from .ratpoly import QPoly
 
 
@@ -174,15 +170,18 @@ def build_z_odd(d, order):
     """Series of Euler ratios over all partitions, odd dimension.
 
     Coefficient of q^n sums euler_ratio_odd over the (d-1)-partitions of
-    size n; NotConstant propagates with the offending partition.
+    size n, taken over canonical representatives weighted by orbit size:
+    the Calabi-Yau torus is symmetric in the first d-1 axes, so the ratio
+    is constant on an orbit.  NotConstant propagates naming the
+    representative.
     """
     if d % 2 == 0 or d < 3:
         raise ValueError("odd dimension >= 3 required")
     coeffs = [QPoly.one()]
     for n in range(1, order + 1):
         total = Fraction(0)
-        for pi in enumerate_partitions(d - 1, n):
-            total += euler_ratio_odd(pi, d)
+        for rep, orbit in canonical_representatives(d - 1, n):
+            total += euler_ratio_odd(rep, d) * orbit
         coeffs.append(QPoly.const(total))
     return TruncatedSeries(order, coeffs)
 

@@ -15,6 +15,9 @@ the package against.
   for the one-pass collector behind euler_class and taut_factor.
 - Evaluation of a form product on the specialization locus, the
   independent check on forms.specialize.
+- The per-partition sums that the orbit-weighted ones replaced: the
+  left side of the exp identity over every partition, with one omega_c
+  each, and the odd-dimension series over every partition.
 - Small helpers that only tests use: axis-permutation orbits, staircase
   membership, orientation flips, series powers and tables.
 """
@@ -28,10 +31,13 @@ from dtvertex import (
     FormProduct,
     MultiPartition,
     OrientationAssignment,
+    QPoly,
     TruncatedSeries,
     ZeroWeightDenominator,
+    enumerate_partitions,
+    omega_c,
 )
-from dtvertex.forms import canonical_form
+from dtvertex.forms import canonical_form, euler_ratio_odd
 
 
 def _add(a, b, sign=1):
@@ -243,6 +249,31 @@ def count_by_binomial_formula(n, size):
             binom = binom * (n - j) // (j + 1)
         total += c * binom
     return total
+
+
+# -- per-partition series ----------------------------------------------------
+
+
+def exp_identity_lhs(n, order):
+    """Sum over every n-partition of omega_c * t^corner * q^size."""
+    coeffs = [QPoly.one()]
+    for s in range(1, order + 1):
+        c = QPoly.zero()
+        for pi in enumerate_partitions(n, s):
+            c = c + QPoly.const(omega_c(pi)).shift(pi.corner_height())
+        coeffs.append(c)
+    return TruncatedSeries(order, coeffs)
+
+
+def z_odd(d, order):
+    """Sum over every (d-1)-partition of euler_ratio_odd * q^size."""
+    coeffs = [QPoly.one()]
+    for n in range(1, order + 1):
+        total = Fraction(0)
+        for pi in enumerate_partitions(d - 1, n):
+            total += euler_ratio_odd(pi, d)
+        coeffs.append(QPoly.const(total))
+    return TruncatedSeries(order, coeffs)
 
 
 # -- form products -------------------------------------------------------------

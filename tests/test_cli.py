@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtvertex import MultiPartition, ShapeMismatch, compute_weight, vertex
+from dtvertex import (
+    MultiPartition,
+    ShapeMismatch,
+    canonical_representatives,
+    compute_weight,
+    vertex,
+)
 from dtvertex.cli import main
 
 from conftest import single_box
@@ -505,6 +511,26 @@ def test_euler_class_runs_once_per_representative(tmp_path, monkeypatch, capsys)
     assert code == 0 and len(calls) == 3
     code, _ = run_cli(capsys, "check", "keyconj", "-d", "4", "-n", "2")
     assert code == 0 and len(calls) == 3
+
+
+def test_omega_c_runs_once_per_representative(tmp_path, monkeypatch, capsys):
+    # the rows and the exp identity share one omega_c per representative
+    import dtvertex.cli as cli_mod
+    import dtvertex.omega as omega_mod
+
+    calls = []
+    real = omega_mod.omega_c
+
+    def counted(pi):
+        calls.append(pi.key())
+        return real(pi)
+
+    monkeypatch.setattr(omega_mod, "omega_c", counted)
+    monkeypatch.setattr(cli_mod, "omega_c", counted)
+    cache = str(tmp_path / "weights.jsonl")
+    code, _ = run_cli(capsys, "check", "omega", "-d", "4", "-n", "3", "--cache", cache)
+    reps = [rep.key() for n in range(1, 4) for rep, _ in canonical_representatives(3, n)]
+    assert code == 0 and calls == reps
 
 
 def test_nonpositive_jobs_is_usage_error(capsys):

@@ -13,6 +13,7 @@ from dtvertex import (
     MultiPartition,
     QPoly,
     TruncatedSeries,
+    canonical_representatives,
     check_exp_identity,
     compute_weight,
     decompositions,
@@ -20,8 +21,9 @@ from dtvertex import (
     m_series,
     omega_c,
 )
+import dtvertex.omega as omega_mod
 from dtvertex.omega import _candidate_parts, _column_runs
-from oracles import binary_rep_contains, bounded_partitions
+from oracles import binary_rep_contains, bounded_partitions, exp_identity_lhs, orbit
 
 from conftest import corner_column, single_box
 
@@ -103,16 +105,63 @@ def test_fixture_weights(seven_part_size9, seven_part_size10, seven_part_size14)
     assert omega_c(seven_part_size14) == Fraction(81, 2)
 
 
+def test_verify_rejects_a_changed_multiplicity(monkeypatch):
+    pi = corner_column(2, 2)
+    dec = decompositions(pi)[0]
+    assert dec.verify(pi)
+    key = next(iter(dec.parts))
+    dec.parts[key] += 1
+    assert not dec.verify(pi)
+
+    class OneTooMany(omega_mod.OmegaDecomposition):
+        __slots__ = ()
+
+        def __init__(self, parts, components=()):
+            super().__init__(parts, components)
+            if self.parts:
+                first = next(iter(self.parts))
+                self.parts[first] += 1
+
+    monkeypatch.setattr(omega_mod, "OmegaDecomposition", OneTooMany)
+    with pytest.raises(AssertionError):
+        decompositions(pi)
+
+
 def test_decompositions_reject_arity_one():
     with pytest.raises(ValueError):
         decompositions(MultiPartition(1, {(1,): 2}))
 
 
-@pytest.mark.parametrize("n,order", [(1, 6), (2, 5), (3, 4), (7, 3), (7, 5)])
+@pytest.mark.parametrize("n,order", [(1, 6), (2, 5), (3, 4), (7, 3), (7, 5), (7, 6)])
 def test_exp_identity(n, order):
     equal, lhs, rhs = check_exp_identity(n, order)
     assert equal
     assert lhs.coefficient(0) == rhs.coefficient(0)
+
+
+@pytest.mark.parametrize("n,order", [(3, 6), (7, 5)])
+def test_exp_identity_lhs_matches_per_partition_oracle(n, order):
+    _, lhs, _ = check_exp_identity(n, order)
+    assert lhs == exp_identity_lhs(n, order)
+
+
+def test_exp_identity_reads_given_omegas():
+    omegas = {
+        rep.key(): omega_c(rep)
+        for s in range(1, 4)
+        for rep, _ in canonical_representatives(3, s)
+    }
+    assert check_exp_identity(3, 3, omegas) == check_exp_identity(3, 3)
+    omegas[next(iter(omegas))] += 1
+    assert not check_exp_identity(3, 3, omegas)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), arity=st.integers(min_value=2, max_value=7))
+def test_omega_c_is_constant_on_orbits(data, arity):
+    size = data.draw(st.integers(min_value=1, max_value=5 if arity < 5 else 4))
+    pi = data.draw(st.sampled_from(_partitions(arity, size)))
+    assert {omega_c(member) for member in orbit(pi)} == {omega_c(pi)}
 
 
 def test_exp_identity_truncated_marker_order():

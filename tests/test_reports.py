@@ -24,10 +24,14 @@ GOLDEN = [
      "45f340af45177511e99ba8c8d7124fb41e732e5dcdbdf81522ce74a2b522613d"),
     ("check odd -d 5 -n 3",
      "62813dded49e29a0569a31a45702fa11296b2ba18944302f7bf333e3c75a9b53"),
+    ("check odd -d 7 -n 3",
+     "882c3276770bb1864d01782067d6cb1363f9a8e7eac6f35a688a2027fdaa92e2"),
     ("check keyconj -d 8 -n 3",
      "393c7fe0c475b65dc1e69cdff910d7a360f217d565e4c4b47f3d3f3115abccc8"),
     ("check omega -d 4 -n 4 --format csv",
      "e9ce8ef538538dac6ad42757fe6eb5d70ff6bb5a75c5b5e7d09762e81f5451d9"),
+    ("check omega -d 8 -n 4",
+     "ec60a7cc2a8b37f2b9eefe55dc915713f5c7091d1b982e8e500d84f30a05bf0d"),
     ("check uniqueness -d 4 -n 4",
      "db1b22b812db1048aba1a995b93a84043736246902a1954ad455e96df8e33571"),
     ("check remfail -d 8 -n 2",

@@ -23,7 +23,7 @@ from dtvertex import (
 from dtvertex.forms import cy_bundle_term, full_torus_ratio
 
 from conftest import cached_weight_table
-from oracles import series_pow, series_table
+from oracles import series_pow, series_table, z_odd
 
 
 def consts(*values):
@@ -99,6 +99,12 @@ def test_build_z_odd_values():
 @pytest.mark.parametrize("d,order", [(3, 5), (5, 3), (7, 2)])
 def test_build_z_odd_matches_target(d, order):
     assert build_z_odd(d, order) == target_odd(d, order)
+
+
+@pytest.mark.parametrize("d,order", [(3, 6), (5, 5), (7, 4)])
+def test_build_z_odd_matches_per_partition_oracle(d, order):
+    # orbit representatives weighted by orbit size against every partition
+    assert build_z_odd(d, order) == z_odd(d, order)
 
 
 def test_build_z_4k_first_order():
