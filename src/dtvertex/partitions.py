@@ -12,6 +12,12 @@ lower partitions, each dominated entrywise by the one before it; the
 dominated ones come from one walk over the cells of the bounding
 partition, which also lists the sub-partitions that omega decomposes
 into.
+
+Permuting the n base axes groups the partitions into orbits.  A
+partition of size s has an index above 1 on at most s - 1 of its axes,
+so the orbit representatives of any arity above s - 1 are those of
+arity s - 1 padded with index 1.  Counts are sums of orbit sizes over
+the representatives, so counting builds no partition of a high arity.
 """
 
 from __future__ import annotations
@@ -212,8 +218,18 @@ def sub_partitions(arity, bound):
 
 
 def count_partitions(arity, max_size):
-    """Counts of arity-partitions of sizes 0..max_size."""
-    return [len(enumerate_partitions(arity, s)) for s in range(max_size + 1)]
+    """Counts of arity-partitions of sizes 0..max_size.
+
+    Size 0 holds the empty partition alone; each larger count is the sum
+    of the orbit sizes of canonical_representatives, so above arity
+    size - 1 no partition of the given arity is enumerated.
+    """
+    if max_size < 0:
+        return []
+    return [1] + [
+        sum(orbit for _, orbit in canonical_representatives(arity, s))
+        for s in range(1, max_size + 1)
+    ]
 
 
 # -- axis permutation symmetry ---------------------------------------------
@@ -280,19 +296,47 @@ def orbit_size(pi):
     k = len(active)
     target = canonicalize_axes(pi).key()
     stab = sum(1 for pl in _prefix_placements(pi) if _relabel_entries(pi, pl) == target)
-    total = 1
+    return _falling(n, k) // stab
+
+
+def _falling(x, k):
+    """The falling factorial x (x-1) ... (x-k+1)."""
+    out = 1
     for j in range(k):
-        total *= n - j
-    return total // stab
+        out *= x - j
+    return out
 
 
 @functools.cache
 def canonical_representatives(arity, size):
-    """(representative, orbit size) pairs covering all partitions of the size.
+    """(representative, orbit size) pairs covering all partitions of the
+    size, sorted by the representatives' key().
 
-    Grouping the full enumeration guarantees that orbit sizes add up to
-    the total count.  Cached per (arity, size), so the result is a tuple.
+    An active axis (one along which some index exceeds 1) puts its own
+    cell next to the corner, so a partition of the size s has at most
+    m = max(1, s - 1) of them, and its canonical form packs them into a
+    prefix.  Above arity m the representatives are therefore those of
+    arity m with index 1 appended on the remaining axes, in the same
+    order: padding changes no comparison between rows.  A representative
+    with k active axes and stab prefix placements fixing it has an orbit
+    of (n)_k / stab members at any arity n (see orbit_size), so padding
+    multiplies its orbit size by the falling-factorial ratio
+    (arity)_k / (m)_k.  Only arity m and below group the full
+    enumeration by canonical form.
+    Cached per (arity, size), so the result is a tuple.
     """
+    base = max(1, size - 1)
+    if arity > base:
+        pad = (1,) * (arity - base)
+        out = []
+        for rep, orbit in canonical_representatives(base, size):
+            k = len(_active_axes(rep))
+            heights = {idx + pad: h for idx, h in rep.heights.items()}
+            out.append((
+                MultiPartition(arity, heights, validate=False),
+                orbit * _falling(arity, k) // _falling(base, k),
+            ))
+        return tuple(out)
     groups = {}
     for pi in enumerate_partitions(arity, size):
         canon = canonicalize_axes(pi)

@@ -137,8 +137,9 @@ class TruncatedSeries:
 def m_series(n, order):
     """Generating series of n-partitions by size, truncated.
 
-    n = 0 is the geometric series; for n >= 1 the coefficients come from
-    the enumeration.
+    n = 0 is the geometric series; for n >= 1 the coefficients are
+    partitions.count_partitions, orbit sizes summed over the canonical
+    representatives.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

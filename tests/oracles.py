@@ -11,6 +11,9 @@ the package against.
   slice, one size at a time.  It checks omega's candidate lists.
 - Two partition counts: brute-force down-sets of boxes and a closed
   binomial form for sizes up to 6.
+- The orbit representatives found by grouping every partition of the
+  arity by its canonical form, which the padding of lower-arity
+  representatives replaced above arity size - 1.
 - The per-form fold of a raw form into a form product, the reference
   for the one-pass collector behind euler_class and taut_factor.
 - Evaluation of a form product on the specialization locus, the
@@ -34,6 +37,7 @@ from dtvertex import (
     QPoly,
     TruncatedSeries,
     ZeroWeightDenominator,
+    canonicalize_axes,
     enumerate_partitions,
     omega_c,
 )
@@ -249,6 +253,20 @@ def count_by_binomial_formula(n, size):
             binom = binom * (n - j) // (j + 1)
         total += c * binom
     return total
+
+
+# -- orbit representatives ---------------------------------------------------
+
+
+def representatives_by_grouping(arity, size):
+    """(canonical form, number of partitions with it) over every
+    partition of the arity and size, sorted by key()."""
+    groups = {}
+    for pi in enumerate_partitions(arity, size):
+        canon = canonicalize_axes(pi)
+        rep, count = groups.get(canon.key(), (canon, 0))
+        groups[canon.key()] = (rep, count + 1)
+    return [groups[k] for k in sorted(groups)]
 
 
 # -- per-partition series ----------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtvertex import partitions
 from dtvertex import (
     ArityMismatch,
     MultiPartition,
@@ -23,6 +24,7 @@ from oracles import (
     contains_cell,
     count_by_binomial_formula,
     orbit,
+    representatives_by_grouping,
 )
 
 from conftest import corner_column, single_box
@@ -143,6 +145,52 @@ def test_orbit_sizes_cover_the_count():
         for rep, c in reps:
             assert orbit_size(rep) == c
             assert len(orbit(rep)) == c
+
+
+# arity 1-8 at sizes 0-6 (arity 8, size 6 holds 3,177 partitions) and two
+# high arities: above arity size - 1 the representatives are padded, at
+# and below it they come from grouping the enumeration
+_REP_GRID = [(n, s) for n in range(1, 9) for s in range(7)] + [(11, 4), (15, 3)]
+
+
+@pytest.mark.parametrize("arity,size", _REP_GRID)
+def test_representatives_match_grouping_oracle(arity, size):
+    got = canonical_representatives(arity, size)
+    want = representatives_by_grouping(arity, size)
+    assert [(r.arity, r.key(), c) for r, c in got] == [
+        (r.arity, r.key(), c) for r, c in want
+    ]
+    assert all(orbit_size(r) == c for r, c in got)
+
+
+@pytest.mark.parametrize("arity", sorted({n for n, _ in _REP_GRID}))
+def test_counts_match_enumeration(arity):
+    top = max(s for n, s in _REP_GRID if n == arity)
+    assert count_partitions(arity, top) == [
+        len(enumerate_partitions(arity, s)) for s in range(top + 1)
+    ]
+    assert count_partitions(arity, -1) == []
+
+
+def test_high_arity_enumerates_only_arity_size_minus_one(monkeypatch):
+    # above arity size - 1 the representatives and counts pad lower-arity
+    # ones; a fallback to the full enumeration of the arity must fail here
+    seen = []
+    real = partitions.enumerate_partitions
+
+    def counting(arity, size):
+        found = real(arity, size)
+        seen.extend([arity] * len(found))
+        return found
+
+    monkeypatch.setattr(partitions, "enumerate_partitions", counting)
+    canonical_representatives.cache_clear()
+    try:
+        assert sum(c for _, c in canonical_representatives(7, 5)) == 554
+        assert count_partitions(6, 5) == [1, 1, 7, 28, 105, 357]
+    finally:
+        canonical_representatives.cache_clear()
+    assert seen and max(seen) <= 4
 
 
 def test_binary_rep_examples():

@@ -40,6 +40,15 @@ GOLDEN = [
      "a08a68265bcc431ac4ed8282756e081ccba691ebd42606cc392e5a938d7ff3f4"),
     ("enumerate 4 5 --canonical",
      "fb5fdacd90ce383bde1d0a2a6dc79897a3bdfd4c40aef79fd4ce442e566a816d"),
+    # arity above size - 1: representatives padded from a lower arity
+    ("enumerate 7 6 --canonical",
+     "750fda68a6b712c26349b792fee2b5a5b0954dd7ea879681b7c903c22eb60d77"),
+    ("enumerate 11 4 --canonical --format csv",
+     "43983e13ee777c35d1c53c1baec23d938f18bdd1813db5aa1074e2b24c6234e5"),
+    ("enumerate 15 3 --canonical --format table",
+     "e1137b2b05a83c96b97543ad42bda5eefbe7c1e2b92ce1768d65e69e8ec4e203"),
+    ("check odd -d 9 -n 4",
+     "a5a72d77ac57b8c90d64e4280659f44d952ca28e6b23b3c4e2ae876ab2a8ef19"),
 ]
 
 # the file written by a cold `check fourk -d 4 -n 3 --cache F`
