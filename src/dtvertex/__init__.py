@@ -14,7 +14,6 @@ from .errors import (
     DimensionMismatch,
     ExponentOverflow,
     NotAPerfectSquare,
-    NotConstant,
     ShapeMismatch,
     ZeroWeightDenominator,
 )
@@ -23,7 +22,6 @@ from .forms import (
     PartitionWeight,
     compute_weight,
     euler_class,
-    euler_ratio_odd,
     omega_from_specialized,
     specialize,
     sqrt_form_product,

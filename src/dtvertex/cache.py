@@ -7,10 +7,11 @@ hashes the packed terms of the half vertex vertex_half(pi, d), the class
 the weight and the verdict are computed from, and a hit is only trusted
 after that fingerprint is recomputed and matches; stale lines are
 recomputed and re-appended, and compaction rewrites the file keeping
-the last record per key.  A line that is not a well-formed record of this SCHEMA (a
-write torn by a crash, a record of another format, a missing or extra
-key, a value of the wrong type, an omega that is not a rational) is
-skipped, so its partition is recomputed and appended on a fresh line.
+the last record per key.  A line that is not a well-formed record of
+this SCHEMA (a write torn by a crash, bytes that are not UTF-8, a
+record of another format, a missing or extra key, a value of the wrong
+type, an omega that is not a rational) is skipped, so its partition is
+recomputed and appended on a fresh line.
 """
 
 from __future__ import annotations
@@ -83,9 +84,11 @@ class WeightCache:
         # the next append then starts a fresh line.
         self._torn_tail = False
         if path and os.path.exists(path):
-            with open(path) as fh:
+            # bytes, so a line that is not UTF-8 fails json.loads like any
+            # other malformed line instead of aborting the read
+            with open(path, "rb") as fh:
                 for line in fh:
-                    self._torn_tail = not line.endswith("\n")
+                    self._torn_tail = not line.endswith(b"\n")
                     try:
                         rec = json.loads(line)
                     except ValueError:

@@ -16,6 +16,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 
 from . import cache as cache_mod
@@ -157,17 +158,17 @@ def check_remfail(d, order, seed, bundle):
     if order < 2:
         raise ValueError("the failure check needs order >= 2")
     if d % 2:
-        terms1 = [full_torus_ratio(pi, d) for pi in enumerate_partitions(d - 1, 1)]
-        terms2 = [full_torus_ratio(pi, d) for pi in enumerate_partitions(d - 1, 2)]
+        term = full_torus_ratio
         nvars, signed, mode = d, False, "full torus"
     elif d % 4 == 0:
         u = bundle if bundle is not None else (1,) + (0,) * (d - 1)
-        terms1 = [cy_bundle_term(pi, d, u) for pi in enumerate_partitions(d - 1, 1)]
-        terms2 = [cy_bundle_term(pi, d, u) for pi in enumerate_partitions(d - 1, 2)]
+        term = partial(cy_bundle_term, u=u)
         nvars, signed, mode = d - 1, True, "calabi-yau torus, twist %r" % (u,)
     else:
         raise ValueError("dimension must be odd or divisible by 4")
-    p2 = Fraction(len(enumerate_partitions(d - 1, 2)))
+    terms1, terms2 = ([term(pi, d) for pi in enumerate_partitions(d - 1, n)] for n in (1, 2))
+    # one term per size-2 partition
+    p2 = Fraction(len(terms2))
     verdict, certificate = check_power_law(
         terms1, terms2, p2, nvars, seed, signed=signed
     )

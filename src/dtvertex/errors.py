@@ -29,10 +29,6 @@ class NotAPerfectSquare(DTVertexError):
     """Euler class of the vertex is not a perfect square of linear forms."""
 
 
-class NotConstant(DTVertexError):
-    """A form survived a cancellation that should have produced a scalar."""
-
-
 class ShapeMismatch(DTVertexError):
     """A specialized weight does not have the predicted polynomial shape."""
 

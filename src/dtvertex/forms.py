@@ -29,7 +29,6 @@ from .errors import (
     ArityMismatch,
     DegenerateSamplePoint,
     NotAPerfectSquare,
-    NotConstant,
     ShapeMismatch,
     ZeroWeightDenominator,
 )
@@ -298,27 +297,6 @@ def omega_from_specialized(value, pi):
     if pi.size % 2:
         sign = -sign
     return abs(c), sign
-
-
-def euler_ratio_odd(pi, d):
-    """Euler class of minus the vertex for odd d: a pure rational number.
-
-    All form directions must cancel after the Calabi-Yau reduction; a
-    survivor is reported as NotConstant.
-    """
-    if d % 2 == 0:
-        raise ValueError("odd dimension required")
-    v = vertex(pi, d)
-    if key_verdict(v) == KEY_VIOLATED:
-        raise ZeroWeightDenominator(
-            "fixed part of the vertex is positive", partition=pi.serialize()
-        )
-    p = euler_class(-v, use_cy=True)
-    if not p.is_scalar():
-        raise NotConstant(
-            "forms survive in the Euler ratio", partition=pi.serialize()
-        )
-    return p.scalar
 
 
 class PartitionWeight:

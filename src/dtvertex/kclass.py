@@ -253,19 +253,19 @@ def vertex(pi, d):
         V = Z + sgn * bar(Z) / (t_1..t_d)
               - sgn * Z * bar(Z) * (1-t_1)..(1-t_d) / (t_1..t_d)
 
-    computed exactly by clearing the monomial denominator, with no torus
-    relation imposed.
+    exactly, with no torus relation imposed.  Since
+    (1-t_1)..(1-t_d) / (t_1..t_d) = sgn * (1-t_1^-1)..(1-t_d^-1), the
+    product term is Z * bar(Z) * prod_{i<d} (1 - t_i^-1) * (1 - t_d^-1)
+    = (Z - v) * (1 - t_d^-1) with v = vertex_half(pi, d), so
+
+        V = v + sgn * bar(Z) / (t_1..t_d) + (Z - v) / t_d
+
+    and the product is expanded once, in vertex_half.
     """
     z = character(pi, d)
-    if z.is_zero():
-        return KClass.zero(d)
+    v = vertex_half(pi, d)
     sgn = -1 if d % 2 else 1
-    inv = (-1,) * d
-    zbar = z.bar()
-    prod = z * zbar
-    for i in range(d):
-        prod = prod - prod.shift(_unit(d, i, 1))
-    return z + sgn * zbar.shift(inv) - sgn * prod.shift(inv)
+    return v + sgn * z.bar().shift((-1,) * d) + (z - v).shift(_unit(d, d - 1, -1))
 
 
 def cy_reduce(a):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import DegenerateSamplePoint
-from .forms import euler_ratio_odd
+from .kclass import cy_fixed_part, vertex_half
 from .partitions import canonical_representatives, count_partitions
 from .ratpoly import QPoly
 
@@ -170,11 +170,16 @@ def target_4k(d, order):
 def build_z_odd(d, order):
     """Series of Euler ratios over all partitions, odd dimension.
 
-    Coefficient of q^n sums euler_ratio_odd over the (d-1)-partitions of
-    size n, taken over canonical representatives weighted by orbit size:
-    the Calabi-Yau torus is symmetric in the first d-1 axes, so the ratio
-    is constant on an orbit.  NotConstant propagates naming the
-    representative.
+    For odd d the Euler ratio of a (d-1)-partition of size n is the sign
+    (-1)^(n + c0), with c0 = cy_fixed_part(vertex_half(pi, d)): after
+    the Calabi-Yau reduction cy(V) = cy(v) - bar(cy(v)), so each weight
+    w != 0 of cy(v), with coefficient c, meets -w with coefficient -c
+    and the pair contributes (-1)^c to e(-V); the coefficients of cy(v)
+    off the fixed weight sum to rank(v) - c0 = n - c0.  For d = 3 this
+    is the sign (-1)^n of Maulik-Nekrasov-Okounkov-Pandharipande.  The
+    coefficient of q^n sums the sign over the canonical representatives
+    of size n weighted by orbit size: the Calabi-Yau torus is symmetric
+    in the first d-1 axes, so the ratio is constant on an orbit.
     """
     if d % 2 == 0 or d < 3:
         raise ValueError("odd dimension >= 3 required")
@@ -182,7 +187,7 @@ def build_z_odd(d, order):
     for n in range(1, order + 1):
         total = Fraction(0)
         for rep, orbit in canonical_representatives(d - 1, n):
-            total += euler_ratio_odd(rep, d) * orbit
+            total += (-1) ** ((n + cy_fixed_part(vertex_half(rep, d))) % 2) * orbit
         coeffs.append(QPoly.const(total))
     return TruncatedSeries(order, coeffs)
 

@@ -21,6 +21,8 @@ the package against.
 - The per-partition sums that the orbit-weighted ones replaced: the
   left side of the exp identity over every partition, with one omega_c
   each, and the odd-dimension series over every partition.
+- The odd-dimension Euler ratio from the Euler class of minus the full
+  vertex, which the sign (-1)^(|pi| + c0) of the half vertex replaced.
 - Small helpers that only tests use: axis-permutation orbits, staircase
   membership, orientation flips, series powers and tables.
 """
@@ -41,7 +43,9 @@ from dtvertex import (
     enumerate_partitions,
     omega_c,
 )
-from dtvertex.forms import canonical_form, euler_ratio_odd
+from dtvertex.forms import canonical_form, euler_class
+from dtvertex.kclass import KEY_VIOLATED, key_verdict
+from dtvertex.kclass import vertex as packed_vertex
 
 
 def _add(a, b, sign=1):
@@ -281,6 +285,24 @@ def exp_identity_lhs(n, order):
             c = c + QPoly.const(omega_c(pi)).shift(pi.corner_height())
         coeffs.append(c)
     return TruncatedSeries(order, coeffs)
+
+
+def euler_ratio_odd(pi, d):
+    """Euler class of minus the vertex for odd d: a pure rational number.
+
+    All form directions must cancel after the Calabi-Yau reduction; a
+    survivor fails an assertion.
+    """
+    if d % 2 == 0:
+        raise ValueError("odd dimension required")
+    v = packed_vertex(pi, d)
+    if key_verdict(v) == KEY_VIOLATED:
+        raise ZeroWeightDenominator(
+            "fixed part of the vertex is positive", partition=pi.serialize()
+        )
+    p = euler_class(-v, use_cy=True)
+    assert p.is_scalar(), "forms survive in the Euler ratio of %s" % pi.serialize()
+    return p.scalar
 
 
 def z_odd(d, order):

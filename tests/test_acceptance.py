@@ -49,8 +49,15 @@ ODD_RANGES = [(3, 6), (5, 4), (7, 3)]
 
 
 def test_criterion_1_odd_dimension_series():
-    ok = all(build_z_odd(d, order) == target_odd(d, order) for d, order in ODD_RANGES)
-    report("criterion 1: odd-dimension series equal reference at (3,6),(5,4),(7,3)", ok)
+    # (9, 5) and (11, 4) stay out of ODD_RANGES: criterion 10a walks every
+    # partition of those ranges
+    ranges = ODD_RANGES + [(9, 5), (11, 4)]
+    ok = all(build_z_odd(d, order) == target_odd(d, order) for d, order in ranges)
+    report(
+        "criterion 1: odd-dimension series equal reference at "
+        "(3,6),(5,4),(7,3),(9,5),(11,4)",
+        ok,
+    )
 
 
 def test_criterion_2_fixed_term_checks():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtvertex import (
+    KClass,
     MultiPartition,
     ShapeMismatch,
     canonical_representatives,
@@ -207,6 +208,19 @@ def test_malformed_cache_record_is_recomputed(tmp_path, capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0 and out == cold
         assert json.loads(cache.read_text().splitlines()[-1]) == records[-1]
+
+
+def test_cache_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
+    cold, text = _cold_fourk_d4_cache()
+    for junk in (b"\xff\xfe garbage\n", b'{"schema":3,"d":4,\x80}\n'):
+        cache = tmp_path / "weights.jsonl"
+        cache.write_bytes(junk)
+        code, out = run_cli(
+            capsys, "check", "fourk", "-d", "4", "-n", "2", "--cache", str(cache)
+        )
+        # the line is skipped and every weight computed and appended after it
+        assert code == 0 and out == cold
+        assert cache.read_bytes() == junk + text.encode()
 
 
 _JSON_VALUES = st.one_of(
@@ -511,6 +525,42 @@ def test_euler_class_runs_once_per_representative(tmp_path, monkeypatch, capsys)
     assert code == 0 and len(calls) == 3
     code, _ = run_cli(capsys, "check", "keyconj", "-d", "4", "-n", "2")
     assert code == 0 and len(calls) == 3
+
+
+def test_full_vertex_runs_once_per_keyconj_row_and_never_for_odd(monkeypatch, capsys):
+    # tier-1 guard for the benchmark's kclass.vertex.calls gate
+    # (perfbench/selftest.py); check odd takes its signs from the half vertex
+    import dtvertex.forms as forms_mod
+    import dtvertex.kclass as kclass_mod
+    import dtvertex.series as series_mod
+
+    calls = []
+    real = kclass_mod.vertex
+
+    def counted(pi, d):
+        calls.append(pi.key())
+        return real(pi, d)
+
+    monkeypatch.setattr(kclass_mod, "vertex", counted)
+    monkeypatch.setattr(forms_mod, "vertex", counted)
+    code, out = run_cli(capsys, "check", "keyconj", "-d", "4", "-n", "3")
+    assert code == 0 and len(calls) == len(json.loads(out)["partitions"]) > 0
+    del calls[:]
+    code, out = run_cli(capsys, "check", "odd", "-d", "5", "-n", "3")
+    assert code == 0 and json.loads(out)["verdict"] == "confirmed"
+    assert calls == []
+
+    # confirmed rests on the computed c0: one more fixed weight in the
+    # single box's half vertex flips its sign and the series misses
+    real_half = series_mod.vertex_half
+
+    def perturbed(pi, d):
+        v = real_half(pi, d)
+        return v + KClass.one(d) if pi.size == 1 else v
+
+    monkeypatch.setattr(series_mod, "vertex_half", perturbed)
+    code, out = run_cli(capsys, "check", "odd", "-d", "5", "-n", "2")
+    assert code == 1 and json.loads(out)["verdict"] == "mismatch"
 
 
 def test_omega_c_runs_once_per_representative(tmp_path, monkeypatch, capsys):

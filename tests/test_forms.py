@@ -16,7 +16,6 @@ from dtvertex import (
     compute_weight,
     cy_reduce,
     euler_class,
-    euler_ratio_odd,
     omega_from_specialized,
     specialize,
     sqrt_form_product,
@@ -29,7 +28,7 @@ from dtvertex.cache import record_from_weight
 from dtvertex.forms import _half_vertex_root, canonical_form
 
 from conftest import cached_weight_table, corner_column, single_box, weight_stages
-from oracles import evaluate_on_locus, orbit, times_raw_form
+from oracles import euler_ratio_odd, evaluate_on_locus, orbit, times_raw_form
 
 
 def form(coeffs, ell=0):

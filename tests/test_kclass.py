@@ -198,6 +198,16 @@ def test_packed_classes_match_tuple_oracle(data, d):
         assert cy_fixed_part(packed) == reduced.get((0,) * d, 0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.sampled_from([3, 5, 7, 9, 11]))
+def test_odd_euler_ratio_is_the_half_vertex_sign(data, d):
+    # the sign build_z_odd sums, against the Euler class of -V
+    size = data.draw(st.integers(min_value=1, max_value=_MAX_SIZE[d]))
+    pi = data.draw(st.sampled_from(_partitions(d - 1, size)))
+    c0 = cy_fixed_part(vertex_half(pi, d))
+    assert oracles.euler_ratio_odd(pi, d) == (-1) ** ((pi.size + c0) % 2)
+
+
 def test_exponent_outside_the_radix_raises():
     top = 2**15 - 1
     edge = KClass.monomial(3, (top, 0, -top))

@@ -49,6 +49,15 @@ GOLDEN = [
      "e1137b2b05a83c96b97543ad42bda5eefbe7c1e2b92ce1768d65e69e8ec4e203"),
     ("check odd -d 9 -n 4",
      "a5a72d77ac57b8c90d64e4280659f44d952ca28e6b23b3c4e2ae876ab2a8ef19"),
+    # odd signs from the half vertex; the full vertex built from it
+    ("check odd -d 11 -n 4",
+     "ed834ff669b51590b571a13aae345f3f10bb2e2ce381affc89a64668aaff7ae0"),
+    ("check keyconj -d 5 -n 4",
+     "0937826175bccd3078b2dcd3a5ee2daca9e6251c8433eaf7fac8762550a8142c"),
+    ("check keyconj -d 12 -n 2",
+     "a85fb3a698f3e184863d30b6f346b168b84710b0f77994391d59eb6f46081e84"),
+    ("check remfail -d 5 -n 2",
+     "680567799051b59d7c401c26523d13cd85304ea57b6cca6821ee66121d3bd25e"),
 ]
 
 # the file written by a cold `check fourk -d 4 -n 3 --cache F`
