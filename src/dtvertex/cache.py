@@ -54,8 +54,9 @@ def _well_formed(rec):
     """Whether a parsed line is a record of this SCHEMA with exactly FIELDS.
 
     Values must have the listed JSON types (a bool is not an int) and
-    omega must parse as a Fraction; its sign is checked later, by
-    PartitionWeight, so an impossible weight still fails loudly.
+    omega must parse as a Fraction.  Its sign, the sign field and the
+    verdict are checked later, by PartitionWeight, so an impossible
+    weight still fails loudly.
     """
     if not isinstance(rec, dict) or rec.keys() != FIELDS.keys():
         return False

@@ -310,7 +310,7 @@ def cmd_check(args, out):
         elif kind == "keyconj":
             code, report = check_keyconj(d, order)
         elif kind == "remfail":
-            bundle = tuple(int(x) for x in args.bundle.split(",")) if args.bundle else None
+            bundle = None if args.bundle is None else tuple(int(x) for x in args.bundle.split(","))
             code, report = check_remfail(d, order, args.seed, bundle)
         elif kind == "omega":
             code, report = check_omega(d, order, args.jobs, cache_path)

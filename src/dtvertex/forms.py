@@ -32,7 +32,15 @@ from .errors import (
     ShapeMismatch,
     ZeroWeightDenominator,
 )
-from .kclass import KEY_VIOLATED, cy_reduce, key_verdict, vertex, vertex_half
+from .kclass import (
+    KEY_EULER_VANISHES,
+    KEY_OK,
+    KEY_VIOLATED,
+    cy_reduce,
+    key_verdict,
+    vertex,
+    vertex_half,
+)
 from .partitions import canonical_representatives
 from .ratpoly import QPoly, fraction_sqrt
 
@@ -306,17 +314,19 @@ class PartitionWeight:
     is sign * (-1)^|pi| * omega * ell (ell - 1) ... (ell - h + 1), with h
     the corner height, so omega and sign fix the term; verdict and
     fingerprint describe the half vertex v = vertex_half(pi, d) that the
-    weight was computed from.  An omega below 0 or a sign other
-    than +-1 (only a hand-edited cache line can carry one) raises
-    ShapeMismatch naming the partition.
+    weight was computed from.  An omega below 0, a sign other than +-1
+    or a verdict other than KEY_OK and KEY_EULER_VANISHES (only a
+    hand-edited cache line can carry one) raises ShapeMismatch naming
+    the partition.
     """
 
     __slots__ = ("partition", "d", "verdict", "fingerprint", "omega", "sign")
 
     def __init__(self, partition, d, verdict, fingerprint, omega, sign):
-        if omega < 0 or sign not in (1, -1):
+        if omega < 0 or sign not in (1, -1) or verdict not in (KEY_OK, KEY_EULER_VANISHES):
             raise ShapeMismatch(
-                "weight %s with sign %s" % (omega, sign), partition=partition.serialize()
+                "weight %s with sign %s and verdict %r" % (omega, sign, verdict),
+                partition=partition.serialize(),
             )
         self.partition = partition
         self.d = d

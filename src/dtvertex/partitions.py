@@ -7,11 +7,11 @@ partitions, 3-partitions solid partitions.  An (d-1)-partition labels a
 monomial ideal in d variables: the box stack of height pi[i] sitting
 over the base cell i, stacked along the d-th coordinate axis.
 
-Enumeration slices a partition along its first axis into a chain of
-lower partitions, each dominated entrywise by the one before it; the
-dominated ones come from one walk over the cells of the bounding
-partition, which also lists the sub-partitions that omega decomposes
-into.
+Enumeration is one walk over the cells of a bounding height map,
+giving each cell every height its predecessors allow.  Bounded by what
+a partition of the size can reach, it lists all partitions of that
+size; bounded by a partition, it lists the sub-partitions that omega
+decomposes into.
 
 Permuting the n base axes groups the partitions into orbits.  A
 partition of size s has an index above 1 on at most s - 1 of its axes,
@@ -121,17 +121,6 @@ class MultiPartition:
 # -- enumeration -----------------------------------------------------------
 
 
-def _gen_linear(size, cap, pos):
-    if size == 0:
-        yield {}
-        return
-    for v in range(min(size, cap), 0, -1):
-        for rest in _gen_linear(size - v, v, pos + 1):
-            out = {(pos,): v}
-            out.update(rest)
-            yield out
-
-
 def _dominated_heights(bound, budget):
     """Height maps of the nonempty partitions dominated entrywise by bound
     whose size is at most budget.
@@ -152,49 +141,34 @@ def _dominated_heights(bound, budget):
 
 
 def _walk_cells(cells, i, left, heights, found):
-    """Append to found every completion of heights, which fixes cells[:i]."""
-    if left == 0 or i == len(cells):
-        if heights:
-            found.append(dict(heights))
+    """Append to found heights, if nonempty, and every extension of it by
+    boxes on cells[i:].  Each call places the next nonempty cell, so the
+    recursion is at most budget deep however many cells bound has."""
+    if heights:
+        found.append(dict(heights))
+    if left == 0:
         return
-    cell, top, preds = cells[i]
-    top = min(top, left)
-    for p in preds:
-        top = min(top, heights.get(p, 0))
-    for h in range(top, 0, -1):
-        heights[cell] = h
-        _walk_cells(cells, i + 1, left - h, heights, found)
-    heights.pop(cell, None)
-    _walk_cells(cells, i + 1, left, heights, found)
+    for j in range(i, len(cells)):
+        cell, top, preds = cells[j]
+        top = min(top, left)
+        for p in preds:
+            top = min(top, heights.get(p, 0))
+        for h in range(top, 0, -1):
+            heights[cell] = h
+            _walk_cells(cells, j + 1, left - h, heights, found)
+        heights.pop(cell, None)
 
 
-def _gen_slices(arity, size, prev, pos):
-    """Slices pos, pos+1, ... along the first axis, each an (arity-1)-partition
-    dominated by the slice before it (prev; None for the first slice)."""
-    if size == 0:
-        yield {}
-        return
-    if prev is None:
-        tops = (top for s in range(size, 0, -1) for top in _gen_heights(arity - 1, s))
-    else:
-        tops = _dominated_heights(prev, size)
-    for top in tops:
-        for rest in _gen_slices(arity, size - sum(top.values()), top, pos + 1):
-            out = {(pos,) + idx: h for idx, h in top.items()}
-            out.update(rest)
-            yield out
+def _size_bound(arity, size):
+    """The height map bounding every arity-partition of the size.
 
-
-def _gen_heights(arity, size):
-    """All height maps of arity-partitions of the exact size.
-
-    Slicing along the first axis reduces to chains of (arity-1)-partitions,
-    each dominated entrywise by the one before it.
+    A box over the cell idx needs all prod(idx) cells below it, so only
+    cells with prod(idx) <= size hold boxes, at most size // prod(idx).
     """
-    if arity == 1:
-        yield from _gen_linear(size, size, 1)
-    else:
-        yield from _gen_slices(arity, size, None, 1)
+    bound = {(): size}
+    for _ in range(arity):
+        bound = {idx + (i,): cap // i for idx, cap in bound.items() for i in range(1, cap + 1)}
+    return bound
 
 
 def enumerate_partitions(arity, size):
@@ -203,7 +177,13 @@ def enumerate_partitions(arity, size):
         raise ValueError("arity must be >= 1")
     if size < 0:
         raise ValueError("size must be >= 0")
-    found = [MultiPartition(arity, h, validate=False) for h in _gen_heights(arity, size)]
+    if size == 0:
+        return [MultiPartition(arity)]
+    found = [
+        MultiPartition(arity, h, validate=False)
+        for h in _dominated_heights(_size_bound(arity, size), size)
+        if sum(h.values()) == size
+    ]
     found.sort(key=lambda p: p.key())
     return found
 

@@ -8,7 +8,9 @@ the package against.
   packed encoding.
 - The bounded partition enumeration: slices a bounding height map along
   the first axis and meets each slice with the partition's previous
-  slice, one size at a time.  It checks omega's candidate lists.
+  slice, one size at a time.  It checks omega's candidate lists and,
+  unbounded, enumerate_partitions, whose cell walk replaced the same
+  slicing in the package.
 - Two partition counts: brute-force down-sets of boxes and a closed
   binomial form for sizes up to 6.
 - The orbit representatives found by grouping every partition of the

@@ -185,7 +185,7 @@ def test_negative_cached_omega_is_pipeline_error(tmp_path, capsys):
     argv = ["check", "uniqueness", "-d", "4", "-n", "2", "--cache", str(cache)]
     run_cli(capsys, *argv)
     cold = cache.read_text()
-    for field, value in (("omega", "-1"), ("sign", 5)):
+    for field, value in (("omega", "-1"), ("sign", 5), ("verdict", "violated")):
         lines = [json.loads(line) for line in cold.splitlines()]
         lines[-1][field] = value
         cache.write_text("".join(json.dumps(r) + "\n" for r in lines))
@@ -412,6 +412,10 @@ def test_option_the_kind_does_not_read_is_usage_error(capsys, argv):
 
 def test_empty_ell_range_is_usage_error(capsys):
     assert_usage_error(capsys, "check", "fourk", "-d", "4", "-n", "2", "--ell", "3..1")
+
+
+def test_empty_bundle_is_usage_error(capsys):
+    assert_usage_error(capsys, "check", "remfail", "-d", "8", "-n", "2", "--bundle=")
 
 
 def test_missing_or_malformed_orientation_file_is_usage_error(tmp_path, capsys):

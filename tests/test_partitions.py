@@ -66,9 +66,22 @@ def test_enumeration_is_sorted_and_duplicate_free():
         assert all(p.size == size for p in parts)
 
 
-@pytest.mark.parametrize("arity,size", [(1, 8), (2, 8), (3, 6), (4, 5), (7, 5)])
+@pytest.mark.parametrize(
+    "arity,size",
+    [(1, 8), (2, 8), (3, 6), (4, 5), (7, 5), (11, 3), (11, 4), (1, 12), (3, 0)],
+)
 def test_enumeration_matches_bounded_oracle(arity, size):
     assert enumerate_partitions(arity, size) == bounded_partitions(arity, size, None)
+
+
+def test_cell_walk_recursion_is_bounded_by_the_budget():
+    # 3000 cells, far more than the recursion limit, but at most 2 boxes
+    bound = {(i,): 1 for i in range(1, 3001)}
+    found = partitions._dominated_heights(bound, 2)
+    assert sorted(map(sorted, (h.items() for h in found))) == [
+        [((1,), 1)],
+        [((1,), 1), ((2,), 1)],
+    ]
 
 
 def test_count_examples():

@@ -58,6 +58,13 @@ GOLDEN = [
      "a85fb3a698f3e184863d30b6f346b168b84710b0f77994391d59eb6f46081e84"),
     ("check remfail -d 5 -n 2",
      "680567799051b59d7c401c26523d13cd85304ea57b6cca6821ee66121d3bd25e"),
+    # plain enumeration: every partition of the size, not orbit representatives
+    ("enumerate 3 5",
+     "387ce3c24781d57ff500b655a35530851559f4d66460fb6a879b1a8e871cf3f5"),
+    ("enumerate 11 3 --format csv",
+     "5300b58b6ba24388db97a29d5a5395b1bcbb66a88df3e08b65feff4650a5ec33"),
+    ("enumerate 1 12 --format table",
+     "c79ceab41bc6238f511cb617edc468893f2ac1e0177b49b11c5612d67c2c1fad"),
 ]
 
 # the file written by a cold `check fourk -d 4 -n 3 --cache F`
