@@ -82,6 +82,18 @@ def _decoder(d, k):
     return lambda code: unpack(((code >> drop) ^ flip).to_bytes(size, "big"))
 
 
+def _add_into(out, items):
+    """Add (code, coefficient) pairs into a packed dict; zeros are deleted."""
+    get = out.get
+    for k, c in items:
+        s = get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return out
+
+
 class KClass:
     """Laurent polynomial with integer coefficients, exponentwise sparse.
 
@@ -159,23 +171,13 @@ class KClass:
                 "dimension %d vs %d" % (self.dim, other.dim)
             )
 
-    def _combine(self, other, sign):
+    def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        get = out.get
-        for k, c in other.terms.items():
-            s = get(k, 0) + sign * c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
+        out = _add_into(dict(self.terms), other.terms.items())
         return KClass._packed(self.dim, out, max(self.bound, other.bound))
 
-    def __add__(self, other):
-        return self._combine(other, 1)
-
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self + -other
 
     def __neg__(self):
         return KClass._packed(self.dim, {k: -c for k, c in self.terms.items()}, self.bound)
@@ -230,10 +232,6 @@ class KClass:
         return "KClass(%d, %d terms)" % (self.dim, len(self.terms))
 
 
-def _unit(d, i, e):
-    return tuple(e if j == i else 0 for j in range(d))
-
-
 def character(pi, d):
     """Torus character of the box stack of a (d-1)-partition.
 
@@ -245,6 +243,33 @@ def character(pi, d):
     return KClass(d, {cell: 1 for cell in pi.cells()})
 
 
+def _minus_box_product(z, n):
+    """Packed terms and bound of -Z * bar(Z) * prod_{i<n} (1 - t_i^-1).
+
+    The bound 2 * z.bound + n is checked before any key is built, so
+    nothing wraps; it also bounds Z and bar(Z) / (t_1..t_d).  The sign
+    is taken on Z * bar(Z), so the callers add Z in place.  Each factor
+    is one pass over a snapshot of the terms, folding -c into the key of
+    t^w / t_i for every term c t^w, zeros deleted.  The pass works in
+    place: the key of t^w / t_i is written only by the term c t^w, so it
+    still holds its old coefficient when that happens.
+    """
+    d = z.dim
+    bound = _checked(2 * z.bound + n)
+    out = (-z * z.bar()).terms
+    get = out.get
+    for i in range(n):
+        step = 1 << RADIX_BITS * (d - 1 - i)
+        for k, c in zip(list(out), list(out.values())):
+            k -= step
+            s = get(k, 0) - c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out, bound
+
+
 def vertex(pi, d):
     """Equivariant vertex of a (d-1)-partition, over the full torus.
 
@@ -254,18 +279,22 @@ def vertex(pi, d):
               - sgn * Z * bar(Z) * (1-t_1)..(1-t_d) / (t_1..t_d)
 
     exactly, with no torus relation imposed.  Since
-    (1-t_1)..(1-t_d) / (t_1..t_d) = sgn * (1-t_1^-1)..(1-t_d^-1), the
-    product term is Z * bar(Z) * prod_{i<d} (1 - t_i^-1) * (1 - t_d^-1)
-    = (Z - v) * (1 - t_d^-1) with v = vertex_half(pi, d), so
+    (1-t_1)..(1-t_d) / (t_1..t_d) = sgn * (1-t_1^-1)..(1-t_d^-1),
 
-        V = v + sgn * bar(Z) / (t_1..t_d) + (Z - v) / t_d
+        V = Z + sgn * bar(Z) / (t_1..t_d) - Z * bar(Z) * prod_i (1 - t_i^-1),
 
-    and the product is expanded once, in vertex_half.
+    which is built term by term: one pass per factor of the product, as
+    in vertex_half, whose product is the same with the d-th factor left
+    out.
     """
     z = character(pi, d)
-    v = vertex_half(pi, d)
+    terms, bound = _minus_box_product(z, d)
     sgn = -1 if d % 2 else 1
-    return v + sgn * z.bar().shift((-1,) * d) + (z - v).shift(_unit(d, d - 1, -1))
+    # code of -w - (1,..,1) is mirror - code(w)
+    mirror = 2 * _origin(d) - _ones(d)
+    _add_into(terms, z.terms.items())
+    _add_into(terms, ((mirror - k, sgn * c) for k, c in z.terms.items()))
+    return KClass._packed(d, terms, bound)
 
 
 def cy_reduce(a):
@@ -328,11 +357,9 @@ def vertex_half(pi, d):
     """Half of the vertex: Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1).
 
     Z is the character of the box stack and the product runs over the
-    first d-1 directions only.  With v this class and cy = cy_reduce,
-    cy(V) = cy(v) + (-1)^d * cy(bar(v)) for every d.
+    first d-1 directions only, one pass per factor.  With v this class
+    and cy = cy_reduce, cy(V) = cy(v) + (-1)^d * cy(bar(v)) for every d.
     """
     z = character(pi, d)
-    prod = z * z.bar()
-    for i in range(d - 1):
-        prod = prod - prod.shift(_unit(d, i, -1))
-    return z - prod
+    terms, bound = _minus_box_product(z, d - 1)
+    return KClass._packed(d, _add_into(terms, z.terms.items()), bound)

@@ -15,8 +15,10 @@ decomposes into.
 
 Permuting the n base axes groups the partitions into orbits.  A
 partition of size s has an index above 1 on at most s - 1 of its axes,
-so the orbit representatives of any arity above s - 1 are those of
-arity s - 1 padded with index 1.  Counts are sums of orbit sizes over
+and only the star (the corner plus one box on each of s - 1 axes) uses
+all of them, so with m = max(1, s - 2) the orbit representatives of
+any arity above m are those of arity m padded with index 1, plus the
+star.  Counts are sums of orbit sizes over
 the representatives, so counting builds no partition of a high arity.
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import json
 from itertools import permutations
+from math import comb
 
 
 
@@ -202,7 +205,7 @@ def count_partitions(arity, max_size):
 
     Size 0 holds the empty partition alone; each larger count is the sum
     of the orbit sizes of canonical_representatives, so above arity
-    size - 1 no partition of the given arity is enumerated.
+    size - 2 no partition of the given arity is enumerated.
     """
     if max_size < 0:
         return []
@@ -294,18 +297,22 @@ def canonical_representatives(arity, size):
 
     An active axis (one along which some index exceeds 1) puts its own
     cell next to the corner, so a partition of the size s has at most
-    m = max(1, s - 1) of them, and its canonical form packs them into a
-    prefix.  Above arity m the representatives are therefore those of
-    arity m with index 1 appended on the remaining axes, in the same
-    order: padding changes no comparison between rows.  A representative
-    with k active axes and stab prefix placements fixing it has an orbit
-    of (n)_k / stab members at any arity n (see orbit_size), so padding
+    s - 1 of them, and its canonical form packs them into a prefix.
+    Only the star -- the corner plus one box on each of s - 1 axes --
+    has s - 1; every other partition has at most m = max(1, s - 2).
+    Above arity m the representatives are therefore those of arity m
+    with index 1 appended on the remaining axes, in the same order
+    (padding changes no comparison between rows), plus the star for
+    s >= 3, inserted in key() order.  A representative with k active
+    axes and stab prefix placements fixing it has an orbit of
+    (n)_k / stab members at any arity n (see orbit_size), so padding
     multiplies its orbit size by the falling-factorial ratio
-    (arity)_k / (m)_k.  Only arity m and below group the full
-    enumeration by canonical form.
+    (arity)_k / (m)_k, and the star, fixed by all (s - 1)! placements,
+    has (arity)_(s-1) / (s - 1)! = C(arity, s - 1).  Only arity m and
+    below group the full enumeration by canonical form.
     Cached per (arity, size), so the result is a tuple.
     """
-    base = max(1, size - 1)
+    base = max(1, size - 2)
     if arity > base:
         pad = (1,) * (arity - base)
         out = []
@@ -316,6 +323,15 @@ def canonical_representatives(arity, size):
                 MultiPartition(arity, heights, validate=False),
                 orbit * _falling(arity, k) // _falling(base, k),
             ))
+        if size >= 3:
+            k = size - 1
+            star = {(1,) * arity: 1}
+            star.update((tuple(2 if j == i else 1 for j in range(arity)), 1) for i in range(k))
+            out.append((
+                MultiPartition(arity, star, validate=False),
+                comb(arity, k),
+            ))
+            out.sort(key=lambda pair: pair[0].key())
         return tuple(out)
     groups = {}
     for pi in enumerate_partitions(arity, size):

@@ -8,6 +8,7 @@ combinatorial identity); plain rational series are the degree-0 case.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -279,19 +280,25 @@ def check_power_law(terms_q1, terms_q2, p2, nvars, seed, signed=False):
             witness = pat
             break
 
-    certificate = {
-        "seed": seed,
-        "points": [[str(x) for x in lam] for lam in points],
-        "q1_values": [[str(v) for v in vs] for vs in values1],
-        "q2_values": [[str(v) for v in vs] for vs in values2],
-        "reference_q2_count": str(p2),
-        "patterns_tested": len(patterns),
-        "verdict": "fits" if witness else "no E exists",
-    }
-    if witness:
-        certificate["witness_signs"] = list(witness)
-        certificate["exponent_values"] = [
-            str(-sum(s * v for s, v in zip(witness[: len(terms_q1)], v1)))
-            for v1 in values1
-        ]
+    # the values can exceed the int -> str digit limit; print them exactly
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        certificate = {
+            "seed": seed,
+            "points": [[str(x) for x in lam] for lam in points],
+            "q1_values": [[str(v) for v in vs] for vs in values1],
+            "q2_values": [[str(v) for v in vs] for vs in values2],
+            "reference_q2_count": str(p2),
+            "patterns_tested": len(patterns),
+            "verdict": "fits" if witness else "no E exists",
+        }
+        if witness:
+            certificate["witness_signs"] = list(witness)
+            certificate["exponent_values"] = [
+                str(-sum(s * v for s, v in zip(witness[: len(terms_q1)], v1)))
+                for v1 in values1
+            ]
+    finally:
+        sys.set_int_max_str_digits(limit)
     return certificate["verdict"], certificate

@@ -6,6 +6,11 @@ the package against.
   a {tuple: coefficient} dict.  They are slow (hash collisions between
   -1 and -2 entries make large dicts crawl) but independent of the
   packed encoding.
+- The class-algebra vertex that the one-pass-per-factor product
+  replaced: Z * bar(Z) * prod (1 - t_i^-1) built with KClass *, shift
+  and -, and the full vertex assembled from the half vertex.  It keeps
+  the packed keys but checks every exponent bound step by step, so it
+  pins the bound and the ExponentOverflow inputs as well as the terms.
 - The bounded partition enumeration: slices a bounding height map along
   the first axis and meets each slice with the partition's previous
   slice, one size at a time.  It checks omega's candidate lists and,
@@ -47,6 +52,7 @@ from dtvertex import (
 )
 from dtvertex.forms import canonical_form, euler_class
 from dtvertex.kclass import KEY_VIOLATED, key_verdict
+from dtvertex.kclass import character as packed_character
 from dtvertex.kclass import vertex as packed_vertex
 
 
@@ -104,13 +110,18 @@ def vertex(pi, d):
     return _add(_add(z, _scale(_shift(zbar, inv), sgn)), _scale(_shift(prod, inv), sgn), -1)
 
 
+def box_product(z, d, n):
+    """{exponent tuple: coefficient} of Z bar(Z) prod_{i<n} (1 - t_i^-1)."""
+    prod = _mul(z, _bar(z))
+    for i in range(n):
+        prod = _add(prod, _shift(prod, tuple(-1 if j == i else 0 for j in range(d))), -1)
+    return prod
+
+
 def vertex_half(pi, d):
     """{exponent tuple: coefficient} of Z - Z bar(Z) prod_{i<d} (1 - t_i^-1)."""
     z = character(pi, d)
-    prod = _mul(z, _bar(z))
-    for i in range(d - 1):
-        prod = _add(prod, _shift(prod, tuple(-1 if j == i else 0 for j in range(d))), -1)
-    return _add(z, prod, -1)
+    return _add(z, box_product(z, d, d - 1), -1)
 
 
 def cy_reduce(a):
@@ -130,6 +141,35 @@ def cy_reduce(a):
 def serialize(a):
     """The KClass.serialize form of a tuple-keyed class."""
     return [[list(w), a[w]] for w in sorted(a)]
+
+
+# -- class-algebra vertex ---------------------------------------------------
+
+
+def _unit(d, i, e):
+    return tuple(e if j == i else 0 for j in range(d))
+
+
+def class_box_product(z, n):
+    """Z * bar(Z) * prod_{i<n} (1 - t_i^-1) for a KClass Z, by KClass algebra."""
+    prod = z * z.bar()
+    for i in range(n):
+        prod = prod - prod.shift(_unit(z.dim, i, -1))
+    return prod
+
+
+def class_vertex_half(pi, d):
+    """KClass Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1)."""
+    z = packed_character(pi, d)
+    return z - class_box_product(z, d - 1)
+
+
+def class_vertex(pi, d):
+    """KClass V = v + sgn * bar(Z) / (t_1..t_d) + (Z - v) / t_d, v the half vertex."""
+    z = packed_character(pi, d)
+    v = class_vertex_half(pi, d)
+    sgn = -1 if d % 2 else 1
+    return v + sgn * z.bar().shift((-1,) * d) + (z - v).shift(_unit(d, d - 1, -1))
 
 
 # -- bounded partition enumeration -------------------------------------------

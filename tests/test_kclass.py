@@ -20,7 +20,7 @@ from dtvertex import (
     vertex,
     vertex_half,
 )
-from dtvertex.kclass import key_verdict
+from dtvertex.kclass import BIAS, _minus_box_product, key_verdict
 
 from conftest import corner_column, single_box
 
@@ -179,7 +179,7 @@ def _partitions(arity, size):
 
 # Largest partition size drawn per dimension: the oracle needs about
 # 0.2 s for a d = 12 partition of size 3.
-_MAX_SIZE = {d: 5 if d <= 5 else 4 if d <= 8 else 3 for d in range(3, 13)}
+_MAX_SIZE = {d: 5 if d <= 5 else 4 if d <= 8 else 3 if d <= 12 else 2 for d in range(3, 17)}
 
 
 @settings(max_examples=80, deadline=None)
@@ -196,6 +196,43 @@ def test_packed_classes_match_tuple_oracle(data, d):
         reduced = oracles.cy_reduce(tuples)
         assert cy_reduce(packed).as_dict() == reduced
         assert cy_fixed_part(packed) == reduced.get((0,) * d, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(min_value=3, max_value=16))
+def test_vertex_matches_class_algebra_oracle(data, d):
+    # the bound decides ExponentOverflow and the range cy_fixed_part scans,
+    # so it must match along with the terms; size 0 is the empty partition
+    size = data.draw(st.integers(min_value=0, max_value=_MAX_SIZE[d]))
+    pi = data.draw(st.sampled_from(_partitions(d - 1, size)))
+    for packed, algebra in (
+        (vertex(pi, d), oracles.class_vertex(pi, d)),
+        (vertex_half(pi, d), oracles.class_vertex_half(pi, d)),
+    ):
+        assert packed.terms == algebra.terms
+        assert packed.bound == algebra.bound
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_box_product_cannot_wrap(n):
+    # 2 * bound + n reaching 2^15 raises before any key is built, on the same
+    # inputs as the class algebra; one step below, the product is exact
+    # with exponents up to 2 * bound + 1, next to the radix edge
+    d = 4
+    top = (BIAS - n + 1) // 2  # least bound with 2 * bound + n >= 2^15
+    z = KClass(d, {(top, 0, 0, 0): 1, (-top, 0, 0, 0): 2})
+    with pytest.raises(ExponentOverflow):
+        _minus_box_product(z, n)
+    with pytest.raises(ExponentOverflow):
+        oracles.class_box_product(z, n)
+    b = top - 1
+    z = KClass(d, {(b, 0, 0, 0): 1, (-b, 0, 0, 0): 2})
+    terms, bound = _minus_box_product(z, n)
+    algebra = oracles.class_box_product(z, n)
+    assert terms == (-algebra).terms
+    assert bound == algebra.bound == 2 * b + n
+    tuples = oracles.box_product(z.as_dict(), d, n)
+    assert KClass._packed(d, terms, bound).as_dict() == {w: -c for w, c in tuples.items()}
 
 
 @settings(max_examples=60, deadline=None)

@@ -185,9 +185,10 @@ def test_counts_match_enumeration(arity):
     assert count_partitions(arity, -1) == []
 
 
-def test_high_arity_enumerates_only_arity_size_minus_one(monkeypatch):
-    # above arity size - 1 the representatives and counts pad lower-arity
-    # ones; a fallback to the full enumeration of the arity must fail here
+def test_high_arity_enumerates_only_arity_size_minus_two(monkeypatch):
+    # above arity size - 2 the representatives and counts pad lower-arity
+    # ones and add the star; a fallback to the full enumeration of the
+    # arity, or of arity size - 1, must fail here
     seen = []
     real = partitions.enumerate_partitions
 
@@ -203,7 +204,7 @@ def test_high_arity_enumerates_only_arity_size_minus_one(monkeypatch):
         assert count_partitions(6, 5) == [1, 1, 7, 28, 105, 357]
     finally:
         canonical_representatives.cache_clear()
-    assert seen and max(seen) <= 4
+    assert seen and max(seen) <= 3
 
 
 def test_binary_rep_examples():

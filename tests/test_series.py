@@ -1,5 +1,6 @@
 """Truncated series arithmetic and the generating-series assemblies."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,20 @@ def test_check_power_law_reference_fits_itself():
     verdict, cert = check_power_law(terms1, terms2, Fraction(3), 2, seed=5)
     assert verdict == "fits"
     assert cert["exponent_values"] == ["1", "1", "1"]
+
+
+def test_check_power_law_prints_huge_values_exactly():
+    # values past the 4300-digit int -> str limit are printed in full, and
+    # the limit is back in force afterwards
+    limit = sys.get_int_max_str_digits()
+    e = Fraction(10**5000, 3)
+    terms1 = [FormProduct(-e)]
+    terms2 = [FormProduct(e * e / 2)]
+    verdict, cert = check_power_law(terms1, terms2, Fraction(1, 2), 2, seed=5)
+    assert verdict == "fits"
+    assert cert["q1_values"] == [["-1" + "0" * 5000 + "/3"]] * 3
+    assert cert["exponent_values"] == ["1" + "0" * 5000 + "/3"] * 3
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_check_power_law_full_torus():
