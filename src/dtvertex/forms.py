@@ -10,9 +10,12 @@ stored primitive (gcd 1, first non-zero entry positive), so tuple order
 is the order of forms.  Euler classes, their square roots, and the
 tautological insertion are all FormProducts: an exact Fraction scalar
 times a multiset of forms with integer exponents, and the zero class
-is the zero scalar with no forms.  One collector, _collect, builds
-every product of raw forms: it canonicalizes each form, adds up the
-exponents and folds the multipliers into the scalar.  Cancellation,
+is the zero scalar with no forms.  The collector _collect builds the
+tautological insertion and the full-torus Euler class from raw forms:
+it canonicalizes each form, adds up the exponents and folds the
+multipliers into the scalar.  The Calabi-Yau Euler class folds the
+packed codes of the reduced class onto primitive forms instead, and
+specialize restricts and canonicalizes in one pass.  Cancellation,
 square-root extraction and the specialization to the locus
 lam_1 + ... + lam_{d-1} = 0 are multiset operations; no limits are ever
 taken.  specialize returns a polynomial in ell and raises ShapeMismatch
@@ -36,6 +39,8 @@ from .kclass import (
     KEY_EULER_VANISHES,
     KEY_OK,
     KEY_VIOLATED,
+    _decoder,
+    _origin,
     cy_reduce,
     key_verdict,
     vertex,
@@ -43,11 +48,6 @@ from .kclass import (
 )
 from .partitions import canonical_representatives
 from .ratpoly import QPoly, fraction_sqrt
-
-
-def _is_critical(form):
-    """Proportional to the all-ones direction (vanishes on the locus)."""
-    return all(c == form[0] for c in form[:-1])
 
 
 def canonical_form(coeffs, ell_part=0):
@@ -73,7 +73,7 @@ class FormProduct:
     """scalar * product of canonical forms raised to integer exponents.
 
     The zero class is the zero scalar with no forms: a zero scalar drops
-    the factors.  Every product of raw forms is built by _collect.
+    the factors.
     """
 
     __slots__ = ("scalar", "factors")
@@ -169,10 +169,48 @@ def euler_class(a, use_cy=True):
     otherwise they keep all d coordinates (full torus).  The zero weight
     makes the class zero when its coefficient is positive and raises
     ZeroWeightDenominator when it is negative.
+
+    The reduced class is read in its packed codes.  Code order is
+    lexicographic, so a code below the origin is a weight whose first
+    non-zero entry is negative: it is folded onto its mirror, and its
+    coefficient's parity enters the sign of the scalar.  Each folded
+    code is decoded once; its last digit, w_d = 0 after the reduction,
+    is the ell_part 0 of the form.
     """
-    if use_cy:
-        a = cy_reduce(a)
-    return _collect((w, 0, c) for w, c in a.items(a.dim - 1 if use_cy else None))
+    if not use_cy:
+        return _collect((w, 0, c) for w, c in a.items())
+    a = cy_reduce(a)
+    origin = _origin(a.dim)
+    mirror = 2 * origin
+    folded = {}
+    get = folded.get
+    odd = 0
+    for code, c in a.terms.items():
+        if code < origin:
+            code = mirror - code
+            odd ^= c & 1
+        elif code == origin:
+            if c > 0:
+                return FormProduct(0)
+            raise ZeroWeightDenominator("zero weight with exponent %d" % c)
+        folded[code] = get(code, 0) + c
+    decode = _decoder(a.dim, a.dim)
+    exps = {}
+    num = den = 1
+    for code, e in folded.items():
+        if not e:
+            continue
+        form = decode(code)
+        g = gcd(*form)
+        if g != 1:
+            form = tuple(x // g for x in form)
+            if e > 0:
+                num *= g**e
+            else:
+                den *= g ** (-e)
+        exps[form] = exps.get(form, 0) + e
+    scalar = Fraction(-num if odd else num, den)
+    return FormProduct(scalar, {f: e for f, e in exps.items() if e})
 
 
 def sqrt_form_product(p, n):
@@ -247,24 +285,44 @@ def specialize(p):
     otherwise the value is not constant on the locus.  Returns the value
     as a QPoly in ell (zero for the zero class) and raises ShapeMismatch
     on a pole or a surviving direction.  All cancellation is symbolic;
-    nothing is sampled here.
+    nothing is sampled here.  One pass over the factors sorts out the
+    critical forms and restricts and canonicalizes the others.
     """
     units = {}
-    residual = []
+    exps = {}
+    get = exps.get
+    num = den = 1
+    odd = 0
+    zero = None
     for form, e in p.factors.items():
-        if _is_critical(form):
-            units[form[0], form[-1]] = e
-        else:
-            residual.append(form)
+        head = form[:-1]
+        last = head[-1]
+        if head.count(last) == len(head):
+            units[last, form[-1]] = e
+            continue
+        rest = tuple([c - last for c in head[:-1]])
+        if zero is None:
+            zero = (0,) * len(rest)
+        if rest < zero:
+            rest = tuple([-c for c in rest])
+            odd ^= e & 1
+        g = gcd(*rest)
+        if g != 1:
+            rest = tuple([c // g for c in rest])
+            if e > 0:
+                num *= g**e
+            else:
+                den *= g ** (-e)
+        exps[rest] = get(rest, 0) + e
     sigma_net = sum(units.values())
     if sigma_net < 0:
         raise ShapeMismatch("diagnostic pole instead of a polynomial")
     if sigma_net > 0:
         return QPoly.zero()
-    rest = _collect(([c - f[-2] for c in f[:-2]], 0, p.factors[f]) for f in residual)
-    if rest.factors:
+    if any(exps.values()):
         raise ShapeMismatch("diagnostic not_constant instead of a polynomial")
-    top, bottom = QPoly.const(p.scalar * rest.scalar), QPoly.one()
+    top = QPoly.const(p.scalar * Fraction(-num if odd else num, den))
+    bottom = QPoly.one()
     for unit, e in units.items():
         if e > 0:
             top = top * QPoly(unit) ** e

@@ -22,7 +22,13 @@ the package against.
   arity by its canonical form, which the padding of lower-arity
   representatives replaced above arity size - 1.
 - The per-form fold of a raw form into a form product, the reference
-  for the one-pass collector behind euler_class and taut_factor.
+  for the one-pass collector behind taut_factor and the full-torus
+  Euler class.
+- The Euler class through that collector, which canonicalizes every
+  decoded term of the reduced class, and the two-step specialization
+  that split off the critical forms and collected the rest; the
+  packed-code fold of euler_class and the one-pass specialize replaced
+  them.
 - Evaluation of a form product on the specialization locus, the
   independent check on forms.specialize.
 - The per-partition sums that the orbit-weighted ones replaced: the
@@ -44,14 +50,16 @@ from dtvertex import (
     MultiPartition,
     OrientationAssignment,
     QPoly,
+    ShapeMismatch,
     TruncatedSeries,
     ZeroWeightDenominator,
     canonicalize_axes,
     enumerate_partitions,
     omega_c,
 )
-from dtvertex.forms import canonical_form, euler_class
+from dtvertex.forms import _collect, canonical_form, euler_class
 from dtvertex.kclass import KEY_VIOLATED, key_verdict
+from dtvertex.kclass import cy_reduce as packed_cy_reduce
 from dtvertex.kclass import character as packed_character
 from dtvertex.kclass import vertex as packed_vertex
 
@@ -387,7 +395,49 @@ def times_raw_form(p, coeffs, ell_part, exponent):
     return FormProduct(p.scalar * Fraction(g) ** exponent, factors)
 
 
+def collected_euler_class(a, use_cy=True):
+    """Euler class of a KClass with every term decoded and collected.
+
+    Each term of the (reduced) class is decoded to its first d-1
+    coordinates (all d on the full torus) and canonicalized by the
+    collector on its own, with its own gcd and sign.
+    """
+    if use_cy:
+        a = packed_cy_reduce(a)
+    return _collect((w, 0, c) for w, c in a.items(a.dim - 1 if use_cy else None))
+
+
 # -- specialization ------------------------------------------------------------
+
+
+def collected_specialize(p):
+    """forms.specialize in two steps: split off the critical forms, check
+    their net exponent, then collect the restricted rest."""
+    units = {}
+    residual = []
+    for form, e in p.factors.items():
+        if all(c == form[0] for c in form[:-1]):
+            units[form[0], form[-1]] = e
+        else:
+            residual.append(form)
+    sigma_net = sum(units.values())
+    if sigma_net < 0:
+        raise ShapeMismatch("diagnostic pole instead of a polynomial")
+    if sigma_net > 0:
+        return QPoly.zero()
+    rest = _collect(([c - f[-2] for c in f[:-2]], 0, p.factors[f]) for f in residual)
+    if rest.factors:
+        raise ShapeMismatch("diagnostic not_constant instead of a polynomial")
+    top, bottom = QPoly.const(p.scalar * rest.scalar), QPoly.one()
+    for unit, e in units.items():
+        if e > 0:
+            top = top * QPoly(unit) ** e
+        else:
+            bottom = bottom * QPoly(unit) ** (-e)
+    value = top.divexact(bottom)
+    if value is None:
+        raise ShapeMismatch("diagnostic pole instead of a polynomial")
+    return value
 
 
 def evaluate_on_locus(p, frees, ell):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from dtvertex import (
     KClass,
     MultiPartition,
+    QPoly,
     ShapeMismatch,
     canonical_representatives,
     compute_weight,
@@ -510,6 +511,36 @@ def test_pool_has_no_more_workers_than_pending_weights(tmp_path, monkeypatch, ca
         assert code == 0
         assert all(w <= pending for w in pools[before:])
         assert len(pools) - before == (1 if pending > 1 else 0)
+
+
+def test_order_8_facts_at_d8(tmp_path, capsys):
+    # A: the 2x2x2 cube on three base axes without its far corner, corner
+    # column of height 2 (orbit 35); its |omega| is 1/2 against omega_c 1,
+    # and at q^8 no orientation reaches the target
+    cache = str(tmp_path / "weights.jsonl")
+    code, out = run_cli(capsys, "check", "fourk", "-d", "8", "-n", "8", "--cache", cache)
+    assert code == 1
+    report = json.loads(out)
+    series, target = (
+        QPoly([Fraction(c) for c in report[k]["coefficients"][8]])
+        for k in ("series", "target")
+    )
+    assert series - target == QPoly([0, Fraction(35, 2), Fraction(-35, 2)])
+    code, out = run_cli(capsys, "check", "omega", "-d", "8", "-n", "8", "--cache", cache)
+    assert code == 1
+    report = json.loads(out)
+    assert report["exp_identity"] is True
+    rows = [r for r in report["partitions"] if r["verdict"] == "mismatch"]
+    got = [(r["orbit_size"], r["omega_abs"], r["omega_c"], r["partition"]) for r in rows]
+    assert got == [
+        (
+            35,
+            "1/2",
+            "1",
+            "[[1,1,1,1,1,1,1,2],[1,1,2,1,1,1,1,1],[1,2,1,1,1,1,1,1],[1,2,2,1,1,1,1,1],"
+            "[2,1,1,1,1,1,1,1],[2,1,2,1,1,1,1,1],[2,2,1,1,1,1,1,1]]",
+        )
+    ]
 
 
 def test_euler_class_runs_once_per_representative(tmp_path, monkeypatch, capsys):

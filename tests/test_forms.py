@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dtvertex import (
     FormProduct,
@@ -25,10 +27,17 @@ from dtvertex import (
     weight_table,
 )
 from dtvertex.cache import record_from_weight
-from dtvertex.forms import _half_vertex_root, canonical_form
+from dtvertex.forms import _half_vertex_root, canonical_form, cy_bundle_term
 
 from conftest import cached_weight_table, corner_column, single_box, weight_stages
-from oracles import euler_ratio_odd, evaluate_on_locus, orbit, times_raw_form
+from oracles import (
+    collected_euler_class,
+    collected_specialize,
+    euler_ratio_odd,
+    evaluate_on_locus,
+    orbit,
+    times_raw_form,
+)
 
 
 def form(coeffs, ell=0):
@@ -93,6 +102,99 @@ def test_euler_class_matches_fold_oracle():
             euler_class(pole, use_cy)
         with pytest.raises(ZeroWeightDenominator):
             euler_class_by_fold(pole, use_cy)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of the error it raises."""
+    try:
+        return f(*args)
+    except (ShapeMismatch, ZeroWeightDenominator) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("d,order", [(4, 7), (8, 5), (12, 3), (5, 4), (7, 4)])
+def test_euler_class_matches_collector_oracle(d, order):
+    for n in range(1, order + 1):
+        for rep, _ in canonical_representatives(d - 1, n):
+            for cls in (vertex_half(rep, d), vertex(rep, d)):
+                for a in (cls, -cls):
+                    assert _outcome(euler_class, a) == _outcome(collected_euler_class, a)
+
+
+# a +-w pair with an odd coefficient whose exponents cancel; w and 2w;
+# the zero weight (also as the diagonal (1,1,1)) with either sign
+EDGE_CLASSES = [
+    (KClass(3, {(1, 0, 0): 1, (-1, 0, 0): -1}), FormProduct(-1)),
+    (KClass(3, {(1, 2, 0): 1, (2, 4, 0): -1}), FormProduct(Fraction(1, 2))),
+    (KClass(3, {(1, 2, 0): 1, (-2, -4, 0): 1}), FormProduct(-2, {form((1, 2)): 2})),
+    (KClass(3, {(0, 0, 0): 2, (1, 0, 0): 1}), FormProduct(0)),
+    (KClass(3, {(1, 1, 1): -1, (1, 0, 0): 1}), None),
+]
+
+
+def test_euler_class_edge_cases():
+    for a, expected in EDGE_CLASSES:
+        if expected is None:
+            with pytest.raises(ZeroWeightDenominator):
+                euler_class(a)
+        else:
+            assert euler_class(a) == expected
+
+
+small_classes = st.integers(2, 5).flatmap(
+    lambda d: st.dictionaries(
+        st.tuples(*[st.integers(-3, 3)] * d), st.integers(-3, 3), max_size=8
+    ).map(lambda terms: KClass(d, terms))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_classes)
+@example(EDGE_CLASSES[0][0])
+@example(EDGE_CLASSES[1][0])
+@example(EDGE_CLASSES[2][0])
+@example(EDGE_CLASSES[3][0])
+@example(EDGE_CLASSES[4][0])
+def test_euler_class_matches_collector_on_random_classes(a):
+    assert _outcome(euler_class, a) == _outcome(collected_euler_class, a)
+
+
+def test_specialize_matches_collector_oracle():
+    # the default insertion gives a value everywhere, so it is also
+    # multiplied by a critical form (zero value), its inverse (pole), a
+    # critical form over the form of 2 + ell (pole through the division)
+    # and a non-critical form (not_constant); the twists reach all of these
+    kinds = {"default": set(), "twist": set()}
+    for d, order in ((4, 5), (8, 3)):
+        crit = (1,) * (d - 1) + (0,)
+        extras = [
+            {},
+            {crit: 1},
+            {crit: -1},
+            {crit: 1, (2,) * (d - 1) + (1,): -1},
+            {(1,) + (0,) * (d - 1): 1},
+        ]
+        twists = [(1,) + (0,) * (d - 1), (0,) * (d - 2) + (1, 0), (0,) * d]
+        for n in range(1, order + 1):
+            for rep, _ in canonical_representatives(d - 1, n):
+                root = _half_vertex_root(vertex_half(rep, d), n)
+                product = taut_factor(rep, d, ell_units=1) * root
+                cases = [("default", product * FormProduct(1, f)) for f in extras]
+                cases += [("twist", cy_bundle_term(rep, d, u)) for u in twists]
+                for kind, p in cases:
+                    got = _outcome(specialize, p)
+                    assert got == _outcome(collected_specialize, p)
+                    if isinstance(got, QPoly):
+                        kinds[kind].add("zero" if got.is_zero() else "value")
+                    else:
+                        kinds[kind].add(got[1])
+    outcomes = {
+        "zero",
+        "value",
+        "diagnostic pole instead of a polynomial",
+        "diagnostic not_constant instead of a polynomial",
+    }
+    assert kinds == {"default": outcomes, "twist": outcomes}
 
 
 def test_sqrt_of_single_box_dim4():
