@@ -141,7 +141,12 @@ def check_keyconj(d, order):
     all_ok = True
     for n in range(1, order + 1):
         for pi in enumerate_partitions(d - 1, n):
-            verdict = check_key_conjecture(pi, d)
+            try:
+                verdict = check_key_conjecture(pi, d)
+            except DTVertexError as exc:
+                if exc.partition is None:
+                    exc.partition = pi.serialize()
+                raise
             all_ok = all_ok and verdict == "ok"
             rows.append({"partition": pi.serialize(), "size": n, "verdict": verdict})
     report = {

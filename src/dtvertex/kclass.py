@@ -26,6 +26,12 @@ raises ExponentOverflow before it builds a single key; nothing ever
 wraps.  Tuples cross the boundary only at the edges: the constructor,
 monomial, coefficient and shift encode them with the same range check,
 and items, as_dict and serialize decode them.
+
+The vertex multiplies Z * bar(Z) by one factor (1 - t_i^-1) per axis.
+On an axis that no box leaves (a flat axis) every term has w_i = 0, so
+each key of t^w / t_i is new: the factor doubles the dict with one
+dict.update and no lookups.  Only the axes that some box leaves fold
+term by term, and they go first, while the dict is small.
 """
 
 from __future__ import annotations
@@ -248,18 +254,33 @@ def _minus_box_product(z, n):
 
     The bound 2 * z.bound + n is checked before any key is built, so
     nothing wraps; it also bounds Z and bar(Z) / (t_1..t_d).  The sign
-    is taken on Z * bar(Z), so the callers add Z in place.  Each factor
-    is one pass over a snapshot of the terms, folding -c into the key of
-    t^w / t_i for every term c t^w, zeros deleted.  The pass works in
-    place: the key of t^w / t_i is written only by the term c t^w, so it
-    still holds its old coefficient when that happens.
+    is taken on Z * bar(Z), so the callers add Z in place.
+
+    Axis i is flat when no box leaves it: w_i = 0 in every term of Z,
+    so its digit is the bias in every code.  The active axes are folded
+    first, while the dict is small, each in one pass over a snapshot of
+    the terms that folds -c into the key of t^w / t_i for every term
+    c t^w, zeros deleted.  The pass works in place: the key of t^w / t_i
+    is written only by the term c t^w, so it still holds its old
+    coefficient when that happens.  Then each flat axis doubles the
+    dict with one update: every term still has w_i = 0, since the
+    other passes change only their own digit and never borrow, so each
+    key of t^w / t_i has w_i = -1, is new, and nothing collides.
     """
     d = z.dim
     bound = _checked(2 * z.bound + n)
+    # digit i of spread is 0 exactly when every box has w_i = 0
+    origin = _origin(d)
+    spread = 0
+    for k in z.terms:
+        spread |= k ^ origin
+    active, flat = [], []
+    for i in range(n):
+        shift = RADIX_BITS * (d - 1 - i)
+        (active if spread >> shift & DIGIT else flat).append(1 << shift)
     out = (-z * z.bar()).terms
     get = out.get
-    for i in range(n):
-        step = 1 << RADIX_BITS * (d - 1 - i)
+    for step in active:
         for k, c in zip(list(out), list(out.values())):
             k -= step
             s = get(k, 0) - c
@@ -267,6 +288,8 @@ def _minus_box_product(z, n):
                 out[k] = s
             else:
                 del out[k]
+    for step in flat:
+        out.update(zip([k - step for k in out], [-c for c in out.values()]))
     return out, bound
 
 
@@ -283,9 +306,10 @@ def vertex(pi, d):
 
         V = Z + sgn * bar(Z) / (t_1..t_d) - Z * bar(Z) * prod_i (1 - t_i^-1),
 
-    which is built term by term: one pass per factor of the product, as
-    in vertex_half, whose product is the same with the d-th factor left
-    out.
+    which is built term by term as in vertex_half, whose product is the
+    same with the d-th factor left out: one in-place pass per factor on
+    an axis that some box leaves, then one dict.update per flat axis,
+    whose new keys cannot collide (see _minus_box_product).
     """
     z = character(pi, d)
     terms, bound = _minus_box_product(z, d)
@@ -357,7 +381,8 @@ def vertex_half(pi, d):
     """Half of the vertex: Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1).
 
     Z is the character of the box stack and the product runs over the
-    first d-1 directions only, one pass per factor.  With v this class
+    first d-1 directions only, one pass per factor (an update for a
+    flat axis; see _minus_box_product).  With v this class
     and cy = cy_reduce, cy(V) = cy(v) + (-1)^d * cy(bar(v)) for every d.
     """
     z = character(pi, d)

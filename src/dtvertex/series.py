@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .errors import DegenerateSamplePoint
+from .errors import DegenerateSamplePoint, DTVertexError
 from .kclass import cy_fixed_part, vertex_half
 from .partitions import canonical_representatives, count_partitions
 from .ratpoly import QPoly
@@ -188,7 +188,13 @@ def build_z_odd(d, order):
     for n in range(1, order + 1):
         total = Fraction(0)
         for rep, orbit in canonical_representatives(d - 1, n):
-            total += (-1) ** ((n + cy_fixed_part(vertex_half(rep, d))) % 2) * orbit
+            try:
+                c0 = cy_fixed_part(vertex_half(rep, d))
+            except DTVertexError as exc:
+                if exc.partition is None:
+                    exc.partition = rep.serialize()
+                raise
+            total += (-1) ** ((n + c0) % 2) * orbit
         coeffs.append(QPoly.const(total))
     return TruncatedSeries(order, coeffs)
 

@@ -11,6 +11,9 @@ the package against.
   and -, and the full vertex assembled from the half vertex.  It keeps
   the packed keys but checks every exponent bound step by step, so it
   pins the bound and the ExponentOverflow inputs as well as the terms.
+- The packed box product with one in-place pass per factor on every
+  axis, which the single update per flat axis replaced for the axes
+  that no box leaves.
 - The bounded partition enumeration: slices a bounding height map along
   the first axis and meets each slice with the partition's previous
   slice, one size at a time.  It checks omega's candidate lists and,
@@ -58,7 +61,7 @@ from dtvertex import (
     omega_c,
 )
 from dtvertex.forms import _collect, canonical_form, euler_class
-from dtvertex.kclass import KEY_VIOLATED, key_verdict
+from dtvertex.kclass import KEY_VIOLATED, RADIX_BITS, _checked, key_verdict
 from dtvertex.kclass import cy_reduce as packed_cy_reduce
 from dtvertex.kclass import character as packed_character
 from dtvertex.kclass import vertex as packed_vertex
@@ -164,6 +167,25 @@ def class_box_product(z, n):
     for i in range(n):
         prod = prod - prod.shift(_unit(z.dim, i, -1))
     return prod
+
+
+def folded_box_product(z, n):
+    """Packed terms and bound of -Z * bar(Z) * prod_{i<n} (1 - t_i^-1), one
+    in-place pass per factor on every axis, zeros deleted."""
+    d = z.dim
+    bound = _checked(2 * z.bound + n)
+    out = (-z * z.bar()).terms
+    get = out.get
+    for i in range(n):
+        step = 1 << RADIX_BITS * (d - 1 - i)
+        for k, c in zip(list(out), list(out.values())):
+            k -= step
+            s = get(k, 0) - c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out, bound
 
 
 def class_vertex_half(pi, d):

@@ -327,6 +327,21 @@ def test_pipeline_error_exit_code(monkeypatch, capsys):
     assert report["partition"] is not None
 
 
+@pytest.mark.parametrize("kind,d", [("keyconj", 32768), ("odd", 32769)])
+def test_radix_overflow_names_the_partition(capsys, kind, d):
+    # at size 1 the first box product already needs exponents past the
+    # radix and raises before any term is built; size 2 at this arity
+    # would need gigabytes
+    code, out = run_cli(capsys, "check", kind, "-d", str(d), "-n", "1")
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "error"
+    assert "do not fit the radix" in report["error"]
+    # the single box: d - 1 indices and the height, all 1 (built by hand,
+    # since validating a MultiPartition is quadratic in the arity)
+    assert report["partition"] == "[[%s]]" % ",".join(["1"] * d)
+
+
 @pytest.mark.parametrize(
     "coeffs,error",
     [

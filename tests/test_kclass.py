@@ -11,6 +11,7 @@ from dtvertex import (
     DimensionMismatch,
     ExponentOverflow,
     KClass,
+    MultiPartition,
     canonical_representatives,
     character,
     check_key_conjecture,
@@ -213,26 +214,79 @@ def test_vertex_matches_class_algebra_oracle(data, d):
         assert packed.bound == algebra.bound
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
-def test_box_product_cannot_wrap(n):
+def _assert_wraps_only_past_the_radix(n, axis, monkeypatch):
     # 2 * bound + n reaching 2^15 raises before any key is built, on the same
     # inputs as the class algebra; one step below, the product is exact
     # with exponents up to 2 * bound + 1, next to the radix edge
     d = 4
     top = (BIAS - n + 1) // 2  # least bound with 2 * bound + n >= 2^15
-    z = KClass(d, {(top, 0, 0, 0): 1, (-top, 0, 0, 0): 2})
-    with pytest.raises(ExponentOverflow):
-        _minus_box_product(z, n)
+    z = t(d, axis, top) + 2 * t(d, axis, -top)
+    with monkeypatch.context() as m:
+        # bar(Z) is the first class the product builds
+        m.setattr(KClass, "bar", lambda self: pytest.fail("a key was built"))
+        with pytest.raises(ExponentOverflow):
+            _minus_box_product(z, n)
     with pytest.raises(ExponentOverflow):
         oracles.class_box_product(z, n)
     b = top - 1
-    z = KClass(d, {(b, 0, 0, 0): 1, (-b, 0, 0, 0): 2})
+    z = t(d, axis, b) + 2 * t(d, axis, -b)
     terms, bound = _minus_box_product(z, n)
     algebra = oracles.class_box_product(z, n)
     assert terms == (-algebra).terms
     assert bound == algebra.bound == 2 * b + n
     tuples = oracles.box_product(z.as_dict(), d, n)
     assert KClass._packed(d, terms, bound).as_dict() == {w: -c for w, c in tuples.items()}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_box_product_cannot_wrap(n, monkeypatch):
+    _assert_wraps_only_past_the_radix(n, 0, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_box_product_cannot_wrap_past_flat_axes(n, monkeypatch):
+    # the exponents sit on the last axis, so axes 0-2 are flat and are
+    # doubled by update; for n = 4 the active axis is folded first
+    _assert_wraps_only_past_the_radix(n, 3, monkeypatch)
+
+
+@pytest.mark.parametrize("d,max_size", [(4, 5), (5, 4), (8, 4), (12, 3)])
+def test_box_product_matches_folded_oracle(d, max_size):
+    # every partition, not only the canonical ones, so the active axes
+    # need not be a prefix of the base axes
+    for size in range(1, max_size + 1):
+        for pi in _partitions(d - 1, size):
+            z = character(pi, d)
+            for n in (d - 1, d):
+                assert _minus_box_product(z, n) == oracles.folded_box_product(z, n)
+
+
+@pytest.mark.parametrize("d", [4, 5, 8, 12])
+def test_box_product_matches_folded_oracle_by_hand(d):
+    # the empty partition (every axis flat), a column on the height axis
+    # only (every base axis flat) and a box on the last base axis only
+    # (the one active base axis is not a prefix)
+    arity = d - 1
+    corner = (1,) * arity
+    last = corner[:-1] + (2,)
+    for pi in (
+        MultiPartition(arity),
+        corner_column(arity, 3),
+        MultiPartition(arity, {corner: 1, last: 1}),
+    ):
+        z = character(pi, d)
+        for n in (d - 1, d):
+            assert _minus_box_product(z, n) == oracles.folded_box_product(z, n)
+
+
+def test_vertex_is_built_in_full():
+    # every verdict rests on V and v themselves, term by term: 925,178 is
+    # the term count the benchmark traces on keyconj-d12
+    full = sum(len(vertex(pi, 12).terms) for n in (1, 2, 3) for pi in _partitions(11, n))
+    assert full == 925_178
+    reps = [rep for n in range(1, 6) for rep, _ in canonical_representatives(7, n)]
+    assert len(reps) == 34
+    assert sum(len(vertex_half(rep, 8).terms) for rep in reps) == 23_636
 
 
 @settings(max_examples=60, deadline=None)
