@@ -2,9 +2,11 @@
 
 One record per line, keyed by (dimension, canonical partition), holding
 exactly what a PartitionWeight keeps: schema, d, partition, fingerprint,
-verdict, omega and sign; records carry SCHEMA 3.  The fingerprint
-hashes the packed terms of the half vertex vertex_half(pi, d), the class
-the weight and the verdict are computed from, and a hit is only trusted
+verdict, omega and sign; records carry SCHEMA 4.  The fingerprint is
+forms.vertex_fingerprint of the half vertex vertex_half(pi, d), the
+class the weight and the verdict are computed from: the sha256 of
+b"dim:count:", the sorted codes as 2 * dim big-endian bytes each and
+the repr of the coefficient list in code order.  A hit is only trusted
 after that fingerprint is recomputed and matches; stale lines are
 recomputed and re-appended, and compaction rewrites the file keeping
 the last record per key.  A line that is not a well-formed record of
@@ -25,7 +27,7 @@ from .kclass import vertex_half
 
 ENV_CACHE_DIR = "DTVERTEX_CACHE_DIR"
 # Version of the record format; records of any other version are skipped.
-SCHEMA = 3
+SCHEMA = 4
 # The keys of a record and the JSON type of each value.
 FIELDS = {
     "schema": int, "d": int, "partition": str, "fingerprint": str,

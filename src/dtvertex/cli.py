@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
@@ -52,6 +51,9 @@ def _prepare_weights(d, order, jobs, cache_path):
     pending.sort(key=lambda p: p.key())
     workers = min(jobs, len(pending))
     if workers > 1:
+        # imported here, so a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             computed = list(pool.map(compute_weight, pending, repeat(d)))
     else:

@@ -401,12 +401,22 @@ class PartitionWeight:
 
 
 def vertex_fingerprint(v):
-    """sha256 of a class's packed terms: dim and sorted (code, coefficient) pairs.
+    """sha256 of a class's packed terms, as hex.
 
-    The weight pipeline and the cache hash the half vertex
-    vertex_half(pi, d); no term is decoded.
+    Hashes, in this order, b"dim:count:", every code in increasing
+    order as 2 * dim big-endian bytes (a code is below 2^(16 dim)), and
+    the repr of the coefficient list in that order.  The term count in
+    the prefix makes the encoding injective.  The weight pipeline and
+    the cache hash the half vertex vertex_half(pi, d); no term is
+    decoded and no code is written in decimal.
     """
-    return hashlib.sha256(repr((v.dim, sorted(v.terms.items()))).encode()).hexdigest()
+    terms = v.terms
+    keys = sorted(terms)
+    width = 2 * v.dim
+    h = hashlib.sha256(b"%d:%d:" % (v.dim, len(keys)))
+    h.update(b"".join([k.to_bytes(width, "big") for k in keys]))
+    h.update(repr([terms[k] for k in keys]).encode())
+    return h.hexdigest()
 
 
 def compute_weight(pi, d):

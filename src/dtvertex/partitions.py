@@ -51,22 +51,24 @@ class MultiPartition:
         return cls(arity, {tuple(row[:-1]): row[-1] for row in entries}, validate)
 
     def _validate(self):
+        """Check arity, positivity and monotonicity of the stored heights.
+
+        A cell that exceeds its successor along an axis is the
+        predecessor check of that successor, so only predecessors are
+        checked, and only along the axes where the index is above 1.
+        """
         n = self.arity
-        for idx, h in self.heights.items():
+        heights = self.heights
+        for idx, h in heights.items():
             if len(idx) != n:
                 raise ValueError("index %r does not have arity %d" % (idx, n))
-            if any(i < 1 for i in idx):
+            if min(idx) < 1:
                 raise ValueError("indices must be positive: %r" % (idx,))
             if h < 1:
                 raise ValueError("stored heights must be positive: %r -> %d" % (idx, h))
-            for j in range(n):
-                succ = idx[:j] + (idx[j] + 1,) + idx[j + 1 :]
-                if self.heights.get(succ, 0) > h:
+            for j, i in enumerate(idx):
+                if i > 1 and heights.get(idx[:j] + (i - 1,) + idx[j + 1 :], 0) < h:
                     raise ValueError("not monotone at %r along axis %d" % (idx, j + 1))
-                if idx[j] > 1:
-                    pred = idx[:j] + (idx[j] - 1,) + idx[j + 1 :]
-                    if self.heights.get(pred, 0) < h:
-                        raise ValueError("not monotone at %r along axis %d" % (idx, j + 1))
 
     # -- basic queries ----------------------------------------------------
 
@@ -167,10 +169,24 @@ def _size_bound(arity, size):
 
     A box over the cell idx needs all prod(idx) cells below it, so only
     cells with prod(idx) <= size hold boxes, at most size // prod(idx).
+    Such a cell has an index above 1 on at most log2(size) axes; those
+    are chosen in increasing axis order and each index tuple is built
+    once, so the cost is linear in the arity per cell.
     """
-    bound = {(): size}
-    for _ in range(arity):
-        bound = {idx + (i,): cap // i for idx, cap in bound.items() for i in range(1, cap + 1)}
+    bound = {}
+
+    def place(first, prod, raised):
+        idx = [1] * arity
+        for j, i in raised:
+            idx[j] = i
+        cap = size // prod
+        bound[tuple(idx)] = cap
+        if cap > 1:
+            for j in range(first, arity):
+                for i in range(2, cap + 1):
+                    place(j + 1, prod * i, raised + ((j, i),))
+
+    place(0, 1, ())
     return bound
 
 

@@ -19,6 +19,11 @@ the package against.
   slice, one size at a time.  It checks omega's candidate lists and,
   unbounded, enumerate_partitions, whose cell walk replaced the same
   slicing in the package.
+- The bounding height map built one axis per round, which the
+  enumeration of the few axes with an index above 1 replaced, and the
+  partition validator that checked the successor and the predecessor of
+  every index on every axis, which the check of predecessors along
+  raised axes replaced.
 - Two partition counts: brute-force down-sets of boxes and a closed
   binomial form for sizes up to 6.
 - The orbit representatives found by grouping every partition of the
@@ -39,10 +44,14 @@ the package against.
   each, and the odd-dimension series over every partition.
 - The odd-dimension Euler ratio from the Euler class of minus the full
   vertex, which the sign (-1)^(|pi| + c0) of the half vertex replaced.
+- The half-vertex fingerprint of cache schema 3: sha256 of the repr of
+  dim and the sorted (code, coefficient) pairs, which the packed-bytes
+  digest of schema 4 replaced.
 - Small helpers that only tests use: axis-permutation orbits, staircase
   membership, orientation flips, series powers and tables.
 """
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -266,6 +275,37 @@ def bounded_partitions(arity, size, bound):
     found = [MultiPartition(arity, h) for h in _gen_heights(arity, size, bound)]
     found.sort(key=lambda p: p.key())
     return found
+
+
+def size_bound_by_rounds(arity, size):
+    """The height map bounding every arity-partition of the size, built
+    one axis per round: each round extends every index tuple by one
+    entry, so even size 1 costs time quadratic in the arity."""
+    bound = {(): size}
+    for _ in range(arity):
+        bound = {idx + (i,): cap // i for idx, cap in bound.items() for i in range(1, cap + 1)}
+    return bound
+
+
+def validate_by_neighbours(arity, heights):
+    """Raise ValueError unless heights ({index tuple: height}) is an
+    arity-partition.  Checks the successor and the predecessor of every
+    stored index on every axis, O(arity^2) per index."""
+    for idx, h in heights.items():
+        if len(idx) != arity:
+            raise ValueError("index %r does not have arity %d" % (idx, arity))
+        if any(i < 1 for i in idx):
+            raise ValueError("indices must be positive: %r" % (idx,))
+        if h < 1:
+            raise ValueError("stored heights must be positive: %r -> %d" % (idx, h))
+        for j in range(arity):
+            succ = idx[:j] + (idx[j] + 1,) + idx[j + 1 :]
+            if heights.get(succ, 0) > h:
+                raise ValueError("not monotone at %r along axis %d" % (idx, j + 1))
+            if idx[j] > 1:
+                pred = idx[:j] + (idx[j] - 1,) + idx[j + 1 :]
+                if heights.get(pred, 0) < h:
+                    raise ValueError("not monotone at %r along axis %d" % (idx, j + 1))
 
 
 # -- partition counts --------------------------------------------------------
@@ -503,6 +543,15 @@ def evaluate_on_locus(p, frees, ell):
     if order < 0:
         raise ZeroDivisionError("pole on the specialization locus")
     return val
+
+
+# -- cache fingerprint ---------------------------------------------------------
+
+
+def repr_fingerprint(v):
+    """The schema-3 fingerprint of a class: sha256 of the repr of dim and
+    the sorted (code, coefficient) pairs, every code written in decimal."""
+    return hashlib.sha256(repr((v.dim, sorted(v.terms.items()))).encode()).hexdigest()
 
 
 # -- test-only helpers -----------------------------------------------------------

@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dtvertex
 from dtvertex import (
     KClass,
     MultiPartition,
@@ -21,11 +24,12 @@ from dtvertex import (
     canonical_representatives,
     compute_weight,
     vertex,
+    vertex_half,
 )
 from dtvertex.cli import main
 
 from conftest import single_box
-from oracles import times_raw_form
+from oracles import repr_fingerprint, times_raw_form
 
 
 def run_cli(capsys, *argv):
@@ -213,7 +217,7 @@ def test_malformed_cache_record_is_recomputed(tmp_path, capsys):
 
 def test_cache_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
     cold, text = _cold_fourk_d4_cache()
-    for junk in (b"\xff\xfe garbage\n", b'{"schema":3,"d":4,\x80}\n'):
+    for junk in (b"\xff\xfe garbage\n", b'{"schema":4,"d":4,\x80}\n'):
         cache = tmp_path / "weights.jsonl"
         cache.write_bytes(junk)
         code, out = run_cli(
@@ -282,14 +286,17 @@ def test_cache_line_of_another_schema_is_recomputed(tmp_path, capsys):
     argv = ["check", "fourk", "-d", "4", "-n", "3", "--cache", str(cache)]
     _, cold = run_cli(capsys, *argv)
     records = [json.loads(line) for line in cache.read_text().splitlines()]
-    # schema 2 fingerprinted the JSON of the full vertex's decoded terms
+    # schema 2 fingerprinted the JSON of the full vertex's decoded terms,
+    # schema 3 the repr of the half vertex's sorted (code, coefficient) pairs
     pi = MultiPartition.from_entries(3, json.loads(records[1]["partition"]))
     v = vertex(pi, 4).serialize()
     old = hashlib.sha256(json.dumps(v, separators=(",", ":")).encode()).hexdigest()
+    schema3 = repr_fingerprint(vertex_half(pi, 4))
     for edit in (
         lambda rec: rec.pop("schema"),
         lambda rec: rec.update(schema=1),
         lambda rec: rec.update(schema=2, fingerprint=old),
+        lambda rec: rec.update(schema=3, fingerprint=schema3),
     ):
         lines = [dict(rec) for rec in records]
         edit(lines[1])
@@ -297,7 +304,7 @@ def test_cache_line_of_another_schema_is_recomputed(tmp_path, capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0 and out == cold
         appended = json.loads(cache.read_text().splitlines()[-1])
-        assert appended == records[1] and appended["schema"] == 3
+        assert appended == records[1] and appended["schema"] == 4
         run_cli(capsys, "cache-compact", "--cache", str(cache))
         compacted = [json.loads(line) for line in cache.read_text().splitlines()]
         assert sorted(compacted, key=json.dumps) == sorted(records, key=json.dumps)
@@ -497,8 +504,6 @@ def test_fuzz_check_exit_codes(kind, d, n, options):
 
 
 def test_pool_has_no_more_workers_than_pending_weights(tmp_path, monkeypatch, capsys):
-    import dtvertex.cli as cli_mod
-
     pools = []
 
     class SerialPool:
@@ -514,7 +519,8 @@ def test_pool_has_no_more_workers_than_pending_weights(tmp_path, monkeypatch, ca
         def map(self, fn, *iterables):
             return list(map(fn, *iterables))
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+    # cli imports the pool class only when it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     cache = str(tmp_path / "weights.jsonl")
     # n <= 1 leaves 1 weight pending (serial), n <= 3 then 6 more, and a
     # warm rerun none
@@ -526,6 +532,20 @@ def test_pool_has_no_more_workers_than_pending_weights(tmp_path, monkeypatch, ca
         assert code == 0
         assert all(w <= pending for w in pools[before:])
         assert len(pools) - before == (1 if pending > 1 else 0)
+
+
+def test_serial_cli_does_not_import_the_process_pool():
+    src = os.path.dirname(os.path.dirname(dtvertex.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    probe = (
+        "import sys, dtvertex.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_order_8_facts_at_d8(tmp_path, capsys):

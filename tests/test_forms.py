@@ -27,7 +27,7 @@ from dtvertex import (
     weight_table,
 )
 from dtvertex.cache import record_from_weight
-from dtvertex.forms import _half_vertex_root, canonical_form, cy_bundle_term
+from dtvertex.forms import _half_vertex_root, canonical_form, cy_bundle_term, vertex_fingerprint
 
 from conftest import cached_weight_table, corner_column, single_box, weight_stages
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     euler_ratio_odd,
     evaluate_on_locus,
     orbit,
+    repr_fingerprint,
     times_raw_form,
 )
 
@@ -437,12 +438,60 @@ def test_signed_poly_matches_specialized_value():
     assert count == 74
 
 
+def _half_vertices():
+    """The half vertices of every representative of d = 4 n <= 5,
+    d = 8 n <= 4 and d = 12 n <= 3."""
+    return [
+        vertex_half(rep, d)
+        for d, order in ((4, 5), (8, 4), (12, 3))
+        for n in range(1, order + 1)
+        for rep, _ in canonical_representatives(d - 1, n)
+    ]
+
+
+def _with_terms(v, terms, dim=None):
+    w = KClass(v.dim if dim is None else dim)
+    w.terms = terms
+    w.bound = v.bound
+    return w
+
+
+def test_fingerprint_separates_what_the_repr_fingerprint_separates():
+    vs = _half_vertices()
+    pairs = [(vertex_fingerprint(v), repr_fingerprint(v)) for v in vs]
+    assert len(pairs) == 56
+    # equal packed digests exactly when the repr digests are equal
+    assert len({new for new, _ in pairs}) == len({old for _, old in pairs}) == len(set(pairs))
+
+
+def test_fingerprint_ignores_insertion_order():
+    for v in _half_vertices()[::7]:
+        backwards = _with_terms(v, dict(reversed(list(v.terms.items()))))
+        assert list(backwards.terms) != list(v.terms) or len(v.terms) == 1
+        assert vertex_fingerprint(backwards) == vertex_fingerprint(v)
+
+
+def test_fingerprint_changes_with_one_code_coefficient_or_dim():
+    for v in _half_vertices()[::7]:
+        digest = vertex_fingerprint(v)
+        first, last = min(v.terms), max(v.terms)
+        moved = dict(v.terms)
+        moved[last + 1] = moved.pop(last)
+        assert vertex_fingerprint(_with_terms(v, moved)) != digest
+        bumped = dict(v.terms)
+        bumped[first] += 1 if bumped[first] != -1 else 2
+        assert vertex_fingerprint(_with_terms(v, bumped)) != digest
+        assert vertex_fingerprint(_with_terms(v, dict(v.terms), v.dim + 1)) != digest
+
+
 def test_cache_record_format():
+    # schema 4: the fingerprint hashes the half vertex's codes as packed
+    # bytes (see vertex_fingerprint)
     assert record_from_weight(compute_weight(single_box(3), 4)) == {
-        "schema": 3,
+        "schema": 4,
         "d": 4,
         "partition": "[[1,1,1,1]]",
-        "fingerprint": "d6fd9453c84f82e538a9337fd753b5f6393f2f3c663576b201fdfc93bad8fc52",
+        "fingerprint": "11996ab644d9814c96f2e8a848503f50363bf10f63900094773592871fb270e2",
         "verdict": "ok",
         "omega": "1",
         "sign": 1,

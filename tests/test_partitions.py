@@ -1,6 +1,8 @@
 """Partition representation, enumeration, and symmetry reduction."""
 
+import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,8 @@ from oracles import (
     count_by_binomial_formula,
     orbit,
     representatives_by_grouping,
+    size_bound_by_rounds,
+    validate_by_neighbours,
 )
 
 from conftest import corner_column, single_box
@@ -268,6 +272,81 @@ def test_fuzz_monotonicity_violations_rejected(pool, pick, entry, axis):
     heights[succ] = heights[idx] + 1
     with pytest.raises(ValueError):
         MultiPartition(arity, heights)
+
+
+def _rejects(validate):
+    try:
+        validate()
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arity=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_validation_matches_neighbour_oracle(arity, data):
+    # random height maps on the indices 1..3: the predecessor-only check
+    # rejects exactly what the successor-and-predecessor check rejects
+    index = st.tuples(*[st.integers(min_value=1, max_value=3)] * arity)
+    heights = data.draw(st.dictionaries(index, st.integers(min_value=1, max_value=3), max_size=8))
+    assert _rejects(lambda: MultiPartition(arity, heights)) == _rejects(
+        lambda: validate_by_neighbours(arity, heights)
+    )
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_validation_matches_neighbour_oracle_on_one_cell_edits(arity):
+    # every partition of size <= 4 with one cell of the 1..3 box set to
+    # each height 0..3: the edits that stay partitions and those that do
+    # not sit right at the boundary the two checks must agree on
+    cells = list(itertools.product(range(1, 4), repeat=arity))
+    verdicts = set()
+    for size in range(5):
+        for pi in enumerate_partitions(arity, size):
+            for cell in cells:
+                for h in range(4):
+                    heights = dict(pi.heights)
+                    heights[cell] = h
+                    got = _rejects(lambda: MultiPartition(arity, heights))
+                    want = _rejects(
+                        lambda: validate_by_neighbours(
+                            arity, {k: v for k, v in heights.items() if v}
+                        )
+                    )
+                    assert got == want, heights
+                    verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_validation_of_one_box_is_linear_in_the_arity():
+    # checking both neighbours on every axis is quadratic in the arity:
+    # about 19 s for this box on a 2-vCPU VM
+    start = time.perf_counter()
+    pi = MultiPartition(32767, {(1,) * 32767: 1})
+    assert time.perf_counter() - start < 1.0
+    assert pi.size == 1
+    with pytest.raises(ValueError):
+        MultiPartition(32767, {(1,) * 32766 + (2,): 1})
+
+
+@pytest.mark.parametrize(
+    "arity,size",
+    [(n, s) for n in range(1, 7) for s in range(1, 8)] + [(11, 4), (15, 3), (40, 2)],
+)
+def test_size_bound_matches_rounds_oracle(arity, size):
+    assert partitions._size_bound(arity, size) == size_bound_by_rounds(arity, size)
+
+
+def test_size_bound_of_one_box_is_linear_in_the_arity():
+    # rebuilding every index tuple once per axis is quadratic in the
+    # arity: about 5.6 s for this bound on a 2-vCPU VM
+    start = time.perf_counter()
+    bound = partitions._size_bound(32767, 1)
+    assert time.perf_counter() - start < 1.0
+    assert bound == {(1,) * 32767: 1}
 
 
 def test_serialization_roundtrip(seven_part_size14):

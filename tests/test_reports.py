@@ -67,8 +67,9 @@ GOLDEN = [
      "c79ceab41bc6238f511cb617edc468893f2ac1e0177b49b11c5612d67c2c1fad"),
 ]
 
-# the file written by a cold `check fourk -d 4 -n 3 --cache F`
-COLD_CACHE = "208f4c5eecdec254220cb878189bcf72938d32b10e38d0698715c3f700b8ea66"
+# the file written by a cold `check fourk -d 4 -n 3 --cache F`; schema 4
+# records, whose fingerprints hash the half vertex's codes as packed bytes
+COLD_CACHE = "12bc52fcd7f1a769203c543cddfb7e4ffdc8010795bf487d8f26da9b6bbcca3e"
 
 
 def _stdout(argv):
