@@ -13,18 +13,21 @@ times a multiset of forms with integer exponents, and the zero class
 is the zero scalar with no forms.  The collector _collect builds the
 tautological insertion and the full-torus Euler class from raw forms:
 it canonicalizes each form, adds up the exponents and folds the
-multipliers into the scalar.  The Calabi-Yau Euler class folds the
-packed codes of the reduced class onto primitive forms instead, and
-specialize restricts and canonicalizes in one pass.  Cancellation,
-square-root extraction and the specialization to the locus
-lam_1 + ... + lam_{d-1} = 0 are multiset operations; no limits are ever
-taken.  specialize returns a polynomial in ell and raises ShapeMismatch
-on a pole or on a form direction that survives on the locus.
+multipliers into the scalar.  The Calabi-Yau Euler class reduces and
+folds the packed codes of a class onto primitive forms in one pass
+instead.  Cancellation, square-root extraction and the specialization
+to the locus lam_1 + ... + lam_{d-1} = 0 are multiset operations; no
+limits are ever taken.  The specialized value is a polynomial in ell,
+and a pole or a form direction that survives on the locus raises
+ShapeMismatch.  The weight pipeline reads that value straight from the
+packed half vertex, restricting each code by integer arithmetic;
+specialize, which restricts a product of forms, is its oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from fractions import Fraction
 from math import gcd
 
@@ -36,12 +39,14 @@ from .errors import (
     ZeroWeightDenominator,
 )
 from .kclass import (
+    BIAS,
+    DIGIT,
     KEY_EULER_VANISHES,
     KEY_OK,
     KEY_VIOLATED,
-    _decoder,
-    _origin,
-    cy_reduce,
+    RADIX_BITS,
+    _checked,
+    _ones,
     key_verdict,
     vertex,
     vertex_half,
@@ -170,40 +175,48 @@ def euler_class(a, use_cy=True):
     makes the class zero when its coefficient is positive and raises
     ZeroWeightDenominator when it is negative.
 
-    The reduced class is read in its packed codes.  Code order is
-    lexicographic, so a code below the origin is a weight whose first
-    non-zero entry is negative: it is folded onto its mirror, and its
-    coefficient's parity enters the sign of the scalar.  Each folded
-    code is decoded once; its last digit, w_d = 0 after the reduction,
-    is the ell_part 0 of the form.
+    The class is reduced and folded in one pass over its packed codes:
+    each code loses w_d * ONES (as in cy_reduce, whose bound 2 * bound
+    is checked first), and code order is lexicographic, so a reduced
+    code below the origin is a weight whose first non-zero entry is
+    negative: it is folded onto its mirror, and its coefficient's parity
+    enters the sign of the scalar.  The coefficients of the origin are
+    summed and ruled on after the pass.  The distinct folded codes are
+    decoded together, by one struct.iter_unpack over one buffer; the
+    last entry, w_d = 0 after the reduction, is the ell_part 0 of the
+    form.
     """
     if not use_cy:
         return _collect((w, 0, c) for w, c in a.items())
-    a = cy_reduce(a)
-    origin = _origin(a.dim)
+    d = a.dim
+    _checked(2 * a.bound)
+    ones = _ones(d)
+    origin = BIAS * ones
     mirror = 2 * origin
     folded = {}
     get = folded.get
-    odd = 0
+    odd = fixed = 0
     for code, c in a.terms.items():
+        m = (code & DIGIT) - BIAS
+        if m:
+            code -= m * ones
         if code < origin:
             code = mirror - code
             odd ^= c & 1
         elif code == origin:
-            if c > 0:
-                return FormProduct(0)
-            raise ZeroWeightDenominator("zero weight with exponent %d" % c)
+            fixed += c
+            continue
         folded[code] = get(code, 0) + c
-    decode = _decoder(a.dim, a.dim)
+    if fixed > 0:
+        return FormProduct(0)
+    if fixed < 0:
+        raise ZeroWeightDenominator("zero weight with exponent %d" % fixed)
     exps = {}
     num = den = 1
-    for code, e in folded.items():
-        if not e:
-            continue
-        form = decode(code)
+    for form, e in _decoded(folded, d, origin):
         g = gcd(*form)
         if g != 1:
-            form = tuple(x // g for x in form)
+            form = tuple([x // g for x in form])
             if e > 0:
                 num *= g**e
             else:
@@ -211,6 +224,18 @@ def euler_class(a, use_cy=True):
         exps[form] = exps.get(form, 0) + e
     scalar = Fraction(-num if odd else num, den)
     return FormProduct(scalar, {f: e for f, e in exps.items() if e})
+
+
+def _decoded(counts, k, origin):
+    """(vector, count) for each code of k digits with a non-zero count.
+
+    The vectors are unpacked from one buffer of big-endian shorts, the
+    bias bit of each digit flipped (origin is _origin(k)).
+    """
+    live = [(code, e) for code, e in counts.items() if e]
+    size = 2 * k
+    buf = b"".join([(code ^ origin).to_bytes(size, "big") for code, _ in live])
+    return zip(struct.iter_unpack(">%dh" % k, buf), [e for _, e in live])
 
 
 def sqrt_form_product(p, n):
@@ -235,22 +260,30 @@ def sqrt_form_product(p, n):
     return FormProduct(root, half)
 
 
-def _half_vertex_root(v, n):
-    """Root of (-1)^n * e(-V) for even d, from the half vertex v alone.
+def _half_vertex_euler(v, n):
+    """e(-v) for the half vertex v, once its root is known to exist.
 
     For even d, cy(V) = cy(v) + cy(bar(v)), and e(-bar(v)) is e(-v) with
     every form negated, (-1)^k * e(-v) for k its total degree; so
-    (-1)^n * e(-V) = (-1)^(n + k) * e(-v)^2.  The root is e(-v) with a
-    positive scalar; when n + k is odd the scalar of (-1)^n * e(-V) is
-    negative and NotAPerfectSquare is raised.  The zero class is its own
-    root.  It equals sqrt_form_product(euler_class(-vertex(pi, d)), n).
+    (-1)^n * e(-V) = (-1)^(n + k) * e(-v)^2.  When e(-v) is not zero and
+    n + k is odd, the scalar of (-1)^n * e(-V) is negative and
+    NotAPerfectSquare is raised.
     """
     e = euler_class(-v, use_cy=True)
-    if e.is_zero():
-        return e
-    if (e.total_degree() + n) % 2:
+    if not e.is_zero() and (e.total_degree() + n) % 2:
         raise NotAPerfectSquare("scalar %s is not a rational square" % (-e.scalar**2,))
-    return e if e.scalar > 0 else e.scaled(-1)
+    return e
+
+
+def _half_vertex_root(v, n):
+    """Root of (-1)^n * e(-V) for even d, from the half vertex v alone.
+
+    The root is e(-v) with a positive scalar (see _half_vertex_euler);
+    the zero class is its own root.  It equals
+    sqrt_form_product(euler_class(-vertex(pi, d)), n).
+    """
+    e = _half_vertex_euler(v, n)
+    return e if e.scalar >= 0 else e.scaled(-1)
 
 
 def taut_factor(pi, d, u=None, ell_units=0):
@@ -273,32 +306,26 @@ def taut_factor(pi, d, u=None, ell_units=0):
     )
 
 
-def specialize(p):
-    """Restrict a FormProduct to the locus lam_1 + ... + lam_{d-1} = 0.
+def _restrict(factors, units, exps):
+    """Restrict forms {form: exponent} to the locus lam_1 + ... + lam_{d-1} = 0.
 
-    Critical forms (c, ..., c, ell_part) carry the transverse coordinate:
-    each one restricts to its ell-scalar c + ell_part*ell per unit, and
-    their net exponent must balance to zero -- positive leaves an
-    identically zero value, negative is a pole.  The remaining forms
-    restrict to forms in d-2 parameters, are re-canonicalized (scalars
-    flow into the value) and must cancel direction by direction,
-    otherwise the value is not constant on the locus.  Returns the value
-    as a QPoly in ell (zero for the zero class) and raises ShapeMismatch
-    on a pole or a surviving direction.  All cancellation is symbolic;
-    nothing is sampled here.  One pass over the factors sorts out the
-    critical forms and restricts and canonicalizes the others.
+    A critical form (c, ..., c, ell_part) carries the transverse
+    coordinate: its exponent is added to units[c, ell_part], the
+    ell-scalar c + ell_part*ell per unit.  Every other form restricts to
+    the form (c_i - c_{d-1})_{i <= d-2} in d-2 parameters, which is
+    re-canonicalized and whose exponent is added to exps.  Returns the
+    multiplier that the re-canonicalization leaves, as a Fraction.
     """
-    units = {}
-    exps = {}
     get = exps.get
     num = den = 1
     odd = 0
     zero = None
-    for form, e in p.factors.items():
+    for form, e in factors.items():
         head = form[:-1]
         last = head[-1]
         if head.count(last) == len(head):
-            units[last, form[-1]] = e
+            unit = last, form[-1]
+            units[unit] = units.get(unit, 0) + e
             continue
         rest = tuple([c - last for c in head[:-1]])
         if zero is None:
@@ -314,6 +341,19 @@ def specialize(p):
             else:
                 den *= g ** (-e)
         exps[rest] = get(rest, 0) + e
+    return Fraction(-num if odd else num, den)
+
+
+def _locus_value(scalar, units, exps):
+    """The value scalar * prod units^e on the locus, or a ShapeMismatch.
+
+    The net exponent of the units must balance to zero -- positive
+    leaves an identically zero value, negative is a pole -- and the
+    restricted forms in exps must cancel direction by direction,
+    otherwise the value is not constant on the locus.  Checked in that
+    order; the value is a QPoly in ell, and a unit without an ell-part
+    is a constant that goes into the scalar.
+    """
     sigma_net = sum(units.values())
     if sigma_net < 0:
         raise ShapeMismatch("diagnostic pole instead of a polynomial")
@@ -321,17 +361,115 @@ def specialize(p):
         return QPoly.zero()
     if any(exps.values()):
         raise ShapeMismatch("diagnostic not_constant instead of a polynomial")
-    top = QPoly.const(p.scalar * Fraction(-num if odd else num, den))
-    bottom = QPoly.one()
+    top = bottom = QPoly.one()
     for unit, e in units.items():
-        if e > 0:
+        if not unit[1]:
+            scalar *= Fraction(unit[0]) ** e
+        elif e > 0:
             top = top * QPoly(unit) ** e
-        else:
+        elif e < 0:
             bottom = bottom * QPoly(unit) ** (-e)
-    value = top.divexact(bottom)
+    value = (top * scalar).divexact(bottom)
     if value is None:
         raise ShapeMismatch("diagnostic pole instead of a polynomial")
     return value
+
+
+def specialize(p):
+    """Restrict a FormProduct to the locus lam_1 + ... + lam_{d-1} = 0.
+
+    Critical forms (c, ..., c, ell_part) restrict to their ell-scalars
+    c + ell_part*ell; the remaining forms restrict to forms in d-2
+    parameters, are re-canonicalized (scalars flow into the value) and
+    must cancel direction by direction (_restrict).  Returns the value
+    as a QPoly in ell (zero for the zero class) and raises ShapeMismatch
+    on a pole or a surviving direction (_locus_value).  All cancellation
+    is symbolic; nothing is sampled here.  The weight pipeline reads
+    the value from the packed half vertex (_specialize_half_vertex);
+    this route on the product of forms is the oracle that checks it.
+    """
+    units = {}
+    exps = {}
+    scalar = p.scalar * _restrict(p.factors, units, exps)
+    return _locus_value(scalar, units, exps)
+
+
+def _specialize_half_vertex(pi, d, v):
+    """The specialized value of pi, read from the packed codes of v.
+
+    Equals specialize(taut_factor(pi, d, ell_units=1) * root) for
+    v = vertex_half(pi, d) and root = _half_vertex_root(v, |pi|), with
+    the same errors, and returns None where the root is the zero class.
+    The one euler_class(-v) rules on the zero class and on the parity
+    of the root, the sign of its scalar is the one the root drops, and
+    its bound check 2 * v.bound < 2^15 keeps every w_i - w_{d-1} in a
+    digit.  The insertion's forms are restricted as in specialize.
+
+    Each code of v is restricted directly.  With m = w_{d-1}, the top
+    d-2 digits minus m * ONES are the code r of (w_i - w_{d-1})_{i<=d-2};
+    the Calabi-Yau shift by w_d cancels in it.  At r = origin the form
+    is critical with unit u = w_{d-1} - w_d: the coefficients merge per
+    u, and u^e enters the scalar.  The net at u = 0 (the zero weight) is
+    zero, since e(-v) is not the zero class.  Any other r is folded onto
+    its mirror when it lies below the origin, its coefficient's parity
+    entering the sign, and its coefficients merge; each distinct r with
+    a non-zero net is decoded once, and its gcd G enters as G^e.  The
+    product over the forms of r and its re-canonicalization is exactly
+    this, because the two sign folds and the two gcds compose.
+    """
+    e = _half_vertex_euler(v, pi.size)
+    if e.is_zero():
+        return None
+    taut = taut_factor(pi, d, ell_units=1)
+    units = {}
+    exps = {}
+    scalar = taut.scalar * _restrict(taut.factors, units, exps)
+    k = d - 2
+    ones = _ones(k)
+    origin = BIAS * ones
+    mirror = 2 * origin
+    crit = {}
+    rest = {}
+    get = rest.get
+    odd = 0
+    for code, c in v.terms.items():
+        high = code >> RADIX_BITS
+        m = (high & DIGIT) - BIAS
+        r = (high >> RADIX_BITS) - m * ones
+        if r == origin:
+            u = (high & DIGIT) - (code & DIGIT)
+            crit[u] = crit.get(u, 0) - c
+            continue
+        if r < origin:
+            r = mirror - r
+            odd ^= c & 1
+        rest[r] = get(r, 0) - c
+    num = den = 1
+    sigma = 0
+    for u, e_u in crit.items():
+        if u and e_u:
+            sigma += e_u
+            if e_u > 0:
+                num *= u**e_u
+            else:
+                den *= u ** (-e_u)
+    if sigma:
+        # every critical code is the form (1, ..., 1, 0), of ell-scalar 1
+        units[1, 0] = units.get((1, 0), 0) + sigma
+    get = exps.get
+    for form, e_r in _decoded(rest, k, origin):
+        g = gcd(*form)
+        if g != 1:
+            form = tuple([x // g for x in form])
+            if e_r > 0:
+                num *= g**e_r
+            else:
+                den *= g ** (-e_r)
+        exps[form] = get(form, 0) + e_r
+    if e.scalar < 0:
+        odd ^= 1
+    scalar *= Fraction(-num if odd else num, den)
+    return _locus_value(scalar, units, exps)
 
 
 def _corner_column(h):
@@ -422,13 +560,15 @@ def vertex_fingerprint(v):
 def compute_weight(pi, d):
     """Full symbolic weight pipeline for one partition, d = 0 mod 4.
 
-    half vertex v -> square root of the Euler class of minus the vertex,
-    read off e(-v) -> distinguished tautological factor ->
-    specialization -> weight extraction.  The full vertex V is never
-    built: for even d its fixed part is twice that of v, so the verdict
-    and the fingerprint come from v as well.  A zero square root (a zero
-    Euler class) is the weight omega = 0 with sign 1.  Pipeline failures
-    raise with the offending partition attached.
+    half vertex v -> e(-v), which rules on the square root of the Euler
+    class of minus the vertex -> specialized value of the distinguished
+    tautological factor times that root, read straight from the packed
+    codes of v (_specialize_half_vertex; specialize on the product of
+    forms is its oracle) -> weight extraction.  The full vertex V is
+    never built: for even d its fixed part is twice that of v, so the
+    verdict and the fingerprint come from v as well.  A zero square root
+    (a zero Euler class) is the weight omega = 0 with sign 1.  Pipeline
+    failures raise with the offending partition attached.
     """
     if d % 4:
         raise ValueError("dimension must be divisible by 4")
@@ -440,11 +580,10 @@ def compute_weight(pi, d):
             "fixed part of the vertex is positive", partition=pi.serialize()
         )
     try:
-        sqrt = _half_vertex_root(v, pi.size)
-        if sqrt.is_zero():
+        value = _specialize_half_vertex(pi, d, v)
+        if value is None:
             omega, sign = Fraction(0), 1
         else:
-            value = specialize(taut_factor(pi, d, ell_units=1) * sqrt)
             omega, sign = omega_from_specialized(value, pi)
     except (NotAPerfectSquare, ShapeMismatch, ZeroWeightDenominator) as exc:
         if exc.partition is None:

@@ -34,7 +34,7 @@ from math import comb
 class MultiPartition:
     """An n-partition stored as a sparse map from index tuples to heights."""
 
-    __slots__ = ("arity", "heights", "_key")
+    __slots__ = ("arity", "heights", "_key", "_serial")
 
     def __init__(self, arity, heights=None, validate=True):
         if arity < 1:
@@ -42,6 +42,7 @@ class MultiPartition:
         self.arity = arity
         self.heights = {tuple(k): int(v) for k, v in (heights or {}).items() if v}
         self._key = tuple(sorted(idx + (h,) for idx, h in self.heights.items()))
+        self._serial = None
         if validate:
             self._validate()
 
@@ -92,8 +93,14 @@ class MultiPartition:
         return self._key
 
     def serialize(self):
-        """Compact string form of key(); used as cache and report key."""
-        return json.dumps([list(e) for e in self._key], separators=(",", ":"))
+        """Compact string form of key(); used as cache and report key.
+
+        Written on the first call and kept, since a partition is never
+        changed after it is built.
+        """
+        if self._serial is None:
+            self._serial = json.dumps([list(e) for e in self._key], separators=(",", ":"))
+        return self._serial
 
     def to_json_obj(self):
         return {"arity": self.arity, "entries": [list(e) for e in self._key]}

@@ -60,6 +60,21 @@ def corner_column(arity, height):
     return MultiPartition(arity, {(1,) * arity: height})
 
 
+def cube_on_three_axes(arity):
+    """B: the 2x2x2 cube of boxes on the first three base axes (size 8)."""
+    pad = (1,) * (arity - 3)
+    return MultiPartition(arity, {idx + pad: 1 for idx in itertools.product((1, 2), repeat=3)})
+
+
+def raised_cube_without_corner(arity):
+    """A: the 2x2x2 cube on the first three base axes without its far
+    corner, the corner column raised to height 2 (size 8)."""
+    pad = (1,) * (arity - 3)
+    h = {idx + pad: 1 for idx in itertools.product((1, 2), repeat=3) if idx != (2, 2, 2)}
+    h[(1,) * arity] = 2
+    return MultiPartition(arity, h)
+
+
 @functools.cache
 def cached_weight_table(d, order):
     """weight_table(d, order), built once per pytest run and shared."""

@@ -37,8 +37,16 @@ the package against.
   that split off the critical forms and collected the rest; the
   packed-code fold of euler_class and the one-pass specialize replaced
   them.
+- The Euler class that builds cy_reduce first and decodes each folded
+  code on its own, which the one pass that reduces while it folds and
+  decodes one buffer replaced.  The route that the weight pipeline's
+  read of the packed half vertex replaced, specialize on the insertion
+  times the root, stays in forms as the oracle of that read.
 - Evaluation of a form product on the specialization locus, the
-  independent check on forms.specialize.
+  independent check on forms.specialize, and locus_value: the same
+  limit built by hand from the tuple half vertex and the boxes, with
+  nothing from dtvertex.forms, the independent check on the weight
+  pipeline's specialized values.
 - The per-partition sums that the orbit-weighted ones replaced: the
   left side of the exp identity over every partition, with one omega_c
   each, and the odd-dimension series over every partition.
@@ -54,6 +62,7 @@ the package against.
 import hashlib
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 from dtvertex import (
     ArityMismatch,
@@ -70,7 +79,7 @@ from dtvertex import (
     omega_c,
 )
 from dtvertex.forms import _collect, canonical_form, euler_class
-from dtvertex.kclass import KEY_VIOLATED, RADIX_BITS, _checked, key_verdict
+from dtvertex.kclass import KEY_VIOLATED, RADIX_BITS, _checked, _decoder, _origin, key_verdict
 from dtvertex.kclass import cy_reduce as packed_cy_reduce
 from dtvertex.kclass import character as packed_character
 from dtvertex.kclass import vertex as packed_vertex
@@ -457,6 +466,48 @@ def times_raw_form(p, coeffs, ell_part, exponent):
     return FormProduct(p.scalar * Fraction(g) ** exponent, factors)
 
 
+def reduced_euler_class(a, use_cy=True):
+    """Euler class of a KClass from its cy_reduce, then the packed fold.
+
+    The route that the one-pass euler_class replaced: the reduced class
+    is built first, a code below the origin is folded onto its mirror
+    with its coefficient's parity in the sign, the origin rules on the
+    zero class, and each folded code is decoded on its own.
+    """
+    if not use_cy:
+        return _collect((w, 0, c) for w, c in a.items())
+    a = packed_cy_reduce(a)
+    origin = _origin(a.dim)
+    mirror = 2 * origin
+    folded = {}
+    odd = 0
+    for code, c in a.terms.items():
+        if code < origin:
+            code = mirror - code
+            odd ^= c & 1
+        elif code == origin:
+            if c > 0:
+                return FormProduct(0)
+            raise ZeroWeightDenominator("zero weight with exponent %d" % c)
+        folded[code] = folded.get(code, 0) + c
+    decode = _decoder(a.dim, a.dim)
+    exps = {}
+    num = den = 1
+    for code, e in folded.items():
+        if not e:
+            continue
+        form = decode(code)
+        g = gcd(*form)
+        if g != 1:
+            form = tuple(x // g for x in form)
+            if e > 0:
+                num *= g**e
+            else:
+                den *= g ** (-e)
+        exps[form] = exps.get(form, 0) + e
+    return FormProduct(Fraction(-num if odd else num, den), {f: e for f, e in exps.items() if e})
+
+
 def collected_euler_class(a, use_cy=True):
     """Euler class of a KClass with every term decoded and collected.
 
@@ -542,6 +593,65 @@ def evaluate_on_locus(p, frees, ell):
         return Fraction(0)
     if order < 0:
         raise ZeroDivisionError("pole on the specialization locus")
+    return val
+
+
+def locus_value(pi, d, ell, frees):
+    """Value of the insertion times e(-v) on the locus, built by hand.
+
+    v is the tuple half vertex vertex_half(pi, d), reduced by cy_reduce,
+    and the insertion is t_d^-ell times the character of the boxes.  The
+    locus lam_1 + ... + lam_{d-1} = 0 is reached as s -> 0 along
+    lam_j = mu_j (j <= d-2, mu = frees), lam_{d-1} = s - sum(mu) and
+    lam_d = -s.  A reduced weight w (w_d = 0) of v with coefficient c
+    contributes (A + B s)^-c with A = sum_j (w_j - w_{d-1}) mu_j and
+    B = w_{d-1}; a box b contributes A(b) + (b_{d-1} - b_d + ell) s with
+    A(b) = sum_j (b_j - b_{d-1}) mu_j.  A factor is critical when its A
+    is identically zero; the limit is the product of the A of the
+    others and the B of the critical ones, when their net exponent is
+    zero; exponents are summed per absolute value before any power is
+    taken.  The square root of the pipeline is +-e(-v), so this is the
+    specialized value up to a sign that depends on pi and d only.  Uses
+    nothing from dtvertex.forms.  A positive zero weight gives 0; a
+    negative one, or a net pole, raises ZeroDivisionError; a sample on a
+    non-critical factor raises DegenerateSamplePoint.
+    """
+    mu = list(frees)
+    if len(mu) != d - 2:
+        raise ValueError("expected %d free coordinates" % (d - 2))
+    factors = [
+        ([w[j] - w[d - 2] for j in range(d - 2)], w[d - 2], -c)
+        for w, c in cy_reduce(vertex_half(pi, d)).items()
+    ]
+    factors += [
+        ([b[j] - b[d - 2] for j in range(d - 2)], b[d - 2] - b[d - 1] + ell, 1)
+        for b in pi.cells()
+    ]
+    powers = {}
+    order = sign = 0
+    for a, b, e in factors:
+        if not any(a):
+            if not b:
+                if e > 0:
+                    return Fraction(0)
+                raise ZeroDivisionError("zero weight in the denominator")
+            order += e
+            x = Fraction(b)
+        else:
+            x = sum(c * m for c, m in zip(a, mu))
+            if not x:
+                raise DegenerateSamplePoint("sample lies on %r" % (a,))
+        if x < 0:
+            x = -x
+            sign ^= e & 1
+        powers[x] = powers.get(x, 0) + e
+    if order > 0:
+        return Fraction(0)
+    if order < 0:
+        raise ZeroDivisionError("pole on the specialization locus")
+    val = Fraction(-1 if sign else 1)
+    for x, e in powers.items():
+        val *= Fraction(x) ** e
     return val
 
 

@@ -579,7 +579,9 @@ def test_order_8_facts_at_d8(tmp_path, capsys):
 
 
 def test_euler_class_runs_once_per_representative(tmp_path, monkeypatch, capsys):
-    # tier-1 guard for the benchmark's call-count gate (perfbench/selftest.py)
+    # tier-1 guard for the benchmark's call-count gate (perfbench/selftest.py);
+    # the weights are read from the packed half vertex, so specialize, the
+    # oracle of that read, never runs
     import dtvertex.forms as forms_mod
 
     calls = []
@@ -589,7 +591,11 @@ def test_euler_class_runs_once_per_representative(tmp_path, monkeypatch, capsys)
         calls.append(args)
         return real(*args, **kwargs)
 
+    def oracle_called(p):
+        raise AssertionError("compute_weight fell back to specialize")
+
     monkeypatch.setattr(forms_mod, "euler_class", counted)
+    monkeypatch.setattr(forms_mod, "specialize", oracle_called)
     cache = str(tmp_path / "weights.jsonl")
     code, _ = run_cli(capsys, "check", "fourk", "-d", "4", "-n", "2", "--cache", cache)
     assert code == 0 and len(calls) == 3

@@ -27,15 +27,30 @@ from dtvertex import (
     weight_table,
 )
 from dtvertex.cache import record_from_weight
-from dtvertex.forms import _half_vertex_root, canonical_form, cy_bundle_term, vertex_fingerprint
+from dtvertex.forms import (
+    _half_vertex_root,
+    _specialize_half_vertex,
+    canonical_form,
+    cy_bundle_term,
+    vertex_fingerprint,
+)
 
-from conftest import cached_weight_table, corner_column, single_box, weight_stages
+from conftest import (
+    cached_weight_table,
+    corner_column,
+    cube_on_three_axes,
+    raised_cube_without_corner,
+    single_box,
+    weight_stages,
+)
 from oracles import (
     collected_euler_class,
     collected_specialize,
     euler_ratio_odd,
     evaluate_on_locus,
+    locus_value,
     orbit,
+    reduced_euler_class,
     repr_fingerprint,
     times_raw_form,
 )
@@ -109,17 +124,20 @@ def _outcome(f, *args):
     """f(*args), or the type and text of the error it raises."""
     try:
         return f(*args)
-    except (ShapeMismatch, ZeroWeightDenominator) as exc:
+    except (NotAPerfectSquare, ShapeMismatch, ZeroWeightDenominator) as exc:
         return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("d,order", [(4, 7), (8, 5), (12, 3), (5, 4), (7, 4)])
 def test_euler_class_matches_collector_oracle(d, order):
+    # also against the reduce-then-fold route that the one-pass fold replaced
     for n in range(1, order + 1):
         for rep, _ in canonical_representatives(d - 1, n):
             for cls in (vertex_half(rep, d), vertex(rep, d)):
                 for a in (cls, -cls):
-                    assert _outcome(euler_class, a) == _outcome(collected_euler_class, a)
+                    got = _outcome(euler_class, a)
+                    assert got == _outcome(collected_euler_class, a)
+                    assert got == _outcome(reduced_euler_class, a)
 
 
 # a +-w pair with an odd coefficient whose exponents cancel; w and 2w;
@@ -157,7 +175,24 @@ small_classes = st.integers(2, 5).flatmap(
 @example(EDGE_CLASSES[3][0])
 @example(EDGE_CLASSES[4][0])
 def test_euler_class_matches_collector_on_random_classes(a):
-    assert _outcome(euler_class, a) == _outcome(collected_euler_class, a)
+    got = _outcome(euler_class, a)
+    assert got == _outcome(collected_euler_class, a)
+    assert got == _outcome(reduced_euler_class, a)
+
+
+def test_euler_class_sums_the_zero_weight_before_ruling():
+    # (1,1,1) and (2,2,2) both reduce to the zero weight: only their net
+    # coefficient rules, as in the reduced class
+    cancel = KClass(3, {(1, 1, 1): 1, (2, 2, 2): -1, (1, 0, 0): 1})
+    assert euler_class(cancel) == reduced_euler_class(cancel) == FormProduct(1, {form((1, 0)): 1})
+    for c, expected in ((3, FormProduct(0)), (-3, None)):
+        a = KClass(3, {(1, 1, 1): 1, (2, 2, 2): c - 1, (1, 0, 0): 1})
+        if expected is None:
+            with pytest.raises(ZeroWeightDenominator, match="^zero weight with exponent -3$"):
+                euler_class(a)
+        else:
+            assert euler_class(a) == expected
+        assert _outcome(euler_class, a) == _outcome(reduced_euler_class, a)
 
 
 def test_specialize_matches_collector_oracle():
@@ -196,6 +231,120 @@ def test_specialize_matches_collector_oracle():
         "diagnostic not_constant instead of a polynomial",
     }
     assert kinds == {"default": outcomes, "twist": outcomes}
+
+
+def _specialized_by_oracle(pi, d, v):
+    """specialize(taut * root), or None for the zero root: the route that
+    _specialize_half_vertex replaced."""
+    root = _half_vertex_root(v, pi.size)
+    if root.is_zero():
+        return None
+    return specialize(taut_factor(pi, d, ell_units=1) * root)
+
+
+@pytest.mark.parametrize("d,order,count", [(4, 7, 141), (8, 5, 34), (12, 3, 7), (16, 2, 3)])
+def test_specialize_half_vertex_matches_specialize_oracle(d, order, count):
+    seen = 0
+    for n in range(1, order + 1):
+        for rep, _ in canonical_representatives(d - 1, n):
+            v = vertex_half(rep, d)
+            got = _outcome(_specialize_half_vertex, rep, d, v)
+            assert got == _outcome(_specialized_by_oracle, rep, d, v)
+            seen += 1
+    assert seen == count
+
+
+# the single box at d = 4 against hand-built half vertices: its insertion
+# is the unit ell, so a critical code of v with coefficient 1 balances it
+HAND_VERTICES = {
+    # w_3 - w_4 = -2: a critical code with u < 0, folded with its sign
+    "negative_unit": ({(0, 0, 0, 2): 1}, poly(0, Fraction(1, 2))),
+    # the diagonal codes cancel at the zero weight, and (1,0,0,0) and
+    # (1,0,0,-1) restrict to the same direction (1,0) and cancel there
+    "cancelling_codes": (
+        {(0, 0, 0, 2): 1, (1, 1, 1, 1): 1, (2, 2, 2, 2): -1, (1, 0, 0, 0): 1, (1, 0, 0, -1): -1},
+        poly(0, Fraction(1, 2)),
+    ),
+    # a restricted direction that nothing cancels
+    "surviving_direction": (
+        {(0, 0, 0, 2): 1, (1, 0, 0, 0): 1, (3, 1, 1, 1): 1},
+        "diagnostic not_constant instead of a polynomial",
+    ),
+    # two critical codes in the denominator of e(-v) against one unit
+    "pole": (
+        {(0, 0, 0, 2): 1, (0, 0, 0, 1): 1, (0, 0, 0, -1): 1},
+        "diagnostic pole instead of a polynomial",
+    ),
+    # net zero weight in e(-v): the root is the zero class
+    "zero_root": ({(1, 1, 1, 1): -1, (0, 0, 0, 2): 1}, "zero"),
+}
+
+
+@pytest.mark.parametrize("terms,expected", HAND_VERTICES.values(), ids=list(HAND_VERTICES))
+def test_specialize_half_vertex_hand_cases(terms, expected):
+    pi = single_box(3)
+    v = KClass(4, terms)
+    got = _outcome(_specialize_half_vertex, pi, 4, v)
+    assert got == _outcome(_specialized_by_oracle, pi, 4, v)
+    if expected == "zero":
+        assert got is None
+    elif isinstance(expected, str):
+        assert got == (ShapeMismatch, expected)
+    else:
+        assert got == expected
+
+
+def test_specialize_half_vertex_keeps_the_parity_error():
+    # an odd total degree of e(-v) against |pi| = 1 has no root
+    v = KClass(4, {(0, 0, 0, 2): 1, (1, 0, 0, 0): 1})
+    got = _outcome(_specialize_half_vertex, single_box(3), 4, v)
+    assert got == (NotAPerfectSquare, "scalar -1/4 is not a rational square")
+    assert got == _outcome(_specialized_by_oracle, single_box(3), 4, v)
+
+
+def test_full_cube_at_d4_agrees_and_is_not_a_column():
+    b = cube_on_three_axes(3)
+    v = vertex_half(b, 4)
+    value = _specialize_half_vertex(b, 4, v)
+    assert value == _specialized_by_oracle(b, 4, v)
+    assert abs(value.leading()) == Fraction(1, 2) and value.degree() == 2
+    with pytest.raises(ShapeMismatch) as expected:
+        omega_from_specialized(_specialized_by_oracle(b, 4, v), b)
+    with pytest.raises(ShapeMismatch) as got:
+        compute_weight(b, 4)
+    assert str(got.value) == str(expected.value)
+    assert got.value.partition == expected.value.partition == b.serialize()
+
+
+# |value| at ell as a function of ell, on the locus
+ORDER_8_VALUES = [
+    ("A", 4, lambda ell: Fraction(ell * (ell - 1), 2)),
+    ("A", 8, lambda ell: Fraction(ell * (ell - 1), 2)),
+    ("A", 12, lambda ell: Fraction(ell * (ell - 1), 2)),
+    ("B", 4, lambda ell: Fraction(ell * (ell + 1), 2)),
+    ("B", 8, lambda ell: Fraction(ell)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,d,expected", ORDER_8_VALUES, ids=["%s-d%d" % (n, d) for n, d, _ in ORDER_8_VALUES]
+)
+def test_locus_value_oracle_on_the_order_8_partitions(name, d, expected):
+    make = raised_cube_without_corner if name == "A" else cube_on_three_axes
+    pi = make(d - 1)
+    assert pi.size == 8
+    # 101^j keeps every restricted form non-zero (its entries are small)
+    frees = [101**j for j in range(d - 2)]
+    fast = _specialize_half_vertex(pi, d, vertex_half(pi, d))
+    signs = set()
+    for ell in (2, 3, 4):
+        got = locus_value(pi, d, ell, frees)
+        assert abs(got) == expected(ell)
+        signs.add(fast(Fraction(ell)) / got)
+    # the root fixes one sign per partition
+    assert signs in ({1}, {-1})
+    if d == 4:
+        assert locus_value(pi, d, 3, [7, -5]) == locus_value(pi, d, 3, frees)
 
 
 def test_sqrt_of_single_box_dim4():

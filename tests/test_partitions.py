@@ -356,6 +356,15 @@ def test_serialization_roundtrip(seven_part_size14):
         assert json.loads(pi.serialize()) == obj["entries"]
 
 
+def test_serialize_is_written_once_and_matches_json_dumps(seven_part_size14):
+    for pi in enumerate_partitions(3, 4) + [seven_part_size14, MultiPartition(2)]:
+        reference = json.dumps([list(e) for e in pi.key()], separators=(",", ":"))
+        first = pi.serialize()
+        assert first == reference
+        # the kept string is returned, not rebuilt
+        assert pi.serialize() is first
+
+
 def test_bounded_enumeration():
     bound = {(1, 1): 2, (1, 2): 1, (2, 1): 1}
     for size in range(1, 5):
