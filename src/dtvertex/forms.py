@@ -15,17 +15,23 @@ tautological insertion and the full-torus Euler class from raw forms:
 it canonicalizes each form, adds up the exponents and folds the
 multipliers into the scalar.  The Calabi-Yau Euler class reduces and
 folds the packed codes of a class onto primitive forms in one pass
-instead.  Cancellation, square-root extraction and the specialization
-to the locus lam_1 + ... + lam_{d-1} = 0 are multiset operations; no
-limits are ever taken.  The specialized value is a polynomial in ell,
-and a pole or a form direction that survives on the locus raises
-ShapeMismatch.  The weight pipeline reads that value straight from the
-packed half vertex, restricting each code by integer arithmetic;
-specialize, which restricts a product of forms, is its oracle.
+instead.  Both delete a form whose exponents net to zero as they merge
+and hand their dict to the product without a copy
+(FormProduct._packed).  Cancellation, square-root extraction and the
+specialization to the locus lam_1 + ... + lam_{d-1} = 0 are multiset
+operations; no limits are ever taken.  The specialized value is a
+polynomial in ell, and a pole or a form direction that survives on the
+locus raises ShapeMismatch; its ell-units are multiplied out as integer
+coefficient lists, and each coefficient becomes a Fraction once, when
+the scalar multiplies it.  The weight pipeline reads that value
+straight from the packed half vertex, restricting each code by integer
+arithmetic; specialize, which restricts a product of forms, is its
+oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from fractions import Fraction
@@ -87,12 +93,24 @@ class FormProduct:
         self.scalar = Fraction(scalar)
         self.factors = dict(factors or {}) if self.scalar else {}
 
+    @classmethod
+    def _packed(cls, scalar, factors):
+        """Product over a Fraction scalar and a freshly built dict of
+        non-zero exponents, taken as is (empty when the scalar is zero)."""
+        p = object.__new__(cls)
+        p.scalar = scalar
+        p.factors = factors
+        return p
+
     def is_zero(self):
         return not self.scalar
 
     def __mul__(self, other):
         if not isinstance(other, FormProduct):
             return NotImplemented
+        scalar = self.scalar * other.scalar
+        if not scalar:
+            return FormProduct(0)
         factors = dict(self.factors)
         for form, e in other.factors.items():
             s = factors.get(form, 0) + e
@@ -100,7 +118,7 @@ class FormProduct:
                 factors[form] = s
             else:
                 del factors[form]
-        return FormProduct(self.scalar * other.scalar, factors)
+        return FormProduct._packed(scalar, factors)
 
     def scaled(self, c):
         return FormProduct(self.scalar * c, self.factors)
@@ -157,12 +175,18 @@ def _collect(raw):
                 return FormProduct(0)
             raise ZeroWeightDenominator("zero weight with exponent %d" % e)
         form, g = norm
-        exps[form] = exps.get(form, 0) + e
         if e > 0:
             num *= g**e
-        else:
+        elif e < 0:
             den *= g ** (-e)
-    return FormProduct(Fraction(num, den), {f: e for f, e in exps.items() if e})
+        else:
+            continue
+        s = exps.get(form, 0) + e
+        if s:
+            exps[form] = s
+        else:
+            del exps[form]
+    return FormProduct._packed(Fraction(num, den), exps)
 
 
 def euler_class(a, use_cy=True):
@@ -184,7 +208,11 @@ def euler_class(a, use_cy=True):
     summed and ruled on after the pass.  The distinct folded codes are
     decoded together, by one struct.iter_unpack over one buffer; the
     last entry, w_d = 0 after the reduction, is the ell_part 0 of the
-    form.
+    form.  A form that holds 1 or -1 is primitive as it is; any other
+    is divided by its gcd, which enters the scalar, and may then merge
+    into a form already seen.  A merge that nets to zero deletes the
+    form on the spot, and a later code may add it back; the dict of
+    exponents becomes the product as it is, with no copy.
     """
     if not use_cy:
         return _collect((w, 0, c) for w, c in a.items())
@@ -212,18 +240,23 @@ def euler_class(a, use_cy=True):
     if fixed < 0:
         raise ZeroWeightDenominator("zero weight with exponent %d" % fixed)
     exps = {}
+    get = exps.get
     num = den = 1
     for form, e in _decoded(folded, d, origin):
-        g = gcd(*form)
-        if g != 1:
-            form = tuple([x // g for x in form])
-            if e > 0:
-                num *= g**e
-            else:
-                den *= g ** (-e)
-        exps[form] = exps.get(form, 0) + e
-    scalar = Fraction(-num if odd else num, den)
-    return FormProduct(scalar, {f: e for f, e in exps.items() if e})
+        if 1 not in form and -1 not in form:
+            g = gcd(*form)
+            if g != 1:
+                form = tuple([x // g for x in form])
+                if e > 0:
+                    num *= g**e
+                else:
+                    den *= g ** (-e)
+        s = get(form, 0) + e
+        if s:
+            exps[form] = s
+        else:
+            del exps[form]
+    return FormProduct._packed(Fraction(-num if odd else num, den), exps)
 
 
 def _decoded(counts, k, origin):
@@ -257,7 +290,7 @@ def sqrt_form_product(p, n):
     root = fraction_sqrt(s)
     if root is None:
         raise NotAPerfectSquare("scalar %s is not a rational square" % (s,))
-    return FormProduct(root, half)
+    return FormProduct._packed(root, half)
 
 
 def _half_vertex_euler(v, n):
@@ -351,8 +384,12 @@ def _locus_value(scalar, units, exps):
     leaves an identically zero value, negative is a pole -- and the
     restricted forms in exps must cancel direction by direction,
     otherwise the value is not constant on the locus.  Checked in that
-    order; the value is a QPoly in ell, and a unit without an ell-part
-    is a constant that goes into the scalar.
+    order; the value is a QPoly in ell.  A unit without an ell-part is a
+    constant that goes into the scalar; the units (c + k*ell)^e are
+    multiplied out as integer coefficient lists, the top from e > 0 and
+    the bottom from e < 0.  When the bottom is 1 the value is the top
+    times the scalar; otherwise the top must divide exactly by the
+    bottom, or the value has a pole.
     """
     sigma_net = sum(units.values())
     if sigma_net < 0:
@@ -361,17 +398,23 @@ def _locus_value(scalar, units, exps):
         return QPoly.zero()
     if any(exps.values()):
         raise ShapeMismatch("diagnostic not_constant instead of a polynomial")
-    top = bottom = QPoly.one()
-    for unit, e in units.items():
-        if not unit[1]:
-            scalar *= Fraction(unit[0]) ** e
-        elif e > 0:
-            top = top * QPoly(unit) ** e
-        elif e < 0:
-            bottom = bottom * QPoly(unit) ** (-e)
-    value = (top * scalar).divexact(bottom)
-    if value is None:
-        raise ShapeMismatch("diagnostic pole instead of a polynomial")
+    top = [1]
+    bottom = [1]
+    for (c, k), e in units.items():
+        if not k:
+            scalar *= Fraction(c) ** e
+            continue
+        poly = top if e > 0 else bottom
+        for _ in range(abs(e)):
+            poly.append(0)
+            for i in range(len(poly) - 1, 0, -1):
+                poly[i] = c * poly[i] + k * poly[i - 1]
+            poly[0] *= c
+    value = QPoly([scalar * c for c in top])
+    if len(bottom) > 1:
+        value = value.divexact(QPoly(bottom))
+        if value is None:
+            raise ShapeMismatch("diagnostic pole instead of a polynomial")
     return value
 
 
@@ -413,7 +456,8 @@ def _specialize_half_vertex(pi, d, v):
     zero, since e(-v) is not the zero class.  Any other r is folded onto
     its mirror when it lies below the origin, its coefficient's parity
     entering the sign, and its coefficients merge; each distinct r with
-    a non-zero net is decoded once, and its gcd G enters as G^e.  The
+    a non-zero net is decoded once, and its gcd G enters as G^e (a form
+    that holds 1 or -1 has G = 1 and takes no gcd).  The
     product over the forms of r and its re-canonicalization is exactly
     this, because the two sign folds and the two gcds compose.
     """
@@ -458,13 +502,14 @@ def _specialize_half_vertex(pi, d, v):
         units[1, 0] = units.get((1, 0), 0) + sigma
     get = exps.get
     for form, e_r in _decoded(rest, k, origin):
-        g = gcd(*form)
-        if g != 1:
-            form = tuple([x // g for x in form])
-            if e_r > 0:
-                num *= g**e_r
-            else:
-                den *= g ** (-e_r)
+        if 1 not in form and -1 not in form:
+            g = gcd(*form)
+            if g != 1:
+                form = tuple([x // g for x in form])
+                if e_r > 0:
+                    num *= g**e_r
+                else:
+                    den *= g ** (-e_r)
         exps[form] = get(form, 0) + e_r
     if e.scalar < 0:
         odd ^= 1
@@ -472,8 +517,12 @@ def _specialize_half_vertex(pi, d, v):
     return _locus_value(scalar, units, exps)
 
 
+@functools.cache
 def _corner_column(h):
-    """ell (ell - 1) ... (ell - h + 1), the column of a corner of height h."""
+    """ell (ell - 1) ... (ell - h + 1), the column of a corner of height h.
+
+    Memoized: a QPoly is immutable, so every caller may share it.
+    """
     column = QPoly.one()
     for i in range(h):
         column = column * QPoly((Fraction(-i), Fraction(1)))

@@ -25,7 +25,6 @@ the representatives, so counting builds no partition of a high arity.
 from __future__ import annotations
 
 import functools
-import json
 from itertools import permutations
 from math import comb
 
@@ -95,11 +94,13 @@ class MultiPartition:
     def serialize(self):
         """Compact string form of key(); used as cache and report key.
 
-        Written on the first call and kept, since a partition is never
-        changed after it is built.
+        The bytes of json.dumps(rows, separators=(",", ":")), joined
+        straight from the int rows.  Written on the first call and kept,
+        since a partition is never changed after it is built.
         """
         if self._serial is None:
-            self._serial = json.dumps([list(e) for e in self._key], separators=(",", ":"))
+            rows = ["[%s]" % ",".join(map(str, e)) for e in self._key]
+            self._serial = "[%s]" % ",".join(rows)
         return self._serial
 
     def to_json_obj(self):

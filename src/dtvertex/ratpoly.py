@@ -2,7 +2,10 @@
 
 These are the coefficient containers for everything that depends on the
 line-bundle exponent parameter (rendered as ``ell``) and for truncated
-power series.  All arithmetic is exact, built on fractions.Fraction.
+power series.  All arithmetic is exact, built on fractions.Fraction:
+every stored coefficient is a Fraction, and a coefficient that already
+is one is stored as it is, not wrapped again.  A QPoly is immutable, so
+a value may be shared and memoized.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ def _trim(coeffs):
     n = len(coeffs)
     while n and not coeffs[n - 1]:
         n -= 1
-    return tuple(Fraction(c) for c in coeffs[:n])
+    return tuple([c if isinstance(c, Fraction) else Fraction(c) for c in coeffs[:n]])
 
 
 class QPoly:

@@ -1,6 +1,9 @@
-"""Shared fixtures: the recurring 7-partitions and small helpers."""
+"""Shared fixtures: the recurring 7-partitions, the order-8 runs and
+small helpers."""
 
+import contextlib
 import functools
+import io
 import itertools
 from collections import namedtuple
 
@@ -15,6 +18,7 @@ from dtvertex import (
     vertex,
     weight_table,
 )
+from dtvertex.cli import main
 
 
 def axis_box_heights(arity):
@@ -73,6 +77,24 @@ def raised_cube_without_corner(arity):
     h = {idx + pad: 1 for idx in itertools.product((1, 2), repeat=3) if idx != (2, 2, 2)}
     h[(1,) * arity] = 2
     return MultiPartition(arity, h)
+
+
+# run in this order on one cache: omega reads the weights fourk wrote
+ORDER_8_COMMANDS = ("check fourk -d 8 -n 8", "check omega -d 8 -n 8")
+
+
+@pytest.fixture(scope="session")
+def order_8_reports(tmp_path_factory):
+    """{command: (exit code, stdout)} for ORDER_8_COMMANDS, run once per
+    pytest run and shared by the order-8 facts and their report pins."""
+    cache = str(tmp_path_factory.mktemp("order_8") / "weights.jsonl")
+    runs = {}
+    for command in ORDER_8_COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(command.split() + ["--cache", cache])
+        runs[command] = code, out.getvalue()
+    return runs
 
 
 @functools.cache

@@ -42,6 +42,9 @@ the package against.
   decodes one buffer replaced.  The route that the weight pipeline's
   read of the packed half vertex replaced, specialize on the insertion
   times the root, stays in forms as the oracle of that read.
+- The value on the locus from the units, built as QPoly products of
+  the ell-units and one exact division by their bottom, which the
+  integer coefficient lists of forms._locus_value replaced.
 - Evaluation of a form product on the specialization locus, the
   independent check on forms.specialize, and locus_value: the same
   limit built by hand from the tuple half vertex and the boxes, with
@@ -548,6 +551,31 @@ def collected_specialize(p):
         else:
             bottom = bottom * QPoly(unit) ** (-e)
     value = top.divexact(bottom)
+    if value is None:
+        raise ShapeMismatch("diagnostic pole instead of a polynomial")
+    return value
+
+
+def qpoly_locus_value(scalar, units, exps):
+    """forms._locus_value with QPoly arithmetic: the top and the bottom
+    are products of QPoly powers of the ell-units, and the value is the
+    top times the scalar divided exactly by the bottom."""
+    sigma_net = sum(units.values())
+    if sigma_net < 0:
+        raise ShapeMismatch("diagnostic pole instead of a polynomial")
+    if sigma_net > 0:
+        return QPoly.zero()
+    if any(exps.values()):
+        raise ShapeMismatch("diagnostic not_constant instead of a polynomial")
+    top = bottom = QPoly.one()
+    for unit, e in units.items():
+        if not unit[1]:
+            scalar *= Fraction(unit[0]) ** e
+        elif e > 0:
+            top = top * QPoly(unit) ** e
+        elif e < 0:
+            bottom = bottom * QPoly(unit) ** (-e)
+    value = (top * scalar).divexact(bottom)
     if value is None:
         raise ShapeMismatch("diagnostic pole instead of a polynomial")
     return value

@@ -548,12 +548,12 @@ def test_serial_cli_does_not_import_the_process_pool():
     assert out.strip() == "[]"
 
 
-def test_order_8_facts_at_d8(tmp_path, capsys):
+def test_order_8_facts_at_d8(order_8_reports):
     # A: the 2x2x2 cube on three base axes without its far corner, corner
     # column of height 2 (orbit 35); its |omega| is 1/2 against omega_c 1,
-    # and at q^8 no orientation reaches the target
-    cache = str(tmp_path / "weights.jsonl")
-    code, out = run_cli(capsys, "check", "fourk", "-d", "8", "-n", "8", "--cache", cache)
+    # and at q^8 no orientation reaches the target.  The two runs share
+    # one cache and are pinned byte for byte in test_reports
+    code, out = order_8_reports["check fourk -d 8 -n 8"]
     assert code == 1
     report = json.loads(out)
     series, target = (
@@ -561,7 +561,7 @@ def test_order_8_facts_at_d8(tmp_path, capsys):
         for k in ("series", "target")
     )
     assert series - target == QPoly([0, Fraction(35, 2), Fraction(-35, 2)])
-    code, out = run_cli(capsys, "check", "omega", "-d", "8", "-n", "8", "--cache", cache)
+    code, out = order_8_reports["check omega -d 8 -n 8"]
     assert code == 1
     report = json.loads(out)
     assert report["exp_identity"] is True

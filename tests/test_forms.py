@@ -26,9 +26,12 @@ from dtvertex import (
     vertex_half,
     weight_table,
 )
+import dtvertex.forms as forms_mod
 from dtvertex.cache import record_from_weight
 from dtvertex.forms import (
+    _corner_column,
     _half_vertex_root,
+    _locus_value,
     _specialize_half_vertex,
     canonical_form,
     cy_bundle_term,
@@ -50,6 +53,7 @@ from oracles import (
     evaluate_on_locus,
     locus_value,
     orbit,
+    qpoly_locus_value,
     reduced_euler_class,
     repr_fingerprint,
     times_raw_form,
@@ -148,6 +152,11 @@ EDGE_CLASSES = [
     (KClass(3, {(1, 2, 0): 1, (-2, -4, 0): 1}), FormProduct(-2, {form((1, 2)): 2})),
     (KClass(3, {(0, 0, 0): 2, (1, 0, 0): 1}), FormProduct(0)),
     (KClass(3, {(1, 1, 1): -1, (1, 0, 0): 1}), None),
+    # w and 2w merge to net zero, then 3w adds the form back
+    (
+        KClass(3, {(1, 2, 0): 1, (2, 4, 0): -1, (3, 6, 0): 1}),
+        FormProduct(Fraction(3, 2), {form((1, 2)): 1}),
+    ),
 ]
 
 
@@ -174,6 +183,7 @@ small_classes = st.integers(2, 5).flatmap(
 @example(EDGE_CLASSES[2][0])
 @example(EDGE_CLASSES[3][0])
 @example(EDGE_CLASSES[4][0])
+@example(EDGE_CLASSES[5][0])
 def test_euler_class_matches_collector_on_random_classes(a):
     got = _outcome(euler_class, a)
     assert got == _outcome(collected_euler_class, a)
@@ -193,6 +203,30 @@ def test_euler_class_sums_the_zero_weight_before_ruling():
         else:
             assert euler_class(a) == expected
         assert _outcome(euler_class, a) == _outcome(reduced_euler_class, a)
+
+
+def test_form_products_never_alias_a_held_dict():
+    # euler_class and the collector hand over a dict of their own; every
+    # product, root and scaling gets a dict that no caller holds
+    for a in (EDGE_CLASSES[5][0], -vertex_half(raised_cube_without_corner(7), 8)):
+        e = euler_class(a)
+        again = euler_class(a)
+        assert e == again and e.factors is not again.factors
+        assert e.factors is not a.terms
+        e.factors.clear()
+        assert euler_class(a) == again
+    held = {form((1, 2)): 2, form((0, 1)): -2}
+    p = FormProduct(4, held)
+    assert p.factors == held and p.factors is not held
+    for q in (
+        p * FormProduct(1),
+        FormProduct(1) * p,
+        p * p,
+        p.scaled(3),
+        sqrt_form_product(p, 0),
+    ):
+        assert q.factors is not held and q.factors is not p.factors
+    assert held == {form((1, 2)): 2, form((0, 1)): -2} == p.factors
 
 
 def test_specialize_matches_collector_oracle():
@@ -252,6 +286,78 @@ def test_specialize_half_vertex_matches_specialize_oracle(d, order, count):
             assert got == _outcome(_specialized_by_oracle, rep, d, v)
             seen += 1
     assert seen == count
+
+
+@pytest.mark.parametrize("d,order,count", [(4, 7, 141), (8, 5, 34), (12, 3, 7)])
+def test_locus_value_matches_qpoly_oracle(monkeypatch, d, order, count):
+    # the (scalar, units, exps) that the weight pipeline hands to
+    # _locus_value, for every representative whose root is not zero
+    seen = []
+
+    def recorded(scalar, units, exps):
+        seen.append((scalar, dict(units), dict(exps)))
+        return _locus_value(scalar, units, exps)
+
+    monkeypatch.setattr(forms_mod, "_locus_value", recorded)
+    reps = 0
+    for n in range(1, order + 1):
+        for rep, _ in canonical_representatives(d - 1, n):
+            _outcome(_specialize_half_vertex, rep, d, vertex_half(rep, d))
+            reps += 1
+    assert reps == count and seen
+    for args in seen:
+        assert _outcome(_locus_value, *args) == _outcome(qpoly_locus_value, *args)
+
+
+# (scalar, units, exps) -> the value or the diagnostic; units are keyed by
+# (c, ell_part) for the ell-scalar c + ell_part * ell
+HAND_LOCI = {
+    "positive_net": (Fraction(3), {(0, 1): 2, (1, 1): -1}, {}, "zero"),
+    "negative_net": (Fraction(3), {(0, 1): -1}, {}, "diagnostic pole instead of a polynomial"),
+    "surviving_direction": (
+        Fraction(1),
+        {(0, 1): 1, (2, 0): -1},
+        {(1, 0): 1, (0, 1): 0},
+        "diagnostic not_constant instead of a polynomial",
+    ),
+    # (2 + 2 ell) / (1 + ell): a bottom that divides
+    "bottom_divides": (Fraction(1, 3), {(2, 2): 1, (1, 1): -1}, {}, poly(Fraction(2, 3))),
+    # ell / (1 + ell): a bottom that leaves a remainder
+    "bottom_pole": (
+        Fraction(1),
+        {(0, 1): 1, (1, 1): -1},
+        {},
+        "diagnostic pole instead of a polynomial",
+    ),
+    # ell-parts -1, 0 and 1: (1 - ell) ell / 9, and a cancelled direction
+    "ell_parts": (
+        Fraction(9, 2),
+        {(1, -1): 1, (0, 1): 1, (3, 0): -2},
+        {(1, 2): 0},
+        poly(0, Fraction(1, 2), Fraction(-1, 2)),
+    ),
+    # (2 - ell)^2 (1 + ell) / 5^3
+    "powers": (
+        Fraction(-1),
+        {(2, -1): 2, (1, 1): 1, (5, 0): -3},
+        {},
+        poly(4, 0, -3, 1) * Fraction(-1, 125),
+    ),
+    "empty": (Fraction(-7, 4), {}, {}, poly(Fraction(-7, 4))),
+}
+
+
+@pytest.mark.parametrize("scalar,units,exps,expected", HAND_LOCI.values(), ids=list(HAND_LOCI))
+def test_locus_value_hand_cases(scalar, units, exps, expected):
+    got = _outcome(_locus_value, scalar, units, exps)
+    assert got == _outcome(qpoly_locus_value, scalar, units, exps)
+    if expected == "zero":
+        assert got == QPoly.zero()
+    elif isinstance(expected, str):
+        assert got == (ShapeMismatch, expected)
+    else:
+        assert got == expected
+        assert all(type(c) is Fraction for c in got.coeffs)
 
 
 # the single box at d = 4 against hand-built half vertices: its insertion
@@ -585,6 +691,28 @@ def test_signed_poly_matches_specialized_value():
                 assert w.signed_poly(s) == value * s
             count += 1
     assert count == 74
+
+
+def test_corner_column_is_the_falling_factorial():
+    for h in range(9):
+        column = QPoly.one()
+        for i in range(h):
+            column = column * poly(-i, 1)
+        assert _corner_column(h) == column
+        assert _corner_column(h) is _corner_column(h)
+        assert all(type(c) is Fraction for c in _corner_column(h).coeffs)
+
+
+def test_signed_poly_leaves_the_memoized_column_alone():
+    pi = raised_cube_without_corner(7)
+    h = pi.corner_height()
+    before = _corner_column(h).coeffs
+    w = compute_weight(pi, 8)
+    for s in (1, -1):
+        assert w.signed_poly(s) == _corner_column(h) * (s * w.sign * w.omega)
+        assert w.signed_poly(s) is not _corner_column(h)
+    assert _corner_column(h).coeffs is before
+    assert _corner_column(h) == poly(0, -1, 1)
 
 
 def _half_vertices():

@@ -365,6 +365,22 @@ def test_serialize_is_written_once_and_matches_json_dumps(seven_part_size14):
         assert pi.serialize() is first
 
 
+def test_serialize_matches_json_dumps_everywhere():
+    def json_serial(pi):
+        return json.dumps([list(e) for e in pi.key()], separators=(",", ":"))
+
+    parts = [MultiPartition(3)]
+    for arity in range(1, 5):
+        for size in range(7):
+            parts += enumerate_partitions(arity, size)
+    # indices and heights of two digits
+    parts.append(MultiPartition(2, {(i, 1): 12 - i for i in range(1, 12)}))
+    parts.append(MultiPartition(1, {(1,): 10}))
+    assert len(parts) == 883
+    for pi in parts:
+        assert pi.serialize() == json_serial(pi)
+
+
 def test_bounded_enumeration():
     bound = {(1, 1): 2, (1, 2): 1, (2, 1): 1}
     for size in range(1, 5):

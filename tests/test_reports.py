@@ -72,6 +72,16 @@ GOLDEN = [
 COLD_CACHE = "12bc52fcd7f1a769203c543cddfb7e4ffdc8010795bf487d8f26da9b6bbcca3e"
 
 
+# order 8 at d = 8: both checks exit 1 (test_cli.test_order_8_facts_at_d8
+# reads the facts); the reports carry the value 1/2 ell (ell - 1) of the
+# raised cube without its far corner.  The runs come from the shared
+# order_8_reports fixture, on one cache that fourk fills for omega
+ORDER_8_GOLDEN = {
+    "check fourk -d 8 -n 8": "e18b99c27198db130c8a83c44d11761ff57e67435e3fde4241d37c87876fd08b",
+    "check omega -d 8 -n 8": "5c9c23c2797efdf9d0695fcc200028a69dfcc60ca2ed3160a29ea20742c141a2",
+}
+
+
 def _stdout(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -92,3 +102,10 @@ def test_cold_cache_file_is_byte_identical(tmp_path):
     code, _ = _stdout(["check", "fourk", "-d", "4", "-n", "3", "--cache", str(cache)])
     assert code == 0
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == COLD_CACHE
+
+
+@pytest.mark.parametrize("command", list(ORDER_8_GOLDEN))
+def test_order_8_report_is_byte_identical(order_8_reports, command):
+    code, out = order_8_reports[command]
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == ORDER_8_GOLDEN[command]

@@ -46,6 +46,20 @@ def test_series_ring_ops():
     assert a.alternate().constants() == [1, -2, 3]
 
 
+def test_qpoly_coefficients_are_exact_fractions():
+    # ints and bools are wrapped, a Fraction is kept as it is; zeros on
+    # top are trimmed either way
+    half = Fraction(1, 2)
+    p = QPoly([3, True, half, False, 0])
+    assert p.coeffs == (3, 1, half) and p.degree() == 2
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs[2] is half
+    for q in (p * p, p + 1, p - p, -p, p * 2, p * half, p.shift(2), QPoly.const(True)):
+        assert all(type(c) is Fraction for c in q.coeffs)
+    assert QPoly([False, Fraction(0)]).is_zero()
+    assert QPoly([True]) == QPoly.one() == 1
+
+
 @st.composite
 def rational_series(draw):
     n = draw(st.integers(min_value=1, max_value=8))
