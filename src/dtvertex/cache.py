@@ -52,6 +52,11 @@ def record_from_weight(w):
     }
 
 
+def _line(rec):
+    """A record as one JSON line: sorted keys, no spaces, a newline."""
+    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def _well_formed(rec):
     """Whether a parsed line is a record of this SCHEMA with exactly FIELDS.
 
@@ -102,7 +107,7 @@ class WeightCache:
     def append(self, rec):
         self.records[(rec["d"], rec["partition"])] = rec
         if self.path:
-            line = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+            line = _line(rec)
             with open(self.path, "a") as fh:
                 fh.write("\n" + line if self._torn_tail else line)
             self._torn_tail = False
@@ -121,10 +126,7 @@ class WeightCache:
         try:
             with open(tmp, "w") as fh:
                 for k in keys:
-                    fh.write(
-                        json.dumps(self.records[k], sort_keys=True, separators=(",", ":"))
-                        + "\n"
-                    )
+                    fh.write(_line(self.records[k]))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, self.path)

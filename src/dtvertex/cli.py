@@ -87,16 +87,7 @@ def _partition_rows(d, order, weights):
 def check_odd(d, order):
     z = build_z_odd(d, order)
     target = target_odd(d, order)
-    equal = z == target
-    report = {
-        "kind": "odd",
-        "dimension": d,
-        "order": order,
-        "series": z.serialize(),
-        "target": target.serialize(),
-        "verdict": "confirmed" if equal else "mismatch",
-    }
-    return (0 if equal else 1), report
+    return z == target, {"series": z.serialize(), "target": target.serialize()}
 
 
 def _parse_ell(text):
@@ -124,18 +115,12 @@ def check_fourk(d, order, ell, orientation_path, jobs, cache_path):
     else:
         for k in ell:
             checks.append({"ell": k, "equal": z.eval_ell(k) == target.eval_ell(k)})
-    equal = all(c["equal"] for c in checks)
-    report = {
-        "kind": "fourk",
-        "dimension": d,
-        "order": order,
+    return all(c["equal"] for c in checks), {
         "series": z.serialize(),
         "target": target.serialize(),
         "checks": checks,
         "partitions": _partition_rows(d, order, weights),
-        "verdict": "confirmed" if equal else "mismatch",
     }
-    return (0 if equal else 1), report
 
 
 def check_keyconj(d, order):
@@ -151,14 +136,7 @@ def check_keyconj(d, order):
                 raise
             all_ok = all_ok and verdict == "ok"
             rows.append({"partition": pi.serialize(), "size": n, "verdict": verdict})
-    report = {
-        "kind": "keyconj",
-        "dimension": d,
-        "order": order,
-        "partitions": rows,
-        "verdict": "confirmed" if all_ok else "mismatch",
-    }
-    return (0 if all_ok else 1), report
+    return all_ok, {"partitions": rows}
 
 
 def check_remfail(d, order, seed, bundle):
@@ -179,15 +157,9 @@ def check_remfail(d, order, seed, bundle):
     verdict, certificate = check_power_law(
         terms1, terms2, p2, nvars, seed, signed=signed
     )
-    report = {
-        "kind": "remfail",
-        "dimension": d,
-        "order": order,
-        "mode": mode,
-        "certificate": certificate,
-        "verdict": verdict,
+    return verdict == "no E exists", {
+        "mode": mode, "certificate": certificate, "verdict": verdict,
     }
-    return (0 if verdict == "no E exists" else 1), report
 
 
 def check_omega(d, order, jobs, cache_path):
@@ -213,29 +185,15 @@ def check_omega(d, order, jobs, cache_path):
                 }
             )
     identity_ok, _, _ = check_exp_identity(d - 1, order, omegas)
-    ok = all_match and identity_ok
-    report = {
-        "kind": "omega",
-        "dimension": d,
-        "order": order,
-        "partitions": rows,
-        "exp_identity": identity_ok,
-        "verdict": "confirmed" if ok else "mismatch",
-    }
-    return (0 if ok else 1), report
+    return all_match and identity_ok, {"partitions": rows, "exp_identity": identity_ok}
 
 
 def check_uniqueness(d, order, jobs, cache_path):
     weights = _prepare_weights(d, order, jobs, cache_path)
     result = verify_uniqueness(d, order, weights)
-    report = {
-        "kind": "uniqueness",
-        "dimension": d,
-        "order": order,
-        "result": result.to_json_obj(),
-        "verdict": result.verdict,
+    return result.verdict == "unique", {
+        "result": result.to_json_obj(), "verdict": result.verdict,
     }
-    return (0 if result.verdict == "unique" else 1), report
 
 
 def _render(report, fmt, out):
@@ -287,6 +245,14 @@ def cmd_enumerate(args, out):
 
 
 def cmd_check(args, out):
+    """Run one check_* and render its report; returns the exit code.
+
+    Each check_* returns (ok, fields).  The report is the envelope of
+    kind, dimension and order with the fields and the seed, whose
+    verdict, unless the fields name one, is confirmed or mismatch; ok
+    exits 0 and not ok 1.  A DTVertexError exits 2 with the envelope,
+    the error and the partition.
+    """
     d = args.dimension
     order = args.order
     kind = args.kind
@@ -307,36 +273,32 @@ def cmd_check(args, out):
             "--bundle is only read by kind 'remfail' with a dimension divisible by 4"
         )
     cache_path = args.cache or cache_mod.default_cache_path()
+    report = {"kind": kind, "dimension": d, "order": order}
     try:
         if kind == "odd":
-            code, report = check_odd(d, order)
+            ok, fields = check_odd(d, order)
         elif kind == "fourk":
-            code, report = check_fourk(
+            ok, fields = check_fourk(
                 d, order, _parse_ell(args.ell), args.orientation_file, args.jobs, cache_path
             )
         elif kind == "keyconj":
-            code, report = check_keyconj(d, order)
+            ok, fields = check_keyconj(d, order)
         elif kind == "remfail":
             bundle = None if args.bundle is None else tuple(int(x) for x in args.bundle.split(","))
-            code, report = check_remfail(d, order, args.seed, bundle)
+            ok, fields = check_remfail(d, order, args.seed, bundle)
         elif kind == "omega":
-            code, report = check_omega(d, order, args.jobs, cache_path)
+            ok, fields = check_omega(d, order, args.jobs, cache_path)
         elif kind == "uniqueness":
-            code, report = check_uniqueness(d, order, args.jobs, cache_path)
+            ok, fields = check_uniqueness(d, order, args.jobs, cache_path)
         else:
             raise ValueError("unknown kind %r" % kind)
     except DTVertexError as exc:
-        report = {
-            "kind": kind,
-            "dimension": d,
-            "order": order,
-            "verdict": "error",
-            "error": str(exc),
-            "partition": exc.partition,
-        }
-        _render(report, args.format, out)
-        return 2
-    report["seed"] = args.seed
+        report.update(verdict="error", error=str(exc), partition=exc.partition)
+        code = 2
+    else:
+        report.update(fields, seed=args.seed)
+        report.setdefault("verdict", "confirmed" if ok else "mismatch")
+        code = 0 if ok else 1
     _render(report, args.format, out)
     return code
 

@@ -10,30 +10,26 @@ stored primitive (gcd 1, first non-zero entry positive), so tuple order
 is the order of forms.  Euler classes, their square roots, and the
 tautological insertion are all FormProducts: an exact Fraction scalar
 times a multiset of forms with integer exponents, and the zero class
-is the zero scalar with no forms.  The collector _collect builds the
-tautological insertion and the full-torus Euler class from raw forms:
-it canonicalizes each form, adds up the exponents and folds the
-multipliers into the scalar.  The Calabi-Yau Euler class reduces and
-folds the packed codes of a class onto primitive forms in one pass
-instead.  Both delete a form whose exponents net to zero as they merge
-and hand their dict to the product without a copy
-(FormProduct._packed).  Cancellation, square-root extraction and the
+is the zero scalar with no forms.  Every product of forms is built by
+_merge_primitive, which divides each form by its gcd and merges its
+exponent: _collect feeds it raw forms (the tautological insertion and
+the full-torus Euler class), and the Calabi-Yau Euler class the integer
+vectors of kclass.cy_fold.  This module never reads a packed exponent
+code; kclass does.  Cancellation, square-root extraction and the
 specialization to the locus lam_1 + ... + lam_{d-1} = 0 are multiset
 operations; no limits are ever taken.  The specialized value is a
 polynomial in ell, and a pole or a form direction that survives on the
 locus raises ShapeMismatch; its ell-units are multiplied out as integer
 coefficient lists, and each coefficient becomes a Fraction once, when
-the scalar multiplies it.  The weight pipeline reads that value
-straight from the packed half vertex, restricting each code by integer
-arithmetic; specialize, which restricts a product of forms, is its
-oracle.
+the scalar multiplies it.  The weight pipeline reads that value from
+kclass.locus_fold of the half vertex; specialize, which restricts a
+product of forms, is its oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import struct
 from fractions import Fraction
 from math import gcd
 
@@ -45,39 +41,17 @@ from .errors import (
     ZeroWeightDenominator,
 )
 from .kclass import (
-    BIAS,
-    DIGIT,
     KEY_EULER_VANISHES,
     KEY_OK,
     KEY_VIOLATED,
-    RADIX_BITS,
-    _checked,
-    _ones,
+    cy_fold,
     key_verdict,
+    locus_fold,
     vertex,
     vertex_half,
 )
 from .partitions import canonical_representatives
 from .ratpoly import QPoly, fraction_sqrt
-
-
-def canonical_form(coeffs, ell_part=0):
-    """Normalize raw integer data to (form, multiplier), or None if zero.
-
-    The form is the tuple (c_1, ..., c_{d-1}, ell_part) divided by the
-    integer g with raw = g * form; the sign of g makes the first
-    non-zero entry of the form positive.
-    """
-    data = (*coeffs, ell_part)
-    g = gcd(*data)
-    if g == 0:
-        return None
-    first = next(filter(None, data))
-    if first < 0:
-        g = -g
-    if g == 1:
-        return data, 1
-    return tuple(c // g for c in data), g
 
 
 class FormProduct:
@@ -158,91 +132,18 @@ class FormProduct:
         return "FormProduct(%s, %d forms)" % (self.scalar, len(self.factors))
 
 
-def _collect(raw):
-    """Product of raw forms (coeffs, ell_part, exponent) as a FormProduct.
+def _merge_primitive(pairs, exps):
+    """Merge (form, exponent) pairs into exps as primitive forms.
 
-    Each form is canonicalized, the exponents of equal forms add up and
-    the multiplier g of a form with exponent e enters the scalar as
-    g**e.  A zero form gives the zero class when its exponent is
-    positive and raises ZeroWeightDenominator when it is negative.
+    Each form is non-zero with its first non-zero entry positive.  A
+    form that holds 1 or -1 is primitive as it is; any other is divided
+    by its gcd g, which leaves g**e to the scalar, and may then merge
+    into a form already in exps.  A merge that nets to zero deletes the
+    form, and an exponent 0 changes nothing.  Returns (num, den), the product of the g**e split by sign.
     """
-    exps = {}
-    num = den = 1
-    for coeffs, ell_part, e in raw:
-        norm = canonical_form(coeffs, ell_part)
-        if norm is None:
-            if e > 0:
-                return FormProduct(0)
-            raise ZeroWeightDenominator("zero weight with exponent %d" % e)
-        form, g = norm
-        if e > 0:
-            num *= g**e
-        elif e < 0:
-            den *= g ** (-e)
-        else:
-            continue
-        s = exps.get(form, 0) + e
-        if s:
-            exps[form] = s
-        else:
-            del exps[form]
-    return FormProduct._packed(Fraction(num, den), exps)
-
-
-def euler_class(a, use_cy=True):
-    """Euler class of a K-theory class as a FormProduct.
-
-    Each monomial t^w with coefficient c becomes the form <w, lam> with
-    exponent c.  With use_cy the class is first reduced modulo
-    t_1..t_d = 1 and forms live in the d-1 surviving parameters;
-    otherwise they keep all d coordinates (full torus).  The zero weight
-    makes the class zero when its coefficient is positive and raises
-    ZeroWeightDenominator when it is negative.
-
-    The class is reduced and folded in one pass over its packed codes:
-    each code loses w_d * ONES (as in cy_reduce, whose bound 2 * bound
-    is checked first), and code order is lexicographic, so a reduced
-    code below the origin is a weight whose first non-zero entry is
-    negative: it is folded onto its mirror, and its coefficient's parity
-    enters the sign of the scalar.  The coefficients of the origin are
-    summed and ruled on after the pass.  The distinct folded codes are
-    decoded together, by one struct.iter_unpack over one buffer; the
-    last entry, w_d = 0 after the reduction, is the ell_part 0 of the
-    form.  A form that holds 1 or -1 is primitive as it is; any other
-    is divided by its gcd, which enters the scalar, and may then merge
-    into a form already seen.  A merge that nets to zero deletes the
-    form on the spot, and a later code may add it back; the dict of
-    exponents becomes the product as it is, with no copy.
-    """
-    if not use_cy:
-        return _collect((w, 0, c) for w, c in a.items())
-    d = a.dim
-    _checked(2 * a.bound)
-    ones = _ones(d)
-    origin = BIAS * ones
-    mirror = 2 * origin
-    folded = {}
-    get = folded.get
-    odd = fixed = 0
-    for code, c in a.terms.items():
-        m = (code & DIGIT) - BIAS
-        if m:
-            code -= m * ones
-        if code < origin:
-            code = mirror - code
-            odd ^= c & 1
-        elif code == origin:
-            fixed += c
-            continue
-        folded[code] = get(code, 0) + c
-    if fixed > 0:
-        return FormProduct(0)
-    if fixed < 0:
-        raise ZeroWeightDenominator("zero weight with exponent %d" % fixed)
-    exps = {}
     get = exps.get
     num = den = 1
-    for form, e in _decoded(folded, d, origin):
+    for form, e in pairs:
         if 1 not in form and -1 not in form:
             g = gcd(*form)
             if g != 1:
@@ -255,20 +156,63 @@ def euler_class(a, use_cy=True):
         if s:
             exps[form] = s
         else:
-            del exps[form]
+            exps.pop(form, None)
+    return num, den
+
+
+def _collect(raw):
+    """Product of raw forms (coeffs, ell_part, exponent) as a FormProduct.
+
+    Each form (*coeffs, ell_part) is negated when its first non-zero
+    entry is negative, the parity of its exponent entering the sign,
+    and merged by _merge_primitive.  A zero form gives the zero class
+    when its exponent is positive and raises ZeroWeightDenominator
+    otherwise.
+    """
+    pairs = []
+    odd = 0
+    for coeffs, ell_part, e in raw:
+        form = (*coeffs, ell_part)
+        first = next(filter(None, form), 0)
+        if not first:
+            if e > 0:
+                return FormProduct(0)
+            raise ZeroWeightDenominator("zero weight with exponent %d" % e)
+        if first < 0:
+            form = tuple([-c for c in form])
+            odd ^= e & 1
+        pairs.append((form, e))
+    exps = {}
+    num, den = _merge_primitive(pairs, exps)
     return FormProduct._packed(Fraction(-num if odd else num, den), exps)
 
 
-def _decoded(counts, k, origin):
-    """(vector, count) for each code of k digits with a non-zero count.
+def euler_class(a, use_cy=True):
+    """Euler class of a K-theory class as a FormProduct.
 
-    The vectors are unpacked from one buffer of big-endian shorts, the
-    bias bit of each digit flipped (origin is _origin(k)).
+    Each monomial t^w with coefficient c becomes the form <w, lam> with
+    exponent c.  With use_cy the class is first reduced modulo
+    t_1..t_d = 1 and forms live in the d-1 surviving parameters;
+    otherwise they keep all d coordinates (full torus).  The zero weight
+    makes the class zero when its coefficient is positive and raises
+    ZeroWeightDenominator when it is negative.
+
+    On the Calabi-Yau torus the class is reduced and folded onto
+    mirrored weights by kclass.cy_fold; each folded weight w, whose last
+    entry w_d = 0 is the ell_part 0 of its form, goes to
+    _merge_primitive, and the dict of exponents becomes the product as
+    it is, with no copy.
     """
-    live = [(code, e) for code, e in counts.items() if e]
-    size = 2 * k
-    buf = b"".join([(code ^ origin).to_bytes(size, "big") for code, _ in live])
-    return zip(struct.iter_unpack(">%dh" % k, buf), [e for _, e in live])
+    if not use_cy:
+        return _collect((w, 0, c) for w, c in a.items())
+    fixed, odd, pairs = cy_fold(a)
+    if fixed > 0:
+        return FormProduct(0)
+    if fixed < 0:
+        raise ZeroWeightDenominator("zero weight with exponent %d" % fixed)
+    exps = {}
+    num, den = _merge_primitive(pairs, exps)
+    return FormProduct._packed(Fraction(-num if odd else num, den), exps)
 
 
 def sqrt_form_product(p, n):
@@ -293,8 +237,8 @@ def sqrt_form_product(p, n):
     return FormProduct._packed(root, half)
 
 
-def _half_vertex_euler(v, n):
-    """e(-v) for the half vertex v, once its root is known to exist.
+def _half_vertex_euler(nv, n):
+    """e(nv) for nv = -v, v the half vertex, once its root is known to exist.
 
     For even d, cy(V) = cy(v) + cy(bar(v)), and e(-bar(v)) is e(-v) with
     every form negated, (-1)^k * e(-v) for k its total degree; so
@@ -302,7 +246,7 @@ def _half_vertex_euler(v, n):
     n + k is odd, the scalar of (-1)^n * e(-V) is negative and
     NotAPerfectSquare is raised.
     """
-    e = euler_class(-v, use_cy=True)
+    e = euler_class(nv, use_cy=True)
     if not e.is_zero() and (e.total_degree() + n) % 2:
         raise NotAPerfectSquare("scalar %s is not a rational square" % (-e.scalar**2,))
     return e
@@ -315,7 +259,7 @@ def _half_vertex_root(v, n):
     the zero class is its own root.  It equals
     sqrt_form_product(euler_class(-vertex(pi, d)), n).
     """
-    e = _half_vertex_euler(v, n)
+    e = _half_vertex_euler(-v, n)
     return e if e.scalar >= 0 else e.scaled(-1)
 
 
@@ -346,11 +290,11 @@ def _restrict(factors, units, exps):
     coordinate: its exponent is added to units[c, ell_part], the
     ell-scalar c + ell_part*ell per unit.  Every other form restricts to
     the form (c_i - c_{d-1})_{i <= d-2} in d-2 parameters, which is
-    re-canonicalized and whose exponent is added to exps.  Returns the
-    multiplier that the re-canonicalization leaves, as a Fraction.
+    negated when its first non-zero entry is negative and merged into
+    exps by _merge_primitive.  Returns the multiplier that the
+    re-canonicalization leaves, as a Fraction.
     """
-    get = exps.get
-    num = den = 1
+    pairs = []
     odd = 0
     zero = None
     for form, e in factors.items():
@@ -366,14 +310,8 @@ def _restrict(factors, units, exps):
         if rest < zero:
             rest = tuple([-c for c in rest])
             odd ^= e & 1
-        g = gcd(*rest)
-        if g != 1:
-            rest = tuple([c // g for c in rest])
-            if e > 0:
-                num *= g**e
-            else:
-                den *= g ** (-e)
-        exps[rest] = get(rest, 0) + e
+        pairs.append((rest, e))
+    num, den = _merge_primitive(pairs, exps)
     return Fraction(-num if odd else num, den)
 
 
@@ -384,12 +322,13 @@ def _locus_value(scalar, units, exps):
     leaves an identically zero value, negative is a pole -- and the
     restricted forms in exps must cancel direction by direction,
     otherwise the value is not constant on the locus.  Checked in that
-    order; the value is a QPoly in ell.  A unit without an ell-part is a
-    constant that goes into the scalar; the units (c + k*ell)^e are
-    multiplied out as integer coefficient lists, the top from e > 0 and
-    the bottom from e < 0.  When the bottom is 1 the value is the top
-    times the scalar; otherwise the top must divide exactly by the
-    bottom, or the value has a pole.
+    order; the value is a QPoly in ell.  The units without an ell-part
+    are constants, multiplied out as integers that enter the scalar as
+    one Fraction; the units (c + k*ell)^e are multiplied out as integer
+    coefficient lists, the top from e > 0 and the bottom from e < 0.
+    When the bottom is 1 the value is the top times the scalar;
+    otherwise the top must divide exactly by the bottom, or the value
+    has a pole.
     """
     sigma_net = sum(units.values())
     if sigma_net < 0:
@@ -400,9 +339,13 @@ def _locus_value(scalar, units, exps):
         raise ShapeMismatch("diagnostic not_constant instead of a polynomial")
     top = [1]
     bottom = [1]
+    num = den = 1
     for (c, k), e in units.items():
         if not k:
-            scalar *= Fraction(c) ** e
+            if e > 0:
+                num *= c**e
+            else:
+                den *= c ** (-e)
             continue
         poly = top if e > 0 else bottom
         for _ in range(abs(e)):
@@ -410,6 +353,7 @@ def _locus_value(scalar, units, exps):
             for i in range(len(poly) - 1, 0, -1):
                 poly[i] = c * poly[i] + k * poly[i - 1]
             poly[0] *= c
+    scalar *= Fraction(num, den)
     value = QPoly([scalar * c for c in top])
     if len(bottom) > 1:
         value = value.divexact(QPoly(bottom))
@@ -438,79 +382,35 @@ def specialize(p):
 
 
 def _specialize_half_vertex(pi, d, v):
-    """The specialized value of pi, read from the packed codes of v.
+    """The specialized value of pi, read from the half vertex v.
 
     Equals specialize(taut_factor(pi, d, ell_units=1) * root) for
     v = vertex_half(pi, d) and root = _half_vertex_root(v, |pi|), with
     the same errors, and returns None where the root is the zero class.
     The one euler_class(-v) rules on the zero class and on the parity
-    of the root, the sign of its scalar is the one the root drops, and
-    its bound check 2 * v.bound < 2^15 keeps every w_i - w_{d-1} in a
-    digit.  The insertion's forms are restricted as in specialize.
-
-    Each code of v is restricted directly.  With m = w_{d-1}, the top
-    d-2 digits minus m * ONES are the code r of (w_i - w_{d-1})_{i<=d-2};
-    the Calabi-Yau shift by w_d cancels in it.  At r = origin the form
-    is critical with unit u = w_{d-1} - w_d: the coefficients merge per
-    u, and u^e enters the scalar.  The net at u = 0 (the zero weight) is
-    zero, since e(-v) is not the zero class.  Any other r is folded onto
-    its mirror when it lies below the origin, its coefficient's parity
-    entering the sign, and its coefficients merge; each distinct r with
-    a non-zero net is decoded once, and its gcd G enters as G^e (a form
-    that holds 1 or -1 has G = 1 and takes no gcd).  The
-    product over the forms of r and its re-canonicalization is exactly
-    this, because the two sign folds and the two gcds compose.
+    of the root, and the sign of its scalar is the one the root drops.
+    The insertion's forms are restricted as in specialize, and the
+    weights of -v by kclass.locus_fold.  A critical weight with value u
+    on the locus is the form (u, ..., u, 0), which restricts to the unit
+    (u, 0); the net at u = 0 (the zero weight) is zero, since e(-v) is
+    not the zero class.  The other restricted weights r go to
+    _merge_primitive: the product over the forms of r and its
+    re-canonicalization is exactly this, because the two sign folds and
+    the two gcds compose.
     """
-    e = _half_vertex_euler(v, pi.size)
+    nv = -v
+    e = _half_vertex_euler(nv, pi.size)
     if e.is_zero():
         return None
     taut = taut_factor(pi, d, ell_units=1)
     units = {}
     exps = {}
     scalar = taut.scalar * _restrict(taut.factors, units, exps)
-    k = d - 2
-    ones = _ones(k)
-    origin = BIAS * ones
-    mirror = 2 * origin
-    crit = {}
-    rest = {}
-    get = rest.get
-    odd = 0
-    for code, c in v.terms.items():
-        high = code >> RADIX_BITS
-        m = (high & DIGIT) - BIAS
-        r = (high >> RADIX_BITS) - m * ones
-        if r == origin:
-            u = (high & DIGIT) - (code & DIGIT)
-            crit[u] = crit.get(u, 0) - c
-            continue
-        if r < origin:
-            r = mirror - r
-            odd ^= c & 1
-        rest[r] = get(r, 0) - c
-    num = den = 1
-    sigma = 0
+    crit, odd, pairs = locus_fold(nv)
     for u, e_u in crit.items():
-        if u and e_u:
-            sigma += e_u
-            if e_u > 0:
-                num *= u**e_u
-            else:
-                den *= u ** (-e_u)
-    if sigma:
-        # every critical code is the form (1, ..., 1, 0), of ell-scalar 1
-        units[1, 0] = units.get((1, 0), 0) + sigma
-    get = exps.get
-    for form, e_r in _decoded(rest, k, origin):
-        if 1 not in form and -1 not in form:
-            g = gcd(*form)
-            if g != 1:
-                form = tuple([x // g for x in form])
-                if e_r > 0:
-                    num *= g**e_r
-                else:
-                    den *= g ** (-e_r)
-        exps[form] = get(form, 0) + e_r
+        if e_u:
+            units[u, 0] = units.get((u, 0), 0) + e_u
+    num, den = _merge_primitive(pairs, exps)
     if e.scalar < 0:
         odd ^= 1
     scalar *= Fraction(-num if odd else num, den)

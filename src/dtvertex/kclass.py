@@ -25,7 +25,12 @@ cy_reduce update in O(1).  An operation whose bound reaches 2^15
 raises ExponentOverflow before it builds a single key; nothing ever
 wraps.  Tuples cross the boundary only at the edges: the constructor,
 monomial, coefficient and shift encode them with the same range check,
-and items, as_dict and serialize decode them.
+and items, as_dict, serialize and the two folds decode them, all by one
+buffer decoder.  No other module reads a code: cy_fold reduces a class
+modulo t_1..t_d = 1 and folds it onto mirrored weights, locus_fold
+restricts it to lam_1 + .. + lam_{d-1} = 0, and both hand over integer
+vectors, from which forms builds the Euler class and its specialized
+value.
 
 The vertex multiplies Z * bar(Z) by one factor (1 - t_i^-1) per axis.
 On an axis that no box leaves (a flat axis) every term has w_i = 0, so
@@ -79,13 +84,24 @@ def _encode(w, d):
     return int.from_bytes(struct.pack(">%dh" % d, *w), "big") ^ _origin(d), bound
 
 
-def _decoder(d, k):
-    """Function from a code to the first k coordinates of its vector."""
-    unpack = struct.Struct(">%dh" % k).unpack
+def _decode(codes, d, k):
+    """The first k coordinates of each code of d digits, in order.
+
+    The codes go into one buffer of big-endian shorts, the bias bit of
+    each digit flipped, which one struct.iter_unpack reads back.
+    """
     drop = RADIX_BITS * (d - k)
     flip = _origin(k)
     size = 2 * k
-    return lambda code: unpack(((code >> drop) ^ flip).to_bytes(size, "big"))
+    buf = b"".join([((code >> drop) ^ flip).to_bytes(size, "big") for code in codes])
+    return struct.iter_unpack(">%dh" % k, buf)
+
+
+def _live(counts, k):
+    """(vector, count) for each code of k digits with a non-zero count."""
+    if 0 in counts.values():
+        counts = {code: e for code, e in counts.items() if e}
+    return zip(_decode(counts, k, k), counts.values())
 
 
 def _add_into(out, items):
@@ -156,8 +172,8 @@ class KClass:
 
         With prefix k each tuple holds only the first k coordinates.
         """
-        decode = _decoder(self.dim, self.dim if prefix is None else prefix)
-        return [(decode(code), c) for code, c in self.terms.items()]
+        k = self.dim if prefix is None else prefix
+        return list(zip(_decode(self.terms, self.dim, k), self.terms.values()))
 
     def as_dict(self):
         """{exponent tuple: coefficient}, the decoded view of `terms`."""
@@ -231,8 +247,9 @@ class KClass:
 
     def serialize(self):
         """Sorted [[exponent vector, coefficient], ...] debug form."""
-        decode = _decoder(self.dim, self.dim)
-        return [[list(decode(k)), self.terms[k]] for k in sorted(self.terms)]
+        keys = sorted(self.terms)
+        decoded = _decode(keys, self.dim, self.dim)
+        return [[list(w), self.terms[k]] for w, k in zip(decoded, keys)]
 
     def __repr__(self):
         return "KClass(%d, %d terms)" % (self.dim, len(self.terms))
@@ -354,6 +371,77 @@ def cy_fixed_part(a):
     origin = BIAS * ones
     get = a.terms.get
     return sum(get(origin + m * ones, 0) for m in range(-a.bound, a.bound + 1))
+
+
+def cy_fold(a):
+    """One pass of cy_reduce that also folds each weight onto its mirror.
+
+    Returns (fixed, odd, pairs).  Each code loses w_d * ONES, as in
+    cy_reduce, whose bound 2 * a.bound is checked first.  fixed is the
+    summed coefficient of the origin, cy_fixed_part(a).  Code order is
+    lexicographic, so a reduced code below the origin is a weight whose
+    first non-zero entry is negative: it is folded onto its mirror -w,
+    and odd is the parity of the coefficients folded so.  pairs yields
+    (w, net) for each folded weight whose coefficients do not cancel,
+    w of length d with w_d = 0, decoded from one buffer.
+    """
+    _checked(2 * a.bound)
+    ones = _ones(a.dim)
+    origin = BIAS * ones
+    mirror = 2 * origin
+    folded = {}
+    get = folded.get
+    odd = fixed = 0
+    for code, c in a.terms.items():
+        m = (code & DIGIT) - BIAS
+        if m:
+            code -= m * ones
+        if code < origin:
+            code = mirror - code
+            odd ^= c & 1
+        elif code == origin:
+            fixed += c
+            continue
+        folded[code] = get(code, 0) + c
+    return fixed, odd, _live(folded, a.dim)
+
+
+def locus_fold(v):
+    """One pass that restricts each weight of v to lam_1 + .. + lam_{d-1} = 0.
+
+    Returns (crit, odd, pairs).  With m = w_{d-1}, the top d-2 digits of
+    a code minus m * ONES are the code r of (w_i - w_{d-1})_{i<=d-2};
+    the Calabi-Yau shift by w_d cancels in it, and the bound 2 * v.bound
+    checked first keeps every difference in a digit.  At r = origin the
+    weight is critical: crit sums its coefficient under the key
+    u = w_{d-1} - w_d, the weight's value on the locus.  Any other r is
+    folded onto its mirror when it lies below the origin, odd being the
+    parity of the coefficients folded so, and pairs yields (r, net) for
+    each folded r whose coefficients do not cancel, r of length d-2,
+    decoded from one buffer.
+    """
+    _checked(2 * v.bound)
+    k = v.dim - 2
+    ones = _ones(k)
+    origin = BIAS * ones
+    mirror = 2 * origin
+    crit = {}
+    rest = {}
+    get = rest.get
+    odd = 0
+    for code, c in v.terms.items():
+        high = code >> RADIX_BITS
+        m = (high & DIGIT) - BIAS
+        r = (high >> RADIX_BITS) - m * ones
+        if r == origin:
+            u = (high & DIGIT) - (code & DIGIT)
+            crit[u] = crit.get(u, 0) + c
+            continue
+        if r < origin:
+            r = mirror - r
+            odd ^= c & 1
+        rest[r] = get(r, 0) + c
+    return crit, odd, _live(rest, k)
 
 
 def key_verdict(v):

@@ -29,17 +29,19 @@ the package against.
 - The orbit representatives found by grouping every partition of the
   arity by its canonical form, which the padding of lower-arity
   representatives replaced above arity size - 1.
-- The per-form fold of a raw form into a form product, the reference
-  for the one-pass collector behind taut_factor and the full-torus
-  Euler class.
+- canonical_form, which normalizes one raw form to (form, multiplier),
+  and the per-form fold of a raw form into a form product built on it:
+  the reference for the collector behind taut_factor and the full-torus
+  Euler class, whose gcd-and-merge normalizer replaced canonical_form.
 - The Euler class through that collector, which canonicalizes every
   decoded term of the reduced class, and the two-step specialization
   that split off the critical forms and collected the rest; the
   packed-code fold of euler_class and the one-pass specialize replaced
   them.
-- The Euler class that builds cy_reduce first and decodes each folded
-  code on its own, which the one pass that reduces while it folds and
-  decodes one buffer replaced.  The route that the weight pipeline's
+- The Euler class that builds cy_reduce first and unpacks each folded
+  code on its own, independent of the package's buffer decoder, which
+  kclass.cy_fold (one pass that reduces while it folds, one buffer
+  decoded) replaced.  The route that the weight pipeline's
   read of the packed half vertex replaced, specialize on the insertion
   times the root, stays in forms as the oracle of that read.
 - The value on the locus from the units, built as QPoly products of
@@ -63,6 +65,7 @@ the package against.
 """
 
 import hashlib
+import struct
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
@@ -81,8 +84,8 @@ from dtvertex import (
     enumerate_partitions,
     omega_c,
 )
-from dtvertex.forms import _collect, canonical_form, euler_class
-from dtvertex.kclass import KEY_VIOLATED, RADIX_BITS, _checked, _decoder, _origin, key_verdict
+from dtvertex.forms import _collect, euler_class
+from dtvertex.kclass import KEY_VIOLATED, RADIX_BITS, _checked, _origin, key_verdict
 from dtvertex.kclass import cy_reduce as packed_cy_reduce
 from dtvertex.kclass import character as packed_character
 from dtvertex.kclass import vertex as packed_vertex
@@ -443,6 +446,25 @@ def z_odd(d, order):
 # -- form products -------------------------------------------------------------
 
 
+def canonical_form(coeffs, ell_part=0):
+    """Normalize raw integer data to (form, multiplier), or None if zero.
+
+    The form is the tuple (c_1, ..., c_{d-1}, ell_part) divided by the
+    integer g with raw = g * form; the sign of g makes the first
+    non-zero entry of the form positive.
+    """
+    data = (*coeffs, ell_part)
+    g = gcd(*data)
+    if g == 0:
+        return None
+    first = next(filter(None, data))
+    if first < 0:
+        g = -g
+    if g == 1:
+        return data, 1
+    return tuple(c // g for c in data), g
+
+
 def times_raw_form(p, coeffs, ell_part, exponent):
     """p times one raw form (canonicalized here) with an exponent.
 
@@ -493,13 +515,13 @@ def reduced_euler_class(a, use_cy=True):
                 return FormProduct(0)
             raise ZeroWeightDenominator("zero weight with exponent %d" % c)
         folded[code] = folded.get(code, 0) + c
-    decode = _decoder(a.dim, a.dim)
+    unpack = struct.Struct(">%dh" % a.dim).unpack
     exps = {}
     num = den = 1
     for code, e in folded.items():
         if not e:
             continue
-        form = decode(code)
+        form = unpack((code ^ origin).to_bytes(2 * a.dim, "big"))
         g = gcd(*form)
         if g != 1:
             form = tuple(x // g for x in form)

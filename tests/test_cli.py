@@ -314,10 +314,22 @@ def test_cache_compact(tmp_path, capsys):
     cache = tmp_path / "weights.jsonl"
     run_cli(capsys, "check", "fourk", "-d", "4", "-n", "2", "--cache", str(cache))
     run_cli(capsys, "check", "fourk", "-d", "4", "-n", "2", "--cache", str(cache))
+    # a stale copy of the first record, which the next run re-appends
+    first = json.loads(cache.read_text().splitlines()[0])
+    with open(cache, "a") as fh:
+        fh.write(json.dumps(dict(first, fingerprint="0" * 64)) + "\n")
+    run_cli(capsys, "check", "fourk", "-d", "4", "-n", "3", "--cache", str(cache))
+    written = cache.read_bytes().splitlines(keepends=True)
+    last = {}
+    for line in written:
+        rec = json.loads(line)
+        last[rec["d"], rec["partition"]] = line
+    assert len(last) < len(written)
     code, out = run_cli(capsys, "cache-compact", "--cache", str(cache))
     assert code == 0
-    n_lines = len(cache.read_text().strip().splitlines())
-    assert "compacted %d records" % n_lines in out
+    # the rewrite is byte for byte the lines append wrote, last per key, sorted
+    assert cache.read_bytes() == b"".join(last[k] for k in sorted(last))
+    assert "compacted %d records" % len(last) in out
 
 
 def test_pipeline_error_exit_code(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Euler classes as form products: square roots, insertions, specialization."""
 
+import ast
 import random
 from fractions import Fraction
 
@@ -29,11 +30,11 @@ from dtvertex import (
 import dtvertex.forms as forms_mod
 from dtvertex.cache import record_from_weight
 from dtvertex.forms import (
+    _collect,
     _corner_column,
     _half_vertex_root,
     _locus_value,
     _specialize_half_vertex,
-    canonical_form,
     cy_bundle_term,
     vertex_fingerprint,
 )
@@ -47,6 +48,7 @@ from conftest import (
     weight_stages,
 )
 from oracles import (
+    canonical_form,
     collected_euler_class,
     collected_specialize,
     euler_ratio_odd,
@@ -548,6 +550,76 @@ def test_taut_factor_matches_fold_oracle():
     for pi, d, u, k in cases:
         assert taut_factor(pi, d, u=u, ell_units=k) == by_fold(pi, d, u, k)
     assert by_fold(corner_column(3, 2), 4, (0, 0, 0, -1), 0).is_zero()
+
+
+def _fold_raw(raw):
+    """The product of raw forms folded in one at a time by times_raw_form."""
+    out = FormProduct(1)
+    for coeffs, ell_part, e in raw:
+        out = times_raw_form(out, coeffs, ell_part, e)
+    return out
+
+
+def _scaled_raw(coeffs, ell_part, scale, e):
+    return [scale * c for c in coeffs], scale * ell_part, e
+
+
+# a scale other than +-1 makes the form non-primitive, a negative one
+# (or a negative entry) may put a negative entry first
+raw_forms = st.lists(
+    st.one_of(
+        st.builds(
+            _scaled_raw,
+            st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+            st.integers(-1, 1),
+            st.sampled_from([1, -1, 2, -6]),
+            st.integers(-3, 3),
+        ),
+        st.builds(lambda e: ((0, 0, 0), 0, e), st.integers(-2, 2)),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_forms)
+@example([((2, -4, 0), 0, 0), ((1, 1, 0), 1, 2)])
+@example([((-2, 4, 0), 2, 3), ((1, -2, 0), -1, -1)])
+@example([((3, 0, 6), 0, 2), ((1, 0, 2), 0, -2)])
+@example([((1, 0, 0), 0, 1), ((0, 0, 0), 0, 2), ((0, 0, 0), 0, -1)])
+@example([((1, 0, 0), 0, 1), ((0, 0, 0), 0, 0)])
+@example([((0, 0, 0), 0, -2)])
+def test_collect_matches_fold_oracle(raw):
+    assert _outcome(_collect, raw) == _outcome(_fold_raw, raw)
+
+
+def test_collect_edge_cases():
+    # exponent 0 leaves no form and no multiplier, even non-primitive
+    assert _collect([((2, -4, 0), 0, 0)]) == FormProduct(1)
+    # a negative first entry flips the form, its exponent's parity the sign
+    assert _collect([((-2, 4, 0), 0, 3)]) == FormProduct(-8, {form((1, -2, 0)): 3})
+    assert _collect([((0, 0, 0), 0, 2), ((0, 0, 0), 0, -1)]).is_zero()
+    for e in (0, -1):
+        with pytest.raises(ZeroWeightDenominator, match="zero weight with exponent %d$" % e):
+            _collect([((1, 0, 0), 0, 1), ((0, 0, 0), 0, e)])
+
+
+def test_forms_reads_no_packed_code():
+    # the packed exponent code is read in kclass alone: forms works on
+    # integer vectors, through kclass's public folds
+    with open(forms_mod.__file__) as fh:
+        tree = ast.parse(fh.read())
+    from_kclass = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert "struct" not in [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "struct"
+            if node.level == 1 and node.module == "kclass":
+                from_kclass += [a.name for a in node.names]
+    assert {"cy_fold", "locus_fold"} <= set(from_kclass)
+    for name in from_kclass:
+        assert not name.startswith("_") and name not in ("BIAS", "DIGIT", "RADIX_BITS")
 
 
 def test_taut_factor_empty():

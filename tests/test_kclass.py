@@ -1,6 +1,8 @@
 """Laurent ring arithmetic and the equivariant vertex."""
 
 import functools
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from dtvertex import (
     vertex,
     vertex_half,
 )
-from dtvertex.kclass import BIAS, _minus_box_product, key_verdict
+from dtvertex.kclass import BIAS, _minus_box_product, cy_fold, key_verdict, locus_fold
 
 from conftest import corner_column, single_box
 
@@ -324,3 +326,126 @@ def test_fixed_part_at_dimension_16():
     assert len(reps) == 3
     for rep in reps:
         assert cy_fixed_part(vertex(rep, 16)) == 0
+
+
+# -- the folds of the packed codes -------------------------------------------------
+
+
+def _grouped(items):
+    """(key, summed value) for each key whose values do not cancel, in key
+    order.  It sorts and never hashes a key: tuples with entries -1 and -2
+    share hashes, so a dict of the reduced weights of a d = 16 half vertex
+    takes minutes to fill (oracles.cy_reduce took 107 s for one on a
+    2-vCPU VM)."""
+    out = []
+    for key, group in groupby(sorted(items, key=itemgetter(0)), key=itemgetter(0)):
+        s = sum(c for _, c in group)
+        if s:
+            out.append((key, s))
+    return out
+
+
+def _tuple_cy_fold(terms, d):
+    """cy_fold on {exponent tuple: coefficient}: oracles.cy_reduce's rule
+    w -> w - w_d (1,..,1), then a weight w < 0 folds onto -w."""
+    zero = (0,) * d
+    fixed = odd = 0
+    folded = []
+    for w, c in terms.items():
+        w = tuple(x - w[-1] for x in w)
+        if w == zero:
+            fixed += c
+            continue
+        if w < zero:
+            w = tuple(-x for x in w)
+            odd ^= c & 1
+        folded.append((w, c))
+    return fixed, odd, _grouped(folded)
+
+
+def _tuple_locus_fold(terms, d):
+    """locus_fold on {exponent tuple: coefficient}, crit as sorted pairs."""
+    zero = (0,) * (d - 2)
+    crit, rest = [], []
+    odd = 0
+    for w, c in terms.items():
+        r = tuple(x - w[d - 2] for x in w[: d - 2])
+        if r == zero:
+            crit.append((w[d - 2] - w[d - 1], c))
+            continue
+        if r < zero:
+            r = tuple(-x for x in r)
+            odd ^= c & 1
+        rest.append((r, c))
+    return _grouped(crit), odd, _grouped(rest)
+
+
+def _folds(a):
+    """cy_fold and locus_fold of a class in the layout of the tuple folds."""
+    fixed, odd, pairs = cy_fold(a)
+    crit, lodd, rest = locus_fold(a)
+    return (
+        (fixed, odd, sorted(pairs)),
+        (sorted((u, e) for u, e in crit.items() if e), lodd, sorted(rest)),
+    )
+
+
+def _negated(pairs):
+    return [(key, -c) for key, c in pairs]
+
+
+@pytest.mark.parametrize("d,order,count", [(4, 7, 141), (8, 5, 34), (12, 3, 7), (16, 2, 3)])
+def test_folds_match_tuple_oracle(d, order, count):
+    reps = [rep for n in range(1, order + 1) for rep, _ in canonical_representatives(d - 1, n)]
+    assert len(reps) == count
+    for rep in reps:
+        terms = oracles.vertex_half(rep, d)
+        expected = _tuple_cy_fold(terms, d), _tuple_locus_fold(terms, d)
+        v = vertex_half(rep, d)
+        assert _folds(v) == expected
+        # the weight pipeline folds -v: every count negates, no parity moves
+        (fixed, odd, pairs), (crit, lodd, rest) = expected
+        assert _folds(-v) == (
+            (-fixed, odd, _negated(pairs)), (_negated(crit), lodd, _negated(rest))
+        )
+
+
+HAND_FOLDS = {
+    # weights on both sides of the origin fold onto one form, and the
+    # form of (-2, -2, 0, 0) is not primitive
+    "both_sides": (
+        {(1, 0, 0, 0): 2, (-1, 0, 0, 0): 3, (2, 2, 0, 0): 1, (-2, -2, 0, 0): -4},
+        (0, 1, [((1, 0, 0, 0), 5), ((2, 2, 0, 0), -3)]),
+        ([], 1, [((1, 0), 5), ((2, 2), -3)]),
+    ),
+    # (3, 3, 3, 3) is the zero weight, and critical on the locus with
+    # u = 0; (1, 1, 1, 0) is critical with u = 1
+    "critical_u0": (
+        {(3, 3, 3, 3): -2, (1, 1, 1, 0): 3, (0, 1, 0, 1): 1},
+        (-2, 1, [((1, 0, 1, 0), 1), ((1, 1, 1, 0), 3)]),
+        ([(0, -2), (1, 3)], 0, [((0, 1), 1)]),
+    ),
+    # (1, 0, 0, 0) and (2, 1, 1, 1) reduce to one weight, and (0, -1, 0, 0)
+    # with (1, 0, 1, 1) to another, each net cancelling to zero
+    "cancels": (
+        {(1, 0, 0, 0): 1, (2, 1, 1, 1): -1, (0, -1, 0, 0): 2, (1, 0, 1, 1): -2},
+        (0, 0, []),
+        ([], 0, []),
+    ),
+}
+
+
+@pytest.mark.parametrize("terms,cy,locus", HAND_FOLDS.values(), ids=list(HAND_FOLDS))
+def test_folds_hand_cases(terms, cy, locus):
+    assert _folds(KClass(4, terms)) == (cy, locus)
+    assert (cy, locus) == (_tuple_cy_fold(terms, 4), _tuple_locus_fold(terms, 4))
+
+
+def test_folds_check_the_bound():
+    edge = KClass.monomial(4, (2**14 - 1, 0, 0, -(2**14 - 1)))
+    cy_fold(edge)
+    locus_fold(edge)
+    wide = KClass.monomial(4, (2**14, 0, 0, 0))
+    for fold in (cy_fold, locus_fold):
+        with pytest.raises(ExponentOverflow):
+            fold(wide)
