@@ -2,18 +2,18 @@
 
 One record per line, keyed by (dimension, canonical partition), holding
 exactly what a PartitionWeight keeps: schema, d, partition, fingerprint,
-verdict, omega and sign; records carry SCHEMA 4.  The fingerprint is
-forms.vertex_fingerprint of the half vertex vertex_half(pi, d), the
-class the weight and the verdict are computed from: the sha256 of
-b"dim:count:", the sorted codes as 2 * dim big-endian bytes each and
-the repr of the coefficient list in code order.  A hit is only trusted
-after that fingerprint is recomputed and matches; stale lines are
-recomputed and re-appended, and compaction rewrites the file keeping
-the last record per key.  A line that is not a well-formed record of
-this SCHEMA (a write torn by a crash, bytes that are not UTF-8, a
-record of another format, a missing or extra key, a value of the wrong
-type, an omega that is not a rational) is skipped, so its partition is
-recomputed and appended on a fresh line.
+verdict, omega and sign; records carry SCHEMA 5.  The fingerprint is
+forms.vertex_fingerprint of the orbits (kclass.half_vertex_orbits) of
+the half vertex that the weight and the verdict come from.  A hit is
+trusted only once the fingerprint is recomputed and matches, which never
+expands the half vertex.  It checks only the half vertex, so a change
+to a later stage of the weight pipeline must bump SCHEMA.  Stale lines
+are recomputed and re-appended, and compaction rewrites the file
+keeping the last record per key.  A line that is not a well-formed
+record of this SCHEMA (a write torn by a crash, bytes that are not
+UTF-8, a record of another format, a missing or extra key, a value of
+the wrong type, an omega that is not a rational) is skipped, so its
+partition is recomputed and appended on a fresh line.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import os
 from fractions import Fraction
 
 from .forms import PartitionWeight, compute_weight, vertex_fingerprint
-from .kclass import vertex_half
+from .kclass import half_vertex_orbits
 
 ENV_CACHE_DIR = "DTVERTEX_CACHE_DIR"
 # Version of the record format; records of any other version are skipped.
-SCHEMA = 4
+SCHEMA = 5
 # The keys of a record and the JSON type of each value.
 FIELDS = {
     "schema": int, "d": int, "partition": str, "fingerprint": str,
@@ -140,7 +140,8 @@ class WeightCache:
         """Weight for a partition, re-verifying the half-vertex fingerprint."""
         rec = self.records.get((d, pi.serialize()))
         if rec is not None:
-            if rec["fingerprint"] == vertex_fingerprint(vertex_half(pi, d)):
+            orbits, flatmask, _ = half_vertex_orbits(pi, d)
+            if rec["fingerprint"] == vertex_fingerprint(orbits, flatmask):
                 return weight_from_record(rec, pi)
         w = compute_weight(pi, d)
         self.append(record_from_weight(w))

@@ -45,10 +45,10 @@ from .kclass import (
     KEY_OK,
     KEY_VIOLATED,
     cy_fold,
+    half_vertex_orbits,
     key_verdict,
     locus_fold,
     vertex,
-    vertex_half,
 )
 from .partitions import canonical_representatives
 from .ratpoly import QPoly, fraction_sqrt
@@ -252,14 +252,10 @@ def _half_vertex_euler(nv, n):
     return e
 
 
-def _half_vertex_root(v, n):
-    """Root of (-1)^n * e(-V) for even d, from the half vertex v alone.
-
-    The root is e(-v) with a positive scalar (see _half_vertex_euler);
-    the zero class is its own root.  It equals
-    sqrt_form_product(euler_class(-vertex(pi, d)), n).
-    """
-    e = _half_vertex_euler(-v, n)
+def _half_vertex_root(nv, n):
+    """Root of (-1)^n * e(-V) for even d: e(nv), nv = -v, with a positive
+    scalar, the zero class its own root (sqrt_form_product is its oracle)."""
+    e = _half_vertex_euler(nv, n)
     return e if e.scalar >= 0 else e.scaled(-1)
 
 
@@ -381,13 +377,13 @@ def specialize(p):
     return _locus_value(scalar, units, exps)
 
 
-def _specialize_half_vertex(pi, d, v):
-    """The specialized value of pi, read from the half vertex v.
+def _specialize_half_vertex(pi, d, nv):
+    """The specialized value of pi, read from nv = -v, v the half vertex.
 
     Equals specialize(taut_factor(pi, d, ell_units=1) * root) for
-    v = vertex_half(pi, d) and root = _half_vertex_root(v, |pi|), with
+    v = vertex_half(pi, d) and root = _half_vertex_root(nv, |pi|), with
     the same errors, and returns None where the root is the zero class.
-    The one euler_class(-v) rules on the zero class and on the parity
+    The one euler_class(nv) rules on the zero class and on the parity
     of the root, and the sign of its scalar is the one the root drops.
     The insertion's forms are restricted as in specialize, and the
     weights of -v by kclass.locus_fold.  A critical weight with value u
@@ -398,7 +394,6 @@ def _specialize_half_vertex(pi, d, v):
     re-canonicalization is exactly this, because the two sign folds and
     the two gcds compose.
     """
-    nv = -v
     e = _half_vertex_euler(nv, pi.size)
     if e.is_zero():
         return None
@@ -487,20 +482,17 @@ class PartitionWeight:
         return _corner_column(pi.corner_height()) * c
 
 
-def vertex_fingerprint(v):
-    """sha256 of a class's packed terms, as hex.
+def vertex_fingerprint(orbits, flatmask):
+    """sha256, as hex, of a half vertex as kclass.half_vertex_orbits gives it.
 
-    Hashes, in this order, b"dim:count:", every code in increasing
-    order as 2 * dim big-endian bytes (a code is below 2^(16 dim)), and
-    the repr of the coefficient list in that order.  The term count in
-    the prefix makes the encoding injective.  The weight pipeline and
-    the cache hash the half vertex vertex_half(pi, d); no term is
-    decoded and no code is written in decimal.
+    Hashes b"dim:flatmask:count:", the codes of orbits in increasing order
+    as 2 * dim big-endian bytes each, and the repr of their coefficients;
+    the prefix makes it injective, and the mask fixes each code's orbit.
     """
-    terms = v.terms
+    terms = orbits.terms
     keys = sorted(terms)
-    width = 2 * v.dim
-    h = hashlib.sha256(b"%d:%d:" % (v.dim, len(keys)))
+    width = 2 * orbits.dim
+    h = hashlib.sha256(b"%d:%d:%d:" % (orbits.dim, flatmask, len(keys)))
     h.update(b"".join([k.to_bytes(width, "big") for k in keys]))
     h.update(repr([terms[k] for k in keys]).encode())
     return h.hexdigest()
@@ -509,27 +501,27 @@ def vertex_fingerprint(v):
 def compute_weight(pi, d):
     """Full symbolic weight pipeline for one partition, d = 0 mod 4.
 
-    half vertex v -> e(-v), which rules on the square root of the Euler
-    class of minus the vertex -> specialized value of the distinguished
-    tautological factor times that root, read straight from the packed
-    codes of v (_specialize_half_vertex; specialize on the product of
-    forms is its oracle) -> weight extraction.  The full vertex V is
-    never built: for even d its fixed part is twice that of v, so the
-    verdict and the fingerprint come from v as well.  A zero square root
-    (a zero Euler class) is the weight omega = 0 with sign 1.  Pipeline
-    failures raise with the offending partition attached.
+    One box product gives the half vertex v as orbits and as -v
+    (half_vertex_orbits).  The orbits give the fingerprint and the
+    verdict (the full vertex, never built, has twice their fixed part);
+    -v gives e(-v), which rules on the root of e(-V), and the specialized
+    value of the tautological factor times that root, read from the
+    packed codes of -v (_specialize_half_vertex; specialize on the
+    product of forms is its oracle) -> weight extraction.  A zero root
+    is the weight omega = 0 with sign 1.  Pipeline failures raise with
+    the offending partition attached.
     """
     if d % 4:
         raise ValueError("dimension must be divisible by 4")
-    v = vertex_half(pi, d)
-    fingerprint = vertex_fingerprint(v)
-    verdict = key_verdict(v)
+    orbits, flatmask, nv = half_vertex_orbits(pi, d, minus_half=True)
+    fingerprint = vertex_fingerprint(orbits, flatmask)
+    verdict = key_verdict(orbits)
     if verdict == KEY_VIOLATED:
         raise ZeroWeightDenominator(
             "fixed part of the vertex is positive", partition=pi.serialize()
         )
     try:
-        value = _specialize_half_vertex(pi, d, v)
+        value = _specialize_half_vertex(pi, d, nv)
         if value is None:
             omega, sign = Fraction(0), 1
         else:
@@ -566,4 +558,5 @@ def cy_bundle_term(pi, d, u):
     character t^u, on the Calabi-Yau torus, up to the orientation sign;
     the root is taken from the half vertex, so d must be even.
     """
-    return taut_factor(pi, d, u=u) * _half_vertex_root(vertex_half(pi, d), pi.size)
+    nv = half_vertex_orbits(pi, d, minus_half=True)[2]
+    return taut_factor(pi, d, u=u) * _half_vertex_root(nv, pi.size)

@@ -35,8 +35,9 @@ value.
 The vertex multiplies Z * bar(Z) by one factor (1 - t_i^-1) per axis.
 On an axis that no box leaves (a flat axis) every term has w_i = 0, so
 each key of t^w / t_i is new: the factor doubles the dict with one
-dict.update and no lookups.  Only the axes that some box leaves fold
-term by term, and they go first, while the dict is small.
+dict.update and no lookups, after the other axes have folded term by
+term while the dict is small.  Swapping flat axes fixes the half
+vertex, which half_vertex_orbits keeps as one code per orbit.
 """
 
 from __future__ import annotations
@@ -266,38 +267,30 @@ def character(pi, d):
     return KClass(d, {cell: 1 for cell in pi.cells()})
 
 
-def _minus_box_product(z, n):
-    """Packed terms and bound of -Z * bar(Z) * prod_{i<n} (1 - t_i^-1).
+def _active_fold(z, n, sign):
+    """sign * Z * bar(Z) * prod (1 - t_i^-1) over the active axes i < n.
 
-    The bound 2 * z.bound + n is checked before any key is built, so
-    nothing wraps; it also bounds Z and bar(Z) / (t_1..t_d).  The sign
-    is taken on Z * bar(Z), so the callers add Z in place.
-
-    Axis i is flat when no box leaves it: w_i = 0 in every term of Z,
-    so its digit is the bias in every code.  The active axes are folded
-    first, while the dict is small, each in one pass over a snapshot of
-    the terms that folds -c into the key of t^w / t_i for every term
-    c t^w, zeros deleted.  The pass works in place: the key of t^w / t_i
-    is written only by the term c t^w, so it still holds its old
-    coefficient when that happens.  Then each flat axis doubles the
-    dict with one update: every term still has w_i = 0, since the
-    other passes change only their own digit and never borrow, so each
-    key of t^w / t_i has w_i = -1, is new, and nothing collides.
+    Returns the packed terms, the flat axes i < n in increasing order and
+    the bound 2 * z.bound + n of the whole product, checked before any
+    key is built.  Each factor is one in-place pass over a snapshot of
+    the terms that folds -c into the key of t^w / t_i, zeros deleted;
+    only the term c t^w writes that key, so it still holds its old value.
     """
     d = z.dim
     bound = _checked(2 * z.bound + n)
-    # digit i of spread is 0 exactly when every box has w_i = 0
     origin = _origin(d)
+    # digit i of spread is 0 exactly when every box has w_i = 0
     spread = 0
     for k in z.terms:
         spread |= k ^ origin
-    active, flat = [], []
-    for i in range(n):
-        shift = RADIX_BITS * (d - 1 - i)
-        (active if spread >> shift & DIGIT else flat).append(1 << shift)
-    out = (-z * z.bar()).terms
+    out = (z * sign * z.bar()).terms
     get = out.get
-    for step in active:
+    flat = []
+    for i in range(n):
+        step = 1 << RADIX_BITS * (d - 1 - i)
+        if not spread & DIGIT * step:
+            flat.append(i)
+            continue
         for k, c in zip(list(out), list(out.values())):
             k -= step
             s = get(k, 0) - c
@@ -305,9 +298,20 @@ def _minus_box_product(z, n):
                 out[k] = s
             else:
                 del out[k]
-    for step in flat:
+    return out, flat, bound
+
+
+def _double_flat(out, flat, d):
+    """Multiply packed terms by (1 - t_i^-1) for each flat axis i, in place.
+
+    Every term still has w_i = 0, since the other factors change only
+    their own digit and never borrow, so each key of t^w / t_i has
+    w_i = -1, is new, and one dict.update adds it with no collision.
+    """
+    for i in flat:
+        step = 1 << RADIX_BITS * (d - 1 - i)
         out.update(zip([k - step for k in out], [-c for c in out.values()]))
-    return out, bound
+    return out
 
 
 def vertex(pi, d):
@@ -325,11 +329,12 @@ def vertex(pi, d):
 
     which is built term by term as in vertex_half, whose product is the
     same with the d-th factor left out: one in-place pass per factor on
-    an axis that some box leaves, then one dict.update per flat axis,
-    whose new keys cannot collide (see _minus_box_product).
+    an axis that some box leaves (_active_fold), then one dict.update
+    per flat axis, whose new keys cannot collide (_double_flat).
     """
     z = character(pi, d)
-    terms, bound = _minus_box_product(z, d)
+    terms, flat, bound = _active_fold(z, d, -1)
+    _double_flat(terms, flat, d)
     sgn = -1 if d % 2 else 1
     # code of -w - (1,..,1) is mirror - code(w)
     mirror = 2 * _origin(d) - _ones(d)
@@ -447,8 +452,8 @@ def locus_fold(v):
 def key_verdict(v):
     """Classify the torus-fixed multiplicity of an already-built vertex.
 
-    For even d the half vertex v = vertex_half(pi, d) gives the verdict
-    of the full vertex, whose fixed part is twice that of v.
+    For even d the half vertex v = vertex_half(pi, d), or its orbits
+    (half_vertex_orbits), give the verdict of V, twice their fixed part.
 
     ok             fixed part is 0; the Euler ratio is a unit
     euler_vanishes fixed part < 0; the Euler class of -V vanishes
@@ -468,11 +473,38 @@ def check_key_conjecture(pi, d):
 def vertex_half(pi, d):
     """Half of the vertex: Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1).
 
-    Z is the character of the box stack and the product runs over the
-    first d-1 directions only, one pass per factor (an update for a
-    flat axis; see _minus_box_product).  With v this class
-    and cy = cy_reduce, cy(V) = cy(v) + (-1)^d * cy(bar(v)) for every d.
+    Z is the character of the box stack.  With v this class and
+    cy = cy_reduce, cy(V) = cy(v) + (-1)^d * cy(bar(v)) for every d.  The
+    CLI reads v through half_vertex_orbits, whose oracle this is.
     """
     z = character(pi, d)
-    terms, bound = _minus_box_product(z, d - 1)
-    return KClass._packed(d, _add_into(terms, z.terms.items()), bound)
+    terms, flat, bound = _active_fold(z, d - 1, -1)
+    return KClass._packed(d, _add_into(_double_flat(terms, flat, d), z.terms.items()), bound)
+
+
+def half_vertex_orbits(pi, d, minus_half=False):
+    """v = vertex_half(pi, d) up to permutations of its flat axes, and -v.
+
+    With Q = Z * bar(Z) * prod (1 - t_i^-1) over the active axes among
+    1..d-1, v = Z - sum (-1)^|S| * Q / t_S over the sets S of flat axes,
+    so the codes with j of their f flat digits -1 (the others 0) form
+    orbits of C(f, j) codes with one coefficient.  Returns (orbits,
+    flatmask, nv): orbits, with the bound of v, holds (-1)^(j+1) * Q / t_S
+    for S the first j flat axes, j = 0..f, plus Z, and has the fixed part
+    of v (a diagonal code is an orbit of one); bit i of flatmask marks
+    axis i + 1 flat; nv = -v, from the same Q, if minus_half, else None.
+    """
+    z = character(pi, d)
+    q, flat, bound = _active_fold(z, d - 1, 1)
+    neg = [-c for c in q.values()]
+    orbits = dict(zip(q, neg))
+    shift = 0
+    for j, i in enumerate(flat, 1):
+        shift += 1 << RADIX_BITS * (d - 1 - i)
+        orbits.update(zip([k - shift for k in q], q.values() if j % 2 else neg))
+    _add_into(orbits, z.terms.items())
+    nv = None
+    if minus_half:
+        terms = _add_into(_double_flat(q, flat, d), ((k, -c) for k, c in z.terms.items()))
+        nv = KClass._packed(d, terms, bound)
+    return KClass._packed(d, orbits, bound), sum(1 << i for i in flat), nv

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .errors import DegenerateSamplePoint, DTVertexError
-from .kclass import cy_fixed_part, vertex_half
+from .kclass import cy_fixed_part, half_vertex_orbits
 from .partitions import canonical_representatives, count_partitions
 from .ratpoly import QPoly
 
@@ -172,7 +172,8 @@ def build_z_odd(d, order):
     """Series of Euler ratios over all partitions, odd dimension.
 
     For odd d the Euler ratio of a (d-1)-partition of size n is the sign
-    (-1)^(n + c0), with c0 = cy_fixed_part(vertex_half(pi, d)): after
+    (-1)^(n + c0), with c0 the fixed part of v = vertex_half(pi, d), read
+    off its orbits (half_vertex_orbits) without expanding v: after
     the Calabi-Yau reduction cy(V) = cy(v) - bar(cy(v)), so each weight
     w != 0 of cy(v), with coefficient c, meets -w with coefficient -c
     and the pair contributes (-1)^c to e(-V); the coefficients of cy(v)
@@ -189,7 +190,7 @@ def build_z_odd(d, order):
         total = Fraction(0)
         for rep, orbit in canonical_representatives(d - 1, n):
             try:
-                c0 = cy_fixed_part(vertex_half(rep, d))
+                c0 = cy_fixed_part(half_vertex_orbits(rep, d)[0])
             except DTVertexError as exc:
                 if exc.partition is None:
                     exc.partition = rep.serialize()

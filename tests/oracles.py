@@ -14,6 +14,10 @@ the package against.
 - The packed box product with one in-place pass per factor on every
   axis, which the single update per flat axis replaced for the axes
   that no box leaves.
+- The orbit form of the half vertex found by grouping the decoded terms
+  of the expanded half vertex, which the orbit form built from one
+  product over the active axes replaced where the CLI reads the half
+  vertex.
 - The bounded partition enumeration: slices a bounding height map along
   the first axis and meets each slice with the partition's previous
   slice, one size at a time.  It checks omega's candidate lists and,
@@ -57,9 +61,11 @@ the package against.
   each, and the odd-dimension series over every partition.
 - The odd-dimension Euler ratio from the Euler class of minus the full
   vertex, which the sign (-1)^(|pi| + c0) of the half vertex replaced.
-- The half-vertex fingerprint of cache schema 3: sha256 of the repr of
-  dim and the sorted (code, coefficient) pairs, which the packed-bytes
-  digest of schema 4 replaced.
+- The half-vertex fingerprints of cache schemas 3 and 4: sha256 of the
+  repr of dim and the sorted (code, coefficient) pairs, which the
+  packed-bytes digest of schema 4 replaced, and that digest of the
+  expanded half vertex, which the digest of its flat-axis orbits
+  (schema 5) replaced.
 - Small helpers that only tests use: axis-permutation orbits, staircase
   membership, orientation flips, series powers and tables.
 """
@@ -68,7 +74,7 @@ import hashlib
 import struct
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
+from math import comb, gcd
 
 from dtvertex import (
     ArityMismatch,
@@ -210,6 +216,37 @@ def folded_box_product(z, n):
             else:
                 del out[k]
     return out, bound
+
+
+def flat_orbit_form(pi, d, v):
+    """The orbit form of v = vertex_half(pi, d), by grouping its terms.
+
+    The flat axes are those among 1..d-1 on which every box has
+    coordinate 0, in increasing order.  Every flat coordinate of a term
+    must be 0 or -1.  The terms are grouped by their other coordinates
+    and by the number j of their flat coordinates -1, and each group must
+    hold C(f, j) terms of one coefficient, f the number of flat axes.
+    Returns ({representative: coefficient}, flatmask): a representative
+    has -1 on the first j flat axes only, and bit i of flatmask is set
+    when axis i + 1 is flat.
+    """
+    cells = list(pi.cells())
+    flat = [i for i in range(d - 1) if all(cell[i] == 0 for cell in cells)]
+    groups = {}
+    for w, c in v.items():
+        assert all(w[i] in (0, -1) for i in flat), w
+        j = -sum(w[i] for i in flat)
+        rest = tuple(x for i, x in enumerate(w) if i not in flat)
+        groups.setdefault((rest, j), []).append(c)
+    form = {}
+    for (rest, j), coeffs in groups.items():
+        assert len(coeffs) == comb(len(flat), j) and len(set(coeffs)) == 1
+        others = iter(rest)
+        rep = tuple(
+            (-1 if flat.index(i) < j else 0) if i in flat else next(others) for i in range(d)
+        )
+        form[rep] = coeffs[0]
+    return form, sum(1 << i for i in flat)
 
 
 def class_vertex_half(pi, d):
@@ -712,6 +749,17 @@ def repr_fingerprint(v):
     """The schema-3 fingerprint of a class: sha256 of the repr of dim and
     the sorted (code, coefficient) pairs, every code written in decimal."""
     return hashlib.sha256(repr((v.dim, sorted(v.terms.items()))).encode()).hexdigest()
+
+
+def expanded_fingerprint(v):
+    """The schema-4 fingerprint of a class: sha256 of b"dim:count:", every
+    code in increasing order as 2 * dim big-endian bytes, and the repr of
+    the coefficient list in that order."""
+    keys = sorted(v.terms)
+    h = hashlib.sha256(b"%d:%d:" % (v.dim, len(keys)))
+    h.update(b"".join([k.to_bytes(2 * v.dim, "big") for k in keys]))
+    h.update(repr([v.terms[k] for k in keys]).encode())
+    return h.hexdigest()
 
 
 # -- test-only helpers -----------------------------------------------------------

@@ -26,10 +26,11 @@ from dtvertex import (
     vertex,
     vertex_half,
 )
+from dtvertex.cache import WeightCache
 from dtvertex.cli import main
 
 from conftest import single_box
-from oracles import repr_fingerprint, times_raw_form
+from oracles import expanded_fingerprint, repr_fingerprint, times_raw_form
 
 
 def run_cli(capsys, *argv):
@@ -287,27 +288,58 @@ def test_cache_line_of_another_schema_is_recomputed(tmp_path, capsys):
     _, cold = run_cli(capsys, *argv)
     records = [json.loads(line) for line in cache.read_text().splitlines()]
     # schema 2 fingerprinted the JSON of the full vertex's decoded terms,
-    # schema 3 the repr of the half vertex's sorted (code, coefficient) pairs
+    # schema 3 the repr of the half vertex's sorted (code, coefficient)
+    # pairs, schema 4 its sorted codes as packed bytes
     pi = MultiPartition.from_entries(3, json.loads(records[1]["partition"]))
+    key = (4, records[1]["partition"])
     v = vertex(pi, 4).serialize()
     old = hashlib.sha256(json.dumps(v, separators=(",", ":")).encode()).hexdigest()
     schema3 = repr_fingerprint(vertex_half(pi, 4))
-    for edit in (
-        lambda rec: rec.pop("schema"),
-        lambda rec: rec.update(schema=1),
-        lambda rec: rec.update(schema=2, fingerprint=old),
-        lambda rec: rec.update(schema=3, fingerprint=schema3),
+    schema4 = expanded_fingerprint(vertex_half(pi, 4))
+    for edit, stale in (
+        (lambda rec: rec.pop("schema"), False),
+        (lambda rec: rec.update(schema=1), False),
+        (lambda rec: rec.update(schema=2, fingerprint=old), False),
+        (lambda rec: rec.update(schema=3, fingerprint=schema3), False),
+        (lambda rec: rec.update(schema=4, fingerprint=schema4), False),
+        # a record of this schema that carries the schema-4 digest is
+        # read, fails the fingerprint check and is recomputed
+        (lambda rec: rec.update(fingerprint=schema4), True),
     ):
         lines = [dict(rec) for rec in records]
         edit(lines[1])
         cache.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        assert (key in WeightCache(str(cache)).records) == stale
         code, out = run_cli(capsys, *argv)
         assert code == 0 and out == cold
         appended = json.loads(cache.read_text().splitlines()[-1])
-        assert appended == records[1] and appended["schema"] == 4
+        assert appended == records[1] and appended["schema"] == 5
         run_cli(capsys, "cache-compact", "--cache", str(cache))
         compacted = [json.loads(line) for line in cache.read_text().splitlines()]
         assert sorted(compacted, key=json.dumps) == sorted(records, key=json.dumps)
+
+
+def test_warm_omega_never_expands_the_half_vertex(tmp_path, monkeypatch, capsys):
+    # a hit is verified from the flat-axis orbits alone: with vertex_half
+    # refused at every import site the warm run repeats the cold report
+    path = tmp_path / "weights.jsonl"
+    cache = str(path)
+    argv = ["check", "omega", "-d", "8", "-n", "4", "--cache", cache]
+    code, cold = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(cold)["verdict"] == "confirmed"
+    real = dtvertex.kclass.vertex_half
+
+    def refuse(pi, d):
+        raise AssertionError("vertex_half ran")
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "dtvertex" and getattr(mod, "vertex_half", None) is real:
+            monkeypatch.setattr(mod, "vertex_half", refuse)
+    assert dtvertex.vertex_half is refuse
+    records = len(WeightCache(cache).records)
+    assert run_cli(capsys, *argv) == (0, cold)
+    assert len(WeightCache(cache).records) == records > 0
+    assert len(path.read_text().splitlines()) == records
 
 
 def test_cache_compact(tmp_path, capsys):
@@ -640,13 +672,13 @@ def test_full_vertex_runs_once_per_keyconj_row_and_never_for_odd(monkeypatch, ca
 
     # confirmed rests on the computed c0: one more fixed weight in the
     # single box's half vertex flips its sign and the series misses
-    real_half = series_mod.vertex_half
+    real_orbits = series_mod.half_vertex_orbits
 
     def perturbed(pi, d):
-        v = real_half(pi, d)
-        return v + KClass.one(d) if pi.size == 1 else v
+        orbits, flatmask, nv = real_orbits(pi, d)
+        return (orbits + KClass.one(d) if pi.size == 1 else orbits), flatmask, nv
 
-    monkeypatch.setattr(series_mod, "vertex_half", perturbed)
+    monkeypatch.setattr(series_mod, "half_vertex_orbits", perturbed)
     code, out = run_cli(capsys, "check", "odd", "-d", "5", "-n", "2")
     assert code == 1 and json.loads(out)["verdict"] == "mismatch"
 

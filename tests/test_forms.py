@@ -38,6 +38,7 @@ from dtvertex.forms import (
     cy_bundle_term,
     vertex_fingerprint,
 )
+from dtvertex.kclass import half_vertex_orbits
 
 from conftest import (
     cached_weight_table,
@@ -53,6 +54,7 @@ from oracles import (
     collected_specialize,
     euler_ratio_odd,
     evaluate_on_locus,
+    expanded_fingerprint,
     locus_value,
     orbit,
     qpoly_locus_value,
@@ -249,7 +251,7 @@ def test_specialize_matches_collector_oracle():
         twists = [(1,) + (0,) * (d - 1), (0,) * (d - 2) + (1, 0), (0,) * d]
         for n in range(1, order + 1):
             for rep, _ in canonical_representatives(d - 1, n):
-                root = _half_vertex_root(vertex_half(rep, d), n)
+                root = _half_vertex_root(-vertex_half(rep, d), n)
                 product = taut_factor(rep, d, ell_units=1) * root
                 cases = [("default", product * FormProduct(1, f)) for f in extras]
                 cases += [("twist", cy_bundle_term(rep, d, u)) for u in twists]
@@ -272,7 +274,7 @@ def test_specialize_matches_collector_oracle():
 def _specialized_by_oracle(pi, d, v):
     """specialize(taut * root), or None for the zero root: the route that
     _specialize_half_vertex replaced."""
-    root = _half_vertex_root(v, pi.size)
+    root = _half_vertex_root(-v, pi.size)
     if root.is_zero():
         return None
     return specialize(taut_factor(pi, d, ell_units=1) * root)
@@ -284,7 +286,7 @@ def test_specialize_half_vertex_matches_specialize_oracle(d, order, count):
     for n in range(1, order + 1):
         for rep, _ in canonical_representatives(d - 1, n):
             v = vertex_half(rep, d)
-            got = _outcome(_specialize_half_vertex, rep, d, v)
+            got = _outcome(_specialize_half_vertex, rep, d, -v)
             assert got == _outcome(_specialized_by_oracle, rep, d, v)
             seen += 1
     assert seen == count
@@ -304,7 +306,7 @@ def test_locus_value_matches_qpoly_oracle(monkeypatch, d, order, count):
     reps = 0
     for n in range(1, order + 1):
         for rep, _ in canonical_representatives(d - 1, n):
-            _outcome(_specialize_half_vertex, rep, d, vertex_half(rep, d))
+            _outcome(_specialize_half_vertex, rep, d, -vertex_half(rep, d))
             reps += 1
     assert reps == count and seen
     for args in seen:
@@ -392,7 +394,7 @@ HAND_VERTICES = {
 def test_specialize_half_vertex_hand_cases(terms, expected):
     pi = single_box(3)
     v = KClass(4, terms)
-    got = _outcome(_specialize_half_vertex, pi, 4, v)
+    got = _outcome(_specialize_half_vertex, pi, 4, -v)
     assert got == _outcome(_specialized_by_oracle, pi, 4, v)
     if expected == "zero":
         assert got is None
@@ -405,7 +407,7 @@ def test_specialize_half_vertex_hand_cases(terms, expected):
 def test_specialize_half_vertex_keeps_the_parity_error():
     # an odd total degree of e(-v) against |pi| = 1 has no root
     v = KClass(4, {(0, 0, 0, 2): 1, (1, 0, 0, 0): 1})
-    got = _outcome(_specialize_half_vertex, single_box(3), 4, v)
+    got = _outcome(_specialize_half_vertex, single_box(3), 4, -v)
     assert got == (NotAPerfectSquare, "scalar -1/4 is not a rational square")
     assert got == _outcome(_specialized_by_oracle, single_box(3), 4, v)
 
@@ -413,7 +415,7 @@ def test_specialize_half_vertex_keeps_the_parity_error():
 def test_full_cube_at_d4_agrees_and_is_not_a_column():
     b = cube_on_three_axes(3)
     v = vertex_half(b, 4)
-    value = _specialize_half_vertex(b, 4, v)
+    value = _specialize_half_vertex(b, 4, -v)
     assert value == _specialized_by_oracle(b, 4, v)
     assert abs(value.leading()) == Fraction(1, 2) and value.degree() == 2
     with pytest.raises(ShapeMismatch) as expected:
@@ -443,7 +445,7 @@ def test_locus_value_oracle_on_the_order_8_partitions(name, d, expected):
     assert pi.size == 8
     # 101^j keeps every restricted form non-zero (its entries are small)
     frees = [101**j for j in range(d - 2)]
-    fast = _specialize_half_vertex(pi, d, vertex_half(pi, d))
+    fast = _specialize_half_vertex(pi, d, -vertex_half(pi, d))
     signs = set()
     for ell in (2, 3, 4):
         got = locus_value(pi, d, ell, frees)
@@ -498,9 +500,9 @@ def test_half_vertex_root_matches_sqrt_of_full_euler_class():
                 v = vertex_half(rep, d)
                 stages = weight_stages(rep, d)
                 # FormProduct equality compares the factors and the scalar
-                assert _half_vertex_root(v, n) == stages.sqrt
+                assert _half_vertex_root(-v, n) == stages.sqrt
                 with pytest.raises(NotAPerfectSquare):
-                    _half_vertex_root(v, n + 1)
+                    _half_vertex_root(-v, n + 1)
                 with pytest.raises(NotAPerfectSquare):
                     sqrt_form_product(stages.euler, n + 1)
                 count += 1
@@ -787,11 +789,11 @@ def test_signed_poly_leaves_the_memoized_column_alone():
     assert _corner_column(h) == poly(0, -1, 1)
 
 
-def _half_vertices():
-    """The half vertices of every representative of d = 4 n <= 5,
-    d = 8 n <= 4 and d = 12 n <= 3."""
+def _orbit_forms():
+    """(orbits, flatmask, v) of every representative of d = 4 n <= 5,
+    d = 8 n <= 4 and d = 12 n <= 3, v its expanded half vertex."""
     return [
-        vertex_half(rep, d)
+        half_vertex_orbits(rep, d)[:2] + (vertex_half(rep, d),)
         for d, order in ((4, 5), (8, 4), (12, 3))
         for n in range(1, order + 1)
         for rep, _ in canonical_representatives(d - 1, n)
@@ -806,41 +808,83 @@ def _with_terms(v, terms, dim=None):
 
 
 def test_fingerprint_separates_what_the_repr_fingerprint_separates():
-    vs = _half_vertices()
-    pairs = [(vertex_fingerprint(v), repr_fingerprint(v)) for v in vs]
-    assert len(pairs) == 56
-    # equal packed digests exactly when the repr digests are equal
-    assert len({new for new, _ in pairs}) == len({old for _, old in pairs}) == len(set(pairs))
+    # the orbit digest against the digests of the expanded half vertex
+    # that schemas 3 and 4 hashed
+    digests = [
+        (vertex_fingerprint(orbits, mask), expanded_fingerprint(v), repr_fingerprint(v))
+        for orbits, mask, v in _orbit_forms()
+    ]
+    assert len(digests) == 56
+    # equal orbit digests exactly when the expanded digests are equal
+    assert len({new for new, _, _ in digests}) == len(set(digests))
+    assert len({old for _, old, _ in digests}) == len(set(digests))
+    assert len({old for _, _, old in digests}) == len(set(digests))
 
 
 def test_fingerprint_ignores_insertion_order():
-    for v in _half_vertices()[::7]:
-        backwards = _with_terms(v, dict(reversed(list(v.terms.items()))))
-        assert list(backwards.terms) != list(v.terms) or len(v.terms) == 1
-        assert vertex_fingerprint(backwards) == vertex_fingerprint(v)
+    for orbits, mask, _ in _orbit_forms()[::7]:
+        backwards = _with_terms(orbits, dict(reversed(list(orbits.terms.items()))))
+        assert list(backwards.terms) != list(orbits.terms) or len(orbits.terms) == 1
+        assert vertex_fingerprint(backwards, mask) == vertex_fingerprint(orbits, mask)
 
 
 def test_fingerprint_changes_with_one_code_coefficient_or_dim():
-    for v in _half_vertices()[::7]:
-        digest = vertex_fingerprint(v)
-        first, last = min(v.terms), max(v.terms)
-        moved = dict(v.terms)
+    for orbits, mask, _ in _orbit_forms()[::7]:
+        digest = vertex_fingerprint(orbits, mask)
+        first, last = min(orbits.terms), max(orbits.terms)
+        moved = dict(orbits.terms)
         moved[last + 1] = moved.pop(last)
-        assert vertex_fingerprint(_with_terms(v, moved)) != digest
-        bumped = dict(v.terms)
+        assert vertex_fingerprint(_with_terms(orbits, moved), mask) != digest
+        bumped = dict(orbits.terms)
         bumped[first] += 1 if bumped[first] != -1 else 2
-        assert vertex_fingerprint(_with_terms(v, bumped)) != digest
-        assert vertex_fingerprint(_with_terms(v, dict(v.terms), v.dim + 1)) != digest
+        assert vertex_fingerprint(_with_terms(orbits, bumped), mask) != digest
+        wider = _with_terms(orbits, dict(orbits.terms), orbits.dim + 1)
+        assert vertex_fingerprint(wider, mask) != digest
+
+
+def test_fingerprint_changes_with_the_flat_mask():
+    # the mask fixes the orbit size of every code, so the same
+    # representatives under another mask stand for another half vertex
+    for orbits, mask, _ in _orbit_forms()[::7]:
+        digest = vertex_fingerprint(orbits, mask)
+        for i in range(orbits.dim - 1):
+            assert vertex_fingerprint(orbits, mask ^ 1 << i) != digest
+    # bit i marks axis i + 1 flat: a column of two boxes leaves no base
+    # axis, and two boxes side by side leave the first one (canonical
+    # representatives put their active axes first)
+    masks = {half_vertex_orbits(rep, 4)[1] for rep, _ in canonical_representatives(3, 2)}
+    assert masks == {0b111, 0b110}
+
+
+def test_compute_weight_never_negates_a_class(monkeypatch):
+    # -v comes straight from the box product (half_vertex_orbits), so the
+    # cold weight makes no negated copy of the half vertex
+    reps = [rep for n in range(1, 6) for rep, _ in canonical_representatives(7, n)]
+    expected = [compute_weight(rep, 8) for rep in reps]
+
+    def refuse(self):
+        raise AssertionError("KClass.__neg__ ran")
+
+    monkeypatch.setattr(KClass, "__neg__", refuse)
+    for rep, w in zip(reps, expected):
+        got = compute_weight(rep, 8)
+        assert (got.fingerprint, got.verdict, got.omega, got.sign) == (
+            w.fingerprint, w.verdict, w.omega, w.sign
+        )
 
 
 def test_cache_record_format():
-    # schema 4: the fingerprint hashes the half vertex's codes as packed
-    # bytes (see vertex_fingerprint)
+    # schema 5: the fingerprint hashes the flat-axis orbits of the half
+    # vertex (see vertex_fingerprint).  The single box at d = 4 has the
+    # flat mask 0b111 and one orbit for each j = 1, 2, 3 of flat digits
+    # -1, coefficient (-1)^(j + 1), so its digest is the sha256 of
+    # b"4:7:3:", the codes of (-1,-1,-1,0), (-1,-1,0,0) and (-1,0,0,0),
+    # and "[1, -1, 1]"
     assert record_from_weight(compute_weight(single_box(3), 4)) == {
-        "schema": 4,
+        "schema": 5,
         "d": 4,
         "partition": "[[1,1,1,1]]",
-        "fingerprint": "11996ab644d9814c96f2e8a848503f50363bf10f63900094773592871fb270e2",
+        "fingerprint": "dc607aaa1f0adf8315941e540ae357d6e5886de41cbbc399c4fc713f7ccdec5a",
         "verdict": "ok",
         "omega": "1",
         "sign": 1,

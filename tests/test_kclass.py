@@ -23,7 +23,15 @@ from dtvertex import (
     vertex,
     vertex_half,
 )
-from dtvertex.kclass import BIAS, _minus_box_product, cy_fold, key_verdict, locus_fold
+from dtvertex.kclass import (
+    BIAS,
+    _active_fold,
+    _double_flat,
+    cy_fold,
+    half_vertex_orbits,
+    key_verdict,
+    locus_fold,
+)
 
 from conftest import corner_column, single_box
 
@@ -216,6 +224,13 @@ def test_vertex_matches_class_algebra_oracle(data, d):
         assert packed.bound == algebra.bound
 
 
+def _minus_box_product(z, n):
+    """Packed terms and bound of -Z * bar(Z) * prod_{i<n} (1 - t_i^-1), as
+    vertex and vertex_half build them."""
+    terms, flat, bound = _active_fold(z, n, -1)
+    return _double_flat(terms, flat, z.dim), bound
+
+
 def _assert_wraps_only_past_the_radix(n, axis, monkeypatch):
     # 2 * bound + n reaching 2^15 raises before any key is built, on the same
     # inputs as the class algebra; one step below, the product is exact
@@ -224,7 +239,7 @@ def _assert_wraps_only_past_the_radix(n, axis, monkeypatch):
     top = (BIAS - n + 1) // 2  # least bound with 2 * bound + n >= 2^15
     z = t(d, axis, top) + 2 * t(d, axis, -top)
     with monkeypatch.context() as m:
-        # bar(Z) is the first class the product builds
+        # bar(Z) is the first class with keys that Z does not have
         m.setattr(KClass, "bar", lambda self: pytest.fail("a key was built"))
         with pytest.raises(ExponentOverflow):
             _minus_box_product(z, n)
@@ -279,6 +294,42 @@ def test_box_product_matches_folded_oracle_by_hand(d):
         z = character(pi, d)
         for n in (d - 1, d):
             assert _minus_box_product(z, n) == oracles.folded_box_product(z, n)
+
+
+@pytest.mark.parametrize(
+    "d,order,canonical",
+    [(4, 7, True), (8, 5, True), (12, 3, True), (16, 2, True), (5, 4, False), (8, 3, False)],
+)
+def test_half_vertex_orbits_match_grouped_half_vertex(d, order, canonical):
+    # the non-canonical sets take every partition, so the flat axes need
+    # not be a suffix of the base axes
+    for n in range(1, order + 1):
+        parts = (
+            [rep for rep, _ in canonical_representatives(d - 1, n)]
+            if canonical
+            else _partitions(d - 1, n)
+        )
+        for pi in parts:
+            v = vertex_half(pi, d)
+            orbits, flatmask, nv = half_vertex_orbits(pi, d)
+            assert nv is None
+            assert (orbits.as_dict(), flatmask) == oracles.flat_orbit_form(pi, d, v)
+            assert orbits.bound == v.bound
+            assert cy_fixed_part(orbits) == cy_fixed_part(v)
+            _, _, nv = half_vertex_orbits(pi, d, minus_half=True)
+            assert nv.terms == (-v).terms and nv.bound == v.bound
+
+
+def test_half_vertex_orbits_compress_the_flat_axes():
+    # at d = 16 every base axis of the single box is flat, and its half
+    # vertex 1 - prod_{i<16} (1 - t_i^-1) has 2^15 - 1 terms but one orbit
+    # per number j >= 1 of flat digits -1, with coefficient (-1)^(j + 1)
+    orbits, flatmask, _ = half_vertex_orbits(single_box(15), 16)
+    assert len(vertex_half(single_box(15), 16).terms) == 2**15 - 1
+    assert flatmask == 2**15 - 1
+    assert orbits.as_dict() == {
+        tuple([-1] * j + [0] * (16 - j)): (-1) ** (j + 1) for j in range(1, 16)
+    }
 
 
 def test_vertex_is_built_in_full():

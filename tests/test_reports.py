@@ -67,9 +67,9 @@ GOLDEN = [
      "c79ceab41bc6238f511cb617edc468893f2ac1e0177b49b11c5612d67c2c1fad"),
 ]
 
-# the file written by a cold `check fourk -d 4 -n 3 --cache F`; schema 4
-# records, whose fingerprints hash the half vertex's codes as packed bytes
-COLD_CACHE = "12bc52fcd7f1a769203c543cddfb7e4ffdc8010795bf487d8f26da9b6bbcca3e"
+# the file written by a cold `check fourk -d 4 -n 3 --cache F`; schema 5
+# records, whose fingerprints hash the flat-axis orbits of the half vertex
+COLD_CACHE = "8f28dfe4d0771cea5c825e8fa98852cbf8404e3c0ad8342f7d4b3e85b7020ebb"
 
 
 # order 8 at d = 8: both checks exit 1 (test_cli.test_order_8_facts_at_d8
