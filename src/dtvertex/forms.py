@@ -1,29 +1,23 @@
 """Equivariant Euler classes as exact products of linear forms.
 
 A torus weight becomes a linear form in the equivariant parameters.  On
-the Calabi-Yau torus the last parameter is eliminated immediately
-(lam_d = -(lam_1 + ... + lam_{d-1})), so a form is the integer tuple
-(c_1, ..., c_{d-1}, ell_part): the form c . lam + ell_part * ell *
-(lam_1 + ... + lam_{d-1}), where ell, the line-bundle exponent, only
-ever enters through multiples of the all-ones direction.  Forms are
-stored primitive (gcd 1, first non-zero entry positive), so tuple order
-is the order of forms.  Euler classes, their square roots, and the
-tautological insertion are all FormProducts: an exact Fraction scalar
-times a multiset of forms with integer exponents, and the zero class
-is the zero scalar with no forms.  Every product of forms is built by
-_merge_primitive, which divides each form by its gcd and merges its
-exponent: _collect feeds it raw forms (the tautological insertion and
-the full-torus Euler class), and the Calabi-Yau Euler class the integer
-vectors of kclass.cy_fold.  This module never reads a packed exponent
-code; kclass does.  Cancellation, square-root extraction and the
-specialization to the locus lam_1 + ... + lam_{d-1} = 0 are multiset
-operations; no limits are ever taken.  The specialized value is a
-polynomial in ell, and a pole or a form direction that survives on the
-locus raises ShapeMismatch; its ell-units are multiplied out as integer
-coefficient lists, and each coefficient becomes a Fraction once, when
-the scalar multiplies it.  The weight pipeline reads that value from
-kclass.locus_fold of the half vertex; specialize, which restricts a
-product of forms, is its oracle.
+the Calabi-Yau torus lam_d = -(lam_1 + ... + lam_{d-1}) is eliminated at
+once, so a form is the integer tuple (c_1, ..., c_{d-1}, ell_part): the
+form c . lam + ell_part * ell * (lam_1 + ... + lam_{d-1}), ell being the
+line-bundle exponent.  Forms are stored primitive (gcd 1, first non-zero
+entry positive), so tuple order is the order of forms.  Euler classes,
+their square roots and the tautological insertion are FormProducts: an
+exact Fraction scalar times a multiset of forms with integer exponents;
+the zero class is the zero scalar with no forms.  Every product of forms
+is built by _merge_primitive, which divides each form by its gcd and
+merges its exponent.  This module never reads a packed exponent code:
+kclass.cy_fold and kclass.locus_fold hand it integer vectors, block by
+block for the unexpanded -v of the half vertex.  Cancellation, square
+roots and the specialization to the locus lam_1 + ... + lam_{d-1} = 0
+are multiset operations; no limits are ever taken.  The specialized
+value is a polynomial in ell, and a pole or a form direction that
+survives on the locus raises ShapeMismatch.  specialize, which restricts
+a product of forms, is the oracle of the weight pipeline's read of -v.
 """
 
 from __future__ import annotations
@@ -132,14 +126,15 @@ class FormProduct:
         return "FormProduct(%s, %d forms)" % (self.scalar, len(self.factors))
 
 
-def _merge_primitive(pairs, exps):
+def _merge_primitive(pairs, exps, odd=0):
     """Merge (form, exponent) pairs into exps as primitive forms.
 
     Each form is non-zero with its first non-zero entry positive.  A
     form that holds 1 or -1 is primitive as it is; any other is divided
     by its gcd g, which leaves g**e to the scalar, and may then merge
     into a form already in exps.  A merge that nets to zero deletes the
-    form, and an exponent 0 changes nothing.  Returns (num, den), the product of the g**e split by sign.
+    form, and an exponent 0 changes nothing.  Returns the product of the
+    g**e as a Fraction, negated when odd.
     """
     get = exps.get
     num = den = 1
@@ -157,7 +152,7 @@ def _merge_primitive(pairs, exps):
             exps[form] = s
         else:
             exps.pop(form, None)
-    return num, den
+    return Fraction(-num if odd else num, den)
 
 
 def _collect(raw):
@@ -169,8 +164,7 @@ def _collect(raw):
     when its exponent is positive and raises ZeroWeightDenominator
     otherwise.
     """
-    pairs = []
-    odd = 0
+    pairs, odd = [], 0
     for coeffs, ell_part, e in raw:
         form = (*coeffs, ell_part)
         first = next(filter(None, form), 0)
@@ -183,36 +177,30 @@ def _collect(raw):
             odd ^= e & 1
         pairs.append((form, e))
     exps = {}
-    num, den = _merge_primitive(pairs, exps)
-    return FormProduct._packed(Fraction(-num if odd else num, den), exps)
+    return FormProduct._packed(_merge_primitive(pairs, exps, odd), exps)
 
 
 def euler_class(a, use_cy=True):
     """Euler class of a K-theory class as a FormProduct.
 
     Each monomial t^w with coefficient c becomes the form <w, lam> with
-    exponent c.  With use_cy the class is first reduced modulo
-    t_1..t_d = 1 and forms live in the d-1 surviving parameters;
-    otherwise they keep all d coordinates (full torus).  The zero weight
-    makes the class zero when its coefficient is positive and raises
-    ZeroWeightDenominator when it is negative.
-
-    On the Calabi-Yau torus the class is reduced and folded onto
-    mirrored weights by kclass.cy_fold; each folded weight w, whose last
-    entry w_d = 0 is the ell_part 0 of its form, goes to
-    _merge_primitive, and the dict of exponents becomes the product as
-    it is, with no copy.
+    exponent c, in the d-1 parameters left by the reduction modulo
+    t_1..t_d = 1 with use_cy, in all d (full torus) without.  The zero
+    weight makes the class zero when its coefficient is positive and
+    raises ZeroWeightDenominator when it is negative.  On the Calabi-Yau
+    torus kclass.cy_fold folds a KClass or the blocks of -v onto
+    mirrored weights w, w_d = 0 being the ell_part; the interior codes
+    of the blocks start the exponents as they are, the rest are merged.
     """
     if not use_cy:
         return _collect((w, 0, c) for w, c in a.items())
-    fixed, odd, pairs = cy_fold(a)
+    fixed, odd, prime, pairs = cy_fold(a)
     if fixed > 0:
         return FormProduct(0)
     if fixed < 0:
         raise ZeroWeightDenominator("zero weight with exponent %d" % fixed)
-    exps = {}
-    num, den = _merge_primitive(pairs, exps)
-    return FormProduct._packed(Fraction(-num if odd else num, den), exps)
+    exps = dict(prime)
+    return FormProduct._packed(_merge_primitive(pairs, exps, odd), exps)
 
 
 def sqrt_form_product(p, n):
@@ -240,11 +228,9 @@ def sqrt_form_product(p, n):
 def _half_vertex_euler(nv, n):
     """e(nv) for nv = -v, v the half vertex, once its root is known to exist.
 
-    For even d, cy(V) = cy(v) + cy(bar(v)), and e(-bar(v)) is e(-v) with
-    every form negated, (-1)^k * e(-v) for k its total degree; so
-    (-1)^n * e(-V) = (-1)^(n + k) * e(-v)^2.  When e(-v) is not zero and
-    n + k is odd, the scalar of (-1)^n * e(-V) is negative and
-    NotAPerfectSquare is raised.
+    For even d, cy(V) = cy(v) + cy(bar(v)) and e(-bar(v)) = (-1)^k e(-v),
+    k the total degree, so (-1)^n * e(-V) = (-1)^(n + k) * e(-v)^2: when
+    e(-v) is not zero and n + k is odd, NotAPerfectSquare is raised.
     """
     e = euler_class(nv, use_cy=True)
     if not e.is_zero() and (e.total_degree() + n) % 2:
@@ -290,9 +276,7 @@ def _restrict(factors, units, exps):
     exps by _merge_primitive.  Returns the multiplier that the
     re-canonicalization leaves, as a Fraction.
     """
-    pairs = []
-    odd = 0
-    zero = None
+    pairs, odd, zero = [], 0, None
     for form, e in factors.items():
         head = form[:-1]
         last = head[-1]
@@ -307,8 +291,7 @@ def _restrict(factors, units, exps):
             rest = tuple([-c for c in rest])
             odd ^= e & 1
         pairs.append((rest, e))
-    num, den = _merge_primitive(pairs, exps)
-    return Fraction(-num if odd else num, den)
+    return _merge_primitive(pairs, exps, odd)
 
 
 def _locus_value(scalar, units, exps):
@@ -371,44 +354,37 @@ def specialize(p):
     the value from the packed half vertex (_specialize_half_vertex);
     this route on the product of forms is the oracle that checks it.
     """
-    units = {}
-    exps = {}
+    units, exps = {}, {}
     scalar = p.scalar * _restrict(p.factors, units, exps)
     return _locus_value(scalar, units, exps)
 
 
 def _specialize_half_vertex(pi, d, nv):
-    """The specialized value of pi, read from nv = -v, v the half vertex.
+    """The specialized value of pi, read from nv = -v, v the half vertex
+    (in blocks, or as a KClass).
 
     Equals specialize(taut_factor(pi, d, ell_units=1) * root) for
-    v = vertex_half(pi, d) and root = _half_vertex_root(nv, |pi|), with
-    the same errors, and returns None where the root is the zero class.
-    The one euler_class(nv) rules on the zero class and on the parity
-    of the root, and the sign of its scalar is the one the root drops.
-    The insertion's forms are restricted as in specialize, and the
-    weights of -v by kclass.locus_fold.  A critical weight with value u
-    on the locus is the form (u, ..., u, 0), which restricts to the unit
-    (u, 0); the net at u = 0 (the zero weight) is zero, since e(-v) is
-    not the zero class.  The other restricted weights r go to
-    _merge_primitive: the product over the forms of r and its
-    re-canonicalization is exactly this, because the two sign folds and
-    the two gcds compose.
+    root = _half_vertex_root(nv, |pi|), with the same errors, and is None
+    where the root is the zero class.  The one euler_class(nv) rules on
+    the zero class and the parity of the root, and the sign of its
+    scalar is the one the root drops.  The insertion's forms restrict as
+    in specialize, the weights of -v by kclass.locus_fold: a critical
+    weight with value u is the form (u, ..., u, 0), the unit (u, 0) (the
+    net at u = 0 is zero, as e(-v) is not zero), and the other
+    restricted weights go to _merge_primitive, whose sign folds and gcds
+    compose with those of their forms.
     """
     e = _half_vertex_euler(nv, pi.size)
     if e.is_zero():
         return None
     taut = taut_factor(pi, d, ell_units=1)
-    units = {}
-    exps = {}
+    units, exps = {}, {}
     scalar = taut.scalar * _restrict(taut.factors, units, exps)
     crit, odd, pairs = locus_fold(nv)
     for u, e_u in crit.items():
         if e_u:
             units[u, 0] = units.get((u, 0), 0) + e_u
-    num, den = _merge_primitive(pairs, exps)
-    if e.scalar < 0:
-        odd ^= 1
-    scalar *= Fraction(-num if odd else num, den)
+    scalar *= _merge_primitive(pairs, exps, odd ^ (e.scalar < 0))
     return _locus_value(scalar, units, exps)
 
 
@@ -485,35 +461,32 @@ class PartitionWeight:
 def vertex_fingerprint(orbits, flatmask):
     """sha256, as hex, of a half vertex as kclass.half_vertex_orbits gives it.
 
-    Hashes b"dim:flatmask:count:", the codes of orbits in increasing order
-    as 2 * dim big-endian bytes each, and the repr of their coefficients;
-    the prefix makes it injective, and the mask fixes each code's orbit.
+    Hashes b"dim:flatmask:count:", the sorted_codes bytes of orbits and
+    the repr of their coefficients; the prefix makes it injective, and
+    the mask fixes each code's orbit.
     """
-    terms = orbits.terms
-    keys = sorted(terms)
-    width = 2 * orbits.dim
-    h = hashlib.sha256(b"%d:%d:%d:" % (orbits.dim, flatmask, len(keys)))
-    h.update(b"".join([k.to_bytes(width, "big") for k in keys]))
-    h.update(repr([terms[k] for k in keys]).encode())
+    codes, coeffs = orbits.sorted_codes()
+    h = hashlib.sha256(b"%d:%d:%d:" % (orbits.dim, flatmask, len(coeffs)))
+    h.update(codes)
+    h.update(repr(coeffs).encode())
     return h.hexdigest()
 
 
 def compute_weight(pi, d):
     """Full symbolic weight pipeline for one partition, d = 0 mod 4.
 
-    One box product gives the half vertex v as orbits and as -v
-    (half_vertex_orbits).  The orbits give the fingerprint and the
-    verdict (the full vertex, never built, has twice their fixed part);
-    -v gives e(-v), which rules on the root of e(-V), and the specialized
-    value of the tautological factor times that root, read from the
-    packed codes of -v (_specialize_half_vertex; specialize on the
-    product of forms is its oracle) -> weight extraction.  A zero root
-    is the weight omega = 0 with sign 1.  Pipeline failures raise with
-    the offending partition attached.
+    One box product gives the half vertex v as orbits and as the blocks
+    of -v (half_vertex_orbits), which no stage multiplies out.  The
+    orbits give the fingerprint and the verdict (twice their fixed part
+    is that of the full vertex); -v gives e(-v), which rules on the root
+    of e(-V), and the specialized value of the tautological factor times
+    that root (_specialize_half_vertex), whose weight is extracted.  A
+    zero root is the weight omega = 0 with sign 1.  Pipeline failures
+    raise with the offending partition attached.
     """
     if d % 4:
         raise ValueError("dimension must be divisible by 4")
-    orbits, flatmask, nv = half_vertex_orbits(pi, d, minus_half=True)
+    orbits, flatmask, nv = half_vertex_orbits(pi, d)
     fingerprint = vertex_fingerprint(orbits, flatmask)
     verdict = key_verdict(orbits)
     if verdict == KEY_VIOLATED:
@@ -556,7 +529,7 @@ def cy_bundle_term(pi, d, u):
 
     The summand of the series for a general equivariant line bundle with
     character t^u, on the Calabi-Yau torus, up to the orientation sign;
-    the root is taken from the half vertex, so d must be even.
+    the root comes from the blocks of -v, v the half vertex, so d is even.
     """
-    nv = half_vertex_orbits(pi, d, minus_half=True)[2]
+    nv = half_vertex_orbits(pi, d)[2]
     return taut_factor(pi, d, u=u) * _half_vertex_root(nv, pi.size)

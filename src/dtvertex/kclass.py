@@ -1,10 +1,9 @@
 """Sparse integer Laurent polynomials in t_1..t_d and the equivariant vertex.
 
 A KClass is a finite map from exponent vectors in Z^d to non-zero
-integer coefficients.  It carries the torus character of a box stack,
-the vertex class of its ideal, and everything derived from them.  All
-arithmetic is exact over Z; division by the coordinate product is
-multiplication by the inverse monomial and never a polynomial division.
+integer coefficients: the torus character of a box stack, the vertex
+class of its ideal, and all derived from them, exact over Z; division by
+the coordinate product is multiplication by the inverse monomial.
 
 Each exponent vector is stored as one packed integer.  With radix 2^16
 and bias 2^15 the vector w = (w_1, .., w_d) has the code
@@ -18,31 +17,37 @@ monomials has code(a) + code(b) - code(0), and the reduction modulo
 t_1..t_d = 1 reads w_d from the bottom digit and subtracts w_d * ONES,
 where ONES = sum_i 2^(16 (i - 1)).
 
-A digit holds w_i + 2^15 only for -2^15 < w_i < 2^15; beyond that it
-would carry into its neighbour.  So every class carries `bound`, an
-upper bound on |w_i| over all its terms, which +, *, shift and
-cy_reduce update in O(1).  An operation whose bound reaches 2^15
-raises ExponentOverflow before it builds a single key; nothing ever
-wraps.  Tuples cross the boundary only at the edges: the constructor,
-monomial, coefficient and shift encode them with the same range check,
-and items, as_dict, serialize and the two folds decode them, all by one
-buffer decoder.  No other module reads a code: cy_fold reduces a class
-modulo t_1..t_d = 1 and folds it onto mirrored weights, locus_fold
-restricts it to lam_1 + .. + lam_{d-1} = 0, and both hand over integer
-vectors, from which forms builds the Euler class and its specialized
-value.
+A digit holds w_i + 2^15 only for |w_i| < 2^15, so every class carries
+`bound`, an upper bound on |w_i| that +, *, shift and cy_reduce update
+in O(1); an operation whose bound reaches 2^15 raises ExponentOverflow
+before it builds a key.  Tuples cross the boundary only at the edges
+(the constructor, monomial, coefficient and shift encode; items,
+as_dict, serialize, sorted_codes and the folds decode), and no other
+module reads a code: cy_fold reduces a class modulo t_1..t_d = 1 and
+folds it onto mirrored weights, locus_fold restricts it to
+lam_1 + .. + lam_{d-1} = 0, and both hand integer vectors to forms.
 
 The vertex multiplies Z * bar(Z) by one factor (1 - t_i^-1) per axis.
 On an axis that no box leaves (a flat axis) every term has w_i = 0, so
-each key of t^w / t_i is new: the factor doubles the dict with one
-dict.update and no lookups, after the other axes have folded term by
-term while the dict is small.  Swapping flat axes fixes the half
-vertex, which half_vertex_orbits keeps as one code per orbit.
+the factor doubles the dict by one dict.update with no lookups, once
+the other axes have folded term by term.  half_vertex_orbits keeps the
+half vertex v as one code per orbit of the flat axes, and -v as a
+FlatBlocks: the product Q over the active axes, the flat axes F and the
+tail -Z.  A term c t^w of Q stands for the block of the 2^f codes
+(-1)^|S| c t^w / t_S, S in F, and when F ends the base axes, as for
+every canonical representative, the folds take a block at once.  Its
+codes reduce alike; the digits before F, or if these are 0 the flat
+value x (x > 0 stays), fold it onto the block of mirror - b + t_F with
+coefficient (-1)^f c.  Only the corners S = {} and S = F can meet the
+origin or a code of another block, so they alone go code by code; the
+2^f - 2 interior codes, an even number of +-c, leave the parity alone,
+and each holds x and x - 1, a primitive form no other code shares.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 
 from .errors import ArityMismatch, DimensionMismatch, ExponentOverflow
 from .partitions import MultiPartition
@@ -96,13 +101,6 @@ def _decode(codes, d, k):
     size = 2 * k
     buf = b"".join([((code >> drop) ^ flip).to_bytes(size, "big") for code in codes])
     return struct.iter_unpack(">%dh" % k, buf)
-
-
-def _live(counts, k):
-    """(vector, count) for each code of k digits with a non-zero count."""
-    if 0 in counts.values():
-        counts = {code: e for code, e in counts.items() if e}
-    return zip(_decode(counts, k, k), counts.values())
 
 
 def _add_into(out, items):
@@ -252,8 +250,20 @@ class KClass:
         decoded = _decode(keys, self.dim, self.dim)
         return [[list(w), self.terms[k]] for w, k in zip(decoded, keys)]
 
+    def sorted_codes(self):
+        """(the codes in increasing order as big-endian bytes, their coefficients)."""
+        keys = sorted(self.terms)
+        width = RADIX_BITS // 8 * self.dim
+        return b"".join([k.to_bytes(width, "big") for k in keys]), [self.terms[k] for k in keys]
+
     def __repr__(self):
         return "KClass(%d, %d terms)" % (self.dim, len(self.terms))
+
+
+FlatBlocks = namedtuple("FlatBlocks", "dim q flat tail bound")
+FlatBlocks.__doc__ = """q * prod (1 - t_i^-1) over the flat axes i, plus tail, as packed
+dicts whose terms have w_i = 0 on every flat axis; bound bounds the
+exponents of the class that the blocks stand for."""
 
 
 def character(pi, d):
@@ -304,9 +314,9 @@ def _active_fold(z, n, sign):
 def _double_flat(out, flat, d):
     """Multiply packed terms by (1 - t_i^-1) for each flat axis i, in place.
 
-    Every term still has w_i = 0, since the other factors change only
-    their own digit and never borrow, so each key of t^w / t_i has
-    w_i = -1, is new, and one dict.update adds it with no collision.
+    Every term still has w_i = 0 (the other factors change only their
+    own digit and never borrow), so each key of t^w / t_i is new and one
+    dict.update adds it with no collision.
     """
     for i in flat:
         step = 1 << RADIX_BITS * (d - 1 - i)
@@ -327,10 +337,9 @@ def vertex(pi, d):
 
         V = Z + sgn * bar(Z) / (t_1..t_d) - Z * bar(Z) * prod_i (1 - t_i^-1),
 
-    which is built term by term as in vertex_half, whose product is the
-    same with the d-th factor left out: one in-place pass per factor on
-    an axis that some box leaves (_active_fold), then one dict.update
-    per flat axis, whose new keys cannot collide (_double_flat).
+    built as vertex_half is, with the d-th factor too: one in-place pass
+    per factor on an axis that some box leaves (_active_fold), then one
+    dict.update per flat axis (_double_flat).
     """
     z = character(pi, d)
     terms, flat, bound = _active_fold(z, d, -1)
@@ -351,17 +360,7 @@ def cy_reduce(a):
     """
     bound = _checked(2 * a.bound)
     ones = _ones(a.dim)
-    out = {}
-    get = out.get
-    for k, c in a.terms.items():
-        m = (k & DIGIT) - BIAS
-        if m:
-            k -= m * ones
-        s = get(k, 0) + c
-        if s:
-            out[k] = s
-        else:
-            del out[k]
+    out = _add_into({}, ((k - ((k & DIGIT) - BIAS) * ones, c) for k, c in a.terms.items()))
     return KClass._packed(a.dim, out, bound)
 
 
@@ -378,75 +377,107 @@ def cy_fixed_part(a):
     return sum(get(origin + m * ones, 0) for m in range(-a.bound, a.bound + 1))
 
 
-def cy_fold(a):
-    """One pass of cy_reduce that also folds each weight onto its mirror.
-
-    Returns (fixed, odd, pairs).  Each code loses w_d * ONES, as in
-    cy_reduce, whose bound 2 * a.bound is checked first.  fixed is the
-    summed coefficient of the origin, cy_fixed_part(a).  Code order is
-    lexicographic, so a reduced code below the origin is a weight whose
-    first non-zero entry is negative: it is folded onto its mirror -w,
-    and odd is the parity of the coefficients folded so.  pairs yields
-    (w, net) for each folded weight whose coefficients do not cancel,
-    w of length d with w_d = 0, decoded from one buffer.
+def _fold(a, k, restrict, split=False):
+    """(crit, odd, prime, pairs) of a KClass or a FlatBlocks a, its bound
+    2 * a.bound checked first; restrict maps each code to (r, u), r of k
+    digits.  At r = origin crit[u] sums the coefficient; another r below
+    the origin folds onto its mirror, odd the parity of the coefficients
+    folded so, and pairs yields (r, net) for each folded r with a net.
+    The flat axes after the last active base axis are block axes (split
+    makes the halves of the last one blocks), the others are multiplied
+    out.  Corners go code by code; the interior codes b / t_S of a block
+    gather under its (mirrored) base b, and prime yields them with
+    (-1)^|S| times its net, all decoded from one buffer.
     """
+    if isinstance(a, KClass):
+        a = FlatBlocks(a.dim, {}, (), a.terms, a.bound)
     _checked(2 * a.bound)
-    ones = _ones(a.dim)
-    origin = BIAS * ones
+    flat, n = a.flat, len(a.flat)
+    while n and flat[n - 1] == a.dim - 2 - len(flat) + n:
+        n -= 1
+    units = _double_flat(dict(a.q), flat[:n], a.dim) if n else a.q
+    axes = flat[n:]
+    if split and axes:
+        step = 1 << RADIX_BITS * (a.dim - 1 - axes[-1])
+        units = {**units, **{code - step: -c for code, c in units.items()}}
+        axes = axes[:-1]
+    origin = _origin(k)
     mirror = 2 * origin
-    folded = {}
-    get = folded.get
-    odd = fixed = 0
-    for code, c in a.terms.items():
-        m = (code & DIGIT) - BIAS
-        if m:
-            code -= m * ones
-        if code < origin:
-            code = mirror - code
-            odd ^= c & 1
-        elif code == origin:
-            fixed += c
-            continue
-        folded[code] = get(code, 0) + c
-    return fixed, odd, _live(folded, a.dim)
-
-
-def locus_fold(v):
-    """One pass that restricts each weight of v to lam_1 + .. + lam_{d-1} = 0.
-
-    Returns (crit, odd, pairs).  With m = w_{d-1}, the top d-2 digits of
-    a code minus m * ONES are the code r of (w_i - w_{d-1})_{i<=d-2};
-    the Calabi-Yau shift by w_d cancels in it, and the bound 2 * v.bound
-    checked first keeps every difference in a digit.  At r = origin the
-    weight is critical: crit sums its coefficient under the key
-    u = w_{d-1} - w_d, the weight's value on the locus.  Any other r is
-    folded onto its mirror when it lies below the origin, odd being the
-    parity of the coefficients folded so, and pairs yields (r, net) for
-    each folded r whose coefficients do not cancel, r of length d-2,
-    decoded from one buffer.
-    """
-    _checked(2 * v.bound)
-    k = v.dim - 2
-    ones = _ones(k)
-    origin = BIAS * ones
-    mirror = 2 * origin
-    crit = {}
-    rest = {}
-    get = rest.get
-    odd = 0
-    for code, c in v.terms.items():
-        high = code >> RADIX_BITS
-        m = (high & DIGIT) - BIAS
-        r = (high >> RADIX_BITS) - m * ones
+    offs = [(0, 1)]
+    for i in axes:
+        step = 1 << RADIX_BITS * (k - 1 - i)
+        offs += [(o + step, -s) for o, s in offs]
+    top, sign = offs[-1]
+    pieces = [(*restrict(code), c) for code, c in a.tail.items()]
+    blocks = {}
+    for code, c in units.items():
+        r, u = restrict(code)
+        pieces.append((r, u, c))
+        if top:
+            pieces.append((r - top, u, sign * c))
+        if len(offs) > 2:
+            # every interior code folds as r / t_i, i the first block axis
+            if r - offs[1][0] < origin:
+                r = mirror - r + top
+                c *= sign
+            blocks[r] = blocks.get(r, 0) + c
+    crit, rest, odd = {}, {}, 0
+    for r, u, c in pieces:
         if r == origin:
-            u = (high & DIGIT) - (code & DIGIT)
             crit[u] = crit.get(u, 0) + c
             continue
         if r < origin:
             r = mirror - r
             odd ^= c & 1
-        rest[r] = get(r, 0) + c
-    return crit, odd, _live(rest, k)
+        rest[r] = rest.get(r, 0) + c
+    rest = {r: c for r, c in rest.items() if c}
+    codes, coeffs = list(rest), list(rest.values())
+    inner = offs[1:-1]
+    for b, c in blocks.items():
+        if c:
+            codes += [b - o for o, _ in inner]
+            coeffs += [s * c for _, s in inner]
+    out = list(zip(_decode(codes, k, k), coeffs))
+    return crit, odd, out[len(rest) :], out[: len(rest)]
+
+
+def cy_fold(a):
+    """One pass of cy_reduce that also folds each weight onto its mirror.
+
+    Returns (fixed, odd, prime, pairs) for a KClass or a FlatBlocks (the
+    bound 2 * a.bound of cy_reduce checked).  fixed is cy_fixed_part(a);
+    a reduced code below the origin, a weight whose first non-zero entry
+    is negative, folds onto -w (_fold).  prime (the interior codes, each
+    primitive and alone on its form) and pairs yield (w, net) for each
+    folded w, of length d with w_d = 0.
+    """
+    ones = _ones(a.dim)
+    crit, odd, prime, pairs = _fold(a, a.dim, lambda w: (w - ((w & DIGIT) - BIAS) * ones, 0))
+    return crit.get(0, 0), odd, prime, pairs
+
+
+def locus_fold(v):
+    """One pass that restricts each weight of v to lam_1 + .. + lam_{d-1} = 0.
+
+    Returns (crit, odd, pairs) for a KClass or a FlatBlocks.  With
+    m = w_{d-1}, the top d-2 digits of a code minus m * ONES are the
+    code r of (w_i - w_{d-1})_{i<=d-2}, where the Calabi-Yau shift
+    cancels and the checked bound 2 * v.bound keeps every difference in
+    a digit.  crit sums the coefficients of the critical weights
+    (r = origin) under u = w_{d-1} - w_d, their value on the locus, and
+    pairs yields the other r, folded (_fold).  An interior code is never
+    critical and shares no form, so pairs holds one only when a
+    direction survives on the locus.
+    """
+    ones = _ones(v.dim - 2)
+
+    def restrict(code):
+        high = code >> RADIX_BITS
+        m = (high & DIGIT) - BIAS
+        return (high >> RADIX_BITS) - m * ones, m + BIAS - (code & DIGIT)
+
+    crit, odd, prime, pairs = _fold(v, v.dim - 2, restrict, split=True)
+    return crit, odd, pairs + prime
 
 
 def key_verdict(v):
@@ -482,17 +513,16 @@ def vertex_half(pi, d):
     return KClass._packed(d, _add_into(_double_flat(terms, flat, d), z.terms.items()), bound)
 
 
-def half_vertex_orbits(pi, d, minus_half=False):
+def half_vertex_orbits(pi, d):
     """v = vertex_half(pi, d) up to permutations of its flat axes, and -v.
 
     With Q = Z * bar(Z) * prod (1 - t_i^-1) over the active axes among
-    1..d-1, v = Z - sum (-1)^|S| * Q / t_S over the sets S of flat axes,
-    so the codes with j of their f flat digits -1 (the others 0) form
-    orbits of C(f, j) codes with one coefficient.  Returns (orbits,
-    flatmask, nv): orbits, with the bound of v, holds (-1)^(j+1) * Q / t_S
-    for S the first j flat axes, j = 0..f, plus Z, and has the fixed part
-    of v (a diagonal code is an orbit of one); bit i of flatmask marks
-    axis i + 1 flat; nv = -v, from the same Q, if minus_half, else None.
+    1..d-1, v = Z - sum (-1)^|S| Q / t_S over the sets S of flat axes, so
+    the C(f, j) codes with j of their f flat digits -1 share a
+    coefficient.  Returns (orbits, flatmask, nv): orbits, with the bound
+    and the fixed part of v, holds (-1)^(j+1) Q / t_S for S the first j
+    flat axes, j = 0..f, plus Z; bit i of flatmask marks axis i + 1 flat;
+    nv = -v as the FlatBlocks of Q, the flat axes and -Z.
     """
     z = character(pi, d)
     q, flat, bound = _active_fold(z, d - 1, 1)
@@ -503,8 +533,5 @@ def half_vertex_orbits(pi, d, minus_half=False):
         shift += 1 << RADIX_BITS * (d - 1 - i)
         orbits.update(zip([k - shift for k in q], q.values() if j % 2 else neg))
     _add_into(orbits, z.terms.items())
-    nv = None
-    if minus_half:
-        terms = _add_into(_double_flat(q, flat, d), ((k, -c) for k, c in z.terms.items()))
-        nv = KClass._packed(d, terms, bound)
+    nv = FlatBlocks(d, q, tuple(flat), {k: -c for k, c in z.terms.items()}, bound)
     return KClass._packed(d, orbits, bound), sum(1 << i for i in flat), nv

@@ -14,6 +14,11 @@ the package against.
 - The packed box product with one in-place pass per factor on every
   axis, which the single update per flat axis replaced for the axes
   that no box leaves.
+- The materialized -v of the half vertex, and the Calabi-Yau and locus
+  folds that read it code by code, which the folds of kclass replaced:
+  they take -v as the blocks of kclass.FlatBlocks, one per term of the
+  product over the active axes, and decode each interior code of a
+  block without a merge.
 - The orbit form of the half vertex found by grouping the decoded terms
   of the expanded half vertex, which the orbit form built from one
   product over the active axes replaced where the CLI reads the half
@@ -80,6 +85,7 @@ from dtvertex import (
     ArityMismatch,
     DegenerateSamplePoint,
     FormProduct,
+    KClass,
     MultiPartition,
     OrientationAssignment,
     QPoly,
@@ -91,7 +97,15 @@ from dtvertex import (
     omega_c,
 )
 from dtvertex.forms import _collect, euler_class
-from dtvertex.kclass import KEY_VIOLATED, RADIX_BITS, _checked, _origin, key_verdict
+from dtvertex.kclass import (
+    BIAS,
+    DIGIT,
+    KEY_VIOLATED,
+    RADIX_BITS,
+    _checked,
+    _origin,
+    key_verdict,
+)
 from dtvertex.kclass import cy_reduce as packed_cy_reduce
 from dtvertex.kclass import character as packed_character
 from dtvertex.kclass import vertex as packed_vertex
@@ -247,6 +261,70 @@ def flat_orbit_form(pi, d, v):
         )
         form[rep] = coeffs[0]
     return form, sum(1 << i for i in flat)
+
+
+def expanded_blocks(blocks):
+    """The KClass that a kclass.FlatBlocks stands for, with its bound: q
+    times (1 - t_i^-1) for each flat axis i, by KClass algebra, plus the
+    tail.  The materialized -v that the folds block by block replaced."""
+    d = blocks.dim
+    prod = KClass._packed(d, dict(blocks.q), 0)
+    for i in blocks.flat:
+        prod = prod - prod.shift(_unit(d, i, -1))
+    prod = prod + KClass._packed(d, dict(blocks.tail), 0)
+    return KClass._packed(d, prod.terms, blocks.bound)
+
+
+def _unpack(code, k):
+    """The vector of a code of k digits, on its own."""
+    return struct.unpack(">%dh" % k, (code ^ _origin(k)).to_bytes(2 * k, "big"))
+
+
+def expanded_cy_fold(a):
+    """kclass.cy_fold code by code over an expanded KClass: (fixed, odd,
+    sorted (w, net) pairs), the folded weights not told apart by block."""
+    _checked(2 * a.bound)
+    d = a.dim
+    origin = _origin(d)
+    ones = origin // BIAS
+    folded = {}
+    odd = fixed = 0
+    for code, c in a.terms.items():
+        code -= ((code & DIGIT) - BIAS) * ones
+        if code < origin:
+            code = 2 * origin - code
+            odd ^= c & 1
+        elif code == origin:
+            fixed += c
+            continue
+        folded[code] = folded.get(code, 0) + c
+    return fixed, odd, sorted((_unpack(k, d), e) for k, e in folded.items() if e)
+
+
+def expanded_locus_fold(a):
+    """kclass.locus_fold code by code over an expanded KClass: ({u: net}
+    with the zero nets dropped, odd, sorted (r, net) pairs)."""
+    _checked(2 * a.bound)
+    k = a.dim - 2
+    origin = _origin(k)
+    ones = origin // BIAS
+    crit = {}
+    rest = {}
+    odd = 0
+    for code, c in a.terms.items():
+        high = code >> RADIX_BITS
+        m = (high & DIGIT) - BIAS
+        r = (high >> RADIX_BITS) - m * ones
+        if r == origin:
+            u = (high & DIGIT) - (code & DIGIT)
+            crit[u] = crit.get(u, 0) + c
+            continue
+        if r < origin:
+            r = 2 * origin - r
+            odd ^= c & 1
+        rest[r] = rest.get(r, 0) + c
+    crit = {u: e for u, e in crit.items() if e}
+    return crit, odd, sorted((_unpack(r, k), e) for r, e in rest.items() if e)
 
 
 def class_vertex_half(pi, d):

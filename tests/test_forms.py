@@ -18,6 +18,7 @@ from dtvertex import (
     canonical_representatives,
     compute_weight,
     cy_reduce,
+    enumerate_partitions,
     euler_class,
     omega_from_specialized,
     specialize,
@@ -38,7 +39,7 @@ from dtvertex.forms import (
     cy_bundle_term,
     vertex_fingerprint,
 )
-from dtvertex.kclass import half_vertex_orbits
+from dtvertex.kclass import cy_fold, half_vertex_orbits, locus_fold
 
 from conftest import (
     cached_weight_table,
@@ -54,7 +55,10 @@ from oracles import (
     collected_specialize,
     euler_ratio_odd,
     evaluate_on_locus,
+    expanded_blocks,
+    expanded_cy_fold,
     expanded_fingerprint,
+    expanded_locus_fold,
     locus_value,
     orbit,
     qpoly_locus_value,
@@ -290,6 +294,81 @@ def test_specialize_half_vertex_matches_specialize_oracle(d, order, count):
             assert got == _outcome(_specialized_by_oracle, rep, d, v)
             seen += 1
     assert seen == count
+
+
+def _is_suffix(flat, d):
+    return flat == tuple(range(d - 1 - len(flat), d - 1))
+
+
+# (d, order, canonical, partitions): the non-canonical sets take every
+# partition, so the flat axes need not be a suffix of the base axes
+BLOCK_SETS = [
+    (4, 7, True, 141), (8, 6, True, 74), (12, 3, True, 7), (16, 2, True, 3),
+    (4, 5, False, 100), (5, 4, False, 66), (6, 3, False, 28), (7, 3, False, 36),
+    (8, 3, False, 45), (12, 2, False, 13),
+]
+
+
+@pytest.mark.parametrize(
+    "d,order,canonical,count", BLOCK_SETS, ids=["d%d-n%d-%s" % s[:3] for s in BLOCK_SETS]
+)
+def test_block_route_matches_expanded_route(d, order, canonical, count):
+    # the folds of the unexpanded -v against the folds, e(-v) and the
+    # specialized value of the materialized -v (oracles.expanded_blocks)
+    parts = [
+        pi
+        for n in range(1, order + 1)
+        for pi in (
+            [rep for rep, _ in canonical_representatives(d - 1, n)]
+            if canonical
+            else enumerate_partitions(d - 1, n)
+        )
+    ]
+    assert len(parts) == count
+    suffixes = set()
+    for pi in parts:
+        nv = half_vertex_orbits(pi, d)[2]
+        suffixes.add(_is_suffix(nv.flat, d))
+        a = expanded_blocks(nv)
+        fixed, odd, prime, pairs = cy_fold(nv)
+        assert (fixed, odd, sorted([*prime, *pairs])) == expanded_cy_fold(a)
+        crit, odd, rest = locus_fold(nv)
+        crit = {u: e for u, e in crit.items() if e}
+        assert (crit, odd, sorted(rest)) == expanded_locus_fold(a)
+        assert _outcome(euler_class, nv) == _outcome(reduced_euler_class, a)
+        got = _outcome(_specialize_half_vertex, pi, d, nv)
+        assert got == _outcome(_specialized_by_oracle, pi, d, -a)
+    assert suffixes == ({True} if canonical else {True, False})
+
+
+def test_weight_never_expands_the_half_vertex(monkeypatch):
+    # with _double_flat refused, the cold weight and the bundle term at
+    # d = 8 still come out: only flat axes that are no suffix of the base
+    # axes (never so for a canonical representative) are multiplied out
+    import dtvertex.kclass as kclass_mod
+
+    reps = [rep for n in range(1, 6) for rep, _ in canonical_representatives(7, n)]
+    u = (1,) + (0,) * 7
+    expected = [(compute_weight(rep, 8), cy_bundle_term(rep, 8, u)) for rep in reps]
+    odd_one = next(
+        pi
+        for pi in enumerate_partitions(7, 2)
+        if not _is_suffix(half_vertex_orbits(pi, 8)[2].flat, 8)
+    )
+    cy_bundle_term(odd_one, 8, u)
+
+    def refuse(*args):
+        raise AssertionError("the flat axes were multiplied out")
+
+    monkeypatch.setattr(kclass_mod, "_double_flat", refuse)
+    for rep, (w, term) in zip(reps, expected):
+        got = compute_weight(rep, 8)
+        assert (got.fingerprint, got.verdict, got.omega, got.sign) == (
+            w.fingerprint, w.verdict, w.omega, w.sign
+        )
+        assert cy_bundle_term(rep, 8, u) == term
+    with pytest.raises(AssertionError, match="multiplied out"):
+        cy_bundle_term(odd_one, 8, u)
 
 
 @pytest.mark.parametrize("d,order,count", [(4, 7, 141), (8, 5, 34), (12, 3, 7)])
@@ -619,9 +698,12 @@ def test_forms_reads_no_packed_code():
             assert node.module != "struct"
             if node.level == 1 and node.module == "kclass":
                 from_kclass += [a.name for a in node.names]
-    assert {"cy_fold", "locus_fold"} <= set(from_kclass)
+    assert {"cy_fold", "locus_fold", "half_vertex_orbits"} <= set(from_kclass)
     for name in from_kclass:
         assert not name.startswith("_") and name not in ("BIAS", "DIGIT", "RADIX_BITS")
+    # nor a packed dict: the fingerprint hashes the bytes of sorted_codes
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not attrs & {"terms", "q", "tail"} and "sorted_codes" in attrs
 
 
 def test_taut_factor_empty():

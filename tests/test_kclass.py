@@ -2,6 +2,7 @@
 
 import functools
 from itertools import groupby
+from math import gcd
 from operator import itemgetter
 
 import pytest
@@ -25,6 +26,7 @@ from dtvertex import (
 )
 from dtvertex.kclass import (
     BIAS,
+    FlatBlocks,
     _active_fold,
     _double_flat,
     cy_fold,
@@ -312,12 +314,13 @@ def test_half_vertex_orbits_match_grouped_half_vertex(d, order, canonical):
         for pi in parts:
             v = vertex_half(pi, d)
             orbits, flatmask, nv = half_vertex_orbits(pi, d)
-            assert nv is None
             assert (orbits.as_dict(), flatmask) == oracles.flat_orbit_form(pi, d, v)
             assert orbits.bound == v.bound
             assert cy_fixed_part(orbits) == cy_fixed_part(v)
-            _, _, nv = half_vertex_orbits(pi, d, minus_half=True)
-            assert nv.terms == (-v).terms and nv.bound == v.bound
+            # -v stays in blocks: the box product, the flat axes and -Z
+            assert sum(1 << i for i in nv.flat) == flatmask
+            expanded = oracles.expanded_blocks(nv)
+            assert expanded.terms == (-v).terms and expanded.bound == nv.bound == v.bound
 
 
 def test_half_vertex_orbits_compress_the_flat_axes():
@@ -433,10 +436,10 @@ def _tuple_locus_fold(terms, d):
 
 def _folds(a):
     """cy_fold and locus_fold of a class in the layout of the tuple folds."""
-    fixed, odd, pairs = cy_fold(a)
+    fixed, odd, prime, pairs = cy_fold(a)
     crit, lodd, rest = locus_fold(a)
     return (
-        (fixed, odd, sorted(pairs)),
+        (fixed, odd, sorted([*prime, *pairs])),
         (sorted((u, e) for u, e in crit.items() if e), lodd, sorted(rest)),
     )
 
@@ -500,3 +503,35 @@ def test_folds_check_the_bound():
     for fold in (cy_fold, locus_fold):
         with pytest.raises(ExponentOverflow):
             fold(wide)
+
+
+@st.composite
+def flat_blocks(draw):
+    """A FlatBlocks of small exponents: any set of flat axes among the
+    base axes, a suffix or not, and q and tail with w_i = 0 on each."""
+    d = draw(st.integers(3, 6))
+    flat = tuple(sorted(draw(st.sets(st.integers(0, d - 2)))))
+    exponent = [st.just(0) if i in flat else st.integers(-2, 2) for i in range(d)]
+    q, tail = (
+        KClass(d, draw(st.dictionaries(st.tuples(*exponent), st.integers(-2, 2), max_size=6)))
+        for _ in range(2)
+    )
+    return FlatBlocks(d, q.terms, flat, tail.terms, max(q.bound, tail.bound, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_blocks())
+def test_block_folds_match_expanded_folds(blocks):
+    # corners on the origin (flat value 0 or 1), blocks that fold on the
+    # flat value alone, cancelling blocks and flat axes that are no suffix
+    expanded = oracles.expanded_blocks(blocks)
+    fixed, odd, prime, pairs = cy_fold(blocks)
+    assert (fixed, odd, sorted(prime + pairs)) == oracles.expanded_cy_fold(expanded)
+    # the interior codes are primitive, lead positive and share no form
+    assert all(gcd(*w) == 1 and next(filter(None, w)) > 0 for w, _ in prime)
+    forms = {w for w, _ in prime}
+    assert len(forms) == len(prime)
+    assert not forms & {tuple(x // gcd(*w) for x in w) for w, _ in pairs}
+    crit, lodd, rest = locus_fold(blocks)
+    crit = {u: e for u, e in crit.items() if e}
+    assert (crit, lodd, sorted(rest)) == oracles.expanded_locus_fold(expanded)
