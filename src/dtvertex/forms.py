@@ -12,9 +12,11 @@ the zero class is the zero scalar with no forms.  Every product of forms
 is built by _merge_primitive, which divides each form by its gcd and
 merges its exponent.  This module never reads a packed exponent code:
 kclass.cy_fold and kclass.locus_fold hand it integer vectors, block by
-block for the unexpanded -v of the half vertex.  Cancellation, square
-roots and the specialization to the locus lam_1 + ... + lam_{d-1} = 0
-are multiset operations; no limits are ever taken.  The specialized
+block for the unexpanded -v of the half vertex, whose interior codes
+e(-v) keeps as one kclass interior value that the weight pipeline never
+expands.  Cancellation, square roots and the specialization to the
+locus lam_1 + ... + lam_{d-1} = 0 are multiset operations; no limits
+are ever taken.  The specialized
 value is a polynomial in ell, and a pole or a form direction that
 survives on the locus raises ShapeMismatch.  specialize, which restricts
 a product of forms, is the oracle of the weight pipeline's read of -v.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     ArityMismatch,
@@ -40,6 +42,8 @@ from .kclass import (
     KEY_VIOLATED,
     cy_fold,
     half_vertex_orbits,
+    interior_degree,
+    interior_items,
     key_verdict,
     locus_fold,
     vertex,
@@ -48,27 +52,53 @@ from .partitions import canonical_representatives
 from .ratpoly import QPoly, fraction_sqrt
 
 
+def _merged(exps, items):
+    """exps with the exponents of (form, exponent) items added, in place;
+    a form whose exponent nets to zero is deleted."""
+    get = exps.get
+    for form, e in items:
+        s = get(form, 0) + e
+        if s:
+            exps[form] = s
+        else:
+            exps.pop(form, None)
+    return exps
+
+
 class FormProduct:
     """scalar * product of canonical forms raised to integer exponents.
 
     The zero class is the zero scalar with no forms: a zero scalar drops
-    the factors.
+    the factors.  total_degree and is_scalar read the kclass interior
+    of euler_class as it is; the first read of factors expands it.
     """
 
-    __slots__ = ("scalar", "factors")
+    __slots__ = ("scalar", "_factors", "_interior")
 
     def __init__(self, scalar=1, factors=None):
         self.scalar = Fraction(scalar)
-        self.factors = dict(factors or {}) if self.scalar else {}
+        self._factors = dict(factors or {}) if self.scalar else {}
+        self._interior = None
 
     @classmethod
-    def _packed(cls, scalar, factors):
+    def _packed(cls, scalar, factors, interior=None):
         """Product over a Fraction scalar and a freshly built dict of
-        non-zero exponents, taken as is (empty when the scalar is zero)."""
+        non-zero exponents, taken as is (empty when the scalar is zero),
+        times the forms of interior, None or a kclass interior value."""
         p = object.__new__(cls)
         p.scalar = scalar
-        p.factors = factors
+        p._factors = factors
+        p._interior = interior
         return p
+
+    @property
+    def factors(self):
+        """{form: exponent}, the interior expanded on the first read."""
+        if self._interior is not None:
+            expanded = dict(interior_items(self._interior))
+            self._factors = _merged(expanded, self._factors.items())
+            self._interior = None
+        return self._factors
 
     def is_zero(self):
         return not self.scalar
@@ -79,24 +109,18 @@ class FormProduct:
         scalar = self.scalar * other.scalar
         if not scalar:
             return FormProduct(0)
-        factors = dict(self.factors)
-        for form, e in other.factors.items():
-            s = factors.get(form, 0) + e
-            if s:
-                factors[form] = s
-            else:
-                del factors[form]
-        return FormProduct._packed(scalar, factors)
+        return FormProduct._packed(scalar, _merged(dict(self.factors), other.factors.items()))
 
     def scaled(self, c):
         return FormProduct(self.scalar * c, self.factors)
 
     def total_degree(self):
         """Net number of linear forms, counted with exponents."""
-        return sum(self.factors.values())
+        interior = interior_degree(self._interior) if self._interior else 0
+        return sum(self._factors.values()) + interior
 
     def is_scalar(self):
-        return not self.factors
+        return not self._factors and self._interior is None
 
     def __eq__(self, other):
         if not isinstance(other, FormProduct):
@@ -107,20 +131,30 @@ class FormProduct:
         return hash((self.scalar, frozenset(self.factors.items())))
 
     def evaluate(self, lams, ell=None):
-        """Exact value at a parameter point; zero factors raise."""
-        val = self.scalar
+        """Exact value at a parameter point; zero factors raise.  Each form
+        is an integer over one denominator m, multiplied in order as is."""
+        lams = [Fraction(x) for x in lams]
+        q = 1 if ell is None else Fraction(ell).denominator
+        m = q * lcm(*[x.denominator for x in lams])
+        ints = [int(x * m) for x in lams]
+        tail = 0 if ell is None else int(Fraction(ell) * sum(ints))
+        num, den, degree = self.scalar.numerator, self.scalar.denominator, 0
         for form, e in self.factors.items():
-            v = sum(c * x for c, x in zip(form[:-1], lams))
+            v = sum([c * x for c, x in zip(form[:-1], ints)])
             if form[-1]:
                 if ell is None:
                     raise ValueError("form depends on ell; no value given")
-                v += form[-1] * ell * sum(lams)
+                v += form[-1] * tail
             if not v:
                 if e > 0:
                     return Fraction(0)
                 raise DegenerateSamplePoint("form %r vanishes at sample" % (form,))
-            val *= Fraction(v) ** e
-        return val
+            if e > 0:
+                num *= v**e
+            else:
+                den *= v ** (-e)
+            degree += e
+        return Fraction(num * m ** max(-degree, 0), den * m ** max(degree, 0))
 
     def __repr__(self):
         return "FormProduct(%s, %d forms)" % (self.scalar, len(self.factors))
@@ -136,8 +170,8 @@ def _merge_primitive(pairs, exps, odd=0):
     form, and an exponent 0 changes nothing.  Returns the product of the
     g**e as a Fraction, negated when odd.
     """
-    get = exps.get
     num = den = 1
+    primitive = []
     for form, e in pairs:
         if 1 not in form and -1 not in form:
             g = gcd(*form)
@@ -147,11 +181,8 @@ def _merge_primitive(pairs, exps, odd=0):
                     num *= g**e
                 else:
                     den *= g ** (-e)
-        s = get(form, 0) + e
-        if s:
-            exps[form] = s
-        else:
-            exps.pop(form, None)
+        primitive.append((form, e))
+    _merged(exps, primitive)
     return Fraction(-num if odd else num, den)
 
 
@@ -189,18 +220,19 @@ def euler_class(a, use_cy=True):
     weight makes the class zero when its coefficient is positive and
     raises ZeroWeightDenominator when it is negative.  On the Calabi-Yau
     torus kclass.cy_fold folds a KClass or the blocks of -v onto
-    mirrored weights w, w_d = 0 being the ell_part; the interior codes
-    of the blocks start the exponents as they are, the rest are merged.
+    mirrored weights w, w_d = 0 being the ell_part; the pairs are
+    merged, and the interior codes (primitive, alone on their forms) stay
+    one kclass interior value, expanded when the factors are read.
     """
     if not use_cy:
         return _collect((w, 0, c) for w, c in a.items())
-    fixed, odd, prime, pairs = cy_fold(a)
+    fixed, odd, interior, pairs = cy_fold(a)
     if fixed > 0:
         return FormProduct(0)
     if fixed < 0:
         raise ZeroWeightDenominator("zero weight with exponent %d" % fixed)
-    exps = dict(prime)
-    return FormProduct._packed(_merge_primitive(pairs, exps, odd), exps)
+    exps = {}
+    return FormProduct._packed(_merge_primitive(pairs, exps, odd), exps, interior)
 
 
 def sqrt_form_product(p, n):

@@ -22,10 +22,10 @@ A digit holds w_i + 2^15 only for |w_i| < 2^15, so every class carries
 in O(1); an operation whose bound reaches 2^15 raises ExponentOverflow
 before it builds a key.  Tuples cross the boundary only at the edges
 (the constructor, monomial, coefficient and shift encode; items,
-as_dict, serialize, sorted_codes and the folds decode), and no other
-module reads a code: cy_fold reduces a class modulo t_1..t_d = 1 and
-folds it onto mirrored weights, locus_fold restricts it to
-lam_1 + .. + lam_{d-1} = 0, and both hand integer vectors to forms.
+as_dict, serialize, sorted_codes, the folds and interior_items decode),
+and no other module reads a code: cy_fold reduces a class modulo
+t_1..t_d = 1 and folds it onto mirrored weights, locus_fold restricts it
+to lam_1 + .. + lam_{d-1} = 0, and both hand integer vectors to forms.
 
 The vertex multiplies Z * bar(Z) by one factor (1 - t_i^-1) per axis.
 On an axis that no box leaves (a flat axis) every term has w_i = 0, so
@@ -41,7 +41,9 @@ value x (x > 0 stays), fold it onto the block of mirror - b + t_F with
 coefficient (-1)^f c.  Only the corners S = {} and S = F can meet the
 origin or a code of another block, so they alone go code by code; the
 2^f - 2 interior codes, an even number of +-c, leave the parity alone,
-and each holds x and x - 1, a primitive form no other code shares.
+and each holds x and x - 1, a primitive form no other code shares, so
+they stay one interior value, a net per block, until interior_items
+decodes them; interior_degree sums them from the nets.
 """
 
 from __future__ import annotations
@@ -377,17 +379,41 @@ def cy_fixed_part(a):
     return sum(get(origin + m * ones, 0) for m in range(-a.bound, a.bound + 1))
 
 
+def interior_items(interior):
+    """[(w, coefficient)] of the codes of an interior (k, blocks, steps):
+    each folded base code b (k digits) of blocks, with net c != 0, stands
+    for the codes b / t_S with coefficient (-1)^|S| c, S a proper
+    non-empty subset of the f >= 2 block axes, whose code steps are steps."""
+    k, blocks, steps = interior
+    offs = [(0, 1)]
+    for step in steps:
+        offs += [(o + step, -s) for o, s in offs]
+    inner = offs[1:-1]
+    codes, coeffs = [], []
+    for b, c in blocks.items():
+        codes += [b - o for o, _ in inner]
+        coeffs += [s * c for _, s in inner]
+    return list(zip(_decode(codes, k, k), coeffs))
+
+
+def interior_degree(interior):
+    """Sum of the coefficients: -(1 + (-1)^f) c per block, always even."""
+    return -(1 + (-1) ** len(interior[2])) * sum(interior[1].values())
+
+
 def _fold(a, k, restrict, split=False):
-    """(crit, odd, prime, pairs) of a KClass or a FlatBlocks a, its bound
-    2 * a.bound checked first; restrict maps each code to (r, u), r of k
-    digits.  At r = origin crit[u] sums the coefficient; another r below
-    the origin folds onto its mirror, odd the parity of the coefficients
-    folded so, and pairs yields (r, net) for each folded r with a net.
-    The flat axes after the last active base axis are block axes (split
-    makes the halves of the last one blocks), the others are multiplied
-    out.  Corners go code by code; the interior codes b / t_S of a block
-    gather under its (mirrored) base b, and prime yields them with
-    (-1)^|S| times its net, all decoded from one buffer.
+    """(crit, odd, interior, pairs) of a KClass or a FlatBlocks a, its
+    bound 2 * a.bound checked first; restrict maps each code to (r, u), r
+    of k digits.  At r = origin crit[u] sums the coefficient; another r
+    below the origin folds onto its mirror, odd the parity of the
+    coefficients folded so, and pairs lists (r, net) for each folded r
+    with a net.  The flat axes after the last active base axis are block
+    axes (split makes the halves of the last one blocks), the others are
+    multiplied out.  A block's constants are closed forms: its far
+    corner is t^-top, top the sum of the steps, with sign (-1)^f, and
+    every interior code folds as b / t_i, i the first block axis.
+    Corners go code by code; the interior codes gather under the
+    (mirrored) base b into interior, (k, blocks, steps) or None.
     """
     if isinstance(a, KClass):
         a = FlatBlocks(a.dim, {}, (), a.terms, a.bound)
@@ -403,11 +429,9 @@ def _fold(a, k, restrict, split=False):
         axes = axes[:-1]
     origin = _origin(k)
     mirror = 2 * origin
-    offs = [(0, 1)]
-    for i in axes:
-        step = 1 << RADIX_BITS * (k - 1 - i)
-        offs += [(o + step, -s) for o, s in offs]
-    top, sign = offs[-1]
+    steps = [1 << RADIX_BITS * (k - 1 - i) for i in axes]
+    top, sign = sum(steps), (-1) ** len(steps)
+    first = steps[0] if len(steps) > 1 else None
     pieces = [(*restrict(code), c) for code, c in a.tail.items()]
     blocks = {}
     for code, c in units.items():
@@ -415,9 +439,8 @@ def _fold(a, k, restrict, split=False):
         pieces.append((r, u, c))
         if top:
             pieces.append((r - top, u, sign * c))
-        if len(offs) > 2:
-            # every interior code folds as r / t_i, i the first block axis
-            if r - offs[1][0] < origin:
+        if first:
+            if r - first < origin:
                 r = mirror - r + top
                 c *= sign
             blocks[r] = blocks.get(r, 0) + c
@@ -431,29 +454,24 @@ def _fold(a, k, restrict, split=False):
             odd ^= c & 1
         rest[r] = rest.get(r, 0) + c
     rest = {r: c for r, c in rest.items() if c}
-    codes, coeffs = list(rest), list(rest.values())
-    inner = offs[1:-1]
-    for b, c in blocks.items():
-        if c:
-            codes += [b - o for o, _ in inner]
-            coeffs += [s * c for _, s in inner]
-    out = list(zip(_decode(codes, k, k), coeffs))
-    return crit, odd, out[len(rest) :], out[: len(rest)]
+    blocks = {b: c for b, c in blocks.items() if c}
+    interior = (k, blocks, steps) if blocks else None
+    return crit, odd, interior, list(zip(_decode(rest, k, k), rest.values()))
 
 
 def cy_fold(a):
     """One pass of cy_reduce that also folds each weight onto its mirror.
 
-    Returns (fixed, odd, prime, pairs) for a KClass or a FlatBlocks (the
-    bound 2 * a.bound of cy_reduce checked).  fixed is cy_fixed_part(a);
-    a reduced code below the origin, a weight whose first non-zero entry
-    is negative, folds onto -w (_fold).  prime (the interior codes, each
-    primitive and alone on its form) and pairs yield (w, net) for each
-    folded w, of length d with w_d = 0.
+    Returns (fixed, odd, interior, pairs) for a KClass or a FlatBlocks
+    (the bound 2 * a.bound of cy_reduce checked).  fixed is
+    cy_fixed_part(a); a reduced code below the origin, a weight whose
+    first non-zero entry is negative, folds onto -w (_fold).  pairs
+    lists (w, net) for each folded w, of length d with w_d = 0; interior
+    (_fold) holds the interior codes, each primitive and alone on its form.
     """
     ones = _ones(a.dim)
-    crit, odd, prime, pairs = _fold(a, a.dim, lambda w: (w - ((w & DIGIT) - BIAS) * ones, 0))
-    return crit.get(0, 0), odd, prime, pairs
+    crit, odd, interior, pairs = _fold(a, a.dim, lambda w: (w - ((w & DIGIT) - BIAS) * ones, 0))
+    return crit.get(0, 0), odd, interior, pairs
 
 
 def locus_fold(v):
@@ -465,9 +483,9 @@ def locus_fold(v):
     cancels and the checked bound 2 * v.bound keeps every difference in
     a digit.  crit sums the coefficients of the critical weights
     (r = origin) under u = w_{d-1} - w_d, their value on the locus, and
-    pairs yields the other r, folded (_fold).  An interior code is never
-    critical and shares no form, so pairs holds one only when a
-    direction survives on the locus.
+    pairs lists the other r, folded (_fold).  An interior code is never
+    critical and shares no form, so the interior is expanded into pairs
+    only when a block survives, a direction that survives on the locus.
     """
     ones = _ones(v.dim - 2)
 
@@ -476,8 +494,8 @@ def locus_fold(v):
         m = (high & DIGIT) - BIAS
         return (high >> RADIX_BITS) - m * ones, m + BIAS - (code & DIGIT)
 
-    crit, odd, prime, pairs = _fold(v, v.dim - 2, restrict, split=True)
-    return crit, odd, pairs + prime
+    crit, odd, interior, pairs = _fold(v, v.dim - 2, restrict, split=True)
+    return crit, odd, pairs + interior_items(interior) if interior else pairs
 
 
 def key_verdict(v):

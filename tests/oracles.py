@@ -53,6 +53,9 @@ the package against.
   decoded) replaced.  The route that the weight pipeline's
   read of the packed half vertex replaced, specialize on the insertion
   times the root, stays in forms as the oracle of that read.
+- The evaluation of a form product at a point in Fraction arithmetic,
+  form by form, which the integer products of FormProduct.evaluate over
+  one common denominator replaced.
 - The value on the locus from the units, built as QPoly products of
   the ell-units and one exact division by their bottom, which the
   integer coefficient lists of forms._locus_value replaced.
@@ -604,6 +607,24 @@ def times_raw_form(p, coeffs, ell_part, exponent):
     else:
         factors.pop(form, None)
     return FormProduct(p.scalar * Fraction(g) ** exponent, factors)
+
+
+def fraction_evaluate(p, lams, ell=None):
+    """p at a parameter point, each form's value a Fraction multiplied in;
+    the first zero form gives 0 (positive exponent) or raises."""
+    val = Fraction(p.scalar)
+    for form, e in p.factors.items():
+        v = sum(Fraction(c) * x for c, x in zip(form[:-1], lams))
+        if form[-1]:
+            if ell is None:
+                raise ValueError("form depends on ell; no value given")
+            v += form[-1] * Fraction(ell) * sum(lams)
+        if not v:
+            if e > 0:
+                return Fraction(0)
+            raise DegenerateSamplePoint("form %r vanishes at sample" % (form,))
+        val *= v**e
+    return val
 
 
 def reduced_euler_class(a, use_cy=True):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtvertex import (
+    DegenerateSamplePoint,
     FormProduct,
     KClass,
     NotAPerfectSquare,
@@ -39,7 +40,7 @@ from dtvertex.forms import (
     cy_bundle_term,
     vertex_fingerprint,
 )
-from dtvertex.kclass import cy_fold, half_vertex_orbits, locus_fold
+from dtvertex.kclass import cy_fold, half_vertex_orbits, interior_items, locus_fold
 
 from conftest import (
     cached_weight_table,
@@ -59,6 +60,7 @@ from oracles import (
     expanded_cy_fold,
     expanded_fingerprint,
     expanded_locus_fold,
+    fraction_evaluate,
     locus_value,
     orbit,
     qpoly_locus_value,
@@ -330,7 +332,8 @@ def test_block_route_matches_expanded_route(d, order, canonical, count):
         nv = half_vertex_orbits(pi, d)[2]
         suffixes.add(_is_suffix(nv.flat, d))
         a = expanded_blocks(nv)
-        fixed, odd, prime, pairs = cy_fold(nv)
+        fixed, odd, interior, pairs = cy_fold(nv)
+        prime = interior_items(interior) if interior else []
         assert (fixed, odd, sorted([*prime, *pairs])) == expanded_cy_fold(a)
         crit, odd, rest = locus_fold(nv)
         crit = {u: e for u, e in crit.items() if e}
@@ -369,6 +372,79 @@ def test_weight_never_expands_the_half_vertex(monkeypatch):
         assert cy_bundle_term(rep, 8, u) == term
     with pytest.raises(AssertionError, match="multiplied out"):
         cy_bundle_term(odd_one, 8, u)
+
+    # with interior_items refused too, no weight at d = 8 or d = 24
+    # expands the interior codes of e(-v); the bundle term multiplies the
+    # root by the tautological factor, so it does
+    deep = [rep for n in range(1, 3) for rep, _ in canonical_representatives(23, n)]
+    weights = [(rep, 8, w) for rep, (w, _) in zip(reps, expected)]
+    weights += [(rep, 24, compute_weight(rep, 24)) for rep in deep]
+    blocky = next(rep for rep in reps if cy_fold(half_vertex_orbits(rep, 8)[2])[2])
+
+    def refuse_interior(interior):
+        raise AssertionError("the interior codes were expanded")
+
+    monkeypatch.setattr(kclass_mod, "interior_items", refuse_interior)
+    monkeypatch.setattr(forms_mod, "interior_items", refuse_interior)
+    for rep, d, w in weights:
+        got = compute_weight(rep, d)
+        assert (got.fingerprint, got.verdict, got.omega, got.sign) == (
+            w.fingerprint, w.verdict, w.omega, w.sign
+        )
+    with pytest.raises(AssertionError, match="interior codes were expanded"):
+        cy_bundle_term(blocky, 8, u)
+
+
+def _evaluated(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except (DegenerateSamplePoint, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+fraction = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-1, 1)),
+        st.integers(-3, 3).filter(bool),
+        max_size=5,
+    ),
+    fraction,
+    st.tuples(fraction, fraction),
+    st.one_of(st.none(), fraction),
+)
+def test_evaluate_matches_fraction_oracle(factors, scalar, lams, ell):
+    # integer products over one denominator against Fraction products,
+    # zero forms included: the first one in order rules
+    p = FormProduct(scalar, factors)
+    got = _evaluated(p.evaluate, lams, ell)
+    assert got == _evaluated(fraction_evaluate, p, lams, ell)
+
+
+@pytest.mark.parametrize("d,order", [(4, 7), (8, 6), (12, 4), (16, 2)])
+def test_lazy_interior_matches_eager_route(d, order):
+    # e(-v) keeps the interior codes of its blocks unexpanded: its degree
+    # before the expansion, the expanded factors against the eager route
+    # on the materialized -v, and a second read that adds nothing
+    lazy = 0
+    for n in range(1, order + 1):
+        for rep, _ in canonical_representatives(d - 1, n):
+            nv = half_vertex_orbits(rep, d)[2]
+            e = _outcome(euler_class, nv)
+            expected = _outcome(reduced_euler_class, expanded_blocks(nv))
+            if not isinstance(e, FormProduct):
+                assert e == expected
+                continue
+            lazy += cy_fold(nv)[2] is not None
+            degree = e.total_degree()
+            factors = e.factors
+            assert degree == sum(factors.values())
+            assert e == expected
+            assert e.factors is factors and factors == expected.factors
+    assert lazy
 
 
 @pytest.mark.parametrize("d,order,count", [(4, 7, 141), (8, 5, 34), (12, 3, 7)])

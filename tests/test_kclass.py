@@ -15,12 +15,14 @@ from dtvertex import (
     ExponentOverflow,
     KClass,
     MultiPartition,
+    ZeroWeightDenominator,
     canonical_representatives,
     character,
     check_key_conjecture,
     cy_fixed_part,
     cy_reduce,
     enumerate_partitions,
+    euler_class,
     vertex,
     vertex_half,
 )
@@ -31,6 +33,7 @@ from dtvertex.kclass import (
     _double_flat,
     cy_fold,
     half_vertex_orbits,
+    interior_items,
     key_verdict,
     locus_fold,
 )
@@ -436,7 +439,8 @@ def _tuple_locus_fold(terms, d):
 
 def _folds(a):
     """cy_fold and locus_fold of a class in the layout of the tuple folds."""
-    fixed, odd, prime, pairs = cy_fold(a)
+    fixed, odd, interior, pairs = cy_fold(a)
+    prime = interior_items(interior) if interior else []
     crit, lodd, rest = locus_fold(a)
     return (
         (fixed, odd, sorted([*prime, *pairs])),
@@ -525,7 +529,8 @@ def test_block_folds_match_expanded_folds(blocks):
     # corners on the origin (flat value 0 or 1), blocks that fold on the
     # flat value alone, cancelling blocks and flat axes that are no suffix
     expanded = oracles.expanded_blocks(blocks)
-    fixed, odd, prime, pairs = cy_fold(blocks)
+    fixed, odd, interior, pairs = cy_fold(blocks)
+    prime = interior_items(interior) if interior else []
     assert (fixed, odd, sorted(prime + pairs)) == oracles.expanded_cy_fold(expanded)
     # the interior codes are primitive, lead positive and share no form
     assert all(gcd(*w) == 1 and next(filter(None, w)) > 0 for w, _ in prime)
@@ -535,3 +540,23 @@ def test_block_folds_match_expanded_folds(blocks):
     crit, lodd, rest = locus_fold(blocks)
     crit = {u: e for u, e in crit.items() if e}
     assert (crit, lodd, sorted(rest)) == oracles.expanded_locus_fold(expanded)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_blocks())
+def test_lazy_interior_of_the_blocks(blocks):
+    # euler_class keeps the interior codes unexpanded: its degree before
+    # the expansion, the expanded factors against the eager route on the
+    # materialized class, and a second read that adds nothing
+    try:
+        expected = oracles.reduced_euler_class(oracles.expanded_blocks(blocks))
+    except ZeroWeightDenominator:
+        with pytest.raises(ZeroWeightDenominator):
+            euler_class(blocks)
+        return
+    e = euler_class(blocks)
+    degree = e.total_degree()
+    factors = e.factors
+    assert degree == sum(factors.values())
+    assert e == expected
+    assert e.factors is factors and factors == expected.factors

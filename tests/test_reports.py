@@ -65,6 +65,19 @@ GOLDEN = [
      "5300b58b6ba24388db97a29d5a5395b1bcbb66a88df3e08b65feff4650a5ec33"),
     ("enumerate 1 12 --format table",
      "c79ceab41bc6238f511cb617edc468893f2ac1e0177b49b11c5612d67c2c1fad"),
+    # d = 0 mod 4 past d = 12: the d = 16 and d = 20 digests come from the
+    # route that expanded every interior code of e(-v), the deeper ones
+    # from the route that never does
+    ("check fourk -d 16 -n 3",
+     "0b651cde90ca4b6cf7c6c3af808c087f032bc29875ef7ddf3bbe18d97425cb9b"),
+    ("check fourk -d 20 -n 2",
+     "607472007a1ad3b2814719efac83999d16ec8d7711499dd9e1eef564d7530111"),
+    ("check fourk -d 24 -n 2",
+     "0b8b70c86e373bf0c12119493adf5fc73544ed6b58ef7f71e732ba8cd461f3d4"),
+    ("check fourk -d 32 -n 2",
+     "b667c5ecb466b8b2fd6c153fdab7a0912ca59dd3b1329e12e51b814c50722037"),
+    ("check fourk -d 24 -n 3",
+     "7cfd087c8375126c70743c9883f7aa5b8a19f27d939f64f1b398f8eb51bcab34"),
 ]
 
 # the file written by a cold `check fourk -d 4 -n 3 --cache F`; schema 5
