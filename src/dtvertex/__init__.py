@@ -35,7 +35,6 @@ from .kclass import (
     cy_fixed_part,
     cy_reduce,
     vertex,
-    vertex_half,
 )
 from .omega import OmegaDecomposition, check_exp_identity, decompositions, omega_c
 from .orientation import OrientationAssignment, positive_omega_orientation, verify_uniqueness

@@ -2,9 +2,9 @@
 
 One record per line, keyed by (dimension, canonical partition), holding
 exactly what a PartitionWeight keeps: schema, d, partition, fingerprint,
-verdict, omega and sign; records carry SCHEMA 5.  The fingerprint is
-forms.vertex_fingerprint of the orbits (kclass.half_vertex_orbits) of
-the half vertex that the weight and the verdict come from.  A hit is
+verdict, omega and sign; records carry SCHEMA 6.  The fingerprint is
+forms.vertex_fingerprint of -v in blocks (kclass.half_vertex_blocks),
+v the half vertex that the weight and the verdict come from.  A hit is
 trusted only once the fingerprint is recomputed and matches, which never
 expands the half vertex.  It checks only the half vertex, so a change
 to a later stage of the weight pipeline must bump SCHEMA.  Stale lines
@@ -23,11 +23,11 @@ import os
 from fractions import Fraction
 
 from .forms import PartitionWeight, compute_weight, vertex_fingerprint
-from .kclass import half_vertex_orbits
+from .kclass import half_vertex_blocks
 
 ENV_CACHE_DIR = "DTVERTEX_CACHE_DIR"
 # Version of the record format; records of any other version are skipped.
-SCHEMA = 5
+SCHEMA = 6
 # The keys of a record and the JSON type of each value.
 FIELDS = {
     "schema": int, "d": int, "partition": str, "fingerprint": str,
@@ -140,8 +140,7 @@ class WeightCache:
         """Weight for a partition, re-verifying the half-vertex fingerprint."""
         rec = self.records.get((d, pi.serialize()))
         if rec is not None:
-            orbits, flatmask, _ = half_vertex_orbits(pi, d)
-            if rec["fingerprint"] == vertex_fingerprint(orbits, flatmask):
+            if rec["fingerprint"] == vertex_fingerprint(half_vertex_blocks(pi, d)):
                 return weight_from_record(rec, pi)
         w = compute_weight(pi, d)
         self.append(record_from_weight(w))

@@ -304,8 +304,10 @@ def cmd_check(args, out):
 
 
 def cmd_cache_compact(args, out):
-    store = cache_mod.WeightCache(args.cache or cache_mod.default_cache_path())
-    n = store.compact()
+    path = args.cache or cache_mod.default_cache_path()
+    if not path:
+        raise ValueError("no cache to compact: give --cache or set %s" % cache_mod.ENV_CACHE_DIR)
+    n = cache_mod.WeightCache(path).compact()
     out.write("compacted %d records\n" % n)
     return 0
 

@@ -39,12 +39,11 @@ from .errors import (
 from .kclass import (
     KEY_EULER_VANISHES,
     KEY_OK,
-    KEY_VIOLATED,
+    block_bytes,
     cy_fold,
-    half_vertex_orbits,
+    half_vertex_blocks,
     interior_degree,
     interior_items,
-    key_verdict,
     locus_fold,
     vertex,
 )
@@ -461,7 +460,7 @@ class PartitionWeight:
     compute_weight proves that the specialized weight of the partition
     is sign * (-1)^|pi| * omega * ell (ell - 1) ... (ell - h + 1), with h
     the corner height, so omega and sign fix the term; verdict and
-    fingerprint describe the half vertex v = vertex_half(pi, d) that the
+    fingerprint describe the half vertex v (half_vertex_blocks) that the
     weight was computed from.  An omega below 0, a sign other than +-1
     or a verdict other than KEY_OK and KEY_EULER_VANISHES (only a
     hand-edited cache line can carry one) raises ShapeMismatch naming
@@ -490,46 +489,37 @@ class PartitionWeight:
         return _corner_column(pi.corner_height()) * c
 
 
-def vertex_fingerprint(orbits, flatmask):
-    """sha256, as hex, of a half vertex as kclass.half_vertex_orbits gives it.
-
-    Hashes b"dim:flatmask:count:", the sorted_codes bytes of orbits and
-    the repr of their coefficients; the prefix makes it injective, and
-    the mask fixes each code's orbit.
-    """
-    codes, coeffs = orbits.sorted_codes()
-    h = hashlib.sha256(b"%d:%d:%d:" % (orbits.dim, flatmask, len(coeffs)))
-    h.update(codes)
-    h.update(repr(coeffs).encode())
-    return h.hexdigest()
+def vertex_fingerprint(nv):
+    """sha256, as hex, of the blocks of -v that kclass.half_vertex_blocks
+    gives: the dimension, the flat axes and the sorted codes and
+    coefficients of Q and of -Z, as kclass.block_bytes writes them; its
+    prefix of counts makes the bytes injective."""
+    return hashlib.sha256(block_bytes(nv)).hexdigest()
 
 
 def compute_weight(pi, d):
     """Full symbolic weight pipeline for one partition, d = 0 mod 4.
 
-    One box product gives the half vertex v as orbits and as the blocks
-    of -v (half_vertex_orbits), which no stage multiplies out.  The
-    orbits give the fingerprint and the verdict (twice their fixed part
-    is that of the full vertex); -v gives e(-v), which rules on the root
-    of e(-V), and the specialized value of the tautological factor times
-    that root (_specialize_half_vertex), whose weight is extracted.  A
-    zero root is the weight omega = 0 with sign 1.  Pipeline failures
-    raise with the offending partition attached.
+    One box product gives the blocks of -v, v the half vertex
+    (half_vertex_blocks), which give the fingerprint, and e(-v), which
+    rules on the root of e(-V) and gives the specialized value of the
+    tautological factor times that root (_specialize_half_vertex), whose
+    weight is extracted.  The fixed part of v is half that of the full
+    vertex, so e(-v) gives the verdict too: a zero root is
+    KEY_EULER_VANISHES with omega = 0 and sign 1, and a positive fixed
+    part raises ZeroWeightDenominator.  Pipeline failures raise with the
+    offending partition attached.
     """
     if d % 4:
         raise ValueError("dimension must be divisible by 4")
-    orbits, flatmask, nv = half_vertex_orbits(pi, d)
-    fingerprint = vertex_fingerprint(orbits, flatmask)
-    verdict = key_verdict(orbits)
-    if verdict == KEY_VIOLATED:
-        raise ZeroWeightDenominator(
-            "fixed part of the vertex is positive", partition=pi.serialize()
-        )
+    nv = half_vertex_blocks(pi, d)
+    fingerprint = vertex_fingerprint(nv)
     try:
         value = _specialize_half_vertex(pi, d, nv)
         if value is None:
-            omega, sign = Fraction(0), 1
+            verdict, omega, sign = KEY_EULER_VANISHES, Fraction(0), 1
         else:
+            verdict = KEY_OK
             omega, sign = omega_from_specialized(value, pi)
     except (NotAPerfectSquare, ShapeMismatch, ZeroWeightDenominator) as exc:
         if exc.partition is None:
@@ -563,5 +553,5 @@ def cy_bundle_term(pi, d, u):
     character t^u, on the Calabi-Yau torus, up to the orientation sign;
     the root comes from the blocks of -v, v the half vertex, so d is even.
     """
-    nv = half_vertex_orbits(pi, d)[2]
+    nv = half_vertex_blocks(pi, d)
     return taut_factor(pi, d, u=u) * _half_vertex_root(nv, pi.size)

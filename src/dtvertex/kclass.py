@@ -22,7 +22,7 @@ A digit holds w_i + 2^15 only for |w_i| < 2^15, so every class carries
 in O(1); an operation whose bound reaches 2^15 raises ExponentOverflow
 before it builds a key.  Tuples cross the boundary only at the edges
 (the constructor, monomial, coefficient and shift encode; items,
-as_dict, serialize, sorted_codes, the folds and interior_items decode),
+as_dict, serialize, block_bytes, the folds and interior_items decode),
 and no other module reads a code: cy_fold reduces a class modulo
 t_1..t_d = 1 and folds it onto mirrored weights, locus_fold restricts it
 to lam_1 + .. + lam_{d-1} = 0, and both hand integer vectors to forms.
@@ -30,8 +30,8 @@ to lam_1 + .. + lam_{d-1} = 0, and both hand integer vectors to forms.
 The vertex multiplies Z * bar(Z) by one factor (1 - t_i^-1) per axis.
 On an axis that no box leaves (a flat axis) every term has w_i = 0, so
 the factor doubles the dict by one dict.update with no lookups, once
-the other axes have folded term by term.  half_vertex_orbits keeps the
-half vertex v as one code per orbit of the flat axes, and -v as a
+the other axes have folded term by term.  half_vertex_blocks gives -v,
+for v the half vertex Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1), as a
 FlatBlocks: the product Q over the active axes, the flat axes F and the
 tail -Z.  A term c t^w of Q stands for the block of the 2^f codes
 (-1)^|S| c t^w / t_S, S in F, and when F ends the base axes, as for
@@ -252,12 +252,6 @@ class KClass:
         decoded = _decode(keys, self.dim, self.dim)
         return [[list(w), self.terms[k]] for w, k in zip(decoded, keys)]
 
-    def sorted_codes(self):
-        """(the codes in increasing order as big-endian bytes, their coefficients)."""
-        keys = sorted(self.terms)
-        width = RADIX_BITS // 8 * self.dim
-        return b"".join([k.to_bytes(width, "big") for k in keys]), [self.terms[k] for k in keys]
-
     def __repr__(self):
         return "KClass(%d, %d terms)" % (self.dim, len(self.terms))
 
@@ -339,9 +333,9 @@ def vertex(pi, d):
 
         V = Z + sgn * bar(Z) / (t_1..t_d) - Z * bar(Z) * prod_i (1 - t_i^-1),
 
-    built as vertex_half is, with the d-th factor too: one in-place pass
-    per factor on an axis that some box leaves (_active_fold), then one
-    dict.update per flat axis (_double_flat).
+    built with one in-place pass per factor on an axis that some box
+    leaves (_active_fold), then one dict.update per flat axis
+    (_double_flat).
     """
     z = character(pi, d)
     terms, flat, bound = _active_fold(z, d, -1)
@@ -371,12 +365,17 @@ def cy_fixed_part(a):
 
     The exponents that reduce to zero are the diagonal ones m * (1,..,1)
     with |m| <= a.bound; their coefficients are summed by lookup, and no
-    reduced class is built.
+    reduced class is built.  Of a FlatBlocks the tail is read, and of
+    each block its two corners, t^w with c and t^w / t_F with (-1)^f c:
+    every other code holds both 0 and -1 on the flat axes.
     """
     ones = _ones(a.dim)
-    origin = BIAS * ones
-    get = a.terms.get
-    return sum(get(origin + m * ones, 0) for m in range(-a.bound, a.bound + 1))
+    diagonal = [BIAS * ones + m * ones for m in range(-a.bound, a.bound + 1)]
+    if isinstance(a, KClass):
+        return sum(a.terms.get(k, 0) for k in diagonal)
+    top = sum(1 << RADIX_BITS * (a.dim - 1 - i) for i in a.flat)
+    far, get = (-1) ** len(a.flat) if top else 0, a.q.get
+    return sum(a.tail.get(k, 0) + get(k, 0) + far * get(k + top, 0) for k in diagonal)
 
 
 def interior_items(interior):
@@ -501,9 +500,6 @@ def locus_fold(v):
 def key_verdict(v):
     """Classify the torus-fixed multiplicity of an already-built vertex.
 
-    For even d the half vertex v = vertex_half(pi, d), or its orbits
-    (half_vertex_orbits), give the verdict of V, twice their fixed part.
-
     ok             fixed part is 0; the Euler ratio is a unit
     euler_vanishes fixed part < 0; the Euler class of -V vanishes
     violated       fixed part > 0; the Euler ratio denominator vanishes
@@ -519,37 +515,24 @@ def check_key_conjecture(pi, d):
     return key_verdict(vertex(pi, d))
 
 
-def vertex_half(pi, d):
-    """Half of the vertex: Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1).
-
-    Z is the character of the box stack.  With v this class and
-    cy = cy_reduce, cy(V) = cy(v) + (-1)^d * cy(bar(v)) for every d.  The
-    CLI reads v through half_vertex_orbits, whose oracle this is.
-    """
-    z = character(pi, d)
-    terms, flat, bound = _active_fold(z, d - 1, -1)
-    return KClass._packed(d, _add_into(_double_flat(terms, flat, d), z.terms.items()), bound)
-
-
-def half_vertex_orbits(pi, d):
-    """v = vertex_half(pi, d) up to permutations of its flat axes, and -v.
-
-    With Q = Z * bar(Z) * prod (1 - t_i^-1) over the active axes among
-    1..d-1, v = Z - sum (-1)^|S| Q / t_S over the sets S of flat axes, so
-    the C(f, j) codes with j of their f flat digits -1 share a
-    coefficient.  Returns (orbits, flatmask, nv): orbits, with the bound
-    and the fixed part of v, holds (-1)^(j+1) Q / t_S for S the first j
-    flat axes, j = 0..f, plus Z; bit i of flatmask marks axis i + 1 flat;
-    nv = -v as the FlatBlocks of Q, the flat axes and -Z.
+def half_vertex_blocks(pi, d):
+    """-v as a FlatBlocks, v = Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1) the
+    half vertex of a (d-1)-partition, Z the character of its box stack:
+    q the box product over the active axes, the flat axes and the tail -Z.
+    With cy = cy_reduce, cy(V) = cy(v) + (-1)^d * cy(bar(v)) for every d.
     """
     z = character(pi, d)
     q, flat, bound = _active_fold(z, d - 1, 1)
-    neg = [-c for c in q.values()]
-    orbits = dict(zip(q, neg))
-    shift = 0
-    for j, i in enumerate(flat, 1):
-        shift += 1 << RADIX_BITS * (d - 1 - i)
-        orbits.update(zip([k - shift for k in q], q.values() if j % 2 else neg))
-    _add_into(orbits, z.terms.items())
-    nv = FlatBlocks(d, q, tuple(flat), {k: -c for k, c in z.terms.items()}, bound)
-    return KClass._packed(d, orbits, bound), sum(1 << i for i in flat), nv
+    return FlatBlocks(d, q, tuple(flat), {k: -c for k, c in z.terms.items()}, bound)
+
+
+def block_bytes(nv):
+    """The bytes that fix a FlatBlocks: b"dim:mask:count:count:", bit i
+    of mask marking axis i + 1 flat and the counts those of q and of the
+    tail, then their codes, each in increasing order, as big-endian
+    bytes, and the repr of the coefficients in that order."""
+    q, tail = sorted(nv.q), sorted(nv.tail)
+    head = b"%d:%d:%d:%d:" % (nv.dim, sum(1 << i for i in nv.flat), len(q), len(tail))
+    width = RADIX_BITS // 8 * nv.dim
+    coeffs = [nv.q[k] for k in q] + [nv.tail[k] for k in tail]
+    return head + b"".join([k.to_bytes(width, "big") for k in q + tail]) + repr(coeffs).encode()

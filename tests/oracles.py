@@ -11,6 +11,8 @@ the package against.
   and -, and the full vertex assembled from the half vertex.  It keeps
   the packed keys but checks every exponent bound step by step, so it
   pins the bound and the ExponentOverflow inputs as well as the terms.
+  Its half vertex is the expanded v whose blocks of -v the package
+  keeps (kclass.half_vertex_blocks).
 - The packed box product with one in-place pass per factor on every
   axis, which the single update per flat axis replaced for the axes
   that no box leaves.
@@ -19,10 +21,6 @@ the package against.
   they take -v as the blocks of kclass.FlatBlocks, one per term of the
   product over the active axes, and decode each interior code of a
   block without a merge.
-- The orbit form of the half vertex found by grouping the decoded terms
-  of the expanded half vertex, which the orbit form built from one
-  product over the active axes replaced where the CLI reads the half
-  vertex.
 - The bounded partition enumeration: slices a bounding height map along
   the first axis and meets each slice with the partition's previous
   slice, one size at a time.  It checks omega's candidate lists and,
@@ -72,8 +70,8 @@ the package against.
 - The half-vertex fingerprints of cache schemas 3 and 4: sha256 of the
   repr of dim and the sorted (code, coefficient) pairs, which the
   packed-bytes digest of schema 4 replaced, and that digest of the
-  expanded half vertex, which the digest of its flat-axis orbits
-  (schema 5) replaced.
+  expanded half vertex, which the digests of its flat-axis orbits
+  (schema 5) and of the blocks of -v (schema 6) replaced.
 - Small helpers that only tests use: axis-permutation orbits, staircase
   membership, orientation flips, series powers and tables.
 """
@@ -82,7 +80,7 @@ import hashlib
 import struct
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, gcd
+from math import gcd
 
 from dtvertex import (
     ArityMismatch,
@@ -233,37 +231,6 @@ def folded_box_product(z, n):
             else:
                 del out[k]
     return out, bound
-
-
-def flat_orbit_form(pi, d, v):
-    """The orbit form of v = vertex_half(pi, d), by grouping its terms.
-
-    The flat axes are those among 1..d-1 on which every box has
-    coordinate 0, in increasing order.  Every flat coordinate of a term
-    must be 0 or -1.  The terms are grouped by their other coordinates
-    and by the number j of their flat coordinates -1, and each group must
-    hold C(f, j) terms of one coefficient, f the number of flat axes.
-    Returns ({representative: coefficient}, flatmask): a representative
-    has -1 on the first j flat axes only, and bit i of flatmask is set
-    when axis i + 1 is flat.
-    """
-    cells = list(pi.cells())
-    flat = [i for i in range(d - 1) if all(cell[i] == 0 for cell in cells)]
-    groups = {}
-    for w, c in v.items():
-        assert all(w[i] in (0, -1) for i in flat), w
-        j = -sum(w[i] for i in flat)
-        rest = tuple(x for i, x in enumerate(w) if i not in flat)
-        groups.setdefault((rest, j), []).append(c)
-    form = {}
-    for (rest, j), coeffs in groups.items():
-        assert len(coeffs) == comb(len(flat), j) and len(set(coeffs)) == 1
-        others = iter(rest)
-        rep = tuple(
-            (-1 if flat.index(i) < j else 0) if i in flat else next(others) for i in range(d)
-        )
-        form[rep] = coeffs[0]
-    return form, sum(1 << i for i in flat)
 
 
 def expanded_blocks(blocks):

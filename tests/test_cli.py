@@ -24,13 +24,12 @@ from dtvertex import (
     canonical_representatives,
     compute_weight,
     vertex,
-    vertex_half,
 )
 from dtvertex.cache import WeightCache
 from dtvertex.cli import main
 
 from conftest import single_box
-from oracles import expanded_fingerprint, repr_fingerprint, times_raw_form
+from oracles import class_vertex_half, expanded_fingerprint, repr_fingerprint, times_raw_form
 
 
 def run_cli(capsys, *argv):
@@ -289,19 +288,21 @@ def test_cache_line_of_another_schema_is_recomputed(tmp_path, capsys):
     records = [json.loads(line) for line in cache.read_text().splitlines()]
     # schema 2 fingerprinted the JSON of the full vertex's decoded terms,
     # schema 3 the repr of the half vertex's sorted (code, coefficient)
-    # pairs, schema 4 its sorted codes as packed bytes
+    # pairs, schema 4 its sorted codes as packed bytes, schema 5 its
+    # flat-axis orbits
     pi = MultiPartition.from_entries(3, json.loads(records[1]["partition"]))
     key = (4, records[1]["partition"])
     v = vertex(pi, 4).serialize()
     old = hashlib.sha256(json.dumps(v, separators=(",", ":")).encode()).hexdigest()
-    schema3 = repr_fingerprint(vertex_half(pi, 4))
-    schema4 = expanded_fingerprint(vertex_half(pi, 4))
+    schema3 = repr_fingerprint(class_vertex_half(pi, 4))
+    schema4 = expanded_fingerprint(class_vertex_half(pi, 4))
     for edit, stale in (
         (lambda rec: rec.pop("schema"), False),
         (lambda rec: rec.update(schema=1), False),
         (lambda rec: rec.update(schema=2, fingerprint=old), False),
         (lambda rec: rec.update(schema=3, fingerprint=schema3), False),
         (lambda rec: rec.update(schema=4, fingerprint=schema4), False),
+        (lambda rec: rec.update(schema=5), False),
         # a record of this schema that carries the schema-4 digest is
         # read, fails the fingerprint check and is recomputed
         (lambda rec: rec.update(fingerprint=schema4), True),
@@ -313,29 +314,31 @@ def test_cache_line_of_another_schema_is_recomputed(tmp_path, capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0 and out == cold
         appended = json.loads(cache.read_text().splitlines()[-1])
-        assert appended == records[1] and appended["schema"] == 5
+        assert appended == records[1] and appended["schema"] == 6
         run_cli(capsys, "cache-compact", "--cache", str(cache))
         compacted = [json.loads(line) for line in cache.read_text().splitlines()]
         assert sorted(compacted, key=json.dumps) == sorted(records, key=json.dumps)
 
 
 def test_warm_omega_never_expands_the_half_vertex(tmp_path, monkeypatch, capsys):
-    # a hit is verified from the flat-axis orbits alone: with vertex_half
-    # refused at every import site the warm run repeats the cold report
+    # a hit is verified from the blocks of -v alone: with the flat-axis
+    # doubling and the Euler class refused at every import site the warm
+    # run repeats the cold report
     path = tmp_path / "weights.jsonl"
     cache = str(path)
     argv = ["check", "omega", "-d", "8", "-n", "4", "--cache", cache]
     code, cold = run_cli(capsys, *argv)
     assert code == 0 and json.loads(cold)["verdict"] == "confirmed"
-    real = dtvertex.kclass.vertex_half
 
-    def refuse(pi, d):
-        raise AssertionError("vertex_half ran")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the half vertex was expanded")
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "dtvertex" and getattr(mod, "vertex_half", None) is real:
-            monkeypatch.setattr(mod, "vertex_half", refuse)
-    assert dtvertex.vertex_half is refuse
+    for home, attr in ((dtvertex.kclass, "_double_flat"), (dtvertex.forms, "euler_class")):
+        real = getattr(home, attr)
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "dtvertex" and getattr(mod, attr, None) is real:
+                monkeypatch.setattr(mod, attr, refuse)
+    assert dtvertex.kclass._double_flat is refuse and dtvertex.euler_class is refuse
     records = len(WeightCache(cache).records)
     assert run_cli(capsys, *argv) == (0, cold)
     assert len(WeightCache(cache).records) == records > 0
@@ -362,6 +365,24 @@ def test_cache_compact(tmp_path, capsys):
     # the rewrite is byte for byte the lines append wrote, last per key, sorted
     assert cache.read_bytes() == b"".join(last[k] for k in sorted(last))
     assert "compacted %d records" % len(last) in out
+
+
+def test_cache_compact_without_a_cache_is_usage_error(tmp_path, monkeypatch, capsys):
+    # with neither --cache nor DTVERTEX_CACHE_DIR there is nothing to
+    # compact: an error line names both, and no file is written
+    monkeypatch.delenv("DTVERTEX_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main(["cache-compact"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "--cache" in captured.err and "DTVERTEX_CACHE_DIR" in captured.err
+    assert list(tmp_path.iterdir()) == []
+    # the environment variable alone names a cache
+    monkeypatch.setenv("DTVERTEX_CACHE_DIR", str(tmp_path))
+    run_cli(capsys, "check", "fourk", "-d", "4", "-n", "2")
+    records = (tmp_path / "weights.jsonl").read_text().splitlines()
+    code, out = run_cli(capsys, "cache-compact")
+    assert records and code == 0 and out == "compacted %d records\n" % len(records)
 
 
 def test_pipeline_error_exit_code(monkeypatch, capsys):
@@ -672,13 +693,16 @@ def test_full_vertex_runs_once_per_keyconj_row_and_never_for_odd(monkeypatch, ca
 
     # confirmed rests on the computed c0: one more fixed weight in the
     # single box's half vertex flips its sign and the series misses
-    real_orbits = series_mod.half_vertex_orbits
+    real_blocks = series_mod.half_vertex_blocks
 
     def perturbed(pi, d):
-        orbits, flatmask, nv = real_orbits(pi, d)
-        return (orbits + KClass.one(d) if pi.size == 1 else orbits), flatmask, nv
+        nv = real_blocks(pi, d)
+        if pi.size > 1:
+            return nv
+        origin = next(iter(KClass.one(d).terms))
+        return nv._replace(tail={**nv.tail, origin: nv.tail.get(origin, 0) - 1})
 
-    monkeypatch.setattr(series_mod, "half_vertex_orbits", perturbed)
+    monkeypatch.setattr(series_mod, "half_vertex_blocks", perturbed)
     code, out = run_cli(capsys, "check", "odd", "-d", "5", "-n", "2")
     assert code == 1 and json.loads(out)["verdict"] == "mismatch"
 

@@ -26,7 +26,6 @@ from dtvertex import (
     sqrt_form_product,
     taut_factor,
     vertex,
-    vertex_half,
     weight_table,
 )
 import dtvertex.forms as forms_mod
@@ -40,7 +39,18 @@ from dtvertex.forms import (
     cy_bundle_term,
     vertex_fingerprint,
 )
-from dtvertex.kclass import cy_fold, half_vertex_orbits, interior_items, locus_fold
+from dtvertex.kclass import (
+    KEY_EULER_VANISHES,
+    KEY_OK,
+    KEY_VIOLATED,
+    FlatBlocks,
+    cy_fixed_part,
+    cy_fold,
+    half_vertex_blocks,
+    interior_items,
+    key_verdict,
+    locus_fold,
+)
 
 from conftest import (
     cached_weight_table,
@@ -52,6 +62,7 @@ from conftest import (
 )
 from oracles import (
     canonical_form,
+    class_vertex_half,
     collected_euler_class,
     collected_specialize,
     euler_ratio_odd,
@@ -147,7 +158,7 @@ def test_euler_class_matches_collector_oracle(d, order):
     # also against the reduce-then-fold route that the one-pass fold replaced
     for n in range(1, order + 1):
         for rep, _ in canonical_representatives(d - 1, n):
-            for cls in (vertex_half(rep, d), vertex(rep, d)):
+            for cls in (class_vertex_half(rep, d), vertex(rep, d)):
                 for a in (cls, -cls):
                     got = _outcome(euler_class, a)
                     assert got == _outcome(collected_euler_class, a)
@@ -218,7 +229,7 @@ def test_euler_class_sums_the_zero_weight_before_ruling():
 def test_form_products_never_alias_a_held_dict():
     # euler_class and the collector hand over a dict of their own; every
     # product, root and scaling gets a dict that no caller holds
-    for a in (EDGE_CLASSES[5][0], -vertex_half(raised_cube_without_corner(7), 8)):
+    for a in (EDGE_CLASSES[5][0], -class_vertex_half(raised_cube_without_corner(7), 8)):
         e = euler_class(a)
         again = euler_class(a)
         assert e == again and e.factors is not again.factors
@@ -257,7 +268,7 @@ def test_specialize_matches_collector_oracle():
         twists = [(1,) + (0,) * (d - 1), (0,) * (d - 2) + (1, 0), (0,) * d]
         for n in range(1, order + 1):
             for rep, _ in canonical_representatives(d - 1, n):
-                root = _half_vertex_root(-vertex_half(rep, d), n)
+                root = _half_vertex_root(half_vertex_blocks(rep, d), n)
                 product = taut_factor(rep, d, ell_units=1) * root
                 cases = [("default", product * FormProduct(1, f)) for f in extras]
                 cases += [("twist", cy_bundle_term(rep, d, u)) for u in twists]
@@ -291,7 +302,7 @@ def test_specialize_half_vertex_matches_specialize_oracle(d, order, count):
     seen = 0
     for n in range(1, order + 1):
         for rep, _ in canonical_representatives(d - 1, n):
-            v = vertex_half(rep, d)
+            v = class_vertex_half(rep, d)
             got = _outcome(_specialize_half_vertex, rep, d, -v)
             assert got == _outcome(_specialized_by_oracle, rep, d, v)
             seen += 1
@@ -315,8 +326,9 @@ BLOCK_SETS = [
     "d,order,canonical,count", BLOCK_SETS, ids=["d%d-n%d-%s" % s[:3] for s in BLOCK_SETS]
 )
 def test_block_route_matches_expanded_route(d, order, canonical, count):
-    # the folds of the unexpanded -v against the folds, e(-v) and the
-    # specialized value of the materialized -v (oracles.expanded_blocks)
+    # the folds and the fixed part of the unexpanded -v against the folds,
+    # the fixed part, e(-v) and the specialized value of the materialized
+    # -v (oracles.expanded_blocks)
     parts = [
         pi
         for n in range(1, order + 1)
@@ -329,9 +341,10 @@ def test_block_route_matches_expanded_route(d, order, canonical, count):
     assert len(parts) == count
     suffixes = set()
     for pi in parts:
-        nv = half_vertex_orbits(pi, d)[2]
+        nv = half_vertex_blocks(pi, d)
         suffixes.add(_is_suffix(nv.flat, d))
         a = expanded_blocks(nv)
+        assert cy_fixed_part(nv) == cy_fixed_part(a)
         fixed, odd, interior, pairs = cy_fold(nv)
         prime = interior_items(interior) if interior else []
         assert (fixed, odd, sorted([*prime, *pairs])) == expanded_cy_fold(a)
@@ -356,7 +369,7 @@ def test_weight_never_expands_the_half_vertex(monkeypatch):
     odd_one = next(
         pi
         for pi in enumerate_partitions(7, 2)
-        if not _is_suffix(half_vertex_orbits(pi, 8)[2].flat, 8)
+        if not _is_suffix(half_vertex_blocks(pi, 8).flat, 8)
     )
     cy_bundle_term(odd_one, 8, u)
 
@@ -379,7 +392,7 @@ def test_weight_never_expands_the_half_vertex(monkeypatch):
     deep = [rep for n in range(1, 3) for rep, _ in canonical_representatives(23, n)]
     weights = [(rep, 8, w) for rep, (w, _) in zip(reps, expected)]
     weights += [(rep, 24, compute_weight(rep, 24)) for rep in deep]
-    blocky = next(rep for rep in reps if cy_fold(half_vertex_orbits(rep, 8)[2])[2])
+    blocky = next(rep for rep in reps if cy_fold(half_vertex_blocks(rep, 8))[2])
 
     def refuse_interior(interior):
         raise AssertionError("the interior codes were expanded")
@@ -432,7 +445,7 @@ def test_lazy_interior_matches_eager_route(d, order):
     lazy = 0
     for n in range(1, order + 1):
         for rep, _ in canonical_representatives(d - 1, n):
-            nv = half_vertex_orbits(rep, d)[2]
+            nv = half_vertex_blocks(rep, d)
             e = _outcome(euler_class, nv)
             expected = _outcome(reduced_euler_class, expanded_blocks(nv))
             if not isinstance(e, FormProduct):
@@ -461,7 +474,7 @@ def test_locus_value_matches_qpoly_oracle(monkeypatch, d, order, count):
     reps = 0
     for n in range(1, order + 1):
         for rep, _ in canonical_representatives(d - 1, n):
-            _outcome(_specialize_half_vertex, rep, d, -vertex_half(rep, d))
+            _outcome(_specialize_half_vertex, rep, d, half_vertex_blocks(rep, d))
             reps += 1
     assert reps == count and seen
     for args in seen:
@@ -569,7 +582,7 @@ def test_specialize_half_vertex_keeps_the_parity_error():
 
 def test_full_cube_at_d4_agrees_and_is_not_a_column():
     b = cube_on_three_axes(3)
-    v = vertex_half(b, 4)
+    v = class_vertex_half(b, 4)
     value = _specialize_half_vertex(b, 4, -v)
     assert value == _specialized_by_oracle(b, 4, v)
     assert abs(value.leading()) == Fraction(1, 2) and value.degree() == 2
@@ -600,7 +613,7 @@ def test_locus_value_oracle_on_the_order_8_partitions(name, d, expected):
     assert pi.size == 8
     # 101^j keeps every restricted form non-zero (its entries are small)
     frees = [101**j for j in range(d - 2)]
-    fast = _specialize_half_vertex(pi, d, -vertex_half(pi, d))
+    fast = _specialize_half_vertex(pi, d, half_vertex_blocks(pi, d))
     signs = set()
     for ell in (2, 3, 4):
         got = locus_value(pi, d, ell, frees)
@@ -652,12 +665,12 @@ def test_half_vertex_root_matches_sqrt_of_full_euler_class():
     for d, order in ((4, 6), (8, 4), (12, 2)):
         for n in range(1, order + 1):
             for rep, _ in canonical_representatives(d - 1, n):
-                v = vertex_half(rep, d)
+                nv = half_vertex_blocks(rep, d)
                 stages = weight_stages(rep, d)
                 # FormProduct equality compares the factors and the scalar
-                assert _half_vertex_root(-v, n) == stages.sqrt
+                assert _half_vertex_root(nv, n) == stages.sqrt
                 with pytest.raises(NotAPerfectSquare):
-                    _half_vertex_root(-v, n + 1)
+                    _half_vertex_root(nv, n + 1)
                 with pytest.raises(NotAPerfectSquare):
                     sqrt_form_product(stages.euler, n + 1)
                 count += 1
@@ -774,12 +787,12 @@ def test_forms_reads_no_packed_code():
             assert node.module != "struct"
             if node.level == 1 and node.module == "kclass":
                 from_kclass += [a.name for a in node.names]
-    assert {"cy_fold", "locus_fold", "half_vertex_orbits"} <= set(from_kclass)
+    assert {"cy_fold", "locus_fold", "half_vertex_blocks", "block_bytes"} <= set(from_kclass)
     for name in from_kclass:
         assert not name.startswith("_") and name not in ("BIAS", "DIGIT", "RADIX_BITS")
-    # nor a packed dict: the fingerprint hashes the bytes of sorted_codes
+    # nor a packed dict: the fingerprint hashes the bytes of block_bytes
     attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not attrs & {"terms", "q", "tail"} and "sorted_codes" in attrs
+    assert not attrs & {"terms", "q", "tail"}
 
 
 def test_taut_factor_empty():
@@ -826,7 +839,7 @@ def test_zero_euler_class_is_zero_weight(monkeypatch):
 
     monkeypatch.setattr(forms_mod, "euler_class", lambda a, use_cy=True: FormProduct(0))
     w = compute_weight(corner_column(3, 2), 4)
-    assert (w.omega, w.sign) == (Fraction(0), 1)
+    assert (w.verdict, w.omega, w.sign) == (KEY_EULER_VANISHES, Fraction(0), 1)
 
 
 def test_weight_table_covers_canonical_representatives():
@@ -947,75 +960,116 @@ def test_signed_poly_leaves_the_memoized_column_alone():
     assert _corner_column(h) == poly(0, -1, 1)
 
 
-def _orbit_forms():
-    """(orbits, flatmask, v) of every representative of d = 4 n <= 5,
-    d = 8 n <= 4 and d = 12 n <= 3, v its expanded half vertex."""
+def _block_forms():
+    """(nv, v) of every representative of d = 4 n <= 5, d = 8 n <= 4 and
+    d = 12 n <= 3: nv the blocks of -v, v the expanded half vertex."""
     return [
-        half_vertex_orbits(rep, d)[:2] + (vertex_half(rep, d),)
+        (half_vertex_blocks(rep, d), class_vertex_half(rep, d))
         for d, order in ((4, 5), (8, 4), (12, 3))
         for n in range(1, order + 1)
         for rep, _ in canonical_representatives(d - 1, n)
     ]
 
 
-def _with_terms(v, terms, dim=None):
-    w = KClass(v.dim if dim is None else dim)
-    w.terms = terms
-    w.bound = v.bound
-    return w
-
-
 def test_fingerprint_separates_what_the_repr_fingerprint_separates():
-    # the orbit digest against the digests of the expanded half vertex
+    # the block digest against the digests of the expanded half vertex
     # that schemas 3 and 4 hashed
     digests = [
-        (vertex_fingerprint(orbits, mask), expanded_fingerprint(v), repr_fingerprint(v))
-        for orbits, mask, v in _orbit_forms()
+        (vertex_fingerprint(nv), expanded_fingerprint(v), repr_fingerprint(v))
+        for nv, v in _block_forms()
     ]
     assert len(digests) == 56
-    # equal orbit digests exactly when the expanded digests are equal
+    # equal block digests exactly when the expanded digests are equal
     assert len({new for new, _, _ in digests}) == len(set(digests))
     assert len({old for _, old, _ in digests}) == len(set(digests))
     assert len({old for _, _, old in digests}) == len(set(digests))
 
 
 def test_fingerprint_ignores_insertion_order():
-    for orbits, mask, _ in _orbit_forms()[::7]:
-        backwards = _with_terms(orbits, dict(reversed(list(orbits.terms.items()))))
-        assert list(backwards.terms) != list(orbits.terms) or len(orbits.terms) == 1
-        assert vertex_fingerprint(backwards, mask) == vertex_fingerprint(orbits, mask)
+    for nv, _ in _block_forms()[::7]:
+        backwards = nv._replace(
+            q=dict(reversed(list(nv.q.items()))), tail=dict(reversed(list(nv.tail.items())))
+        )
+        assert list(backwards.q) != list(nv.q) or len(nv.q) == 1
+        assert vertex_fingerprint(backwards) == vertex_fingerprint(nv)
 
 
 def test_fingerprint_changes_with_one_code_coefficient_or_dim():
-    for orbits, mask, _ in _orbit_forms()[::7]:
-        digest = vertex_fingerprint(orbits, mask)
-        first, last = min(orbits.terms), max(orbits.terms)
-        moved = dict(orbits.terms)
-        moved[last + 1] = moved.pop(last)
-        assert vertex_fingerprint(_with_terms(orbits, moved), mask) != digest
-        bumped = dict(orbits.terms)
-        bumped[first] += 1 if bumped[first] != -1 else 2
-        assert vertex_fingerprint(_with_terms(orbits, bumped), mask) != digest
-        wider = _with_terms(orbits, dict(orbits.terms), orbits.dim + 1)
-        assert vertex_fingerprint(wider, mask) != digest
+    for nv, _ in _block_forms()[::7]:
+        digest = vertex_fingerprint(nv)
+        for part in ("q", "tail"):
+            terms = getattr(nv, part)
+            first, last = min(terms), max(terms)
+            moved = dict(terms)
+            moved[last + 1] = moved.pop(last)
+            assert vertex_fingerprint(nv._replace(**{part: moved})) != digest
+            bumped = dict(terms)
+            bumped[first] += 1 if bumped[first] != -1 else 2
+            assert vertex_fingerprint(nv._replace(**{part: bumped})) != digest
+        assert vertex_fingerprint(nv._replace(dim=nv.dim + 1)) != digest
+    # the same codes and coefficients in the same order, split otherwise
+    # between q and the tail: only the counts of the prefix tell them apart
+    a, b = sorted(half_vertex_blocks(corner_column(3, 2), 4).q)[:2]
+    split = FlatBlocks(4, {a: 1}, (0, 1, 2), {b: 2}, 2)
+    assert vertex_fingerprint(split) != vertex_fingerprint(split._replace(q={a: 1, b: 2}, tail={}))
 
 
 def test_fingerprint_changes_with_the_flat_mask():
-    # the mask fixes the orbit size of every code, so the same
-    # representatives under another mask stand for another half vertex
-    for orbits, mask, _ in _orbit_forms()[::7]:
-        digest = vertex_fingerprint(orbits, mask)
-        for i in range(orbits.dim - 1):
-            assert vertex_fingerprint(orbits, mask ^ 1 << i) != digest
-    # bit i marks axis i + 1 flat: a column of two boxes leaves no base
-    # axis, and two boxes side by side leave the first one (canonical
-    # representatives put their active axes first)
-    masks = {half_vertex_orbits(rep, 4)[1] for rep, _ in canonical_representatives(3, 2)}
-    assert masks == {0b111, 0b110}
+    # the flat axes fix the size of every block, so the same q and tail
+    # under another set of flat axes stand for another half vertex
+    for nv, _ in _block_forms()[::7]:
+        digest = vertex_fingerprint(nv)
+        for i in range(nv.dim - 1):
+            flat = tuple(sorted(set(nv.flat) ^ {i}))
+            assert vertex_fingerprint(nv._replace(flat=flat)) != digest
+    # a column of two boxes leaves no base axis, and two boxes side by
+    # side leave the first one (canonical representatives put their
+    # active axes first)
+    flats = {half_vertex_blocks(rep, 4).flat for rep, _ in canonical_representatives(3, 2)}
+    assert flats == {(0, 1, 2), (1, 2)}
+
+
+def test_verdict_is_read_from_the_euler_class_of_minus_v():
+    # on every representative the verdict of e(-v) is key_verdict of the
+    # expanded half vertex, which is the verdict of V for even d
+    for d, order in ((4, 7), (8, 5), (12, 3), (16, 2)):
+        for n in range(1, order + 1):
+            for rep, _ in canonical_representatives(d - 1, n):
+                expected = key_verdict(class_vertex_half(rep, d))
+                assert compute_weight(rep, d).verdict == expected == KEY_OK
+
+
+@pytest.mark.parametrize("shift", [1, 2, -1, -2])
+def test_perturbed_fixed_part_gives_the_verdict(monkeypatch, shift):
+    # a fixed weight added to the tail of -v: c0 < 0 makes e(-v) the zero
+    # class, the verdict euler_vanishes and omega 0; c0 > 0 puts the zero
+    # weight in the denominator of e(-v), the verdict violated
+    origin = next(iter(KClass.one(4).terms))
+    real = forms_mod.half_vertex_blocks
+
+    def perturbed(pi, d):
+        nv = real(pi, d)
+        return nv._replace(tail={**nv.tail, origin: nv.tail.get(origin, 0) + shift})
+
+    monkeypatch.setattr(forms_mod, "half_vertex_blocks", perturbed)
+    for rep, _ in canonical_representatives(3, 3):
+        c0 = -cy_fixed_part(perturbed(rep, 4))
+        assert c0 == -shift
+        verdict = key_verdict(-expanded_blocks(perturbed(rep, 4)))
+        if c0 < 0:
+            w = compute_weight(rep, 4)
+            assert (w.verdict, w.omega, w.sign) == (verdict, Fraction(0), 1)
+            assert verdict == KEY_EULER_VANISHES
+        else:
+            assert verdict == KEY_VIOLATED
+            with pytest.raises(ZeroWeightDenominator) as exc:
+                compute_weight(rep, 4)
+            assert exc.value.partition == rep.serialize()
+            assert str(exc.value) == "zero weight with exponent %d" % -c0
 
 
 def test_compute_weight_never_negates_a_class(monkeypatch):
-    # -v comes straight from the box product (half_vertex_orbits), so the
+    # -v comes straight from the box product (half_vertex_blocks), so the
     # cold weight makes no negated copy of the half vertex
     reps = [rep for n in range(1, 6) for rep, _ in canonical_representatives(7, n)]
     expected = [compute_weight(rep, 8) for rep in reps]
@@ -1032,17 +1086,17 @@ def test_compute_weight_never_negates_a_class(monkeypatch):
 
 
 def test_cache_record_format():
-    # schema 5: the fingerprint hashes the flat-axis orbits of the half
-    # vertex (see vertex_fingerprint).  The single box at d = 4 has the
-    # flat mask 0b111 and one orbit for each j = 1, 2, 3 of flat digits
-    # -1, coefficient (-1)^(j + 1), so its digest is the sha256 of
-    # b"4:7:3:", the codes of (-1,-1,-1,0), (-1,-1,0,0) and (-1,0,0,0),
-    # and "[1, -1, 1]"
+    # schema 6: the fingerprint hashes the blocks of -v (see
+    # vertex_fingerprint).  The single box at d = 4 leaves no base axis,
+    # so its q is the one code of (0,0,0,0) with coefficient 1, its flat
+    # axes are 1, 2 and 3 (mask 7) and its tail the code of (0,0,0,0)
+    # with coefficient -1: the digest is the sha256 of b"4:7:1:1:", the
+    # bytes 80 00 80 00 80 00 80 00 twice and "[1, -1]"
     assert record_from_weight(compute_weight(single_box(3), 4)) == {
-        "schema": 5,
+        "schema": 6,
         "d": 4,
         "partition": "[[1,1,1,1]]",
-        "fingerprint": "dc607aaa1f0adf8315941e540ae357d6e5886de41cbbc399c4fc713f7ccdec5a",
+        "fingerprint": "26fd1b1b70b55c8cc346f32ad8169128e9a2fbf0daecb9f1894d3cd54f81a7b9",
         "verdict": "ok",
         "omega": "1",
         "sign": 1,

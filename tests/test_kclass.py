@@ -24,7 +24,6 @@ from dtvertex import (
     enumerate_partitions,
     euler_class,
     vertex,
-    vertex_half,
 )
 from dtvertex.kclass import (
     BIAS,
@@ -32,7 +31,7 @@ from dtvertex.kclass import (
     _active_fold,
     _double_flat,
     cy_fold,
-    half_vertex_orbits,
+    half_vertex_blocks,
     interior_items,
     key_verdict,
     locus_fold,
@@ -147,18 +146,20 @@ def test_vertex_half_identities():
         sgn = -1 if d % 2 else 1
         for n in range(1, max_size + 1):
             for pi in enumerate_partitions(d - 1, n):
-                half = cy_reduce(vertex_half(pi, d))
+                half = cy_reduce(oracles.class_vertex_half(pi, d))
                 assert cy_reduce(vertex(pi, d)) == half + sgn * cy_reduce(half.bar())
 
 
 def test_fixed_part_of_vertex_from_half_vertex():
     # cy(V) = cy(v) + (-1)^d cy(bar(v)) and bar fixes the fixed part, so the
-    # weight pipeline may take the verdict of V from v for even d
+    # weight pipeline may take the verdict of V from v for even d, and
+    # reads the fixed part of v off the blocks of -v
     for d in range(3, 10):
         for n in range(1, 4):
             for pi in enumerate_partitions(d - 1, n):
-                full, half = vertex(pi, d), vertex_half(pi, d)
+                full, half = vertex(pi, d), oracles.class_vertex_half(pi, d)
                 assert cy_fixed_part(full) == (1 + (-1) ** d) * cy_fixed_part(half)
+                assert cy_fixed_part(half_vertex_blocks(pi, d)) == -cy_fixed_part(half)
                 if d % 2 == 0:
                     assert key_verdict(full) == key_verdict(half)
 
@@ -166,7 +167,7 @@ def test_fixed_part_of_vertex_from_half_vertex():
 def test_vertex_half_even_constant_term():
     for n in range(1, 5):
         for pi in enumerate_partitions(4, n):
-            assert cy_fixed_part(vertex_half(pi, 5)) % 2 == 0
+            assert cy_fixed_part(oracles.class_vertex_half(pi, 5)) % 2 == 0
 
 
 def test_duality_of_the_vertex():
@@ -205,7 +206,7 @@ def test_packed_classes_match_tuple_oracle(data, d):
     pi = data.draw(st.sampled_from(_partitions(d - 1, size)))
     for packed, tuples in (
         (vertex(pi, d), oracles.vertex(pi, d)),
-        (vertex_half(pi, d), oracles.vertex_half(pi, d)),
+        (-oracles.expanded_blocks(half_vertex_blocks(pi, d)), oracles.vertex_half(pi, d)),
     ):
         assert packed.as_dict() == tuples
         assert packed.serialize() == oracles.serialize(tuples)
@@ -223,7 +224,7 @@ def test_vertex_matches_class_algebra_oracle(data, d):
     pi = data.draw(st.sampled_from(_partitions(d - 1, size)))
     for packed, algebra in (
         (vertex(pi, d), oracles.class_vertex(pi, d)),
-        (vertex_half(pi, d), oracles.class_vertex_half(pi, d)),
+        (-oracles.expanded_blocks(half_vertex_blocks(pi, d)), oracles.class_vertex_half(pi, d)),
     ):
         assert packed.terms == algebra.terms
         assert packed.bound == algebra.bound
@@ -231,7 +232,7 @@ def test_vertex_matches_class_algebra_oracle(data, d):
 
 def _minus_box_product(z, n):
     """Packed terms and bound of -Z * bar(Z) * prod_{i<n} (1 - t_i^-1), as
-    vertex and vertex_half build them."""
+    vertex builds them."""
     terms, flat, bound = _active_fold(z, n, -1)
     return _double_flat(terms, flat, z.dim), bound
 
@@ -305,7 +306,7 @@ def test_box_product_matches_folded_oracle_by_hand(d):
     "d,order,canonical",
     [(4, 7, True), (8, 5, True), (12, 3, True), (16, 2, True), (5, 4, False), (8, 3, False)],
 )
-def test_half_vertex_orbits_match_grouped_half_vertex(d, order, canonical):
+def test_half_vertex_blocks_match_half_vertex(d, order, canonical):
     # the non-canonical sets take every partition, so the flat axes need
     # not be a suffix of the base axes
     for n in range(1, order + 1):
@@ -315,37 +316,28 @@ def test_half_vertex_orbits_match_grouped_half_vertex(d, order, canonical):
             else _partitions(d - 1, n)
         )
         for pi in parts:
-            v = vertex_half(pi, d)
-            orbits, flatmask, nv = half_vertex_orbits(pi, d)
-            assert (orbits.as_dict(), flatmask) == oracles.flat_orbit_form(pi, d, v)
-            assert orbits.bound == v.bound
-            assert cy_fixed_part(orbits) == cy_fixed_part(v)
+            v = oracles.class_vertex_half(pi, d)
+            nv = half_vertex_blocks(pi, d)
             # -v stays in blocks: the box product, the flat axes and -Z
-            assert sum(1 << i for i in nv.flat) == flatmask
+            cells = list(pi.cells())
+            assert nv.flat == tuple(i for i in range(d - 1) if not any(b[i] for b in cells))
+            assert nv.tail == (-character(pi, d)).terms
             expanded = oracles.expanded_blocks(nv)
             assert expanded.terms == (-v).terms and expanded.bound == nv.bound == v.bound
-
-
-def test_half_vertex_orbits_compress_the_flat_axes():
-    # at d = 16 every base axis of the single box is flat, and its half
-    # vertex 1 - prod_{i<16} (1 - t_i^-1) has 2^15 - 1 terms but one orbit
-    # per number j >= 1 of flat digits -1, with coefficient (-1)^(j + 1)
-    orbits, flatmask, _ = half_vertex_orbits(single_box(15), 16)
-    assert len(vertex_half(single_box(15), 16).terms) == 2**15 - 1
-    assert flatmask == 2**15 - 1
-    assert orbits.as_dict() == {
-        tuple([-1] * j + [0] * (16 - j)): (-1) ** (j + 1) for j in range(1, 16)
-    }
+            assert cy_fixed_part(nv) == -cy_fixed_part(v)
 
 
 def test_vertex_is_built_in_full():
-    # every verdict rests on V and v themselves, term by term: 925,178 is
-    # the term count the benchmark traces on keyconj-d12
+    # every keyconj verdict rests on V itself, term by term: 925,178 is
+    # the term count the benchmark traces on keyconj-d12; the weights read
+    # the 23,636 terms of the half vertices at d = 8 as 681 blocks
     full = sum(len(vertex(pi, 12).terms) for n in (1, 2, 3) for pi in _partitions(11, n))
     assert full == 925_178
     reps = [rep for n in range(1, 6) for rep, _ in canonical_representatives(7, n)]
     assert len(reps) == 34
-    assert sum(len(vertex_half(rep, 8).terms) for rep in reps) == 23_636
+    blocks = [half_vertex_blocks(rep, 8) for rep in reps]
+    assert sum(len(oracles.expanded_blocks(nv).terms) for nv in blocks) == 23_636
+    assert sum(len(nv.q) for nv in blocks) == 681
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,7 +346,7 @@ def test_odd_euler_ratio_is_the_half_vertex_sign(data, d):
     # the sign build_z_odd sums, against the Euler class of -V
     size = data.draw(st.integers(min_value=1, max_value=_MAX_SIZE[d]))
     pi = data.draw(st.sampled_from(_partitions(d - 1, size)))
-    c0 = cy_fixed_part(vertex_half(pi, d))
+    c0 = -cy_fixed_part(half_vertex_blocks(pi, d))
     assert oracles.euler_ratio_odd(pi, d) == (-1) ** ((pi.size + c0) % 2)
 
 
@@ -459,7 +451,7 @@ def test_folds_match_tuple_oracle(d, order, count):
     for rep in reps:
         terms = oracles.vertex_half(rep, d)
         expected = _tuple_cy_fold(terms, d), _tuple_locus_fold(terms, d)
-        v = vertex_half(rep, d)
+        v = oracles.class_vertex_half(rep, d)
         assert _folds(v) == expected
         # the weight pipeline folds -v: every count negates, no parity moves
         (fixed, odd, pairs), (crit, lodd, rest) = expected
@@ -540,6 +532,8 @@ def test_block_folds_match_expanded_folds(blocks):
     crit, lodd, rest = locus_fold(blocks)
     crit = {u: e for u, e in crit.items() if e}
     assert (crit, lodd, sorted(rest)) == oracles.expanded_locus_fold(expanded)
+    # the fixed part reads the tail and the two corners of each block
+    assert cy_fixed_part(blocks) == cy_fixed_part(expanded)
 
 
 @settings(max_examples=300, deadline=None)

@@ -78,11 +78,19 @@ GOLDEN = [
      "b667c5ecb466b8b2fd6c153fdab7a0912ca59dd3b1329e12e51b814c50722037"),
     ("check fourk -d 24 -n 3",
      "7cfd087c8375126c70743c9883f7aa5b8a19f27d939f64f1b398f8eb51bcab34"),
+    # deeper odd series: their c0 came from the flat-axis orbits of the
+    # half vertex when these digests were taken
+    ("check odd -d 9 -n 6",
+     "5627278942d914a149c0f72e8c2883a75a735d5a600623bf273c47050417b005"),
+    ("check odd -d 5 -n 7",
+     "cc99a5be5b7a451520dbda65a5d133c05b46cc44787fef0496fadcb539681826"),
+    ("check odd -d 13 -n 3",
+     "02ec5c9beda56941a8cc2c9cf06f92b137c43943c632f37366025d3ef33f72e6"),
 ]
 
-# the file written by a cold `check fourk -d 4 -n 3 --cache F`; schema 5
-# records, whose fingerprints hash the flat-axis orbits of the half vertex
-COLD_CACHE = "8f28dfe4d0771cea5c825e8fa98852cbf8404e3c0ad8342f7d4b3e85b7020ebb"
+# the file written by a cold `check fourk -d 4 -n 3 --cache F`; schema 6
+# records, whose fingerprints hash the blocks of -v, v the half vertex
+COLD_CACHE = "3439ab289bc235959486c0d3b77e03c72e2abf57f27ffda731876a42d6c9c1f7"
 
 
 # order 8 at d = 8: both checks exit 1 (test_cli.test_order_8_facts_at_d8
