@@ -13,20 +13,24 @@ a partition of the size can reach, it lists all partitions of that
 size; bounded by a partition, it lists the sub-partitions that omega
 decomposes into.
 
-Permuting the n base axes groups the partitions into orbits.  A
-partition of size s has an index above 1 on at most s - 1 of its axes,
-and only the star (the corner plus one box on each of s - 1 axes) uses
-all of them, so with m = max(1, s - 2) the orbit representatives of
-any arity above m are those of arity m padded with index 1, plus the
-star.  Counts are sums of orbit sizes over
-the representatives, so counting builds no partition of a high arity.
+Permuting the n base axes groups the partitions into orbits, each
+represented by its member of greatest key().  The representatives of
+size s grow from those of size s - 1 by one box; removing a removable
+box from any partition leaves a member of a smaller orbit, so every
+orbit is reached.  A partition of size s has an index above 1 on at
+most s - 1 of its axes, so with m = max(1, s - 1) the representatives
+of any arity above m are those of arity m padded with index 1.  Counts
+are sums of orbit sizes over the representatives, so neither counting
+nor the representatives enumerate the partitions of a size.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect
 from itertools import permutations
-from math import comb
+from math import perm
+from operator import itemgetter
 
 
 
@@ -228,8 +232,8 @@ def count_partitions(arity, max_size):
     """Counts of arity-partitions of sizes 0..max_size.
 
     Size 0 holds the empty partition alone; each larger count is the sum
-    of the orbit sizes of canonical_representatives, so above arity
-    size - 2 no partition of the given arity is enumerated.
+    of the orbit sizes of canonical_representatives, so no partition is
+    enumerated.
     """
     if max_size < 0:
         return []
@@ -247,34 +251,25 @@ def _active_axes(pi):
     return [j for j in range(n) if any(idx[j] > 1 for idx in pi.heights)]
 
 
-def _relabel_entries(pi, placement):
-    """Entries after sending active axis a to position placement[a] (0-based).
-
-    Inactive axes carry index 1 in every entry, so the result does not
-    depend on where they land.
+def _greatest_rows(rows, active, arity):
+    """The greatest relabeling of the key() rows of an arity-partition
+    with indices above 1 only on the active axes, and the number of
+    placements reaching it.  Moving an active axis earlier past an
+    inactive one never decreases a row, so the k! placements onto the
+    first k positions suffice; rows compare on those indices and the
+    height and are padded with index 1 at the end.
     """
-    n = pi.arity
-    rows = []
-    for idx, h in pi.heights.items():
-        t = [1] * n
-        for a, p in placement.items():
-            t[p] = idx[a]
-        rows.append(tuple(t) + (h,))
-    rows.sort()
-    return tuple(rows)
-
-
-def _prefix_placements(pi):
-    """Placements of the active axes onto the first positions only.
-
-    Moving an active axis earlier past an inactive one never decreases
-    any entry row, so the canonical (greatest) relabeling is always
-    attained with the active axes packed into a prefix; this cuts the
-    search from n-permutations of k down to k!.
-    """
-    active = _active_axes(pi)
-    for order in permutations(range(len(active))):
-        yield dict(zip(active, order))
+    if not active:
+        return tuple(rows), 1
+    best, stab = [], 0
+    for order in permutations(active):
+        relabeled = sorted(map(itemgetter(*order, arity), rows))
+        if relabeled > best:
+            best, stab = relabeled, 1
+        elif relabeled == best:
+            stab += 1
+    pad = (1,) * (arity - len(active))
+    return tuple(r[:-1] + pad + r[-1:] for r in best), stab
 
 
 def canonicalize_axes(pi):
@@ -286,8 +281,8 @@ def canonicalize_axes(pi):
     of a single off-axis box canonicalizes to the first axis).
     Idempotent.
     """
-    best = max(_relabel_entries(pi, placement) for placement in _prefix_placements(pi))
-    return MultiPartition.from_entries(pi.arity, [list(r) for r in best], validate=False)
+    rows, _ = _greatest_rows(pi.key(), _active_axes(pi), pi.arity)
+    return MultiPartition.from_entries(pi.arity, rows, validate=False)
 
 
 def orbit_size(pi):
@@ -298,71 +293,75 @@ def orbit_size(pi):
     the orbit has size n!/(n-k)! divided by the number of prefix
     placements realizing the canonical form.
     """
-    n = pi.arity
     active = _active_axes(pi)
-    k = len(active)
-    target = canonicalize_axes(pi).key()
-    stab = sum(1 for pl in _prefix_placements(pi) if _relabel_entries(pi, pl) == target)
-    return _falling(n, k) // stab
+    return perm(pi.arity, len(active)) // _greatest_rows(pi.key(), active, pi.arity)[1]
 
 
-def _falling(x, k):
-    """The falling factorial x (x-1) ... (x-k+1)."""
-    out = 1
-    for j in range(k):
-        out *= x - j
-    return out
+def _children(pi):
+    """(key() rows, number of active axes) of each partition that is the
+    canonical pi plus one box: a raised column whose predecessors stand
+    higher, or an opened cell whose predecessors are all present.  The
+    axes past the k active ones of pi are interchangeable, so cells are
+    opened only along the first k + 1.
+    """
+    n, heights, rows = pi.arity, pi.heights, pi.key()
+    k = len(_active_axes(pi))
+    axes = range(min(k + 1, n))
+
+    def preds(c):
+        return [c[:j] + (c[j] - 1,) + c[j + 1 :] for j in axes if c[j] > 1]
+
+    for i, row in enumerate(rows):
+        if all(heights.get(p, 0) > row[-1] for p in preds(row[:-1])):
+            yield rows[:i] + (row[:-1] + (row[-1] + 1,),) + rows[i + 1 :], k
+    cells = {(1,) * n}.union(c[:j] + (c[j] + 1,) + c[j + 1 :] for c in heights for j in axes)
+    for c in cells - heights.keys():
+        if all(p in heights for p in preds(c)):
+            i = bisect(rows, c + (1,))
+            yield rows[:i] + (c + (1,),) + rows[i:], k + (k < n and c[k] > 1)
 
 
 @functools.cache
 def canonical_representatives(arity, size):
     """(representative, orbit size) pairs covering all partitions of the
-    size, sorted by the representatives' key().
+    size, sorted by the representatives' key(); cached, so a tuple.
 
-    An active axis (one along which some index exceeds 1) puts its own
-    cell next to the corner, so a partition of the size s has at most
-    s - 1 of them, and its canonical form packs them into a prefix.
-    Only the star -- the corner plus one box on each of s - 1 axes --
-    has s - 1; every other partition has at most m = max(1, s - 2).
-    Above arity m the representatives are therefore those of arity m
-    with index 1 appended on the remaining axes, in the same order
-    (padding changes no comparison between rows), plus the star for
-    s >= 3, inserted in key() order.  A representative with k active
-    axes and stab prefix placements fixing it has an orbit of
-    (n)_k / stab members at any arity n (see orbit_size), so padding
-    multiplies its orbit size by the falling-factorial ratio
-    (arity)_k / (m)_k, and the star, fixed by all (s - 1)! placements,
-    has (arity)_(s-1) / (s - 1)! = C(arity, s - 1).  Only arity m and
-    below group the full enumeration by canonical form.
-    Cached per (arity, size), so the result is a tuple.
+    A partition of size s has at most m = max(1, s - 1) active axes
+    (axes with an index above 1), packed into a prefix when canonical.
+    Above arity m the representatives are those of arity m padded with
+    index 1, in the same order, and one with k active axes has an orbit
+    of (n)_k / stab members at arity n (see orbit_size), so padding
+    multiplies its orbit size by (arity)_k / (m)_k.
+
+    At arity m and below they grow from size s - 1.  Removing a
+    removable box from a partition P leaves g.R for a representative R
+    and an axis permutation g, so g^-1.P is R plus one box: each
+    distinct child of each R (see _children) is canonicalized once.
     """
-    base = max(1, size - 2)
+    if arity < 1:
+        raise ValueError("arity must be >= 1")
+    if size < 0:
+        raise ValueError("size must be >= 0")
+    if size == 0:
+        return ((MultiPartition(arity), 1),)
+    base = max(1, size - 1)
     if arity > base:
         pad = (1,) * (arity - base)
         out = []
         for rep, orbit in canonical_representatives(base, size):
             k = len(_active_axes(rep))
             heights = {idx + pad: h for idx, h in rep.heights.items()}
-            out.append((
-                MultiPartition(arity, heights, validate=False),
-                orbit * _falling(arity, k) // _falling(base, k),
-            ))
-        if size >= 3:
-            k = size - 1
-            star = {(1,) * arity: 1}
-            star.update((tuple(2 if j == i else 1 for j in range(arity)), 1) for i in range(k))
-            out.append((
-                MultiPartition(arity, star, validate=False),
-                comb(arity, k),
-            ))
-            out.sort(key=lambda pair: pair[0].key())
+            out.append((MultiPartition(arity, heights, validate=False),
+                        orbit * perm(arity, k) // perm(base, k)))
         return tuple(out)
-    groups = {}
-    for pi in enumerate_partitions(arity, size):
-        canon = canonicalize_axes(pi)
-        k = canon.key()
-        if k in groups:
-            groups[k][1] += 1
-        else:
-            groups[k] = [canon, 1]
-    return tuple((rep, cnt) for rep, cnt in (groups[k] for k in sorted(groups)))
+    orbits, seen = {}, set()
+    for parent, _ in canonical_representatives(arity, size - 1):
+        for rows, k in _children(parent):
+            if rows not in seen:
+                canon, stab = _greatest_rows(rows, range(k), arity)
+                seen.update((rows, canon))
+                orbits.setdefault(canon, perm(arity, k) // stab)
+    return tuple(
+        (MultiPartition.from_entries(arity, rows, validate=False), orbits[rows])
+        for rows in sorted(orbits)
+    )

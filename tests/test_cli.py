@@ -59,6 +59,22 @@ def test_enumerate_canonical_orbits(capsys):
     assert sum(r["orbit_size"] for r in rows) == 2024
 
 
+@pytest.mark.parametrize(
+    "arity,size,error",
+    [("3", "-1", "size must be >= 0"), ("0", "2", "arity must be >= 1")],
+)
+def test_enumerate_canonical_rejects_bad_input(capsys, arity, size, error):
+    assert main(["enumerate", arity, size, "--canonical"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and error in captured.err
+
+
+def test_enumerate_canonical_empty(capsys):
+    code, out = run_cli(capsys, "enumerate", "3", "0", "--canonical")
+    assert code == 0
+    assert out.splitlines() == ['{"arity":3,"entries":[],"orbit_size":1}']
+
+
 def test_check_odd(capsys):
     code, out = run_cli(capsys, "check", "odd", "-d", "3", "-n", "5")
     assert code == 0

@@ -149,8 +149,10 @@ def test_canonicalize_idempotent():
 
 
 def test_canonicalize_orbit_invariant():
-    for pi in enumerate_partitions(3, 3):
+    # the canonical form is the orbit's member of greatest key()
+    for pi in enumerate_partitions(3, 3) + enumerate_partitions(4, 4):
         canon = canonicalize_axes(pi)
+        assert canon == orbit(pi)[-1]
         for member in orbit(pi):
             assert canonicalize_axes(member) == canon
 
@@ -164,10 +166,12 @@ def test_orbit_sizes_cover_the_count():
             assert len(orbit(rep)) == c
 
 
-# arity 1-8 at sizes 0-6 (arity 8, size 6 holds 3,177 partitions) and two
-# high arities: above arity size - 1 the representatives are padded, at
-# and below it they come from grouping the enumeration
-_REP_GRID = [(n, s) for n in range(1, 9) for s in range(7)] + [(11, 4), (15, 3)]
+# arity 1-8 at sizes 0-6 (arity 8, size 6 holds 3,177 partitions), four
+# grown at sizes 7-9, and two high arities: above arity size - 1 the
+# representatives are padded, at and below it they are grown
+_REP_GRID = [(n, s) for n in range(1, 9) for s in range(7)] + [
+    (6, 7), (4, 8), (5, 8), (3, 9), (11, 4), (15, 3),
+]
 
 
 @pytest.mark.parametrize("arity,size", _REP_GRID)
@@ -189,26 +193,23 @@ def test_counts_match_enumeration(arity):
     assert count_partitions(arity, -1) == []
 
 
-def test_high_arity_enumerates_only_arity_size_minus_two(monkeypatch):
-    # above arity size - 2 the representatives and counts pad lower-arity
-    # ones and add the star; a fallback to the full enumeration of the
-    # arity, or of arity size - 1, must fail here
-    seen = []
-    real = partitions.enumerate_partitions
+def test_representatives_never_enumerate(monkeypatch):
+    # representatives and counts grow from the previous size and pad to
+    # higher arities; any call of the full enumeration fails here, and
+    # the input checks belong to canonical_representatives itself
+    def refuse(arity, size):
+        raise AssertionError("enumerate_partitions(%d, %d) called" % (arity, size))
 
-    def counting(arity, size):
-        found = real(arity, size)
-        seen.extend([arity] * len(found))
-        return found
-
-    monkeypatch.setattr(partitions, "enumerate_partitions", counting)
+    monkeypatch.setattr(partitions, "enumerate_partitions", refuse)
     canonical_representatives.cache_clear()
     try:
         assert sum(c for _, c in canonical_representatives(7, 5)) == 554
         assert count_partitions(6, 5) == [1, 1, 7, 28, 105, 357]
+        for arity, size in [(3, -1), (0, 2)]:
+            with pytest.raises(ValueError):
+                canonical_representatives(arity, size)
     finally:
         canonical_representatives.cache_clear()
-    assert seen and max(seen) <= 3
 
 
 def test_binary_rep_examples():
