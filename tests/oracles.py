@@ -34,8 +34,8 @@ the package against.
 - Two partition counts: brute-force down-sets of boxes and a closed
   binomial form for sizes up to 6.
 - The orbit representatives found by grouping every partition of the
-  arity by its canonical form, which the padding of lower-arity
-  representatives replaced above arity size - 1.
+  arity by its canonical form, which growth from the representatives of
+  the previous size, padded above arity size - 1, replaced.
 - canonical_form, which normalizes one raw form to (form, multiplier),
   and the per-form fold of a raw form into a form product built on it:
   the reference for the collector behind taut_factor and the full-torus

@@ -50,6 +50,9 @@ def test_enumerate_empty(capsys):
     code, out = run_cli(capsys, "enumerate", "3", "0")
     assert code == 0
     assert out.strip().splitlines() == ['{"arity":3,"entries":[]}']
+    code, out = run_cli(capsys, "enumerate", "3", "0", "--canonical")
+    assert code == 0
+    assert out.splitlines() == ['{"arity":3,"entries":[],"orbit_size":1}']
 
 
 def test_enumerate_canonical_orbits(capsys):
@@ -67,12 +70,6 @@ def test_enumerate_canonical_rejects_bad_input(capsys, arity, size, error):
     assert main(["enumerate", arity, size, "--canonical"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and error in captured.err
-
-
-def test_enumerate_canonical_empty(capsys):
-    code, out = run_cli(capsys, "enumerate", "3", "0", "--canonical")
-    assert code == 0
-    assert out.splitlines() == ['{"arity":3,"entries":[],"orbit_size":1}']
 
 
 def test_check_odd(capsys):
