@@ -98,11 +98,10 @@ def _fits(xi, remainder):
 
     Needs every column of the candidate to stay within the remainder's
     run and to end at a strict descent, so that columns remain
-    non-negative and non-increasing.
+    non-negative and non-increasing.  The remainder stores only positive
+    values, so a strict descent at the top cell also keeps it in the run.
     """
     for base, h in xi.heights.items():
-        if remainder.get(base + (h,), 0) < 1:
-            return False
         if remainder.get(base + (h,), 0) <= remainder.get(base + (h + 1,), 0):
             return False
     return True

@@ -7,28 +7,26 @@ partitions, 3-partitions solid partitions.  An (d-1)-partition labels a
 monomial ideal in d variables: the box stack of height pi[i] sitting
 over the base cell i, stacked along the d-th coordinate axis.
 
-Enumeration is one walk over the cells of a bounding height map,
-giving each cell every height its predecessors allow.  Bounded by what
-a partition of the size can reach, it lists all partitions of that
-size; bounded by a partition, it lists the sub-partitions that omega
-decomposes into.
-
 Permuting the n base axes groups the partitions into orbits, each
 represented by its member of greatest key().  The representatives of
 size s grow from those of size s - 1 by one box; removing a removable
 box from any partition leaves a member of a smaller orbit, so every
 orbit is reached.  A partition of size s has an index above 1 on at
 most s - 1 of its axes, so with m = max(1, s - 1) the representatives
-of any arity above m are those of arity m padded with index 1.  Counts
-are sums of orbit sizes over the representatives, so neither counting
-nor the representatives enumerate the partitions of a size.
+of any arity above m are those of arity m padded with index 1.
+
+The partitions of a size are the members of the representatives'
+orbits, listed orbit by orbit, and their count is the sum of the orbit
+sizes.  The sub-partitions of a height map, which omega decomposes
+into, come from one walk over its cells that gives each cell every
+height its predecessors allow.
 """
 
 from __future__ import annotations
 
 import functools
 from bisect import bisect
-from itertools import permutations
+from itertools import combinations, permutations
 from math import perm
 from operator import itemgetter
 
@@ -138,94 +136,46 @@ class MultiPartition:
 # -- enumeration -----------------------------------------------------------
 
 
-def _dominated_heights(bound, budget):
-    """Height maps of the nonempty partitions dominated entrywise by bound
-    whose size is at most budget.
-
-    Walks the cells of bound in sorted order, so the predecessors of a
-    cell are decided before it, and gives each cell every height from
-    min(bound, budget left, heights of its predecessors) down to 0.  A
-    cell outside bound counts as height 0, so bound need not itself be
-    closed toward the corner.
-    """
-    cells = [
-        (c, bound[c], [c[:j] + (c[j] - 1,) + c[j + 1 :] for j in range(len(c)) if c[j] > 1])
-        for c in sorted(bound)
-    ]
-    found = []
-    _walk_cells(cells, 0, budget, {}, found)
-    return found
-
-
-def _walk_cells(cells, i, left, heights, found):
-    """Append to found heights, if nonempty, and every extension of it by
-    boxes on cells[i:].  Each call places the next nonempty cell, so the
-    recursion is at most budget deep however many cells bound has."""
-    if heights:
-        found.append(dict(heights))
-    if left == 0:
-        return
-    for j in range(i, len(cells)):
-        cell, top, preds = cells[j]
-        top = min(top, left)
-        for p in preds:
-            top = min(top, heights.get(p, 0))
-        for h in range(top, 0, -1):
-            heights[cell] = h
-            _walk_cells(cells, j + 1, left - h, heights, found)
-        heights.pop(cell, None)
-
-
-def _size_bound(arity, size):
-    """The height map bounding every arity-partition of the size.
-
-    A box over the cell idx needs all prod(idx) cells below it, so only
-    cells with prod(idx) <= size hold boxes, at most size // prod(idx).
-    Such a cell has an index above 1 on at most log2(size) axes; those
-    are chosen in increasing axis order and each index tuple is built
-    once, so the cost is linear in the arity per cell.
-    """
-    bound = {}
-
-    def place(first, prod, raised):
-        idx = [1] * arity
-        for j, i in raised:
-            idx[j] = i
-        cap = size // prod
-        bound[tuple(idx)] = cap
-        if cap > 1:
-            for j in range(first, arity):
-                for i in range(2, cap + 1):
-                    place(j + 1, prod * i, raised + ((j, i),))
-
-    place(0, 1, ())
-    return bound
-
-
 def enumerate_partitions(arity, size):
-    """All arity-partitions of the given size, sorted by key()."""
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
-    if size < 0:
-        raise ValueError("size must be >= 0")
-    if size == 0:
-        return [MultiPartition(arity)]
-    found = [
-        MultiPartition(arity, h, validate=False)
-        for h in _dominated_heights(_size_bound(arity, size), size)
-        if sum(h.values()) == size
-    ]
+    """All arity-partitions of the given size, sorted by key(): the
+    members of the orbit of each canonical representative."""
+    found = [pi for rep, _ in canonical_representatives(arity, size) for pi in _orbit(rep)]
     found.sort(key=lambda p: p.key())
     return found
 
 
 def sub_partitions(arity, bound):
     """All nonempty arity-partitions dominated entrywise by the height map
-    bound, in no particular order."""
-    return [
-        MultiPartition(arity, h, validate=False)
-        for h in _dominated_heights(bound, sum(bound.values()))
+    bound, in no particular order.
+
+    Walks the cells of bound in sorted order, so the predecessors of a
+    cell are decided before it, and gives each cell every height from
+    min(bound, heights of its predecessors) down to 0.  A cell outside
+    bound counts as height 0, so bound need not itself be closed toward
+    the corner.
+    """
+    cells = [
+        (c, bound[c], [c[:j] + (c[j] - 1,) + c[j + 1 :] for j in range(len(c)) if c[j] > 1])
+        for c in sorted(bound)
     ]
+    found = []
+
+    def walk(i, heights):
+        # each call places the next nonempty cell, so the recursion is at
+        # most as deep as bound holds boxes
+        if heights:
+            found.append(MultiPartition(arity, heights, validate=False))
+        for j in range(i, len(cells)):
+            cell, top, preds = cells[j]
+            for p in preds:
+                top = min(top, heights.get(p, 0))
+            for h in range(top, 0, -1):
+                heights[cell] = h
+                walk(j + 1, heights)
+            heights.pop(cell, None)
+
+    walk(0, {})
+    return found
 
 
 def count_partitions(arity, max_size):
@@ -295,6 +245,31 @@ def orbit_size(pi):
     """
     active = _active_axes(pi)
     return perm(pi.arity, len(active)) // _greatest_rows(pi.key(), active, pi.arity)[1]
+
+
+def _orbit(rep):
+    """The members of the axis-permutation orbit of a canonical rep.
+
+    Its k active axes form a prefix.  Each distinct relabeling of them
+    (k!/stab of the k! orders) is placed on each k-subset of the axes,
+    and distinct subsets give distinct members, as in orbit_size.
+    """
+    n, rows = rep.arity, rep.key()
+    k = len(_active_axes(rep))
+    if not k:
+        return [rep]
+    shapes = {frozenset(map(itemgetter(*order, n), rows)) for order in permutations(range(k))}
+    out = []
+    for axes in combinations(range(n), k):
+        for shape in shapes:
+            heights = {}
+            for row in shape:
+                idx = [1] * n
+                for j, i in zip(axes, row):
+                    idx[j] = i
+                heights[tuple(idx)] = row[-1]
+            out.append(MultiPartition(n, heights, validate=False))
+    return out
 
 
 def _children(pi):

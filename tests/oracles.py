@@ -24,13 +24,12 @@ the package against.
 - The bounded partition enumeration: slices a bounding height map along
   the first axis and meets each slice with the partition's previous
   slice, one size at a time.  It checks omega's candidate lists and,
-  unbounded, enumerate_partitions, whose cell walk replaced the same
-  slicing in the package.
-- The bounding height map built one axis per round, which the
-  enumeration of the few axes with an index above 1 replaced, and the
-  partition validator that checked the successor and the predecessor of
-  every index on every axis, which the check of predecessors along
-  raised axes replaced.
+  unbounded, enumerate_partitions, which lists the orbits of the grown
+  representatives; it also lists every partition for the grouping and
+  per-partition oracles below, so they never share the growth.
+- The partition validator that checked the successor and the
+  predecessor of every index on every axis, which the check of
+  predecessors along raised axes replaced.
 - Two partition counts: brute-force down-sets of boxes and a closed
   binomial form for sizes up to 6.
 - The orbit representatives found by grouping every partition of the
@@ -94,7 +93,6 @@ from dtvertex import (
     TruncatedSeries,
     ZeroWeightDenominator,
     canonicalize_axes,
-    enumerate_partitions,
     omega_c,
 )
 from dtvertex.forms import _collect, euler_class
@@ -377,16 +375,6 @@ def bounded_partitions(arity, size, bound):
     return found
 
 
-def size_bound_by_rounds(arity, size):
-    """The height map bounding every arity-partition of the size, built
-    one axis per round: each round extends every index tuple by one
-    entry, so even size 1 costs time quadratic in the arity."""
-    bound = {(): size}
-    for _ in range(arity):
-        bound = {idx + (i,): cap // i for idx, cap in bound.items() for i in range(1, cap + 1)}
-    return bound
-
-
 def validate_by_neighbours(arity, heights):
     """Raise ValueError unless heights ({index tuple: height}) is an
     arity-partition.  Checks the successor and the predecessor of every
@@ -478,7 +466,7 @@ def representatives_by_grouping(arity, size):
     """(canonical form, number of partitions with it) over every
     partition of the arity and size, sorted by key()."""
     groups = {}
-    for pi in enumerate_partitions(arity, size):
+    for pi in bounded_partitions(arity, size, None):
         canon = canonicalize_axes(pi)
         rep, count = groups.get(canon.key(), (canon, 0))
         groups[canon.key()] = (rep, count + 1)
@@ -493,7 +481,7 @@ def exp_identity_lhs(n, order):
     coeffs = [QPoly.one()]
     for s in range(1, order + 1):
         c = QPoly.zero()
-        for pi in enumerate_partitions(n, s):
+        for pi in bounded_partitions(n, s, None):
             c = c + QPoly.const(omega_c(pi)).shift(pi.corner_height())
         coeffs.append(c)
     return TruncatedSeries(order, coeffs)
@@ -522,7 +510,7 @@ def z_odd(d, order):
     coeffs = [QPoly.one()]
     for n in range(1, order + 1):
         total = Fraction(0)
-        for pi in enumerate_partitions(d - 1, n):
+        for pi in bounded_partitions(d - 1, n, None):
             total += euler_ratio_odd(pi, d)
         coeffs.append(QPoly.const(total))
     return TruncatedSeries(order, coeffs)

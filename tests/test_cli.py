@@ -62,12 +62,17 @@ def test_enumerate_canonical_orbits(capsys):
     assert sum(r["orbit_size"] for r in rows) == 2024
 
 
+_BAD_ENUMERATE = [("3", "-1", "size must be >= 0"), ("0", "2", "arity must be >= 1")]
+
+
 @pytest.mark.parametrize(
-    "arity,size,error",
-    [("3", "-1", "size must be >= 0"), ("0", "2", "arity must be >= 1")],
+    "arity,size,error,flags",
+    [pytest.param(*bad, ["--canonical"], id="-".join(bad)) for bad in _BAD_ENUMERATE]
+    + [pytest.param(*bad, [], id="plain-" + "-".join(bad)) for bad in _BAD_ENUMERATE],
 )
-def test_enumerate_canonical_rejects_bad_input(capsys, arity, size, error):
-    assert main(["enumerate", arity, size, "--canonical"]) == 2
+def test_enumerate_canonical_rejects_bad_input(capsys, arity, size, error, flags):
+    # both forms take their input checks from canonical_representatives
+    assert main(["enumerate", arity, size, *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and error in captured.err
 
