@@ -27,6 +27,9 @@ the package against.
   unbounded, enumerate_partitions, which lists the orbits of the grown
   representatives; it also lists every partition for the grouping and
   per-partition oracles below, so they never share the growth.
+- The bounding height map built one axis per round: floor(size /
+  prod(index)) at every index, the greatest height any partition of the
+  size reaches there.
 - The partition validator that checked the successor and the
   predecessor of every index on every axis, which the check of
   predecessors along raised axes replaced.
@@ -373,6 +376,16 @@ def bounded_partitions(arity, size, bound):
     found = [MultiPartition(arity, h) for h in _gen_heights(arity, size, bound)]
     found.sort(key=lambda p: p.key())
     return found
+
+
+def size_bound_by_rounds(arity, size):
+    """The height map bounding every arity-partition of the size, built
+    one axis per round: each round extends every index tuple by one
+    entry, so even size 1 costs time quadratic in the arity."""
+    bound = {(): size}
+    for _ in range(arity):
+        bound = {idx + (i,): cap // i for idx, cap in bound.items() for i in range(1, cap + 1)}
+    return bound
 
 
 def validate_by_neighbours(arity, heights):

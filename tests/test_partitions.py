@@ -27,6 +27,7 @@ from oracles import (
     count_by_binomial_formula,
     orbit,
     representatives_by_grouping,
+    size_bound_by_rounds,
     validate_by_neighbours,
 )
 
@@ -324,6 +325,20 @@ def test_validation_of_one_box_is_linear_in_the_arity():
     assert pi.size == 1
     with pytest.raises(ValueError):
         MultiPartition(32767, {(1,) * 32766 + (2,): 1})
+
+
+@pytest.mark.parametrize(
+    "arity,size",
+    [(n, s) for n in range(1, 7) for s in range(1, 8)] + [(11, 4), (15, 3), (40, 2)],
+)
+def test_size_bound_matches_rounds_oracle(arity, size):
+    # the box of height h over index i fits in size s exactly when
+    # h * prod(i) <= s; the enumeration must reach every such box
+    reach = {}
+    for pi in enumerate_partitions(arity, size):
+        for idx, h in pi.heights.items():
+            reach[idx] = max(reach.get(idx, 0), h)
+    assert reach == size_bound_by_rounds(arity, size)
 
 
 def test_enumeration_of_one_box_is_linear_in_the_arity():
