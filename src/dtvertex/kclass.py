@@ -30,7 +30,12 @@ to lam_1 + .. + lam_{d-1} = 0, and both hand integer vectors to forms.
 The vertex multiplies Z * bar(Z) by one factor (1 - t_i^-1) per axis.
 On an axis that no box leaves (a flat axis) every term has w_i = 0, so
 the factor doubles the dict by one dict.update with no lookups, once
-the other axes have folded term by term.  half_vertex_blocks gives -v,
+the other axes have folded term by term.  vertex folds only those other
+axes: its class keeps V as pending FlatBlocks (the product Q, the flat
+axes among all d and the tail Z + sgn * bar(Z) / (t_1..t_d)), which the
+first read of `terms` doubles and adds up, while cy_fixed_part, and so
+each keyconj verdict, reads the diagonal off the blocks in
+O(|Q| + |Z| + bound) instead of O(2^f |Q|).  half_vertex_blocks gives -v,
 for v the half vertex Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1), as a
 FlatBlocks: the product Q over the active axes, the flat axes F and the
 tail -Z.  A term c t^w of Q stands for the block of the 2^f codes
@@ -121,30 +126,45 @@ class KClass:
     """Laurent polynomial with integer coefficients, exponentwise sparse.
 
     `terms` maps packed exponent codes to non-zero coefficients and
-    `bound` bounds every |exponent|; see the module docstring.
+    `bound` bounds every |exponent|; see the module docstring.  A class
+    may hold its terms as pending FlatBlocks (vertex), which `terms`
+    expands on its first read and cy_fixed_part reads as they are.
     """
 
-    __slots__ = ("dim", "terms", "bound")
+    __slots__ = ("dim", "_terms", "bound", "_blocks")
 
     def __init__(self, dim, terms=None):
         """Class of {exponent tuple: coefficient}; zero coefficients are dropped."""
         self.dim = dim
-        self.terms = {}
+        self._terms = packed = {}
+        self._blocks = None
         self.bound = 0
         for w, c in (terms or {}).items():
             if c:
                 code, bound = _encode(w, dim)
-                self.terms[code] = int(c)
+                packed[code] = int(c)
                 self.bound = max(self.bound, bound)
 
     @classmethod
-    def _packed(cls, dim, terms, bound):
-        """Class over an already packed dict of non-zero terms, taken as is."""
+    def _packed(cls, dim, terms, bound, blocks=None):
+        """Class over an already packed dict of non-zero terms, taken as is,
+        or over the FlatBlocks it stands for (terms None until read)."""
         k = object.__new__(cls)
         k.dim = dim
-        k.terms = terms
+        k._terms = terms
         k.bound = bound
+        k._blocks = blocks
         return k
+
+    @property
+    def terms(self):
+        """The packed dict; pending blocks are expanded into it once, q
+        times (1 - t_i^-1) per flat axis (_double_flat), then the tail."""
+        nv = self._blocks
+        if nv is not None:
+            self._terms = _add_into(_double_flat(nv.q, nv.flat, self.dim), nv.tail.items())
+            self._blocks = None
+        return self._terms
 
     @classmethod
     def zero(cls, dim):
@@ -215,11 +235,12 @@ class KClass:
         self._check(other)
         bound = _checked(self.bound + other.bound)
         origin = _origin(self.dim)
+        right = other.terms.items()
         out = {}
         get = out.get
         for k1, c1 in self.terms.items():
             base = k1 - origin
-            for k2, c2 in other.terms.items():
+            for k2, c2 in right:
                 k = base + k2
                 s = get(k, 0) + c1 * c2
                 if s:
@@ -258,8 +279,8 @@ class KClass:
 
 FlatBlocks = namedtuple("FlatBlocks", "dim q flat tail bound")
 FlatBlocks.__doc__ = """q * prod (1 - t_i^-1) over the flat axes i, plus tail, as packed
-dicts whose terms have w_i = 0 on every flat axis; bound bounds the
-exponents of the class that the blocks stand for."""
+dicts; every term of q has w_i = 0 on every flat axis, and bound bounds
+the exponents of the class that the blocks stand for."""
 
 
 def character(pi, d):
@@ -331,21 +352,22 @@ def vertex(pi, d):
     exactly, with no torus relation imposed.  Since
     (1-t_1)..(1-t_d) / (t_1..t_d) = sgn * (1-t_1^-1)..(1-t_d^-1),
 
-        V = Z + sgn * bar(Z) / (t_1..t_d) - Z * bar(Z) * prod_i (1 - t_i^-1),
+        V = Z + sgn * bar(Z) / (t_1..t_d) - Z * bar(Z) * prod_i (1 - t_i^-1).
 
-    built with one in-place pass per factor on an axis that some box
-    leaves (_active_fold), then one dict.update per flat axis
-    (_double_flat).
+    The class holds V as pending FlatBlocks: Q, the product over the
+    axes that some box leaves (_active_fold, bound checked), the flat
+    axes F among all d and the tail Z, then sgn * bar(Z) / (t_1..t_d).
+    Its first read of `terms` doubles Q once per flat axis (_double_flat)
+    and adds the tail; cy_fixed_part reads the blocks as they are.
     """
     z = character(pi, d)
-    terms, flat, bound = _active_fold(z, d, -1)
-    _double_flat(terms, flat, d)
+    q, flat, bound = _active_fold(z, d, -1)
     sgn = -1 if d % 2 else 1
-    # code of -w - (1,..,1) is mirror - code(w)
+    # code of -w - (1,..,1) is mirror - code(w); the codes of Z have every
+    # w_i >= 0 and their mirrors every w_i <= -1, so no code is shared
     mirror = 2 * _origin(d) - _ones(d)
-    _add_into(terms, z.terms.items())
-    _add_into(terms, ((mirror - k, sgn * c) for k, c in z.terms.items()))
-    return KClass._packed(d, terms, bound)
+    tail = {**z.terms, **{mirror - k: sgn * c for k, c in z.terms.items()}}
+    return KClass._packed(d, None, bound, FlatBlocks(d, q, tuple(flat), tail, bound))
 
 
 def cy_reduce(a):
@@ -365,14 +387,15 @@ def cy_fixed_part(a):
 
     The exponents that reduce to zero are the diagonal ones m * (1,..,1)
     with |m| <= a.bound; their coefficients are summed by lookup, and no
-    reduced class is built.  Of a FlatBlocks the tail is read, and of
-    each block its two corners, t^w with c and t^w / t_F with (-1)^f c:
-    every other code holds both 0 and -1 on the flat axes.
+    reduced class is built.  Of a FlatBlocks, or of a KClass whose blocks
+    are still pending, the tail is read, and of each block its two
+    corners, t^w with c and t^w / t_F with (-1)^f c: every other code
+    holds both 0 and -1 on the flat axes.
     """
+    if isinstance(a, KClass):
+        a = a._blocks or FlatBlocks(a.dim, {}, (), a.terms, a.bound)
     ones = _ones(a.dim)
     diagonal = [BIAS * ones + m * ones for m in range(-a.bound, a.bound + 1)]
-    if isinstance(a, KClass):
-        return sum(a.terms.get(k, 0) for k in diagonal)
     top = sum(1 << RADIX_BITS * (a.dim - 1 - i) for i in a.flat)
     far, get = (-1) ** len(a.flat) if top else 0, a.q.get
     return sum(a.tail.get(k, 0) + get(k, 0) + far * get(k + top, 0) for k in diagonal)

@@ -13,6 +13,10 @@ the package against.
   pins the bound and the ExponentOverflow inputs as well as the terms.
   Its half vertex is the expanded v whose blocks of -v the package
   keeps (kclass.half_vertex_blocks).
+- The eager full vertex: the box product over the active axes doubled
+  once per flat axis, then Z and its mirror added term by term, which
+  the pending blocks of kclass.vertex replaced; their expansion must
+  give its terms in its insertion order.
 - The packed box product with one in-place pass per factor on every
   axis, which the single update per flat axis replaced for the axes
   that no box leaves.
@@ -104,7 +108,11 @@ from dtvertex.kclass import (
     DIGIT,
     KEY_VIOLATED,
     RADIX_BITS,
+    _active_fold,
+    _add_into,
     _checked,
+    _double_flat,
+    _ones,
     _origin,
     key_verdict,
 )
@@ -302,6 +310,20 @@ def class_vertex_half(pi, d):
     """KClass Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1)."""
     z = packed_character(pi, d)
     return z - class_box_product(z, d - 1)
+
+
+def eager_vertex(pi, d):
+    """KClass V built at once: _active_fold, one update per flat axis
+    (_double_flat), then Z and sgn * bar(Z) / (t_1..t_d) added term by
+    term."""
+    z = packed_character(pi, d)
+    terms, flat, bound = _active_fold(z, d, -1)
+    _double_flat(terms, flat, d)
+    sgn = -1 if d % 2 else 1
+    mirror = 2 * _origin(d) - _ones(d)
+    _add_into(terms, z.terms.items())
+    _add_into(terms, ((mirror - k, sgn * c) for k, c in z.terms.items()))
+    return KClass._packed(d, terms, bound)
 
 
 def class_vertex(pi, d):

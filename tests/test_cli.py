@@ -725,6 +725,20 @@ def test_full_vertex_runs_once_per_keyconj_row_and_never_for_odd(monkeypatch, ca
     assert code == 1 and json.loads(out)["verdict"] == "mismatch"
 
 
+def test_keyconj_never_expands_the_vertex(monkeypatch, capsys):
+    # each verdict reads the diagonal of V from its pending blocks: with
+    # the flat-axis doubling refused the report is unchanged
+    argv = ("check", "keyconj", "-d", "12", "-n", "2")
+    code, report = run_cli(capsys, *argv)
+    assert code == 0 and len(json.loads(report)["partitions"]) == 13
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the vertex was expanded")
+
+    monkeypatch.setattr(dtvertex.kclass, "_double_flat", refuse)
+    assert run_cli(capsys, *argv) == (0, report)
+
+
 def test_omega_c_runs_once_per_representative(tmp_path, monkeypatch, capsys):
     # the rows and the exp identity share one omega_c per representative
     import dtvertex.cli as cli_mod

@@ -86,6 +86,19 @@ GOLDEN = [
      "cc99a5be5b7a451520dbda65a5d133c05b46cc44787fef0496fadcb539681826"),
     ("check odd -d 13 -n 3",
      "02ec5c9beda56941a8cc2c9cf06f92b137c43943c632f37366025d3ef33f72e6"),
+    # keyconj past d = 12, each verdict read from the blocks of V: the
+    # d = 13 and d = 16 digests come from the route that expanded every
+    # V, the d = 20 and d = 32 ones, which that route cannot finish, from
+    # the blocks, with test_kclass's fixed(V) = (1 + (-1)^d) c0 identity
+    # through d = 32 as their oracle
+    ("check keyconj -d 13 -n 3",
+     "c77568301bdeab265daf95b880f510cd5883edcb0a2ceff35a197d000dbfef01"),
+    ("check keyconj -d 16 -n 3",
+     "8ae53443c1ef39fe98ed24b2ae36c9b944c286d074071448ed0165abbce1d467"),
+    ("check keyconj -d 20 -n 3",
+     "ec22f546e14b50a7d8f45ea458a3cf0fc2d8602a1f1e79cc56b2aa0fe99d849f"),
+    ("check keyconj -d 32 -n 3",
+     "3ac5c5d658a9a0237346b1c8040b43e538f5cb7f26e0b0835a7d2b5ef9b24276"),
 ]
 
 # the file written by a cold `check fourk -d 4 -n 3 --cache F`; schema 6
