@@ -53,8 +53,10 @@ decodes them; interior_degree sums them from the nets.
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections import namedtuple
+from operator import mul
 
 from .errors import ArityMismatch, DimensionMismatch, ExponentOverflow
 from .partitions import MultiPartition
@@ -69,11 +71,13 @@ BIAS = 1 << (RADIX_BITS - 1)
 DIGIT = (1 << RADIX_BITS) - 1
 
 
+@functools.cache
 def _ones(d):
     """Code step of the all-ones vector: one unit in each of the d digits."""
     return ((1 << RADIX_BITS * d) - 1) // DIGIT
 
 
+@functools.cache
 def _origin(d):
     """code((0,..,0)): the bias in every digit."""
     return BIAS * _ones(d)
@@ -287,11 +291,22 @@ def character(pi, d):
     """Torus character of the box stack of a (d-1)-partition.
 
     Each box (0-based cell) contributes one monomial; the number of
-    terms equals the partition size.
+    terms equals the partition size.  The codes are built straight from
+    the heights, in the order of pi.cells(): a column over the base
+    index i holds the codes origin + sum_j (i_j - 1) * 2^(16 (d-1-j)) + m,
+    m < h.  The bound, max(i_j - 1, h - 1), is checked before the class
+    is returned.
     """
     if not isinstance(pi, MultiPartition) or pi.arity != d - 1:
         raise ArityMismatch("expected a partition of arity %d" % (d - 1,))
-    return KClass(d, {cell: 1 for cell in pi.cells()})
+    steps = [1 << RADIX_BITS * (d - 1 - j) for j in range(d - 1)]
+    low = _origin(d) - sum(steps)
+    terms, top = {}, 1
+    for idx, h in sorted(pi.heights.items()):
+        base = low + sum(map(mul, idx, steps))
+        terms.update(dict.fromkeys(range(base, base + h), 1))
+        top = max(top, h, *idx)
+    return KClass._packed(d, terms, _checked(top - 1))
 
 
 def _active_fold(z, n, sign):
@@ -299,9 +314,11 @@ def _active_fold(z, n, sign):
 
     Returns the packed terms, the flat axes i < n in increasing order and
     the bound 2 * z.bound + n of the whole product, checked before any
-    key is built.  Each factor is one in-place pass over a snapshot of
-    the terms that folds -c into the key of t^w / t_i, zeros deleted;
-    only the term c t^w writes that key, so it still holds its old value.
+    key is built.  sign * Z * bar(Z) is one double loop over the items
+    of Z, the product of t^a and t^-b at the code a - b + origin.  Each
+    factor is then one in-place pass over a snapshot of the terms that
+    folds -c into the key of t^w / t_i, zeros deleted; only the term
+    c t^w writes that key, so it still holds its old value.
     """
     d = z.dim
     bound = _checked(2 * z.bound + n)
@@ -310,8 +327,19 @@ def _active_fold(z, n, sign):
     spread = 0
     for k in z.terms:
         spread |= k ^ origin
-    out = (z * sign * z.bar()).terms
+    items = z.terms.items()
+    out = {}
     get = out.get
+    for a, c in items:
+        a += origin
+        c *= sign
+        for b, e in items:
+            k = a - b
+            s = get(k, 0) + c * e
+            if s:
+                out[k] = s
+            else:
+                del out[k]
     flat = []
     for i in range(n):
         step = 1 << RADIX_BITS * (d - 1 - i)
@@ -386,19 +414,27 @@ def cy_fixed_part(a):
     """Coefficient of the torus-fixed (zero) weight after reduction.
 
     The exponents that reduce to zero are the diagonal ones m * (1,..,1)
-    with |m| <= a.bound; their coefficients are summed by lookup, and no
-    reduced class is built.  Of a FlatBlocks, or of a KClass whose blocks
-    are still pending, the tail is read, and of each block its two
-    corners, t^w with c and t^w / t_F with (-1)^f c: every other code
-    holds both 0 and -1 on the flat axes.
+    with |m| <= a.bound; their coefficients are summed by lookup, one
+    code step of ONES apart, and no reduced class is built.  Of a
+    FlatBlocks, or of a KClass whose blocks are still pending, the tail
+    is read so, and of each block its two corners, t^w with c and
+    t^w / t_F with (-1)^f c: every other code holds both 0 and -1 on the
+    flat axes.  Every term of q has w_i = 0 on a flat axis, so with F
+    non-empty a near corner is diagonal only at m = 0 (one lookup of
+    the origin) and a far corner only at m = -1 (one lookup of
+    origin - ONES + t_F); with F empty q is read along the diagonal.
     """
     if isinstance(a, KClass):
         a = a._blocks or FlatBlocks(a.dim, {}, (), a.terms, a.bound)
-    ones = _ones(a.dim)
-    diagonal = [BIAS * ones + m * ones for m in range(-a.bound, a.bound + 1)]
-    top = sum(1 << RADIX_BITS * (a.dim - 1 - i) for i in a.flat)
-    far, get = (-1) ** len(a.flat) if top else 0, a.q.get
-    return sum(a.tail.get(k, 0) + get(k, 0) + far * get(k + top, 0) for k in diagonal)
+    origin, ones = _origin(a.dim), _ones(a.dim)
+    diagonal = range(origin - a.bound * ones, origin + a.bound * ones + 1, ones)
+    tail, q = a.tail.get, a.q.get
+    if a.flat:
+        top = sum(1 << RADIX_BITS * (a.dim - 1 - i) for i in a.flat)
+        fixed = q(origin, 0) + (-1) ** len(a.flat) * q(origin - ones + top, 0)
+    else:
+        fixed = sum(q(k, 0) for k in diagonal)
+    return fixed + sum(tail(k, 0) for k in diagonal)
 
 
 def interior_items(interior):

@@ -125,13 +125,19 @@ def decompositions(pi):
 
     Backtracking over candidates in a fixed descending order; each
     result is re-verified against the cell-sum equation before being
-    returned.
+    returned.  Every part covers the corner cell once, so k parts are
+    left to place while the remainder holds k there: a candidate of
+    size s ends the loop once s * k < left, since no later candidate is
+    larger, and is skipped if s > left - k + 1, which would leave fewer
+    than k - 1 cells for the other k - 1 parts.
     """
     if pi.arity < 2:
         raise ValueError("decompositions need arity >= 2")
     if pi.is_empty():
         return [OmegaDecomposition({})]
     cands = _candidate_parts(pi)
+    sizes = [xi.size for xi in cands]
+    corner = (1,) * pi.arity
     results = []
 
     def search(remainder, start, stack):
@@ -144,10 +150,14 @@ def decompositions(pi):
             results.append(OmegaDecomposition(parts, components))
             return
         left = sum(remainder.values())
+        k = remainder[corner]
         for i in range(start, len(cands)):
-            xi = cands[i]
-            if xi.size > left:
+            size = sizes[i]
+            if size * k < left:
+                break
+            if size > left - k + 1:
                 continue
+            xi = cands[i]
             if _fits(xi, remainder):
                 stack.append(i)
                 search(_subtract(xi, remainder), i, stack)

@@ -20,11 +20,23 @@ the package against.
 - The packed box product with one in-place pass per factor on every
   axis, which the single update per flat axis replaced for the axes
   that no box leaves.
+- The packed kernel's old routes: the box character encoded cell by
+  cell through the KClass constructor, sign * Z * bar(Z) built as three
+  classes before the active axes fold, and the fixed part that looks up
+  every multiplied-out diagonal code in the tail and at both corners of
+  every block.  The codes built from the heights, the one double loop
+  over the items of Z and the two corner lookups of Q replaced them;
+  the eager and class-algebra vertices above start from these routes.
+- The fixed part c0 of the half vertex in closed form, from the boxes
+  alone: D, the boxes on the diagonal, minus a signed count of ordered
+  pairs of boxes.  It shares no code with the blocks.
 - The materialized -v of the half vertex, and the Calabi-Yau and locus
   folds that read it code by code, which the folds of kclass replaced:
   they take -v as the blocks of kclass.FlatBlocks, one per term of the
   product over the active axes, and decode each interior code of a
   block without a merge.
+- The omega decomposition search without the corner-count bounds,
+  which drop only the branches that cannot close.
 - The bounded partition enumeration: slices a bounding height map along
   the first axis and meets each slice with the partition's previous
   slice, one size at a time.  It checks omega's candidate lists and,
@@ -108,7 +120,7 @@ from dtvertex.kclass import (
     DIGIT,
     KEY_VIOLATED,
     RADIX_BITS,
-    _active_fold,
+    FlatBlocks,
     _add_into,
     _checked,
     _double_flat,
@@ -117,8 +129,8 @@ from dtvertex.kclass import (
     key_verdict,
 )
 from dtvertex.kclass import cy_reduce as packed_cy_reduce
-from dtvertex.kclass import character as packed_character
 from dtvertex.kclass import vertex as packed_vertex
+from dtvertex.omega import OmegaDecomposition, _candidate_parts, _fits, _subtract
 
 
 def _add(a, b, sign=1):
@@ -306,18 +318,83 @@ def expanded_locus_fold(a):
     return crit, odd, sorted((_unpack(r, k), e) for r, e in rest.items() if e)
 
 
+def class_character(pi, d):
+    """KClass of the boxes, each cell encoded as a tuple by the KClass
+    constructor: the route that kclass.character's codes built from the
+    heights replaced."""
+    return KClass(d, {cell: 1 for cell in pi.cells()})
+
+
+def class_active_fold(z, n, sign):
+    """kclass._active_fold with sign * Z * bar(Z) built as three classes,
+    (z * sign * z.bar()).terms, which its one double loop over the items
+    of Z replaced: (terms, flat axes, bound), the bound checked first."""
+    d = z.dim
+    bound = _checked(2 * z.bound + n)
+    origin = _origin(d)
+    spread = 0
+    for k in z.terms:
+        spread |= k ^ origin
+    out = (z * sign * z.bar()).terms
+    get = out.get
+    flat = []
+    for i in range(n):
+        step = 1 << RADIX_BITS * (d - 1 - i)
+        if not spread & DIGIT * step:
+            flat.append(i)
+            continue
+        for k, c in zip(list(out), list(out.values())):
+            k -= step
+            s = get(k, 0) - c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out, flat, bound
+
+
+def diagonal_fixed_part(a):
+    """kclass.cy_fixed_part with the 2 * bound + 1 diagonal codes
+    multiplied out and every one looked up in the tail and at both
+    corners of every block, which its lookups of the origin and of the
+    far corner origin - ONES + t_F replaced."""
+    if isinstance(a, KClass):
+        a = a._blocks or FlatBlocks(a.dim, {}, (), a.terms, a.bound)
+    ones = _ones(a.dim)
+    diagonal = [BIAS * ones + m * ones for m in range(-a.bound, a.bound + 1)]
+    top = sum(1 << RADIX_BITS * (a.dim - 1 - i) for i in a.flat)
+    far, get = (-1) ** len(a.flat) if top else 0, a.q.get
+    return sum(a.tail.get(k, 0) + get(k, 0) + far * get(k + top, 0) for k in diagonal)
+
+
+def closed_form_c0(pi, d):
+    """The fixed part c0 of the half vertex v = Z - Z * bar(Z) *
+    prod_{i<d} (1 - t_i^-1) in closed form, from the boxes alone.  A box
+    on the diagonal adds 1; an ordered pair of boxes (a, b), delta = a - b,
+    whose t^delta / t_S reduces to 0 needs delta_i - delta_d = [i in S]
+    for every i < d, and adds -(-1)^|S|."""
+    boxes = list(pi.cells())
+    c0 = sum(1 for b in boxes if len(set(b)) == 1)
+    for a in boxes:
+        for b in boxes:
+            rest = [x - y - (a[-1] - b[-1]) for x, y in zip(a[:-1], b[:-1])]
+            if all(r in (0, 1) for r in rest):
+                c0 -= (-1) ** sum(rest)
+    return c0
+
+
 def class_vertex_half(pi, d):
     """KClass Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1)."""
-    z = packed_character(pi, d)
+    z = class_character(pi, d)
     return z - class_box_product(z, d - 1)
 
 
 def eager_vertex(pi, d):
-    """KClass V built at once: _active_fold, one update per flat axis
-    (_double_flat), then Z and sgn * bar(Z) / (t_1..t_d) added term by
-    term."""
-    z = packed_character(pi, d)
-    terms, flat, bound = _active_fold(z, d, -1)
+    """KClass V built at once from the class routes (class_character,
+    class_active_fold), one update per flat axis (_double_flat), then Z
+    and sgn * bar(Z) / (t_1..t_d) added term by term."""
+    z = class_character(pi, d)
+    terms, flat, bound = class_active_fold(z, d, -1)
     _double_flat(terms, flat, d)
     sgn = -1 if d % 2 else 1
     mirror = 2 * _origin(d) - _ones(d)
@@ -328,7 +405,7 @@ def eager_vertex(pi, d):
 
 def class_vertex(pi, d):
     """KClass V = v + sgn * bar(Z) / (t_1..t_d) + (Z - v) / t_d, v the half vertex."""
-    z = packed_character(pi, d)
+    z = class_character(pi, d)
     v = class_vertex_half(pi, d)
     sgn = -1 if d % 2 else 1
     return v + sgn * z.bar().shift((-1,) * d) + (z - v).shift(_unit(d, d - 1, -1))
@@ -506,6 +583,41 @@ def representatives_by_grouping(arity, size):
         rep, count = groups.get(canon.key(), (canon, 0))
         groups[canon.key()] = (rep, count + 1)
     return [groups[k] for k in sorted(groups)]
+
+
+# -- omega decompositions ----------------------------------------------------
+
+
+def unpruned_decompositions(pi):
+    """omega.decompositions without the corner-count bounds: every
+    candidate no larger than the remainder is tried, in the same order,
+    so the list and its order are those of the pruned search."""
+    if pi.is_empty():
+        return [OmegaDecomposition({})]
+    cands = _candidate_parts(pi)
+    results = []
+
+    def search(remainder, start, stack):
+        if not remainder:
+            parts, components = {}, {}
+            for i in stack:
+                key = cands[i].serialize()
+                parts[key] = parts.get(key, 0) + 1
+                components[key] = cands[i]
+            results.append(OmegaDecomposition(parts, components))
+            return
+        left = sum(remainder.values())
+        for i in range(start, len(cands)):
+            xi = cands[i]
+            if xi.size > left:
+                continue
+            if _fits(xi, remainder):
+                stack.append(i)
+                search(_subtract(xi, remainder), i, stack)
+                stack.pop()
+
+    search(dict(pi.heights), 0, [])
+    return results
 
 
 # -- per-partition series ----------------------------------------------------

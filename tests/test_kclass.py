@@ -237,18 +237,27 @@ def _minus_box_product(z, n):
     return _double_flat(terms, flat, z.dim), bound
 
 
-def _assert_wraps_only_past_the_radix(n, axis, monkeypatch):
+class _Unreadable(dict):
+    """Packed terms that fail the test when they are iterated."""
+
+    def __iter__(self):
+        pytest.fail("a key was built")
+
+    keys = values = items = __iter__
+
+
+def _assert_wraps_only_past_the_radix(n, axis):
     # 2 * bound + n reaching 2^15 raises before any key is built, on the same
     # inputs as the class algebra; one step below, the product is exact
     # with exponents up to 2 * bound + 1, next to the radix edge
     d = 4
     top = (BIAS - n + 1) // 2  # least bound with 2 * bound + n >= 2^15
     z = t(d, axis, top) + 2 * t(d, axis, -top)
-    with monkeypatch.context() as m:
-        # bar(Z) is the first class with keys that Z does not have
-        m.setattr(KClass, "bar", lambda self: pytest.fail("a key was built"))
-        with pytest.raises(ExponentOverflow):
-            _minus_box_product(z, n)
+    # every key of the product is built from the terms of Z, which fail
+    # the test as soon as they are read
+    unread = KClass._packed(d, _Unreadable(z.terms), z.bound)
+    with pytest.raises(ExponentOverflow):
+        _minus_box_product(unread, n)
     with pytest.raises(ExponentOverflow):
         oracles.class_box_product(z, n)
     b = top - 1
@@ -262,15 +271,15 @@ def _assert_wraps_only_past_the_radix(n, axis, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
-def test_box_product_cannot_wrap(n, monkeypatch):
-    _assert_wraps_only_past_the_radix(n, 0, monkeypatch)
+def test_box_product_cannot_wrap(n):
+    _assert_wraps_only_past_the_radix(n, 0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
-def test_box_product_cannot_wrap_past_flat_axes(n, monkeypatch):
+def test_box_product_cannot_wrap_past_flat_axes(n):
     # the exponents sit on the last axis, so axes 0-2 are flat and are
     # doubled by update; for n = 4 the active axis is folded first
-    _assert_wraps_only_past_the_radix(n, 3, monkeypatch)
+    _assert_wraps_only_past_the_radix(n, 3)
 
 
 @pytest.mark.parametrize("d,max_size", [(4, 5), (5, 4), (8, 4), (12, 3)])
@@ -369,6 +378,54 @@ def test_pending_vertex_matches_its_oracles(d, order):
                 assert fixed == sum(c for w, c in tuples.items() if len(set(w)) == 1)
 
 
+@pytest.mark.parametrize("d,order", _PENDING_GRID)
+def test_packed_kernel_matches_class_routes(d, order):
+    # the codes built from the heights, the double loop over the items of
+    # Z and the fixed part read at the origin and the far corner give the
+    # class routes' terms, in their insertion order, and their bounds;
+    # size 0 is the empty partition
+    for size in range(order + 1):
+        for pi in _partitions(d - 1, size):
+            z = character(pi, d)
+            expected = oracles.class_character(pi, d)
+            assert list(z.terms.items()) == list(expected.terms.items())
+            assert z.bound == expected.bound
+            for n, sign in ((d, -1), (d - 1, 1)):
+                terms, flat, bound = _active_fold(z, n, sign)
+                old_terms, old_flat, old_bound = oracles.class_active_fold(expected, n, sign)
+                assert list(terms.items()) == list(old_terms.items())
+                assert (flat, bound) == (old_flat, old_bound)
+            for a in (vertex(pi, d), half_vertex_blocks(pi, d)):
+                assert cy_fixed_part(a) == oracles.diagonal_fixed_part(a)
+
+
+# (d, largest size) of the partitions drawn for the closed form of c0
+_CLOSED_FORM_SIZE = {d: 6 if d <= 4 else 5 if d == 5 else 4 if d <= 8 else 3 for d in range(3, 17)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.integers(min_value=3, max_value=16))
+def test_fixed_part_matches_closed_form(data, d):
+    # c0 from the boxes alone, sharing no code with the blocks: the only
+    # oracle of cy_fixed_part's corner lookups that never builds Q
+    size = data.draw(st.integers(min_value=0, max_value=_CLOSED_FORM_SIZE[d]))
+    pi = data.draw(st.sampled_from(_partitions(d - 1, size)))
+    c0 = oracles.closed_form_c0(pi, d)
+    assert -cy_fixed_part(half_vertex_blocks(pi, d)) == c0
+    assert cy_fixed_part(vertex(pi, d)) == (1 + (-1) ** d) * c0
+
+
+def test_closed_form_of_c0_by_hand():
+    # one box: the box on the diagonal and its pair with itself (delta = 0)
+    # cancel.  A column of two boxes at d = 3: D = 1, the two pairs with
+    # delta = 0 add +1 each, delta = (0, 0, -1) has delta_i - delta_3 = 1
+    # on both base axes and adds (-1)^2, and (0, 0, 1) adds nothing
+    assert oracles.closed_form_c0(single_box(3), 4) == 0
+    column = corner_column(2, 2)
+    assert oracles.closed_form_c0(column, 3) == 1 - 3
+    assert -cy_fixed_part(half_vertex_blocks(column, 3)) == -2
+
+
 # (d, largest size): 3,236 partitions of size 1 and up, through d = 32
 _IDENTITY_GRID = [
     (3, 6), (4, 6), (5, 5), (7, 4), (8, 5), (9, 4), (12, 4), (13, 3), (16, 3), (20, 3), (32, 3)
@@ -401,6 +458,28 @@ def test_odd_euler_ratio_is_the_half_vertex_sign(data, d):
     pi = data.draw(st.sampled_from(_partitions(d - 1, size)))
     c0 = -cy_fixed_part(half_vertex_blocks(pi, d))
     assert oracles.euler_ratio_odd(pi, d) == (-1) ** ((pi.size + c0) % 2)
+
+
+def test_character_at_the_radix_edge():
+    # 2^15 boxes along the base axis of a 1-partition reach w_1 = 2^15 - 1;
+    # one more box, or a column of 2^15 + 1 boxes, does not fit a digit
+    edge = 2**15
+    row = character(MultiPartition(1, {(i,): 1 for i in range(1, edge + 1)}), 2)
+    expected = oracles.class_character(MultiPartition(1, {(i,): 1 for i in range(1, edge + 1)}), 2)
+    assert row.bound == edge - 1
+    assert list(row.terms.items()) == list(expected.terms.items())
+    column = character(MultiPartition(1, {(1,): edge}), 2)
+    assert column.bound == edge - 1 and len(column.terms) == edge
+    for pi in (
+        MultiPartition(1, {(i,): 1 for i in range(1, edge + 2)}),
+        MultiPartition(1, {(1,): edge + 1}),
+    ):
+        with pytest.raises(ExponentOverflow):
+            character(pi, 2)
+        with pytest.raises(ExponentOverflow):
+            oracles.class_character(pi, 2)
+    empty = character(MultiPartition(3), 4)
+    assert empty.terms == {} and empty.bound == 0
 
 
 def test_exponent_outside_the_radix_raises():
@@ -587,6 +666,18 @@ def test_block_folds_match_expanded_folds(blocks):
     assert (crit, lodd, sorted(rest)) == oracles.expanded_locus_fold(expanded)
     # the fixed part reads the tail and the two corners of each block
     assert cy_fixed_part(blocks) == cy_fixed_part(expanded)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_blocks())
+def test_fixed_part_matches_diagonal_oracle(blocks):
+    # the corner lookups against every diagonal code multiplied out, on the
+    # blocks, on the class they stand for and on a class whose blocks are
+    # still pending
+    expanded = oracles.expanded_blocks(blocks)
+    pending = KClass._packed(blocks.dim, None, blocks.bound, blocks)
+    for a in (blocks, expanded, pending):
+        assert cy_fixed_part(a) == oracles.diagonal_fixed_part(a)
 
 
 @settings(max_examples=300, deadline=None)

@@ -23,7 +23,13 @@ from dtvertex import (
 )
 import dtvertex.omega as omega_mod
 from dtvertex.omega import _candidate_parts, _column_runs
-from oracles import binary_rep_contains, bounded_partitions, exp_identity_lhs, orbit
+from oracles import (
+    binary_rep_contains,
+    bounded_partitions,
+    exp_identity_lhs,
+    orbit,
+    unpruned_decompositions,
+)
 
 from conftest import corner_column, single_box
 
@@ -125,6 +131,26 @@ def test_verify_rejects_a_changed_multiplicity(monkeypatch):
     monkeypatch.setattr(omega_mod, "OmegaDecomposition", OneTooMany)
     with pytest.raises(AssertionError):
         decompositions(pi)
+
+
+# (arity, largest size) of the representatives whose decompositions are
+# matched: 2,325 of size 1 and up
+_PRUNING_GRID = [(2, 9), (3, 9), (4, 8), (5, 8), (6, 8), (7, 8)]
+
+
+def test_decompositions_match_unpruned_oracle(seven_part_size10, seven_part_size14):
+    # the corner-count bounds drop only branches that cannot close: the
+    # same decompositions, with the same components, in the same order
+    reps = [
+        rep
+        for arity, order in _PRUNING_GRID
+        for size in range(1, order + 1)
+        for rep, _ in canonical_representatives(arity, size)
+    ]
+    assert len(reps) == 2325
+    for pi in reps + [seven_part_size10, seven_part_size14]:
+        found = [(dec.parts, dec.components) for dec in decompositions(pi)]
+        assert found == [(dec.parts, dec.components) for dec in unpruned_decompositions(pi)]
 
 
 def test_decompositions_reject_arity_one():
