@@ -34,8 +34,8 @@ the other axes have folded term by term.  vertex folds only those other
 axes: its class keeps V as pending FlatBlocks (the product Q, the flat
 axes among all d and the tail Z + sgn * bar(Z) / (t_1..t_d)), which the
 first read of `terms` doubles and adds up, while cy_fixed_part, and so
-each keyconj verdict, reads the diagonal off the blocks in
-O(|Q| + |Z| + bound) instead of O(2^f |Q|).  half_vertex_blocks gives -v,
+each keyconj verdict, reads the diagonal off the blocks (the tail along
+it, Q at two codes) in O(|Q| + |Z| + bound) instead of O(2^f |Q|).  half_vertex_blocks gives -v,
 for v the half vertex Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1), as a
 FlatBlocks: the product Q over the active axes, the flat axes F and the
 tail -Z.  A term c t^w of Q stands for the block of the 2^f codes
@@ -414,15 +414,16 @@ def cy_fixed_part(a):
     """Coefficient of the torus-fixed (zero) weight after reduction.
 
     The exponents that reduce to zero are the diagonal ones m * (1,..,1)
-    with |m| <= a.bound; their coefficients are summed by lookup, one
-    code step of ONES apart, and no reduced class is built.  Of a
+    with |m| <= a.bound, whose codes lie ONES apart; their coefficients
+    are summed by lookup, and no reduced class is built.  Of a
     FlatBlocks, or of a KClass whose blocks are still pending, the tail
-    is read so, and of each block its two corners, t^w with c and
-    t^w / t_F with (-1)^f c: every other code holds both 0 and -1 on the
-    flat axes.  Every term of q has w_i = 0 on a flat axis, so with F
-    non-empty a near corner is diagonal only at m = 0 (one lookup of
-    the origin) and a far corner only at m = -1 (one lookup of
-    origin - ONES + t_F); with F empty q is read along the diagonal.
+    is read along the diagonal, and of each block only its two corners
+    can be fixed, t^w with c and t^w / t_F with (-1)^f c: every other
+    code holds both 0 and -1 on the flat axes.  Every term of q has
+    w_i = 0 on a flat axis, so with F non-empty a near corner is
+    diagonal only at m = 0 (one lookup of the origin) and a far corner
+    only at m = -1 (one lookup of origin - ONES + t_F); with F empty, q
+    is read along the diagonal too.
     """
     if isinstance(a, KClass):
         a = a._blocks or FlatBlocks(a.dim, {}, (), a.terms, a.bound)

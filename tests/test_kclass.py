@@ -464,10 +464,10 @@ def test_character_at_the_radix_edge():
     # 2^15 boxes along the base axis of a 1-partition reach w_1 = 2^15 - 1;
     # one more box, or a column of 2^15 + 1 boxes, does not fit a digit
     edge = 2**15
-    row = character(MultiPartition(1, {(i,): 1 for i in range(1, edge + 1)}), 2)
-    expected = oracles.class_character(MultiPartition(1, {(i,): 1 for i in range(1, edge + 1)}), 2)
+    pi = MultiPartition(1, {(i,): 1 for i in range(1, edge + 1)})
+    row = character(pi, 2)
     assert row.bound == edge - 1
-    assert list(row.terms.items()) == list(expected.terms.items())
+    assert list(row.terms.items()) == list(oracles.class_character(pi, 2).terms.items())
     column = character(MultiPartition(1, {(1,): edge}), 2)
     assert column.bound == edge - 1 and len(column.terms) == edge
     for pi in (
