@@ -591,7 +591,7 @@ def representatives_by_grouping(arity, size):
 def unpruned_decompositions(pi):
     """omega.decompositions without the corner-count bounds: every
     candidate no larger than the remainder is tried, in the same order,
-    so the list and its order are those of the pruned search."""
+    so the bounded search must give this list, in this order."""
     if pi.is_empty():
         return [OmegaDecomposition({})]
     cands = _candidate_parts(pi)
