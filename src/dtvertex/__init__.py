@@ -37,7 +37,7 @@ from .kclass import (
     vertex,
 )
 from .omega import OmegaDecomposition, check_exp_identity, decompositions, omega_c
-from .orientation import OrientationAssignment, positive_omega_orientation, verify_uniqueness
+from .orientation import load_orientation, positive_omega_orientation, verify_uniqueness
 from .partitions import (
     MultiPartition,
     canonical_representatives,

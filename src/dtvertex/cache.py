@@ -2,7 +2,10 @@
 
 One record per line, keyed by (dimension, canonical partition), holding
 exactly what a PartitionWeight keeps: schema, d, partition, fingerprint,
-verdict, omega and sign; records carry SCHEMA 6.  The fingerprint is
+verdict, omega and sign; records carry SCHEMA 6.  Only this module reads
+or builds a record: callers hand WeightCache.append a PartitionWeight
+and get one back from WeightCache.get_weight, or None when the cache
+holds no record of the partition.  The fingerprint is
 forms.vertex_fingerprint of -v in blocks (kclass.half_vertex_blocks),
 v the half vertex that the weight and the verdict come from.  A hit is
 trusted only once the fingerprint is recomputed and matches, which never
@@ -104,7 +107,9 @@ class WeightCache:
                     if _well_formed(rec):
                         self.records[(rec["d"], rec["partition"])] = rec
 
-    def append(self, rec):
+    def append(self, w):
+        """Store the record of a PartitionWeight and append it to the file."""
+        rec = record_from_weight(w)
         self.records[(rec["d"], rec["partition"])] = rec
         if self.path:
             line = _line(rec)
@@ -137,11 +142,16 @@ class WeightCache:
         return len(keys)
 
     def get_weight(self, pi, d):
-        """Weight for a partition, re-verifying the half-vertex fingerprint."""
+        """The weight of a partition's record, or None if there is none.
+
+        A record whose half-vertex fingerprint no longer matches is stale:
+        its weight is recomputed, appended and returned.
+        """
         rec = self.records.get((d, pi.serialize()))
-        if rec is not None:
-            if rec["fingerprint"] == vertex_fingerprint(half_vertex_blocks(pi, d)):
-                return weight_from_record(rec, pi)
+        if rec is None:
+            return None
+        if rec["fingerprint"] == vertex_fingerprint(half_vertex_blocks(pi, d)):
+            return weight_from_record(rec, pi)
         w = compute_weight(pi, d)
-        self.append(record_from_weight(w))
+        self.append(w)
         return w

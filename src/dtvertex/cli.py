@@ -3,10 +3,11 @@
 Exit codes for `check`: 0 when the predicted identity is confirmed (for
 remfail: when non-existence is certified), 1 when the check ran but the
 identity fails, 2 on pipeline errors, with the offending partition in
-the report, and on usage errors such as an order below 1 or an option
-the kind does not read (--ell and --orientation belong to fourk,
---bundle to remfail with d = 0 mod 4).  Reports are deterministic for
-fixed flags and seed, including under --jobs > 1.
+the report, and on usage errors such as an order below 1, a remfail
+order other than 2 or an option the kind does not read (--ell and
+--orientation belong to fourk, --bundle to remfail with d = 0 mod 4).
+Reports are deterministic for fixed flags and seed, including under
+--jobs > 1.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import DTVertexError
 from .forms import compute_weight, cy_bundle_term, full_torus_ratio
 from .kclass import check_key_conjecture
 from .omega import check_exp_identity, omega_c
-from .orientation import OrientationAssignment, positive_omega_orientation, verify_uniqueness
+from .orientation import load_orientation, positive_omega_orientation, verify_uniqueness
 from .partitions import canonical_representatives, enumerate_partitions
 from .series import build_z_4k, build_z_odd, check_power_law, target_4k, target_odd
 
@@ -31,23 +32,21 @@ from .series import build_z_4k, build_z_odd, check_power_law, target_4k, target_
 def _prepare_weights(d, order, jobs, cache_path):
     """Compute weights for all canonical partitions up to the order.
 
-    Returns {serialized key: PartitionWeight}.  Missing weights are
-    computed in sorted key order, by a pool of min(jobs, pending)
-    processes when that is more than one, and stored and appended to
-    the disk cache in that order, in this process only.
+    Returns {serialized key: PartitionWeight}.  Weights the cache has no
+    record of are computed in sorted key order, by a pool of
+    min(jobs, pending) processes when that is more than one, and
+    appended to the cache in that order, in this process only.
     """
-    reps = []
-    for n in range(1, order + 1):
-        reps.extend(canonical_representatives(d - 1, n))
     store = cache_mod.WeightCache(cache_path)
     out = {}
     pending = []
-    for rep, _ in reps:
-        key = rep.serialize()
-        if (d, key) in store.records:
-            out[key] = store.get_weight(rep, d)
-        else:
-            pending.append(rep)
+    for n in range(1, order + 1):
+        for rep, _ in canonical_representatives(d - 1, n):
+            w = store.get_weight(rep, d)
+            if w is None:
+                pending.append(rep)
+            else:
+                out[rep.serialize()] = w
     pending.sort(key=lambda p: p.key())
     workers = min(jobs, len(pending))
     if workers > 1:
@@ -61,27 +60,22 @@ def _prepare_weights(d, order, jobs, cache_path):
         computed = map(compute_weight, pending, repeat(d))
     for w in computed:
         out[w.partition.serialize()] = w
-        store.append(cache_mod.record_from_weight(w))
+        store.append(w)
     return out
 
 
-def _partition_rows(d, order, weights):
-    rows = []
+def _rows(d, order):
+    """(rep, row) for each canonical representative up to the order; the
+    row holds its partition, size, corner_height and orbit_size, and
+    each check adds its own fields."""
     for n in range(1, order + 1):
         for rep, orbit in canonical_representatives(d - 1, n):
-            w = weights[rep.serialize()]
-            rows.append(
-                {
-                    "partition": rep.serialize(),
-                    "size": n,
-                    "corner_height": rep.corner_height(),
-                    "orbit_size": orbit,
-                    "verdict": w.verdict,
-                    "omega": str(w.omega),
-                    "sign": w.sign,
-                }
-            )
-    return rows
+            yield rep, {
+                "partition": rep.serialize(),
+                "size": n,
+                "corner_height": rep.corner_height(),
+                "orbit_size": orbit,
+            }
 
 
 def check_odd(d, order):
@@ -103,7 +97,7 @@ def _parse_ell(text):
 
 
 def check_fourk(d, order, ell, orientation_path, jobs, cache_path):
-    orient = OrientationAssignment.load(orientation_path) if orientation_path else None
+    orient = load_orientation(orientation_path) if orientation_path else None
     weights = _prepare_weights(d, order, jobs, cache_path)
     if orient is None:
         orient = positive_omega_orientation(d, weights)
@@ -115,11 +109,16 @@ def check_fourk(d, order, ell, orientation_path, jobs, cache_path):
     else:
         for k in ell:
             checks.append({"ell": k, "equal": z.eval_ell(k) == target.eval_ell(k)})
+    rows = []
+    for _, row in _rows(d, order):
+        w = weights[row["partition"]]
+        row.update(verdict=w.verdict, omega=str(w.omega), sign=w.sign)
+        rows.append(row)
     return all(c["equal"] for c in checks), {
         "series": z.serialize(),
         "target": target.serialize(),
         "checks": checks,
-        "partitions": _partition_rows(d, order, weights),
+        "partitions": rows,
     }
 
 
@@ -140,8 +139,10 @@ def check_keyconj(d, order):
 
 
 def check_remfail(d, order, seed, bundle):
-    if order < 2:
-        raise ValueError("the failure check needs order >= 2")
+    if order != 2:
+        raise ValueError(
+            "kind 'remfail' reads only the q^1 and q^2 terms: --order must be 2, got %d" % order
+        )
     if d % 2:
         term = full_torus_ratio
         nvars, signed, mode = d, False, "full torus"
@@ -167,23 +168,15 @@ def check_omega(d, order, jobs, cache_path):
     rows = []
     omegas = {}
     all_match = True
-    for n in range(1, order + 1):
-        for rep, orbit in canonical_representatives(d - 1, n):
-            w = weights[rep.serialize()]
-            wc = omegas[rep.key()] = omega_c(rep)
-            match = w.omega == wc
-            all_match = all_match and match
-            rows.append(
-                {
-                    "partition": rep.serialize(),
-                    "size": n,
-                    "corner_height": rep.corner_height(),
-                    "orbit_size": orbit,
-                    "omega_abs": str(w.omega),
-                    "omega_c": str(wc),
-                    "verdict": "match" if match else "mismatch",
-                }
-            )
+    for rep, row in _rows(d, order):
+        w = weights[row["partition"]]
+        wc = omegas[rep.key()] = omega_c(rep)
+        match = w.omega == wc
+        all_match = all_match and match
+        row.update(
+            omega_abs=str(w.omega), omega_c=str(wc), verdict="match" if match else "mismatch"
+        )
+        rows.append(row)
     identity_ok, _, _ = check_exp_identity(d - 1, order, omegas)
     return all_match and identity_ok, {"partitions": rows, "exp_identity": identity_ok}
 
@@ -191,9 +184,7 @@ def check_omega(d, order, jobs, cache_path):
 def check_uniqueness(d, order, jobs, cache_path):
     weights = _prepare_weights(d, order, jobs, cache_path)
     result = verify_uniqueness(d, order, weights)
-    return result.verdict == "unique", {
-        "result": result.to_json_obj(), "verdict": result.verdict,
-    }
+    return result["verdict"] == "unique", {"result": result, "verdict": result["verdict"]}
 
 
 def _render(report, fmt, out):

@@ -39,6 +39,7 @@ from .errors import (
 from .kclass import (
     KEY_EULER_VANISHES,
     KEY_OK,
+    add_into,
     block_bytes,
     cy_fold,
     half_vertex_blocks,
@@ -49,19 +50,6 @@ from .kclass import (
 )
 from .partitions import canonical_representatives
 from .ratpoly import QPoly, fraction_sqrt
-
-
-def _merged(exps, items):
-    """exps with the exponents of (form, exponent) items added, in place;
-    a form whose exponent nets to zero is deleted."""
-    get = exps.get
-    for form, e in items:
-        s = get(form, 0) + e
-        if s:
-            exps[form] = s
-        else:
-            exps.pop(form, None)
-    return exps
 
 
 class FormProduct:
@@ -95,7 +83,7 @@ class FormProduct:
         """{form: exponent}, the interior expanded on the first read."""
         if self._interior is not None:
             expanded = dict(interior_items(self._interior))
-            self._factors = _merged(expanded, self._factors.items())
+            self._factors = add_into(expanded, self._factors.items())
             self._interior = None
         return self._factors
 
@@ -108,7 +96,7 @@ class FormProduct:
         scalar = self.scalar * other.scalar
         if not scalar:
             return FormProduct(0)
-        return FormProduct._packed(scalar, _merged(dict(self.factors), other.factors.items()))
+        return FormProduct._packed(scalar, add_into(dict(self.factors), other.factors.items()))
 
     def scaled(self, c):
         return FormProduct(self.scalar * c, self.factors)
@@ -181,7 +169,7 @@ def _merge_primitive(pairs, exps, odd=0):
                 else:
                     den *= g ** (-e)
         primitive.append((form, e))
-    _merged(exps, primitive)
+    add_into(exps, primitive)
     return Fraction(-num if odd else num, den)
 
 

@@ -31,11 +31,12 @@ The vertex multiplies Z * bar(Z) by one factor (1 - t_i^-1) per axis.
 On an axis that no box leaves (a flat axis) every term has w_i = 0, so
 the factor doubles the dict by one dict.update with no lookups, once
 the other axes have folded term by term.  vertex folds only those other
-axes: its class keeps V as pending FlatBlocks (the product Q, the flat
+axes: its class keeps V as FlatBlocks (the product Q, the flat
 axes among all d and the tail Z + sgn * bar(Z) / (t_1..t_d)), which the
-first read of `terms` doubles and adds up, while cy_fixed_part, and so
-each keyconj verdict, reads the diagonal off the blocks (the tail along
-it, Q at two codes) in O(|Q| + |Z| + bound) instead of O(2^f |Q|).  half_vertex_blocks gives -v,
+first read of `terms` expands into a dict of its own, doubling a copy
+of Q, while cy_fixed_part, and so each keyconj verdict, always reads
+the diagonal off the kept blocks (the tail along it, Q at two codes) in
+O(|Q| + |Z| + bound) instead of O(2^f |Q|).  half_vertex_blocks gives -v,
 for v the half vertex Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1), as a
 FlatBlocks: the product Q over the active axes, the flat axes F and the
 tail -Z.  A term c t^w of Q stands for the block of the 2^f codes
@@ -114,15 +115,18 @@ def _decode(codes, d, k):
     return struct.iter_unpack(">%dh" % k, buf)
 
 
-def _add_into(out, items):
-    """Add (code, coefficient) pairs into a packed dict; zeros are deleted."""
+def add_into(out, items):
+    """out with the values of (key, value) items added, in place: packed
+    codes and coefficients here, forms and exponents in forms.  A key
+    whose value nets to zero is deleted, and adding 0 to an absent key
+    changes nothing."""
     get = out.get
     for k, c in items:
         s = get(k, 0) + c
         if s:
             out[k] = s
         else:
-            del out[k]
+            out.pop(k, None)
     return out
 
 
@@ -131,8 +135,9 @@ class KClass:
 
     `terms` maps packed exponent codes to non-zero coefficients and
     `bound` bounds every |exponent|; see the module docstring.  A class
-    may hold its terms as pending FlatBlocks (vertex), which `terms`
-    expands on its first read and cy_fixed_part reads as they are.
+    may hold its terms as FlatBlocks (vertex), which `terms` expands into
+    a dict of its own on its first read; the blocks are kept, and
+    cy_fixed_part reads them as they are.
     """
 
     __slots__ = ("dim", "_terms", "bound", "_blocks")
@@ -162,12 +167,11 @@ class KClass:
 
     @property
     def terms(self):
-        """The packed dict; pending blocks are expanded into it once, q
+        """The packed dict; blocks are expanded into it once, a copy of q
         times (1 - t_i^-1) per flat axis (_double_flat), then the tail."""
-        nv = self._blocks
-        if nv is not None:
-            self._terms = _add_into(_double_flat(nv.q, nv.flat, self.dim), nv.tail.items())
-            self._blocks = None
+        if self._terms is None:
+            nv = self._blocks
+            self._terms = add_into(_double_flat(dict(nv.q), nv.flat, self.dim), nv.tail.items())
         return self._terms
 
     @classmethod
@@ -220,7 +224,7 @@ class KClass:
 
     def __add__(self, other):
         self._check(other)
-        out = _add_into(dict(self.terms), other.terms.items())
+        out = add_into(dict(self.terms), other.terms.items())
         return KClass._packed(self.dim, out, max(self.bound, other.bound))
 
     def __sub__(self, other):
@@ -382,11 +386,11 @@ def vertex(pi, d):
 
         V = Z + sgn * bar(Z) / (t_1..t_d) - Z * bar(Z) * prod_i (1 - t_i^-1).
 
-    The class holds V as pending FlatBlocks: Q, the product over the
-    axes that some box leaves (_active_fold, bound checked), the flat
-    axes F among all d and the tail Z, then sgn * bar(Z) / (t_1..t_d).
-    Its first read of `terms` doubles Q once per flat axis (_double_flat)
-    and adds the tail; cy_fixed_part reads the blocks as they are.
+    The class holds V as FlatBlocks: Q, the product over the axes that
+    some box leaves (_active_fold, bound checked), the flat axes F among
+    all d and the tail Z, then sgn * bar(Z) / (t_1..t_d).  Its first read
+    of `terms` doubles a copy of Q once per flat axis (_double_flat) and
+    adds the tail; cy_fixed_part reads the kept blocks as they are.
     """
     z = character(pi, d)
     q, flat, bound = _active_fold(z, d, -1)
@@ -406,7 +410,7 @@ def cy_reduce(a):
     """
     bound = _checked(2 * a.bound)
     ones = _ones(a.dim)
-    out = _add_into({}, ((k - ((k & DIGIT) - BIAS) * ones, c) for k, c in a.terms.items()))
+    out = add_into({}, ((k - ((k & DIGIT) - BIAS) * ones, c) for k, c in a.terms.items()))
     return KClass._packed(a.dim, out, bound)
 
 
@@ -416,7 +420,7 @@ def cy_fixed_part(a):
     The exponents that reduce to zero are the diagonal ones m * (1,..,1)
     with |m| <= a.bound, whose codes lie ONES apart; their coefficients
     are summed by lookup, and no reduced class is built.  Of a
-    FlatBlocks, or of a KClass whose blocks are still pending, the tail
+    FlatBlocks, or of a KClass that holds blocks (vertex), the tail
     is read along the diagonal, and of each block only its two corners
     can be fixed, t^w with c and t^w / t_F with (-1)^f c: every other
     code holds both 0 and -1 on the flat axes.  Every term of q has

@@ -1,13 +1,15 @@
-"""Orientation assignments and the sign-uniqueness rule.
+"""Orientations and the sign-uniqueness rule.
 
 An orientation picks the sign of the vertex square root at every fixed
 point.  Specialized weights are invariant under permuting the base
-coordinate axes, so signs are stored per canonical partition and apply
-to every orbit member.  Uniqueness is decided on the coefficient slices
-of the auxiliary variable, top degree first: a partition with corner
-height h contributes to the slice of degree h with its full unsigned
-weight, partitions with larger corner height are already pinned,
-smaller ones cannot reach the slice.
+coordinate axes, so an orientation is a plain dict from serialized
+canonical partitions to 1 or -1, each sign applying to every orbit
+member; an --orientation file holds that dict under "signs".
+Uniqueness is decided on the coefficient slices of the auxiliary
+variable, top degree first: a partition with corner height h
+contributes to the slice of degree h with its full unsigned weight,
+partitions with larger corner height are already pinned, smaller ones
+cannot reach the slice.
 
 Every omega is |c| for the constant c of a specialized value, or 0 for
 a zero Euler class (forms.compute_weight), and PartitionWeight
@@ -24,70 +26,31 @@ from __future__ import annotations
 
 import json
 
-from .partitions import MultiPartition, canonical_representatives
+from .partitions import canonical_representatives
 from .series import build_z_4k, target_4k
 
 
-class OrientationAssignment:
-    """Map from canonical partition keys to signs, with a convention tag."""
+def load_orientation(path):
+    """The {serialized partition: 1 or -1} dict under "signs" in a JSON file.
 
-    __slots__ = ("signs", "convention")
-
-    def __init__(self, signs, convention="explicit"):
-        self.signs = dict(signs)
-        self.convention = convention
-
-    def to_json_obj(self):
-        return {"convention": self.convention, "signs": self.signs}
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_obj(), fh, sort_keys=True, indent=1)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            obj = json.load(fh)
-        signs = obj.get("signs") if isinstance(obj, dict) else None
-        if not isinstance(signs, dict) or not all(
-            type(s) is int and s in (1, -1) for s in signs.values()
-        ):
-            raise ValueError("%s: \"signs\" must map partitions to 1 or -1" % path)
-        return cls(signs, obj.get("convention", "explicit"))
-
-    def __repr__(self):
-        return "OrientationAssignment(%d signs, %s)" % (len(self.signs), self.convention)
+    Every other key of the file, such as "convention", is ignored.
+    """
+    with open(path) as fh:
+        obj = json.load(fh)
+    signs = obj.get("signs") if isinstance(obj, dict) else None
+    if not isinstance(signs, dict) or not all(
+        type(s) is int and s in (1, -1) for s in signs.values()
+    ):
+        raise ValueError("%s: \"signs\" must map partitions to 1 or -1" % path)
+    return signs
 
 
 def positive_omega_orientation(d, weights):
     """Signs making every specialized weight (-1)^size * |omega| * column.
 
-    Reads each sign from weights, a weight_table; the empty partition
-    gets +1.
+    Reads each sign from weights, a weight_table of dimension d.
     """
-    signs = {MultiPartition(d - 1).serialize(): 1}
-    signs.update((key, w.sign) for key, w in weights.items())
-    return OrientationAssignment(signs, "positive_omega")
-
-
-class UniquenessReport:
-    """Outcome of the orientation uniqueness search."""
-
-    __slots__ = ("verdict", "slices", "alternative", "detail")
-
-    def __init__(self, verdict, slices, alternative=None, detail=""):
-        self.verdict = verdict
-        self.slices = slices
-        self.alternative = alternative
-        self.detail = detail
-
-    def to_json_obj(self):
-        return {
-            "verdict": self.verdict,
-            "slices": self.slices,
-            "alternative": self.alternative,
-            "detail": self.detail,
-        }
+    return {key: w.sign for key, w in weights.items()}
 
 
 def verify_uniqueness(d, order, weights):
@@ -100,16 +63,16 @@ def verify_uniqueness(d, order, weights):
     slice whose contributors all have omega > 0 is pruned; otherwise
     flipping one orbit member of its last zero-omega contributor
     changes no slice, and that flip is returned as the alternative.
+    Returns the report {"verdict", "slices", "alternative", "detail"}.
     """
     orient = positive_omega_orientation(d, weights)
     z = build_z_4k(d, order, orient, weights)
     target = target_4k(d, order)
     if z != target:
-        return UniquenessReport(
-            "precondition failed",
-            [],
-            detail="positive orientation does not reproduce the reference series",
-        )
+        return {
+            "verdict": "precondition failed", "slices": [], "alternative": None,
+            "detail": "positive orientation does not reproduce the reference series",
+        }
     slices = []
     for n in range(1, order + 1):
         reps = []
@@ -131,10 +94,9 @@ def verify_uniqueness(d, order, weights):
                 entry["status"] = "pruned"
                 continue
             entry["status"] = "alternative"
-            return UniquenessReport(
-                "alternative found",
-                slices,
-                alternative={zeros[-1]: 1},
-                detail="flip counts per canonical partition at q^%d" % n,
-            )
-    return UniquenessReport("unique", slices)
+            return {
+                "verdict": "alternative found", "slices": slices,
+                "alternative": {zeros[-1]: 1},
+                "detail": "flip counts per canonical partition at q^%d" % n,
+            }
+    return {"verdict": "unique", "slices": slices, "alternative": None, "detail": ""}

@@ -203,22 +203,21 @@ def build_z_odd(d, order):
 def build_z_4k(d, order, orientation, weights):
     """Series of specialized weights for the distinguished insertion.
 
-    Coefficient of q^n sums orientation.signs[key] times the specialized
+    Coefficient of q^n sums orientation[key] times the specialized
     weight weights[key] (a weight_table) over canonical representatives
     weighted by orbit size; weights are permutation-invariant, so this
     equals the sum over all partitions.
     """
     if d % 4 or d < 4:
         raise ValueError("dimension 0 mod 4 required")
-    signs = orientation.signs
     coeffs = [QPoly.one()]
     for n in range(1, order + 1):
         total = QPoly.zero()
         for rep, orbit in canonical_representatives(d - 1, n):
             key = rep.serialize()
-            if key not in signs:
+            if key not in orientation:
                 raise ValueError("orientation has no sign for %s" % key)
-            total = total + weights[key].signed_poly(signs[key]) * orbit
+            total = total + weights[key].signed_poly(orientation[key]) * orbit
         coeffs.append(total)
     return TruncatedSeries(order, coeffs)
 

@@ -106,7 +106,6 @@ from dtvertex import (
     FormProduct,
     KClass,
     MultiPartition,
-    OrientationAssignment,
     QPoly,
     ShapeMismatch,
     TruncatedSeries,
@@ -121,11 +120,11 @@ from dtvertex.kclass import (
     KEY_VIOLATED,
     RADIX_BITS,
     FlatBlocks,
-    _add_into,
     _checked,
     _double_flat,
     _ones,
     _origin,
+    add_into,
     key_verdict,
 )
 from dtvertex.kclass import cy_reduce as packed_cy_reduce
@@ -398,8 +397,8 @@ def eager_vertex(pi, d):
     _double_flat(terms, flat, d)
     sgn = -1 if d % 2 else 1
     mirror = 2 * _origin(d) - _ones(d)
-    _add_into(terms, z.terms.items())
-    _add_into(terms, ((mirror - k, sgn * c) for k, c in z.terms.items()))
+    add_into(terms, z.terms.items())
+    add_into(terms, ((mirror - k, sgn * c) for k, c in z.terms.items()))
     return KClass._packed(d, terms, bound)
 
 
@@ -1014,16 +1013,12 @@ def binary_rep_contains(xi, cell):
     return 1 if cell[-1] <= xi.height_at(cell[:-1]) else 0
 
 
-def sign_for(orientation, key):
-    return orientation.signs[key]
-
-
 def flipped_orientation(orientation, keys):
-    """A new explicit assignment with the signs of keys negated."""
-    signs = dict(orientation.signs)
+    """A new orientation with the signs of keys negated."""
+    signs = dict(orientation)
     for k in keys:
         signs[k] = -signs[k]
-    return OrientationAssignment(signs, "explicit")
+    return signs
 
 
 def series_pow(series, e):

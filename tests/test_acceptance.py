@@ -162,7 +162,7 @@ def test_criterion_9_orientation_uniqueness():
     # the d = 8 table of criterion 3 covers sizes 1..4 as well
     for d, weights in ((8, cached_weight_table(8, 5)), (4, cached_weight_table(4, 4))):
         result = verify_uniqueness(d, 4, weights)
-        ok = ok and result.verdict == "unique"
+        ok = ok and result["verdict"] == "unique"
     report("criterion 9: positive orientation unique for d=8 and d=4 through q^4", ok)
 
 

@@ -1,5 +1,6 @@
 """Command line interface: output formats, exit codes, cache, determinism."""
 
+import ast
 import contextlib
 import functools
 import hashlib
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -482,12 +484,17 @@ def test_weights_before_a_pipeline_error_stay_cached(tmp_path, monkeypatch, caps
 def test_orientation_file_flag(tmp_path, capsys):
     from dtvertex import positive_omega_orientation, weight_table
 
+    # the positive signs in a file as the earlier assignment class saved
+    # them, with its "convention" key and the empty partition's sign,
+    # give the default report
+    signs = positive_omega_orientation(4, weight_table(4, 2))
     path = tmp_path / "orient.json"
-    positive_omega_orientation(4, weight_table(4, 2)).save(path)
-    code, out = run_cli(
-        capsys, "check", "fourk", "-d", "4", "-n", "2", "--orientation", str(path)
-    )
-    assert code == 0
+    obj = {"convention": "positive_omega", "signs": {"[]": 1, **signs}}
+    path.write_text(json.dumps(obj, sort_keys=True, indent=1))
+    argv = ["check", "fourk", "-d", "4", "-n", "2"]
+    _, default = run_cli(capsys, *argv)
+    code, out = run_cli(capsys, *argv, "--orientation", str(path))
+    assert code == 0 and out == default
 
 
 def assert_usage_error(capsys, *argv):
@@ -757,6 +764,64 @@ def test_omega_c_runs_once_per_representative(tmp_path, monkeypatch, capsys):
     code, _ = run_cli(capsys, "check", "omega", "-d", "4", "-n", "3", "--cache", cache)
     reps = [rep.key() for n in range(1, 4) for rep, _ in canonical_representatives(3, n)]
     assert code == 0 and calls == reps
+
+
+def test_remfail_order_other_than_two_is_usage_error(capsys):
+    # remfail reads only the q^1 and q^2 terms
+    for order in ("1", "3", "6"):
+        assert_usage_error(capsys, "check", "remfail", "-d", "5", "-n", order)
+
+
+def test_cli_does_not_read_a_cache_record():
+    # the record format stays inside cache.py: cli hands the cache weights
+    # and gets weights back
+    source = Path(__file__).resolve().parent.parent / "src" / "dtvertex" / "cli.py"
+    tree = ast.parse(source.read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr != "records", "cli.py reads .records at line %d" % node.lineno
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert not names & {"record_from_weight", "FIELDS", "SCHEMA"}
+
+
+def test_stale_record_is_recomputed_by_the_cache_and_appended_once(
+    tmp_path, monkeypatch, capsys
+):
+    import dtvertex.cache as cache_mod
+    import dtvertex.cli as cli_mod
+
+    cache = tmp_path / "weights.jsonl"
+    argv = ["check", "fourk", "-d", "4", "-n", "3", "--cache", str(cache)]
+    _, cold = run_cli(capsys, *argv)
+    lines = cache.read_text().splitlines(keepends=True)
+    stale = json.loads(lines[1])
+    real = cache_mod.vertex_fingerprint
+
+    def fingerprint(nv):
+        digest = real(nv)
+        return "0" * len(digest) if digest == stale["fingerprint"] else digest
+
+    def refuse(pi, d):
+        raise AssertionError("weight of %s computed as a miss" % pi.serialize())
+
+    recomputed = []
+
+    def counted(pi, d):
+        recomputed.append(pi.serialize())
+        return compute_weight(pi, d)
+
+    monkeypatch.setattr(cache_mod, "vertex_fingerprint", fingerprint)
+    monkeypatch.setattr(cache_mod, "compute_weight", counted)
+    monkeypatch.setattr(cli_mod, "compute_weight", refuse)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out == cold
+    assert recomputed == [stale["partition"]]
+    assert cache.read_text().splitlines(keepends=True) == lines + [lines[1]]
 
 
 def test_nonpositive_jobs_is_usage_error(capsys):

@@ -357,9 +357,10 @@ _PENDING_GRID = [(3, 5), (4, 5), (5, 4), (7, 3), (8, 4), (9, 3), (12, 3), (13, 2
 
 @pytest.mark.parametrize("d,order", _PENDING_GRID)
 def test_pending_vertex_matches_its_oracles(d, order):
-    # the fixed part, so the verdict, reads the blocks of V and leaves them
-    # pending; the first read of `terms` gives the eager route's dict in
-    # its insertion order and the class algebra's terms and bound.  The tuple oracle's fixed
+    # the fixed part, so the verdict, reads the blocks of V and leaves the
+    # terms unbuilt; the first read of `terms` gives the eager route's dict
+    # in its insertion order and the class algebra's terms and bound, and
+    # keeps the blocks for the fixed part.  The tuple oracle's fixed
     # part is its diagonal; from d = 12 on it skips the largest size, where
     # its dicts of colliding tuple hashes take 5-18 s
     for size in range(1, order + 1):
@@ -369,13 +370,35 @@ def test_pending_vertex_matches_its_oracles(d, order):
             assert v._terms is None and v._blocks is not None
             eager = oracles.eager_vertex(pi, d)
             assert list(v.terms.items()) == list(eager.terms.items())
-            assert v._blocks is None and v.bound == eager.bound
+            assert v._blocks is not None and v.bound == eager.bound
             algebra = oracles.class_vertex(pi, d)
             assert v.terms == algebra.terms and v.bound == algebra.bound
             assert cy_fixed_part(v) == fixed
             if d < 12 or size < order:
                 tuples = oracles.vertex(pi, d)
                 assert fixed == sum(c for w, c in tuples.items() if len(set(w)) == 1)
+
+
+class _NoLookup(dict):
+    def get(self, *args):
+        raise AssertionError("the fixed part read the expanded terms")
+
+    __getitem__ = __contains__ = get
+
+
+@pytest.mark.parametrize("d,order", [(4, 4), (5, 4), (8, 3), (12, 3)])
+def test_fixed_part_reads_the_blocks_after_terms_are_read(d, order):
+    # reading `terms` expands a copy of Q and keeps the blocks, so the
+    # verdict still comes from the blocks and not from the expanded dict
+    for size in range(1, order + 1):
+        for pi in _partitions(d - 1, size):
+            v = vertex(pi, d)
+            fixed = cy_fixed_part(v)
+            assert v.terms == oracles.eager_vertex(pi, d).terms
+            assert v._blocks == vertex(pi, d)._blocks
+            v._terms = _NoLookup(v.terms)
+            assert cy_fixed_part(v) == fixed
+            assert key_verdict(v) == check_key_conjecture(pi, d)
 
 
 @pytest.mark.parametrize("d,order", _PENDING_GRID)

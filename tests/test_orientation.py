@@ -1,5 +1,6 @@
 """Orientation assignments and the uniqueness rule."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -7,25 +8,27 @@ from itertools import product as iproduct
 import pytest
 
 from dtvertex import (
-    MultiPartition,
-    OrientationAssignment,
     PartitionWeight,
     QPoly,
     ShapeMismatch,
     build_z_4k,
     canonical_representatives,
+    load_orientation,
     positive_omega_orientation,
     target_4k,
     verify_uniqueness,
 )
-from dtvertex.orientation import UniquenessReport
 
 from conftest import cached_weight_table, single_box
-from oracles import flipped_orientation, sign_for
+from oracles import flipped_orientation
 
 
 # The exhaustive flip-count search that verify_uniqueness replaced, kept
-# verbatim as the oracle for the closed rule.
+# as the oracle for the closed rule; it returns the same report dict.
+def _report(verdict, slices, alternative=None, detail=""):
+    return {"verdict": verdict, "slices": slices, "alternative": alternative, "detail": detail}
+
+
 def _column_poly(h):
     poly = QPoly.one()
     for i in range(1, h + 1):
@@ -51,7 +54,7 @@ def flip_search_uniqueness(d, order, weights, subset_cap=1 << 16):
     z = build_z_4k(d, order, orient, weights)
     target = target_4k(d, order)
     if z != target:
-        return UniquenessReport(
+        return _report(
             "precondition failed",
             [],
             detail="positive orientation does not reproduce the reference series",
@@ -83,7 +86,7 @@ def flip_search_uniqueness(d, order, weights, subset_cap=1 << 16):
             if space > subset_cap:
                 entry["status"] = "cap exceeded"
                 slices.append(entry)
-                return UniquenessReport(
+                return _report(
                     "inconclusive",
                     slices,
                     detail="flip space of size %d exceeds cap %d" % (space, subset_cap),
@@ -113,7 +116,7 @@ def flip_search_uniqueness(d, order, weights, subset_cap=1 << 16):
                     for (rep, orbit, om), k in zip(free, found)
                     if k
                 }
-                return UniquenessReport(
+                return _report(
                     "alternative found",
                     slices,
                     alternative=alternative,
@@ -121,7 +124,7 @@ def flip_search_uniqueness(d, order, weights, subset_cap=1 << 16):
                 )
             entry["status"] = "searched"
             slices.append(entry)
-    return UniquenessReport("unique", slices)
+    return _report("unique", slices)
 
 
 class _SeriesOf(PartitionWeight):
@@ -144,8 +147,8 @@ def with_omega(w, omega):
 @pytest.mark.parametrize("d,order", [(4, 4), (8, 3)])
 def test_closed_rule_matches_flip_search(d, order):
     weights = cached_weight_table(d, order)
-    expected = flip_search_uniqueness(d, order, weights).to_json_obj()
-    assert verify_uniqueness(d, order, weights).to_json_obj() == expected
+    expected = flip_search_uniqueness(d, order, weights)
+    assert verify_uniqueness(d, order, weights) == expected
 
 
 def test_closed_rule_matches_flip_search_with_zero_weights():
@@ -158,8 +161,8 @@ def test_closed_rule_matches_flip_search_with_zero_weights():
         zeroed = rng.sample(keys, rng.randint(1, 3))
         weights = {k: with_omega(w, Fraction(0)) if k in zeroed else w
                    for k, w in real.items()}
-        expected = flip_search_uniqueness(d, order, weights).to_json_obj()
-        got = verify_uniqueness(d, order, weights).to_json_obj()
+        expected = flip_search_uniqueness(d, order, weights)
+        got = verify_uniqueness(d, order, weights)
         assert got == expected
         verdicts.add(got["verdict"])
     assert verdicts == {"alternative found"}
@@ -167,12 +170,12 @@ def test_closed_rule_matches_flip_search_with_zero_weights():
     # flip space, the rule still names the alternative.
     weights = dict(real, **{keys[0]: with_omega(real[keys[0]], Fraction(0))})
     capped = flip_search_uniqueness(d, order, weights, subset_cap=0)
-    assert capped.verdict == "inconclusive"
+    assert capped["verdict"] == "inconclusive"
     report = verify_uniqueness(d, order, weights)
-    assert report.verdict == "alternative found"
-    assert report.slices[:-1] == capped.slices[:-1]
-    assert capped.slices[-1]["status"] == "cap exceeded"
-    assert report.slices[-1]["status"] == "alternative"
+    assert report["verdict"] == "alternative found"
+    assert report["slices"][:-1] == capped["slices"][:-1]
+    assert capped["slices"][-1]["status"] == "cap exceeded"
+    assert report["slices"][-1]["status"] == "alternative"
 
 
 def test_negative_weight_is_shape_mismatch():
@@ -187,9 +190,7 @@ def test_negative_weight_is_shape_mismatch():
 
 def test_single_box_sign_is_plus_one():
     orient = positive_omega_orientation(8, cached_weight_table(8, 1))
-    assert orient.convention == "positive_omega"
-    assert sign_for(orient, single_box(7).serialize()) == 1
-    assert sign_for(orient, MultiPartition(7).serialize()) == 1
+    assert orient == {single_box(7).serialize(): 1}
 
 
 def test_positive_orientation_reproduces_target():
@@ -215,30 +216,34 @@ def test_flipping_one_sign_changes_only_its_order():
 
 def test_uniqueness_trivial_order():
     report = verify_uniqueness(8, 1, cached_weight_table(8, 1))
-    assert report.verdict == "unique"
-    assert report.slices[0]["status"] == "pruned"
+    assert report["verdict"] == "unique"
+    assert report["slices"][0]["status"] == "pruned"
 
 
 @pytest.mark.parametrize("d,order", [(4, 3), (8, 3)])
 def test_uniqueness_small(d, order):
     report = verify_uniqueness(d, order, cached_weight_table(d, order))
-    assert report.verdict == "unique"
-    assert all(s["status"] == "pruned" for s in report.slices)
-    assert report.alternative is None
+    assert report["verdict"] == "unique"
+    assert all(s["status"] == "pruned" for s in report["slices"])
+    assert report["alternative"] is None and report["detail"] == ""
 
 
 def test_assignment_roundtrip(tmp_path):
+    # a file as the earlier assignment class saved it: a "convention" key
+    # beside the signs, one indented key per line, and the empty
+    # partition's sign, which no sum reads
     orient = positive_omega_orientation(4, cached_weight_table(4, 2))
     path = tmp_path / "signs.json"
-    orient.save(path)
-    loaded = OrientationAssignment.load(path)
-    assert loaded.signs == orient.signs
-    assert loaded.convention == "positive_omega"
+    obj = {"convention": "positive_omega", "signs": {"[]": 1, **orient}}
+    path.write_text(json.dumps(obj, sort_keys=True, indent=1))
+    assert load_orientation(path) == obj["signs"]
+    path.write_text(json.dumps({"signs": orient}))
+    assert load_orientation(path) == orient
 
 
 def test_flipped_is_new_assignment():
     orient = positive_omega_orientation(4, cached_weight_table(4, 2))
     key = single_box(3).serialize()
     other = flipped_orientation(orient, [key])
-    assert other.signs[key] == -orient.signs[key]
-    assert orient.signs[key] == 1
+    assert other[key] == -orient[key]
+    assert orient[key] == 1
