@@ -1,36 +1,38 @@
 """Append-only JSON-lines cache of per-partition weight records.
 
 One record per line, keyed by (dimension, canonical partition), holding
-exactly what a PartitionWeight keeps: schema, d, partition, fingerprint,
-verdict, omega and sign; records carry SCHEMA 6.  Only this module reads
-or builds a record: callers hand WeightCache.append a PartitionWeight
-and get one back from WeightCache.get_weight, or None when the cache
-holds no record of the partition.  The fingerprint is
-forms.vertex_fingerprint of -v in blocks (kclass.half_vertex_blocks),
-v the half vertex that the weight and the verdict come from.  A hit is
-trusted only once the fingerprint is recomputed and matches, which never
-expands the half vertex.  It checks only the half vertex, so a change
-to a later stage of the weight pipeline must bump SCHEMA.  Stale lines
-are recomputed and re-appended, and compaction rewrites the file
-keeping the last record per key.  A line that is not a well-formed
-record of this SCHEMA (a write torn by a crash, bytes that are not
-UTF-8, a record of another format, a missing or extra key, a value of
-the wrong type, an omega that is not a rational) is skipped, so its
-partition is recomputed and appended on a fresh line.
+schema, d, partition, fingerprint, verdict, omega and sign; records
+carry SCHEMA 7.  Only this module reads or builds a record: callers hand
+WeightCache.append a PartitionWeight and get one back from
+WeightCache.get_weight, or None when the cache holds no record of the
+partition.  The fingerprint seals the key with the source of the
+program that computed the weight: it is the sha256 of source_digest(),
+d and the partition (seal).  A hit is trusted only when its fingerprint
+equals the seal of its key in this process, one short hash that builds
+no half vertex.  An edit to any module of the package changes the
+digest, so every record written before it is stale, and so is a record
+whose d or partition was edited by hand.  Stale lines are recomputed
+and re-appended, and compaction rewrites the file keeping the last
+record per key.  A line that is not a well-formed record of this SCHEMA
+(a write torn by a crash, bytes that are not UTF-8, a record of another
+format, a missing or extra key, a value of the wrong type, an omega
+that is not a rational) is skipped, so its partition is recomputed and
+appended on a fresh line.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 from fractions import Fraction
 
-from .forms import PartitionWeight, compute_weight, vertex_fingerprint
-from .kclass import half_vertex_blocks
+from .forms import PartitionWeight, compute_weight
 
 ENV_CACHE_DIR = "DTVERTEX_CACHE_DIR"
 # Version of the record format; records of any other version are skipped.
-SCHEMA = 6
+SCHEMA = 7
 # The keys of a record and the JSON type of each value.
 FIELDS = {
     "schema": int, "d": int, "partition": str, "fingerprint": str,
@@ -43,12 +45,35 @@ def default_cache_path():
     return os.path.join(base, "weights.jsonl") if base else None
 
 
+@functools.cache
+def source_digest():
+    """sha256, as hex, of the package's own *.py files in name order: for
+    each its name, its byte count and its bytes.  Read once per process,
+    on the first lookup or append, never at import."""
+    here = os.path.dirname(__file__)
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                data = fh.read()
+            h.update(b"%s:%d:" % (name.encode(), len(data)) + data)
+    return h.hexdigest()
+
+
+def seal(d, partition):
+    """The fingerprint of the record of a serialized partition in dimension
+    d: sha256, as hex, of b"digest:d:partition", digest source_digest()."""
+    key = "%s:%d:%s" % (source_digest(), d, partition)
+    return hashlib.sha256(key.encode()).hexdigest()
+
+
 def record_from_weight(w):
+    partition = w.partition.serialize()
     return {
         "schema": SCHEMA,
         "d": w.d,
-        "partition": w.partition.serialize(),
-        "fingerprint": w.fingerprint,
+        "partition": partition,
+        "fingerprint": seal(w.d, partition),
         "verdict": w.verdict,
         "omega": str(w.omega),
         "sign": w.sign,
@@ -80,9 +105,7 @@ def _well_formed(rec):
 
 
 def weight_from_record(rec, pi):
-    return PartitionWeight(
-        pi, rec["d"], rec["verdict"], rec["fingerprint"], Fraction(rec["omega"]), rec["sign"]
-    )
+    return PartitionWeight(pi, rec["d"], rec["verdict"], Fraction(rec["omega"]), rec["sign"])
 
 
 class WeightCache:
@@ -144,13 +167,14 @@ class WeightCache:
     def get_weight(self, pi, d):
         """The weight of a partition's record, or None if there is none.
 
-        A record whose half-vertex fingerprint no longer matches is stale:
+        A record whose fingerprint is not the seal of its key is stale:
         its weight is recomputed, appended and returned.
         """
-        rec = self.records.get((d, pi.serialize()))
+        partition = pi.serialize()
+        rec = self.records.get((d, partition))
         if rec is None:
             return None
-        if rec["fingerprint"] == vertex_fingerprint(half_vertex_blocks(pi, d)):
+        if rec["fingerprint"] == seal(d, partition):
             return weight_from_record(rec, pi)
         w = compute_weight(pi, d)
         self.append(w)

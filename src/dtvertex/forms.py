@@ -447,17 +447,16 @@ class PartitionWeight:
 
     compute_weight proves that the specialized weight of the partition
     is sign * (-1)^|pi| * omega * ell (ell - 1) ... (ell - h + 1), with h
-    the corner height, so omega and sign fix the term; verdict and
-    fingerprint describe the half vertex v (half_vertex_blocks) that the
-    weight was computed from.  An omega below 0, a sign other than +-1
-    or a verdict other than KEY_OK and KEY_EULER_VANISHES (only a
-    hand-edited cache line can carry one) raises ShapeMismatch naming
-    the partition.
+    the corner height, so omega and sign fix the term; verdict describes
+    the half vertex v (half_vertex_blocks) that the weight was computed
+    from.  An omega below 0, a sign other than +-1 or a verdict other
+    than KEY_OK and KEY_EULER_VANISHES (only a hand-edited cache line can
+    carry one) raises ShapeMismatch naming the partition.
     """
 
-    __slots__ = ("partition", "d", "verdict", "fingerprint", "omega", "sign")
+    __slots__ = ("partition", "d", "verdict", "omega", "sign")
 
-    def __init__(self, partition, d, verdict, fingerprint, omega, sign):
+    def __init__(self, partition, d, verdict, omega, sign):
         if omega < 0 or sign not in (1, -1) or verdict not in (KEY_OK, KEY_EULER_VANISHES):
             raise ShapeMismatch(
                 "weight %s with sign %s and verdict %r" % (omega, sign, verdict),
@@ -466,7 +465,6 @@ class PartitionWeight:
         self.partition = partition
         self.d = d
         self.verdict = verdict
-        self.fingerprint = fingerprint
         self.omega = omega
         self.sign = sign
 
@@ -481,7 +479,8 @@ def vertex_fingerprint(nv):
     """sha256, as hex, of the blocks of -v that kclass.half_vertex_blocks
     gives: the dimension, the flat axes and the sorted codes and
     coefficients of Q and of -Z, as kclass.block_bytes writes them; its
-    prefix of counts makes the bytes injective."""
+    prefix of counts makes the bytes injective.  The fingerprint of cache
+    schemas 6 and earlier; no weight reads it any more."""
     return hashlib.sha256(block_bytes(nv)).hexdigest()
 
 
@@ -489,10 +488,9 @@ def compute_weight(pi, d):
     """Full symbolic weight pipeline for one partition, d = 0 mod 4.
 
     One box product gives the blocks of -v, v the half vertex
-    (half_vertex_blocks), which give the fingerprint, and e(-v), which
-    rules on the root of e(-V) and gives the specialized value of the
-    tautological factor times that root (_specialize_half_vertex), whose
-    weight is extracted.  The fixed part of v is half that of the full
+    (half_vertex_blocks), which give e(-v), which rules on the root of
+    e(-V) and gives the specialized value of the tautological factor
+    times that root (_specialize_half_vertex), whose weight is extracted.  The fixed part of v is half that of the full
     vertex, so e(-v) gives the verdict too: a zero root is
     KEY_EULER_VANISHES with omega = 0 and sign 1, and a positive fixed
     part raises ZeroWeightDenominator.  Pipeline failures raise with the
@@ -501,7 +499,6 @@ def compute_weight(pi, d):
     if d % 4:
         raise ValueError("dimension must be divisible by 4")
     nv = half_vertex_blocks(pi, d)
-    fingerprint = vertex_fingerprint(nv)
     try:
         value = _specialize_half_vertex(pi, d, nv)
         if value is None:
@@ -513,7 +510,7 @@ def compute_weight(pi, d):
         if exc.partition is None:
             exc.partition = pi.serialize()
         raise
-    return PartitionWeight(pi, d, verdict, fingerprint, omega, sign)
+    return PartitionWeight(pi, d, verdict, omega, sign)
 
 
 def weight_table(d, order):

@@ -35,8 +35,8 @@ axes: its class keeps V as FlatBlocks (the product Q, the flat
 axes among all d and the tail Z + sgn * bar(Z) / (t_1..t_d)), which the
 first read of `terms` expands into a dict of its own, doubling a copy
 of Q, while cy_fixed_part, and so each keyconj verdict, always reads
-the diagonal off the kept blocks (the tail along it, Q at two codes) in
-O(|Q| + |Z| + bound) instead of O(2^f |Q|).  half_vertex_blocks gives -v,
+the diagonal off the kept blocks (the tail code by code, Q at two
+codes) in O(|Q| + |Z|) instead of O(2^f |Q|).  half_vertex_blocks gives -v,
 for v the half vertex Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1), as a
 FlatBlocks: the product Q over the active axes, the flat axes F and the
 tail -Z.  A term c t^w of Q stands for the block of the 2^f codes
@@ -418,28 +418,34 @@ def cy_fixed_part(a):
     """Coefficient of the torus-fixed (zero) weight after reduction.
 
     The exponents that reduce to zero are the diagonal ones m * (1,..,1)
-    with |m| <= a.bound, whose codes lie ONES apart; their coefficients
-    are summed by lookup, and no reduced class is built.  Of a
-    FlatBlocks, or of a KClass that holds blocks (vertex), the tail
-    is read along the diagonal, and of each block only its two corners
-    can be fixed, t^w with c and t^w / t_F with (-1)^f c: every other
-    code holds both 0 and -1 on the flat axes.  Every term of q has
-    w_i = 0 on a flat axis, so with F non-empty a near corner is
-    diagonal only at m = 0 (one lookup of the origin) and a far corner
-    only at m = -1 (one lookup of origin - ONES + t_F); with F empty, q
-    is read along the diagonal too.
+    with |m| <= a.bound, and no reduced class is built.  Of a FlatBlocks,
+    or of a KClass that holds blocks (vertex), the tail is read code by
+    code: with low = code(-bound * (1,..,1)), code - low has the digits
+    w_i + bound, each in [0, 2 * bound], so the code is diagonal exactly
+    when code - low is m * ONES with 0 <= m <= 2 * bound.  Of each block
+    only its two corners can be fixed, t^w with c and t^w / t_F with
+    (-1)^f c: every other code holds both 0 and -1 on the flat axes.
+    Every term of q has w_i = 0 on a flat axis, so with F non-empty a
+    near corner is diagonal only at m = 0 (one lookup of the origin) and
+    a far corner only at m = -1 (one lookup of origin - ONES + t_F); with
+    F empty, q, like the terms of a class without blocks, is looked up
+    at each of the 2 * bound + 1 diagonal codes.
     """
     if isinstance(a, KClass):
-        a = a._blocks or FlatBlocks(a.dim, {}, (), a.terms, a.bound)
+        a = a._blocks or FlatBlocks(a.dim, a.terms, (), {}, a.bound)
     origin, ones = _origin(a.dim), _ones(a.dim)
-    diagonal = range(origin - a.bound * ones, origin + a.bound * ones + 1, ones)
-    tail, q = a.tail.get, a.q.get
+    low, span = origin - a.bound * ones, 2 * a.bound * ones
+    q = a.q.get
     if a.flat:
         top = sum(1 << RADIX_BITS * (a.dim - 1 - i) for i in a.flat)
         fixed = q(origin, 0) + (-1) ** len(a.flat) * q(origin - ones + top, 0)
     else:
-        fixed = sum(q(k, 0) for k in diagonal)
-    return fixed + sum(tail(k, 0) for k in diagonal)
+        fixed = sum(q(k, 0) for k in range(low, low + span + 1, ones))
+    for k, c in a.tail.items():
+        k -= low
+        if 0 <= k <= span and not k % ones:
+            fixed += c
+    return fixed
 
 
 def interior_items(interior):

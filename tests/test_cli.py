@@ -27,8 +27,10 @@ from dtvertex import (
     compute_weight,
     vertex,
 )
-from dtvertex.cache import WeightCache
+from dtvertex.cache import WeightCache, seal
 from dtvertex.cli import main
+from dtvertex.forms import vertex_fingerprint
+from dtvertex.kclass import half_vertex_blocks
 
 from conftest import single_box
 from oracles import class_vertex_half, expanded_fingerprint, repr_fingerprint, times_raw_form
@@ -309,13 +311,14 @@ def test_cache_line_of_another_schema_is_recomputed(tmp_path, capsys):
     # schema 2 fingerprinted the JSON of the full vertex's decoded terms,
     # schema 3 the repr of the half vertex's sorted (code, coefficient)
     # pairs, schema 4 its sorted codes as packed bytes, schema 5 its
-    # flat-axis orbits
+    # flat-axis orbits, schema 6 the blocks of -v
     pi = MultiPartition.from_entries(3, json.loads(records[1]["partition"]))
     key = (4, records[1]["partition"])
     v = vertex(pi, 4).serialize()
     old = hashlib.sha256(json.dumps(v, separators=(",", ":")).encode()).hexdigest()
     schema3 = repr_fingerprint(class_vertex_half(pi, 4))
     schema4 = expanded_fingerprint(class_vertex_half(pi, 4))
+    schema6 = vertex_fingerprint(half_vertex_blocks(pi, 4))
     for edit, stale in (
         (lambda rec: rec.pop("schema"), False),
         (lambda rec: rec.update(schema=1), False),
@@ -323,9 +326,11 @@ def test_cache_line_of_another_schema_is_recomputed(tmp_path, capsys):
         (lambda rec: rec.update(schema=3, fingerprint=schema3), False),
         (lambda rec: rec.update(schema=4, fingerprint=schema4), False),
         (lambda rec: rec.update(schema=5), False),
-        # a record of this schema that carries the schema-4 digest is
-        # read, fails the fingerprint check and is recomputed
+        (lambda rec: rec.update(schema=6, fingerprint=schema6), False),
+        # a record of this schema that carries an older digest is read,
+        # fails the seal and is recomputed
         (lambda rec: rec.update(fingerprint=schema4), True),
+        (lambda rec: rec.update(fingerprint=schema6), True),
     ):
         lines = [dict(rec) for rec in records]
         edit(lines[1])
@@ -334,7 +339,7 @@ def test_cache_line_of_another_schema_is_recomputed(tmp_path, capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0 and out == cold
         appended = json.loads(cache.read_text().splitlines()[-1])
-        assert appended == records[1] and appended["schema"] == 6
+        assert appended == records[1] and appended["schema"] == 7
         run_cli(capsys, "cache-compact", "--cache", str(cache))
         compacted = [json.loads(line) for line in cache.read_text().splitlines()]
         assert sorted(compacted, key=json.dumps) == sorted(records, key=json.dumps)
@@ -800,11 +805,10 @@ def test_stale_record_is_recomputed_by_the_cache_and_appended_once(
     _, cold = run_cli(capsys, *argv)
     lines = cache.read_text().splitlines(keepends=True)
     stale = json.loads(lines[1])
-    real = cache_mod.vertex_fingerprint
-
-    def fingerprint(nv):
-        digest = real(nv)
-        return "0" * len(digest) if digest == stale["fingerprint"] else digest
+    # a fingerprint that is not the seal of its key
+    edited = list(lines)
+    edited[1] = lines[1].replace(stale["fingerprint"], "0" * 64)
+    cache.write_text("".join(edited))
 
     def refuse(pi, d):
         raise AssertionError("weight of %s computed as a miss" % pi.serialize())
@@ -815,13 +819,115 @@ def test_stale_record_is_recomputed_by_the_cache_and_appended_once(
         recomputed.append(pi.serialize())
         return compute_weight(pi, d)
 
-    monkeypatch.setattr(cache_mod, "vertex_fingerprint", fingerprint)
     monkeypatch.setattr(cache_mod, "compute_weight", counted)
     monkeypatch.setattr(cli_mod, "compute_weight", refuse)
     code, out = run_cli(capsys, *argv)
     assert code == 0 and out == cold
     assert recomputed == [stale["partition"]]
-    assert cache.read_text().splitlines(keepends=True) == lines + [lines[1]]
+    assert cache.read_text().splitlines(keepends=True) == edited + [lines[1]]
+
+
+def test_changed_source_digest_makes_every_record_stale(tmp_path, monkeypatch, capsys):
+    # an edit to any module of the package changes the digest: every hit is
+    # then stale, recomputed by the cache and appended once, its line that
+    # of the cold run with the fingerprint sealed under the new digest (the
+    # cold run appends in key order, the stale ones in row order); a second
+    # run finds them all
+    import dtvertex.cache as cache_mod
+    import dtvertex.cli as cli_mod
+
+    cache = tmp_path / "weights.jsonl"
+    argv = ["check", "omega", "-d", "8", "-n", "4", "--cache", str(cache)]
+    _, cold = run_cli(capsys, *argv)
+    lines = cache.read_text().splitlines(keepends=True)
+
+    def refuse(pi, d):
+        raise AssertionError("weight of %s computed as a miss" % pi.serialize())
+
+    recomputed = []
+
+    def counted(pi, d):
+        recomputed.append(pi.serialize())
+        return compute_weight(pi, d)
+
+    monkeypatch.setattr(cache_mod, "source_digest", lambda: "f" * 64)
+    monkeypatch.setattr(cache_mod, "compute_weight", counted)
+    monkeypatch.setattr(cli_mod, "compute_weight", refuse)
+    resealed = []
+    for line in lines:
+        rec = json.loads(line)
+        assert rec["fingerprint"] != seal(rec["d"], rec["partition"])
+        resealed.append(line.replace(rec["fingerprint"], seal(rec["d"], rec["partition"])))
+    for _ in range(2):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out == cold
+        assert sorted(recomputed) == sorted(json.loads(line)["partition"] for line in lines)
+        after = cache.read_text().splitlines(keepends=True)
+        assert after[: len(lines)] == lines and sorted(after[len(lines):]) == sorted(resealed)
+
+
+def test_edited_partition_key_is_recomputed(tmp_path, monkeypatch, capsys):
+    # a record moved by hand to another partition of the same size keeps
+    # the seal of its old key, so the cache recomputes the weight of the
+    # new key instead of serving the old one's
+    import dtvertex.cache as cache_mod
+
+    cache = tmp_path / "weights.jsonl"
+    argv = ["check", "fourk", "-d", "4", "-n", "3", "--cache", str(cache)]
+    _, cold = run_cli(capsys, *argv)
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    size3 = [rec for rec in records if sum(e[-1] for e in json.loads(rec["partition"])) == 3]
+    moved, target = next(
+        (a, b) for a in size3 for b in size3 if (a["omega"], a["sign"]) != (b["omega"], b["sign"])
+    )
+    edited = [rec for rec in records if rec is not target]
+    edited[edited.index(moved)] = dict(moved, partition=target["partition"])
+    cache.write_text("".join(json.dumps(r) + "\n" for r in edited))
+
+    recomputed = []
+
+    def counted(pi, d):
+        recomputed.append(pi.serialize())
+        return compute_weight(pi, d)
+
+    monkeypatch.setattr(cache_mod, "compute_weight", counted)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out == cold
+    assert recomputed == [target["partition"]]
+
+
+def test_warm_hit_builds_no_half_vertex(tmp_path, monkeypatch, capsys):
+    # a hit compares the stored fingerprint with the seal of its key: with
+    # the box character and the box product refused at every import site,
+    # a warm run repeats the cold report
+    cache = str(tmp_path / "weights.jsonl")
+    argv = ["check", "omega", "-d", "8", "-n", "5", "--cache", cache]
+    code, cold = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(cold)["verdict"] == "confirmed"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a half vertex was built")
+
+    for attr in ("character", "_active_fold"):
+        real = getattr(dtvertex.kclass, attr)
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "dtvertex" and getattr(mod, attr, None) is real:
+                monkeypatch.setattr(mod, attr, refuse)
+    assert dtvertex.kclass.character is refuse and dtvertex.kclass._active_fold is refuse
+    assert run_cli(capsys, *argv) == (0, cold)
+
+
+def test_source_digest_is_not_read_at_import():
+    # the digest is read on the first lookup or append, so importing the
+    # command line reads no source file
+    src = os.path.dirname(os.path.dirname(dtvertex.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    probe = "import dtvertex.cli, dtvertex.cache as c; print(c.source_digest.cache_info().misses)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "0"
 
 
 def test_nonpositive_jobs_is_usage_error(capsys):

@@ -1,8 +1,11 @@
 """Euler classes as form products: square roots, insertions, specialization."""
 
 import ast
+import functools
+import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,10 +32,11 @@ from dtvertex import (
     weight_table,
 )
 import dtvertex.forms as forms_mod
-from dtvertex.cache import record_from_weight
+from dtvertex.cache import record_from_weight, seal, source_digest
 from dtvertex.forms import (
     _collect,
     _corner_column,
+    _half_vertex_euler,
     _half_vertex_root,
     _locus_value,
     _specialize_half_vertex,
@@ -379,9 +383,7 @@ def test_weight_never_expands_the_half_vertex(monkeypatch):
     monkeypatch.setattr(kclass_mod, "_double_flat", refuse)
     for rep, (w, term) in zip(reps, expected):
         got = compute_weight(rep, 8)
-        assert (got.fingerprint, got.verdict, got.omega, got.sign) == (
-            w.fingerprint, w.verdict, w.omega, w.sign
-        )
+        assert (got.verdict, got.omega, got.sign) == (w.verdict, w.omega, w.sign)
         assert cy_bundle_term(rep, 8, u) == term
     with pytest.raises(AssertionError, match="multiplied out"):
         cy_bundle_term(odd_one, 8, u)
@@ -401,9 +403,7 @@ def test_weight_never_expands_the_half_vertex(monkeypatch):
     monkeypatch.setattr(forms_mod, "interior_items", refuse_interior)
     for rep, d, w in weights:
         got = compute_weight(rep, d)
-        assert (got.fingerprint, got.verdict, got.omega, got.sign) == (
-            w.fingerprint, w.verdict, w.omega, w.sign
-        )
+        assert (got.verdict, got.omega, got.sign) == (w.verdict, w.omega, w.sign)
     with pytest.raises(AssertionError, match="interior codes were expanded"):
         cy_bundle_term(blocky, 8, u)
 
@@ -1080,24 +1080,91 @@ def test_compute_weight_never_negates_a_class(monkeypatch):
     monkeypatch.setattr(KClass, "__neg__", refuse)
     for rep, w in zip(reps, expected):
         got = compute_weight(rep, 8)
-        assert (got.fingerprint, got.verdict, got.omega, got.sign) == (
-            w.fingerprint, w.verdict, w.omega, w.sign
-        )
+        assert (got.verdict, got.omega, got.sign) == (w.verdict, w.omega, w.sign)
 
 
 def test_cache_record_format():
-    # schema 6: the fingerprint hashes the blocks of -v (see
-    # vertex_fingerprint).  The single box at d = 4 leaves no base axis,
-    # so its q is the one code of (0,0,0,0) with coefficient 1, its flat
-    # axes are 1, 2 and 3 (mask 7) and its tail the code of (0,0,0,0)
-    # with coefficient -1: the digest is the sha256 of b"4:7:1:1:", the
-    # bytes 80 00 80 00 80 00 80 00 twice and "[1, -1]"
+    # schema 7: the fingerprint seals the key with the package source, the
+    # sha256 of b"digest:4:[[1,1,1,1]]", digest the sha256 of every *.py
+    # file of the package in name order, each as b"name:length:" and its bytes
+    sources = sorted(Path(forms_mod.__file__).parent.glob("*.py"), key=lambda p: p.name)
+    assert {"cache.py", "forms.py", "kclass.py", "ratpoly.py"} <= {p.name for p in sources}
+    h = hashlib.sha256()
+    for path in sources:
+        data = path.read_bytes()
+        h.update(b"%s:%d:" % (path.name.encode(), len(data)) + data)
+    assert source_digest() == h.hexdigest()
+    key = "%s:4:[[1,1,1,1]]" % h.hexdigest()
     assert record_from_weight(compute_weight(single_box(3), 4)) == {
-        "schema": 6,
+        "schema": 7,
         "d": 4,
         "partition": "[[1,1,1,1]]",
-        "fingerprint": "26fd1b1b70b55c8cc346f32ad8169128e9a2fbf0daecb9f1894d3cd54f81a7b9",
+        "fingerprint": hashlib.sha256(key.encode()).hexdigest(),
         "verdict": "ok",
         "omega": "1",
         "sign": 1,
     }
+    # the dimension and the partition both enter the seal
+    assert len({seal(4, "[[1,1,1,1]]"), seal(8, "[[1,1,1,1]]"), seal(4, "[[1,1,1,2]]")}) == 3
+
+
+def test_schema_6_fingerprint_of_the_single_box():
+    # the fingerprint of schema 6 hashed the blocks of -v.  The single box
+    # at d = 4 leaves no base axis, so its q is the one code of (0,0,0,0)
+    # with coefficient 1, its flat axes are 1, 2 and 3 (mask 7) and its
+    # tail the code of (0,0,0,0) with coefficient -1: the digest is the
+    # sha256 of b"4:7:1:1:", the bytes 80 00 80 00 80 00 80 00 twice and
+    # "[1, -1]"
+    nv = half_vertex_blocks(single_box(3), 4)
+    raw = b"4:7:1:1:" + bytes.fromhex("8000" * 8) + b"[1, -1]"
+    assert vertex_fingerprint(nv) == hashlib.sha256(raw).hexdigest()
+    assert vertex_fingerprint(nv) == (
+        "26fd1b1b70b55c8cc346f32ad8169128e9a2fbf0daecb9f1894d3cd54f81a7b9"
+    )
+
+
+def _rank_holds(pi, d):
+    """Whether e(-v), v the half vertex, is zero or of total degree -|pi|."""
+    e = euler_class(half_vertex_blocks(pi, d))
+    return e.is_zero() or e.total_degree() == -pi.size
+
+
+@pytest.mark.parametrize(
+    "d,order,canonical,count", BLOCK_SETS, ids=["d%d-n%d-%s" % s[:3] for s in BLOCK_SETS]
+)
+def test_half_vertex_euler_class_has_degree_minus_size(d, order, canonical, count):
+    # -v = Q prod_F (1 - t_i^-1) - Z and the box product over the d - 1
+    # base axes has rank 0, so rank(-v) = -|pi|: a non-zero e(-v) has total
+    # degree -|pi|, and (-1)^|pi| e(-V) = e(-v)^2 is always a square, so the
+    # NotAPerfectSquare branch of _half_vertex_euler never fires on a real
+    # half vertex
+    parts = [
+        pi
+        for n in range(1, order + 1)
+        for pi in (
+            [rep for rep, _ in canonical_representatives(d - 1, n)]
+            if canonical
+            else enumerate_partitions(d - 1, n)
+        )
+    ]
+    assert len(parts) == count
+    for pi in parts:
+        assert _rank_holds(pi, d)
+        _half_vertex_euler(half_vertex_blocks(pi, d), pi.size)
+
+
+@functools.cache
+def _all_partitions(arity, size):
+    return enumerate_partitions(arity, size)
+
+
+# (d, largest size) of the partitions drawn for the rank of -v
+_RANK_SIZE = {d: 6 if d <= 4 else 5 if d <= 8 else 3 for d in range(3, 17)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), d=st.integers(min_value=3, max_value=16))
+def test_half_vertex_euler_class_has_degree_minus_size_on_drawn_partitions(data, d):
+    size = data.draw(st.integers(min_value=0, max_value=_RANK_SIZE[d]))
+    pi = data.draw(st.sampled_from(_all_partitions(d - 1, size)))
+    assert _rank_holds(pi, d)

@@ -704,6 +704,41 @@ def test_fixed_part_matches_diagonal_oracle(blocks):
 
 
 @settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.integers(2, 6), bound=st.integers(1, 4))
+def test_fixed_part_reads_every_diagonal_tail_code(data, d, bound):
+    # tails crowded on the diagonal and one step off it in one digit, out
+    # to the bound: each code is diagonal exactly when it is m * ONES
+    # away from code(-bound * (1,..,1)) with 0 <= m <= 2 * bound
+    def near(m, i, step):
+        return tuple(max(-bound, min(bound, m + step * (j == i))) for j in range(d))
+
+    exponents = st.builds(
+        near, st.integers(-bound, bound), st.integers(0, d - 1), st.integers(-1, 1)
+    )
+    tail = KClass(d, data.draw(st.dictionaries(exponents, st.integers(-3, 3), max_size=8)))
+    for flat in ((), (0,)):
+        blocks = FlatBlocks(d, {}, flat, tail.terms, bound)
+        assert cy_fixed_part(blocks) == oracles.diagonal_fixed_part(blocks)
+    assert cy_fixed_part(blocks) == sum(
+        c for w, c in tail.as_dict().items() if len(set(w)) == 1
+    )
+
+
+# the keyconj workloads: the pinned reports and the benchmark's d = 12, n = 3
+_KEYCONJ_GRID = [(5, 4), (8, 3), (12, 3), (13, 3), (16, 3), (20, 3), (32, 3)]
+
+
+@pytest.mark.parametrize("d,order", _KEYCONJ_GRID)
+def test_fixed_part_matches_diagonal_oracle_on_keyconj_grids(d, order):
+    # the tail read code by code against every diagonal code looked up, on
+    # V and on -v of each partition that check keyconj reads
+    for size in range(1, order + 1):
+        for pi in _partitions(d - 1, size):
+            for a in (vertex(pi, d), half_vertex_blocks(pi, d)):
+                assert cy_fixed_part(a) == oracles.diagonal_fixed_part(a)
+
+
+@settings(max_examples=300, deadline=None)
 @given(flat_blocks())
 def test_lazy_interior_of_the_blocks(blocks):
     # euler_class keeps the interior codes unexpanded: its degree before

@@ -139,7 +139,7 @@ class _SeriesOf(PartitionWeight):
 def with_omega(w, omega):
     # keeps the series term, so the positive orientation still meets the
     # precondition and only the uniqueness rule sees the new omega
-    out = _SeriesOf(w.partition, w.d, w.verdict, w.fingerprint, omega, w.sign)
+    out = _SeriesOf(w.partition, w.d, w.verdict, omega, w.sign)
     out.original = w
     return out
 
@@ -184,7 +184,7 @@ def test_negative_weight_is_shape_mismatch():
     w = weights[key]
     for omega, sign in ((Fraction(-1), w.sign), (w.omega, 5)):
         with pytest.raises(ShapeMismatch) as info:
-            PartitionWeight(w.partition, w.d, w.verdict, w.fingerprint, omega, sign)
+            PartitionWeight(w.partition, w.d, w.verdict, omega, sign)
         assert info.value.partition == key
 
 

@@ -9,10 +9,12 @@ commit and says why.
 import contextlib
 import hashlib
 import io
+import json
+import re
 
 import pytest
 
-from dtvertex.cache import ENV_CACHE_DIR
+from dtvertex.cache import ENV_CACHE_DIR, seal
 from dtvertex.cli import main
 
 GOLDEN = [
@@ -101,9 +103,12 @@ GOLDEN = [
      "3ac5c5d658a9a0237346b1c8040b43e538f5cb7f26e0b0835a7d2b5ef9b24276"),
 ]
 
-# the file written by a cold `check fourk -d 4 -n 3 --cache F`; schema 6
-# records, whose fingerprints hash the blocks of -v, v the half vertex
-COLD_CACHE = "3439ab289bc235959486c0d3b77e03c72e2abf57f27ffda731876a42d6c9c1f7"
+# the file written by a cold `check fourk -d 4 -n 3 --cache F`, schema 7
+# records with every fingerprint value masked as 64 zeros: a fingerprint
+# seals the key with the package source (cache.seal), so it moves with
+# every source edit, and is checked against the seal of its own key
+COLD_CACHE = "c7b44044c00c0850b96e5214f54f5171d7ca2281ecdc96b3ca3f743a55edb0c7"
+_FINGERPRINT = re.compile(rb'"fingerprint":"[0-9a-f]{64}"')
 
 
 # order 8 at d = 8: both checks exit 1 (test_cli.test_order_8_facts_at_d8
@@ -135,7 +140,13 @@ def test_cold_cache_file_is_byte_identical(tmp_path):
     cache = tmp_path / "weights.jsonl"
     code, _ = _stdout(["check", "fourk", "-d", "4", "-n", "3", "--cache", str(cache)])
     assert code == 0
-    assert hashlib.sha256(cache.read_bytes()).hexdigest() == COLD_CACHE
+    lines = cache.read_bytes().splitlines(keepends=True)
+    for line in lines:
+        rec = json.loads(line)
+        assert rec["fingerprint"] == seal(rec["d"], rec["partition"])
+    masked, count = _FINGERPRINT.subn(b'"fingerprint":"' + b"0" * 64 + b'"', b"".join(lines))
+    assert count == len(lines) == 7
+    assert hashlib.sha256(masked).hexdigest() == COLD_CACHE
 
 
 @pytest.mark.parametrize("command", list(ORDER_8_GOLDEN))
