@@ -490,7 +490,8 @@ def compute_weight(pi, d):
     One box product gives the blocks of -v, v the half vertex
     (half_vertex_blocks), which give e(-v), which rules on the root of
     e(-V) and gives the specialized value of the tautological factor
-    times that root (_specialize_half_vertex), whose weight is extracted.  The fixed part of v is half that of the full
+    times that root (_specialize_half_vertex), whose weight is
+    extracted.  The fixed part of v is half that of the full
     vertex, so e(-v) gives the verdict too: a zero root is
     KEY_EULER_VANISHES with omega = 0 and sign 1, and a positive fixed
     part raises ZeroWeightDenominator.  Pipeline failures raise with the

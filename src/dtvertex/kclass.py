@@ -36,8 +36,8 @@ axes among all d and the tail Z + sgn * bar(Z) / (t_1..t_d)), which the
 first read of `terms` expands into a dict of its own, doubling a copy
 of Q, while cy_fixed_part, and so each keyconj verdict, always reads
 the diagonal off the kept blocks (the tail code by code, Q at two
-codes) in O(|Q| + |Z|) instead of O(2^f |Q|).  half_vertex_blocks gives -v,
-for v the half vertex Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1), as a
+codes) in O(|Q| + |Z|) instead of O(2^f |Q|).  half_vertex_blocks gives
+-v, for v the half vertex Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1), as a
 FlatBlocks: the product Q over the active axes, the flat axes F and the
 tail -Z.  A term c t^w of Q stands for the block of the 2^f codes
 (-1)^|S| c t^w / t_S, S in F, and when F ends the base axes, as for
