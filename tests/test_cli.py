@@ -629,18 +629,22 @@ def test_pool_has_no_more_workers_than_pending_weights(tmp_path, monkeypatch, ca
         assert len(pools) - before == (1 if pending > 1 else 0)
 
 
-def test_serial_cli_does_not_import_the_process_pool():
+def _fresh_interpreter(probe):
+    """The stripped stdout of a probe run by a fresh interpreter on this package."""
     src = os.path.dirname(os.path.dirname(dtvertex.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def test_serial_cli_does_not_import_the_process_pool():
     probe = (
         "import sys, dtvertex.cli; "
         "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    assert _fresh_interpreter(probe) == "[]"
 
 
 def test_order_8_facts_at_d8(order_8_reports):
@@ -794,12 +798,31 @@ def test_cli_does_not_read_a_cache_record():
     assert not names & {"record_from_weight", "FIELDS", "SCHEMA"}
 
 
-def test_stale_record_is_recomputed_by_the_cache_and_appended_once(
-    tmp_path, monkeypatch, capsys
-):
+def _recomputed_by_the_cache(monkeypatch, refuse_misses=False):
+    """The serialized partitions whose weight the cache recomputes, as a
+    list that fills as it runs; with refuse_misses a weight computed by
+    the command line for a partition the cache holds no record of fails."""
     import dtvertex.cache as cache_mod
     import dtvertex.cli as cli_mod
 
+    recomputed = []
+
+    def counted(pi, d):
+        recomputed.append(pi.serialize())
+        return compute_weight(pi, d)
+
+    def refuse(pi, d):
+        raise AssertionError("weight of %s computed as a miss" % pi.serialize())
+
+    monkeypatch.setattr(cache_mod, "compute_weight", counted)
+    if refuse_misses:
+        monkeypatch.setattr(cli_mod, "compute_weight", refuse)
+    return recomputed
+
+
+def test_stale_record_is_recomputed_by_the_cache_and_appended_once(
+    tmp_path, monkeypatch, capsys
+):
     cache = tmp_path / "weights.jsonl"
     argv = ["check", "fourk", "-d", "4", "-n", "3", "--cache", str(cache)]
     _, cold = run_cli(capsys, *argv)
@@ -810,17 +833,7 @@ def test_stale_record_is_recomputed_by_the_cache_and_appended_once(
     edited[1] = lines[1].replace(stale["fingerprint"], "0" * 64)
     cache.write_text("".join(edited))
 
-    def refuse(pi, d):
-        raise AssertionError("weight of %s computed as a miss" % pi.serialize())
-
-    recomputed = []
-
-    def counted(pi, d):
-        recomputed.append(pi.serialize())
-        return compute_weight(pi, d)
-
-    monkeypatch.setattr(cache_mod, "compute_weight", counted)
-    monkeypatch.setattr(cli_mod, "compute_weight", refuse)
+    recomputed = _recomputed_by_the_cache(monkeypatch, refuse_misses=True)
     code, out = run_cli(capsys, *argv)
     assert code == 0 and out == cold
     assert recomputed == [stale["partition"]]
@@ -834,25 +847,14 @@ def test_changed_source_digest_makes_every_record_stale(tmp_path, monkeypatch, c
     # cold run appends in key order, the stale ones in row order); a second
     # run finds them all
     import dtvertex.cache as cache_mod
-    import dtvertex.cli as cli_mod
 
     cache = tmp_path / "weights.jsonl"
     argv = ["check", "omega", "-d", "8", "-n", "4", "--cache", str(cache)]
     _, cold = run_cli(capsys, *argv)
     lines = cache.read_text().splitlines(keepends=True)
 
-    def refuse(pi, d):
-        raise AssertionError("weight of %s computed as a miss" % pi.serialize())
-
-    recomputed = []
-
-    def counted(pi, d):
-        recomputed.append(pi.serialize())
-        return compute_weight(pi, d)
-
     monkeypatch.setattr(cache_mod, "source_digest", lambda: "f" * 64)
-    monkeypatch.setattr(cache_mod, "compute_weight", counted)
-    monkeypatch.setattr(cli_mod, "compute_weight", refuse)
+    recomputed = _recomputed_by_the_cache(monkeypatch, refuse_misses=True)
     resealed = []
     for line in lines:
         rec = json.loads(line)
@@ -870,8 +872,6 @@ def test_edited_partition_key_is_recomputed(tmp_path, monkeypatch, capsys):
     # a record moved by hand to another partition of the same size keeps
     # the seal of its old key, so the cache recomputes the weight of the
     # new key instead of serving the old one's
-    import dtvertex.cache as cache_mod
-
     cache = tmp_path / "weights.jsonl"
     argv = ["check", "fourk", "-d", "4", "-n", "3", "--cache", str(cache)]
     _, cold = run_cli(capsys, *argv)
@@ -884,13 +884,7 @@ def test_edited_partition_key_is_recomputed(tmp_path, monkeypatch, capsys):
     edited[edited.index(moved)] = dict(moved, partition=target["partition"])
     cache.write_text("".join(json.dumps(r) + "\n" for r in edited))
 
-    recomputed = []
-
-    def counted(pi, d):
-        recomputed.append(pi.serialize())
-        return compute_weight(pi, d)
-
-    monkeypatch.setattr(cache_mod, "compute_weight", counted)
+    recomputed = _recomputed_by_the_cache(monkeypatch)
     code, out = run_cli(capsys, *argv)
     assert code == 0 and out == cold
     assert recomputed == [target["partition"]]
@@ -920,14 +914,8 @@ def test_warm_hit_builds_no_half_vertex(tmp_path, monkeypatch, capsys):
 def test_source_digest_is_not_read_at_import():
     # the digest is read on the first lookup or append, so importing the
     # command line reads no source file
-    src = os.path.dirname(os.path.dirname(dtvertex.__file__))
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     probe = "import dtvertex.cli, dtvertex.cache as c; print(c.source_digest.cache_info().misses)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "0"
+    assert _fresh_interpreter(probe) == "0"
 
 
 def test_nonpositive_jobs_is_usage_error(capsys):
