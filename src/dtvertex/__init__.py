@@ -36,7 +36,7 @@ from .kclass import (
     cy_reduce,
     vertex,
 )
-from .omega import OmegaDecomposition, check_exp_identity, decompositions, omega_c
+from .omega import check_exp_identity, decompositions, omega_c
 from .orientation import load_orientation, positive_omega_orientation, verify_uniqueness
 from .partitions import (
     MultiPartition,
@@ -44,7 +44,6 @@ from .partitions import (
     canonicalize_axes,
     count_partitions,
     enumerate_partitions,
-    orbit_size,
 )
 from .ratpoly import QPoly
 from .series import (

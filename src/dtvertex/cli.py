@@ -100,7 +100,7 @@ def check_fourk(d, order, ell, orientation_path, jobs, cache_path):
     orient = load_orientation(orientation_path) if orientation_path else None
     weights = _prepare_weights(d, order, jobs, cache_path)
     if orient is None:
-        orient = positive_omega_orientation(d, weights)
+        orient = positive_omega_orientation(weights)
     z = build_z_4k(d, order, orient, weights)
     target = target_4k(d, order)
     checks = []

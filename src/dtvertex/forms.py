@@ -56,8 +56,8 @@ class FormProduct:
     """scalar * product of canonical forms raised to integer exponents.
 
     The zero class is the zero scalar with no forms: a zero scalar drops
-    the factors.  total_degree and is_scalar read the kclass interior
-    of euler_class as it is; the first read of factors expands it.
+    the factors.  total_degree reads the kclass interior of
+    euler_class as it is; the first read of factors expands it.
     """
 
     __slots__ = ("scalar", "_factors", "_interior")
@@ -105,9 +105,6 @@ class FormProduct:
         """Net number of linear forms, counted with exponents."""
         interior = interior_degree(self._interior) if self._interior else 0
         return sum(self._factors.values()) + interior
-
-    def is_scalar(self):
-        return not self._factors and self._interior is None
 
     def __eq__(self, other):
         if not isinstance(other, FormProduct):

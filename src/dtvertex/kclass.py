@@ -21,7 +21,7 @@ A digit holds w_i + 2^15 only for |w_i| < 2^15, so every class carries
 `bound`, an upper bound on |w_i| that +, *, shift and cy_reduce update
 in O(1); an operation whose bound reaches 2^15 raises ExponentOverflow
 before it builds a key.  Tuples cross the boundary only at the edges
-(the constructor, monomial, coefficient and shift encode; items,
+(the constructor, monomial and shift encode; items,
 as_dict, serialize, block_bytes, the folds and interior_items decode),
 and no other module reads a code: cy_fold reduces a class modulo
 t_1..t_d = 1 and folds it onto mirrored weights, locus_fold restricts it
@@ -102,17 +102,16 @@ def _encode(w, d):
     return int.from_bytes(struct.pack(">%dh" % d, *w), "big") ^ _origin(d), bound
 
 
-def _decode(codes, d, k):
-    """The first k coordinates of each code of d digits, in order.
+def _decode(codes, d):
+    """The exponent vector of each code of d digits, in order.
 
     The codes go into one buffer of big-endian shorts, the bias bit of
     each digit flipped, which one struct.iter_unpack reads back.
     """
-    drop = RADIX_BITS * (d - k)
-    flip = _origin(k)
-    size = 2 * k
-    buf = b"".join([((code >> drop) ^ flip).to_bytes(size, "big") for code in codes])
-    return struct.iter_unpack(">%dh" % k, buf)
+    flip = _origin(d)
+    size = 2 * d
+    buf = b"".join([(code ^ flip).to_bytes(size, "big") for code in codes])
+    return struct.iter_unpack(">%dh" % d, buf)
 
 
 def add_into(out, items):
@@ -189,20 +188,13 @@ class KClass:
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, w):
-        return self.terms.get(_encode(w, self.dim)[0], 0)
-
     def rank(self):
         """Sum of all coefficients, i.e. evaluation at t = 1."""
         return sum(self.terms.values())
 
-    def items(self, prefix=None):
-        """Decoded [(exponent tuple, coefficient)], in term order.
-
-        With prefix k each tuple holds only the first k coordinates.
-        """
-        k = self.dim if prefix is None else prefix
-        return list(zip(_decode(self.terms, self.dim, k), self.terms.values()))
+    def items(self):
+        """Decoded [(exponent tuple, coefficient)], in term order."""
+        return list(zip(_decode(self.terms, self.dim), self.terms.values()))
 
     def as_dict(self):
         """{exponent tuple: coefficient}, the decoded view of `terms`."""
@@ -278,7 +270,7 @@ class KClass:
     def serialize(self):
         """Sorted [[exponent vector, coefficient], ...] debug form."""
         keys = sorted(self.terms)
-        decoded = _decode(keys, self.dim, self.dim)
+        decoded = _decode(keys, self.dim)
         return [[list(w), self.terms[k]] for w, k in zip(decoded, keys)]
 
     def __repr__(self):
@@ -462,7 +454,7 @@ def interior_items(interior):
     for b, c in blocks.items():
         codes += [b - o for o, _ in inner]
         coeffs += [s * c for _, s in inner]
-    return list(zip(_decode(codes, k, k), coeffs))
+    return list(zip(_decode(codes, k), coeffs))
 
 
 def interior_degree(interior):
@@ -525,7 +517,7 @@ def _fold(a, k, restrict, split=False):
     rest = {r: c for r, c in rest.items() if c}
     blocks = {b: c for b, c in blocks.items() if c}
     interior = (k, blocks, steps) if blocks else None
-    return crit, odd, interior, list(zip(_decode(rest, k, k), rest.values()))
+    return crit, odd, interior, list(zip(_decode(rest, k), rest.values()))
 
 
 def cy_fold(a):

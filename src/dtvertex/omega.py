@@ -19,54 +19,13 @@ of the base axes.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .partitions import canonical_representatives, sub_partitions
 from .ratpoly import QPoly
 from .series import TruncatedSeries, m_series
-
-
-class OmegaDecomposition:
-    """Multiset of component partitions: serialized key -> multiplicity.
-
-    components maps each key to the component MultiPartition that the
-    search used, so verify reads the cell sums from those objects.
-    """
-
-    __slots__ = ("parts", "components")
-
-    def __init__(self, parts, components=()):
-        self.parts = dict(parts)
-        self.components = dict(components)
-
-    def weight_term(self):
-        term = Fraction(1)
-        for m in self.parts.values():
-            term /= factorial(m)
-        return term
-
-    def verify(self, pi):
-        """Re-check the cell-sum equation against the decomposed partition.
-
-        A part without a component object fails.
-        """
-        total = {}
-        for key, m in self.parts.items():
-            xi = self.components.get(key)
-            if xi is None:
-                return False
-            for base, h in xi.heights.items():
-                for level in range(1, h + 1):
-                    idx = base + (level,)
-                    total[idx] = total.get(idx, 0) + m
-        return total == pi.heights
-
-    def __eq__(self, other):
-        return isinstance(other, OmegaDecomposition) and self.parts == other.parts
-
-    def __repr__(self):
-        return "OmegaDecomposition(%r)" % (self.parts,)
 
 
 def _column_runs(heights):
@@ -120,8 +79,21 @@ def _subtract(xi, remainder):
     return out
 
 
+def _cell_sums(parts):
+    """Cell counts of a decomposition given as (component, multiplicity)
+    pairs: each distinct part's cells times its multiplicity."""
+    total = {}
+    for xi, m in parts:
+        for base, h in xi.heights.items():
+            for level in range(1, h + 1):
+                idx = base + (level,)
+                total[idx] = total.get(idx, 0) + m
+    return total
+
+
 def decompositions(pi):
-    """All decompositions of the height array into binary arrays.
+    """All decompositions of the height array into binary arrays, each a
+    dict {serialized part: multiplicity}; [{}] for the empty partition.
 
     Backtracking over candidates in a fixed descending order; each
     result is re-verified against the cell-sum equation before being
@@ -134,20 +106,15 @@ def decompositions(pi):
     if pi.arity < 2:
         raise ValueError("decompositions need arity >= 2")
     if pi.is_empty():
-        return [OmegaDecomposition({})]
+        return [{}]
     cands = _candidate_parts(pi)
     sizes = [xi.size for xi in cands]
     corner = (1,) * pi.arity
-    results = []
+    found = []
 
     def search(remainder, start, stack):
         if not remainder:
-            parts, components = {}, {}
-            for i in stack:
-                key = cands[i].serialize()
-                parts[key] = parts.get(key, 0) + 1
-                components[key] = cands[i]
-            results.append(OmegaDecomposition(parts, components))
+            found.append(Counter(stack))
             return
         left = sum(remainder.values())
         k = remainder[corner]
@@ -164,9 +131,13 @@ def decompositions(pi):
                 stack.pop()
 
     search(dict(pi.heights), 0, [])
-    for dec in results:
-        if not dec.verify(pi):
+    results = []
+    for counts in found:
+        parts = [(cands[i], m) for i, m in counts.items()]
+        dec = {xi.serialize(): m for xi, m in parts}
+        if _cell_sums(parts) != pi.heights:
             raise AssertionError("decomposition failed re-verification: %r" % (dec,))
+        results.append(dec)
     return results
 
 
@@ -185,7 +156,10 @@ def omega_c(pi):
             diff = h - pi.height_at((i + 1,))
             total /= factorial(diff)
         return total
-    return sum((dec.weight_term() for dec in decompositions(pi)), Fraction(0))
+    return sum(
+        (Fraction(1, prod(map(factorial, dec.values()))) for dec in decompositions(pi)),
+        Fraction(0),
+    )
 
 
 def check_exp_identity(n, order, omegas=None):

@@ -45,10 +45,10 @@ def load_orientation(path):
     return signs
 
 
-def positive_omega_orientation(d, weights):
+def positive_omega_orientation(weights):
     """Signs making every specialized weight (-1)^size * |omega| * column.
 
-    Reads each sign from weights, a weight_table of dimension d.
+    Reads each sign from weights, a weight_table.
     """
     return {key: w.sign for key, w in weights.items()}
 
@@ -65,7 +65,7 @@ def verify_uniqueness(d, order, weights):
     changes no slice, and that flip is returned as the alternative.
     Returns the report {"verdict", "slices", "alternative", "detail"}.
     """
-    orient = positive_omega_orientation(d, weights)
+    orient = positive_omega_orientation(weights)
     z = build_z_4k(d, order, orient, weights)
     target = target_4k(d, order)
     if z != target:

@@ -108,10 +108,6 @@ class MultiPartition:
     def to_json_obj(self):
         return {"arity": self.arity, "entries": [list(e) for e in self._key]}
 
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls.from_entries(obj["arity"], obj["entries"])
-
     def cells(self):
         """0-based boxes (b_1,...,b_{n+1}) of the associated staircase."""
         for idx, h in sorted(self.heights.items()):
@@ -235,24 +231,13 @@ def canonicalize_axes(pi):
     return MultiPartition.from_entries(pi.arity, rows, validate=False)
 
 
-def orbit_size(pi):
-    """Number of distinct partitions in the axis-permutation orbit.
-
-    The relabeled entries depend only on where the k active axes go and
-    in which order, and distinct position sets give distinct entries, so
-    the orbit has size n!/(n-k)! divided by the number of prefix
-    placements realizing the canonical form.
-    """
-    active = _active_axes(pi)
-    return perm(pi.arity, len(active)) // _greatest_rows(pi.key(), active, pi.arity)[1]
-
-
 def _orbit(rep):
     """The members of the axis-permutation orbit of a canonical rep.
 
     Its k active axes form a prefix.  Each distinct relabeling of them
     (k!/stab of the k! orders) is placed on each k-subset of the axes,
-    and distinct subsets give distinct members, as in orbit_size.
+    and distinct subsets give distinct members, so the orbit has
+    n!/(n-k)!/stab members.
     """
     n, rows = rep.arity, rep.key()
     k = len(_active_axes(rep))
@@ -305,7 +290,7 @@ def canonical_representatives(arity, size):
     (axes with an index above 1), packed into a prefix when canonical.
     Above arity m the representatives are those of arity m padded with
     index 1, in the same order, and one with k active axes has an orbit
-    of (n)_k / stab members at arity n (see orbit_size), so padding
+    of (n)_k / stab members at arity n (see _orbit), so padding
     multiplies its orbit size by (arity)_k / (m)_k.
 
     At arity m and below they grow from size s - 1.  Removing a

@@ -129,7 +129,7 @@ from dtvertex.kclass import (
 )
 from dtvertex.kclass import cy_reduce as packed_cy_reduce
 from dtvertex.kclass import vertex as packed_vertex
-from dtvertex.omega import OmegaDecomposition, _candidate_parts, _fits, _subtract
+from dtvertex.omega import _candidate_parts, _fits, _subtract
 
 
 def _add(a, b, sign=1):
@@ -592,18 +592,17 @@ def unpruned_decompositions(pi):
     candidate no larger than the remainder is tried, in the same order,
     so the bounded search must give this list, in this order."""
     if pi.is_empty():
-        return [OmegaDecomposition({})]
+        return [{}]
     cands = _candidate_parts(pi)
     results = []
 
     def search(remainder, start, stack):
         if not remainder:
-            parts, components = {}, {}
+            parts = {}
             for i in stack:
                 key = cands[i].serialize()
                 parts[key] = parts.get(key, 0) + 1
-                components[key] = cands[i]
-            results.append(OmegaDecomposition(parts, components))
+            results.append(parts)
             return
         left = sum(remainder.values())
         for i in range(start, len(cands)):
@@ -647,7 +646,7 @@ def euler_ratio_odd(pi, d):
             "fixed part of the vertex is positive", partition=pi.serialize()
         )
     p = euler_class(-v, use_cy=True)
-    assert p.is_scalar(), "forms survive in the Euler ratio of %s" % pi.serialize()
+    assert not p.factors, "forms survive in the Euler ratio of %s" % pi.serialize()
     return p.scalar
 
 
@@ -779,7 +778,8 @@ def collected_euler_class(a, use_cy=True):
     """
     if use_cy:
         a = packed_cy_reduce(a)
-    return _collect((w, 0, c) for w, c in a.items(a.dim - 1 if use_cy else None))
+    k = a.dim - 1 if use_cy else a.dim
+    return _collect((w[:k], 0, c) for w, c in a.items())
 
 
 # -- specialization ------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_criterion_2_fixed_term_checks():
 @pytest.mark.parametrize("d,order", FOURK_RANGES)
 def test_criterion_3_fourk_series(d, order):
     weights = cached_weight_table(d, order)
-    orient = positive_omega_orientation(d, weights)
+    orient = positive_omega_orientation(weights)
     ok = build_z_4k(d, order, orient, weights) == target_4k(d, order)
     report(
         "criterion 3: dimension-%d series equals reference power mod q^%d"
@@ -86,7 +86,7 @@ def test_criterion_4_one_box_coefficient():
     ok = True
     for d in (4, 8, 12):
         weights = cached_weight_table(d, 1)
-        orient = positive_omega_orientation(d, weights)
+        orient = positive_omega_orientation(weights)
         ok = ok and build_z_4k(d, 1, orient, weights).coefficient(1) == minus_ell
     report("criterion 4: first coefficient is -ell in dimensions 4, 8, 12", ok)
 
@@ -100,7 +100,7 @@ def test_criterion_5_unit_twist_collapse():
         for rep, _ in canonical_representatives(d - 1, n):
             if rep.corner_height() >= 2:
                 ok = ok and weight_stages(rep, d).value(one) == 0
-    orient = positive_omega_orientation(d, weights)
+    orient = positive_omega_orientation(weights)
     z1 = build_z_4k(d, order, orient, weights).eval_ell(1)
     ok = ok and z1 == m_series(d - 2, order).alternate()
     report("criterion 5: at ell=1 tall columns vanish and the series collapses", ok)

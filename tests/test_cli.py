@@ -492,7 +492,7 @@ def test_orientation_file_flag(tmp_path, capsys):
     # the positive signs in a file as the earlier assignment class saved
     # them, with its "convention" key and the empty partition's sign,
     # give the default report
-    signs = positive_omega_orientation(4, weight_table(4, 2))
+    signs = positive_omega_orientation(weight_table(4, 2))
     path = tmp_path / "orient.json"
     obj = {"convention": "positive_omega", "signs": {"[]": 1, **signs}}
     path.write_text(json.dumps(obj, sort_keys=True, indent=1))
@@ -675,6 +675,16 @@ def test_order_8_facts_at_d8(order_8_reports):
             "[2,1,1,1,1,1,1,1],[2,1,2,1,1,1,1,1],[2,2,1,1,1,1,1,1]]",
         )
     ]
+    # the fourk miss is the sum over the mismatching rows of
+    # orbit * (-1)^size * (|omega| - omega_c) * ell (ell - 1) .. (ell - h + 1)
+    miss = QPoly.zero()
+    for r in rows:
+        falling = QPoly.one()
+        for j in range(r["corner_height"]):
+            falling = falling * QPoly([-j, 1])
+        diff = Fraction(r["omega_abs"]) - Fraction(r["omega_c"])
+        miss = miss + falling * (r["orbit_size"] * (-1) ** r["size"] * diff)
+    assert series - target == miss
 
 
 def test_euler_class_runs_once_per_representative(tmp_path, monkeypatch, capsys):

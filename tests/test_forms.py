@@ -110,7 +110,7 @@ def test_euler_class_full_torus():
 
 def test_euler_class_of_box_vertex_is_minus_one():
     p = euler_class(-vertex(single_box(2), 3), use_cy=True)
-    assert p.is_scalar()
+    assert not p.factors
     assert p.scalar == -1
 
 
@@ -655,7 +655,7 @@ def test_sqrt_of_empty_is_one():
 
     p = euler_class(-vertex(MultiPartition(7), 8), use_cy=True)
     w = sqrt_form_product(p, 0)
-    assert w.is_scalar() and w.scalar == 1
+    assert not w.factors and w.scalar == 1
 
 
 def test_half_vertex_root_matches_sqrt_of_full_euler_class():
@@ -799,7 +799,7 @@ def test_taut_factor_empty():
     from dtvertex import MultiPartition
 
     p = taut_factor(MultiPartition(3), 4, ell_units=1)
-    assert p.is_scalar() and p.scalar == 1
+    assert not p.factors and p.scalar == 1
 
 
 def test_specialize_constant():

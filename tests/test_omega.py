@@ -22,7 +22,7 @@ from dtvertex import (
     omega_c,
 )
 import dtvertex.omega as omega_mod
-from dtvertex.omega import _candidate_parts, _column_runs
+from dtvertex.omega import _candidate_parts, _cell_sums, _column_runs
 from oracles import (
     binary_rep_contains,
     bounded_partitions,
@@ -31,7 +31,7 @@ from oracles import (
     unpruned_decompositions,
 )
 
-from conftest import corner_column, single_box
+from conftest import corner_column, raised_cube_without_corner, single_box
 
 
 def part_from_key(arity, key):
@@ -40,20 +40,30 @@ def part_from_key(arity, key):
 
 def test_single_box_decomposition():
     for arity in (2, 3, 7):
-        decs = decompositions(single_box(arity))
-        assert len(decs) == 1
-        assert decs[0].parts == {single_box(arity - 1).serialize(): 1}
+        assert decompositions(single_box(arity)) == [{single_box(arity - 1).serialize(): 1}]
 
 
 def test_corner_column_decomposition():
-    decs = decompositions(corner_column(2, 2))
-    assert len(decs) == 1
-    assert decs[0].parts == {single_box(1).serialize(): 2}
+    assert decompositions(corner_column(2, 2)) == [{single_box(1).serialize(): 2}]
     assert omega_c(corner_column(2, 2)) == Fraction(1, 2)
 
 
+def test_raised_cube_without_corner_decomposition():
+    # A splits only into its column profile (its 7 base cells) and the
+    # single box, so omega_c(A) = 1; its geometric |omega| at d = 8 is
+    # 1/2, the one order-8 mismatch
+    for arity in (3, 7, 11):
+        a = raised_cube_without_corner(arity)
+        profile = MultiPartition(arity - 1, _column_runs(a.heights))
+        assert profile.size == 7
+        assert decompositions(a) == [
+            {profile.serialize(): 1, single_box(arity - 1).serialize(): 1}
+        ]
+        assert omega_c(a) == 1
+
+
 def test_empty_partition():
-    assert decompositions(MultiPartition(3)) == decompositions(MultiPartition(3))
+    assert decompositions(MultiPartition(3)) == [{}]
     assert omega_c(MultiPartition(3)) == 1
 
 
@@ -63,7 +73,7 @@ def test_decompositions_satisfy_cell_sums():
             for dec in decompositions(pi):
                 total = {}
                 sizes = 0
-                for key, m in dec.parts.items():
+                for key, m in dec.items():
                     xi = part_from_key(1, key)
                     sizes += m * xi.size
                     for idx in pi.heights:
@@ -77,7 +87,7 @@ def test_slice_identity():
     for pi in enumerate_partitions(3, 4):
         for dec in decompositions(pi):
             drops = {}
-            for key, m in dec.parts.items():
+            for key, m in dec.items():
                 xi = part_from_key(2, key)
                 for base, h in xi.heights.items():
                     drops[(base, h)] = drops.get((base, h), 0) + m
@@ -113,23 +123,17 @@ def test_fixture_weights(seven_part_size9, seven_part_size10, seven_part_size14)
 
 def test_verify_rejects_a_changed_multiplicity(monkeypatch):
     pi = corner_column(2, 2)
-    dec = decompositions(pi)[0]
-    assert dec.verify(pi)
-    key = next(iter(dec.parts))
-    dec.parts[key] += 1
-    assert not dec.verify(pi)
+    assert _cell_sums([(single_box(1), 2)]) == pi.heights
+    assert _cell_sums([(single_box(1), 3)]) != pi.heights
 
-    class OneTooMany(omega_mod.OmegaDecomposition):
-        __slots__ = ()
+    real = omega_mod._cell_sums
 
-        def __init__(self, parts, components=()):
-            super().__init__(parts, components)
-            if self.parts:
-                first = next(iter(self.parts))
-                self.parts[first] += 1
+    def one_too_many(parts):
+        (xi, m), *rest = parts
+        return real([(xi, m + 1)] + rest)
 
-    monkeypatch.setattr(omega_mod, "OmegaDecomposition", OneTooMany)
-    with pytest.raises(AssertionError):
+    monkeypatch.setattr(omega_mod, "_cell_sums", one_too_many)
+    with pytest.raises(AssertionError, match="re-verification"):
         decompositions(pi)
 
 
@@ -140,7 +144,7 @@ _PRUNING_GRID = [(2, 9), (3, 9), (4, 8), (5, 8), (6, 8), (7, 8)]
 
 def test_decompositions_match_unpruned_oracle(seven_part_size10, seven_part_size14):
     # the corner-count bounds drop only branches that cannot close: the
-    # same decompositions, with the same components, in the same order
+    # same decompositions, each with its parts in the same order
     reps = [
         rep
         for arity, order in _PRUNING_GRID
@@ -149,8 +153,8 @@ def test_decompositions_match_unpruned_oracle(seven_part_size10, seven_part_size
     ]
     assert len(reps) == 2325
     for pi in reps + [seven_part_size10, seven_part_size14]:
-        found = [(dec.parts, dec.components) for dec in decompositions(pi)]
-        assert found == [(dec.parts, dec.components) for dec in unpruned_decompositions(pi)]
+        found = [list(dec.items()) for dec in decompositions(pi)]
+        assert found == [list(dec.items()) for dec in unpruned_decompositions(pi)]
 
 
 def test_decompositions_reject_arity_one():

@@ -50,7 +50,7 @@ def flip_search_uniqueness(d, order, weights, subset_cap=1 << 16):
     annihilating every slice would be a genuine alternative and is
     returned as a certificate.
     """
-    orient = positive_omega_orientation(d, weights)
+    orient = positive_omega_orientation(weights)
     z = build_z_4k(d, order, orient, weights)
     target = target_4k(d, order)
     if z != target:
@@ -189,21 +189,21 @@ def test_negative_weight_is_shape_mismatch():
 
 
 def test_single_box_sign_is_plus_one():
-    orient = positive_omega_orientation(8, cached_weight_table(8, 1))
+    orient = positive_omega_orientation(cached_weight_table(8, 1))
     assert orient == {single_box(7).serialize(): 1}
 
 
 def test_positive_orientation_reproduces_target():
     for d, order in [(4, 3), (8, 3)]:
         weights = cached_weight_table(d, order)
-        orient = positive_omega_orientation(d, weights)
+        orient = positive_omega_orientation(weights)
         assert build_z_4k(d, order, orient, weights) == target_4k(d, order)
 
 
 def test_flipping_one_sign_changes_only_its_order():
     d, order = 4, 3
     weights = cached_weight_table(d, order)
-    orient = positive_omega_orientation(d, weights)
+    orient = positive_omega_orientation(weights)
     base = build_z_4k(d, order, orient, weights)
     key = single_box(3).serialize()
     flipped = build_z_4k(d, order, flipped_orientation(orient, [key]), weights)
@@ -232,7 +232,7 @@ def test_assignment_roundtrip(tmp_path):
     # a file as the earlier assignment class saved it: a "convention" key
     # beside the signs, one indented key per line, and the empty
     # partition's sign, which no sum reads
-    orient = positive_omega_orientation(4, cached_weight_table(4, 2))
+    orient = positive_omega_orientation(cached_weight_table(4, 2))
     path = tmp_path / "signs.json"
     obj = {"convention": "positive_omega", "signs": {"[]": 1, **orient}}
     path.write_text(json.dumps(obj, sort_keys=True, indent=1))
@@ -242,7 +242,7 @@ def test_assignment_roundtrip(tmp_path):
 
 
 def test_flipped_is_new_assignment():
-    orient = positive_omega_orientation(4, cached_weight_table(4, 2))
+    orient = positive_omega_orientation(cached_weight_table(4, 2))
     key = single_box(3).serialize()
     other = flipped_orientation(orient, [key])
     assert other[key] == -orient[key]

@@ -124,14 +124,14 @@ def test_build_z_odd_matches_per_partition_oracle(d, order):
 
 def test_build_z_4k_first_order():
     weights = cached_weight_table(8, 1)
-    z = build_z_4k(8, 1, positive_omega_orientation(8, weights), weights)
+    z = build_z_4k(8, 1, positive_omega_orientation(weights), weights)
     assert z.coefficient(0) == QPoly.one()
     assert z.coefficient(1) == QPoly((Fraction(0), Fraction(-1)))
 
 
 def test_build_z_4k_matches_target_small():
     weights = cached_weight_table(8, 2)
-    z = build_z_4k(8, 2, positive_omega_orientation(8, weights), weights)
+    z = build_z_4k(8, 2, positive_omega_orientation(weights), weights)
     assert z == target_4k(8, 2)
     # q^2 coefficient is ell^2/2 + 13 ell / 2
     assert z.coefficient(2) == QPoly((Fraction(0), Fraction(13, 2), Fraction(1, 2)))
