@@ -11,13 +11,14 @@ d and the partition (seal).  A hit is trusted only when its fingerprint
 equals the seal of its key in this process, one short hash that builds
 no half vertex.  An edit to any module of the package changes the
 digest, so every record written before it is stale, and so is a record
-whose d or partition was edited by hand.  Stale lines are recomputed
-and re-appended, and compaction rewrites the file keeping the last
-record per key.  A line that is not a well-formed record of this SCHEMA
-(a write torn by a crash, bytes that are not UTF-8, a record of another
-format, a missing or extra key, a value of the wrong type, an omega
-that is not a rational) is skipped, so its partition is recomputed and
-appended on a fresh line.
+whose d or partition was edited by hand.  The cache computes nothing:
+get_weight answers None for a stale record as for a missing one, the
+caller recomputes both alike and appends them, and compaction rewrites
+the file keeping the last record per key.  A line that is not a
+well-formed record of this SCHEMA (a write torn by a crash, bytes that
+are not UTF-8, a record of another format, a missing or extra key, a
+value of the wrong type, an omega that is not a rational) is skipped,
+so its partition is recomputed and appended on a fresh line.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import json
 import os
 from fractions import Fraction
 
-from .forms import PartitionWeight, compute_weight
+from .forms import PartitionWeight
 
 ENV_CACHE_DIR = "DTVERTEX_CACHE_DIR"
 # Version of the record format; records of any other version are skipped.
@@ -165,17 +166,10 @@ class WeightCache:
         return len(keys)
 
     def get_weight(self, pi, d):
-        """The weight of a partition's record, or None if there is none.
-
-        A record whose fingerprint is not the seal of its key is stale:
-        its weight is recomputed, appended and returned.
-        """
+        """The weight of a partition's record, or None if there is none or
+        it is stale: its fingerprint is not the seal of its key."""
         partition = pi.serialize()
         rec = self.records.get((d, partition))
-        if rec is None:
-            return None
-        if rec["fingerprint"] == seal(d, partition):
+        if rec is not None and rec["fingerprint"] == seal(d, partition):
             return weight_from_record(rec, pi)
-        w = compute_weight(pi, d)
-        self.append(w)
-        return w
+        return None

@@ -13,6 +13,7 @@ Reports are deterministic for fixed flags and seed, including under
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -33,9 +34,11 @@ def _prepare_weights(d, order, jobs, cache_path):
     """Compute weights for all canonical partitions up to the order.
 
     Returns {serialized key: PartitionWeight}.  Weights the cache has no
-    record of are computed in sorted key order, by a pool of
-    min(jobs, pending) processes when that is more than one, and
-    appended to the cache in that order, in this process only.
+    record of, or only a stale one, are computed in sorted key order, by
+    a pool of min(jobs, pending) processes when that is more than one,
+    and each is appended to the cache as it arrives, in that order and
+    in this process only, so a run that fails keeps the same records
+    under any jobs.
     """
     store = cache_mod.WeightCache(cache_path)
     out = {}
@@ -49,18 +52,16 @@ def _prepare_weights(d, order, jobs, cache_path):
                 out[rep.serialize()] = w
     pending.sort(key=lambda p: p.key())
     workers = min(jobs, len(pending))
-    if workers > 1:
-        # imported here, so a serial run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            # imported here, so a serial run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(compute_weight, pending, repeat(d)))
-    else:
-        # lazy, so each record is appended before the next weight starts
-        computed = map(compute_weight, pending, repeat(d))
-    for w in computed:
-        out[w.partition.serialize()] = w
-        store.append(w)
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for w in mapper(compute_weight, pending, repeat(d)):
+            out[w.partition.serialize()] = w
+            store.append(w)
     return out
 
 

@@ -162,17 +162,22 @@ def test_reports_deterministic(capsys):
 
 
 def test_jobs_do_not_change_report(tmp_path, capsys):
-    serial_cache = tmp_path / "serial.jsonl"
-    parallel_cache = tmp_path / "parallel.jsonl"
-    _, serial = run_cli(
-        capsys, "check", "fourk", "-d", "4", "-n", "3", "--cache", str(serial_cache)
-    )
-    _, parallel = run_cli(
-        capsys, "check", "fourk", "-d", "4", "-n", "3", "--jobs", "2",
-        "--cache", str(parallel_cache),
-    )
-    assert serial == parallel
-    assert serial_cache.read_bytes() == parallel_cache.read_bytes()
+    # at order 8 the weight of the 2x2x2 cube does not factor through the
+    # corner column (exit 2): the 6 weights before it in key order stay
+    # cached under any jobs
+    for order, code, records in (("3", 0, 7), ("8", 2, 6)):
+        serial_cache = tmp_path / ("serial%s.jsonl" % order)
+        parallel_cache = tmp_path / ("parallel%s.jsonl" % order)
+        serial = run_cli(
+            capsys, "check", "fourk", "-d", "4", "-n", order, "--cache", str(serial_cache)
+        )
+        parallel = run_cli(
+            capsys, "check", "fourk", "-d", "4", "-n", order, "--jobs", "2",
+            "--cache", str(parallel_cache),
+        )
+        assert serial == parallel and serial[0] == code
+        assert serial_cache.read_bytes() == parallel_cache.read_bytes()
+        assert len(serial_cache.read_text().splitlines()) == records
 
 
 def test_cache_roundtrip(tmp_path, capsys):
@@ -616,15 +621,18 @@ def test_pool_has_no_more_workers_than_pending_weights(tmp_path, monkeypatch, ca
 
     # cli imports the pool class only when it starts one
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    cache = str(tmp_path / "weights.jsonl")
-    # n <= 1 leaves 1 weight pending (serial), n <= 3 then 6 more, and a
-    # warm rerun none
-    for n, pending in (("1", 1), ("3", 6), ("3", 0)):
-        before = len(pools)
+    cache = tmp_path / "weights.jsonl"
+    cache.touch()
+    # n <= 1 leaves 1 weight pending (serial), n <= 3 then 6 more, a warm
+    # rerun none, and under another source digest all 7 records are stale
+    for n, pending in (("1", 1), ("3", 6), ("3", 0), ("3", 7)):
+        if pending == 7:
+            monkeypatch.setattr("dtvertex.cache.source_digest", lambda: "f" * 64)
+        before, lines = len(pools), len(cache.read_text().splitlines())
         code, _ = run_cli(
-            capsys, "check", "fourk", "-d", "4", "-n", n, "--jobs", "64", "--cache", cache
+            capsys, "check", "fourk", "-d", "4", "-n", n, "--jobs", "64", "--cache", str(cache)
         )
-        assert code == 0
+        assert code == 0 and len(cache.read_text().splitlines()) - lines == pending
         assert all(w <= pending for w in pools[before:])
         assert len(pools) - before == (1 if pending > 1 else 0)
 
@@ -791,28 +799,36 @@ def test_remfail_order_other_than_two_is_usage_error(capsys):
         assert_usage_error(capsys, "check", "remfail", "-d", "5", "-n", order)
 
 
-def test_cli_does_not_read_a_cache_record():
-    # the record format stays inside cache.py: cli hands the cache weights
-    # and gets weights back
-    source = Path(__file__).resolve().parent.parent / "src" / "dtvertex" / "cli.py"
-    tree = ast.parse(source.read_text())
+def _names_in_source(module):
+    """Every name, attribute and imported name in a module of the package."""
+    source = Path(__file__).resolve().parent.parent / "src" / "dtvertex" / module
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source.read_text())):
         if isinstance(node, ast.Attribute):
-            assert node.attr != "records", "cli.py reads .records at line %d" % node.lineno
             names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name for alias in node.names)
-    assert not names & {"record_from_weight", "FIELDS", "SCHEMA"}
+    return names
 
 
-def _recomputed_by_the_cache(monkeypatch, refuse_misses=False):
-    """The serialized partitions whose weight the cache recomputes, as a
-    list that fills as it runs; with refuse_misses a weight computed by
-    the command line for a partition the cache holds no record of fails."""
-    import dtvertex.cache as cache_mod
+def test_cli_does_not_read_a_cache_record():
+    # the record format stays inside cache.py: cli hands the cache weights
+    # and gets weights back
+    assert not _names_in_source("cli.py") & {"records", "record_from_weight", "FIELDS", "SCHEMA"}
+
+
+def test_cache_computes_no_weight():
+    # the cache only stores and reads: cli computes every missing or stale
+    # weight, on the one route that --jobs covers
+    assert "compute_weight" not in _names_in_source("cache.py")
+
+
+def _recomputed_by_the_cache(monkeypatch):
+    """The serialized partitions whose weight the command line computes,
+    as a list that fills as it runs: those the cache holds no record of
+    and those whose record is stale."""
     import dtvertex.cli as cli_mod
 
     recomputed = []
@@ -821,12 +837,7 @@ def _recomputed_by_the_cache(monkeypatch, refuse_misses=False):
         recomputed.append(pi.serialize())
         return compute_weight(pi, d)
 
-    def refuse(pi, d):
-        raise AssertionError("weight of %s computed as a miss" % pi.serialize())
-
-    monkeypatch.setattr(cache_mod, "compute_weight", counted)
-    if refuse_misses:
-        monkeypatch.setattr(cli_mod, "compute_weight", refuse)
+    monkeypatch.setattr(cli_mod, "compute_weight", counted)
     return recomputed
 
 
@@ -843,7 +854,7 @@ def test_stale_record_is_recomputed_by_the_cache_and_appended_once(
     edited[1] = lines[1].replace(stale["fingerprint"], "0" * 64)
     cache.write_text("".join(edited))
 
-    recomputed = _recomputed_by_the_cache(monkeypatch, refuse_misses=True)
+    recomputed = _recomputed_by_the_cache(monkeypatch)
     code, out = run_cli(capsys, *argv)
     assert code == 0 and out == cold
     assert recomputed == [stale["partition"]]
@@ -852,10 +863,9 @@ def test_stale_record_is_recomputed_by_the_cache_and_appended_once(
 
 def test_changed_source_digest_makes_every_record_stale(tmp_path, monkeypatch, capsys):
     # an edit to any module of the package changes the digest: every hit is
-    # then stale, recomputed by the cache and appended once, its line that
-    # of the cold run with the fingerprint sealed under the new digest (the
-    # cold run appends in key order, the stale ones in row order); a second
-    # run finds them all
+    # then stale, recomputed and appended once in key order, its line that
+    # of the cold run with the fingerprint sealed under the new digest; a
+    # second run finds them all
     import dtvertex.cache as cache_mod
 
     cache = tmp_path / "weights.jsonl"
@@ -864,7 +874,7 @@ def test_changed_source_digest_makes_every_record_stale(tmp_path, monkeypatch, c
     lines = cache.read_text().splitlines(keepends=True)
 
     monkeypatch.setattr(cache_mod, "source_digest", lambda: "f" * 64)
-    recomputed = _recomputed_by_the_cache(monkeypatch, refuse_misses=True)
+    recomputed = _recomputed_by_the_cache(monkeypatch)
     resealed = []
     for line in lines:
         rec = json.loads(line)
@@ -873,15 +883,15 @@ def test_changed_source_digest_makes_every_record_stale(tmp_path, monkeypatch, c
     for _ in range(2):
         code, out = run_cli(capsys, *argv)
         assert code == 0 and out == cold
-        assert sorted(recomputed) == sorted(json.loads(line)["partition"] for line in lines)
-        after = cache.read_text().splitlines(keepends=True)
-        assert after[: len(lines)] == lines and sorted(after[len(lines):]) == sorted(resealed)
+        assert recomputed == [json.loads(line)["partition"] for line in lines]
+        assert cache.read_text().splitlines(keepends=True) == lines + resealed
 
 
 def test_edited_partition_key_is_recomputed(tmp_path, monkeypatch, capsys):
     # a record moved by hand to another partition of the same size keeps
-    # the seal of its old key, so the cache recomputes the weight of the
-    # new key instead of serving the old one's
+    # the seal of its old key, so the weight of the new key is recomputed
+    # instead of serving the old one's, and so is that of the old key,
+    # which now has no record
     cache = tmp_path / "weights.jsonl"
     argv = ["check", "fourk", "-d", "4", "-n", "3", "--cache", str(cache)]
     _, cold = run_cli(capsys, *argv)
@@ -897,7 +907,7 @@ def test_edited_partition_key_is_recomputed(tmp_path, monkeypatch, capsys):
     recomputed = _recomputed_by_the_cache(monkeypatch)
     code, out = run_cli(capsys, *argv)
     assert code == 0 and out == cold
-    assert recomputed == [target["partition"]]
+    assert sorted(recomputed) == sorted([target["partition"], moved["partition"]])
 
 
 def test_warm_hit_builds_no_half_vertex(tmp_path, monkeypatch, capsys):
