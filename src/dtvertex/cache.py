@@ -29,6 +29,7 @@ import json
 import os
 from fractions import Fraction
 
+from .errors import naming
 from .forms import PartitionWeight
 
 ENV_CACHE_DIR = "DTVERTEX_CACHE_DIR"
@@ -167,9 +168,11 @@ class WeightCache:
 
     def get_weight(self, pi, d):
         """The weight of a partition's record, or None if there is none or
-        it is stale: its fingerprint is not the seal of its key."""
+        it is stale: its fingerprint is not the seal of its key.  An
+        impossible record raises a ShapeMismatch that names pi."""
         partition = pi.serialize()
         rec = self.records.get((d, partition))
         if rec is not None and rec["fingerprint"] == seal(d, partition):
-            return weight_from_record(rec, pi)
+            with naming(pi):
+                return weight_from_record(rec, pi)
         return None

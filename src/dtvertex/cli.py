@@ -21,7 +21,7 @@ from functools import partial
 from itertools import repeat
 
 from . import cache as cache_mod
-from .errors import DTVertexError
+from .errors import DTVertexError, naming
 from .forms import compute_weight, cy_bundle_term, full_torus_ratio
 from .kclass import check_key_conjecture
 from .omega import check_exp_identity, omega_c
@@ -128,12 +128,8 @@ def check_keyconj(d, order):
     all_ok = True
     for n in range(1, order + 1):
         for pi in enumerate_partitions(d - 1, n):
-            try:
+            with naming(pi):
                 verdict = check_key_conjecture(pi, d)
-            except DTVertexError as exc:
-                if exc.partition is None:
-                    exc.partition = pi.serialize()
-                raise
             all_ok = all_ok and verdict == "ok"
             rows.append({"partition": pi.serialize(), "size": n, "verdict": verdict})
     return all_ok, {"partitions": rows}
@@ -171,7 +167,8 @@ def check_omega(d, order, jobs, cache_path):
     all_match = True
     for rep, row in _rows(d, order):
         w = weights[row["partition"]]
-        wc = omegas[rep.key()] = omega_c(rep)
+        with naming(rep):
+            wc = omegas[rep.key()] = omega_c(rep)
         match = w.omega == wc
         all_match = all_match and match
         row.update(

@@ -1,12 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and naming, which sets their partition."""
+
+import contextlib
 
 
 class DTVertexError(Exception):
-    """Base class; `partition` optionally records the offending partition key."""
+    """Base class; `partition`, the offending partition's key, is set by naming."""
 
-    def __init__(self, message, partition=None):
-        super().__init__(message)
-        self.partition = partition
+    partition = None
+
+
+@contextlib.contextmanager
+def naming(pi):
+    """Name pi on a DTVertexError raised inside that names no partition
+    yet, so the innermost entry wins, and re-raise it."""
+    try:
+        yield
+    except DTVertexError as exc:
+        if exc.partition is None:
+            exc.partition = pi.serialize()
+        raise
 
 
 class DimensionMismatch(DTVertexError):

@@ -35,6 +35,7 @@ from .errors import (
     NotAPerfectSquare,
     ShapeMismatch,
     ZeroWeightDenominator,
+    naming,
 )
 from .kclass import (
     KEY_EULER_VANISHES,
@@ -114,21 +115,17 @@ class FormProduct:
     def __hash__(self):
         return hash((self.scalar, frozenset(self.factors.items())))
 
-    def evaluate(self, lams, ell=None):
-        """Exact value at a parameter point; zero factors raise.  Each form
-        is an integer over one denominator m, multiplied in order as is."""
+    def evaluate(self, lams):
+        """Exact value at a parameter point; zero factors and ell parts raise.
+        Each form is an integer over one denominator m, multiplied in order as is."""
         lams = [Fraction(x) for x in lams]
-        q = 1 if ell is None else Fraction(ell).denominator
-        m = q * lcm(*[x.denominator for x in lams])
+        m = lcm(*[x.denominator for x in lams])
         ints = [int(x * m) for x in lams]
-        tail = 0 if ell is None else int(Fraction(ell) * sum(ints))
         num, den, degree = self.scalar.numerator, self.scalar.denominator, 0
         for form, e in self.factors.items():
-            v = sum([c * x for c, x in zip(form[:-1], ints)])
             if form[-1]:
-                if ell is None:
-                    raise ValueError("form depends on ell; no value given")
-                v += form[-1] * tail
+                raise ValueError("form depends on ell; no value given")
+            v = sum([c * x for c, x in zip(form[:-1], ints)])
             if not v:
                 if e > 0:
                     return Fraction(0)
@@ -424,13 +421,11 @@ def omega_from_specialized(value, pi):
     Anything else, a zero value included, is a ShapeMismatch.
     """
     if value.is_zero():
-        raise ShapeMismatch("unexpected zero weight", partition=pi.serialize())
+        raise ShapeMismatch("unexpected zero weight")
     q = value.divexact(_corner_column(pi.corner_height()))
     if q is None or not q.is_constant():
         raise ShapeMismatch(
-            "weight %s does not factor through the corner column"
-            % (value.render(),),
-            partition=pi.serialize(),
+            "weight %s does not factor through the corner column" % (value.render(),)
         )
     c = q.constant_value()
     sign = 1 if c > 0 else -1
@@ -446,19 +441,17 @@ class PartitionWeight:
     is sign * (-1)^|pi| * omega * ell (ell - 1) ... (ell - h + 1), with h
     the corner height, so omega and sign fix the term; verdict describes
     the half vertex v (half_vertex_blocks) that the weight was computed
-    from.  An omega below 0, a sign other than +-1 or a verdict other
-    than KEY_OK and KEY_EULER_VANISHES (only a hand-edited cache line can
-    carry one) raises ShapeMismatch naming the partition.
+    from: KEY_OK with omega > 0 and sign +-1, or KEY_EULER_VANISHES with
+    omega 0 and sign 1.  Anything else (only a hand-edited cache line can
+    carry it) raises ShapeMismatch.
     """
 
     __slots__ = ("partition", "d", "verdict", "omega", "sign")
 
     def __init__(self, partition, d, verdict, omega, sign):
-        if omega < 0 or sign not in (1, -1) or verdict not in (KEY_OK, KEY_EULER_VANISHES):
-            raise ShapeMismatch(
-                "weight %s with sign %s and verdict %r" % (omega, sign, verdict),
-                partition=partition.serialize(),
-            )
+        ok = verdict == KEY_OK and omega > 0 and sign in (1, -1)
+        if not (ok or (verdict, omega, sign) == (KEY_EULER_VANISHES, 0, 1)):
+            raise ShapeMismatch("weight %s with sign %s and verdict %r" % (omega, sign, verdict))
         self.partition = partition
         self.d = d
         self.verdict = verdict
@@ -491,24 +484,19 @@ def compute_weight(pi, d):
     extracted.  The fixed part of v is half that of the full
     vertex, so e(-v) gives the verdict too: a zero root is
     KEY_EULER_VANISHES with omega = 0 and sign 1, and a positive fixed
-    part raises ZeroWeightDenominator.  Pipeline failures raise with the
-    offending partition attached.
+    part raises ZeroWeightDenominator.  The whole pipeline runs inside
+    naming(pi), so every DTVertexError it raises names the partition.
     """
     if d % 4:
         raise ValueError("dimension must be divisible by 4")
-    nv = half_vertex_blocks(pi, d)
-    try:
-        value = _specialize_half_vertex(pi, d, nv)
+    with naming(pi):
+        value = _specialize_half_vertex(pi, d, half_vertex_blocks(pi, d))
         if value is None:
             verdict, omega, sign = KEY_EULER_VANISHES, Fraction(0), 1
         else:
             verdict = KEY_OK
             omega, sign = omega_from_specialized(value, pi)
-    except (NotAPerfectSquare, ShapeMismatch, ZeroWeightDenominator) as exc:
-        if exc.partition is None:
-            exc.partition = pi.serialize()
-        raise
-    return PartitionWeight(pi, d, verdict, omega, sign)
+        return PartitionWeight(pi, d, verdict, omega, sign)
 
 
 def weight_table(d, order):
@@ -526,7 +514,8 @@ def weight_table(d, order):
 
 def full_torus_ratio(pi, d):
     """Euler class of minus the vertex over the full torus (no reduction)."""
-    return euler_class(-vertex(pi, d), use_cy=False)
+    with naming(pi):
+        return euler_class(-vertex(pi, d), use_cy=False)
 
 
 def cy_bundle_term(pi, d, u):
@@ -536,5 +525,6 @@ def cy_bundle_term(pi, d, u):
     character t^u, on the Calabi-Yau torus, up to the orientation sign;
     the root comes from the blocks of -v, v the half vertex, so d is even.
     """
-    nv = half_vertex_blocks(pi, d)
-    return taut_factor(pi, d, u=u) * _half_vertex_root(nv, pi.size)
+    with naming(pi):
+        nv = half_vertex_blocks(pi, d)
+        return taut_factor(pi, d, u=u) * _half_vertex_root(nv, pi.size)

@@ -23,6 +23,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
+from .errors import DTVertexError
 from .partitions import canonical_representatives, sub_partitions
 from .ratpoly import QPoly
 from .series import TruncatedSeries, m_series
@@ -95,9 +96,9 @@ def decompositions(pi):
     """All decompositions of the height array into binary arrays, each a
     dict {serialized part: multiplicity}; [{}] for the empty partition.
 
-    Backtracking over candidates in a fixed descending order; each
-    result is re-verified against the cell-sum equation before being
-    returned.  Every part covers the corner cell once, so k parts are
+    Backtracking over candidates in a fixed descending order; a result
+    that fails re-verification against the cell-sum equation raises
+    DTVertexError.  Every part covers the corner cell once, so k parts are
     left to place while the remainder holds k there: a candidate of
     size s ends the loop once s * k < left, since no later candidate is
     larger, and is skipped if s > left - k + 1, which would leave fewer
@@ -136,7 +137,7 @@ def decompositions(pi):
         parts = [(cands[i], m) for i, m in counts.items()]
         dec = {xi.serialize(): m for xi, m in parts}
         if _cell_sums(parts) != pi.heights:
-            raise AssertionError("decomposition failed re-verification: %r" % (dec,))
+            raise DTVertexError("decomposition failed re-verification: %r" % (dec,))
         results.append(dec)
     return results
 

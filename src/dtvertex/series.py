@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .errors import DegenerateSamplePoint, DTVertexError
+from .errors import DegenerateSamplePoint, naming
 from .kclass import cy_fixed_part, half_vertex_blocks
 from .partitions import canonical_representatives, count_partitions
 from .ratpoly import QPoly
@@ -189,12 +189,8 @@ def build_z_odd(d, order):
     for n in range(1, order + 1):
         total = Fraction(0)
         for rep, orbit in canonical_representatives(d - 1, n):
-            try:
+            with naming(rep):
                 c0 = -cy_fixed_part(half_vertex_blocks(rep, d))
-            except DTVertexError as exc:
-                if exc.partition is None:
-                    exc.partition = rep.serialize()
-                raise
             total += (-1) ** ((n + c0) % 2) * orbit
         coeffs.append(QPoly.const(total))
     return TruncatedSeries(order, coeffs)

@@ -642,9 +642,7 @@ def euler_ratio_odd(pi, d):
         raise ValueError("odd dimension required")
     v = packed_vertex(pi, d)
     if key_verdict(v) == KEY_VIOLATED:
-        raise ZeroWeightDenominator(
-            "fixed part of the vertex is positive", partition=pi.serialize()
-        )
+        raise ZeroWeightDenominator("fixed part of the vertex is positive")
     p = euler_class(-v, use_cy=True)
     assert not p.factors, "forms survive in the Euler ratio of %s" % pi.serialize()
     return p.scalar
@@ -709,16 +707,15 @@ def times_raw_form(p, coeffs, ell_part, exponent):
     return FormProduct(p.scalar * Fraction(g) ** exponent, factors)
 
 
-def fraction_evaluate(p, lams, ell=None):
+def fraction_evaluate(p, lams):
     """p at a parameter point, each form's value a Fraction multiplied in;
-    the first zero form gives 0 (positive exponent) or raises."""
+    the first zero form gives 0 (positive exponent) or raises, as does a
+    form with an ell part, the first of the two in order ruling."""
     val = Fraction(p.scalar)
     for form, e in p.factors.items():
-        v = sum(Fraction(c) * x for c, x in zip(form[:-1], lams))
         if form[-1]:
-            if ell is None:
-                raise ValueError("form depends on ell; no value given")
-            v += form[-1] * Fraction(ell) * sum(lams)
+            raise ValueError("form depends on ell; no value given")
+        v = sum(Fraction(c) * x for c, x in zip(form[:-1], lams))
         if not v:
             if e > 0:
                 return Fraction(0)

@@ -29,6 +29,7 @@ from dtvertex import (
 )
 from dtvertex.cache import WeightCache, seal
 from dtvertex.cli import main
+from dtvertex.errors import naming
 from dtvertex.forms import vertex_fingerprint
 from dtvertex.kclass import half_vertex_blocks
 
@@ -217,7 +218,12 @@ def test_negative_cached_omega_is_pipeline_error(tmp_path, capsys):
     argv = ["check", "uniqueness", "-d", "4", "-n", "2", "--cache", str(cache)]
     run_cli(capsys, *argv)
     cold = cache.read_text()
-    for field, value in (("omega", "-1"), ("sign", 5), ("verdict", "violated")):
+    # the last record is "ok" with omega > 0: an omega of 0 or the verdict
+    # "euler_vanishes" disagrees with it as much as a negative omega does
+    for field, value in (
+        ("omega", "-1"), ("sign", 5), ("verdict", "violated"),
+        ("verdict", "euler_vanishes"), ("omega", "0"),
+    ):
         lines = [json.loads(line) for line in cold.splitlines()]
         lines[-1][field] = value
         cache.write_text("".join(json.dumps(r) + "\n" for r in lines))
@@ -419,7 +425,8 @@ def test_pipeline_error_exit_code(monkeypatch, capsys):
     import dtvertex.cli as cli_mod
 
     def explode(pi, d):
-        raise ShapeMismatch("synthetic failure", partition=pi.serialize())
+        with naming(pi):
+            raise ShapeMismatch("synthetic failure")
 
     monkeypatch.setattr(cli_mod, "compute_weight", explode)
     code, out = run_cli(capsys, "check", "fourk", "-d", "4", "-n", "2")
@@ -429,12 +436,20 @@ def test_pipeline_error_exit_code(monkeypatch, capsys):
     assert report["partition"] is not None
 
 
-@pytest.mark.parametrize("kind,d", [("keyconj", 32768), ("odd", 32769)])
+@pytest.mark.parametrize(
+    "kind,d",
+    [
+        ("keyconj", 32768), ("odd", 32769), ("fourk", 32768),
+        ("remfail", 32769), ("remfail", 32768),
+    ],
+)
 def test_radix_overflow_names_the_partition(capsys, kind, d):
     # at size 1 the first box product already needs exponents past the
     # radix and raises before any term is built; size 2 at this arity
-    # would need gigabytes
-    code, out = run_cli(capsys, "check", kind, "-d", str(d), "-n", "1")
+    # would need gigabytes, and remfail, which reads order 2, raises on
+    # its size-1 terms before it enumerates size 2
+    order = "2" if kind == "remfail" else "1"
+    code, out = run_cli(capsys, "check", kind, "-d", str(d), "-n", order)
     assert code == 2
     report = json.loads(out)
     assert report["verdict"] == "error"
@@ -479,7 +494,8 @@ def test_weights_before_a_pipeline_error_stay_cached(tmp_path, monkeypatch, caps
 
     def fail_second(pi, d):
         if done:
-            raise ShapeMismatch("synthetic failure", partition=pi.serialize())
+            with naming(pi):
+                raise ShapeMismatch("synthetic failure")
         done.append(pi)
         return compute_weight(pi, d)
 
@@ -489,6 +505,25 @@ def test_weights_before_a_pipeline_error_stay_cached(tmp_path, monkeypatch, caps
     assert code == 2
     [record] = [json.loads(line) for line in cache.read_text().splitlines()]
     assert record["partition"] == done[0].serialize()
+
+
+def test_failed_omega_reverification_is_pipeline_error(monkeypatch, capsys):
+    import dtvertex.omega as omega_mod
+
+    real = omega_mod._cell_sums
+
+    def one_too_many(parts):
+        (xi, m), *rest = parts
+        return real([(xi, m + 1)] + rest)
+
+    monkeypatch.setattr(omega_mod, "_cell_sums", one_too_many)
+    code, out = run_cli(capsys, "check", "omega", "-d", "4", "-n", "3")
+    assert code == 2
+    report = json.loads(out)
+    assert report["verdict"] == "error"
+    assert report["error"].startswith("decomposition failed re-verification")
+    # the single box, the first row, is the first omega_c computed
+    assert report["partition"] == single_box(3).serialize()
 
 
 def test_orientation_file_flag(tmp_path, capsys):
@@ -823,6 +858,50 @@ def test_cache_computes_no_weight():
     # the cache only stores and reads: cli computes every missing or stale
     # weight, on the one route that --jobs covers
     assert "compute_weight" not in _names_in_source("cache.py")
+
+
+def _partition_writers(module):
+    """Lines of a module of the package that assign an attribute named
+    partition, or pass partition= to an exception class, outside the class
+    PartitionWeight, which stores its own partition."""
+    errors = {name for name, obj in vars(dtvertex.errors).items() if isinstance(obj, type)}
+    tree = ast.parse((Path(dtvertex.__file__).parent / module).read_text())
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "PartitionWeight":
+            skip.update(map(id, ast.walk(node)))
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "partition":
+            if isinstance(node.ctx, ast.Store):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in errors and any(k.arg == "partition" for k in node.keywords):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_naming_sets_the_partition_of_an_error():
+    # errors.naming is the one writer: every per-partition entry point
+    # enters it instead of attaching the partition by hand
+    modules = [p.name for p in Path(dtvertex.__file__).parent.glob("*.py")]
+    writers = {m: _partition_writers(m) for m in modules if m != "errors.py"}
+    assert "cli.py" in writers and not any(writers.values()), writers
+    # the scan does see the write in naming
+    assert _partition_writers("errors.py")
+
+
+def test_naming_keeps_the_innermost_partition():
+    outer, inner = single_box(3), single_box(7)
+    with pytest.raises(ShapeMismatch) as info:
+        with naming(outer):
+            with naming(inner):
+                raise ShapeMismatch("inner")
+    assert info.value.partition == inner.serialize()
 
 
 def _recomputed_by_the_cache(monkeypatch):

@@ -22,6 +22,7 @@ from dtvertex import (
     omega_c,
 )
 import dtvertex.omega as omega_mod
+from dtvertex.errors import DTVertexError
 from dtvertex.omega import _candidate_parts, _cell_sums, _column_runs
 from oracles import (
     binary_rep_contains,
@@ -133,7 +134,7 @@ def test_verify_rejects_a_changed_multiplicity(monkeypatch):
         return real([(xi, m + 1)] + rest)
 
     monkeypatch.setattr(omega_mod, "_cell_sums", one_too_many)
-    with pytest.raises(AssertionError, match="re-verification"):
+    with pytest.raises(DTVertexError, match="re-verification"):
         decompositions(pi)
 
 

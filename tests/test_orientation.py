@@ -18,6 +18,7 @@ from dtvertex import (
     target_4k,
     verify_uniqueness,
 )
+from dtvertex.kclass import KEY_EULER_VANISHES, KEY_OK
 
 from conftest import cached_weight_table, single_box
 from oracles import flipped_orientation
@@ -128,18 +129,21 @@ def flip_search_uniqueness(d, order, weights, subset_cap=1 << 16):
 
 
 class _SeriesOf(PartitionWeight):
-    """A weight whose series term stays that of another weight."""
+    """A weight whose series term stays that of another weight: the
+    positive orientation of each gives the same term."""
 
     __slots__ = ("original",)
 
     def signed_poly(self, orientation_sign):
-        return self.original.signed_poly(orientation_sign)
+        return self.original.signed_poly(orientation_sign * self.sign * self.original.sign)
 
 
 def with_omega(w, omega):
     # keeps the series term, so the positive orientation still meets the
-    # precondition and only the uniqueness rule sees the new omega
-    out = _SeriesOf(w.partition, w.d, w.verdict, omega, w.sign)
+    # precondition and only the uniqueness rule sees the new omega; its
+    # verdict and sign are those compute_weight gives with that omega
+    verdict, sign = (w.verdict, w.sign) if omega else (KEY_EULER_VANISHES, 1)
+    out = _SeriesOf(w.partition, w.d, verdict, omega, sign)
     out.original = w
     return out
 
@@ -182,10 +186,20 @@ def test_negative_weight_is_shape_mismatch():
     weights = cached_weight_table(4, 3)
     key = sorted(weights)[-1]
     w = weights[key]
-    for omega, sign in ((Fraction(-1), w.sign), (w.omega, 5)):
+    assert w.verdict == KEY_OK and w.omega > 0
+    # a verdict that disagrees with omega is as impossible as a negative
+    # omega, and so is a zero omega with sign -1
+    for verdict, omega, sign in (
+        (w.verdict, Fraction(-1), w.sign),
+        (w.verdict, w.omega, 5),
+        (KEY_EULER_VANISHES, w.omega, w.sign),
+        (w.verdict, Fraction(0), w.sign),
+        (KEY_EULER_VANISHES, Fraction(0), -1),
+    ):
         with pytest.raises(ShapeMismatch) as info:
-            PartitionWeight(w.partition, w.d, w.verdict, omega, sign)
-        assert info.value.partition == key
+            PartitionWeight(w.partition, w.d, verdict, omega, sign)
+        # compute_weight and the cache name it; the class alone does not
+        assert info.value.partition is None
 
 
 def test_single_box_sign_is_plus_one():
