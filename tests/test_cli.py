@@ -861,21 +861,14 @@ def test_cache_computes_no_weight():
 
 
 def _partition_writers(module):
-    """Lines of a module of the package that assign an attribute named
-    partition, or pass partition= to an exception class, outside the class
-    PartitionWeight, which stores its own partition."""
+    """Lines of a module of the package that assign the attribute partition
+    of anything but self (PartitionWeight stores its own), or pass
+    partition= to an exception class."""
     errors = {name for name, obj in vars(dtvertex.errors).items() if isinstance(obj, type)}
-    tree = ast.parse((Path(dtvertex.__file__).parent / module).read_text())
-    skip = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "PartitionWeight":
-            skip.update(map(id, ast.walk(node)))
     lines = []
-    for node in ast.walk(tree):
-        if id(node) in skip:
-            continue
+    for node in ast.walk(ast.parse((Path(dtvertex.__file__).parent / module).read_text())):
         if isinstance(node, ast.Attribute) and node.attr == "partition":
-            if isinstance(node.ctx, ast.Store):
+            if isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) != "self":
                 lines.append(node.lineno)
         elif isinstance(node, ast.Call):
             func = node.func
