@@ -3,22 +3,26 @@
 Exit codes for `check`: 0 when the predicted identity is confirmed (for
 remfail: when non-existence is certified), 1 when the check ran but the
 identity fails, 2 on pipeline errors, with the offending partition in
-the report, and on usage errors such as an order below 1, a remfail
-order other than 2 or an option the kind does not read (--ell and
+the report, and on usage errors such as an unknown command, kind or
+option, a missing or malformed value, an order below 1, a remfail order
+other than 2 or an option the kind does not read (--ell and
 --orientation belong to fourk, --bundle to remfail with d = 0 mod 4).
+main returns the code and raises no SystemExit; the argv is read
+against the COMMANDS table, not by argparse, so that no run imports it.
 Reports are deterministic for fixed flags and seed, including under
 --jobs > 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
+from types import SimpleNamespace
 
 from . import cache as cache_mod
 from .errors import DTVertexError, naming
@@ -301,57 +305,132 @@ def cmd_cache_compact(args, out):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="dtvertex",
-        description="Exact vertex computations for zero-dimensional counts on affine space",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()
+_FORMAT = ("format", str, ("json", "table", "csv"), "json")
+# Each command's positionals (the names without a leading "-") in order
+# and its options, each as (dest, type, choices, default); a bool option
+# is a flag.  -d and -n spell --dimension and --order, and -h or --help
+# prints the usage on stdout, at the top level or after a command.
+COMMANDS = {
+    "enumerate": {
+        "arity": ("arity", int, None, _REQUIRED),
+        "size": ("size", int, None, _REQUIRED),
+        "--canonical": ("canonical", bool, None, False),
+        "--format": _FORMAT,
+    },
+    "check": {
+        "kind": ("kind", str, ("odd", "fourk", "keyconj", "remfail", "omega", "uniqueness"),
+                 _REQUIRED),
+        "--dimension": ("dimension", int, None, _REQUIRED),
+        "--order": ("order", int, None, _REQUIRED),
+        "--ell": ("ell", str, None, None),
+        "--orientation": ("orientation_file", str, None, None),
+        "--bundle": ("bundle", str, None, None),
+        "--seed": ("seed", int, None, 1),
+        "--jobs": ("jobs", int, None, 1),
+        "--cache": ("cache", str, None, None),
+        "--format": _FORMAT,
+    },
+    "cache-compact": {"--cache": ("cache", str, None, None)},
+}
+_TOP = {"command": ("command", str, tuple(COMMANDS), _REQUIRED)}
+_SHORT = {"-d": "--dimension", "-n": "--order", "-h": "--help"}
 
-    p_enum = sub.add_parser("enumerate", help="list partitions of a given arity and size")
-    p_enum.add_argument("arity", type=int)
-    p_enum.add_argument("size", type=int)
-    p_enum.add_argument("--canonical", action="store_true",
-                        help="one representative per axis-permutation orbit")
-    p_enum.add_argument("--format", choices=["json", "table", "csv"], default="json")
 
-    p_check = sub.add_parser("check", help="run one of the identity checks")
-    p_check.add_argument(
-        "kind", choices=["odd", "fourk", "keyconj", "remfail", "omega", "uniqueness"]
-    )
-    p_check.add_argument("--dimension", "-d", type=int, required=True)
-    p_check.add_argument("--order", "-n", type=int, required=True)
-    p_check.add_argument("--ell", default=None,
-                         help="fourk: integer, range a..b, or 'symbolic' (the default)")
-    p_check.add_argument("--orientation", dest="orientation_file", default=None,
-                         help="fourk: JSON file of signs; default positive-omega")
-    p_check.add_argument("--bundle", default=None,
-                         help="remfail with d = 0 mod 4: comma-separated twist "
-                              "(default 1,0,...,0)")
-    p_check.add_argument("--seed", type=int, default=1)
-    p_check.add_argument("--jobs", type=int, default=1)
-    p_check.add_argument("--cache", default=None)
-    p_check.add_argument("--format", choices=["json", "table", "csv"], default="json")
+def _usage(command):
+    """The usage line of a command, or of the top level for None."""
+    words = ["usage: dtvertex", command or ""]
+    for name, (dest, type_, choices, default) in (COMMANDS[command] if command else _TOP).items():
+        word = "{%s}" % ",".join(choices) if choices else dest.upper()
+        if name[0] == "-":
+            flag = "/".join([s for s, long in _SHORT.items() if long == name] + [name])
+            word = flag if type_ is bool else "%s %s" % (flag, word)
+        words.append(word if default is _REQUIRED else "[%s]" % word)
+    return " ".join(w for w in words if w) + " [-h/--help]\n"
 
-    p_compact = sub.add_parser("cache-compact", help="rewrite the cache keeping last records")
-    p_compact.add_argument("--cache", default=None)
-    return parser
+
+def _option(tok, names):
+    """(name, explicit value or None) when tok is an option among names:
+    exact, an unambiguous prefix of a long one, -d8 or -d=8; None when
+    tok is a value: "-", a negative number or a token holding a space."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    if tok[:2] == "--":
+        name, eq, value = tok.partition("=")
+        found = [o for o in names if o == name]
+        found = found or [o for o in names if name[2:] and o.startswith(name)]
+        value = value if eq else None
+    else:
+        found = [o for o in names if o == _SHORT.get(tok[:2])]
+        value = tok[3:] if tok[2:3] == "=" else tok[2:] or None
+    if len(found) > 1:
+        raise ValueError("ambiguous option %s could match %s" % (tok, ", ".join(found)))
+    if found:
+        return found[0], value
+    if re.fullmatch(r"-\d+|-\d*\.\d+", tok) or " " in tok:
+        return None
+    raise ValueError("unknown option %s" % tok)
+
+
+def parse_args(argv, out):
+    """The namespace of argv read left to right against COMMANDS, or None
+    once -h/--help has written the usage to out.  The last occurrence of
+    an option wins; every usage error is a ValueError."""
+    command, table, args = None, _TOP, {"command": _REQUIRED}
+    names, positionals = [*_TOP, "--help"], ["command"]
+    tokens = iter(argv)
+    for tok in tokens:
+        found = _option(tok, names)
+        if found is None:
+            if not positionals:
+                raise ValueError("unrecognized argument %s" % tok)
+            name, value = positionals.pop(0), tok
+        else:
+            name, value = found
+            if name == "--help" or table[name][1] is bool:
+                if value is not None:
+                    raise ValueError("%s takes no value" % name)
+                if name == "--help":
+                    out.write(_usage(command))
+                    return None
+                value = True
+            elif value is None:
+                value = next(tokens, None)
+                if value is None or _option(value, names) is not None:
+                    raise ValueError("%s needs a value" % name)
+        dest, type_, choices, _ = table[name]
+        try:
+            value = type_(value)
+        except ValueError:
+            raise ValueError("%s: invalid %s value %r" % (name, type_.__name__, value)) from None
+        if choices and value not in choices:
+            raise ValueError("%s: invalid choice %r (choose from %s)"
+                             % (name, value, ", ".join(choices)))
+        args[dest] = value
+        if table is _TOP:
+            command, table = value, COMMANDS[value]
+            names, positionals = [*table, "--help"], [n for n in table if n[0] != "-"]
+            args.update((spec[0], spec[3]) for spec in table.values())
+    missing = [n for n, spec in table.items() if args[spec[0]] is _REQUIRED]
+    if missing:
+        raise ValueError("the following arguments are required: %s" % ", ".join(missing))
+    return SimpleNamespace(**args)
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv, out)
+        if args is None:
+            return 0
         if args.command == "enumerate":
             return cmd_enumerate(args, out)
         if args.command == "check":
             return cmd_check(args, out)
-        if args.command == "cache-compact":
-            return cmd_cache_compact(args, out)
+        return cmd_cache_compact(args, out)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -90,10 +90,14 @@ the package against.
   packed-bytes digest of schema 4 replaced, and that digest of the
   expanded half vertex, which the digests of its flat-axis orbits
   (schema 5) and of the blocks of -v (schema 6) replaced.
+- The argparse parser of the command line, which the table that
+  cli.parse_args reads replaced: on every argv both accept with equal
+  fields or both reject.
 - Small helpers that only tests use: axis-permutation orbits, staircase
   membership, orientation flips, series powers and tables.
 """
 
+import argparse
 import hashlib
 import struct
 from fractions import Fraction
@@ -1033,3 +1037,40 @@ def series_table(series, var="ell"):
     return "\n".join(
         "q^%-2d  %s" % (n, c.render(var)) for n, c in enumerate(series.coeffs)
     )
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="dtvertex",
+        description="Exact vertex computations for zero-dimensional counts on affine space",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_enum = sub.add_parser("enumerate", help="list partitions of a given arity and size")
+    p_enum.add_argument("arity", type=int)
+    p_enum.add_argument("size", type=int)
+    p_enum.add_argument("--canonical", action="store_true",
+                        help="one representative per axis-permutation orbit")
+    p_enum.add_argument("--format", choices=["json", "table", "csv"], default="json")
+
+    p_check = sub.add_parser("check", help="run one of the identity checks")
+    p_check.add_argument(
+        "kind", choices=["odd", "fourk", "keyconj", "remfail", "omega", "uniqueness"]
+    )
+    p_check.add_argument("--dimension", "-d", type=int, required=True)
+    p_check.add_argument("--order", "-n", type=int, required=True)
+    p_check.add_argument("--ell", default=None,
+                         help="fourk: integer, range a..b, or 'symbolic' (the default)")
+    p_check.add_argument("--orientation", dest="orientation_file", default=None,
+                         help="fourk: JSON file of signs; default positive-omega")
+    p_check.add_argument("--bundle", default=None,
+                         help="remfail with d = 0 mod 4: comma-separated twist "
+                              "(default 1,0,...,0)")
+    p_check.add_argument("--seed", type=int, default=1)
+    p_check.add_argument("--jobs", type=int, default=1)
+    p_check.add_argument("--cache", default=None)
+    p_check.add_argument("--format", choices=["json", "table", "csv"], default="json")
+
+    p_compact = sub.add_parser("cache-compact", help="rewrite the cache keeping last records")
+    p_compact.add_argument("--cache", default=None)
+    return parser

@@ -1,5 +1,6 @@
 """Command line interface: output formats, exit codes, cache, determinism."""
 
+import argparse
 import ast
 import contextlib
 import functools
@@ -28,13 +29,19 @@ from dtvertex import (
     vertex,
 )
 from dtvertex.cache import WeightCache, seal
-from dtvertex.cli import main
+from dtvertex.cli import main, parse_args
 from dtvertex.errors import naming
 from dtvertex.forms import vertex_fingerprint
 from dtvertex.kclass import half_vertex_blocks
 
 from conftest import single_box
-from oracles import class_vertex_half, expanded_fingerprint, repr_fingerprint, times_raw_form
+from oracles import (
+    build_parser,
+    class_vertex_half,
+    expanded_fingerprint,
+    repr_fingerprint,
+    times_raw_form,
+)
 
 
 def run_cli(capsys, *argv):
@@ -610,6 +617,15 @@ def _optional(flag, values):
     return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [flag + "=" + v]))
 
 
+_MALFORMED = {
+    "unknown option": lambda argv: argv + ["--nope"],
+    "option with no value": lambda argv: argv + ["--seed"],
+    "non-integer dimension": lambda argv: argv + ["-d", "x"],
+    "unknown kind": lambda argv: argv[:1] + ["bogus"] + argv[2:],
+    "unknown command": lambda argv: ["chek"] + argv[1:],
+}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(["odd", "fourk", "keyconj", "remfail", "omega", "uniqueness"]),
@@ -621,21 +637,105 @@ def _optional(flag, values):
         _optional("--jobs", ["-1", "0", "1", "2"]),
         _optional("--format", ["json", "table", "csv", "xml"]),
     ),
+    malformed=st.one_of(st.none(), st.sampled_from(sorted(_MALFORMED))),
 )
-def test_fuzz_check_exit_codes(kind, d, n, options):
+def test_fuzz_check_exit_codes(kind, d, n, options, malformed):
     argv = ["check", kind, "-d", str(d), "-n", str(n)] + sum(options, [])
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the argv
-            code = exc.code
+    if malformed:
+        argv = _MALFORMED[malformed](argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2)
     ell, bundle = options[0], options[1]
-    if (ell and kind != "fourk") or (bundle and (kind != "remfail" or d % 4)):
+    if malformed or (ell and kind != "fourk") or (bundle and (kind != "remfail" or d % 4)):
         assert code == 2
+    if malformed:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
     if n < 1:
         assert "confirmed" not in out.getvalue() and "unique" not in out.getvalue()
+
+
+# Each command's positional values and its options, every option under
+# its full name and an unambiguous prefix (and -d, -n), with good values,
+# some led by "-".  A broken argv may also draw the bad values, repeat or
+# drop any option and hold one stray token.
+_SPELLINGS = {
+    "enumerate": ([["3", "0", "-1"], ["2", "-2", " 1"]], {
+        ("--canonical", "--can"): None,
+        ("--format", "--form"): ["json", "table", "csv"],
+    }),
+    "check": ([["odd", "fourk", "keyconj", "remfail", "omega", "uniqueness"]], {
+        ("--dimension", "--dim", "-d"): ["8", "12", "-1", " 4"],
+        ("--order", "--ord", "-n"): ["3", "-1"],
+        ("--ell", "--el"): ["symbolic", "-1", "3"],
+        ("--orientation", "--orient"): ["signs.json", "-"],
+        ("--bundle", "--bun"): ["1,0,0,0", ""],
+        ("--seed", "--se"): ["1", "-3"],
+        ("--jobs", "--jo"): ["1", "-1", "2"],
+        ("--cache", "--ca"): ["w.jsonl", "-"],
+        ("--format", "--fo"): ["json", "csv", "table"],
+    }),
+    "cache-compact": ([], {("--cache", "--c"): ["w.jsonl", "-", ""]}),
+}
+_BAD = ["x", "", "-1..2", "-.5", "xml", "-x", "bogus"]
+_STRAY = ["--nope", "-x", "--o", "extra", "-5", "--canonical=1", "--help=x"]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SPELLINGS)))
+    broken = draw(st.booleans())
+    positionals, options = _SPELLINGS[command]
+    bad = _BAD if broken else []
+    chunks = [[draw(st.sampled_from(values + bad))] for values in positionals
+              if not broken or draw(st.integers(0, 9))]
+    for names, values in options.items():
+        counts = [0, 1, 2] if broken else [1] if names[-1] in ("-d", "-n") else [0, 1]
+        for _ in range(draw(st.sampled_from(counts))):
+            name = draw(st.sampled_from(names))
+            if values is None:
+                chunks.append([name])
+                continue
+            value = draw(st.sampled_from(values + bad))
+            glue = draw(st.sampled_from([None, "="] + ([""] if name[1] != "-" else [])))
+            chunks.append([name, value] if glue is None else [name + glue + value])
+    if broken:
+        chunks += draw(st.lists(st.sampled_from(_STRAY).map(lambda tok: [tok]), max_size=1))
+    return [command] + sum(draw(st.permutations(chunks)), [])
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argv())
+def test_parse_args_agrees_with_argparse(argv):
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        assert exc.code == 2
+        expected = None
+    if expected is None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+    else:
+        assert vars(parse_args(argv, io.StringIO())) == expected
+
+
+@pytest.mark.parametrize("command", [None, "enumerate", "check", "cache-compact"])
+def test_help_names_every_option(capsys, command):
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if command is None:
+        words = list(sub.choices)
+    else:
+        words = [o for a in sub.choices[command]._actions for o in a.option_strings]
+        words += [c for a in sub.choices[command]._actions for c in a.choices or ()]
+    for flag in ("-h", "--help"):
+        code, out = run_cli(capsys, *([command] if command else []), flag)
+        assert code == 0 and out.startswith("usage: dtvertex")
+        assert all(w in out for w in words), (words, out)
 
 
 def test_pool_has_no_more_workers_than_pending_weights(tmp_path, monkeypatch, capsys):
@@ -1008,6 +1108,16 @@ def test_source_digest_is_not_read_at_import():
     # command line reads no source file
     probe = "import dtvertex.cli, dtvertex.cache as c; print(c.source_digest.cache_info().misses)"
     assert _fresh_interpreter(probe) == "0"
+
+
+def test_cli_run_imports_no_argparse():
+    probe = (
+        "import contextlib, io, sys, dtvertex.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = dtvertex.cli.main(['check', 'keyconj', '-d', '4', '-n', '2'])\n"
+        "print(code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])"
+    )
+    assert _fresh_interpreter(probe) == "0 []"
 
 
 def test_nonpositive_jobs_is_usage_error(capsys):
