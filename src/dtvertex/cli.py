@@ -305,56 +305,53 @@ def cmd_cache_compact(args, out):
     return 0
 
 
-_REQUIRED = object()
-_FORMAT = ("format", str, ("json", "table", "csv"), "json")
+_FORMAT = ("format", ("json", "table", "csv"), "json")
 # Each command's positionals (the names without a leading "-") in order
-# and its options, each as (dest, type, choices, default); a bool option
-# is a flag.  -d and -n spell --dimension and --order, and -h or --help
-# prints the usage on stdout, at the top level or after a command.
+# and its options, as (dest, type or tuple of choices, default); a bool
+# option is a flag and a default of ... must be given.  -d and -n spell
+# --dimension and --order; -h or --help prints the usage on stdout.
 COMMANDS = {
     "enumerate": {
-        "arity": ("arity", int, None, _REQUIRED),
-        "size": ("size", int, None, _REQUIRED),
-        "--canonical": ("canonical", bool, None, False),
+        "arity": ("arity", int, ...),
+        "size": ("size", int, ...),
+        "--canonical": ("canonical", bool, False),
         "--format": _FORMAT,
     },
     "check": {
-        "kind": ("kind", str, ("odd", "fourk", "keyconj", "remfail", "omega", "uniqueness"),
-                 _REQUIRED),
-        "--dimension": ("dimension", int, None, _REQUIRED),
-        "--order": ("order", int, None, _REQUIRED),
-        "--ell": ("ell", str, None, None),
-        "--orientation": ("orientation_file", str, None, None),
-        "--bundle": ("bundle", str, None, None),
-        "--seed": ("seed", int, None, 1),
-        "--jobs": ("jobs", int, None, 1),
-        "--cache": ("cache", str, None, None),
+        "kind": ("kind", ("odd", "fourk", "keyconj", "remfail", "omega", "uniqueness"), ...),
+        "--dimension": ("dimension", int, ...),
+        "--order": ("order", int, ...),
+        "--ell": ("ell", str, None),
+        "--orientation": ("orientation_file", str, None),
+        "--bundle": ("bundle", str, None),
+        "--seed": ("seed", int, 1),
+        "--jobs": ("jobs", int, 1),
+        "--cache": ("cache", str, None),
         "--format": _FORMAT,
     },
-    "cache-compact": {"--cache": ("cache", str, None, None)},
+    "cache-compact": {"--cache": ("cache", str, None)},
 }
-_TOP = {"command": ("command", str, tuple(COMMANDS), _REQUIRED)}
+_TOP = {"command": ("command", tuple(COMMANDS), ...)}
 _SHORT = {"-d": "--dimension", "-n": "--order", "-h": "--help"}
 
 
 def _usage(command):
     """The usage line of a command, or of the top level for None."""
-    words = ["usage: dtvertex", command or ""]
-    for name, (dest, type_, choices, default) in (COMMANDS[command] if command else _TOP).items():
-        word = "{%s}" % ",".join(choices) if choices else dest.upper()
+    words = ["usage: dtvertex"] + ([command] if command else [])
+    for name, (dest, kind, default) in (COMMANDS[command] if command else _TOP).items():
+        word = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else dest.upper()
         if name[0] == "-":
             flag = "/".join([s for s, long in _SHORT.items() if long == name] + [name])
-            word = flag if type_ is bool else "%s %s" % (flag, word)
-        words.append(word if default is _REQUIRED else "[%s]" % word)
-    return " ".join(w for w in words if w) + " [-h/--help]\n"
+            word = flag if kind is bool else flag + " " + word
+        words.append(word if default is ... else "[%s]" % word)
+    return " ".join(words) + " [-h/--help]\n"
 
 
 def _option(tok, names):
     """(name, explicit value or None) when tok is an option among names:
     exact, an unambiguous prefix of a long one, -d8 or -d=8; None when
-    tok is a value: "-", a negative number or a token holding a space."""
-    if tok[:1] != "-" or tok == "-":
-        return None
+    tok is a value: not led by "-", "-" itself, a negative number or a
+    token holding a space."""
     if tok[:2] == "--":
         name, eq, value = tok.partition("=")
         found = [o for o in names if o == name]
@@ -367,51 +364,48 @@ def _option(tok, names):
         raise ValueError("ambiguous option %s could match %s" % (tok, ", ".join(found)))
     if found:
         return found[0], value
-    if re.fullmatch(r"-\d+|-\d*\.\d+", tok) or " " in tok:
-        return None
-    raise ValueError("unknown option %s" % tok)
+    if tok[:1] == "-" and " " not in tok and not re.fullmatch(r"-(\d*\.?\d+)?", tok):
+        raise ValueError("unknown option %s" % tok)
+    return None
 
 
 def parse_args(argv, out):
     """The namespace of argv read left to right against COMMANDS, or None
     once -h/--help has written the usage to out.  The last occurrence of
     an option wins; every usage error is a ValueError."""
-    command, table, args = None, _TOP, {"command": _REQUIRED}
-    names, positionals = [*_TOP, "--help"], ["command"]
+    command, table, args, positionals = None, _TOP, {"command": ...}, ["command"]
     tokens = iter(argv)
     for tok in tokens:
+        names = [*table, "--help"]
         found = _option(tok, names)
-        if found is None:
-            if not positionals:
-                raise ValueError("unrecognized argument %s" % tok)
-            name, value = positionals.pop(0), tok
-        else:
-            name, value = found
-            if name == "--help" or table[name][1] is bool:
-                if value is not None:
-                    raise ValueError("%s takes no value" % name)
-                if name == "--help":
-                    out.write(_usage(command))
-                    return None
-                value = True
-            elif value is None:
-                value = next(tokens, None)
-                if value is None or _option(value, names) is not None:
-                    raise ValueError("%s needs a value" % name)
-        dest, type_, choices, _ = table[name]
-        try:
-            value = type_(value)
-        except ValueError:
-            raise ValueError("%s: invalid %s value %r" % (name, type_.__name__, value)) from None
-        if choices and value not in choices:
-            raise ValueError("%s: invalid choice %r (choose from %s)"
-                             % (name, value, ", ".join(choices)))
+        if found is None and not positionals:
+            raise ValueError("unrecognized argument %s" % tok)
+        name, value = found or (positionals.pop(0), tok)
+        dest, kind, _ = table.get(name, ("help", bool, False))
+        if kind is bool:
+            if value is not None:
+                raise ValueError("%s takes no value" % name)
+            if name == "--help":
+                out.write(_usage(command))
+                return None
+            value = True
+        elif value is None:
+            value = next(tokens, None)
+            if value is None or _option(value, names):
+                raise ValueError("%s needs a value" % name)
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError("%s: invalid int value %r" % (name, value)) from None
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValueError("%s: %r is not one of %s" % (name, value, ", ".join(kind)))
         args[dest] = value
         if table is _TOP:
             command, table = value, COMMANDS[value]
-            names, positionals = [*table, "--help"], [n for n in table if n[0] != "-"]
-            args.update((spec[0], spec[3]) for spec in table.values())
-    missing = [n for n, spec in table.items() if args[spec[0]] is _REQUIRED]
+            positionals = [n for n in table if n[0] != "-"]
+            args.update((d, default) for d, _, default in table.values())
+    missing = [n for n, (d, _, _) in table.items() if args[d] is ...]
     if missing:
         raise ValueError("the following arguments are required: %s" % ", ".join(missing))
     return SimpleNamespace(**args)
