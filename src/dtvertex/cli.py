@@ -7,8 +7,9 @@ the report, and on usage errors such as an unknown command, kind or
 option, a missing or malformed value, an order below 1, a remfail order
 other than 2 or an option the kind does not read (--ell and
 --orientation belong to fourk, --bundle to remfail with d = 0 mod 4).
-main returns the code and raises no SystemExit; the argv is read
-against the COMMANDS table, not by argparse, so that no run imports it.
+main returns the code and raises no SystemExit.  The argv is read
+against the COMMANDS table in one loop, which builds no parser object
+and imports nothing, as every run is a fresh process.
 Reports are deterministic for fixed flags and seed, including under
 --jobs > 1.
 """

@@ -91,8 +91,9 @@ the package against.
   expanded half vertex, which the digests of its flat-axis orbits
   (schema 5) and of the blocks of -v (schema 6) replaced.
 - The argparse parser of the command line, which the table that
-  cli.parse_args reads replaced: on every argv both accept with equal
-  fields or both reject.
+  cli.parse_args reads replaced: on the argv the tests draw both accept
+  with equal fields or both reject (argparse's "--" separator is the
+  one spelling the table does not keep).
 - Small helpers that only tests use: axis-permutation orbits, staircase
   membership, orientation flips, series powers and tables.
 """
