@@ -119,6 +119,7 @@ class WeightCache:
         # True when the file's last line has no newline (a torn write);
         # the next append then starts a fresh line.
         self._torn_tail = False
+        self._fh = None
         if path and os.path.exists(path):
             # bytes, so a line that is not UTF-8 fails json.loads like any
             # other malformed line instead of aborting the read
@@ -133,14 +134,23 @@ class WeightCache:
                         self.records[(rec["d"], rec["partition"])] = rec
 
     def append(self, w):
-        """Store the record of a PartitionWeight and append it to the file."""
+        """Store a PartitionWeight's record and append it, flushed, to the
+        file, which stays open from the first append until close()."""
         rec = record_from_weight(w)
         self.records[(rec["d"], rec["partition"])] = rec
         if self.path:
+            if self._fh is None:
+                self._fh = open(self.path, "a")
             line = _line(rec)
-            with open(self.path, "a") as fh:
-                fh.write("\n" + line if self._torn_tail else line)
+            self._fh.write("\n" + line if self._torn_tail else line)
+            self._fh.flush()
             self._torn_tail = False
+
+    def close(self):
+        """Close the file that append opened, if any."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def compact(self):
         """Rewrite the file with one line per key, sorted.
@@ -151,6 +161,7 @@ class WeightCache:
         """
         if not self.path:
             return 0
+        self.close()
         keys = sorted(self.records)
         tmp = self.path + ".compact.tmp"
         try:

@@ -42,8 +42,8 @@ def _prepare_weights(d, order, jobs, cache_path):
     record of, or only a stale one, are computed in sorted key order, by
     a pool of min(jobs, pending) processes when that is more than one,
     and each is appended to the cache as it arrives, in that order and
-    in this process only, so a run that fails keeps the same records
-    under any jobs.
+    in this process only, through one handle flushed line by line, so a
+    run that fails keeps the same records under any jobs.
     """
     store = cache_mod.WeightCache(cache_path)
     out = {}
@@ -58,6 +58,7 @@ def _prepare_weights(d, order, jobs, cache_path):
     pending.sort(key=lambda p: p.key())
     workers = min(jobs, len(pending))
     with contextlib.ExitStack() as stack:
+        stack.callback(store.close)
         mapper = map
         if workers > 1:
             # imported here, so a serial run never loads multiprocessing
@@ -282,10 +283,8 @@ def cmd_check(args, out):
             ok, fields = check_remfail(d, order, args.seed, bundle)
         elif kind == "omega":
             ok, fields = check_omega(d, order, args.jobs, cache_path)
-        elif kind == "uniqueness":
-            ok, fields = check_uniqueness(d, order, args.jobs, cache_path)
         else:
-            raise ValueError("unknown kind %r" % kind)
+            ok, fields = check_uniqueness(d, order, args.jobs, cache_path)
     except DTVertexError as exc:
         report.update(verdict="error", error=str(exc), partition=exc.partition)
         code = 2

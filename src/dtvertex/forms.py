@@ -149,7 +149,7 @@ def _merge_primitive(pairs, exps, odd=0):
     by its gcd g, which leaves g**e to the scalar, and may then merge
     into a form already in exps.  A merge that nets to zero deletes the
     form, and an exponent 0 changes nothing.  Returns the product of the
-    g**e as a Fraction, negated when odd.
+    g**e as an integer numerator, negated when odd, and denominator.
     """
     num = den = 1
     primitive = []
@@ -164,7 +164,7 @@ def _merge_primitive(pairs, exps, odd=0):
                     den *= g ** (-e)
         primitive.append((form, e))
     add_into(exps, primitive)
-    return Fraction(-num if odd else num, den)
+    return -num if odd else num, den
 
 
 def _collect(raw):
@@ -189,7 +189,7 @@ def _collect(raw):
             odd ^= e & 1
         pairs.append((form, e))
     exps = {}
-    return FormProduct._packed(_merge_primitive(pairs, exps, odd), exps)
+    return FormProduct._packed(Fraction(*_merge_primitive(pairs, exps, odd)), exps)
 
 
 def euler_class(a, use_cy=True):
@@ -213,7 +213,7 @@ def euler_class(a, use_cy=True):
     if fixed < 0:
         raise ZeroWeightDenominator("zero weight with exponent %d" % fixed)
     exps = {}
-    return FormProduct._packed(_merge_primitive(pairs, exps, odd), exps, interior)
+    return FormProduct._packed(Fraction(*_merge_primitive(pairs, exps, odd)), exps, interior)
 
 
 def sqrt_form_product(p, n):
@@ -287,7 +287,7 @@ def _restrict(factors, units, exps):
     the form (c_i - c_{d-1})_{i <= d-2} in d-2 parameters, which is
     negated when its first non-zero entry is negative and merged into
     exps by _merge_primitive.  Returns the multiplier that the
-    re-canonicalization leaves, as a Fraction.
+    re-canonicalization leaves, as an integer numerator and denominator.
     """
     pairs, odd, zero = [], 0, None
     for form, e in factors.items():
@@ -308,19 +308,20 @@ def _restrict(factors, units, exps):
 
 
 def _locus_value(scalar, units, exps):
-    """The value scalar * prod units^e on the locus, or a ShapeMismatch.
+    """The value scalar * prod units^e on the locus, or a ShapeMismatch;
+    the scalar is a pair (numerator, denominator) of ints.
 
     The net exponent of the units must balance to zero -- positive
     leaves an identically zero value, negative is a pole -- and the
     restricted forms in exps must cancel direction by direction,
     otherwise the value is not constant on the locus.  Checked in that
     order; the value is a QPoly in ell.  The units without an ell-part
-    are constants, multiplied out as integers that enter the scalar as
-    one Fraction; the units (c + k*ell)^e are multiplied out as integer
-    coefficient lists, the top from e > 0 and the bottom from e < 0.
-    When the bottom is 1 the value is the top times the scalar;
-    otherwise the top must divide exactly by the bottom, or the value
-    has a pole.
+    are constants, multiplied into the numerator and the denominator;
+    the units (c + k*ell)^e are multiplied out as integer coefficient
+    lists, the top from e > 0 and the bottom from e < 0.  The value is
+    the top times the numerator over the denominator, built as one
+    QPoly; unless the bottom is 1 it must divide exactly by the bottom,
+    or the value has a pole.
     """
     sigma_net = sum(units.values())
     if sigma_net < 0:
@@ -331,7 +332,7 @@ def _locus_value(scalar, units, exps):
         raise ShapeMismatch("diagnostic not_constant instead of a polynomial")
     top = [1]
     bottom = [1]
-    num = den = 1
+    num, den = scalar
     for (c, k), e in units.items():
         if not k:
             if e > 0:
@@ -345,10 +346,9 @@ def _locus_value(scalar, units, exps):
             for i in range(len(poly) - 1, 0, -1):
                 poly[i] = c * poly[i] + k * poly[i - 1]
             poly[0] *= c
-    scalar *= Fraction(num, den)
-    value = QPoly([scalar * c for c in top])
+    value = QPoly.from_ints([num * c for c in top], den)
     if len(bottom) > 1:
-        value = value.divexact(QPoly(bottom))
+        value = value.divexact(QPoly.from_ints(bottom))
         if value is None:
             raise ShapeMismatch("diagnostic pole instead of a polynomial")
     return value
@@ -368,8 +368,8 @@ def specialize(p):
     this route on the product of forms is the oracle that checks it.
     """
     units, exps = {}, {}
-    scalar = p.scalar * _restrict(p.factors, units, exps)
-    return _locus_value(scalar, units, exps)
+    num, den = _restrict(p.factors, units, exps)
+    return _locus_value((p.scalar.numerator * num, p.scalar.denominator * den), units, exps)
 
 
 def _specialize_half_vertex(pi, d, nv):
@@ -392,13 +392,14 @@ def _specialize_half_vertex(pi, d, nv):
         return None
     taut = taut_factor(pi, d, ell_units=1)
     units, exps = {}, {}
-    scalar = taut.scalar * _restrict(taut.factors, units, exps)
+    num, den = _restrict(taut.factors, units, exps)
     crit, odd, pairs = locus_fold(nv)
     for u, e_u in crit.items():
         if e_u:
             units[u, 0] = units.get((u, 0), 0) + e_u
-    scalar *= _merge_primitive(pairs, exps, odd ^ (e.scalar < 0))
-    return _locus_value(scalar, units, exps)
+    n, m = _merge_primitive(pairs, exps, odd ^ (e.scalar < 0))
+    s = taut.scalar
+    return _locus_value((s.numerator * num * n, s.denominator * den * m), units, exps)
 
 
 @functools.cache
@@ -409,7 +410,7 @@ def _corner_column(h):
     """
     column = QPoly.one()
     for i in range(h):
-        column = column * QPoly((Fraction(-i), Fraction(1)))
+        column = column * QPoly.from_ints((-i, 1))
     return column
 
 
@@ -461,8 +462,8 @@ class PartitionWeight:
     def signed_poly(self, orientation_sign):
         """Contribution to the series for a given orientation sign."""
         pi = self.partition
-        c = orientation_sign * self.sign * (-1) ** pi.size * self.omega
-        return _corner_column(pi.corner_height()) * c
+        c = orientation_sign * self.sign * (-1) ** pi.size
+        return _corner_column(pi.corner_height()) * self.omega * c
 
 
 def vertex_fingerprint(nv):

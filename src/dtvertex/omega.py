@@ -186,7 +186,8 @@ def check_exp_identity(n, order, omegas=None):
         c = QPoly.zero()
         for rep, orbit in canonical_representatives(n, s):
             wc = omega_c(rep) if omegas is None else omegas[rep.key()]
-            c = c + QPoly.const(wc * orbit).shift(rep.corner_height())
+            term = (0,) * rep.corner_height() + (wc.numerator * orbit,)
+            c = c + QPoly.from_ints(term, wc.denominator)
         lhs_coeffs.append(c)
     lhs = TruncatedSeries(order, lhs_coeffs)
     m = m_series(n - 1, order)

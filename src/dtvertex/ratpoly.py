@@ -2,96 +2,114 @@
 
 These are the coefficient containers for everything that depends on the
 line-bundle exponent parameter (rendered as ``ell``) and for truncated
-power series.  All arithmetic is exact, built on fractions.Fraction:
-every stored coefficient is a Fraction, and a coefficient that already
-is one is stored as it is, not wrapped again.  A QPoly is immutable, so
-a value may be shared and memoized.
+power series.  All arithmetic is exact: a QPoly stores int numerators
+num (a tuple, no zero on top) over one denominator den > 0 with
+gcd(den, *num) = 1, zero being ((), 1), so equal values have equal
+pairs and arithmetic runs on ints; coeffs builds Fractions for the
+edges that print or read them.  A QPoly is immutable, so a value may
+be shared and memoized.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
-
-
-def _trim(coeffs):
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return tuple([c if isinstance(c, Fraction) else Fraction(c) for c in coeffs[:n]])
+from itertools import zip_longest
+from math import gcd, isqrt, lcm
 
 
 class QPoly:
     """Polynomial in one variable, coefficients listed from degree 0 up."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, coeffs=()):
-        self.coeffs = _trim(tuple(coeffs))
+    def __new__(cls, coeffs=()):
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*[c.denominator for c in cs])
+        return cls.from_ints([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def from_ints(cls, num, den=1):
+        """The polynomial sum num[k] / den * x**k, for ints num and den != 0."""
+        if not den:
+            raise ZeroDivisionError("polynomial with denominator zero")
+        n = len(num)
+        while n and not num[n - 1]:
+            n -= 1
+        g = gcd(den, *num[:n]) if den > 0 else -gcd(den, *num[:n])
+        p = object.__new__(cls)
+        p.num, p.den = tuple([c // g for c in num[:n]]), den // g
+        return p
 
     @classmethod
     def const(cls, c):
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def zero(cls):
-        return cls(())
+        return cls.from_ints(())
 
     @classmethod
     def one(cls):
-        return cls((Fraction(1),))
+        return cls.from_ints((1,))
+
+    @property
+    def coeffs(self):
+        """The coefficients as Fractions, from degree 0 up, built on each read."""
+        return tuple([Fraction(c, self.den) for c in self.num])
 
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def is_constant(self):
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("polynomial is not constant: %r" % (self,))
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coefficient(0)
 
     def leading(self):
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def coefficient(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[k], self.den) if 0 <= k < len(self.num) else Fraction(0)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == QPoly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QPoly.const(other)
         if not isinstance(other, QPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(tuple(self.coefficient(i) + other.coefficient(i) for i in range(n)))
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            den = lcm(den, other.den)
+            sa, sb = den // self.den, den // other.den
+            a, b = [c * sa for c in a], [c * sb for c in b]
+        return QPoly.from_ints([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly(tuple(-c for c in self.coeffs))
+        return QPoly.from_ints([-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -99,18 +117,19 @@ class QPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QPoly(tuple(c * other for c in self.coeffs))
+            m = other.numerator
+            return QPoly.from_ints([c * m for c in self.num], self.den * other.denominator)
         if not isinstance(other, QPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        a, b = self.num, other.num
+        if not a or not b:
             return QPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return QPoly.from_ints(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -128,39 +147,59 @@ class QPoly:
 
     def shift(self, k):
         """Multiply by x**k."""
-        if not self.coeffs:
+        if not self.num:
             return self
-        return QPoly((Fraction(0),) * k + self.coeffs)
+        return QPoly.from_ints((0,) * k + self.num, self.den)
 
     def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at x = p / q: Horner's rule in ints, then one division."""
+        p, q = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.num):
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc * q, self.den * scale)
 
     def divide(self, other):
         """Return (quotient, remainder) with self = q*other + r, deg r < deg other."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree()
-        lead = other.leading()
+        q = [Fraction(0)] * max(len(rem) - len(other.num) + 1, 0)
+        d, lead, bs = other.degree(), other.leading(), other.coeffs
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i] / lead
             q[i - d] = c
             if c:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(bs):
                     rem[i - d + j] -= c * b
         return QPoly(q), QPoly(rem)
 
     def divexact(self, other):
-        """Exact quotient, or None when the division leaves a remainder."""
-        q, r = self.divide(other)
-        return q if r.is_zero() else None
+        """Exact quotient, or None when the division leaves a remainder:
+        with k the degree gap plus one, L**k * self.num divides by
+        other.num, of lead L, step by step in ints."""
+        b = other.num
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        d, lead = len(b) - 1, b[-1]
+        k = len(self.num) - d
+        if k <= 0:
+            return None if self.num else self
+        scale = lead**k
+        rem = [c * scale for c in self.num] if scale != 1 else list(self.num)
+        q = [0] * k
+        for i in range(len(rem) - 1, d - 1, -1):
+            c = q[i - d] = rem[i] // lead
+            if c:
+                for j, y in enumerate(b):
+                    rem[i - d + j] -= c * y
+        if any(rem[:d]):
+            return None
+        return QPoly.from_ints([c * other.den for c in q], self.den * scale)
 
     def render(self, var="ell"):
-        if not self.coeffs:
+        if not self.num:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):

@@ -146,9 +146,7 @@ def m_series(n, order):
         raise ValueError("n must be >= 0")
     if n == 0:
         return TruncatedSeries.from_fractions([Fraction(1)] * (order + 1))
-    return TruncatedSeries.from_fractions(
-        [Fraction(c) for c in count_partitions(n, order)]
-    )
+    return TruncatedSeries.from_fractions(count_partitions(n, order))
 
 
 def series_pow_ell(m, order):

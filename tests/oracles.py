@@ -94,6 +94,10 @@ the package against.
   cli.parse_args reads replaced: on the argv the tests draw both accept
   with equal fields or both reject (argparse's "--" separator is the
   one spelling the table does not keep).
+- The polynomial over Q stored as a tuple of Fraction coefficients, whose
+  sums and products run Fraction arithmetic coefficient by coefficient,
+  which ratpoly.QPoly (integer numerators over one denominator)
+  replaced: FractionQPoly.
 - Small helpers that only tests use: axis-permutation orbits, staircase
   membership, orientation flips, series powers and tables.
 """
@@ -820,7 +824,9 @@ def collected_specialize(p):
 def qpoly_locus_value(scalar, units, exps):
     """forms._locus_value with QPoly arithmetic: the top and the bottom
     are products of QPoly powers of the ell-units, and the value is the
-    top times the scalar divided exactly by the bottom."""
+    top times the scalar, a pair (numerator, denominator), divided
+    exactly by the bottom."""
+    scalar = Fraction(*scalar)
     sigma_net = sum(units.values())
     if sigma_net < 0:
         raise ShapeMismatch("diagnostic pole instead of a polynomial")
@@ -1075,3 +1081,175 @@ def build_parser():
     p_compact = sub.add_parser("cache-compact", help="rewrite the cache keeping last records")
     p_compact.add_argument("--cache", default=None)
     return parser
+
+
+def _fraction_trim(coeffs):
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    return tuple([c if isinstance(c, Fraction) else Fraction(c) for c in coeffs[:n]])
+
+
+class FractionQPoly:
+    """ratpoly.QPoly as a tuple of Fraction coefficients, each sum and
+    product built coefficient by coefficient in Fraction arithmetic."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        self.coeffs = _fraction_trim(tuple(coeffs))
+
+    @classmethod
+    def const(cls, c):
+        return cls((Fraction(c),))
+
+    @classmethod
+    def zero(cls):
+        return cls(())
+
+    @classmethod
+    def one(cls):
+        return cls((Fraction(1),))
+
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def is_constant(self):
+        return len(self.coeffs) <= 1
+
+    def constant_value(self):
+        if not self.is_constant():
+            raise ValueError("polynomial is not constant: %r" % (self,))
+        return self.coeffs[0] if self.coeffs else Fraction(0)
+
+    def leading(self):
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def coefficient(self, k):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, FractionQPoly):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self == FractionQPoly.const(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionQPoly.const(other)
+        if not isinstance(other, FractionQPoly):
+            return NotImplemented
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FractionQPoly(tuple(self.coefficient(i) + other.coefficient(i) for i in range(n)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionQPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionQPoly.const(other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionQPoly(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, FractionQPoly):
+            return NotImplemented
+        if not self.coeffs or not other.coeffs:
+            return FractionQPoly.zero()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionQPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only non-negative integer powers")
+        result = FractionQPoly.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def shift(self, k):
+        """Multiply by x**k."""
+        if not self.coeffs:
+            return self
+        return FractionQPoly((Fraction(0),) * k + self.coeffs)
+
+    def __call__(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def divide(self, other):
+        """Return (quotient, remainder) with self = q*other + r, deg r < deg other."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
+        d = other.degree()
+        lead = other.leading()
+        for i in range(len(rem) - 1, d - 1, -1):
+            c = rem[i] / lead
+            q[i - d] = c
+            if c:
+                for j, b in enumerate(other.coeffs):
+                    rem[i - d + j] -= c * b
+        return FractionQPoly(q), FractionQPoly(rem)
+
+    def divexact(self, other):
+        """Exact quotient, or None when the division leaves a remainder."""
+        q, r = self.divide(other)
+        return q if r.is_zero() else None
+
+    def render(self, var="ell"):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            if k == 0:
+                parts.append(str(c))
+            else:
+                mono = var if k == 1 else "%s^%d" % (var, k)
+                if c == 1:
+                    parts.append(mono)
+                elif c == -1:
+                    parts.append("-" + mono)
+                else:
+                    parts.append("%s*%s" % (c, mono))
+        out = parts[0]
+        for p in parts[1:]:
+            out += " - " + p[1:] if p.startswith("-") else " + " + p
+        return out
+
+    def __repr__(self):
+        return "FractionQPoly(%s)" % (self.render(),)

@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from dtvertex import (
 from dtvertex.forms import cy_bundle_term, full_torus_ratio
 
 from conftest import cached_weight_table
-from oracles import series_pow, series_table, z_odd
+from oracles import FractionQPoly, series_pow, series_table, z_odd
 
 
 def consts(*values):
@@ -47,17 +48,82 @@ def test_series_ring_ops():
 
 
 def test_qpoly_coefficients_are_exact_fractions():
-    # ints and bools are wrapped, a Fraction is kept as it is; zeros on
-    # top are trimmed either way
+    # ints, bools and Fractions are stored as int numerators over one
+    # positive denominator, the pair reduced and zeros on top trimmed;
+    # coeffs reads them back as Fractions equal to the inputs
     half = Fraction(1, 2)
     p = QPoly([3, True, half, False, 0])
     assert p.coeffs == (3, 1, half) and p.degree() == 2
     assert all(type(c) is Fraction for c in p.coeffs)
-    assert p.coeffs[2] is half
-    for q in (p * p, p + 1, p - p, -p, p * 2, p * half, p.shift(2), QPoly.const(True)):
+    assert (p.num, p.den) == ((6, 2, 1), 2)
+    mixed = QPoly([Fraction(-4, 6), 2, Fraction(5, 9)])
+    for q in (p * p, p + 1, p - p, -p, p * 2, p * half, p.shift(2), QPoly.const(True), mixed):
         assert all(type(c) is Fraction for c in q.coeffs)
+        assert all(type(c) is int for c in q.num) and type(q.den) is int and q.den > 0
+        assert gcd(q.den, *q.num) == 1 and q.num[-1:] != (0,)
+        assert q.coeffs == tuple(Fraction(c, q.den) for c in q.num)
+    assert (mixed.num, mixed.den) == ((-6, 18, 5), 9)
+    assert ((p - p).num, (p - p).den) == ((), 1)
     assert QPoly([False, Fraction(0)]).is_zero()
     assert QPoly([True]) == QPoly.one() == 1
+
+
+RATIONALS = st.one_of(
+    st.integers(-40, 40), st.fractions(min_value=-40, max_value=40, max_denominator=30)
+)
+COEFFS = st.lists(st.one_of(st.just(0), RATIONALS), max_size=6)
+INTS = st.lists(st.integers(-9, 9), max_size=3)
+
+
+def _agree(got, want):
+    """A QPoly and its FractionQPoly oracle hold the same coefficients, the
+    QPoly as a reduced pair of int numerators and a positive denominator."""
+    assert isinstance(got, QPoly) and isinstance(want, FractionQPoly)
+    assert got.den > 0 and gcd(got.den, *got.num) == 1 and got.num[-1:] != (0,)
+    assert got.coeffs == want.coeffs and got.render() == want.render()
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert got.degree() == want.degree() and got.is_zero() == want.is_zero()
+
+
+def _agree_quotient(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        _agree(got, want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=COEFFS, b=COEFFS, c=RATIONALS, x=RATIONALS, k=st.integers(0, 3),
+       low=INTS, lead=st.sampled_from([2, -1, -3, 4]))
+def test_qpoly_agrees_with_the_fraction_oracle(a, b, c, x, k, low, lead):
+    p, q, fp, fq = QPoly(a), QPoly(b), FractionQPoly(a), FractionQPoly(b)
+    for got, want in [
+        (p + q, fp + fq), (p - q, fp - fq), (-p, -fp), (p * q, fp * fq),
+        (p * c, fp * c), (c * p, c * fp), (p + c, fp + c), (c - p, c - fp),
+        (p * int(c), fp * int(c)), (p.shift(k), fp.shift(k)), (p**k, fp**k),
+    ]:
+        _agree(got, want)
+    assert p(x) == fp(x) and type(p(x)) is Fraction
+    assert (p == q) == (fp == fq) and (p == c) == (fp == c)
+    # equal values are equal and hash alike, however they were built
+    twin = QPoly([Fraction(v) for v in a] + [0, Fraction(0, 7)])
+    assert twin == p and hash(twin) == hash(p)
+    if fp.is_constant():
+        assert p.constant_value() == fp.constant_value()
+    else:
+        with pytest.raises(ValueError):
+            p.constant_value()
+    if not fq.is_zero():
+        (qq, qr), (wq, wr) = p.divide(q), fp.divide(fq)
+        _agree(qq, wq)
+        _agree(qr, wr)
+        _agree_quotient(p.divexact(q), fp.divexact(fq))
+        _agree_quotient((p * q).divexact(q), (fp * fq).divexact(fq))
+    # monic and non-monic integer divisors, on p and on a multiple of p
+    for top in (1, lead):
+        m, fm = QPoly(low + [top]), FractionQPoly(low + [top])
+        _agree_quotient(p.divexact(m), fp.divexact(fm))
+        _agree_quotient((p * m).divexact(m), (fp * fm).divexact(fm))
+        _agree_quotient((p * m + 1).divexact(m), (fp * fm + 1).divexact(fm))
 
 
 @st.composite
