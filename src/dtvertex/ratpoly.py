@@ -160,32 +160,18 @@ class QPoly:
             scale *= q
         return Fraction(acc * q, self.den * scale)
 
-    def divide(self, other):
-        """Return (quotient, remainder) with self = q*other + r, deg r < deg other."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.num) + 1, 0)
-        d, lead, bs = other.degree(), other.leading(), other.coeffs
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i] / lead
-            q[i - d] = c
-            if c:
-                for j, b in enumerate(bs):
-                    rem[i - d + j] -= c * b
-        return QPoly(q), QPoly(rem)
-
-    def divexact(self, other):
-        """Exact quotient, or None when the division leaves a remainder:
-        with k the degree gap plus one, L**k * self.num divides by
-        other.num, of lead L, step by step in ints."""
+    def _pseudo_divide(self, other):
+        """(q, r, s) in ints with s * self.num = q * other.num + r, where
+        deg r < deg other and s = L**k, L the lead of other.num and k the
+        degree gap plus one (s = 1 when k <= 0): each step of the long
+        division is then exact in ints."""
         b = other.num
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
         d, lead = len(b) - 1, b[-1]
         k = len(self.num) - d
         if k <= 0:
-            return None if self.num else self
+            return [], list(self.num), 1
         scale = lead**k
         rem = [c * scale for c in self.num] if scale != 1 else list(self.num)
         q = [0] * k
@@ -194,7 +180,18 @@ class QPoly:
             if c:
                 for j, y in enumerate(b):
                     rem[i - d + j] -= c * y
-        if any(rem[:d]):
+        return q, rem[:d], scale
+
+    def divide(self, other):
+        """Return (quotient, remainder) with self = q*other + r, deg r < deg other."""
+        q, r, scale = self._pseudo_divide(other)
+        den = self.den * scale
+        return QPoly.from_ints([c * other.den for c in q], den), QPoly.from_ints(r, den)
+
+    def divexact(self, other):
+        """Exact quotient, or None when the division leaves a remainder."""
+        q, r, scale = self._pseudo_divide(other)
+        if any(r):
             return None
         return QPoly.from_ints([c * other.den for c in q], self.den * scale)
 

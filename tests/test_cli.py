@@ -494,28 +494,6 @@ def test_specialization_diagnostic_is_pipeline_error(monkeypatch, capsys, coeffs
 
 
 def test_weights_before_a_pipeline_error_stay_cached(tmp_path, monkeypatch, capsys):
-    import dtvertex.cli as cli_mod
-
-    done = []
-
-    def fail_second(pi, d):
-        if done:
-            with naming(pi):
-                raise ShapeMismatch("synthetic failure")
-        done.append(pi)
-        return compute_weight(pi, d)
-
-    monkeypatch.setattr(cli_mod, "compute_weight", fail_second)
-    cache = tmp_path / "weights.jsonl"
-    code, _ = run_cli(capsys, "check", "fourk", "-d", "4", "-n", "2", "--cache", str(cache))
-    assert code == 2
-    [record] = [json.loads(line) for line in cache.read_text().splitlines()]
-    assert record["partition"] == done[0].serialize()
-
-
-@pytest.mark.parametrize("torn", [b"", b'{"schema":7,"d":4'])
-@pytest.mark.parametrize("k", [1, 2, 5])
-def test_failed_run_keeps_the_lines_before_it(tmp_path, monkeypatch, capsys, k, torn):
     # a run whose k-th compute_weight raises leaves the file as it was plus
     # the first k - 1 lines of a full run, the first after a fresh newline
     # when the file ended torn; each line is on disk before the next
@@ -527,29 +505,36 @@ def test_failed_run_keeps_the_lines_before_it(tmp_path, monkeypatch, capsys, k, 
     run_cli(capsys, *argv, str(full))
     lines = full.read_bytes().splitlines(keepends=True)
     assert len(lines) > 5
-    cache = tmp_path / "weights.jsonl"
-    if torn:
-        cache.write_bytes(torn)
-    done = []
+    case = {}
 
     def expected(n):
-        head = b"".join(lines[:n])
+        torn, head = case["torn"], b"".join(lines[:n])
         return torn + b"\n" + head if torn and n else torn + head
 
     def fail_kth(pi, d):
+        cache, done = case["cache"], case["done"]
         assert (cache.read_bytes() if cache.exists() else b"") == expected(len(done))
-        if len(done) == k - 1:
+        if len(done) == case["k"] - 1:
             with naming(pi):
                 raise ShapeMismatch("synthetic failure")
         done.append(pi)
         return compute_weight(pi, d)
 
     monkeypatch.setattr(cli_mod, "compute_weight", fail_kth)
-    code, _ = run_cli(capsys, *argv, str(cache))
-    assert code == 2 and len(done) == k - 1
-    assert cache.exists() == bool(torn or k > 1)
-    if cache.exists():
-        assert cache.read_bytes() == expected(k - 1)
+    for k in (1, 2, 5):
+        for torn in (b"", b'{"schema":7,"d":4'):
+            cache = tmp_path / ("weights-%d-%d.jsonl" % (k, len(torn)))
+            if torn:
+                cache.write_bytes(torn)
+            case.update(k=k, torn=torn, cache=cache, done=[])
+            code, _ = run_cli(capsys, *argv, str(cache))
+            assert code == 2 and len(case["done"]) == k - 1
+            assert cache.exists() == bool(torn or k > 1)
+            if cache.exists():
+                assert cache.read_bytes() == expected(k - 1)
+            if k == 2 and not torn:
+                [record] = [json.loads(line) for line in cache.read_text().splitlines()]
+                assert record["partition"] == case["done"][0].serialize()
 
 
 def test_failed_omega_reverification_is_pipeline_error(monkeypatch, capsys):
