@@ -17,9 +17,7 @@ of any arity above m are those of arity m padded with index 1.
 
 The partitions of a size are the members of the representatives'
 orbits, listed orbit by orbit, and their count is the sum of the orbit
-sizes.  The sub-partitions of a height map, which omega decomposes
-into, come from one walk over its cells that gives each cell every
-height its predecessors allow.
+sizes.
 """
 
 from __future__ import annotations
@@ -140,51 +138,23 @@ def enumerate_partitions(arity, size):
     return found
 
 
-def sub_partitions(arity, bound):
-    """All nonempty arity-partitions dominated entrywise by the height map
-    bound, in no particular order.
-
-    Walks the cells of bound in sorted order, so the predecessors of a
-    cell are decided before it, and gives each cell every height from
-    min(bound, heights of its predecessors) down to 0.  A cell outside
-    bound counts as height 0, so bound need not itself be closed toward
-    the corner.
-    """
-    cells = [
-        (c, bound[c], [c[:j] + (c[j] - 1,) + c[j + 1 :] for j in range(len(c)) if c[j] > 1])
-        for c in sorted(bound)
-    ]
-    found = []
-
-    def walk(i, heights):
-        # each call places the next nonempty cell, so the recursion is at
-        # most as deep as bound holds boxes
-        if heights:
-            found.append(MultiPartition(arity, heights, validate=False))
-        for j in range(i, len(cells)):
-            cell, top, preds = cells[j]
-            for p in preds:
-                top = min(top, heights.get(p, 0))
-            for h in range(top, 0, -1):
-                heights[cell] = h
-                walk(j + 1, heights)
-            heights.pop(cell, None)
-
-    walk(0, {})
-    return found
-
-
-def count_partitions(arity, max_size):
+def count_partitions(arity, max_size, grown=None):
     """Counts of arity-partitions of sizes 0..max_size.
 
     Size 0 holds the empty partition alone; each larger count is the sum
     of the orbit sizes of canonical_representatives, so no partition is
-    enumerated.
+    enumerated.  grown, an arity at least arity whose representatives
+    the caller grows anyway, is read instead: the representatives of
+    arity are those of grown with at most arity active axes, and one
+    with k of them has (n)_k / stab members at arity n (see _orbit).
     """
     if max_size < 0:
         return []
+    grown = grown or arity
     return [1] + [
-        sum(orbit for _, orbit in canonical_representatives(arity, s))
+        sum(orbit * perm(arity, k) // perm(grown, k)
+            for rep, orbit in canonical_representatives(grown, s)
+            for k in [len(_active_axes(rep))])
         for s in range(1, max_size + 1)
     ]
 

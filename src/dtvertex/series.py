@@ -135,18 +135,18 @@ class TruncatedSeries:
         return "TruncatedSeries(order=%d)" % (self.order,)
 
 
-def m_series(n, order):
+def m_series(n, order, grown=None):
     """Generating series of n-partitions by size, truncated.
 
     n = 0 is the geometric series; for n >= 1 the coefficients are
     partitions.count_partitions, orbit sizes summed over the canonical
-    representatives.
+    representatives of arity n, or of arity grown when given.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return TruncatedSeries.from_fractions([Fraction(1)] * (order + 1))
-    return TruncatedSeries.from_fractions(count_partitions(n, order))
+    return TruncatedSeries.from_fractions(count_partitions(n, order, grown))
 
 
 def series_pow_ell(m, order):
@@ -162,8 +162,10 @@ def target_odd(d, order):
 
 
 def target_4k(d, order):
-    """Predicted series in dimension 0 mod 4: M_{d-2}(-q)**ell."""
-    return series_pow_ell(m_series(d - 2, order).alternate(), order)
+    """Predicted series in dimension 0 mod 4: M_{d-2}(-q)**ell, its
+    counts read from the representatives of arity d - 1, which the
+    weights need anyway."""
+    return series_pow_ell(m_series(d - 2, order, d - 1).alternate(), order)
 
 
 def build_z_odd(d, order):

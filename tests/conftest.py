@@ -81,20 +81,35 @@ def raised_cube_without_corner(arity):
 
 # run in this order on one cache: omega reads the weights fourk wrote
 ORDER_8_COMMANDS = ("check fourk -d 8 -n 8", "check omega -d 8 -n 8")
+ORDER_9_COMMANDS = ("check fourk -d 8 -n 9", "check omega -d 8 -n 9")
 
 
-@pytest.fixture(scope="session")
-def order_8_reports(tmp_path_factory):
-    """{command: (exit code, stdout)} for ORDER_8_COMMANDS, run once per
-    pytest run and shared by the order-8 facts and their report pins."""
-    cache = str(tmp_path_factory.mktemp("order_8") / "weights.jsonl")
+def _runs_on_one_cache(cache, commands):
+    """{command: (exit code, stdout)}, each run in turn on the cache file."""
     runs = {}
-    for command in ORDER_8_COMMANDS:
+    for command in commands:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(command.split() + ["--cache", cache])
         runs[command] = code, out.getvalue()
     return runs
+
+
+@pytest.fixture(scope="session")
+def order_8_reports(tmp_path_factory):
+    """The runs of ORDER_8_COMMANDS, once per pytest run, shared by the
+    order-8 facts and their report pins."""
+    return _runs_on_one_cache(
+        str(tmp_path_factory.mktemp("order_8") / "weights.jsonl"), ORDER_8_COMMANDS
+    )
+
+
+@pytest.fixture(scope="session")
+def order_9_reports(tmp_path_factory):
+    """The runs of ORDER_9_COMMANDS, once per pytest run."""
+    return _runs_on_one_cache(
+        str(tmp_path_factory.mktemp("order_9") / "weights.jsonl"), ORDER_9_COMMANDS
+    )
 
 
 @functools.cache

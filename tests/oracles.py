@@ -35,8 +35,13 @@ the package against.
   they take -v as the blocks of kclass.FlatBlocks, one per term of the
   product over the active axes, and decode each interior code of a
   block without a merge.
-- The omega decomposition search without the corner-count bounds,
-  which drop only the branches that cannot close.
+- The omega decomposition search that the floored search of
+  omega._search replaced: its candidates are every sub-partition of the
+  column profile as a MultiPartition, from a walk that gives each cell
+  every height down to 0 (no must-hold floor), and it tries each one no
+  larger than the remainder (no corner-count bounds) on a dict
+  remainder.  Both bounds drop only parts and branches that cannot
+  close, so the lists agree in order.
 - The bounded partition enumeration: slices a bounding height map along
   the first axis and meets each slice with the partition's previous
   slice, one size at a time.  It checks omega's candidate lists and,
@@ -138,7 +143,6 @@ from dtvertex.kclass import (
 )
 from dtvertex.kclass import cy_reduce as packed_cy_reduce
 from dtvertex.kclass import vertex as packed_vertex
-from dtvertex.omega import _candidate_parts, _fits, _subtract
 
 
 def _add(a, b, sign=1):
@@ -596,13 +600,88 @@ def representatives_by_grouping(arity, size):
 # -- omega decompositions ----------------------------------------------------
 
 
+def column_runs(heights):
+    """Top occupied level per column base; columns are contiguous prefixes."""
+    runs = {}
+    for idx in heights:
+        base, level = idx[:-1], idx[-1]
+        if level > runs.get(base, 0):
+            runs[base] = level
+    return runs
+
+
+def sub_partitions(arity, bound):
+    """All nonempty arity-partitions dominated entrywise by the height map
+    bound, in no particular order.
+
+    Walks the cells of bound in sorted order, so the predecessors of a
+    cell are decided before it, and gives each cell every height from
+    min(bound, heights of its predecessors) down to 0.  A cell outside
+    bound counts as height 0, so bound need not itself be closed toward
+    the corner.
+    """
+    cells = [
+        (c, bound[c], [c[:j] + (c[j] - 1,) + c[j + 1 :] for j in range(len(c)) if c[j] > 1])
+        for c in sorted(bound)
+    ]
+    found = []
+
+    def walk(i, heights):
+        # each call places the next nonempty cell, so the recursion is at
+        # most as deep as bound holds boxes
+        if heights:
+            found.append(MultiPartition(arity, heights, validate=False))
+        for j in range(i, len(cells)):
+            cell, top, preds = cells[j]
+            for p in preds:
+                top = min(top, heights.get(p, 0))
+            for h in range(top, 0, -1):
+                heights[cell] = h
+                walk(j + 1, heights)
+            heights.pop(cell, None)
+
+    walk(0, {})
+    return found
+
+
+def unfloored_candidates(pi):
+    """Every sub-partition of the column profile, descending by (size,
+    key): the candidates before the must-hold floor."""
+    out = sub_partitions(pi.arity - 1, column_runs(pi.heights))
+    out.sort(key=lambda xi: (xi.size, xi.key()), reverse=True)
+    return out
+
+
+def _fits(xi, remainder):
+    """Whether subtracting the binary array keeps the remainder admissible:
+    every column of xi ends at a strict descent of the remainder."""
+    for base, h in xi.heights.items():
+        if remainder.get(base + (h,), 0) <= remainder.get(base + (h + 1,), 0):
+            return False
+    return True
+
+
+def _subtract(xi, remainder):
+    out = dict(remainder)
+    for base, h in xi.heights.items():
+        for level in range(1, h + 1):
+            idx = base + (level,)
+            v = out[idx] - 1
+            if v:
+                out[idx] = v
+            else:
+                del out[idx]
+    return out
+
+
 def unpruned_decompositions(pi):
-    """omega.decompositions without the corner-count bounds: every
-    candidate no larger than the remainder is tried, in the same order,
-    so the bounded search must give this list, in this order."""
+    """omega.decompositions without the floor and the corner-count
+    bounds: every unfloored candidate no larger than the remainder is
+    tried, in the same order, so the bounded search must give this list,
+    in this order."""
     if pi.is_empty():
         return [{}]
-    cands = _candidate_parts(pi)
+    cands = unfloored_candidates(pi)
     results = []
 
     def search(remainder, start, stack):

@@ -813,24 +813,40 @@ def test_serial_cli_does_not_import_the_process_pool():
     assert _fresh_interpreter(probe) == "[]"
 
 
+def _miss_and_omega_rows(reports, order):
+    """Per power of q up to order: the fourk miss Z - target, and the sum
+    over the omega report's mismatching rows of that size of
+    orbit * (-1)^size * (|omega| - omega_c) * ell (ell - 1) .. (ell - h + 1).
+    Also the mismatching rows, and both exit codes."""
+    fourk_code, out = reports["check fourk -d 8 -n %d" % order]
+    report = json.loads(out)
+    series, target = (
+        [QPoly([Fraction(c) for c in coeffs]) for coeffs in report[k]["coefficients"]]
+        for k in ("series", "target")
+    )
+    omega_code, out = reports["check omega -d 8 -n %d" % order]
+    report = json.loads(out)
+    assert report["exp_identity"] is True
+    rows = [r for r in report["partitions"] if r["verdict"] == "mismatch"]
+    by_size = [QPoly.zero() for _ in range(order + 1)]
+    for r in rows:
+        falling = QPoly.one()
+        for j in range(r["corner_height"]):
+            falling = falling * QPoly([-j, 1])
+        diff = Fraction(r["omega_abs"]) - Fraction(r["omega_c"])
+        by_size[r["size"]] += falling * (r["orbit_size"] * (-1) ** r["size"] * diff)
+    misses = [z - t for z, t in zip(series, target)]
+    return misses, by_size, rows, (fourk_code, omega_code)
+
+
 def test_order_8_facts_at_d8(order_8_reports):
     # A: the 2x2x2 cube on three base axes without its far corner, corner
     # column of height 2 (orbit 35); its |omega| is 1/2 against omega_c 1,
     # and at q^8 no orientation reaches the target.  The two runs share
     # one cache and are pinned byte for byte in test_reports
-    code, out = order_8_reports["check fourk -d 8 -n 8"]
-    assert code == 1
-    report = json.loads(out)
-    series, target = (
-        QPoly([Fraction(c) for c in report[k]["coefficients"][8]])
-        for k in ("series", "target")
-    )
-    assert series - target == QPoly([0, Fraction(35, 2), Fraction(-35, 2)])
-    code, out = order_8_reports["check omega -d 8 -n 8"]
-    assert code == 1
-    report = json.loads(out)
-    assert report["exp_identity"] is True
-    rows = [r for r in report["partitions"] if r["verdict"] == "mismatch"]
+    misses, by_size, rows, codes = _miss_and_omega_rows(order_8_reports, 8)
+    assert codes == (1, 1)
+    assert misses[8] == QPoly([0, Fraction(35, 2), Fraction(-35, 2)])
     got = [(r["orbit_size"], r["omega_abs"], r["omega_c"], r["partition"]) for r in rows]
     assert got == [
         (
@@ -841,16 +857,18 @@ def test_order_8_facts_at_d8(order_8_reports):
             "[2,1,1,1,1,1,1,1],[2,1,2,1,1,1,1,1],[2,2,1,1,1,1,1,1]]",
         )
     ]
-    # the fourk miss is the sum over the mismatching rows of
-    # orbit * (-1)^size * (|omega| - omega_c) * ell (ell - 1) .. (ell - h + 1)
-    miss = QPoly.zero()
-    for r in rows:
-        falling = QPoly.one()
-        for j in range(r["corner_height"]):
-            falling = falling * QPoly([-j, 1])
-        diff = Fraction(r["omega_abs"]) - Fraction(r["omega_c"])
-        miss = miss + falling * (r["orbit_size"] * (-1) ** r["size"] * diff)
-    assert series - target == miss
+    # the fourk miss is the sum over the mismatching rows
+    assert misses == by_size
+
+
+def test_order_9_miss_is_the_omega_rows_at_d8(order_9_reports):
+    # at q^9 the fourk miss is again the sum over the mismatching omega
+    # rows of size 9, as at every lower power; the runs share one cache
+    misses, by_size, rows, codes = _miss_and_omega_rows(order_9_reports, 9)
+    assert codes == (1, 1)
+    assert [r["size"] for r in rows] == [8, 9, 9, 9]
+    assert misses[9] == by_size[9] != QPoly.zero()
+    assert misses == by_size
 
 
 def test_euler_class_runs_once_per_representative(tmp_path, monkeypatch, capsys):

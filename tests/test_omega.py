@@ -1,9 +1,10 @@
 """Multiset decompositions and the combinatorial weight."""
 
+import functools
+import itertools
 import json
 from fractions import Fraction
-
-import functools
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +24,11 @@ from dtvertex import (
 )
 import dtvertex.omega as omega_mod
 from dtvertex.errors import DTVertexError
-from dtvertex.omega import _candidate_parts, _cell_sums, _column_runs
+from dtvertex.omega import _candidates, _cell_sums
 from oracles import (
     binary_rep_contains,
     bounded_partitions,
+    column_runs,
     exp_identity_lhs,
     orbit,
     unpruned_decompositions,
@@ -55,7 +57,7 @@ def test_raised_cube_without_corner_decomposition():
     # 1/2, the one order-8 mismatch
     for arity in (3, 7, 11):
         a = raised_cube_without_corner(arity)
-        profile = MultiPartition(arity - 1, _column_runs(a.heights))
+        profile = MultiPartition(arity - 1, column_runs(a.heights))
         assert profile.size == 7
         assert decompositions(a) == [
             {profile.serialize(): 1, single_box(arity - 1).serialize(): 1}
@@ -124,8 +126,9 @@ def test_fixture_weights(seven_part_size9, seven_part_size10, seven_part_size14)
 
 def test_verify_rejects_a_changed_multiplicity(monkeypatch):
     pi = corner_column(2, 2)
-    assert _cell_sums([(single_box(1), 2)]) == pi.heights
-    assert _cell_sums([(single_box(1), 3)]) != pi.heights
+    box = (((1,), 1),)
+    assert _cell_sums([(box, 2)]) == pi.heights
+    assert _cell_sums([(box, 3)]) != pi.heights
 
     real = omega_mod._cell_sums
 
@@ -156,6 +159,40 @@ def test_decompositions_match_unpruned_oracle(seven_part_size10, seven_part_size
     for pi in reps + [seven_part_size10, seven_part_size14]:
         found = [list(dec.items()) for dec in decompositions(pi)]
         assert found == [list(dec.items()) for dec in unpruned_decompositions(pi)]
+
+
+@st.composite
+def corner_height_partitions(draw):
+    """Partitions of arity 2 to 4 with corner height 1 to 4 on at most
+    eight base cells: a height drawn for each cell in sorted order, cut
+    to the least height of its predecessors."""
+    arity = draw(st.integers(min_value=2, max_value=4))
+    sides = [range(1, draw(st.integers(min_value=1, max_value=3)) + 1) for _ in range(arity)]
+    # a prefix of the box in sorted order is closed toward the corner
+    cells = list(itertools.product(*sides))[:8]
+    heights = {}
+    for c in cells:
+        top = draw(st.integers(min_value=0 if heights else 1, max_value=4))
+        for j, i in enumerate(c):
+            if i > 1:
+                top = min(top, heights.get(c[:j] + (i - 1,) + c[j + 1 :], 0))
+        if top:
+            heights[c] = top
+    return MultiPartition(arity, heights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pi=corner_height_partitions())
+def test_floored_search_matches_unfloored_oracle(pi):
+    # the oracle has neither the must-hold floor nor the corner-count
+    # bounds, and sums omega_c in Fraction steps
+    oracle = unpruned_decompositions(pi)
+    assert [list(dec.items()) for dec in decompositions(pi)] == [
+        list(dec.items()) for dec in oracle
+    ]
+    assert omega_c(pi) == sum(
+        (Fraction(1, prod(map(factorial, dec.values()))) for dec in oracle), Fraction(0)
+    )
 
 
 def test_decompositions_reject_arity_one():
@@ -217,20 +254,25 @@ def test_compare_omegas(seven_part_size9):
 
 def bounded_candidates(pi):
     """The candidate list as the bounded enumeration builds it: every
-    (arity-1)-partition under the column profile, size by size."""
-    bound = _column_runs(pi.heights)
+    (arity-1)-partition under the column profile, size by size, that
+    holds each cell where the height array equals the corner height."""
+    bound = column_runs(pi.heights)
+    floor = column_runs(
+        {idx: v for idx, v in pi.heights.items() if v == pi.corner_height()}
+    )
     out = []
     for s in range(1, sum(bound.values()) + 1):
         out.extend(bounded_partitions(pi.arity - 1, s, bound))
+    out = [xi for xi in out if all(xi.height_at(b) >= f for b, f in floor.items())]
     out.sort(key=lambda xi: (xi.size, xi.key()), reverse=True)
     return out
 
 
 def assert_candidates_match_oracle(pi):
-    cands = _candidate_parts(pi)
     oracle = bounded_candidates(pi)
-    assert [xi.key() for xi in cands] == [xi.key() for xi in oracle]
-    assert cands == oracle
+    assert _candidates(pi) == [
+        (xi.size, xi.key(), tuple(sorted(xi.heights.items()))) for xi in oracle
+    ]
 
 
 @functools.cache
@@ -255,12 +297,15 @@ def test_candidate_parts_match_bounded_oracle_on_fixtures(
 def test_candidate_parts_match_bounded_oracle_on_24_cells():
     # a 3-partition over a 4 x 6 base whose columns are 1 or 2 boxes tall:
     # its column profile is a 2-partition with 24 cells, and the walk over
-    # them has no limit on the number of cells
+    # them has no limit on the number of cells.  The corner cell holds 2
+    # and every other cell 1, so the floor is the corner alone and nearly
+    # every sub-partition of the profile is a candidate
     profile = {
         (i, j): 2 if i <= 2 and j <= 3 else 1 for i in range(1, 5) for j in range(1, 7)
     }
-    pi = MultiPartition(
-        3, {base + (k,): 1 for base, h in profile.items() for k in range(1, h + 1)}
-    )
-    assert _column_runs(pi.heights) == profile
+    heights = {base + (k,): 1 for base, h in profile.items() for k in range(1, h + 1)}
+    heights[(1, 1, 1)] = 2
+    pi = MultiPartition(3, heights)
+    assert column_runs(pi.heights) == profile
+    assert len(_candidates(pi)) > 1000
     assert_candidates_match_oracle(pi)

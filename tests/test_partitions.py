@@ -184,6 +184,16 @@ def test_counts_match_enumeration(arity):
     assert count_partitions(arity, -1) == []
 
 
+def test_counts_read_one_arity_up_match_direct_growth():
+    # m_series(d - 2) reads the representatives of arity d - 1 that the
+    # weights grow anyway; the growth at the arity itself is the oracle
+    assert count_partitions(6, 9, 7) == count_partitions(6, 9) == [
+        1, 1, 7, 28, 105, 357, 1197, 3857, 12300, 38430,
+    ]
+    for arity in range(1, 6):
+        assert count_partitions(arity, 8, arity + 1) == count_partitions(arity, 8)
+
+
 def test_representatives_never_enumerate(monkeypatch):
     # representatives and counts grow from the previous size and pad to
     # higher arities; any call of the full enumeration fails here, and
