@@ -154,7 +154,7 @@ def count_partitions(arity, max_size, grown=None):
     return [1] + [
         sum(orbit * perm(arity, k) // perm(grown, k)
             for rep, orbit in canonical_representatives(grown, s)
-            for k in [len(_active_axes(rep))])
+            for k in [len(_active_axes(rep)) if grown > arity else 0])
         for s in range(1, max_size + 1)
     ]
 
