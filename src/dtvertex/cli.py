@@ -5,11 +5,10 @@ remfail: when non-existence is certified), 1 when the check ran but the
 identity fails, 2 on pipeline errors, with the offending partition in
 the report, and on usage errors such as an unknown command, kind or
 option, a missing or malformed value, an order below 1, a remfail order
-other than 2 or an option the kind does not read (--ell and
---orientation belong to fourk, --bundle to remfail with d = 0 mod 4).
-main returns the code and raises no SystemExit.  The argv is read
-against the COMMANDS table in one loop, which builds no parser object
-and imports nothing, as every run is a fresh process.
+other than 2, or a dimension or option that the KINDS table does not
+give the kind.  main returns the code and raises no SystemExit.  The
+argv is read against the COMMANDS table in one loop, which builds no
+parser object and imports nothing, as every run is a fresh process.
 Reports are deterministic for fixed flags and seed, including under
 --jobs > 1.
 """
@@ -85,37 +84,42 @@ def _rows(d, order):
             }
 
 
-def check_odd(d, order):
+def check_odd(d, order, args):
     z = build_z_odd(d, order)
     target = target_odd(d, order)
     return z == target, {"series": z.serialize(), "target": target.serialize()}
 
 
+def _value(flag, parse, text):
+    """parse(text), or a usage error naming the flag if it raises."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError("%s: invalid value %r" % (flag, text)) from None
+
+
 def _parse_ell(text):
-    if text is None or text == "symbolic":
+    """The --ell values: "symbolic" (the default), or those of an integer
+    or of a non-empty range a..b; any other text is a ValueError."""
+    if text in (None, "symbolic"):
         return "symbolic"
-    if ".." in text:
-        lo, hi = text.split("..")
-        values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError("empty ell range %s" % text)
+    lo, dots, hi = text.partition("..")
+    values = list(range(int(lo), int(hi if dots else lo) + 1))
+    if values:
         return values
-    return [int(text)]
+    raise ValueError
 
 
-def check_fourk(d, order, ell, orientation_path, jobs, cache_path):
-    orient = load_orientation(orientation_path) if orientation_path else None
-    weights = _prepare_weights(d, order, jobs, cache_path)
+def check_fourk(d, order, args):
+    ell = _value("--ell", _parse_ell, args.ell)
+    orient = load_orientation(args.orientation_file) if args.orientation_file else None
+    weights = _prepare_weights(d, order, args.jobs, args.cache)
     if orient is None:
         orient = positive_omega_orientation(weights)
     z = build_z_4k(d, order, orient, weights)
     target = target_4k(d, order)
-    checks = []
-    if ell == "symbolic":
-        checks.append({"ell": "symbolic", "equal": z == target})
-    else:
-        for k in ell:
-            checks.append({"ell": k, "equal": z.eval_ell(k) == target.eval_ell(k)})
+    checks = [{"ell": "symbolic", "equal": z == target}] if ell == "symbolic" else [
+        {"ell": k, "equal": z.eval_ell(k) == target.eval_ell(k)} for k in ell]
     rows = []
     for _, row in _rows(d, order):
         w = weights[row["partition"]]
@@ -129,7 +133,7 @@ def check_fourk(d, order, ell, orientation_path, jobs, cache_path):
     }
 
 
-def check_keyconj(d, order):
+def check_keyconj(d, order, args):
     rows = []
     all_ok = True
     for n in range(1, order + 1):
@@ -141,7 +145,7 @@ def check_keyconj(d, order):
     return all_ok, {"partitions": rows}
 
 
-def check_remfail(d, order, seed, bundle):
+def check_remfail(d, order, args):
     if order != 2:
         raise ValueError(
             "kind 'remfail' reads only the q^1 and q^2 terms: --order must be 2, got %d" % order
@@ -149,25 +153,23 @@ def check_remfail(d, order, seed, bundle):
     if d % 2:
         term = full_torus_ratio
         nvars, signed, mode = d, False, "full torus"
-    elif d % 4 == 0:
-        u = bundle if bundle is not None else (1,) + (0,) * (d - 1)
+    else:
+        u = (1,) + (0,) * (d - 1) if args.bundle is None else _value(
+            "--bundle", lambda t: tuple(map(int, t.split(","))), args.bundle)
         term = partial(cy_bundle_term, u=u)
         nvars, signed, mode = d - 1, True, "calabi-yau torus, twist %r" % (u,)
-    else:
-        raise ValueError("dimension must be odd or divisible by 4")
     terms1, terms2 = ([term(pi, d) for pi in enumerate_partitions(d - 1, n)] for n in (1, 2))
-    # one term per size-2 partition
-    p2 = Fraction(len(terms2))
+    # p2, the reference's q^2 coefficient: one term per size-2 partition
     verdict, certificate = check_power_law(
-        terms1, terms2, p2, nvars, seed, signed=signed
+        terms1, terms2, Fraction(len(terms2)), nvars, args.seed, signed=signed
     )
     return verdict == "no E exists", {
         "mode": mode, "certificate": certificate, "verdict": verdict,
     }
 
 
-def check_omega(d, order, jobs, cache_path):
-    weights = _prepare_weights(d, order, jobs, cache_path)
+def check_omega(d, order, args):
+    weights = _prepare_weights(d, order, args.jobs, args.cache)
     rows = []
     omegas = {}
     all_match = True
@@ -185,10 +187,25 @@ def check_omega(d, order, jobs, cache_path):
     return all_match and identity_ok, {"partitions": rows, "exp_identity": identity_ok}
 
 
-def check_uniqueness(d, order, jobs, cache_path):
-    weights = _prepare_weights(d, order, jobs, cache_path)
+def check_uniqueness(d, order, args):
+    weights = _prepare_weights(d, order, args.jobs, args.cache)
     result = verify_uniqueness(d, order, weights)
     return result["verdict"] == "unique", {"result": result, "verdict": result["verdict"]}
+
+
+_FOUR = (lambda d: d >= 4 and d % 4 == 0, "a dimension divisible by 4")
+# Each check kind: its check_*, the dimensions it takes as a rule
+# (test, text), and the options that only it reads, each with the rule
+# of the dimensions at which it reads that option.
+KINDS = {
+    "odd": (check_odd, (lambda d: d >= 3 and d % 2, "an odd dimension >= 3"), {}),
+    "fourk": (check_fourk, _FOUR, {"--ell": _FOUR, "--orientation": _FOUR}),
+    "keyconj": (check_keyconj, (lambda d: d >= 2, "a dimension >= 2"), {}),
+    "remfail": (check_remfail, (lambda d: d >= 3 and d % 4 != 2,
+                                "an odd dimension >= 3 or one divisible by 4"), {"--bundle": _FOUR}),
+    "omega": (check_omega, _FOUR, {}),
+    "uniqueness": (check_uniqueness, _FOUR, {}),
+}
 
 
 def _render(report, fmt, out):
@@ -248,43 +265,23 @@ def cmd_check(args, out):
     exits 0 and not ok 1.  A DTVertexError exits 2 with the envelope,
     the error and the partition.
     """
-    d = args.dimension
-    order = args.order
-    kind = args.kind
-    if kind == "odd" and (d < 3 or d % 2 == 0):
-        raise ValueError("kind 'odd' needs an odd dimension >= 3")
-    if kind in ("fourk", "omega", "uniqueness") and (d < 4 or d % 4):
-        raise ValueError("kind '%s' needs a dimension divisible by 4" % kind)
+    d, order, kind = args.dimension, args.order, args.kind
+    check, (takes, rule), _ = KINDS[kind]
+    if not takes(d):
+        raise ValueError("kind '%s' needs %s" % (kind, rule))
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1, got %d" % args.jobs)
     if order < 1:
         raise ValueError("--order must be at least 1, got %d" % order)
-    if kind != "fourk":
-        for flag, value in (("--ell", args.ell), ("--orientation", args.orientation_file)):
-            if value is not None:
-                raise ValueError("%s is only read by kind 'fourk'" % flag)
-    if args.bundle is not None and (kind != "remfail" or d % 4):
-        raise ValueError(
-            "--bundle is only read by kind 'remfail' with a dimension divisible by 4"
-        )
-    cache_path = args.cache or cache_mod.default_cache_path()
+    for name, (_, _, options) in KINDS.items():
+        for flag, (reads, text) in options.items():
+            if getattr(args, COMMANDS["check"][flag][0]) is not None and not (
+                    name == kind and reads(d)):
+                raise ValueError("%s is only read by kind '%s' with %s" % (flag, name, text))
+    args.cache = args.cache or cache_mod.default_cache_path()
     report = {"kind": kind, "dimension": d, "order": order}
     try:
-        if kind == "odd":
-            ok, fields = check_odd(d, order)
-        elif kind == "fourk":
-            ok, fields = check_fourk(
-                d, order, _parse_ell(args.ell), args.orientation_file, args.jobs, cache_path
-            )
-        elif kind == "keyconj":
-            ok, fields = check_keyconj(d, order)
-        elif kind == "remfail":
-            bundle = None if args.bundle is None else tuple(int(x) for x in args.bundle.split(","))
-            ok, fields = check_remfail(d, order, args.seed, bundle)
-        elif kind == "omega":
-            ok, fields = check_omega(d, order, args.jobs, cache_path)
-        else:
-            ok, fields = check_uniqueness(d, order, args.jobs, cache_path)
+        ok, fields = check(d, order, args)
     except DTVertexError as exc:
         report.update(verdict="error", error=str(exc), partition=exc.partition)
         code = 2
@@ -318,7 +315,7 @@ COMMANDS = {
         "--format": _FORMAT,
     },
     "check": {
-        "kind": ("kind", ("odd", "fourk", "keyconj", "remfail", "omega", "uniqueness"), ...),
+        "kind": ("kind", tuple(KINDS), ...),
         "--dimension": ("dimension", int, ...),
         "--order": ("order", int, ...),
         "--ell": ("ell", str, None),

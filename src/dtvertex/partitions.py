@@ -163,8 +163,10 @@ def count_partitions(arity, max_size, grown=None):
 
 
 def _active_axes(pi):
+    """The axes with an index above 1: as heights do not increase along
+    an axis, the j of each stored cell with 2 at j and 1 elsewhere."""
     n = pi.arity
-    return [j for j in range(n) if any(idx[j] > 1 for idx in pi.heights)]
+    return sorted(c.index(2) for c in pi.heights if sum(c) == n + 1)
 
 
 def _greatest_rows(rows, active, arity):

@@ -99,6 +99,12 @@ the package against.
   cli.parse_args reads replaced: on the argv the tests draw both accept
   with equal fields or both reject (argparse's "--" separator is the
   one spelling the table does not keep).
+- The chain of checks that cmd_check ran on a kind's dimension and
+  options, which the rules of cli.KINDS replaced, with the two rules the
+  table added: keyconj needs d >= 2 and remfail an odd d >= 3 or a
+  d = 0 mod 4 with d >= 4 (such runs failed in the pipeline before).
+- The active axes of a partition found by testing every axis against
+  every cell, which one lookup of the unit cell per axis replaced.
 - The polynomial over Q stored as a tuple of Fraction coefficients, whose
   sums and products run Fraction arithmetic coefficient by coefficient,
   which ratpoly.QPoly (integer numerators over one denominator)
@@ -1123,6 +1129,33 @@ def series_table(series, var="ell"):
     return "\n".join(
         "q^%-2d  %s" % (n, c.render(var)) for n, c in enumerate(series.coeffs)
     )
+
+
+def validate_check_args(kind, d, order, jobs, ell, orientation, bundle):
+    """Raise the usage error of cmd_check's chain of checks, if any."""
+    if kind == "odd" and (d < 3 or d % 2 == 0):
+        raise ValueError("kind 'odd' needs an odd dimension >= 3")
+    if kind in ("fourk", "omega", "uniqueness") and (d < 4 or d % 4):
+        raise ValueError("kind '%s' needs a dimension divisible by 4" % kind)
+    # the declared difference: the two rules the kind table added
+    if kind == "keyconj" and d < 2 or kind == "remfail" and (d < 3 or d % 4 == 2):
+        raise ValueError("kind %r does not take dimension %d" % (kind, d))
+    if jobs < 1:
+        raise ValueError("--jobs must be at least 1, got %d" % jobs)
+    if order < 1:
+        raise ValueError("--order must be at least 1, got %d" % order)
+    if kind != "fourk":
+        for flag, value in (("--ell", ell), ("--orientation", orientation)):
+            if value is not None:
+                raise ValueError("%s is only read by kind 'fourk'" % flag)
+    if bundle is not None and (kind != "remfail" or d % 4):
+        raise ValueError(
+            "--bundle is only read by kind 'remfail' with a dimension divisible by 4"
+        )
+
+
+def active_axes_by_scan(pi):
+    return [j for j in range(pi.arity) if any(idx[j] > 1 for idx in pi.heights)]
 
 
 def build_parser():

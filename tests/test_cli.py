@@ -5,6 +5,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -40,6 +41,7 @@ from oracles import (
     expanded_fingerprint,
     repr_fingerprint,
     times_raw_form,
+    validate_check_args,
 )
 
 
@@ -578,6 +580,7 @@ def assert_usage_error(capsys, *argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    return captured.err
 
 
 @pytest.mark.parametrize(
@@ -598,12 +601,43 @@ def test_option_the_kind_does_not_read_is_usage_error(capsys, argv):
     assert_usage_error(capsys, "check", *argv)
 
 
-def test_empty_ell_range_is_usage_error(capsys):
-    assert_usage_error(capsys, "check", "fourk", "-d", "4", "-n", "2", "--ell", "3..1")
+def test_empty_ell_range_is_usage_error(capsys, monkeypatch):
+    # a malformed value names the option, before any weight is computed
+    monkeypatch.setattr(dtvertex.cli, "_prepare_weights", None)
+    for value in ("3..1", "x", "1..2..3"):
+        argv = ["check", "fourk", "-d", "4", "-n", "2", "--ell", value]
+        assert "--ell" in assert_usage_error(capsys, *argv)
 
 
 def test_empty_bundle_is_usage_error(capsys):
-    assert_usage_error(capsys, "check", "remfail", "-d", "8", "-n", "2", "--bundle=")
+    for value in ("", "a"):
+        argv = ["check", "remfail", "-d", "8", "-n", "2", "--bundle=" + value]
+        assert "--bundle" in assert_usage_error(capsys, *argv)
+
+
+def test_kind_table_rejects_what_the_validation_chain_rejects(capsys, monkeypatch):
+    # each check stubbed, so only the validation of cmd_check runs; remfail's
+    # order rule lies in its check and is not met here
+    for kind, entry in dtvertex.cli.KINDS.items():
+        stub = (lambda d, order, args: (True, {}),) + entry[1:]
+        monkeypatch.setitem(dtvertex.cli.KINDS, kind, stub)
+    options = [("--ell", "1"), ("--orientation", "signs.json"), ("--bundle", "1,0,0,0")]
+    for kind, d, order, jobs, given in itertools.product(
+        dtvertex.cli.KINDS, range(-4, 21), range(4), range(2),
+        itertools.product((False, True), repeat=3),
+    ):
+        values = [value if g else None for (_, value), g in zip(options, given)]
+        try:
+            validate_check_args(kind, d, order, jobs, *values)
+            want = 0
+        except ValueError:
+            want = 2
+        argv = ["check", kind, "-d", str(d), "-n", str(order), "--jobs", str(jobs)]
+        argv += [word for (flag, _), v in zip(options, values) if v for word in (flag, v)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == want, argv
+        assert captured.err.startswith("error:") == (want == 2) == (captured.out == ""), argv
 
 
 def test_missing_or_malformed_orientation_file_is_usage_error(tmp_path, capsys):

@@ -19,6 +19,7 @@ from dtvertex import (
     enumerate_partitions,
 )
 from oracles import (
+    active_axes_by_scan,
     binary_rep_contains,
     bounded_partitions,
     brute_force_downsets,
@@ -274,6 +275,16 @@ def test_fuzz_monotonicity_violations_rejected(pool, pick, entry, axis):
     heights[succ] = heights[idx] + 1
     with pytest.raises(ValueError):
         MultiPartition(arity, heights)
+
+
+@settings(max_examples=120, deadline=None)
+@given(pool=st.sampled_from(_POOL), pick=st.integers(min_value=0, max_value=10**6))
+def test_active_axes_match_scan_oracle(pool, pick):
+    # every member of an orbit, not only representatives, whose active
+    # axes form a prefix
+    parts = enumerate_partitions(*pool)
+    pi = parts[pick % len(parts)]
+    assert partitions._active_axes(pi) == active_axes_by_scan(pi)
 
 
 def _rejects(validate):
