@@ -257,13 +257,13 @@ def cmd_enumerate(args, out):
 
 
 def cmd_check(args, out):
-    """Run one check_* and render its report; returns the exit code.
+    """Check args against KINDS, run the kind's check_*, render its report.
 
-    Each check_* returns (ok, fields).  The report is the envelope of
-    kind, dimension and order with the fields and the seed, whose
-    verdict, unless the fields name one, is confirmed or mismatch; ok
-    exits 0 and not ok 1.  A DTVertexError exits 2 with the envelope,
-    the error and the partition.
+    Each check_* takes (d, order, args), args.cache resolved, and returns
+    (ok, fields).  The report is the envelope of kind, dimension and
+    order with the fields and the seed, whose verdict, unless the fields
+    name one, is confirmed or mismatch; ok exits 0 and not ok 1.  A
+    DTVertexError exits 2 with the envelope, the error and the partition.
     """
     d, order, kind = args.dimension, args.order, args.kind
     check, (takes, rule), _ = KINDS[kind]

@@ -104,7 +104,8 @@ the package against.
   table added: keyconj needs d >= 2 and remfail an odd d >= 3 or a
   d = 0 mod 4 with d >= 4 (such runs failed in the pipeline before).
 - The active axes of a partition found by testing every axis against
-  every cell, which one lookup of the unit cell per axis replaced.
+  every cell, which the read of the cells with 2 on one axis and 1
+  elsewhere replaced.
 - The polynomial over Q stored as a tuple of Fraction coefficients, whose
   sums and products run Fraction arithmetic coefficient by coefficient,
   which ratpoly.QPoly (integer numerators over one denominator)
