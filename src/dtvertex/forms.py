@@ -16,10 +16,12 @@ block for the unexpanded -v of the half vertex, whose interior codes
 e(-v) keeps as one kclass interior value that the weight pipeline never
 expands.  Cancellation, square roots and the specialization to the
 locus lam_1 + ... + lam_{d-1} = 0 are multiset operations; no limits
-are ever taken.  The specialized
-value is a polynomial in ell, and a pole or a form direction that
-survives on the locus raises ShapeMismatch.  specialize, which restricts
-a product of forms, is the oracle of the weight pipeline's read of -v.
+are ever taken.  The specialized value is a polynomial in ell, and a
+pole or a form direction that survives on the locus raises
+ShapeMismatch.  There the insertion cancels the tail -Z of -v box by
+box but for the critical boxes, whose base indices are all equal, so a
+weight reads Q's blocks and those boxes and builds no insertion;
+specialize, which restricts a product of forms, is its oracle.
 """
 
 from __future__ import annotations
@@ -42,8 +44,10 @@ from .kclass import (
     KEY_OK,
     add_into,
     block_bytes,
+    character,
     cy_fold,
     half_vertex_blocks,
+    half_vertex_of,
     interior_degree,
     interior_items,
     locus_fold,
@@ -278,35 +282,6 @@ def taut_factor(pi, d, u=None, ell_units=0):
     )
 
 
-def _restrict(factors, units, exps):
-    """Restrict forms {form: exponent} to the locus lam_1 + ... + lam_{d-1} = 0.
-
-    A critical form (c, ..., c, ell_part) carries the transverse
-    coordinate: its exponent is added to units[c, ell_part], the
-    ell-scalar c + ell_part*ell per unit.  Every other form restricts to
-    the form (c_i - c_{d-1})_{i <= d-2} in d-2 parameters, which is
-    negated when its first non-zero entry is negative and merged into
-    exps by _merge_primitive.  Returns the multiplier that the
-    re-canonicalization leaves, as an integer numerator and denominator.
-    """
-    pairs, odd, zero = [], 0, None
-    for form, e in factors.items():
-        head = form[:-1]
-        last = head[-1]
-        if head.count(last) == len(head):
-            unit = last, form[-1]
-            units[unit] = units.get(unit, 0) + e
-            continue
-        rest = tuple([c - last for c in head[:-1]])
-        if zero is None:
-            zero = (0,) * len(rest)
-        if rest < zero:
-            rest = tuple([-c for c in rest])
-            odd ^= e & 1
-        pairs.append((rest, e))
-    return _merge_primitive(pairs, exps, odd)
-
-
 def _locus_value(scalar, units, exps):
     """The value scalar * prod units^e on the locus, or a ShapeMismatch;
     the scalar is a pair (numerator, denominator) of ints.
@@ -357,49 +332,61 @@ def _locus_value(scalar, units, exps):
 def specialize(p):
     """Restrict a FormProduct to the locus lam_1 + ... + lam_{d-1} = 0.
 
-    Critical forms (c, ..., c, ell_part) restrict to their ell-scalars
-    c + ell_part*ell; the remaining forms restrict to forms in d-2
-    parameters, are re-canonicalized (scalars flow into the value) and
-    must cancel direction by direction (_restrict).  Returns the value
-    as a QPoly in ell (zero for the zero class) and raises ShapeMismatch
-    on a pole or a surviving direction (_locus_value).  All cancellation
-    is symbolic; nothing is sampled here.  The weight pipeline reads
-    the value from the packed half vertex (_specialize_half_vertex);
-    this route on the product of forms is the oracle that checks it.
+    A critical form (c, ..., c, ell_part) carries the transverse
+    coordinate: its exponent is added to the unit (c, ell_part), the
+    ell-scalar c + ell_part*ell.  Every other form restricts to the form
+    (c_i - c_{d-1})_{i <= d-2} in d-2 parameters, negated when its first
+    non-zero entry is negative and merged by _merge_primitive, whose
+    multiplier flows into the value.  Returns the value as a QPoly in
+    ell (zero for the zero class) and raises ShapeMismatch on a pole or
+    a surviving direction (_locus_value).  All cancellation is symbolic;
+    nothing is sampled here.  The weight pipeline reads the value from
+    the packed half vertex (_specialize_half_vertex); this route on the
+    product of forms is the oracle that checks it.
     """
-    units, exps = {}, {}
-    num, den = _restrict(p.factors, units, exps)
+    units, exps, pairs, odd = {}, {}, [], 0
+    for form, e in p.factors.items():
+        head = form[:-1]
+        last = head[-1]
+        if head.count(last) == len(head):
+            units[last, form[-1]] = units.get((last, form[-1]), 0) + e
+            continue
+        rest = tuple([c - last for c in head[:-1]])
+        if rest < (0,) * len(rest):
+            rest = tuple([-c for c in rest])
+            odd ^= e & 1
+        pairs.append((rest, e))
+    num, den = _merge_primitive(pairs, exps, odd)
     return _locus_value((p.scalar.numerator * num, p.scalar.denominator * den), units, exps)
 
 
-def _specialize_half_vertex(pi, d, nv):
+def _specialize_half_vertex(pi, d, nv, z=None):
     """The specialized value of pi, read from nv = -v, v the half vertex
-    (in blocks, or as a KClass).
+    (blocks or a KClass), and z = character(pi, d) (built if not given).
 
     Equals specialize(taut_factor(pi, d, ell_units=1) * root) for
     root = _half_vertex_root(nv, |pi|), with the same errors, and is None
-    where the root is the zero class.  The one euler_class(nv) rules on
-    the zero class and the parity of the root, and the sign of its
-    scalar is the one the root drops.  The insertion's forms restrict as
-    in specialize, the weights of -v by kclass.locus_fold: a critical
-    weight with value u is the form (u, ..., u, 0), the unit (u, 0) (the
-    net at u = 0 is zero, as e(-v) is not zero), and the other
-    restricted weights go to _merge_primitive, whose sign folds and gcds
-    compose with those of their forms.
+    where the root is the zero class, on which the one euler_class(nv)
+    rules with the parity of the root; the root drops the sign of its
+    scalar.  A box of Z whose base indices are not all equal restricts
+    to one form in the insertion (exponent +1, its ell-part vanishing
+    on the locus) and in -Z (exponent -1), with the same sign fold and
+    gcd, so the two cancel: kclass.locus_fold reads -v + Z (Q's blocks
+    alone, for half_vertex_blocks), a critical weight u being the unit
+    (u, 0), and a critical box, base (a, ..., a) at level m, leaves the
+    unit u + ell over u, u = a - 1 - m (0 nets to zero, as e(-v) is not).
     """
     e = _half_vertex_euler(nv, pi.size)
     if e.is_zero():
         return None
-    taut = taut_factor(pi, d, ell_units=1)
-    units, exps = {}, {}
-    num, den = _restrict(taut.factors, units, exps)
-    crit, odd, pairs = locus_fold(nv)
-    for u, e_u in crit.items():
-        if e_u:
-            units[u, 0] = units.get((u, 0), 0) + e_u
-    n, m = _merge_primitive(pairs, exps, odd ^ (e.scalar < 0))
-    s = taut.scalar
-    return _locus_value((s.numerator * num * n, s.denominator * den * m), units, exps)
+    crit, odd, pairs = locus_fold(nv, character(pi, d) if z is None else z)
+    units = {(u, 0): c for u, c in crit.items() if c}
+    a = 1
+    while h := pi.heights.get((a,) * pi.arity):
+        add_into(units, [item for u in range(a - h, a) for item in (((u, 1), 1), ((u, 0), -1))])
+        a += 1
+    exps = {}
+    return _locus_value(_merge_primitive(pairs, exps, odd ^ (e.scalar < 0)), units, exps)
 
 
 @functools.cache
@@ -491,7 +478,8 @@ def compute_weight(pi, d):
     if d % 4:
         raise ValueError("dimension must be divisible by 4")
     with naming(pi):
-        value = _specialize_half_vertex(pi, d, half_vertex_blocks(pi, d))
+        z = character(pi, d)
+        value = _specialize_half_vertex(pi, d, half_vertex_of(z), z)
         if value is None:
             verdict, omega, sign = KEY_EULER_VANISHES, Fraction(0), 1
         else:

@@ -464,13 +464,15 @@ def interior_degree(interior):
 
 def _fold(a, k, restrict, split=False):
     """(crit, odd, interior, pairs) of a KClass or a FlatBlocks a, its
-    bound 2 * a.bound checked first; restrict maps each code to (r, u), r
-    of k digits.  At r = origin crit[u] sums the coefficient; another r
-    below the origin folds onto its mirror, odd the parity of the
-    coefficients folded so, and pairs lists (r, net) for each folded r
-    with a net.  The flat axes after the last active base axis are block
-    axes (split makes the halves of the last one blocks), the others are
-    multiplied out.  A block's constants are closed forms: its far
+    bound 2 * a.bound checked first; restrict maps a code and its
+    coefficient c to (r, u, c), r of k digits.  At r = origin crit[u]
+    sums c; another r below the origin folds onto its mirror, odd the
+    parity of the c folded so, and pairs lists (r, net) for each folded
+    r with a net.  The flat axes after the last active base axis are block
+    axes, the others are multiplied out.  split (locus_fold) makes the
+    halves of the last block axis, d - 1, blocks with no copy of q: a
+    code with w_{d-1} = 0 restricts to (r, u), its half t^w / t_{d-1} to
+    (r + ONES, u - 1).  A block's constants are closed forms: its far
     corner is t^-top, top the sum of the steps, with sign (-1)^f, and
     every interior code folds as b / t_i, i the first block axis.
     Corners go code by code; the interior codes gather under the
@@ -484,27 +486,25 @@ def _fold(a, k, restrict, split=False):
         n -= 1
     units = _double_flat(dict(a.q), flat[:n], a.dim) if n else a.q
     axes = flat[n:]
+    units = [restrict(code, c) for code, c in units.items()]
     if split and axes:
-        step = 1 << RADIX_BITS * (a.dim - 1 - axes[-1])
-        units = {**units, **{code - step: -c for code, c in units.items()}}
+        ones = _ones(k)
+        units += [(r + ones, u - 1, -c) for r, u, c in units]
         axes = axes[:-1]
     origin = _origin(k)
     mirror = 2 * origin
     steps = [1 << RADIX_BITS * (k - 1 - i) for i in axes]
     top, sign = sum(steps), (-1) ** len(steps)
     first = steps[0] if len(steps) > 1 else None
-    pieces = [(*restrict(code), c) for code, c in a.tail.items()]
+    pieces = [restrict(code, c) for code, c in a.tail.items()] + units
+    if top:
+        pieces += [(r - top, u, sign * c) for r, u, c in units]
     blocks = {}
-    for code, c in units.items():
-        r, u = restrict(code)
-        pieces.append((r, u, c))
-        if top:
-            pieces.append((r - top, u, sign * c))
-        if first:
-            if r - first < origin:
-                r = mirror - r + top
-                c *= sign
-            blocks[r] = blocks.get(r, 0) + c
+    for r, u, c in units if first else ():
+        if r - first < origin:
+            r = mirror - r + top
+            c *= sign
+        blocks[r] = blocks.get(r, 0) + c
     crit, rest, odd = {}, {}, 0
     for r, u, c in pieces:
         if r == origin:
@@ -531,12 +531,16 @@ def cy_fold(a):
     (_fold) holds the interior codes, each primitive and alone on its form.
     """
     ones = _ones(a.dim)
-    crit, odd, interior, pairs = _fold(a, a.dim, lambda w: (w - ((w & DIGIT) - BIAS) * ones, 0))
+    crit, odd, interior, pairs = _fold(
+        a, a.dim, lambda w, c: (w - ((w & DIGIT) - BIAS) * ones, 0, c)
+    )
     return crit.get(0, 0), odd, interior, pairs
 
 
-def locus_fold(v):
-    """One pass that restricts each weight of v to lam_1 + .. + lam_{d-1} = 0.
+def locus_fold(v, z=None):
+    """One pass that restricts each weight of v + z to lam_1 + .. +
+    lam_{d-1} = 0, z a KClass or None, added to the tail of v code by
+    code: the character Z cancels the tail -Z of half_vertex_blocks.
 
     Returns (crit, odd, pairs) for a KClass or a FlatBlocks.  With
     m = w_{d-1}, the top d-2 digits of a code minus m * ONES are the
@@ -548,12 +552,16 @@ def locus_fold(v):
     critical and shares no form, so the interior is expanded into pairs
     only when a block survives, a direction that survives on the locus.
     """
+    if z is not None:
+        if isinstance(v, KClass):
+            v = FlatBlocks(v.dim, {}, (), v.terms, v.bound)
+        v = v._replace(tail=add_into(dict(v.tail), z.terms.items()), bound=max(v.bound, z.bound))
     ones = _ones(v.dim - 2)
 
-    def restrict(code):
+    def restrict(code, c):
         high = code >> RADIX_BITS
         m = (high & DIGIT) - BIAS
-        return (high >> RADIX_BITS) - m * ones, m + BIAS - (code & DIGIT)
+        return (high >> RADIX_BITS) - m * ones, m + BIAS - (code & DIGIT), c
 
     crit, odd, interior, pairs = _fold(v, v.dim - 2, restrict, split=True)
     return crit, odd, pairs + interior_items(interior) if interior else pairs
@@ -583,9 +591,13 @@ def half_vertex_blocks(pi, d):
     q the box product over the active axes, the flat axes and the tail -Z.
     With cy = cy_reduce, cy(V) = cy(v) + (-1)^d * cy(bar(v)) for every d.
     """
-    z = character(pi, d)
-    q, flat, bound = _active_fold(z, d - 1, 1)
-    return FlatBlocks(d, q, tuple(flat), {k: -c for k, c in z.terms.items()}, bound)
+    return half_vertex_of(character(pi, d))
+
+
+def half_vertex_of(z):
+    """half_vertex_blocks from Z, the character of the box stack."""
+    q, flat, bound = _active_fold(z, z.dim - 1, 1)
+    return FlatBlocks(z.dim, q, tuple(flat), {k: -c for k, c in z.terms.items()}, bound)
 
 
 def block_bytes(nv):

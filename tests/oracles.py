@@ -74,6 +74,11 @@ the package against.
   decoded) replaced.  The route that the weight pipeline's
   read of the packed half vertex replaced, specialize on the insertion
   times the root, stays in forms as the oracle of that read.
+- That read as it was before the insertion cancelled the tail -Z of -v
+  on the locus: the insertion's forms restricted one by one, as
+  forms.specialize restricts them, and kclass.locus_fold of all of -v,
+  tail included; forms._specialize_half_vertex reads Q's blocks and the
+  critical boxes alone.
 - The evaluation of a form product at a point in Fraction arithmetic,
   form by form, which the integer products of FormProduct.evaluate over
   one common denominator replaced.
@@ -134,7 +139,14 @@ from dtvertex import (
     canonicalize_axes,
     omega_c,
 )
-from dtvertex.forms import _collect, euler_class
+from dtvertex.forms import (
+    _collect,
+    _half_vertex_euler,
+    _locus_value,
+    _merge_primitive,
+    euler_class,
+    taut_factor,
+)
 from dtvertex.kclass import (
     BIAS,
     DIGIT,
@@ -147,6 +159,7 @@ from dtvertex.kclass import (
     _origin,
     add_into,
     key_verdict,
+    locus_fold,
 )
 from dtvertex.kclass import cy_reduce as packed_cy_reduce
 from dtvertex.kclass import vertex as packed_vertex
@@ -905,6 +918,47 @@ def collected_specialize(p):
     if value is None:
         raise ShapeMismatch("diagnostic pole instead of a polynomial")
     return value
+
+
+def _restrict(factors, units, exps):
+    """The restriction of forms {form: exponent} in forms.specialize: a
+    critical form (c, ..., c, ell_part) adds its exponent to units[c,
+    ell_part]; every other form restricts to (c_i - c_{d-1})_{i <= d-2},
+    negated when its first non-zero entry is negative, and is merged
+    into exps.  Returns the multiplier as (numerator, denominator)."""
+    pairs, odd = [], 0
+    for form, e in factors.items():
+        head = form[:-1]
+        last = head[-1]
+        if head.count(last) == len(head):
+            units[last, form[-1]] = units.get((last, form[-1]), 0) + e
+            continue
+        rest = tuple(c - last for c in head[:-1])
+        if rest < (0,) * len(rest):
+            rest = tuple(-c for c in rest)
+            odd ^= e & 1
+        pairs.append((rest, e))
+    return _merge_primitive(pairs, exps, odd)
+
+
+def insertion_read_half_vertex(pi, d, nv):
+    """forms._specialize_half_vertex with the insertion built: its forms
+    restricted by _restrict, and every weight of nv = -v, the tail -Z
+    included, by kclass.locus_fold, a critical weight with value u the
+    unit (u, 0); the rest merged with the sign of the root."""
+    e = _half_vertex_euler(nv, pi.size)
+    if e.is_zero():
+        return None
+    taut = taut_factor(pi, d, ell_units=1)
+    units, exps = {}, {}
+    num, den = _restrict(taut.factors, units, exps)
+    crit, odd, pairs = locus_fold(nv)
+    for u, e_u in crit.items():
+        if e_u:
+            units[u, 0] = units.get((u, 0), 0) + e_u
+    n, m = _merge_primitive(pairs, exps, odd ^ (e.scalar < 0))
+    s = taut.scalar
+    return _locus_value((s.numerator * num * n, s.denominator * den * m), units, exps)
 
 
 def qpoly_locus_value(scalar, units, exps):

@@ -40,7 +40,6 @@ from oracles import (
     class_vertex_half,
     expanded_fingerprint,
     repr_fingerprint,
-    times_raw_form,
     validate_check_args,
 )
 
@@ -478,15 +477,20 @@ def test_radix_overflow_names_the_partition(capsys, kind, d):
     ids=["pole", "not_constant"],
 )
 def test_specialization_diagnostic_is_pipeline_error(monkeypatch, capsys, coeffs, error):
+    # the weight goes into the -v that compute_weight reads, squared so
+    # that e(-v) keeps the parity of its root: the insertion is not built
     import dtvertex.forms as forms_mod
 
-    real = forms_mod.taut_factor
+    real = forms_mod.half_vertex_of
     exponent = -1 if error.startswith("diagnostic pole") else 1
 
-    def broken(pi, d, u=None, ell_units=0):
-        return times_raw_form(real(pi, d, u=u, ell_units=ell_units), coeffs, 0, exponent)
+    def broken(z):
+        nv = real(z)
+        extra = KClass.monomial(z.dim, (*coeffs, 0), 2 * exponent).terms
+        assert not extra.keys() & nv.tail.keys()
+        return nv._replace(tail={**nv.tail, **extra})
 
-    monkeypatch.setattr(forms_mod, "taut_factor", broken)
+    monkeypatch.setattr(forms_mod, "half_vertex_of", broken)
     code, out = run_cli(capsys, "check", "fourk", "-d", "4", "-n", "1")
     assert code == 2
     report = json.loads(out)
@@ -908,24 +912,38 @@ def test_order_9_miss_is_the_omega_rows_at_d8(order_9_reports):
 def test_euler_class_runs_once_per_representative(tmp_path, monkeypatch, capsys):
     # tier-1 guard for the benchmark's call-count gate (perfbench/selftest.py);
     # the weights are read from the packed half vertex, so specialize, the
-    # oracle of that read, never runs
+    # oracle of that read, never runs, nor taut_factor, whose forms cancel
+    # the tail of -v on the locus; the character of each box stack is
+    # built once
     import dtvertex.forms as forms_mod
+    import dtvertex.kclass as kclass_mod
 
-    calls = []
-    real = forms_mod.euler_class
+    calls, characters = [], []
+    real, real_character = forms_mod.euler_class, kclass_mod.character
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    def oracle_called(p):
-        raise AssertionError("compute_weight fell back to specialize")
+    def counted_character(pi, d):
+        characters.append(pi.key())
+        return real_character(pi, d)
+
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError("compute_weight called %s" % name)
+
+        return call
 
     monkeypatch.setattr(forms_mod, "euler_class", counted)
-    monkeypatch.setattr(forms_mod, "specialize", oracle_called)
+    monkeypatch.setattr(forms_mod, "specialize", refused("specialize"))
+    monkeypatch.setattr(forms_mod, "taut_factor", refused("taut_factor"))
+    for mod in (forms_mod, kclass_mod):
+        monkeypatch.setattr(mod, "character", counted_character)
     cache = str(tmp_path / "weights.jsonl")
     code, _ = run_cli(capsys, "check", "fourk", "-d", "4", "-n", "2", "--cache", cache)
     assert code == 0 and len(calls) == 3
+    assert len(characters) == len(set(characters)) == 3
     code, _ = run_cli(capsys, "check", "keyconj", "-d", "4", "-n", "2")
     assert code == 0 and len(calls) == 3
 

@@ -20,6 +20,7 @@ from dtvertex import (
     ShapeMismatch,
     ZeroWeightDenominator,
     canonical_representatives,
+    character,
     compute_weight,
     cy_reduce,
     enumerate_partitions,
@@ -76,6 +77,7 @@ from oracles import (
     expanded_fingerprint,
     expanded_locus_fold,
     fraction_evaluate,
+    insertion_read_half_vertex,
     locus_value,
     orbit,
     qpoly_locus_value,
@@ -303,14 +305,36 @@ def _specialized_by_oracle(pi, d, v):
 
 @pytest.mark.parametrize("d,order,count", [(4, 7, 141), (8, 5, 34), (12, 3, 7), (16, 2, 3)])
 def test_specialize_half_vertex_matches_specialize_oracle(d, order, count):
+    # -v as a KClass, tail and all, and as the blocks of the weight
+    # pipeline, against both oracles
     seen = 0
     for n in range(1, order + 1):
         for rep, _ in canonical_representatives(d - 1, n):
             v = class_vertex_half(rep, d)
             got = _outcome(_specialize_half_vertex, rep, d, -v)
             assert got == _outcome(_specialized_by_oracle, rep, d, v)
+            assert got == _outcome(insertion_read_half_vertex, rep, d, -v)
+            nv = half_vertex_blocks(rep, d)
+            assert got == _outcome(_specialize_half_vertex, rep, d, nv)
+            assert got == _outcome(insertion_read_half_vertex, rep, d, nv)
             seen += 1
     assert seen == count
+
+
+def test_critical_boxes_off_the_corner_column_at_d4():
+    # sizes 8 and 9 at d = 4 are the first with a critical box off the
+    # corner column, at base (2, 2, 2): the shipped route keeps its unit
+    # u + ell, u = 1 - m, where the insertion read restricts its form
+    reps = [rep for n in (8, 9) for rep, _ in canonical_representatives(3, n)]
+    assert len(reps) == 451
+    off_corner = 0
+    for rep in reps:
+        nv = half_vertex_blocks(rep, 4)
+        got = _outcome(_specialize_half_vertex, rep, 4, nv)
+        assert got == _outcome(insertion_read_half_vertex, rep, 4, nv)
+        assert got == _outcome(_specialized_by_oracle, rep, 4, -expanded_blocks(nv))
+        off_corner += (2, 2, 2) in rep.heights
+    assert off_corner > 0
 
 
 def _is_suffix(flat, d):
@@ -358,6 +382,7 @@ def test_block_route_matches_expanded_route(d, order, canonical, count):
         assert _outcome(euler_class, nv) == _outcome(reduced_euler_class, a)
         got = _outcome(_specialize_half_vertex, pi, d, nv)
         assert got == _outcome(_specialized_by_oracle, pi, d, -a)
+        assert got == _outcome(insertion_read_half_vertex, pi, d, nv)
     assert suffixes == ({True} if canonical else {True, False})
 
 
@@ -565,6 +590,7 @@ def test_specialize_half_vertex_hand_cases(terms, expected):
     v = KClass(4, terms)
     got = _outcome(_specialize_half_vertex, pi, 4, -v)
     assert got == _outcome(_specialized_by_oracle, pi, 4, v)
+    assert got == _outcome(insertion_read_half_vertex, pi, 4, -v)
     if expected == "zero":
         assert got is None
     elif isinstance(expected, str):
@@ -579,6 +605,7 @@ def test_specialize_half_vertex_keeps_the_parity_error():
     got = _outcome(_specialize_half_vertex, single_box(3), 4, -v)
     assert got == (NotAPerfectSquare, "scalar -1/4 is not a rational square")
     assert got == _outcome(_specialized_by_oracle, single_box(3), 4, v)
+    assert got == _outcome(insertion_read_half_vertex, single_box(3), 4, -v)
 
 
 def test_full_cube_at_d4_agrees_and_is_not_a_column():
@@ -941,6 +968,24 @@ def test_signed_poly_matches_specialized_value():
     assert count == 74
 
 
+@pytest.mark.parametrize("d,order,count,others", [(8, 7, 160, (12, 16)), (4, 6, 69, (8,))])
+def test_weight_of_a_shape_agrees_across_dimensions(d, order, count, others):
+    # a shape is a representative's rows on its active axes; padded with
+    # index 1 on the added axes it keeps its omega and verdict in every
+    # larger d = 0 mod 4 (the sign of the root may differ).  An oracle
+    # only: no check computes a weight at one d from another
+    from dtvertex import MultiPartition
+
+    weights = cached_weight_table(d, order).values()
+    assert len(weights) == count
+    for w in weights:
+        for e in others:
+            pad = (1,) * (e - d)
+            shape = MultiPartition(e - 1, {i + pad: h for i, h in w.partition.heights.items()})
+            got = compute_weight(shape, e)
+            assert (got.omega, got.verdict) == (w.omega, w.verdict)
+
+
 def test_corner_column_is_the_falling_factorial():
     for h in range(9):
         column = QPoly.one()
@@ -1049,18 +1094,20 @@ def test_perturbed_fixed_part_gives_the_verdict(monkeypatch, shift):
     # a fixed weight added to the tail of -v: c0 < 0 makes e(-v) the zero
     # class, the verdict euler_vanishes and omega 0; c0 > 0 puts the zero
     # weight in the denominator of e(-v), the verdict violated
+    # (compute_weight builds -v from the character it reads, half_vertex_of)
     origin = next(iter(KClass.one(4).terms))
-    real = forms_mod.half_vertex_blocks
+    real = forms_mod.half_vertex_of
 
-    def perturbed(pi, d):
-        nv = real(pi, d)
+    def perturbed(z):
+        nv = real(z)
         return nv._replace(tail={**nv.tail, origin: nv.tail.get(origin, 0) + shift})
 
-    monkeypatch.setattr(forms_mod, "half_vertex_blocks", perturbed)
+    monkeypatch.setattr(forms_mod, "half_vertex_of", perturbed)
     for rep, _ in canonical_representatives(3, 3):
-        c0 = -cy_fixed_part(perturbed(rep, 4))
+        nv = perturbed(character(rep, 4))
+        c0 = -cy_fixed_part(nv)
         assert c0 == -shift
-        verdict = key_verdict(-expanded_blocks(perturbed(rep, 4)))
+        verdict = key_verdict(-expanded_blocks(nv))
         if c0 < 0:
             w = compute_weight(rep, 4)
             assert (w.verdict, w.omega, w.sign) == (verdict, Fraction(0), 1)

@@ -11,9 +11,12 @@ import hashlib
 import io
 import json
 import re
+from fractions import Fraction
+from math import comb
 
 import pytest
 
+from dtvertex import QPoly
 from dtvertex.cache import ENV_CACHE_DIR, seal
 from dtvertex.cli import main
 
@@ -120,6 +123,14 @@ ORDER_8_GOLDEN = {
     "check omega -d 8 -n 8": "5c9c23c2797efdf9d0695fcc200028a69dfcc60ca2ed3160a29ea20742c141a2",
 }
 
+# order 8 at d = 16 and d = 20: both checks exit 1, and the miss at q^8
+# is -C(d - 1, 3) / 2 * ell (ell - 1), as test_cli.test_order_8_facts_at_d8
+# reads it at d = 8 (-35/2)
+ORDER_8_LARGE_D = {
+    "check fourk -d 16 -n 8": "78005d9b9bbeb2885f7176bccbb30bf41c5a08ad4359a73978c24d696114fcb5",
+    "check fourk -d 20 -n 8": "87c317a507d1825dcbb6d153a84f15e955a9cb04ee3fe38117153d5758dcc70a",
+}
+
 
 def _stdout(argv):
     out = io.StringIO()
@@ -154,3 +165,19 @@ def test_order_8_report_is_byte_identical(order_8_reports, command):
     code, out = order_8_reports[command]
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == ORDER_8_GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", list(ORDER_8_LARGE_D))
+def test_order_8_miss_at_d16_and_d20_is_pinned(monkeypatch, command):
+    monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+    code, out = _stdout(command.split())
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == ORDER_8_LARGE_D[command]
+    report = json.loads(out)
+    series, target = (
+        [QPoly([Fraction(c) for c in coeffs]) for coeffs in report[k]["coefficients"]]
+        for k in ("series", "target")
+    )
+    misses = [z - t for z, t in zip(series, target)]
+    c = Fraction(comb(report["dimension"] - 1, 3), 2)
+    assert misses == [QPoly.zero()] * 8 + [QPoly([0, c, -c])]
