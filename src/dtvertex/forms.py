@@ -16,12 +16,12 @@ block for the unexpanded -v of the half vertex, whose interior codes
 e(-v) keeps as one kclass interior value that the weight pipeline never
 expands.  Cancellation, square roots and the specialization to the
 locus lam_1 + ... + lam_{d-1} = 0 are multiset operations; no limits
-are ever taken.  The specialized value is a polynomial in ell, and a
-pole or a form direction that survives on the locus raises
-ShapeMismatch.  There the insertion cancels the tail -Z of -v box by
-box but for the critical boxes, whose base indices are all equal, so a
-weight reads Q's blocks and those boxes and builds no insertion;
-specialize, which restricts a product of forms, is its oracle.
+are ever taken.  The specialized value is a polynomial in ell; a pole
+or a form direction that survives on the locus raises ShapeMismatch.
+There each box off the diagonal has one form, +1 in the insertion and
+-1 in the tail -Z of -v, folded and divided alike, so a weight reads
+Q's blocks and the diagonal boxes alone; specialize, which restricts a
+product of forms, is its oracle.
 """
 
 from __future__ import annotations

@@ -468,11 +468,11 @@ def _fold(a, k, restrict, split=False):
     coefficient c to (r, u, c), r of k digits.  At r = origin crit[u]
     sums c; another r below the origin folds onto its mirror, odd the
     parity of the c folded so, and pairs lists (r, net) for each folded
-    r with a net.  The flat axes after the last active base axis are block
-    axes, the others are multiplied out.  split (locus_fold) makes the
-    halves of the last block axis, d - 1, blocks with no copy of q: a
-    code with w_{d-1} = 0 restricts to (r, u), its half t^w / t_{d-1} to
-    (r + ONES, u - 1).  A block's constants are closed forms: its far
+    r with a net.  The flat axes after the last active base axis are
+    block axes, the others are multiplied out.  split (locus_fold) makes
+    the halves of the last block axis, d - 1, blocks with no copy of q:
+    a code with w_{d-1} = 0 restricts to (r, u), its half t^w / t_{d-1}
+    to (r + ONES, u - 1).  A block's constants are closed forms: its far
     corner is t^-top, top the sum of the steps, with sign (-1)^f, and
     every interior code folds as b / t_i, i the first block axis.
     Corners go code by code; the interior codes gather under the
