@@ -153,15 +153,15 @@ class WeightCache:
             self._fh = None
 
     def compact(self):
-        """Rewrite the file with one line per key, sorted.
+        """Rewrite the file, if there is one, with one line per key, sorted.
 
         The records go to a sibling temporary file that replaces the
         original only once it is complete and flushed to disk; on any
         failure the original is left untouched.
         """
-        if not self.path:
-            return 0
         self.close()
+        if not (self.path and os.path.exists(self.path)):
+            return 0
         keys = sorted(self.records)
         tmp = self.path + ".compact.tmp"
         try:

@@ -99,8 +99,8 @@ def _serialized(arity, parts):
 
 
 def _search(pi):
-    """Yield each decomposition of a nonempty pi as its list of (columns,
-    multiplicity) pairs, parts in candidate order.
+    """Yield each decomposition of pi as its list of (columns, multiplicity)
+    pairs, parts in candidate order; the empty pi has one, with no parts.
 
     Backtracking over the candidates in their fixed order, on the
     remainder as a list over the sorted cells of pi (the corner first)
@@ -162,8 +162,6 @@ def decompositions(pi):
     """
     if pi.arity < 2:
         raise ValueError("decompositions need arity >= 2")
-    if pi.is_empty():
-        return [{}]
     return [_serialized(pi.arity - 1, parts) for parts in _search(pi)]
 
 
@@ -171,19 +169,8 @@ def omega_c(pi):
     """Combinatorial weight: sum of 1/prod(m!) over decompositions.
 
     The multiplicities of a decomposition add up to the corner height h,
-    so each term is an integer over h!.  For arity 1 the decomposition
-    into height prefixes is unique and forced by the successive
-    differences, so the weight is the product of their inverse
-    factorials.
+    so each term is an integer over h!.
     """
-    if pi.is_empty():
-        return Fraction(1)
-    if pi.arity == 1:
-        total = Fraction(1)
-        for (i,), h in pi.heights.items():
-            diff = h - pi.height_at((i + 1,))
-            total /= factorial(diff)
-        return total
     whole = factorial(pi.corner_height())
     terms = (whole // prod(factorial(m) for _, m in parts) for parts in _search(pi))
     return Fraction(sum(terms), whole)

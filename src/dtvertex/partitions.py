@@ -76,12 +76,6 @@ class MultiPartition:
     def size(self):
         return sum(self.heights.values())
 
-    def is_empty(self):
-        return not self.heights
-
-    def height_at(self, idx):
-        return self.heights.get(tuple(idx), 0)
-
     def corner_height(self):
         """Height over the base corner cell (0 for the empty partition)."""
         return self.heights.get((1,) * self.arity, 0)
@@ -141,21 +135,21 @@ def enumerate_partitions(arity, size):
 def count_partitions(arity, max_size, grown=None):
     """Counts of arity-partitions of sizes 0..max_size.
 
-    Size 0 holds the empty partition alone; each larger count is the sum
-    of the orbit sizes of canonical_representatives, so no partition is
-    enumerated.  grown, an arity at least arity whose representatives
-    the caller grows anyway, is read instead: the representatives of
-    arity are those of grown with at most arity active axes, and one
-    with k of them has (n)_k / stab members at arity n (see _orbit).
+    Each count is the sum of the orbit sizes of canonical_representatives,
+    so no partition is enumerated.  grown, an arity at least arity whose
+    representatives the caller grows anyway, is read instead: the
+    representatives of arity are those of grown with at most arity
+    active axes, and one with k of them has (n)_k / stab members at
+    arity n (see _orbit).  Size 0 and arity 0 come from the same sum:
+    size 0 holds the empty partition alone, and arity 0 reads arity 1,
+    where only the single columns (k = 0) count, one per size.
     """
-    if max_size < 0:
-        return []
-    grown = grown or arity
-    return [1] + [
+    grown = grown or max(arity, 1)
+    return [
         sum(orbit * perm(arity, k) // perm(grown, k)
             for rep, orbit in canonical_representatives(grown, s)
             for k in [len(_active_axes(rep)) if grown > arity else 0])
-        for s in range(1, max_size + 1)
+        for s in range(max_size + 1)
     ]
 
 

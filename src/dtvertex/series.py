@@ -138,14 +138,12 @@ class TruncatedSeries:
 def m_series(n, order, grown=None):
     """Generating series of n-partitions by size, truncated.
 
-    n = 0 is the geometric series; for n >= 1 the coefficients are
-    partitions.count_partitions, orbit sizes summed over the canonical
-    representatives of arity n, or of arity grown when given.
+    The coefficients are partitions.count_partitions, orbit sizes summed
+    over the canonical representatives of arity n, or of arity grown
+    when given; n = 0 gives the geometric series.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return TruncatedSeries.from_fractions([Fraction(1)] * (order + 1))
     return TruncatedSeries.from_fractions(count_partitions(n, order, grown))
 
 

@@ -42,6 +42,9 @@ the package against.
   larger than the remainder (no corner-count bounds) on a dict
   remainder.  Both bounds drop only parts and branches that cannot
   close, so the lists agree in order.
+- omega_c of a 1-partition in closed form, the product of the inverse
+  factorials of its successive height differences, which omega_c kept
+  beside the search until the search took arity 1 as well.
 - The bounded partition enumeration: slices a bounding height map along
   the first axis and meets each slice with the partition's previous
   slice, one size at a time.  It checks omega's candidate lists and,
@@ -55,7 +58,8 @@ the package against.
   predecessor of every index on every axis, which the check of
   predecessors along raised axes replaced.
 - Two partition counts: brute-force down-sets of boxes and a closed
-  binomial form for sizes up to 6.
+  binomial form for sizes up to 6, which at arity 0 is the geometric
+  series and at size 0 the empty partition alone.
 - The orbit representatives found by grouping every partition of the
   arity by its canonical form, which growth from the representatives of
   the previous size, padded above arity size - 1, replaced.
@@ -124,7 +128,7 @@ import hashlib
 import struct
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd
+from math import factorial, gcd
 
 from dtvertex import (
     ArityMismatch,
@@ -630,6 +634,17 @@ def column_runs(heights):
     return runs
 
 
+def arity_one_omega(pi):
+    """omega_c of a 1-partition in closed form: its one decomposition
+    into height prefixes is forced by the successive differences
+    h_i - h_{i+1}, so the weight is the product of their inverse
+    factorials (1 for the empty partition)."""
+    total = Fraction(1)
+    for (i,), h in pi.heights.items():
+        total /= factorial(h - pi.heights.get((i + 1,), 0))
+    return total
+
+
 def sub_partitions(arity, bound):
     """All nonempty arity-partitions dominated entrywise by the height map
     bound, in no particular order.
@@ -699,7 +714,7 @@ def unpruned_decompositions(pi):
     bounds: every unfloored candidate no larger than the remainder is
     tried, in the same order, so the bounded search must give this list,
     in this order."""
-    if pi.is_empty():
+    if not pi.heights:
         return [{}]
     cands = unfloored_candidates(pi)
     results = []
@@ -1143,7 +1158,7 @@ def contains_cell(pi, cell):
     """Whether the 0-based box lies in the staircase of pi."""
     if len(cell) != pi.arity + 1:
         raise ArityMismatch("cell %r does not match arity %d" % (cell, pi.arity))
-    return cell[-1] + 1 <= pi.height_at(tuple(b + 1 for b in cell[:-1]))
+    return cell[-1] + 1 <= pi.heights.get(tuple(b + 1 for b in cell[:-1]), 0)
 
 
 def binary_rep_contains(xi, cell):
@@ -1158,7 +1173,7 @@ def binary_rep_contains(xi, cell):
         raise ArityMismatch("cell %r does not match arity %d" % (cell, xi.arity))
     if any(i < 1 for i in cell):
         raise ValueError("binary representation uses 1-based indices: %r" % (cell,))
-    return 1 if cell[-1] <= xi.height_at(cell[:-1]) else 0
+    return 1 if cell[-1] <= xi.heights.get(cell[:-1], 0) else 0
 
 
 def flipped_orientation(orientation, keys):

@@ -428,6 +428,13 @@ def test_cache_compact_without_a_cache_is_usage_error(tmp_path, monkeypatch, cap
     assert records and code == 0 and out == "compacted %d records\n" % len(records)
 
 
+def test_cache_compact_of_a_missing_file_writes_nothing(tmp_path, capsys):
+    # a cache path with no file behind it has no records: nothing is created
+    code, out = run_cli(capsys, "cache-compact", "--cache", str(tmp_path / "none.jsonl"))
+    assert (code, out) == (0, "compacted 0 records\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pipeline_error_exit_code(monkeypatch, capsys):
     import dtvertex.cli as cli_mod
 

@@ -26,6 +26,7 @@ import dtvertex.omega as omega_mod
 from dtvertex.errors import DTVertexError
 from dtvertex.omega import _candidates, _cell_sums
 from oracles import (
+    arity_one_omega,
     binary_rep_contains,
     bounded_partitions,
     column_runs,
@@ -66,8 +67,10 @@ def test_raised_cube_without_corner_decomposition():
 
 
 def test_empty_partition():
-    assert decompositions(MultiPartition(3)) == [{}]
-    assert omega_c(MultiPartition(3)) == 1
+    # the search finds the one empty decomposition, so omega_c = 0!/0!
+    for arity in (2, 3, 7):
+        assert decompositions(MultiPartition(arity)) == [{}]
+        assert omega_c(MultiPartition(arity)) == 1
 
 
 def test_decompositions_satisfy_cell_sums():
@@ -95,7 +98,7 @@ def test_slice_identity():
                 for base, h in xi.heights.items():
                     drops[(base, h)] = drops.get((base, h), 0) + m
             for (base, h), m in drops.items():
-                expected = pi.height_at(base + (h,)) - pi.height_at(base + (h + 1,))
+                expected = pi.heights.get(base + (h,), 0) - pi.heights.get(base + (h + 1,), 0)
                 assert m == expected
 
 
@@ -116,6 +119,15 @@ def test_arity_one_weight():
     assert omega_c(MultiPartition(1, {(1,): 2})) == Fraction(1, 2)
     assert omega_c(MultiPartition(1, {(1,): 1, (2,): 1})) == 1
     assert omega_c(MultiPartition(1, {(1,): 3, (2,): 1})) == Fraction(1, 2)
+
+
+def test_arity_one_weight_matches_closed_form():
+    # the search at arity 1 against the product of inverse factorials of
+    # the height differences, on every 1-partition through size 16
+    parts = [pi for size in range(17) for pi in enumerate_partitions(1, size)]
+    assert len(parts) == 915
+    for pi in parts:
+        assert omega_c(pi) == arity_one_omega(pi)
 
 
 def test_fixture_weights(seven_part_size9, seven_part_size10, seven_part_size14):
@@ -200,7 +212,10 @@ def test_decompositions_reject_arity_one():
         decompositions(MultiPartition(1, {(1,): 2}))
 
 
-@pytest.mark.parametrize("n,order", [(1, 6), (2, 5), (3, 4), (7, 3), (7, 5), (7, 6)])
+# n = 1 runs the search at arity 1 and counts arity 0 from arity 1
+@pytest.mark.parametrize(
+    "n,order", [(1, 6), (1, 12), (2, 5), (2, 9), (3, 4), (7, 3), (7, 5), (7, 6)]
+)
 def test_exp_identity(n, order):
     equal, lhs, rhs = check_exp_identity(n, order)
     assert equal
@@ -263,7 +278,7 @@ def bounded_candidates(pi):
     out = []
     for s in range(1, sum(bound.values()) + 1):
         out.extend(bounded_partitions(pi.arity - 1, s, bound))
-    out = [xi for xi in out if all(xi.height_at(b) >= f for b, f in floor.items())]
+    out = [xi for xi in out if all(xi.heights.get(b, 0) >= f for b, f in floor.items())]
     out.sort(key=lambda xi: (xi.size, xi.key()), reverse=True)
     return out
 

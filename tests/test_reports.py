@@ -20,6 +20,8 @@ from dtvertex import QPoly
 from dtvertex.cache import ENV_CACHE_DIR, seal
 from dtvertex.cli import main
 
+from conftest import raised_cube_without_corner
+
 GOLDEN = [
     ("check fourk -d 4 -n 3 --ell=-1..2",
      "18db1f9b07fb5096aacadff39d93153575fc3f09e7bad8658c6d4314fda03d6e"),
@@ -131,6 +133,14 @@ ORDER_8_LARGE_D = {
     "check fourk -d 20 -n 8": "87c317a507d1825dcbb6d153a84f15e955a9cb04ee3fe38117153d5758dcc70a",
 }
 
+# order 8 of omega at d = 16 and d = 20: both exit 1, and the one
+# mismatching row is A, |omega| 1/2 against omega_c 1 as at d = 8, on an
+# orbit of C(d - 1, 3)
+ORDER_8_OMEGA_LARGE_D = {
+    "check omega -d 16 -n 8": "00082ad5e472be86e6a05717b4bf995457d9634d5714c2a1afa3bf9fbb35a3c1",
+    "check omega -d 20 -n 8": "e9055c5089f24a01b067fcf1af5c91c97bef75b3ce9d742cd7f23b4bb69b4dc5",
+}
+
 
 def _stdout(argv):
     out = io.StringIO()
@@ -181,3 +191,18 @@ def test_order_8_miss_at_d16_and_d20_is_pinned(monkeypatch, command):
     misses = [z - t for z, t in zip(series, target)]
     c = Fraction(comb(report["dimension"] - 1, 3), 2)
     assert misses == [QPoly.zero()] * 8 + [QPoly([0, c, -c])]
+
+
+@pytest.mark.parametrize("command", list(ORDER_8_OMEGA_LARGE_D))
+def test_order_8_omega_mismatch_at_d16_and_d20_is_pinned(monkeypatch, command):
+    monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+    code, out = _stdout(command.split())
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == ORDER_8_OMEGA_LARGE_D[command]
+    report = json.loads(out)
+    d = report["dimension"]
+    assert report["exp_identity"] is True
+    rows = [r for r in report["partitions"] if r["verdict"] == "mismatch"]
+    assert [(r["partition"], r["omega_abs"], r["omega_c"], r["orbit_size"]) for r in rows] == [
+        (raised_cube_without_corner(d - 1).serialize(), "1/2", "1", comb(d - 1, 3))
+    ]
