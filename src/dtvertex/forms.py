@@ -12,16 +12,16 @@ the zero class is the zero scalar with no forms.  Every product of forms
 is built by _merge_primitive, which divides each form by its gcd and
 merges its exponent.  This module never reads a packed exponent code:
 kclass.cy_fold and kclass.locus_fold hand it integer vectors, block by
-block for the unexpanded -v of the half vertex, whose interior codes
-e(-v) keeps as one kclass interior value that the weight pipeline never
-expands.  Cancellation, square roots and the specialization to the
-locus lam_1 + ... + lam_{d-1} = 0 are multiset operations; no limits
-are ever taken.  The specialized value is a polynomial in ell; a pole
-or a form direction that survives on the locus raises ShapeMismatch.
-There each box off the diagonal has one form, +1 in the insertion and
--1 in the tail -Z of -v, folded and divided alike, so a weight reads
-Q's blocks and the diagonal boxes alone; specialize, which restricts a
-product of forms, is its oracle.
+block for the unexpanded -v of the half vertex, whose fold e(-v)
+defers: a weight reads only its zero test, parity and sign, off the
+corners (kclass.cy_corners).  Cancellation, square roots and the
+specialization to the locus lam_1 + ... + lam_{d-1} = 0 are multiset
+operations; no limits are ever taken.  The specialized value is a
+polynomial in ell; a pole or a form direction that survives on the
+locus raises ShapeMismatch.  There each box off the diagonal has one
+form, +1 in the insertion and -1 in the tail -Z of -v, folded and
+divided alike, so a weight reads Q's blocks and the diagonal boxes
+alone; specialize, which restricts a product of forms, is its oracle.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ from .kclass import (
     add_into,
     block_bytes,
     character,
+    cy_corners,
     cy_fold,
     half_vertex_blocks,
     half_vertex_of,
-    interior_degree,
     interior_items,
     locus_fold,
     vertex,
@@ -61,39 +61,50 @@ class FormProduct:
     """scalar * product of canonical forms raised to integer exponents.
 
     The zero class is the zero scalar with no forms: a zero scalar drops
-    the factors.  total_degree reads the kclass interior of
-    euler_class as it is; the first read of factors expands it.
+    the factors.  euler_class defers its fold: the product holds the
+    class, the sign of its scalar and its degree (kclass.cy_corners), so
+    is_zero, sign and total_degree read no form, and the first read of
+    scalar or factors runs cy_fold and the merge, once.
     """
 
-    __slots__ = ("scalar", "_factors", "_interior")
+    __slots__ = ("_scalar", "_factors", "_pending")
 
     def __init__(self, scalar=1, factors=None):
-        self.scalar = Fraction(scalar)
-        self._factors = dict(factors or {}) if self.scalar else {}
-        self._interior = None
+        self._scalar = Fraction(scalar)
+        self._factors = dict(factors or {}) if self._scalar else {}
+        self._pending = None
 
     @classmethod
-    def _packed(cls, scalar, factors, interior=None):
+    def _packed(cls, scalar, factors, pending=None):
         """Product over a Fraction scalar and a freshly built dict of
         non-zero exponents, taken as is (empty when the scalar is zero),
-        times the forms of interior, None or a kclass interior value."""
+        or the deferred e(a) of sign scalar, pending = (a, its degree)."""
         p = object.__new__(cls)
-        p.scalar = scalar
+        p._scalar = scalar
         p._factors = factors
-        p._interior = interior
+        p._pending = pending
         return p
 
     @property
     def factors(self):
-        """{form: exponent}, the interior expanded on the first read."""
-        if self._interior is not None:
-            expanded = dict(interior_items(self._interior))
-            self._factors = add_into(expanded, self._factors.items())
-            self._interior = None
+        """{form: exponent}; its first read, or scalar's, runs the deferred fold."""
+        if self._pending:
+            _, odd, interior, pairs = cy_fold(self._pending[0])
+            self._pending = None
+            self._factors = dict(interior_items(interior)) if interior else {}
+            self._scalar = Fraction(*_merge_primitive(pairs, self._factors, odd))
         return self._factors
 
+    @property
+    def scalar(self):
+        self.factors  # runs the deferred fold, if any
+        return self._scalar
+
     def is_zero(self):
-        return not self.scalar
+        return not self._scalar
+
+    def sign(self):
+        return (self._scalar > 0) - (self._scalar < 0)
 
     def __mul__(self, other):
         if not isinstance(other, FormProduct):
@@ -107,9 +118,8 @@ class FormProduct:
         return FormProduct(self.scalar * c, self.factors)
 
     def total_degree(self):
-        """Net number of linear forms, counted with exponents."""
-        interior = interior_degree(self._interior) if self._interior else 0
-        return sum(self._factors.values()) + interior
+        """Net number of linear forms, counted with exponents, with no fold."""
+        return self._pending[1] if self._pending else sum(self._factors.values())
 
     def __eq__(self, other):
         if not isinstance(other, FormProduct):
@@ -204,20 +214,18 @@ def euler_class(a, use_cy=True):
     t_1..t_d = 1 with use_cy, in all d (full torus) without.  The zero
     weight makes the class zero when its coefficient is positive and
     raises ZeroWeightDenominator when it is negative.  On the Calabi-Yau
-    torus kclass.cy_fold folds a KClass or the blocks of -v onto
-    mirrored weights w, w_d = 0 being the ell_part; the pairs are
-    merged, and the interior codes (primitive, alone on their forms) stay
-    one kclass interior value, expanded when the factors are read.
+    torus kclass.cy_corners reads these off the corners of a KClass or
+    of the blocks of -v; the first read of scalar or factors folds it
+    onto mirrored weights w (cy_fold), w_d = 0 the ell_part, and merges.
     """
     if not use_cy:
         return _collect((w, 0, c) for w, c in a.items())
-    fixed, odd, interior, pairs = cy_fold(a)
+    fixed, odd, degree = cy_corners(a)
     if fixed > 0:
         return FormProduct(0)
     if fixed < 0:
         raise ZeroWeightDenominator("zero weight with exponent %d" % fixed)
-    exps = {}
-    return FormProduct._packed(Fraction(*_merge_primitive(pairs, exps, odd)), exps, interior)
+    return FormProduct._packed(-1 if odd else 1, {}, (a, degree))
 
 
 def sqrt_form_product(p, n):
@@ -368,13 +376,14 @@ def _specialize_half_vertex(pi, d, nv, z=None):
     root = _half_vertex_root(nv, |pi|), with the same errors, and is None
     where the root is the zero class, on which the one euler_class(nv)
     rules with the parity of the root; the root drops the sign of its
-    scalar.  A box of Z whose base indices are not all equal restricts
-    to one form in the insertion (exponent +1, its ell-part vanishing
-    on the locus) and in -Z (exponent -1), with the same sign fold and
-    gcd, so the two cancel: kclass.locus_fold reads -v + Z (Q's blocks
-    alone, for half_vertex_blocks), a critical weight u being the unit
-    (u, 0), and a critical box, base (a, ..., a) at level m, leaves the
-    unit u + ell over u, u = a - 1 - m (0 nets to zero, as e(-v) is not).
+    scalar, which e(nv).sign() reads unfolded.  A box of Z whose base
+    indices are not all equal restricts to one form in the insertion
+    (exponent +1, its ell-part vanishing on the locus) and in -Z
+    (exponent -1), with the same sign fold and gcd, so the two cancel:
+    kclass.locus_fold reads -v + Z (Q's blocks alone, for
+    half_vertex_blocks), a critical weight u being the unit (u, 0), and
+    a critical box, base (a, ..., a) at level m, leaves the unit u + ell
+    over u, u = a - 1 - m (0 nets to zero, as e(-v) is not).
     """
     e = _half_vertex_euler(nv, pi.size)
     if e.is_zero():
@@ -386,7 +395,7 @@ def _specialize_half_vertex(pi, d, nv, z=None):
         add_into(units, [item for u in range(a - h, a) for item in (((u, 1), 1), ((u, 0), -1))])
         a += 1
     exps = {}
-    return _locus_value(_merge_primitive(pairs, exps, odd ^ (e.scalar < 0)), units, exps)
+    return _locus_value(_merge_primitive(pairs, exps, odd ^ (e.sign() < 0)), units, exps)
 
 
 @functools.cache

@@ -49,7 +49,8 @@ origin or a code of another block, so they alone go code by code; the
 2^f - 2 interior codes, an even number of +-c, leave the parity alone,
 and each holds x and x - 1, a primitive form no other code shares, so
 they stay one interior value, a net per block, until interior_items
-decodes them; interior_degree sums them from the nets.
+decodes them; cy_corners reads fixed and odd of cy_fold off the
+corners alone.
 """
 
 from __future__ import annotations
@@ -457,30 +458,23 @@ def interior_items(interior):
     return list(zip(_decode(codes, k), coeffs))
 
 
-def interior_degree(interior):
-    """Sum of the coefficients: -(1 + (-1)^f) c per block, always even."""
-    return -(1 + (-1) ** len(interior[2])) * sum(interior[1].values())
-
-
-def _fold(a, k, restrict, split=False):
-    """(crit, odd, interior, pairs) of a KClass or a FlatBlocks a, its
-    bound 2 * a.bound checked first; restrict maps a code and its
-    coefficient c to (r, u, c), r of k digits.  At r = origin crit[u]
-    sums c; another r below the origin folds onto its mirror, odd the
-    parity of the c folded so, and pairs lists (r, net) for each folded
-    r with a net.  The flat axes after the last active base axis are
-    block axes, the others are multiplied out.  split (locus_fold) makes
-    the halves of the last block axis, d - 1, blocks with no copy of q:
-    a code with w_{d-1} = 0 restricts to (r, u), its half t^w / t_{d-1}
-    to (r + ONES, u - 1).  A block's constants are closed forms: its far
-    corner is t^-top, top the sum of the steps, with sign (-1)^f, and
-    every interior code folds as b / t_i, i the first block axis.
-    Corners go code by code; the interior codes gather under the
-    (mirrored) base b into interior, (k, blocks, steps) or None.
+def _corners(a, k, restrict=None, split=False):
+    """(pieces, units, steps) of a KClass or a FlatBlocks a, bound 2 * a.bound
+    checked first; restrict maps a code and its coefficient c to (r, u, c),
+    r of k digits, by default modulo t_1..t_d = 1.  The flat axes after the
+    last active base axis are block axes, of code steps steps; the others
+    are multiplied out.  split (locus_fold) makes the halves of the last
+    block axis, d - 1, blocks with no copy of q: a code with w_{d-1} = 0
+    restricts to (r, u), its half t^w / t_{d-1} to (r + ONES, u - 1).
+    units are the near corners, q restricted; pieces go code by code: the
+    tail, the near corners and the far corners t^-top (top the sum of the
+    steps) with sign (-1)^f.
     """
     if isinstance(a, KClass):
         a = FlatBlocks(a.dim, {}, (), a.terms, a.bound)
     _checked(2 * a.bound)
+    ones = _ones(k)
+    restrict = restrict or (lambda w, c: (w - ((w & DIGIT) - BIAS) * ones, 0, c))
     flat, n = a.flat, len(a.flat)
     while n and flat[n - 1] == a.dim - 2 - len(flat) + n:
         n -= 1
@@ -488,17 +482,29 @@ def _fold(a, k, restrict, split=False):
     axes = flat[n:]
     units = [restrict(code, c) for code, c in units.items()]
     if split and axes:
-        ones = _ones(k)
         units += [(r + ones, u - 1, -c) for r, u, c in units]
         axes = axes[:-1]
-    origin = _origin(k)
-    mirror = 2 * origin
     steps = [1 << RADIX_BITS * (k - 1 - i) for i in axes]
     top, sign = sum(steps), (-1) ** len(steps)
-    first = steps[0] if len(steps) > 1 else None
     pieces = [restrict(code, c) for code, c in a.tail.items()] + units
     if top:
         pieces += [(r - top, u, sign * c) for r, u, c in units]
+    return pieces, units, steps
+
+
+def _fold(a, k, restrict=None, split=False):
+    """(crit, odd, interior, pairs) of a (_corners).  At r = origin crit[u]
+    sums c; another r below the origin folds onto its mirror, odd the
+    parity of the c folded so, and pairs lists (r, net) for each folded r
+    with a net.  Every interior code folds as b / t_i, i the first block
+    axis, and gathers under the (mirrored) base b into interior,
+    (k, blocks, steps) or None.
+    """
+    pieces, units, steps = _corners(a, k, restrict, split)
+    origin = _origin(k)
+    mirror = 2 * origin
+    top, sign = sum(steps), (-1) ** len(steps)
+    first = steps[0] if len(steps) > 1 else None
     blocks = {}
     for r, u, c in units if first else ():
         if r - first < origin:
@@ -530,11 +536,25 @@ def cy_fold(a):
     lists (w, net) for each folded w, of length d with w_d = 0; interior
     (_fold) holds the interior codes, each primitive and alone on its form.
     """
-    ones = _ones(a.dim)
-    crit, odd, interior, pairs = _fold(
-        a, a.dim, lambda w, c: (w - ((w & DIGIT) - BIAS) * ones, 0, c)
-    )
+    crit, odd, interior, pairs = _fold(a, a.dim)
     return crit.get(0, 0), odd, interior, pairs
+
+
+def cy_corners(a):
+    """(fixed, odd, degree) of cy_fold(a) from the pieces of _corners alone
+    (no interior code is fixed or changes the parity); degree, the net
+    exponent of the weights, is the coefficient sum of a less fixed."""
+    origin = _origin(a.dim)
+    fixed = odd = 0
+    for r, _, c in _corners(a, a.dim)[0]:
+        if r == origin:
+            fixed += c
+        elif r < origin:
+            odd ^= c & 1
+    if isinstance(a, KClass):
+        return fixed, odd, a.rank() - fixed
+    rank = sum(a.tail.values()) + (0 if a.flat else sum(a.q.values()))
+    return fixed, odd, rank - fixed
 
 
 def locus_fold(v, z=None):

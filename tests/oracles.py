@@ -45,6 +45,9 @@ the package against.
 - omega_c of a 1-partition in closed form, the product of the inverse
   factorials of its successive height differences, which omega_c kept
   beside the search until the search took arity 1 as well.
+- omega_c by the first-part recursion h! omega_c(pi) = sum over the
+  parts P of (h - 1)! omega_c(pi - P), memoized on canonical
+  remainders: it counts ordered decompositions and runs no search.
 - The bounded partition enumeration: slices a bounding height map along
   the first axis and meets each slice with the partition's previous
   slice, one size at a time.  It checks omega's candidate lists and,
@@ -124,6 +127,7 @@ the package against.
 """
 
 import argparse
+import functools
 import hashlib
 import struct
 from fractions import Fraction
@@ -740,6 +744,54 @@ def unpruned_decompositions(pi):
     search(dict(pi.heights), 0, [])
     return results
 
+
+
+def first_part_omega(pi):
+    """omega_c by its first part, with no decomposition search.
+
+    h! omega_c(pi) counts the ordered decompositions of pi into h parts,
+    h the corner height, so it is the sum over the parts P that can come
+    first of (h - 1)! omega_c(pi - P), and omega_c of the empty partition
+    is 1.  Memoized on the canonical form of each remainder, since
+    permuting the axes permutes the parts."""
+    return _first_part_omega(pi.arity, canonicalize_axes(pi).key())
+
+
+@functools.cache
+def _first_part_omega(arity, key):
+    heights = {row[:-1]: row[-1] for row in key}
+    if not heights:
+        return Fraction(1)
+    total = Fraction(0)
+    for rem in _first_part_remainders(heights):
+        total += first_part_omega(MultiPartition(arity, rem))
+    return total / heights[(1,) * arity]
+
+
+def _first_part_remainders(heights):
+    """heights minus each part P that leaves a partition: P a non-empty
+    down-set of the cells, which holds every successor y of a cell x of
+    P with heights[y] == heights[x], since x would drop below y else.
+    The cells go in sorted order, so the predecessors of a cell are
+    decided before it."""
+    cells = sorted(heights)
+    out = []
+
+    def walk(i, part):
+        if i == len(cells):
+            if part:
+                rem = {c: heights[c] - (c in part) for c in cells}
+                out.append({c: v for c, v in rem.items() if v})
+            return
+        c = cells[i]
+        preds = [c[:j] + (x - 1,) + c[j + 1 :] for j, x in enumerate(c) if x > 1]
+        if all(p in part for p in preds):
+            walk(i + 1, part | {c})
+        if not any(p in part and heights[p] == heights[c] for p in preds):
+            walk(i + 1, part)
+
+    walk(0, frozenset())
+    return out
 
 # -- per-partition series ----------------------------------------------------
 

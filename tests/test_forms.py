@@ -413,23 +413,23 @@ def test_weight_never_expands_the_half_vertex(monkeypatch):
     with pytest.raises(AssertionError, match="multiplied out"):
         cy_bundle_term(odd_one, 8, u)
 
-    # with interior_items refused too, no weight at d = 8 or d = 24
-    # expands the interior codes of e(-v); the bundle term multiplies the
-    # root by the tautological factor, so it does
+    # with cy_fold refused too, no weight at d = 8 or d = 24 folds e(-v):
+    # the weight reads its zero test, parity and sign off the corners; the
+    # bundle term multiplies the root by the tautological factor, so it folds
     deep = [rep for n in range(1, 3) for rep, _ in canonical_representatives(23, n)]
     weights = [(rep, 8, w) for rep, (w, _) in zip(reps, expected)]
     weights += [(rep, 24, compute_weight(rep, 24)) for rep in deep]
     blocky = next(rep for rep in reps if cy_fold(half_vertex_blocks(rep, 8))[2])
 
-    def refuse_interior(interior):
-        raise AssertionError("the interior codes were expanded")
+    def refuse_fold(a):
+        raise AssertionError("e(-v) was folded")
 
-    monkeypatch.setattr(kclass_mod, "interior_items", refuse_interior)
-    monkeypatch.setattr(forms_mod, "interior_items", refuse_interior)
+    monkeypatch.setattr(kclass_mod, "cy_fold", refuse_fold)
+    monkeypatch.setattr(forms_mod, "cy_fold", refuse_fold)
     for rep, d, w in weights:
         got = compute_weight(rep, d)
         assert (got.verdict, got.omega, got.sign) == (w.verdict, w.omega, w.sign)
-    with pytest.raises(AssertionError, match="interior codes were expanded"):
+    with pytest.raises(AssertionError, match="was folded"):
         cy_bundle_term(blocky, 8, u)
 
 
@@ -463,11 +463,19 @@ def test_evaluate_matches_fraction_oracle(factors, scalar, lams):
 
 
 @pytest.mark.parametrize("d,order", [(4, 7), (8, 6), (12, 4), (16, 2)])
-def test_lazy_interior_matches_eager_route(d, order):
-    # e(-v) keeps the interior codes of its blocks unexpanded: its degree
-    # before the expansion, the expanded factors against the eager route
-    # on the materialized -v, and a second read that adds nothing
-    lazy = 0
+def test_deferred_fold_matches_eager_route(monkeypatch, d, order):
+    # e(-v) defers cy_fold and the merge: its zero test, sign and degree
+    # before the first read, a locus_fold of the same blocks that leaves
+    # the fold's result alone, the folded factors against the eager route
+    # on the materialized -v, and one fold for any number of reads
+    folds = []
+
+    def counted(a):
+        folds.append(a)
+        return cy_fold(a)
+
+    monkeypatch.setattr(forms_mod, "cy_fold", counted)
+    blocky = 0
     for n in range(1, order + 1):
         for rep, _ in canonical_representatives(d - 1, n):
             nv = half_vertex_blocks(rep, d)
@@ -476,13 +484,16 @@ def test_lazy_interior_matches_eager_route(d, order):
             if not isinstance(e, FormProduct):
                 assert e == expected
                 continue
-            lazy += cy_fold(nv)[2] is not None
-            degree = e.total_degree()
+            facts = (e.is_zero(), e.sign(), e.total_degree())
+            assert facts == (expected.is_zero(), expected.sign(), expected.total_degree())
+            blocky += cy_fold(nv)[2] is not None
+            locus_fold(nv, character(rep, d))
+            folds.clear()
             factors = e.factors
-            assert degree == sum(factors.values())
             assert e == expected
             assert e.factors is factors and factors == expected.factors
-    assert lazy
+            assert folds == ([] if e.is_zero() else [nv])
+    assert blocky
 
 
 @pytest.mark.parametrize("d,order,count", [(4, 7, 141), (8, 5, 34), (12, 3, 7)])

@@ -30,6 +30,7 @@ from dtvertex.kclass import (
     FlatBlocks,
     _active_fold,
     _double_flat,
+    cy_corners,
     cy_fold,
     half_vertex_blocks,
     interior_items,
@@ -650,7 +651,8 @@ def test_folds_check_the_bound():
     cy_fold(edge)
     locus_fold(edge)
     wide = KClass.monomial(4, (2**14, 0, 0, 0))
-    for fold in (cy_fold, locus_fold):
+    cy_corners(edge)
+    for fold in (cy_fold, cy_corners, locus_fold):
         with pytest.raises(ExponentOverflow):
             fold(wide)
 
@@ -678,6 +680,10 @@ def test_block_folds_match_expanded_folds(blocks):
     fixed, odd, interior, pairs = cy_fold(blocks)
     prime = interior_items(interior) if interior else []
     assert (fixed, odd, sorted(prime + pairs)) == oracles.expanded_cy_fold(expanded)
+    # the corner walk: (fixed, odd) off the tail and the corners, and the
+    # degree, the coefficient sum less fixed, on the blocks and the class
+    want = oracles.expanded_cy_fold(expanded)[:2] + (expanded.rank() - fixed,)
+    assert cy_corners(blocks) == cy_corners(expanded) == want
     # the interior codes are primitive, lead positive and share no form
     assert all(gcd(*w) == 1 and next(filter(None, w)) > 0 for w, _ in prime)
     forms = {w for w, _ in prime}
@@ -739,9 +745,9 @@ def test_fixed_part_matches_diagonal_oracle_on_keyconj_grids(d, order):
 
 @settings(max_examples=300, deadline=None)
 @given(flat_blocks())
-def test_lazy_interior_of_the_blocks(blocks):
-    # euler_class keeps the interior codes unexpanded: its degree before
-    # the expansion, the expanded factors against the eager route on the
+def test_deferred_fold_of_the_blocks(blocks):
+    # euler_class defers cy_fold: its zero test, sign and degree before the
+    # first read, then the folded factors, against the eager route on the
     # materialized class, and a second read that adds nothing
     try:
         expected = oracles.reduced_euler_class(oracles.expanded_blocks(blocks))
@@ -750,8 +756,8 @@ def test_lazy_interior_of_the_blocks(blocks):
             euler_class(blocks)
         return
     e = euler_class(blocks)
-    degree = e.total_degree()
+    facts = (e.is_zero(), e.sign(), e.total_degree())
+    assert facts == (expected.is_zero(), expected.sign(), expected.total_degree())
     factors = e.factors
-    assert degree == sum(factors.values())
     assert e == expected
     assert e.factors is factors and factors == expected.factors

@@ -31,6 +31,7 @@ from oracles import (
     bounded_partitions,
     column_runs,
     exp_identity_lhs,
+    first_part_omega,
     orbit,
     unpruned_decompositions,
 )
@@ -205,6 +206,20 @@ def test_floored_search_matches_unfloored_oracle(pi):
     assert omega_c(pi) == sum(
         (Fraction(1, prod(map(factorial, dec.values()))) for dec in oracle), Fraction(0)
     )
+
+
+def test_first_part_recursion_matches_omega_c():
+    # the second oracle: a recursion on ordered decompositions, sharing no
+    # code with the search, on every representative of (7, <= 8)
+    reps = [rep for size in range(9) for rep, _ in canonical_representatives(7, size)]
+    assert len(reps) == 356
+    assert [omega_c(rep) for rep in reps] == [first_part_omega(rep) for rep in reps]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pi=corner_height_partitions())
+def test_first_part_recursion_on_drawn_partitions(pi):
+    assert omega_c(pi) == first_part_omega(pi)
 
 
 def test_decompositions_reject_arity_one():
