@@ -392,7 +392,7 @@ def test_weight_never_expands_the_half_vertex(monkeypatch):
     # axes (never so for a canonical representative) are multiplied out
     import dtvertex.kclass as kclass_mod
 
-    reps = [rep for n in range(1, 6) for rep, _ in canonical_representatives(7, n)]
+    reps = [rep for n in range(1, 7) for rep, _ in canonical_representatives(7, n)]
     u = (1,) + (0,) * 7
     expected = [(compute_weight(rep, 8), cy_bundle_term(rep, 8, u)) for rep in reps]
     odd_one = next(
@@ -463,7 +463,7 @@ def test_evaluate_matches_fraction_oracle(factors, scalar, lams):
 
 
 @pytest.mark.parametrize("d,order", [(4, 7), (8, 6), (12, 4), (16, 2)])
-def test_deferred_fold_matches_eager_route(monkeypatch, d, order):
+def test_lazy_interior_matches_eager_route(monkeypatch, d, order):
     # e(-v) defers cy_fold and the merge: its zero test, sign and degree
     # before the first read, a locus_fold of the same blocks that leaves
     # the fold's result alone, the folded factors against the eager route

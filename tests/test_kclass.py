@@ -649,9 +649,9 @@ def test_folds_hand_cases(terms, cy, locus):
 def test_folds_check_the_bound():
     edge = KClass.monomial(4, (2**14 - 1, 0, 0, -(2**14 - 1)))
     cy_fold(edge)
+    cy_corners(edge)
     locus_fold(edge)
     wide = KClass.monomial(4, (2**14, 0, 0, 0))
-    cy_corners(edge)
     for fold in (cy_fold, cy_corners, locus_fold):
         with pytest.raises(ExponentOverflow):
             fold(wide)
@@ -745,7 +745,7 @@ def test_fixed_part_matches_diagonal_oracle_on_keyconj_grids(d, order):
 
 @settings(max_examples=300, deadline=None)
 @given(flat_blocks())
-def test_deferred_fold_of_the_blocks(blocks):
+def test_lazy_interior_of_the_blocks(blocks):
     # euler_class defers cy_fold: its zero test, sign and degree before the
     # first read, then the folded factors, against the eager route on the
     # materialized class, and a second read that adds nothing
