@@ -30,13 +30,10 @@ to lam_1 + .. + lam_{d-1} = 0, and both hand integer vectors to forms.
 The vertex multiplies Z * bar(Z) by one factor (1 - t_i^-1) per axis.
 On an axis that no box leaves (a flat axis) every term has w_i = 0, so
 the factor doubles the dict by one dict.update with no lookups, once
-the other axes have folded term by term.  vertex folds only those other
-axes: its class keeps V as FlatBlocks (the product Q, the flat
-axes among all d and the tail Z + sgn * bar(Z) / (t_1..t_d)), which the
-first read of `terms` expands into a dict of its own, doubling a copy
-of Q, while cy_fixed_part, and so each keyconj verdict, always reads
-the diagonal off the kept blocks (the tail code by code, Q at two
-codes) in O(|Q| + |Z|) instead of O(2^f |Q|).  half_vertex_blocks gives
+the other axes have folded term by term.  A vertex builds its blocks
+on their first read (_Vertex); a keyconj verdict builds none, but reads
+V's diagonal from the pairs of boxes (pair_fixed_part).
+half_vertex_blocks gives
 -v, for v the half vertex Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1), as a
 FlatBlocks: the product Q over the active axes, the flat axes F and the
 tail -Z.  A term c t^w of Q stands for the block of the 2^f codes
@@ -58,7 +55,8 @@ from __future__ import annotations
 import functools
 import struct
 from collections import namedtuple
-from operator import mul
+from itertools import chain
+from operator import mul, sub
 
 from .errors import ArityMismatch, DimensionMismatch, ExponentOverflow
 from .partitions import MultiPartition
@@ -135,7 +133,7 @@ class KClass:
 
     `terms` maps packed exponent codes to non-zero coefficients and
     `bound` bounds every |exponent|; see the module docstring.  A class
-    may hold its terms as FlatBlocks (vertex), which `terms` expands into
+    may hold its terms as FlatBlocks (`blocks`), which `terms` expands into
     a dict of its own on its first read; the blocks are kept, and
     cy_fixed_part reads them as they are.
     """
@@ -166,11 +164,16 @@ class KClass:
         return k
 
     @property
+    def blocks(self):
+        """The FlatBlocks the class stands for, or None; terms stay unread."""
+        return self._blocks
+
+    @property
     def terms(self):
         """The packed dict; blocks are expanded into it once, a copy of q
         times (1 - t_i^-1) per flat axis (_double_flat), then the tail."""
         if self._terms is None:
-            nv = self._blocks
+            nv = self.blocks
             self._terms = add_into(_double_flat(dict(nv.q), nv.flat, self.dim), nv.tail.items())
         return self._terms
 
@@ -284,26 +287,30 @@ dicts; every term of q has w_i = 0 on every flat axis, and bound bounds
 the exponents of the class that the blocks stand for."""
 
 
+def _box_bound(pi, d):
+    """The checked bound max(i_j - 1, h - 1) of a (d-1)-partition's boxes."""
+    if not isinstance(pi, MultiPartition) or pi.arity != d - 1:
+        raise ArityMismatch("expected a partition of arity %d" % (d - 1,))
+    return _checked(max([1, *pi.heights.values(), *chain.from_iterable(pi.heights)]) - 1)
+
+
 def character(pi, d):
     """Torus character of the box stack of a (d-1)-partition.
 
     Each box (0-based cell) contributes one monomial; the number of
-    terms equals the partition size.  The codes are built straight from
-    the heights, in the order of pi.cells(): a column over the base
-    index i holds the codes origin + sum_j (i_j - 1) * 2^(16 (d-1-j)) + m,
-    m < h.  The bound, max(i_j - 1, h - 1), is checked before the class
-    is returned.
+    terms equals the partition size.  The bound (_box_bound) is checked
+    first, then the codes are built straight from the heights, in the
+    order of pi.cells(): a column over the base index i holds the codes
+    origin + sum_j (i_j - 1) * 2^(16 (d-1-j)) + m, m < h.
     """
-    if not isinstance(pi, MultiPartition) or pi.arity != d - 1:
-        raise ArityMismatch("expected a partition of arity %d" % (d - 1,))
+    bound = _box_bound(pi, d)
     steps = [1 << RADIX_BITS * (d - 1 - j) for j in range(d - 1)]
     low = _origin(d) - sum(steps)
-    terms, top = {}, 1
+    terms = {}
     for idx, h in sorted(pi.heights.items()):
         base = low + sum(map(mul, idx, steps))
         terms.update(dict.fromkeys(range(base, base + h), 1))
-        top = max(top, h, *idx)
-    return KClass._packed(d, terms, _checked(top - 1))
+    return KClass._packed(d, terms, bound)
 
 
 def _active_fold(z, n, sign):
@@ -379,20 +386,57 @@ def vertex(pi, d):
 
         V = Z + sgn * bar(Z) / (t_1..t_d) - Z * bar(Z) * prod_i (1 - t_i^-1).
 
-    The class holds V as FlatBlocks: Q, the product over the axes that
-    some box leaves (_active_fold, bound checked), the flat axes F among
-    all d and the tail Z, then sgn * bar(Z) / (t_1..t_d).  Its first read
-    of `terms` doubles a copy of Q once per flat axis (_double_flat) and
-    adds the tail; cy_fixed_part reads the kept blocks as they are.
+    The arity and both bounds, of Z and 2 * bound(Z) + d, are checked
+    here; Z and the blocks of V wait for their first read (_Vertex).
     """
-    z = character(pi, d)
-    q, flat, bound = _active_fold(z, d, -1)
-    sgn = -1 if d % 2 else 1
-    # code of -w - (1,..,1) is mirror - code(w); the codes of Z have every
-    # w_i >= 0 and their mirrors every w_i <= -1, so no code is shared
-    mirror = 2 * _origin(d) - _ones(d)
-    tail = {**z.terms, **{mirror - k: sgn * c for k, c in z.terms.items()}}
-    return KClass._packed(d, None, bound, FlatBlocks(d, q, tuple(flat), tail, bound))
+    v = _Vertex._packed(d, None, _checked(2 * _box_bound(pi, d) + d))
+    v.pi = pi
+    return v
+
+
+class _Vertex(KClass):
+    """vertex(pi, d), its FlatBlocks built on their first read: Q, the
+    product over the axes that some box leaves (_active_fold), the flat
+    axes F among all d and the tail Z, then sgn * bar(Z) / (t_1..t_d)."""
+
+    __slots__ = ("pi",)
+
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            d, z = self.dim, character(self.pi, self.dim)
+            q, flat, bound = _active_fold(z, d, -1)
+            sgn = -1 if d % 2 else 1
+            # code of -w - (1,..,1) is mirror - code(w); the codes of Z have
+            # every w_i >= 0 and their mirrors every w_i <= -1, so no code is shared
+            mirror = 2 * _origin(d) - _ones(d)
+            tail = {**z.terms, **{mirror - k: sgn * c for k, c in z.terms.items()}}
+            self._blocks = FlatBlocks(d, q, tuple(flat), tail, bound)
+        return self._blocks
+
+
+def pair_fixed_part(pi, d):
+    """cy_fixed_part(vertex(pi, d)): (1 + (-1)^d) D, D the boxes on the
+    diagonal, less c(a - b) over all ordered pairs (a, b) of boxes, c(v)
+    the fixed part of t^v * prod_i (1 - t_i^-1): 1 + (-1)^d for constant
+    v, (-1)^#{i : v_i = max v} if max v - min v = 1, else 0.  At odd d the
+    pairs cancel as computed.  A box is read on the active axes, one zero
+    standing in for the flat axes (two if they are even in number, which
+    keeps the parity of #{i : v_i = max v})."""
+    boxes = list(pi.cells())
+    axes = [w for w in zip(*boxes) if any(w)]
+    if len(axes) < d:
+        axes += [(0,) * len(boxes)] * (2 - (d - len(axes)) % 2)
+    rows = list(zip(*axes))
+    even = 1 + (-1) ** d
+    fixed = even * sum(len(set(r)) == 1 for r in rows)
+    for a in rows:
+        for b in rows:
+            v = list(map(sub, a, b))
+            top, low = max(v), min(v)
+            if top - low < 2:
+                fixed -= even if top == low else (-1) ** v.count(top)
+    return fixed
 
 
 def cy_reduce(a):
@@ -411,8 +455,9 @@ def cy_fixed_part(a):
     """Coefficient of the torus-fixed (zero) weight after reduction.
 
     The exponents that reduce to zero are the diagonal ones m * (1,..,1)
-    with |m| <= a.bound, and no reduced class is built.  Of a FlatBlocks,
-    or of a KClass that holds blocks (vertex), the tail is read code by
+    with |m| <= a.bound, and no reduced class is built; a vertex is read
+    from its pairs of boxes (pair_fixed_part).  Of a FlatBlocks, or of a
+    KClass that holds blocks, the tail is read code by
     code: with low = code(-bound * (1,..,1)), code - low has the digits
     w_i + bound, each in [0, 2 * bound], so the code is diagonal exactly
     when code - low is m * ONES with 0 <= m <= 2 * bound.  Of each block
@@ -424,8 +469,10 @@ def cy_fixed_part(a):
     F empty, q, like the terms of a class without blocks, is looked up
     at each of the 2 * bound + 1 diagonal codes.
     """
+    if isinstance(a, _Vertex):
+        return pair_fixed_part(a.pi, a.dim)
     if isinstance(a, KClass):
-        a = a._blocks or FlatBlocks(a.dim, a.terms, (), {}, a.bound)
+        a = a.blocks or FlatBlocks(a.dim, a.terms, (), {}, a.bound)
     origin, ones = _origin(a.dim), _ones(a.dim)
     low, span = origin - a.bound * ones, 2 * a.bound * ones
     q = a.q.get
@@ -588,7 +635,7 @@ def locus_fold(v, z=None):
 
 
 def key_verdict(v):
-    """Classify the torus-fixed multiplicity of an already-built vertex.
+    """Classify the torus-fixed multiplicity of a vertex.
 
     ok             fixed part is 0; the Euler ratio is a unit
     euler_vanishes fixed part < 0; the Euler class of -V vanishes

@@ -399,7 +399,7 @@ def diagonal_fixed_part(a):
     corners of every block, which its lookups of the origin and of the
     far corner origin - ONES + t_F replaced."""
     if isinstance(a, KClass):
-        a = a._blocks or FlatBlocks(a.dim, {}, (), a.terms, a.bound)
+        a = a.blocks or FlatBlocks(a.dim, {}, (), a.terms, a.bound)
     ones = _ones(a.dim)
     diagonal = [BIAS * ones + m * ones for m in range(-a.bound, a.bound + 1)]
     top = sum(1 << RADIX_BITS * (a.dim - 1 - i) for i in a.flat)

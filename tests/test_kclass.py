@@ -6,7 +6,7 @@ from math import gcd
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -36,6 +36,7 @@ from dtvertex.kclass import (
     interior_items,
     key_verdict,
     locus_fold,
+    pair_fixed_part,
 )
 
 from conftest import corner_column, single_box
@@ -358,17 +359,20 @@ _PENDING_GRID = [(3, 5), (4, 5), (5, 4), (7, 3), (8, 4), (9, 3), (12, 3), (13, 2
 
 @pytest.mark.parametrize("d,order", _PENDING_GRID)
 def test_pending_vertex_matches_its_oracles(d, order):
-    # the fixed part, so the verdict, reads the blocks of V and leaves the
-    # terms unbuilt; the first read of `terms` gives the eager route's dict
-    # in its insertion order and the class algebra's terms and bound, and
-    # keeps the blocks for the fixed part.  The tuple oracle's fixed
-    # part is its diagonal; from d = 12 on it skips the largest size, where
-    # its dicts of colliding tuple hashes take 5-18 s
+    # the fixed part, so the verdict, reads the pairs of boxes and builds
+    # neither the blocks of V nor its terms; `blocks` builds the blocks
+    # alone, whose read is the oracle of the pair read; the first read of
+    # `terms` gives the eager route's dict in its insertion order and the
+    # class algebra's terms and bound, and keeps the blocks.  The tuple
+    # oracle's fixed part is its diagonal; from d = 12 on it skips the
+    # largest size, where its dicts of colliding tuple hashes take 5-18 s
     for size in range(1, order + 1):
         for pi in _partitions(d - 1, size):
             v = vertex(pi, d)
             fixed = cy_fixed_part(v)
-            assert v._terms is None and v._blocks is not None
+            assert v._blocks is None
+            assert v.blocks is not None and v._terms is None
+            assert cy_fixed_part(v.blocks) == fixed
             eager = oracles.eager_vertex(pi, d)
             assert list(v.terms.items()) == list(eager.terms.items())
             assert v._blocks is not None and v.bound == eager.bound
@@ -390,15 +394,17 @@ class _NoLookup(dict):
 @pytest.mark.parametrize("d,order", [(4, 4), (5, 4), (8, 3), (12, 3)])
 def test_fixed_part_reads_the_blocks_after_terms_are_read(d, order):
     # reading `terms` expands a copy of Q and keeps the blocks, so the
-    # verdict still comes from the blocks and not from the expanded dict
+    # verdict still comes from the pairs of boxes, and the block read from
+    # the kept blocks, and neither from the expanded dict
     for size in range(1, order + 1):
         for pi in _partitions(d - 1, size):
             v = vertex(pi, d)
             fixed = cy_fixed_part(v)
+            assert v._blocks is None
             assert v.terms == oracles.eager_vertex(pi, d).terms
-            assert v._blocks == vertex(pi, d)._blocks
+            assert v.blocks == vertex(pi, d).blocks
             v._terms = _NoLookup(v.terms)
-            assert cy_fixed_part(v) == fixed
+            assert cy_fixed_part(v) == fixed == cy_fixed_part(v.blocks)
             assert key_verdict(v) == check_key_conjecture(pi, d)
 
 
@@ -439,6 +445,51 @@ def test_fixed_part_matches_closed_form(data, d):
     assert cy_fixed_part(vertex(pi, d)) == (1 + (-1) ** d) * c0
 
 
+# largest size drawn per d for the tuple vertex, whose 2^|F| terms per
+# term of Q take 0.3 s for one box at d = 16 and 0.7 s for two
+_PAIR_ORACLE_SIZE = {d: 6 if d <= 5 else 4 if d <= 9 else 2 if d <= 13 else 1 for d in range(2, 17)}
+
+
+def _every_axis_active(d):
+    # a box at index 2 on each base axis and a column of height 2: F = {}
+    corner = (1,) * (d - 1)
+    ends = {corner[:i] + (2,) + corner[i + 1 :]: 1 for i in range(d - 1)}
+    return MultiPartition(d - 1, {corner: 2, **ends})
+
+
+@st.composite
+def _keyconj_cases(draw):
+    d = draw(st.integers(2, 16))
+    size = draw(st.integers(0, _PAIR_ORACLE_SIZE[d]))
+    return draw(st.sampled_from(_partitions(d - 1, size))), d
+
+
+@settings(max_examples=100, deadline=None)
+@given(_keyconj_cases())
+@example((MultiPartition(1), 2))
+@example((MultiPartition(15), 16))
+@example((_every_axis_active(2), 2))
+@example((_every_axis_active(3), 3))
+@example((_every_axis_active(4), 4))
+def test_pair_read_matches_block_read_and_tuple_vertex(case):
+    # the verdict's read of the ordered pairs of boxes against the block
+    # read of V's blocks, built as the eager route built them, and the
+    # diagonal of the tuple vertex; the empty partition and shapes with no
+    # flat axis (F = {}) are drawn as well
+    pi, d = case
+    v = vertex(pi, d)
+    fixed = cy_fixed_part(v)
+    assert v._blocks is None and fixed == pair_fixed_part(pi, d)
+    assert fixed == cy_fixed_part(v.blocks)
+    tuples = oracles.vertex(pi, d)
+    assert fixed == sum(c for w, c in tuples.items() if len(set(w)) == 1)
+
+
+def test_every_axis_active_shapes_have_no_flat_axis():
+    for d in (2, 3, 4):
+        assert vertex(_every_axis_active(d), d).blocks.flat == ()
+
+
 def test_closed_form_of_c0_by_hand():
     # one box: the box on the diagonal and its pair with itself (delta = 0)
     # cancel.  A column of two boxes at d = 3: D = 1, the two pairs with
@@ -458,10 +509,10 @@ _IDENTITY_GRID = [
 
 def test_fixed_part_of_vertex_from_half_vertex_blocks_through_d32():
     # fixed(V) = (1 + (-1)^d) c0, c0 = -cy_fixed_part(half_vertex_blocks):
-    # the blocks of V over d axes against those of -v over d - 1 axes, two
-    # constructions, where V is too large to expand (2^20 terms in one
-    # box at d = 20).  The verdict still reads V's own blocks, so at odd
-    # d it is computed, not 0 by construction
+    # the pairs of boxes of V over d axes against the blocks of -v over
+    # d - 1 axes, two constructions, where V is too large to expand (2^20
+    # terms in one box at d = 20).  The verdict sums over all ordered
+    # pairs, so at odd d it is computed, not 0 by construction
     count = 0
     for d, order in _IDENTITY_GRID:
         for size in range(1, order + 1):
