@@ -20,8 +20,8 @@ operations; no limits are ever taken.  The specialized value is a
 polynomial in ell; a pole or a form direction that survives on the
 locus raises ShapeMismatch.  There each box off the diagonal has one
 form, +1 in the insertion and -1 in the tail -Z of -v, folded and
-divided alike, so a weight reads Q's blocks and the diagonal boxes
-alone; specialize, which restricts a product of forms, is its oracle.
+divided alike, so a weight reads Q's blocks, without the tail, and the
+diagonal boxes alone; specialize, which restricts forms, is its oracle.
 """
 
 from __future__ import annotations
@@ -42,13 +42,12 @@ from .errors import (
 from .kclass import (
     KEY_EULER_VANISHES,
     KEY_OK,
+    KClass,
     add_into,
     block_bytes,
-    character,
     cy_corners,
     cy_fold,
     half_vertex_blocks,
-    half_vertex_of,
     interior_items,
     locus_fold,
     vertex,
@@ -206,20 +205,20 @@ def _collect(raw):
     return FormProduct._packed(Fraction(*_merge_primitive(pairs, exps, odd)), exps)
 
 
-def euler_class(a, use_cy=True):
-    """Euler class of a K-theory class as a FormProduct.
+def euler_class(a):
+    """Euler class of a KClass or a FlatBlocks on the Calabi-Yau torus.
 
     Each monomial t^w with coefficient c becomes the form <w, lam> with
     exponent c, in the d-1 parameters left by the reduction modulo
-    t_1..t_d = 1 with use_cy, in all d (full torus) without.  The zero
-    weight makes the class zero when its coefficient is positive and
-    raises ZeroWeightDenominator when it is negative.  On the Calabi-Yau
-    torus kclass.cy_corners reads these off the corners of a KClass or
-    of the blocks of -v; the first read of scalar or factors folds it
-    onto mirrored weights w (cy_fold), w_d = 0 the ell_part, and merges.
+    t_1..t_d = 1 (full_torus_ratio keeps all d).  The zero weight makes
+    the class zero when its coefficient is positive and raises
+    ZeroWeightDenominator when it is negative.  kclass.cy_corners reads
+    these off the corners of the blocks (a KClass through its blocks);
+    the first read of scalar or factors folds them onto mirrored weights
+    w (cy_fold), w_d = 0 the ell_part, and merges.
     """
-    if not use_cy:
-        return _collect((w, 0, c) for w, c in a.items())
+    if isinstance(a, KClass):
+        a = a.blocks
     fixed, odd, degree = cy_corners(a)
     if fixed > 0:
         return FormProduct(0)
@@ -257,7 +256,7 @@ def _half_vertex_euler(nv, n):
     k the total degree, so (-1)^n * e(-V) = (-1)^(n + k) * e(-v)^2: when
     e(-v) is not zero and n + k is odd, NotAPerfectSquare is raised.
     """
-    e = euler_class(nv, use_cy=True)
+    e = euler_class(nv)
     if not e.is_zero() and (e.total_degree() + n) % 2:
         raise NotAPerfectSquare("scalar %s is not a rational square" % (-e.scalar**2,))
     return e
@@ -368,9 +367,9 @@ def specialize(p):
     return _locus_value((p.scalar.numerator * num, p.scalar.denominator * den), units, exps)
 
 
-def _specialize_half_vertex(pi, d, nv, z=None):
-    """The specialized value of pi, read from nv = -v, v the half vertex
-    (blocks or a KClass), and z = character(pi, d) (built if not given).
+def _specialize_half_vertex(pi, d, nv):
+    """The specialized value of pi, read from nv = half_vertex_blocks(pi,
+    d), the blocks of -v, v the half vertex.
 
     Equals specialize(taut_factor(pi, d, ell_units=1) * root) for
     root = _half_vertex_root(nv, |pi|), with the same errors, and is None
@@ -380,15 +379,15 @@ def _specialize_half_vertex(pi, d, nv, z=None):
     indices are not all equal restricts to one form in the insertion
     (exponent +1, its ell-part vanishing on the locus) and in -Z
     (exponent -1), with the same sign fold and gcd, so the two cancel:
-    kclass.locus_fold reads -v + Z (Q's blocks alone, for
-    half_vertex_blocks), a critical weight u being the unit (u, 0), and
+    kclass.locus_fold reads Q's blocks alone, nv without its tail (e(nv)
+    reads all of nv), a critical weight u being the unit (u, 0), and
     a critical box, base (a, ..., a) at level m, leaves the unit u + ell
     over u, u = a - 1 - m (0 nets to zero, as e(-v) is not).
     """
     e = _half_vertex_euler(nv, pi.size)
     if e.is_zero():
         return None
-    crit, odd, pairs = locus_fold(nv, character(pi, d) if z is None else z)
+    crit, odd, pairs = locus_fold(nv._replace(tail={}))
     units = {(u, 0): c for u, c in crit.items() if c}
     a = 1
     while h := pi.heights.get((a,) * pi.arity):
@@ -474,8 +473,8 @@ def vertex_fingerprint(nv):
 def compute_weight(pi, d):
     """Full symbolic weight pipeline for one partition, d = 0 mod 4.
 
-    One box product gives the blocks of -v, v the half vertex
-    (half_vertex_blocks), which give e(-v), which rules on the root of
+    One character and one box product give the blocks of -v, v the half
+    vertex (half_vertex_blocks), which give e(-v), which rules on the root of
     e(-V) and gives the specialized value of the tautological factor
     times that root (_specialize_half_vertex), whose weight is
     extracted.  The fixed part of v is half that of the full
@@ -487,8 +486,7 @@ def compute_weight(pi, d):
     if d % 4:
         raise ValueError("dimension must be divisible by 4")
     with naming(pi):
-        z = character(pi, d)
-        value = _specialize_half_vertex(pi, d, half_vertex_of(z), z)
+        value = _specialize_half_vertex(pi, d, half_vertex_blocks(pi, d))
         if value is None:
             verdict, omega, sign = KEY_EULER_VANISHES, Fraction(0), 1
         else:
@@ -511,9 +509,9 @@ def weight_table(d, order):
 
 
 def full_torus_ratio(pi, d):
-    """Euler class of minus the vertex over the full torus (no reduction)."""
+    """Euler class of -V on the full torus: each weight of V, exponent negated."""
     with naming(pi):
-        return euler_class(-vertex(pi, d), use_cy=False)
+        return _collect((w, 0, -c) for w, c in vertex(pi, d).items())
 
 
 def cy_bundle_term(pi, d, u):

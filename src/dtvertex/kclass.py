@@ -23,9 +23,9 @@ in O(1); an operation whose bound reaches 2^15 raises ExponentOverflow
 before it builds a key.  Tuples cross the boundary only at the edges
 (the constructor, monomial and shift encode; items,
 as_dict, serialize, block_bytes, the folds and interior_items decode),
-and no other module reads a code: cy_fold reduces a class modulo
-t_1..t_d = 1 and folds it onto mirrored weights, locus_fold restricts it
-to lam_1 + .. + lam_{d-1} = 0, and both hand integer vectors to forms.
+and no other module reads a code: cy_fold reduces FlatBlocks modulo
+t_1..t_d = 1 and folds them onto mirrored weights, locus_fold restricts
+them to lam_1 + .. + lam_{d-1} = 0; both hand integer vectors to forms.
 
 The vertex multiplies Z * bar(Z) by one factor (1 - t_i^-1) per axis.
 On an axis that no box leaves (a flat axis) every term has w_i = 0, so
@@ -132,19 +132,16 @@ class KClass:
     """Laurent polynomial with integer coefficients, exponentwise sparse.
 
     `terms` maps packed exponent codes to non-zero coefficients and
-    `bound` bounds every |exponent|; see the module docstring.  A class
-    may hold its terms as FlatBlocks (`blocks`), which `terms` expands into
-    a dict of its own on its first read; the blocks are kept, and
-    cy_fixed_part reads them as they are.
+    `bound` bounds every |exponent|; see the module docstring.  The folds
+    read a class through `blocks`: its terms as the tail of a FlatBlocks.
     """
 
-    __slots__ = ("dim", "_terms", "bound", "_blocks")
+    __slots__ = ("dim", "terms", "bound")
 
     def __init__(self, dim, terms=None):
         """Class of {exponent tuple: coefficient}; zero coefficients are dropped."""
         self.dim = dim
-        self._terms = packed = {}
-        self._blocks = None
+        self.terms = packed = {}
         self.bound = 0
         for w, c in (terms or {}).items():
             if c:
@@ -153,29 +150,18 @@ class KClass:
                 self.bound = max(self.bound, bound)
 
     @classmethod
-    def _packed(cls, dim, terms, bound, blocks=None):
-        """Class over an already packed dict of non-zero terms, taken as is,
-        or over the FlatBlocks it stands for (terms None until read)."""
+    def _packed(cls, dim, terms, bound):
+        """Class over an already packed dict of non-zero terms, taken as is."""
         k = object.__new__(cls)
         k.dim = dim
-        k._terms = terms
+        k.terms = terms
         k.bound = bound
-        k._blocks = blocks
         return k
 
     @property
     def blocks(self):
-        """The FlatBlocks the class stands for, or None; terms stay unread."""
-        return self._blocks
-
-    @property
-    def terms(self):
-        """The packed dict; blocks are expanded into it once, a copy of q
-        times (1 - t_i^-1) per flat axis (_double_flat), then the tail."""
-        if self._terms is None:
-            nv = self.blocks
-            self._terms = add_into(_double_flat(dict(nv.q), nv.flat, self.dim), nv.tail.items())
-        return self._terms
+        """The class as a FlatBlocks: no q, no flat axes, its terms the tail."""
+        return FlatBlocks(self.dim, {}, (), self.terms, self.bound)
 
     @classmethod
     def zero(cls, dim):
@@ -389,17 +375,20 @@ def vertex(pi, d):
     The arity and both bounds, of Z and 2 * bound(Z) + d, are checked
     here; Z and the blocks of V wait for their first read (_Vertex).
     """
-    v = _Vertex._packed(d, None, _checked(2 * _box_bound(pi, d) + d))
-    v.pi = pi
-    return v
+    return _Vertex(pi, d, _checked(2 * _box_bound(pi, d) + d))
 
 
 class _Vertex(KClass):
-    """vertex(pi, d), its FlatBlocks built on their first read: Q, the
-    product over the axes that some box leaves (_active_fold), the flat
-    axes F among all d and the tail Z, then sgn * bar(Z) / (t_1..t_d)."""
+    """vertex(pi, d), the one lazy class: FlatBlocks built on their first
+    read (Q over the active axes, _active_fold; the flat axes F among all
+    d; the tail Z + sgn * bar(Z) / (t_1..t_d)), terms on theirs (Q times
+    (1 - t_i^-1) per F, then the tail); repr and cy_fixed_part build neither."""
 
-    __slots__ = ("pi",)
+    __slots__ = ("pi", "_blocks", "_terms")
+
+    def __init__(self, pi, d, bound):
+        self.dim, self.bound, self.pi = d, bound, pi
+        self._blocks = self._terms = None
 
     @property
     def blocks(self):
@@ -413,6 +402,16 @@ class _Vertex(KClass):
             tail = {**z.terms, **{mirror - k: sgn * c for k, c in z.terms.items()}}
             self._blocks = FlatBlocks(d, q, tuple(flat), tail, bound)
         return self._blocks
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            nv = self.blocks
+            self._terms = add_into(_double_flat(dict(nv.q), nv.flat, self.dim), nv.tail.items())
+        return self._terms
+
+    def __repr__(self):
+        return "vertex(%r, %d)" % (self.pi, self.dim)
 
 
 def pair_fixed_part(pi, d):
@@ -456,8 +455,8 @@ def cy_fixed_part(a):
 
     The exponents that reduce to zero are the diagonal ones m * (1,..,1)
     with |m| <= a.bound, and no reduced class is built; a vertex is read
-    from its pairs of boxes (pair_fixed_part).  Of a FlatBlocks, or of a
-    KClass that holds blocks, the tail is read code by
+    from its pairs of boxes (pair_fixed_part).  Of a FlatBlocks, as of
+    any other class through its blocks, the tail is read code by
     code: with low = code(-bound * (1,..,1)), code - low has the digits
     w_i + bound, each in [0, 2 * bound], so the code is diagonal exactly
     when code - low is m * ONES with 0 <= m <= 2 * bound.  Of each block
@@ -466,13 +465,12 @@ def cy_fixed_part(a):
     Every term of q has w_i = 0 on a flat axis, so with F non-empty a
     near corner is diagonal only at m = 0 (one lookup of the origin) and
     a far corner only at m = -1 (one lookup of origin - ONES + t_F); with
-    F empty, q, like the terms of a class without blocks, is looked up
-    at each of the 2 * bound + 1 diagonal codes.
+    F empty, q is looked up at each of the 2 * bound + 1 diagonal codes.
     """
     if isinstance(a, _Vertex):
         return pair_fixed_part(a.pi, a.dim)
     if isinstance(a, KClass):
-        a = a.blocks or FlatBlocks(a.dim, a.terms, (), {}, a.bound)
+        a = a.blocks
     origin, ones = _origin(a.dim), _ones(a.dim)
     low, span = origin - a.bound * ones, 2 * a.bound * ones
     q = a.q.get
@@ -506,7 +504,7 @@ def interior_items(interior):
 
 
 def _corners(a, k, restrict=None, split=False):
-    """(pieces, units, steps) of a KClass or a FlatBlocks a, bound 2 * a.bound
+    """(pieces, units, steps) of a FlatBlocks a, its bound 2 * a.bound
     checked first; restrict maps a code and its coefficient c to (r, u, c),
     r of k digits, by default modulo t_1..t_d = 1.  The flat axes after the
     last active base axis are block axes, of code steps steps; the others
@@ -517,8 +515,6 @@ def _corners(a, k, restrict=None, split=False):
     tail, the near corners and the far corners t^-top (top the sum of the
     steps) with sign (-1)^f.
     """
-    if isinstance(a, KClass):
-        a = FlatBlocks(a.dim, {}, (), a.terms, a.bound)
     _checked(2 * a.bound)
     ones = _ones(k)
     restrict = restrict or (lambda w, c: (w - ((w & DIGIT) - BIAS) * ones, 0, c))
@@ -576,7 +572,7 @@ def _fold(a, k, restrict=None, split=False):
 def cy_fold(a):
     """One pass of cy_reduce that also folds each weight onto its mirror.
 
-    Returns (fixed, odd, interior, pairs) for a KClass or a FlatBlocks
+    Returns (fixed, odd, interior, pairs) for a FlatBlocks a
     (the bound 2 * a.bound of cy_reduce checked).  fixed is
     cy_fixed_part(a); a reduced code below the origin, a weight whose
     first non-zero entry is negative, folds onto -w (_fold).  pairs
@@ -598,18 +594,14 @@ def cy_corners(a):
             fixed += c
         elif r < origin:
             odd ^= c & 1
-    if isinstance(a, KClass):
-        return fixed, odd, a.rank() - fixed
     rank = sum(a.tail.values()) + (0 if a.flat else sum(a.q.values()))
     return fixed, odd, rank - fixed
 
 
-def locus_fold(v, z=None):
-    """One pass that restricts each weight of v + z to lam_1 + .. +
-    lam_{d-1} = 0, z a KClass or None, added to the tail of v code by
-    code: the character Z cancels the tail -Z of half_vertex_blocks.
+def locus_fold(v):
+    """One pass that restricts each weight of v to lam_1 + .. + lam_{d-1} = 0.
 
-    Returns (crit, odd, pairs) for a KClass or a FlatBlocks.  With
+    Returns (crit, odd, pairs) for a FlatBlocks v.  With
     m = w_{d-1}, the top d-2 digits of a code minus m * ONES are the
     code r of (w_i - w_{d-1})_{i<=d-2}, where the Calabi-Yau shift
     cancels and the checked bound 2 * v.bound keeps every difference in
@@ -619,10 +611,6 @@ def locus_fold(v, z=None):
     critical and shares no form, so the interior is expanded into pairs
     only when a block survives, a direction that survives on the locus.
     """
-    if z is not None:
-        if isinstance(v, KClass):
-            v = FlatBlocks(v.dim, {}, (), v.terms, v.bound)
-        v = v._replace(tail=add_into(dict(v.tail), z.terms.items()), bound=max(v.bound, z.bound))
     ones = _ones(v.dim - 2)
 
     def restrict(code, c):
@@ -655,16 +643,13 @@ def check_key_conjecture(pi, d):
 def half_vertex_blocks(pi, d):
     """-v as a FlatBlocks, v = Z - Z * bar(Z) * prod_{i<d} (1 - t_i^-1) the
     half vertex of a (d-1)-partition, Z the character of its box stack:
-    q the box product over the active axes, the flat axes and the tail -Z.
+    q the box product over the active axes, the flat axes and the tail -Z,
+    which the insertion cancels on the locus, so a weight restricts q alone.
     With cy = cy_reduce, cy(V) = cy(v) + (-1)^d * cy(bar(v)) for every d.
     """
-    return half_vertex_of(character(pi, d))
-
-
-def half_vertex_of(z):
-    """half_vertex_blocks from Z, the character of the box stack."""
-    q, flat, bound = _active_fold(z, z.dim - 1, 1)
-    return FlatBlocks(z.dim, q, tuple(flat), {k: -c for k, c in z.terms.items()}, bound)
+    z = character(pi, d)
+    q, flat, bound = _active_fold(z, d - 1, 1)
+    return FlatBlocks(d, q, tuple(flat), {k: -c for k, c in z.terms.items()}, bound)
 
 
 def block_bytes(nv):

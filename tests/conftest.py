@@ -126,7 +126,7 @@ def weight_stages(pi, d):
     """The intermediate results of compute_weight(pi, d), from the public
     stage functions: Euler class of minus the vertex, its square root,
     the tautological factor, their product and its specialized value."""
-    euler = euler_class(-vertex(pi, d), use_cy=True)
+    euler = euler_class(-vertex(pi, d))
     sqrt = sqrt_form_product(euler, pi.size)
     taut = taut_factor(pi, d, ell_units=1)
     product = taut * sqrt

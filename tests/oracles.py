@@ -160,7 +160,6 @@ from dtvertex.kclass import (
     DIGIT,
     KEY_VIOLATED,
     RADIX_BITS,
-    FlatBlocks,
     _checked,
     _double_flat,
     _ones,
@@ -399,7 +398,7 @@ def diagonal_fixed_part(a):
     corners of every block, which its lookups of the origin and of the
     far corner origin - ONES + t_F replaced."""
     if isinstance(a, KClass):
-        a = a.blocks or FlatBlocks(a.dim, {}, (), a.terms, a.bound)
+        a = a.blocks
     ones = _ones(a.dim)
     diagonal = [BIAS * ones + m * ones for m in range(-a.bound, a.bound + 1)]
     top = sum(1 << RADIX_BITS * (a.dim - 1 - i) for i in a.flat)
@@ -818,7 +817,7 @@ def euler_ratio_odd(pi, d):
     v = packed_vertex(pi, d)
     if key_verdict(v) == KEY_VIOLATED:
         raise ZeroWeightDenominator("fixed part of the vertex is positive")
-    p = euler_class(-v, use_cy=True)
+    p = euler_class(-v)
     assert not p.factors, "forms survive in the Euler ratio of %s" % pi.serialize()
     return p.scalar
 
@@ -1019,7 +1018,7 @@ def insertion_read_half_vertex(pi, d, nv):
     taut = taut_factor(pi, d, ell_units=1)
     units, exps = {}, {}
     num, den = _restrict(taut.factors, units, exps)
-    crit, odd, pairs = locus_fold(nv)
+    crit, odd, pairs = locus_fold(nv.blocks if isinstance(nv, KClass) else nv)
     for u, e_u in crit.items():
         if e_u:
             units[u, 0] = units.get((u, 0), 0) + e_u

@@ -484,20 +484,19 @@ def test_radix_overflow_names_the_partition(capsys, kind, d):
     ids=["pole", "not_constant"],
 )
 def test_specialization_diagnostic_is_pipeline_error(monkeypatch, capsys, coeffs, error):
-    # the weight goes into the -v that compute_weight reads, squared so
-    # that e(-v) keeps the parity of its root: the insertion is not built
+    # the weight goes into the blocks that compute_weight restricts to the
+    # locus, after e(-v) has ruled: the insertion is not built
     import dtvertex.forms as forms_mod
 
-    real = forms_mod.half_vertex_of
+    real = forms_mod.locus_fold
     exponent = -1 if error.startswith("diagnostic pole") else 1
 
-    def broken(z):
-        nv = real(z)
-        extra = KClass.monomial(z.dim, (*coeffs, 0), 2 * exponent).terms
+    def broken(nv):
+        extra = KClass.monomial(nv.dim, (*coeffs, 0), exponent).terms
         assert not extra.keys() & nv.tail.keys()
-        return nv._replace(tail={**nv.tail, **extra})
+        return real(nv._replace(tail={**nv.tail, **extra}))
 
-    monkeypatch.setattr(forms_mod, "half_vertex_of", broken)
+    monkeypatch.setattr(forms_mod, "locus_fold", broken)
     code, out = run_cli(capsys, "check", "fourk", "-d", "4", "-n", "1")
     assert code == 2
     report = json.loads(out)
@@ -945,8 +944,7 @@ def test_euler_class_runs_once_per_representative(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(forms_mod, "euler_class", counted)
     monkeypatch.setattr(forms_mod, "specialize", refused("specialize"))
     monkeypatch.setattr(forms_mod, "taut_factor", refused("taut_factor"))
-    for mod in (forms_mod, kclass_mod):
-        monkeypatch.setattr(mod, "character", counted_character)
+    monkeypatch.setattr(kclass_mod, "character", counted_character)
     cache = str(tmp_path / "weights.jsonl")
     code, _ = run_cli(capsys, "check", "fourk", "-d", "4", "-n", "2", "--cache", cache)
     assert code == 0 and len(calls) == 3
@@ -995,8 +993,9 @@ def test_full_vertex_runs_once_per_keyconj_row_and_never_for_odd(monkeypatch, ca
 
 
 def test_keyconj_never_expands_the_vertex(monkeypatch, capsys):
-    # each verdict reads the diagonal of V from its pending blocks: with
-    # the flat-axis doubling refused the report is unchanged
+    # each verdict reads the diagonal of V from the ordered pairs of boxes,
+    # so no vertex is expanded: with the flat-axis doubling refused the
+    # report is unchanged
     argv = ("check", "keyconj", "-d", "12", "-n", "2")
     code, report = run_cli(capsys, *argv)
     assert code == 0 and len(json.loads(report)["partitions"]) == 13

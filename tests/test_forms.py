@@ -42,6 +42,7 @@ from dtvertex.forms import (
     _locus_value,
     _specialize_half_vertex,
     cy_bundle_term,
+    full_torus_ratio,
     vertex_fingerprint,
 )
 from dtvertex.kclass import (
@@ -49,6 +50,7 @@ from dtvertex.kclass import (
     KEY_OK,
     KEY_VIOLATED,
     FlatBlocks,
+    add_into,
     cy_fixed_part,
     cy_fold,
     half_vertex_blocks,
@@ -103,24 +105,29 @@ def test_canonical_form_convention():
     assert canonical_form((0, 0), 0) is None
 
 
+def _full_torus(a):
+    """Euler class of a KClass over the full torus: every weight collected."""
+    return _collect((w, 0, c) for w, c in a.items())
+
+
 def test_euler_class_full_torus():
     a = KClass(2, {(1, 0): 1, (0, 1): 1})
-    p = euler_class(a, use_cy=False)
+    p = _full_torus(a)
     assert p.factors == {form((1, 0)): 1, form((0, 1)): 1}
     assert p.scalar == 1
 
 
 def test_euler_class_of_box_vertex_is_minus_one():
-    p = euler_class(-vertex(single_box(2), 3), use_cy=True)
+    p = euler_class(-vertex(single_box(2), 3))
     assert not p.factors
     assert p.scalar == -1
 
 
 def test_euler_class_zero_weight():
     a = KClass.one(3) + KClass.monomial(3, (1, 0, 0))
-    assert euler_class(a, use_cy=True).is_zero()
+    assert euler_class(a).is_zero()
     with pytest.raises(ZeroWeightDenominator):
-        euler_class(-KClass.one(3) + KClass.monomial(3, (1, 0, 0)), use_cy=True)
+        euler_class(-KClass.one(3) + KClass.monomial(3, (1, 0, 0)))
 
 
 def euler_class_by_fold(a, use_cy):
@@ -133,22 +140,39 @@ def euler_class_by_fold(a, use_cy):
 
 
 def test_euler_class_matches_fold_oracle():
-    classes = [
-        -vertex(rep, d)
+    # the Calabi-Yau torus through euler_class, the full torus through
+    # full_torus_ratio on the same representatives and _collect elsewhere
+    reps = [
+        (rep, d)
         for d, order in ((4, 4), (8, 3))
         for n in range(1, order + 1)
         for rep, _ in canonical_representatives(d - 1, n)
     ]
     zero_class = KClass.one(3) + KClass.monomial(3, (1, 0, 0))
     pole = -KClass.one(3) + KClass.monomial(3, (1, 0, 0))
-    for use_cy in (True, False):
-        for a in classes + [zero_class]:
-            assert euler_class(a, use_cy) == euler_class_by_fold(a, use_cy)
-        assert euler_class(zero_class, use_cy).is_zero()
+    for a in [-vertex(rep, d) for rep, d in reps] + [zero_class]:
+        assert euler_class(a) == euler_class_by_fold(a, True)
+    for rep, d in reps:
+        assert full_torus_ratio(rep, d) == euler_class_by_fold(-vertex(rep, d), False)
+    assert _full_torus(zero_class) == euler_class_by_fold(zero_class, False)
+    for collect, use_cy in ((euler_class, True), (_full_torus, False)):
+        assert collect(zero_class).is_zero()
         with pytest.raises(ZeroWeightDenominator):
-            euler_class(pole, use_cy)
+            collect(pole)
         with pytest.raises(ZeroWeightDenominator):
             euler_class_by_fold(pole, use_cy)
+
+
+def test_full_torus_ratio_matches_collected_oracle():
+    # V's forms collected with negated exponents, against -V collected
+    count = 0
+    for d in (3, 5, 7):
+        for n in (1, 2):
+            for pi in enumerate_partitions(d - 1, n):
+                expected = collected_euler_class(-vertex(pi, d), use_cy=False)
+                assert full_torus_ratio(pi, d) == expected
+                count += 1
+    assert count == 18
 
 
 def _outcome(f, *args):
@@ -294,6 +318,14 @@ def test_specialize_matches_collector_oracle():
     assert kinds == {"default": outcomes, "twist": outcomes}
 
 
+def _as_half_vertex_blocks(pi, d, nv):
+    """-v, a KClass, in the shape that half_vertex_blocks gives: the tail
+    -Z, Z the character of the box stack, and q the rest, -v + Z."""
+    z = character(pi, d)
+    q = nv + z
+    return FlatBlocks(d, q.terms, (), (-z).terms, q.bound)
+
+
 def _specialized_by_oracle(pi, d, v):
     """specialize(taut * root), or None for the zero root: the route that
     _specialize_half_vertex replaced."""
@@ -305,17 +337,16 @@ def _specialized_by_oracle(pi, d, v):
 
 @pytest.mark.parametrize("d,order,count", [(4, 7, 141), (8, 5, 34), (12, 3, 7), (16, 2, 3)])
 def test_specialize_half_vertex_matches_specialize_oracle(d, order, count):
-    # -v as a KClass, tail and all, and as the blocks of the weight
-    # pipeline, against both oracles
+    # the blocks of the weight pipeline against both oracles, on -v as a
+    # KClass, tail and all, and on the blocks
     seen = 0
     for n in range(1, order + 1):
         for rep, _ in canonical_representatives(d - 1, n):
             v = class_vertex_half(rep, d)
-            got = _outcome(_specialize_half_vertex, rep, d, -v)
+            nv = half_vertex_blocks(rep, d)
+            got = _outcome(_specialize_half_vertex, rep, d, nv)
             assert got == _outcome(_specialized_by_oracle, rep, d, v)
             assert got == _outcome(insertion_read_half_vertex, rep, d, -v)
-            nv = half_vertex_blocks(rep, d)
-            assert got == _outcome(_specialize_half_vertex, rep, d, nv)
             assert got == _outcome(insertion_read_half_vertex, rep, d, nv)
             seen += 1
     assert seen == count
@@ -371,6 +402,12 @@ def test_block_route_matches_expanded_route(d, order, canonical, count):
     for pi in parts:
         nv = half_vertex_blocks(pi, d)
         suffixes.add(_is_suffix(nv.flat, d))
+        # the tail is -Z, so the weight's fold of Q alone is the fold of
+        # -v + Z that it replaced
+        z = character(pi, d).terms
+        assert nv.tail == {k: -c for k, c in z.items()}
+        cancelled = nv._replace(tail=add_into(dict(nv.tail), z.items()))
+        assert locus_fold(nv._replace(tail={})) == locus_fold(cancelled)
         a = expanded_blocks(nv)
         assert cy_fixed_part(nv) == cy_fixed_part(a)
         fixed, odd, interior, pairs = cy_fold(nv)
@@ -487,7 +524,7 @@ def test_lazy_interior_matches_eager_route(monkeypatch, d, order):
             facts = (e.is_zero(), e.sign(), e.total_degree())
             assert facts == (expected.is_zero(), expected.sign(), expected.total_degree())
             blocky += cy_fold(nv)[2] is not None
-            locus_fold(nv, character(rep, d))
+            locus_fold(nv._replace(tail={}))
             folds.clear()
             factors = e.factors
             assert e == expected
@@ -599,7 +636,7 @@ HAND_VERTICES = {
 def test_specialize_half_vertex_hand_cases(terms, expected):
     pi = single_box(3)
     v = KClass(4, terms)
-    got = _outcome(_specialize_half_vertex, pi, 4, -v)
+    got = _outcome(_specialize_half_vertex, pi, 4, _as_half_vertex_blocks(pi, 4, -v))
     assert got == _outcome(_specialized_by_oracle, pi, 4, v)
     assert got == _outcome(insertion_read_half_vertex, pi, 4, -v)
     if expected == "zero":
@@ -613,7 +650,8 @@ def test_specialize_half_vertex_hand_cases(terms, expected):
 def test_specialize_half_vertex_keeps_the_parity_error():
     # an odd total degree of e(-v) against |pi| = 1 has no root
     v = KClass(4, {(0, 0, 0, 2): 1, (1, 0, 0, 0): 1})
-    got = _outcome(_specialize_half_vertex, single_box(3), 4, -v)
+    nv = _as_half_vertex_blocks(single_box(3), 4, -v)
+    got = _outcome(_specialize_half_vertex, single_box(3), 4, nv)
     assert got == (NotAPerfectSquare, "scalar -1/4 is not a rational square")
     assert got == _outcome(_specialized_by_oracle, single_box(3), 4, v)
     assert got == _outcome(insertion_read_half_vertex, single_box(3), 4, -v)
@@ -622,7 +660,7 @@ def test_specialize_half_vertex_keeps_the_parity_error():
 def test_full_cube_at_d4_agrees_and_is_not_a_column():
     b = cube_on_three_axes(3)
     v = class_vertex_half(b, 4)
-    value = _specialize_half_vertex(b, 4, -v)
+    value = _specialize_half_vertex(b, 4, half_vertex_blocks(b, 4))
     assert value == _specialized_by_oracle(b, 4, v)
     assert abs(value.leading()) == Fraction(1, 2) and value.degree() == 2
     with pytest.raises(ShapeMismatch) as expected:
@@ -669,7 +707,7 @@ def test_locus_value_oracle_on_the_order_8_partitions(name, d, expected):
 def test_sqrt_of_single_box_dim4():
     # hand expansion: the even part contributes the three pair weights
     # squared over the squared singles and the all-ones direction
-    p = euler_class(-vertex(single_box(3), 4), use_cy=True)
+    p = euler_class(-vertex(single_box(3), 4))
     expected = {
         form((1, 1, 0)): 2, form((1, 0, 1)): 2, form((0, 1, 1)): 2,
         form((1, 0, 0)): -2, form((0, 1, 0)): -2, form((0, 0, 1)): -2,
@@ -686,7 +724,7 @@ def test_sqrt_of_single_box_dim4():
 def test_sqrt_squares_back():
     for n in range(1, 4):
         for rep, _ in canonical_representatives(7, n):
-            p = euler_class(-vertex(rep, 8), use_cy=True)
+            p = euler_class(-vertex(rep, 8))
             w = sqrt_form_product(p, n)
             assert (w * w).scaled((-1) ** n) == p
 
@@ -694,7 +732,7 @@ def test_sqrt_squares_back():
 def test_sqrt_of_empty_is_one():
     from dtvertex import MultiPartition
 
-    p = euler_class(-vertex(MultiPartition(7), 8), use_cy=True)
+    p = euler_class(-vertex(MultiPartition(7), 8))
     w = sqrt_form_product(p, 0)
     assert not w.factors and w.scalar == 1
 
@@ -878,7 +916,7 @@ def test_specialize_zero_class():
 def test_zero_euler_class_is_zero_weight(monkeypatch):
     import dtvertex.forms as forms_mod
 
-    monkeypatch.setattr(forms_mod, "euler_class", lambda a, use_cy=True: FormProduct(0))
+    monkeypatch.setattr(forms_mod, "euler_class", lambda a: FormProduct(0))
     w = compute_weight(corner_column(3, 2), 4)
     assert (w.verdict, w.omega, w.sign) == (KEY_EULER_VANISHES, Fraction(0), 1)
 
@@ -1105,17 +1143,16 @@ def test_perturbed_fixed_part_gives_the_verdict(monkeypatch, shift):
     # a fixed weight added to the tail of -v: c0 < 0 makes e(-v) the zero
     # class, the verdict euler_vanishes and omega 0; c0 > 0 puts the zero
     # weight in the denominator of e(-v), the verdict violated
-    # (compute_weight builds -v from the character it reads, half_vertex_of)
     origin = next(iter(KClass.one(4).terms))
-    real = forms_mod.half_vertex_of
+    real = forms_mod.half_vertex_blocks
 
-    def perturbed(z):
-        nv = real(z)
+    def perturbed(pi, d):
+        nv = real(pi, d)
         return nv._replace(tail={**nv.tail, origin: nv.tail.get(origin, 0) + shift})
 
-    monkeypatch.setattr(forms_mod, "half_vertex_of", perturbed)
+    monkeypatch.setattr(forms_mod, "half_vertex_blocks", perturbed)
     for rep, _ in canonical_representatives(3, 3):
-        nv = perturbed(character(rep, 4))
+        nv = perturbed(rep, 4)
         c0 = -cy_fixed_part(nv)
         assert c0 == -shift
         verdict = key_verdict(-expanded_blocks(nv))

@@ -359,16 +359,18 @@ _PENDING_GRID = [(3, 5), (4, 5), (5, 4), (7, 3), (8, 4), (9, 3), (12, 3), (13, 2
 
 @pytest.mark.parametrize("d,order", _PENDING_GRID)
 def test_pending_vertex_matches_its_oracles(d, order):
-    # the fixed part, so the verdict, reads the pairs of boxes and builds
-    # neither the blocks of V nor its terms; `blocks` builds the blocks
-    # alone, whose read is the oracle of the pair read; the first read of
-    # `terms` gives the eager route's dict in its insertion order and the
-    # class algebra's terms and bound, and keeps the blocks.  The tuple
-    # oracle's fixed part is its diagonal; from d = 12 on it skips the
-    # largest size, where its dicts of colliding tuple hashes take 5-18 s
+    # its repr and the fixed part, so the verdict, read the partition and
+    # the pairs of boxes and build neither the blocks of V nor its terms;
+    # `blocks` builds the blocks alone, whose read is the oracle of the
+    # pair read; the first read of `terms` gives the eager route's dict in
+    # its insertion order and the class algebra's terms and bound, and
+    # keeps the blocks.  The tuple oracle's fixed part is its diagonal;
+    # from d = 12 on it skips the largest size, where its dicts of
+    # colliding tuple hashes take 5-18 s
     for size in range(1, order + 1):
         for pi in _partitions(d - 1, size):
             v = vertex(pi, d)
+            assert repr(v) == "vertex(%r, %d)" % (pi, d)
             fixed = cy_fixed_part(v)
             assert v._blocks is None
             assert v.blocks is not None and v._terms is None
@@ -382,6 +384,43 @@ def test_pending_vertex_matches_its_oracles(d, order):
             if d < 12 or size < order:
                 tuples = oracles.vertex(pi, d)
                 assert fixed == sum(c for w, c in tuples.items() if len(set(w)) == 1)
+
+
+def _euler_facts(a):
+    """Zero test, sign and degree of euler_class(a), read before its fold,
+    then its scalar and factors; or the type and text of its error."""
+    try:
+        e = euler_class(a)
+    except ZeroWeightDenominator as exc:
+        return type(exc), str(exc)
+    return e.is_zero(), e.sign(), e.total_degree(), e.scalar, e.factors
+
+
+# (d, largest size): 122 partitions, each folded as V and as -V
+_SIGNED_GRID = [(3, 4), (4, 4), (5, 3), (6, 3), (8, 2)]
+
+
+def test_vertex_folds_through_its_blocks():
+    # a vertex reaches the folds as its pending blocks, any other class as
+    # its terms in the tail: e(V), e(-V) and the fixed part agree on the
+    # blocks of +-V and on the expanded class
+    count = 0
+    for d, order in _SIGNED_GRID:
+        for size in range(1, order + 1):
+            for pi in _partitions(d - 1, size):
+                v = vertex(pi, d)
+                nb = v.blocks
+                expanded = KClass._packed(d, v.terms, v.bound)
+                assert _euler_facts(v) == _euler_facts(expanded)
+                negated = nb._replace(
+                    q={k: -c for k, c in nb.q.items()}, tail={k: -c for k, c in nb.tail.items()}
+                )
+                assert _euler_facts(negated) == _euler_facts(-expanded)
+                fixed = cy_fixed_part(v)
+                assert fixed == cy_fixed_part(nb) == cy_fixed_part(expanded)
+                assert -fixed == cy_fixed_part(negated) == cy_fixed_part(-expanded)
+                count += 1
+    assert count == 122
 
 
 class _NoLookup(dict):
@@ -637,9 +676,9 @@ def _tuple_locus_fold(terms, d):
 
 def _folds(a):
     """cy_fold and locus_fold of a class in the layout of the tuple folds."""
-    fixed, odd, interior, pairs = cy_fold(a)
+    fixed, odd, interior, pairs = cy_fold(a.blocks)
     prime = interior_items(interior) if interior else []
-    crit, lodd, rest = locus_fold(a)
+    crit, lodd, rest = locus_fold(a.blocks)
     return (
         (fixed, odd, sorted([*prime, *pairs])),
         (sorted((u, e) for u, e in crit.items() if e), lodd, sorted(rest)),
@@ -699,13 +738,13 @@ def test_folds_hand_cases(terms, cy, locus):
 
 def test_folds_check_the_bound():
     edge = KClass.monomial(4, (2**14 - 1, 0, 0, -(2**14 - 1)))
-    cy_fold(edge)
-    cy_corners(edge)
-    locus_fold(edge)
+    cy_fold(edge.blocks)
+    cy_corners(edge.blocks)
+    locus_fold(edge.blocks)
     wide = KClass.monomial(4, (2**14, 0, 0, 0))
     for fold in (cy_fold, cy_corners, locus_fold):
         with pytest.raises(ExponentOverflow):
-            fold(wide)
+            fold(wide.blocks)
 
 
 @st.composite
@@ -734,7 +773,7 @@ def test_block_folds_match_expanded_folds(blocks):
     # the corner walk: (fixed, odd) off the tail and the corners, and the
     # degree, the coefficient sum less fixed, on the blocks and the class
     want = oracles.expanded_cy_fold(expanded)[:2] + (expanded.rank() - fixed,)
-    assert cy_corners(blocks) == cy_corners(expanded) == want
+    assert cy_corners(blocks) == cy_corners(expanded.blocks) == want
     # the interior codes are primitive, lead positive and share no form
     assert all(gcd(*w) == 1 and next(filter(None, w)) > 0 for w, _ in prime)
     forms = {w for w, _ in prime}
@@ -751,11 +790,9 @@ def test_block_folds_match_expanded_folds(blocks):
 @given(flat_blocks())
 def test_fixed_part_matches_diagonal_oracle(blocks):
     # the corner lookups against every diagonal code multiplied out, on the
-    # blocks, on the class they stand for and on a class whose blocks are
-    # still pending
+    # blocks and on the class they stand for
     expanded = oracles.expanded_blocks(blocks)
-    pending = KClass._packed(blocks.dim, None, blocks.bound, blocks)
-    for a in (blocks, expanded, pending):
+    for a in (blocks, expanded):
         assert cy_fixed_part(a) == oracles.diagonal_fixed_part(a)
 
 
