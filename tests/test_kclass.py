@@ -372,7 +372,7 @@ def test_pending_vertex_matches_its_oracles(d, order):
             v = vertex(pi, d)
             assert repr(v) == "vertex(%r, %d)" % (pi, d)
             fixed = cy_fixed_part(v)
-            assert v._blocks is None
+            assert v._blocks is None and v._terms is None
             assert v.blocks is not None and v._terms is None
             assert cy_fixed_part(v.blocks) == fixed
             eager = oracles.eager_vertex(pi, d)
